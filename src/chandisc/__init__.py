@@ -9,7 +9,6 @@ between simulation-based adaptive lower bounds, fidelity sandwiches, exact
 block values on compressed tensor powers, and an explicit nulling receiver.
 """
 
-from ._kernels import active_backend
 from .channels import (ChannelError, KrausChannel, SimulationError, apply, choi,
                        default_xi, heisenberg_weyl, make_qadc, make_qdc, make_qec,
                        maximally_entangled, pbt_error_bound, qadc_pbt_error,
@@ -28,9 +27,8 @@ from .linalg import (DensityMatrix, LinalgError, SubspaceBasis,
                      compressed_tensor_power, fidelity, hermitize,
                      joint_support_compress, partial_trace, tensor, tensor_all,
                      trace_norm)
-from .orc import (OrcError, OrcParams, WeightProfile, f_u, h_m1_closed, h_mu,
-                  h_mu_enumerate, h_mu_weights, qdc_binary, qdc_cpf, qec_binary,
-                  qec_cpf, weight_profiles)
+from .orc import (OrcError, OrcParams, f_u, h_m1_closed, h_mu, qdc_binary, qdc_cpf,
+                  qec_binary, qec_cpf)
 from .qadc import (OutcomeDistribution, QadcError, fvg_sandwich, nulling_error,
                    nulling_outcome_dist, nulling_unitary, qadc_adaptive_lb,
                    qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,

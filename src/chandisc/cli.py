@@ -35,7 +35,7 @@ from .cpf import (CpfSpec, cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb,
 from .discrimination import (StateEnsemble, gus_unitary_helstrom, helstrom_binary,
                              helstrom_iterative, pgm_error)
 from .linalg import DensityMatrix, compressed_tensor_power, tensor_all, trace_norm
-from .orc import OrcParams, f_u, h_m1_closed, h_mu_enumerate, h_mu_weights, qdc_cpf
+from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_cpf
 from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
                    qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
                    qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt)
@@ -387,17 +387,25 @@ def _check_qdc_binary_vs_helstrom(rng):
 def _check_h_route_agreement(rng):
     worst = 0.0
     cases = 0
-    for m, u in ((2, 3), (3, 2), (4, 2), (2, 5)):
+    for m, u in ((2, 3), (3, 2), (4, 2), (2, 5), (2, 1), (3, 1), (5, 1)):
         for _ in range(3):
             q_b, q_t = rng.uniform(0.0, 1.0, size=2)
+            success = 0.0
+            for string in range(2 ** (u * m)):
+                counts = [bin((string >> (cell * u)) % 2**u).count("1") for cell in range(m)]
+                best = 0.0
+                for target in range(m):
+                    like = 1.0
+                    for cell, k in enumerate(counts):
+                        q = q_t if cell == target else q_b
+                        like *= q**k * (1.0 - q) ** (u - k)
+                    best = max(best, like)
+                success += best
+            strings = 1.0 - success / m
             params = OrcParams(q_b=q_b, q_t=q_t, u=u, m=m)
-            worst = max(worst, abs(h_mu_enumerate(params) - h_mu_weights(params)))
-            cases += 1
-    for m in (2, 3, 5):
-        for _ in range(3):
-            q_b, q_t = rng.uniform(0.0, 1.0, size=2)
-            params = OrcParams(q_b=q_b, q_t=q_t, u=1, m=m)
-            worst = max(worst, abs(h_mu_enumerate(params) - h_m1_closed(params)))
+            worst = max(worst, abs(h_mu(params) - strings))
+            if u == 1:
+                worst = max(worst, abs(h_m1_closed(params) - strings))
             cases += 1
     return worst, 1e-12, cases
 

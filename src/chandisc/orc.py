@@ -5,40 +5,33 @@ collapses to a classical problem: each probe either reveals a damage event
 (erasure flag, depolarized symbol) or passes intact, so ``u`` probes of a
 channel produce a Bernoulli count and the optimal receiver is a maximum
 likelihood test on counts.  This module implements the binary version
-(``f_u``), the multi-cell position-finding version (``h_mu_*``), and the
+(``f_u``), the multi-cell position-finding version (``h_mu``), and the
 channel-specific wrappers that map channel parameters onto effective
 Bernoulli probabilities.
 
-The position-finding value ``h`` is computed by three independent routes
-with different cost envelopes, kept separate on purpose so they can
-cross-validate each other:
-
-* ``h_mu_enumerate``: exact enumeration of all ``2**(u*m)`` outcome strings,
-  collapsed through a cached weight-profile histogram,
-* ``h_mu_weights``: exact summation over the ``(u+1)**m`` per-cell weight
-  vectors with binomial multiplicities, grouped by permutation class,
-* ``h_m1_closed``: closed form for the single-use case.
+The position-finding value ``h`` has one route: ``h_mu`` sums over the
+target cell's count with the background counts entering through the
+distribution of their maximum (an order statistic), at ``O(u * m)`` cost
+for any size.  ``h_m1_closed`` is an independent closed form for the
+single-use case that the crosscheck and the tests compare it with; the
+string-enumeration and exact-rational oracles live with the tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 
 import numpy as np
 
-from . import _kernels
 from .discrimination import KIND_EXACT, BoundReport
 
-ENUMERATE_MAX_BITS = 24
-WEIGHTS_MAX_VECTORS = 10**7
-# Above this many uses the multinomial weights are evaluated in log space.
+# Above this many uses the binomial pmf is evaluated in log space.
 DIRECT_PRODUCT_MAX_U = 50
 
 
 class OrcError(ValueError):
-    """Raised for invalid parameters or when an enumeration guard trips."""
+    """Raised for invalid parameters."""
 
 
 def _check_prob(q, name) -> float:
@@ -71,27 +64,6 @@ class OrcParams:
             raise OrcError(f"need u >= 1, got {self.u}")
         if self.m < 2:
             raise OrcError(f"need m >= 2 cells, got {self.m}")
-
-
-@dataclasses.dataclass(frozen=True)
-class WeightProfile:
-    """Summary (min, max, total) of one per-cell Hamming weight vector."""
-
-    w_min: int
-    w_max: int
-    total: int
-    u: int
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.w_min <= self.w_max <= self.u:
-            raise OrcError(f"weights must satisfy 0 <= {self.w_min} <= {self.w_max} <= {self.u}")
-        lo = self.w_max + (self.m - 1) * self.w_min
-        hi = self.w_min + (self.m - 1) * self.w_max
-        if not lo <= self.total <= hi:
-            raise OrcError(
-                f"total {self.total} is not realizable by {self.m} cells with "
-                f"extremes ({self.w_min}, {self.w_max})")
 
 
 def _binom_pmf(q: float, u: int) -> np.ndarray:
@@ -172,98 +144,6 @@ def qdc_binary(q0, q1, d: int, u: int):
     return entangled, classical
 
 
-@functools.lru_cache(maxsize=None)
-def _profile_counts(m: int, u: int) -> np.ndarray:
-    counts = _kernels.block_weight_histogram(m, u)
-    counts.setflags(write=False)
-    return counts
-
-
-def weight_profiles(m: int, u: int):
-    """All realizable weight profiles with their string multiplicities.
-
-    Returns a list of ``(WeightProfile, count)`` pairs; the counts sum to
-    ``2**(u*m)``.
-    """
-    m = int(m)
-    u = int(u)
-    if u * m > ENUMERATE_MAX_BITS:
-        raise OrcError(f"u*m = {u * m} exceeds the enumeration guard {ENUMERATE_MAX_BITS}")
-    counts = _profile_counts(m, u)
-    out = []
-    for w_min, w_max, total in zip(*counts.nonzero()):
-        profile = WeightProfile(int(w_min), int(w_max), int(total), u=u, m=m)
-        out.append((profile, int(counts[w_min, w_max, total])))
-    return out
-
-
-def _likelihood_tables(params: OrcParams):
-    # tq[w]: target-cell likelihood of weight w; bq[j]: combined background
-    # likelihood of j damage events across the other m - 1 cells.
-    u, m = params.u, params.m
-    tq = _power_table(params.q_t, u) * _power_table(1.0 - params.q_t, u)[::-1]
-    top = (m - 1) * u
-    bq = _power_table(params.q_b, top) * _power_table(1.0 - params.q_b, top)[::-1]
-    return tq, bq
-
-
-def h_mu_enumerate(params: OrcParams) -> float:
-    """Position-finding error by exact enumeration of outcome strings.
-
-    The maximum-likelihood receiver picks the cell with the largest (if
-    ``q_t >= q_b``) or smallest damage count; ties resolve to the
-    largest-count rule, which matches the tie convention of the other
-    routes.  The enumeration is collapsed through the cached profile
-    histogram, so repeated evaluations at new probabilities cost only the
-    profile sum.
-    """
-    if params.u * params.m > ENUMERATE_MAX_BITS:
-        raise OrcError(
-            f"u*m = {params.u * params.m} exceeds the enumeration guard "
-            f"{ENUMERATE_MAX_BITS}; use h_mu_weights")
-    counts = _profile_counts(params.m, params.u)
-    w_min, w_max, total = counts.nonzero()
-    mult = counts[w_min, w_max, total].astype(np.float64)
-    w_star = w_max if params.q_t >= params.q_b else w_min
-    tq, bq = _likelihood_tables(params)
-    best = float(np.sum(mult * tq[w_star] * bq[total - w_star]))
-    return 1.0 - best / params.m
-
-
-def h_mu_weights(params: OrcParams) -> float:
-    """Position-finding error by summation over per-cell weight vectors.
-
-    Algebraically identical to :func:`h_mu_enumerate` but organized as a sum
-    over the ``(u+1)**m`` weight vectors, each weighted by its binomial
-    string count, which trades the ``2**(u*m)`` string count for a
-    polynomial one and so reaches much larger ``u``.  Every term is
-    invariant under permuting the cells, so the numpy kernel sums over the
-    ``C(m+u, m)`` permutation classes with multinomial multiplicities.  The
-    ``WEIGHTS_MAX_VECTORS`` guard still counts all ``(u+1)**m`` vectors,
-    the work of the per-vector numba kernel.  Beyond
-    ``DIRECT_PRODUCT_MAX_U`` uses the multiplicities are folded in log space
-    to dodge overflow.
-    """
-    u, m = params.u, params.m
-    if (u + 1) ** m > WEIGHTS_MAX_VECTORS:
-        raise OrcError(
-            f"(u+1)**m = {(u + 1) ** m} exceeds the weight-vector guard "
-            f"{WEIGHTS_MAX_VECTORS}")
-    use_max = params.q_t >= params.q_b
-    if u <= DIRECT_PRODUCT_MAX_U:
-        binom = np.array([math.comb(u, k) for k in range(u + 1)], dtype=np.float64)
-        tq, bq = _likelihood_tables(params)
-        best = _kernels.weights_sum(m, u, use_max, binom, tq, bq)
-    else:
-        lbinom = np.array([math.lgamma(u + 1) - math.lgamma(k + 1) - math.lgamma(u - k + 1)
-                           for k in range(u + 1)])
-        ltq = _log_power_table(params.q_t, u) + _log_power_table(1.0 - params.q_t, u)[::-1]
-        top = (m - 1) * u
-        lbq = _log_power_table(params.q_b, top) + _log_power_table(1.0 - params.q_b, top)[::-1]
-        best = _kernels.weights_sum_log(m, u, use_max, lbinom, ltq, lbq)
-    return 1.0 - best / m
-
-
 def h_m1_closed(params: OrcParams) -> float:
     """Single-use position-finding error in closed form.
 
@@ -290,16 +170,36 @@ def h_m1_closed(params: OrcParams) -> float:
 
 
 def h_mu(params: OrcParams) -> float:
-    """Position-finding error via the cheapest applicable exact route."""
-    if params.u == 1:
-        return h_m1_closed(params)
-    if params.u * params.m <= ENUMERATE_MAX_BITS:
-        return h_mu_enumerate(params)
-    if (params.u + 1) ** params.m <= WEIGHTS_MAX_VECTORS:
-        return h_mu_weights(params)
-    raise OrcError(
-        f"no exact route for m={params.m}, u={params.u}: both the string and "
-        f"the weight-vector enumerations exceed their guards")
+    """Position-finding error of the maximum-likelihood counting receiver.
+
+    With ``q_t >= q_b`` the likelihood of "cell n is the target" grows with
+    cell n's damage count, so the receiver picks the cell with the largest
+    count; ties may be broken arbitrarily without changing the success
+    probability.  Putting the target in a fixed cell, its count has pmf
+    ``T`` and each of the ``m - 1`` background counts is drawn i.i.d. with
+    CDF ``F``.  Averaging over ties gives
+
+        1 - h = (1/m) * sum_k T[k] * sum_{j<m} F(k)**j * F(k-1)**(m-1-j)
+
+    with ``F(-1) = 0``.  For ``q_t < q_b`` the receiver picks the smallest
+    count, which is the same problem after relabelling ``k -> u - k``.  The
+    inner sum is evaluated by Horner's rule: it never divides, so
+    ``q in {0, 1}`` and ``q_t == q_b`` need no special case, and it costs
+    ``O(u * m)``.
+    """
+    u, m = params.u, params.m
+    target = _binom_pmf(params.q_t, u)
+    background = _binom_pmf(params.q_b, u)
+    if params.q_t < params.q_b:
+        target, background = target[::-1], background[::-1]
+    upper = np.cumsum(background)
+    lower = np.concatenate(([0.0], upper[:-1]))
+    inner = np.zeros(u + 1)
+    lower_pow = np.ones(u + 1)
+    for _ in range(m):
+        inner = inner * upper + lower_pow
+        lower_pow = lower_pow * lower
+    return 1.0 - float(target @ inner) / m
 
 
 def qec_cpf(q_b, q_t, m: int, u: int) -> BoundReport:

@@ -32,8 +32,6 @@ from chandisc.orc import (
     f_u,
     h_m1_closed,
     h_mu,
-    h_mu_enumerate,
-    h_mu_weights,
     qdc_binary,
     qdc_cpf,
     qec_binary,
@@ -48,6 +46,7 @@ from chandisc.qadc import (
     qadc_cpf_adaptive_lb,
 )
 
+from _oracles import h_mu_strings
 from _util import gus_pure_states, random_density
 
 
@@ -96,19 +95,19 @@ def test_02_single_use_closed_form(capsys):
         for q_b in axis:
             for q_t in axis:
                 params = OrcParams(q_b=q_b, q_t=q_t, u=1, m=m)
-                check.see(abs(h_m1_closed(params) - h_mu_enumerate(params)))
+                check.see(abs(h_m1_closed(params) - h_mu_strings(params)))
     check.finish(capsys, 1e-12)
 
 
 def test_03_enumeration_routes_agree(capsys):
-    check = _Check(3, "string vs weight-vector enumeration", 60.0)
+    check = _Check(3, "order-statistic h_mu vs string enumeration", 60.0)
     axis = np.linspace(0.0, 1.0, 20)
     for m in range(2, 21):
         for u in range(1, 20 // m + 1):
             for q_b in axis:
                 for q_t in axis:
                     params = OrcParams(q_b=q_b, q_t=q_t, u=u, m=m)
-                    check.see(abs(h_mu_enumerate(params) - h_mu_weights(params)))
+                    check.see(abs(h_mu(params) - h_mu_strings(params)))
     check.finish(capsys, 1e-12)
 
 

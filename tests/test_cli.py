@@ -29,6 +29,13 @@ def test_fig2_csv_shape(tmp_path):
     assert text.endswith("\n") and "\r" not in text
 
 
+def test_fig2_large_instance(tmp_path):
+    # 2**240 outcome strings and 31**8 weight vectors: beyond any enumeration
+    code, text = run(tmp_path, "--command", "fig2", "--m", "8", "--u", "30")
+    assert code == 0
+    assert len(text.splitlines()) == 1 + 800
+
+
 def test_fig2_json_round_trip(tmp_path):
     code, text = run(tmp_path, "--command", "fig2", "--grid", "3", "--m", "2",
                      "--u", "1", "--d", "2", "--gap", "0.3", "--format", "json")

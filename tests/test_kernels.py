@@ -1,4 +1,4 @@
-"""Backend equality and selection for the enumeration kernels."""
+"""The string-enumeration oracle against a direct classification of strings."""
 
 import itertools
 import math
@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from chandisc import _kernels
+from _oracles import string_histogram
 
 
 def _histogram_reference(m, u):
-    """Directly classify every bit string; independent of both backends."""
+    """Directly classify every bit string; independent of the numpy oracle."""
     counts = np.zeros((u + 1, u + 1, u * m + 1), dtype=np.int64)
     for bits in itertools.product((0, 1), repeat=u * m):
         weights = [sum(bits[l * u:(l + 1) * u]) for l in range(m)]
@@ -20,7 +20,7 @@ def _histogram_reference(m, u):
 
 @pytest.mark.parametrize("m,u", [(1, 3), (2, 1), (2, 3), (3, 2), (4, 2)])
 def test_histogram_numpy_matches_brute_force(m, u):
-    got = _kernels.histogram_numpy(m, u)
+    got = string_histogram(m, u)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, _histogram_reference(m, u))
     assert got.sum() == 2 ** (u * m)
@@ -28,104 +28,7 @@ def test_histogram_numpy_matches_brute_force(m, u):
 
 def test_histogram_single_block_is_binomial():
     u = 6
-    counts = _kernels.histogram_numpy(1, u)
+    counts = string_histogram(1, u)
     for k in range(u + 1):
         assert counts[k, k, k] == math.comb(u, k)
     assert counts.sum() == 2**u
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("m,u", [(2, 3), (3, 4), (5, 2), (2, 10)])
-def test_histogram_backends_agree(m, u):
-    np.testing.assert_array_equal(
-        _kernels.histogram_numba(m, u), _kernels.histogram_numpy(m, u))
-
-
-def _random_tables(rng, m, u):
-    binom = rng.uniform(0.5, 2.0, size=u + 1)
-    tq = rng.uniform(0.05, 0.95, size=u + 1)
-    bq = rng.uniform(0.05, 0.95, size=(m - 1) * u + 1)
-    return binom, tq, bq
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("m,u", [(2, 4), (3, 3), (4, 5)])
-def test_weights_backends_agree(m, u):
-    rng = np.random.default_rng(40 + m + u)
-    binom, tq, bq = _random_tables(rng, m, u)
-    for use_max in (True, False):
-        a = _kernels.weights_sum_numpy(m, u, use_max, binom, tq, bq)
-        b = _kernels.weights_sum_numba(m, u, use_max, binom, tq, bq)
-        assert abs(a - b) < 1e-12 * max(1.0, abs(a))
-
-
-@pytest.mark.parametrize("m,u", [(1, 5), (2, 1), (2, 9), (3, 4), (4, 3), (5, 2), (5, 4), (2, 60)])
-@pytest.mark.parametrize("cached", [True, False])
-def test_weights_numpy_matches_per_vector_loop(monkeypatch, m, u, cached):
-    # The numpy sums run over permutation classes; the reference loops visit
-    # every one of the (u+1)**m weight vectors.  Uncached, tiny chunks make
-    # the class generator split its last cell across many chunks.
-    if not cached:
-        monkeypatch.setattr(_kernels, "_CACHED_CLASSES", 0)
-        monkeypatch.setattr(_kernels, "_CHUNK", 7)
-    rng = np.random.default_rng(300 + 10 * m + u)
-    binom, tq, bq = _random_tables(rng, m, u)
-    lbinom, ltq, lbq = np.log(binom), np.log(tq), np.log(bq)
-    for use_max in (True, False):
-        ref = _kernels._weights_loop(m, u, use_max, binom, tq, bq)
-        got = _kernels.weights_sum_numpy(m, u, use_max, binom, tq, bq)
-        assert abs(got - ref) <= 1e-12 * abs(ref)
-        ref = _kernels._weights_loop_log(m, u, use_max, lbinom, ltq, lbq)
-        got = _kernels.weights_sum_log_numpy(m, u, use_max, lbinom, ltq, lbq)
-        assert abs(got - ref) <= 1e-12 * abs(ref)
-
-
-def test_weights_log_path_matches_direct():
-    rng = np.random.default_rng(41)
-    m, u = 3, 4
-    binom, tq, bq = _random_tables(rng, m, u)
-    direct = _kernels.weights_sum_numpy(m, u, True, binom, tq, bq)
-    logged = _kernels.weights_sum_log_numpy(
-        m, u, True, np.log(binom), np.log(tq), np.log(bq))
-    assert abs(direct - logged) < 1e-10 * max(1.0, abs(direct))
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not installed")
-def test_weights_log_backends_agree():
-    rng = np.random.default_rng(42)
-    m, u = 2, 60
-    binom, tq, bq = _random_tables(rng, m, u)
-    a = _kernels.weights_sum_log_numpy(m, u, False, np.log(binom), np.log(tq), np.log(bq))
-    b = _kernels.weights_sum_log_numba(m, u, False, np.log(binom), np.log(tq), np.log(bq))
-    assert abs(a - b) < 1e-11 * max(1.0, abs(a))
-
-
-def test_weights_sum_hand_value():
-    # m=2, u=1, all tables ones except likelihoods: sum over (w0, w1) of
-    # tq[wstar] * bq[wsum - wstar] with wstar = max
-    tq = np.array([0.7, 0.3])
-    bq = np.array([0.9, 0.1])
-    binom = np.ones(2)
-    expect = (0.7 * 0.9) + 2 * (0.3 * 0.9) + (0.3 * 0.1)  # (0,0), (0,1)+(1,0), (1,1)
-    got = _kernels.weights_sum_numpy(2, 1, True, binom, tq, bq)
-    assert abs(got - expect) < 1e-15
-
-
-def test_dispatch_follows_backend_flag(monkeypatch):
-    ref = _kernels.histogram_numpy(2, 3)
-    monkeypatch.setattr(_kernels, "USE_NUMBA", False)
-    assert _kernels.active_backend() == "numpy"
-    np.testing.assert_array_equal(_kernels.block_weight_histogram(2, 3), ref)
-    if _kernels.HAVE_NUMBA:
-        monkeypatch.setattr(_kernels, "USE_NUMBA", True)
-        assert _kernels.active_backend() == "numba"
-        np.testing.assert_array_equal(_kernels.block_weight_histogram(2, 3), ref)
-
-
-@pytest.mark.parametrize("raw,expect", [
-    ("1", True), ("true", True), (" YES ", True), ("on", True),
-    ("", False), ("0", False), ("off", False), ("no", False),
-])
-def test_env_flag_parsing(monkeypatch, raw, expect):
-    monkeypatch.setenv("CHANDISC_DISABLE_NUMBA", raw)
-    assert _kernels._env_disabled() is expect

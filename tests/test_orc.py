@@ -6,7 +6,6 @@ likelihood over every outcome string.  That path shares no code (and no
 algebra beyond the channel statistics) with the production formulas.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -18,18 +17,16 @@ from hypothesis import strategies as st
 from chandisc.orc import (
     OrcError,
     OrcParams,
-    WeightProfile,
     f_u,
     h_m1_closed,
     h_mu,
-    h_mu_enumerate,
-    h_mu_weights,
     qdc_binary,
     qdc_cpf,
     qec_binary,
     qec_cpf,
-    weight_profiles,
 )
+
+from _oracles import cpf_ml_exact, h_mu_strings, string_histogram
 
 
 def _binary_ml_exact(q0, q1, u):
@@ -43,25 +40,6 @@ def _binary_ml_exact(q0, q1, u):
     return total / 2
 
 
-def _cpf_ml_exact(q_b, q_t, m, u):
-    """Position-finding error by brute likelihood over all outcome strings."""
-    q_b, q_t = Fraction(q_b), Fraction(q_t)
-    success = Fraction(0)
-    for weights in itertools.product(range(u + 1), repeat=m):
-        mult = 1
-        for w in weights:
-            mult *= math.comb(u, w)
-        best = Fraction(0)
-        for n in range(m):
-            like = Fraction(1)
-            for l, w in enumerate(weights):
-                q = q_t if l == n else q_b
-                like *= q**w * (1 - q) ** (u - w)
-            best = max(best, like)
-        success += mult * best
-    return 1 - success / m
-
-
 def test_params_validation():
     with pytest.raises(OrcError):
         OrcParams(q_b=0.5, q_t=0.5, u=1, m=1)
@@ -72,17 +50,16 @@ def test_params_validation():
 
 
 def test_weight_profile_realizability():
-    WeightProfile(1, 2, 5, u=3, m=3)
-    with pytest.raises(OrcError):
-        WeightProfile(2, 1, 3, u=3, m=3)  # min above max
-    with pytest.raises(OrcError):
-        WeightProfile(0, 1, 50, u=3, m=3)  # total out of range
+    # every populated (min, max, total) profile of the string oracle is one
+    # that m cells with those extreme weights can reach
+    for m, u in ((3, 3), (4, 2), (2, 5)):
+        for w_min, w_max, total in zip(*string_histogram(m, u).nonzero()):
+            assert 0 <= w_min <= w_max <= u
+            assert w_max + (m - 1) * w_min <= total <= w_min + (m - 1) * w_max
 
 
 def test_weight_profiles_count_full_space():
-    profiles = weight_profiles(3, 2)
-    assert sum(c for _, c in profiles) == 2**6
-    assert all(p.w_min <= p.w_max for p, _ in profiles)
+    assert string_histogram(3, 2).sum() == 2**6
 
 
 def test_f1_worked_value():
@@ -137,11 +114,11 @@ def test_binary_entanglement_advantage():
     (3, 2, 1.0, 0.4), (5, 1, 0.9, 0.2),
 ])
 def test_h_routes_match_exact_rational(m, u, q_b, q_t):
-    expect = float(_cpf_ml_exact(Fraction(q_b).limit_denominator(100),
-                                 Fraction(q_t).limit_denominator(100), m, u))
+    expect = float(cpf_ml_exact(Fraction(q_b).limit_denominator(100),
+                                Fraction(q_t).limit_denominator(100), m, u))
     params = OrcParams(q_b=q_b, q_t=q_t, u=u, m=m)
-    assert abs(h_mu_enumerate(params) - expect) < 1e-13
-    assert abs(h_mu_weights(params) - expect) < 1e-13
+    assert abs(h_mu(params) - expect) < 1e-13
+    assert abs(h_mu_strings(params) - expect) < 1e-13
     if u == 1:
         assert abs(h_m1_closed(params) - expect) < 1e-13
 
@@ -182,32 +159,48 @@ def test_h_monotone_in_uses():
 
 
 def test_h_large_u_log_route():
-    # above the direct-product cutoff the multiplicities fold in log space;
-    # the two organizations must agree where they overlap
-    lo = h_mu_weights(OrcParams(q_b=0.41, q_t=0.37, u=50, m=2))
-    hi = h_mu_weights(OrcParams(q_b=0.41, q_t=0.37, u=51, m=2))
+    # above the direct-product cutoff the binomial pmf is built in log space;
+    # crossing the cutoff must keep the error non-increasing in u
+    lo = h_mu(OrcParams(q_b=0.41, q_t=0.37, u=50, m=2))
+    hi = h_mu(OrcParams(q_b=0.41, q_t=0.37, u=51, m=2))
     assert 0.0 <= hi <= lo + 1e-12  # more uses cannot hurt
-    direct = h_mu_weights(OrcParams(q_b=0.3, q_t=0.8, u=12, m=2))
-    assert abs(direct - h_mu_enumerate(OrcParams(q_b=0.3, q_t=0.8, u=12, m=2))) < 1e-12
+    params = OrcParams(q_b=0.3, q_t=0.8, u=12, m=2)
+    assert abs(h_mu(params) - h_mu_strings(params)) < 1e-12
+
+
+@st.composite
+def _small_instances(draw):
+    # u*m <= 12 keeps the string oracle at 4096 strings; endpoints and ties
+    # are drawn on purpose because the formula must not special-case them
+    m = draw(st.integers(2, 6))
+    u = draw(st.integers(1, 12 // m))
+    prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+    q_b = draw(prob)
+    q_t = q_b if draw(st.booleans()) else draw(prob)
+    return OrcParams(q_b=q_b, q_t=q_t, u=u, m=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_instances())
+def test_h_matches_string_oracle(params):
+    assert abs(h_mu(params) - h_mu_strings(params)) < 1e-12
+
+
+def test_h_large_sizes():
+    m = 1000
+    values = [h_mu(OrcParams(q_b=0.41, q_t=0.37, u=u, m=m)) for u in (1000, 2000, 4999, 5000)]
+    assert all(0.0 <= v <= (m - 1) / m for v in values)
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    assert values[-1] < values[0]
 
 
 def test_route_guards():
-    with pytest.raises(OrcError, match="enumeration guard"):
-        h_mu_enumerate(OrcParams(q_b=0.5, q_t=0.6, u=13, m=2))
-    with pytest.raises(OrcError, match="weight-vector guard"):
-        h_mu_weights(OrcParams(q_b=0.5, q_t=0.6, u=30, m=8))
-    # the dispatcher falls through closed form -> enumeration -> weights
-    with pytest.raises(OrcError):
-        h_mu(OrcParams(q_b=0.5, q_t=0.6, u=1000, m=10))
-
-
-def test_dispatcher_selects_consistent_routes():
-    params = OrcParams(q_b=0.35, q_t=0.65, u=1, m=5)
-    assert h_mu(params) == h_m1_closed(params)
-    params = OrcParams(q_b=0.35, q_t=0.65, u=4, m=3)
-    assert h_mu(params) == h_mu_enumerate(params)
-    params = OrcParams(q_b=0.35, q_t=0.65, u=40, m=3)
-    assert h_mu(params) == h_mu_weights(params)
+    # the closed form is the only route with a size restriction left
+    with pytest.raises(OrcError, match="u = 1"):
+        h_m1_closed(OrcParams(q_b=0.5, q_t=0.6, u=2, m=2))
+    # far beyond any enumeration of strings or weight vectors
+    for u, m in ((13, 2), (30, 8), (1000, 10)):
+        assert 0.0 <= h_mu(OrcParams(q_b=0.5, q_t=0.6, u=u, m=m)) <= (m - 1) / m
 
 
 def test_cpf_reports_and_scaling():
