@@ -4,9 +4,11 @@
   ``2**(u*m)`` outcome strings, collapsed into a histogram of per-cell
   weight profiles ``(min, max, total)``;
 * ``cpf_ml_exact``: exact rational arithmetic over every per-cell weight
-  vector, with the maximum likelihood taken hypothesis by hypothesis.
+  vector, with the maximum likelihood taken hypothesis by hypothesis;
+* ``weight_vector_success``: the same per-vector sum in floating point,
+  directly or from log-likelihoods, for sizes the rationals cannot reach.
 
-Neither shares code with the order-statistic formula in ``chandisc.orc``.
+None shares code with the order-statistic formula in ``chandisc.orc``.
 """
 
 import functools
@@ -91,3 +93,45 @@ def cpf_ml_exact(q_b, q_t, m, u):
             best = max(best, like)
         success += mult * best
     return 1 - success / m
+
+
+def weight_vector_success(params, log: bool = False) -> float:
+    """Maximum-likelihood success sum, visiting every per-cell weight vector.
+
+    Sums ``prod_l C(u, w_l) * max_n P(w | target in n)`` over all
+    ``(u+1)**m`` weight vectors ``w`` in floating point, one vector at a
+    time; with ``log`` each term is built from log-likelihoods and
+    exponentiated last.  Only ``u``, ``m``, ``q_b`` and ``q_t`` of
+    ``params`` are read.
+    """
+    u, m, q_b, q_t = params.u, params.m, params.q_b, params.q_t
+
+    def _log(q):
+        return math.log(q) if q > 0.0 else -math.inf
+
+    total = 0.0
+    for weights in itertools.product(range(u + 1), repeat=m):
+        if log:
+            log_mult = sum(math.lgamma(u + 1) - math.lgamma(w + 1) - math.lgamma(u - w + 1)
+                           for w in weights)
+            best = -math.inf
+            for n in range(m):
+                like = 0.0
+                for l, w in enumerate(weights):
+                    q = q_t if l == n else q_b
+                    like += (w * _log(q) if w else 0.0) + ((u - w) * _log(1.0 - q) if u - w else 0.0)
+                best = max(best, like)
+            total += math.exp(log_mult + best)
+        else:
+            mult = 1
+            for w in weights:
+                mult *= math.comb(u, w)
+            best = 0.0
+            for n in range(m):
+                like = 1.0
+                for l, w in enumerate(weights):
+                    q = q_t if l == n else q_b
+                    like *= q**w * (1.0 - q) ** (u - w)
+                best = max(best, like)
+            total += mult * best
+    return total
