@@ -6,12 +6,15 @@ of one anomalous channel among ``m`` identical cells.  For the first two
 families the ultimate adaptive error is available in closed form through
 outcome counting; for amplitude damping the package brackets the error
 between simulation-based adaptive lower bounds, fidelity sandwiches, exact
-block values on compressed tensor powers, and an explicit nulling receiver.
+block values computed from Gram matrices of Kraus vectors (split by the
+cyclic symmetry of position finding), and an explicit nulling receiver.
+
+Every error raised for a refused input derives from :class:`ChandiscError`.
 """
 
 from .channels import (ChannelError, KrausChannel, SimulationError, apply, choi,
-                       default_xi, heisenberg_weyl, make_qadc, make_qdc, make_qec,
-                       maximally_entangled, pbt_error_bound, qadc_pbt_error,
+                       default_xi, heisenberg_weyl, kraus_vectors, make_qadc, make_qdc,
+                       make_qec, maximally_entangled, pbt_error_bound, qadc_pbt_error,
                        tele_covariance_check, zero_sim_error)
 from .cpf import (CpfError, CpfSpec, MOptimizationResult, build_cpf_choi_ensemble,
                   compressed_cpf_ensemble, cpf_block_fidelity_lb, cpf_fidelity_lb,
@@ -23,10 +26,9 @@ from .discrimination import (BoundReport, DiscriminationError, Povm, StateEnsemb
                              fidelity_upper_bound, gus_unitary_helstrom,
                              helstrom_binary, helstrom_iterative, pgm_error,
                              pgm_povm, success_probability)
-from .linalg import (DensityMatrix, LinalgError, SubspaceBasis,
-                     compressed_tensor_power, fidelity, hermitize,
-                     joint_support_compress, partial_trace, tensor, tensor_all,
-                     trace_norm)
+from .linalg import (ChandiscError, DensityMatrix, LinalgError, fidelity, gram_states,
+                     gram_support, hermitize, kron_power, partial_trace, tensor,
+                     tensor_all, trace_norm)
 from .orc import (OrcError, OrcParams, f_u, h_m1_closed, h_mu, qdc_binary, qdc_cpf,
                   qec_binary, qec_cpf)
 from .qadc import (OutcomeDistribution, QadcError, fvg_sandwich, nulling_error,

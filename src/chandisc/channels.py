@@ -19,10 +19,10 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import DensityMatrix, as_complex_matrix, hermitize
+from .linalg import ChandiscError, DensityMatrix, as_complex_matrix, check_prob, hermitize
 
 
-class ChannelError(ValueError):
+class ChannelError(ChandiscError):
     """Raised for invalid channel parameters or mismatched dimensions."""
 
 
@@ -64,13 +64,6 @@ class KrausChannel:
         return f"KrausChannel(dim_in={self.dim_in}, dim_out={self.dim_out}, n_kraus={len(self.kraus)})"
 
 
-def _check_prob(q, name="q") -> float:
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise ChannelError(f"{name} must lie in [0, 1], got {q}")
-    return q
-
-
 def make_qec(d: int, q) -> KrausChannel:
     """Erasure channel on a ``d``-level system.
 
@@ -81,7 +74,7 @@ def make_qec(d: int, q) -> KrausChannel:
     d = int(d)
     if d < 2:
         raise ChannelError(f"erasure channel needs d >= 2, got {d}")
-    q = _check_prob(q)
+    q = check_prob(q, "q", ChannelError)
     iso = np.zeros((d + 1, d), dtype=np.complex128)
     iso[:d, :] = np.eye(d)
     ops = [np.sqrt(1.0 - q) * iso]
@@ -128,7 +121,7 @@ def make_qdc(d: int, q) -> KrausChannel:
     d = int(d)
     if d < 2:
         raise ChannelError(f"depolarizing channel needs d >= 2, got {d}")
-    q = _check_prob(q)
+    q = check_prob(q, "q", ChannelError)
     unitaries = heisenberg_weyl(d)
     ops = [np.sqrt(1.0 - q + q / d**2) * unitaries[0]]
     ops.extend(np.sqrt(q / d**2) * w for w in unitaries[1:])
@@ -137,7 +130,7 @@ def make_qdc(d: int, q) -> KrausChannel:
 
 def make_qadc(q) -> KrausChannel:
     """Amplitude damping channel on a qubit with decay probability ``q``."""
-    q = _check_prob(q)
+    q = check_prob(q, "q", ChannelError)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - q)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(q)], [0.0, 0.0]], dtype=np.complex128)
     return KrausChannel((k0, k1))
@@ -159,19 +152,27 @@ def maximally_entangled(d: int) -> DensityMatrix:
     return DensityMatrix(np.outer(vec, vec.conj()))
 
 
+def kraus_vectors(channel: KrausChannel) -> np.ndarray:
+    """Columns ``vec(K_i) / sqrt(d_in)``, so that ``choi(channel) = V V†``.
+
+    ``vec`` stacks rows, matching the output-tensor-idler order of
+    :func:`choi`.  The array is real when every Kraus operator is, so
+    Gram matrices of real channels stay in real arithmetic.
+    """
+    vecs = np.stack([k.reshape(-1) for k in channel.kraus], axis=1) / np.sqrt(channel.dim_in)
+    return vecs if vecs.imag.any() else vecs.real.copy()
+
+
 def choi(channel: KrausChannel) -> DensityMatrix:
     """Choi matrix of a channel, ordered as output tensor idler.
 
     This is the channel applied to one half of a maximally entangled pair,
     ``(E ⊗ id)(|Ω><Ω|)`` with ``|Ω> = sum_i |ii> / sqrt(d_in)``.  In this
-    (row-major) convention the Choi matrix is ``sum_i vec(K_i) vec(K_i)† / d_in``.
+    (row-major) convention the Choi matrix is ``sum_i vec(K_i) vec(K_i)† / d_in``,
+    i.e. ``V V†`` for the :func:`kraus_vectors` ``V``.
     """
-    d = channel.dim_in
-    mat = np.zeros((channel.dim_out * d,) * 2, dtype=np.complex128)
-    for k in channel.kraus:
-        v = k.reshape(-1)
-        mat += np.outer(v, v.conj())
-    return DensityMatrix(mat / d)
+    vecs = kraus_vectors(channel)
+    return DensityMatrix(vecs @ vecs.conj().T)
 
 
 SIM_ERROR_KINDS = ("uniform_bound", "qadc_specific", "exact_zero")
@@ -228,7 +229,7 @@ def qadc_pbt_error(q, ports: int, xi=None) -> SimulationError:
     ``q = 1``, where the channel becomes a constant map that is simulable
     exactly.
     """
-    q = _check_prob(q)
+    q = check_prob(q, "q", ChannelError)
     ports = int(ports)
     if ports < 1:
         raise ChannelError(f"need ports >= 1, got {ports}")

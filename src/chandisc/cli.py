@@ -15,8 +15,9 @@ Four commands, selected with ``--command``:
 Output is CSV (default) or JSON.  CSV uses comma separators, ``.`` decimal
 points, 17-significant-digit scientific floats, LF line endings and UTF-8;
 two runs with an identical configuration produce byte-identical output.
-Exit codes: 0 on success, 2 for invalid configurations, 3 when a result
-table violates one of its internal ordering invariants.
+Exit codes: 0 on success, 2 for invalid configurations (including inputs a
+library size guard refuses), 3 when a result table violates one of its
+internal ordering invariants.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ import time
 
 import numpy as np
 
-from .channels import make_qadc, make_qdc, make_qec, tele_covariance_check
+from .channels import kraus_vectors, make_qadc, make_qdc, make_qec, tele_covariance_check
 from .cpf import (CpfSpec, cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb,
                   cpf_pgm_upper, optimize_over_M)
 from .discrimination import (StateEnsemble, gus_unitary_helstrom, helstrom_binary,
                              helstrom_iterative, pgm_error)
-from .linalg import DensityMatrix, compressed_tensor_power, tensor_all, trace_norm
+from .linalg import (ChandiscError, DensityMatrix, gram_states, kron_power, tensor_all,
+                     trace_norm)
 from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_cpf
 from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
                    qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
@@ -435,9 +437,11 @@ def _check_compression_distance(rng):
     q0, q1 = rng.uniform(0.1, 0.9, size=2)
     c0 = channel_choi(make_qadc(q0)).mat
     c1 = channel_choi(make_qadc(q1)).mat
+    vecs = [kraus_vectors(make_qadc(q)) for q in (q0, q1)]
     for u in (2, 3):
         dense = trace_norm(tensor_all([c0] * u) - tensor_all([c1] * u))
-        small0, small1 = compressed_tensor_power([c0, c1], u)
+        gram = np.block([[kron_power(a.T @ b, u) for b in vecs] for a in vecs])
+        small0, small1 = gram_states(gram, [gram.shape[0] // 2] * 2)
         worst = max(worst, abs(trace_norm(small0 - small1) - dense))
     return worst, 1e-9, 2
 
@@ -647,7 +651,7 @@ def main(argv=None) -> int:
                 print(f"invariant violation: {failure}", file=sys.stderr)
             return 3
         return 0
-    except CliConfigError as exc:
+    except (CliConfigError, ChandiscError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:

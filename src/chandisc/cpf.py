@@ -9,23 +9,34 @@ collect the resulting block states (tensor powers of cell Choi matrices),
 and pay a continuity penalty ``u/2`` times the accumulated simulation
 error.  This module provides the ensemble construction, the continuity
 arithmetic, fidelity-based evaluations of the block bound, the port-count
-optimization, and square-root-measurement upper bounds on compressed block
-ensembles.
+optimization, and square-root-measurement upper bounds on the block
+ensemble.
+
+Block quantities never touch the ambient ``dim**(m u)`` space.  Hypothesis
+``n`` is ``W_n W_n†`` with ``W_n`` the tensor product of per-cell Kraus
+vectors, and the cyclic cell shift maps ``W_n`` to ``W_{n+1}``, so the Gram
+matrix of all hypotheses is block-circulant, ``W_n† W_n' = C_{n'-n}``.  A
+discrete Fourier transform over the cells (``ω = exp(2πi/m)``) splits it
+into ``m`` blocks of side ``r**(m u)`` (``r`` Kraus operators per cell), and
+the square-root measurement and the compressed states follow from those
+blocks alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from .channels import KrausChannel, choi
+from .channels import KrausChannel, choi, kraus_vectors
 from .discrimination import (KIND_LOWER, KIND_UPPER, BoundReport, StateEnsemble,
-                             fidelity_lower_bound, helstrom_iterative, pgm_error)
-from .linalg import DensityMatrix, compressed_tensor_power, fidelity, tensor_all
+                             fidelity_lower_bound, helstrom_iterative)
+from .linalg import (ChandiscError, DensityMatrix, fidelity, gram_states, gram_support,
+                     kron_power, tensor_all)
 
 
-class CpfError(ValueError):
+class CpfError(ChandiscError):
     """Raised for invalid position-finding specifications."""
 
 
@@ -54,7 +65,8 @@ class CpfSpec:
 def build_cpf_choi_ensemble(spec: CpfSpec, max_dim: int = 4096) -> StateEnsemble:
     """The ``m`` hypothesis states built from single-use cell Choi matrices.
 
-    Hypothesis ``n`` places the target Choi matrix in slot ``n`` (ascending
+    Dense, in the ambient space: the small-size reference for the
+    Gram-space routes.  Hypothesis ``n`` places the target Choi matrix in slot ``n`` (ascending
     slot order, first factor most significant) and the background Choi in
     every other slot.  The ensemble is equiprobable and geometrically
     uniform: the cyclic shift of :func:`cyclic_shift` maps hypothesis ``n``
@@ -263,35 +275,90 @@ def optimize_over_M(bound_fn, ports_range=(1, 10**6), grid_points: int = 200) ->
                                evaluations=evaluations)
 
 
+def _circulant_terms(spec: CpfSpec, max_rank: int) -> np.ndarray:
+    """The blocks ``C_k = W_0† W_k``, stacked along the first axis.
+
+    ``W_n`` is the tensor product, over cells and uses, of the Kraus
+    vectors of hypothesis ``n`` (target in cell ``n``), its columns
+    labelled relative to the target: ``W_n = S^n W_0`` for the cyclic cell
+    shift ``S``, so the Kraus index that ``W_0`` attaches to cell ``j``,
+    ``W_n`` attaches to cell ``j + n``.  Then ``W_n† W_n' = C_{n'-n}``.
+    Row cell ``l`` of ``C_k`` meets column cell ``l - k``, so ``C_k`` is a
+    Kronecker product of per-cell Grams with its column cells rotated.
+    Raises before allocating anything when the side
+    ``r_t**u r_b**((m-1) u)`` exceeds ``max_rank``.
+    """
+    m, u = spec.m, spec.u
+    ranks = {"t": len(spec.target.kraus), "b": len(spec.background.kraus)}
+    # Capped exponents decide the same way: 2**64 exceeds any usable guard.
+    side = ranks["t"] ** min(u, 64) * ranks["b"] ** min((m - 1) * u, 64)
+    if side > max_rank:
+        raise CpfError(f"Gram block side {side} exceeds guard {max_rank}")
+    vecs = {"t": kraus_vectors(spec.target), "b": kraus_vectors(spec.background)}
+    cell_grams = {(x, y): kron_power(vecs[x].conj().T @ vecs[y], u)
+                  for x in vecs for y in vecs}
+    labels = ["t"] + ["b"] * (m - 1)
+    terms = []
+    for k in range(m):
+        term = functools.reduce(np.kron, [cell_grams[labels[l], labels[(l - k) % m]]
+                                          for l in range(m)])
+        term = term.reshape([side] + [ranks[labels[(l - k) % m]] ** u for l in range(m)])
+        term = term.transpose([0] + [1 + (j + k) % m for j in range(m)])
+        terms.append(term.reshape(side, side))
+    return np.stack(terms)
+
+
 def compressed_cpf_ensemble(spec: CpfSpec, max_rank: int = 2048) -> StateEnsemble:
-    """The ``u``-fold block ensemble, rotated into its joint support.
+    """The ``u``-fold block ensemble, in an orthonormal basis of its joint support.
 
     Equivalent for every discrimination quantity to the ``u``-th tensor
-    powers of the hypothesis Choi states, but never materializes the
-    ambient ``dim**(m u)`` space.
+    powers of the hypothesis Choi states: :func:`~chandisc.linalg.gram_states`
+    of the block-circulant Gram matrix.  Raises before allocating once its
+    side ``m r**(m u)`` exceeds ``max_rank``.
     """
-    base = build_cpf_choi_ensemble(spec)
-    if spec.u == 1:
-        return base
-    mats = compressed_tensor_power([s.mat for s in base.states], spec.u, max_side=max_rank)
-    states = [DensityMatrix(m, validate=False) for m in mats]
-    return StateEnsemble(states, base.priors)
+    m = spec.m
+    terms = _circulant_terms(spec, max_rank // m)
+    gram = np.block([[terms[(k - n) % m] for k in range(m)] for n in range(m)])
+    states = gram_states(gram, [terms.shape[1]] * m)
+    return StateEnsemble.equiprobable([DensityMatrix(s, validate=False) for s in states])
 
 
 def cpf_pgm_upper(spec: CpfSpec, max_rank: int = 2048) -> BoundReport:
     """Square-root-measurement upper bound on the block error.
 
-    Runs on the compressed block ensemble; raises once the joint support
-    rank exceeds ``max_rank``.
+    With the prior in the Gram matrix, its Fourier blocks are
+    ``G_j = (1/m) sum_l ω^{jl} C_l`` and every diagonal block of its square
+    root is ``(1/m) sum_j √G_j``, so the success probability is
+    ``(1/m) ||sum_j √G_j||_F**2``.  Real blocks ``C_l`` make
+    ``G_{m-j}`` the complex conjugate of ``G_j``: only ``j <= m/2`` are
+    decomposed, the others counted through twice the real part.  Raises
+    before allocating once ``r**(m u)`` exceeds ``max_rank``.
     """
-    report = pgm_error(compressed_cpf_ensemble(spec, max_rank=max_rank))
-    return BoundReport(report.value, KIND_UPPER, "cpf_pgm_ub",
-                       {"m": spec.m, "u": spec.u, "dim": report.params["dim"]})
+    m = spec.m
+    terms = _circulant_terms(spec, max_rank)
+    real = np.isrealobj(terms)
+    if real:
+        # rfft gives conj(m G_j); the conjugate block has the same square root, conjugated.
+        spectra = np.fft.rfft(terms, axis=0) / m
+        weights = [1 if j == 0 or 2 * j == m else 2 for j in range(len(spectra))]
+        blocks = [b.real if w == 1 else b for b, w in zip(spectra, weights)]
+    else:
+        blocks = np.fft.ifft(terms, axis=0)
+        weights = [1] * m
+    support = gram_support(blocks)
+    total = sum(weight * (v * np.sqrt(w)) @ v.conj().T
+                for weight, (w, v) in zip(weights, support))
+    if real:
+        total = total.real
+    success = float(np.sum(np.abs(total) ** 2)) / m
+    rank = sum(weight * w.size for weight, (w, _) in zip(weights, support))
+    return BoundReport(1.0 - success, KIND_UPPER, "cpf_pgm_ub",
+                       {"m": m, "u": spec.u, "dim": rank})
 
 
 def cpf_helstrom_iterative(spec: CpfSpec, tol: float = 1e-8, max_iters: int = 5000,
                            dim_guard: int = 256, max_rank: int = 2048):
-    """Minimum block error of the compressed ensemble, with certificate.
+    """Minimum block error of the compressed block ensemble, with certificate.
 
     Returns the same ``(report, povm, gap)`` triple as
     :func:`~chandisc.discrimination.helstrom_iterative`.

@@ -19,10 +19,10 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import DensityMatrix, fidelity, hermitize, trace_norm
+from .linalg import ChandiscError, DensityMatrix, fidelity, hermitize, trace_norm
 
 
-class DiscriminationError(ValueError):
+class DiscriminationError(ChandiscError):
     """Raised for invalid ensembles, priors, or solver preconditions."""
 
 
@@ -184,6 +184,21 @@ def _pinv_sqrt(mat, cut: float = 1e-12):
     return inv_sqrt, v @ v.conj().T
 
 
+def _resum_to_identity(elements):
+    """Conjugate the elements by the inverse square root of their sum.
+
+    ``R^{-1/2} R R^{-1/2}`` misses the identity by the rounding of ``R`` over
+    its smallest kept eigenvalue, which the solver's ``G_n Pi_n G_n`` make
+    tiny; beyond 1e-12 the congruence restores the sum, keeping positivity.
+    """
+    total = sum(elements)
+    if np.abs(total - np.eye(total.shape[0])).max() <= 1e-12:
+        return elements
+    w, v = np.linalg.eigh(hermitize(total))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    return [inv_sqrt @ e @ inv_sqrt for e in elements]
+
+
 def pgm_povm(ensemble: StateEnsemble) -> Povm:
     """Square-root measurement of an ensemble.
 
@@ -258,7 +273,9 @@ def helstrom_iterative(ensemble: StateEnsemble, tol: float = 1e-8,
     (BoundReport, Povm, float)
         The error probability of the best iterate, the measurement
         achieving it, and the certified gap: the true minimum error lies in
-        ``[value - gap, value]``.
+        ``[value - gap, value]``.  The report is ``exact`` only when the
+        iteration converged; otherwise it is ``upper``, the error of a
+        valid but uncertified measurement.
     """
     if ensemble.dim > dim_guard:
         raise DiscriminationError(
@@ -284,12 +301,14 @@ def helstrom_iterative(ensemble: StateEnsemble, tol: float = 1e-8,
         updated = [(a + a.conj().T) / 2.0 for a in updated]
         inv_sqrt, proj = _pinv_sqrt(sum(updated))
         filler = (identity - proj) / ensemble.m
-        elements = [inv_sqrt @ a @ inv_sqrt + filler for a in updated]
+        elements = _resum_to_identity([inv_sqrt @ a @ inv_sqrt + filler for a in updated])
 
     value, gap, elements, residual = best
-    report = BoundReport(value, KIND_EXACT, "helstrom_iterative", {
+    converged = bool(residual >= -tol)
+    kind = KIND_EXACT if converged else KIND_UPPER
+    report = BoundReport(value, kind, "helstrom_iterative", {
         "m": ensemble.m, "dim": dim, "iterations": iterations,
-        "residual": float(residual), "converged": residual >= -tol,
+        "residual": float(residual), "converged": converged,
     })
     return report, Povm(elements), float(gap)
 

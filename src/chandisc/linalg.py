@@ -1,11 +1,13 @@
-"""Dense complex-matrix primitives shared by every bound computation.
+"""Dense matrix primitives shared by every bound computation.
 
 Everything here works on plain ``numpy.ndarray`` data in column conventions:
-states are square complex128 matrices, subspace bases are tall matrices with
-orthonormal columns.  The helpers deliberately stay small; the point of the
-module is to give the rest of the package one vetted implementation of the
-handful of operations (tensoring, trace norm, fidelity, support compression)
-whose numerical details are easy to get subtly wrong.
+states are square complex128 matrices.  The helpers deliberately stay small;
+the point of the module is to give the rest of the package one vetted
+implementation of the handful of operations (tensoring, trace norm,
+fidelity, Gram-space compression) whose numerical details are easy to get
+subtly wrong.  Block states ``A_n A_n†`` are never built in their ambient
+space: :func:`gram_states` recovers them, in a basis of their joint support,
+from the Gram matrix of the columns of all the ``A_n``.
 """
 
 from __future__ import annotations
@@ -13,20 +15,32 @@ from __future__ import annotations
 import numpy as np
 
 # Tolerances used across the package.  HERM_TOL / EIG_TOL / TRACE_TOL gate
-# state validation; ISOMETRY_TOL gates basis validation; SUPPORT_CUT decides
-# which eigenvalues count as part of a state's support.
+# state validation.  Gram eigenvalues below GRAM_CUT times the largest are
+# rounding noise of zero eigenvalues: keeping them moved one tested PGM error
+# by 6e-10, while a cut of 1e-12 dropped genuine ones (errors near 6e-13).
 HERM_TOL = 1e-10
 EIG_TOL = 1e-10
 TRACE_TOL = 1e-10
-ISOMETRY_TOL = 1e-9
-SUPPORT_CUT = 1e-10
+GRAM_CUT = 1e-14
 
 # Reject tensor products whose side length would exceed this.
 MAX_TENSOR_SIDE = 1 << 20
 
 
-class LinalgError(ValueError):
+class ChandiscError(ValueError):
+    """Base of every error the package raises for an input it refuses."""
+
+
+class LinalgError(ChandiscError):
     """Raised when an input violates a documented precondition."""
+
+
+def check_prob(q, name: str = "q", error=LinalgError) -> float:
+    """``q`` as a float, raising ``error`` unless it lies in [0, 1]."""
+    q = float(q)
+    if not 0.0 <= q <= 1.0:
+        raise error(f"{name} must lie in [0, 1], got {q}")
+    return q
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -73,8 +87,8 @@ class DensityMatrix:
         ``TRACE_TOL`` and eigenvalues above ``-EIG_TOL``.
     validate : bool
         Skip the eigenvalue/trace checks.  Internal hot paths that construct
-        states which are positive by construction (e.g. compressed tensor
-        powers) pass ``False``; external inputs should not.
+        states which are positive by construction (e.g. states compressed
+        from a Gram matrix) pass ``False``; external inputs should not.
     """
 
     __slots__ = ("mat",)
@@ -100,41 +114,6 @@ class DensityMatrix:
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
-
-
-class SubspaceBasis:
-    """Orthonormal basis of a subspace, stored as a ``(dim, rank)`` isometry."""
-
-    __slots__ = ("isometry",)
-
-    def __init__(self, isometry, *, validate: bool = True):
-        iso = as_complex_matrix(isometry)
-        if iso.shape[1] > iso.shape[0]:
-            raise LinalgError(f"basis cannot have rank {iso.shape[1]} in dimension {iso.shape[0]}")
-        if validate:
-            gram = iso.conj().T @ iso
-            drift = np.abs(gram - np.eye(iso.shape[1])).max()
-            if drift > ISOMETRY_TOL:
-                raise LinalgError(f"columns are not orthonormal: drift {drift:.3e}")
-        iso = np.array(iso, dtype=np.complex128, copy=True)
-        iso.setflags(write=False)
-        object.__setattr__(self, "isometry", iso)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.isometry.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.isometry.shape[1]
-
-    def restrict(self, mat) -> np.ndarray:
-        """Conjugate an ambient operator into this basis: ``B† M B``."""
-        mat = as_complex_matrix(mat)
-        return self.isometry.conj().T @ mat @ self.isometry
-
-    def __repr__(self):
-        return f"SubspaceBasis(ambient_dim={self.ambient_dim}, rank={self.rank})"
 
 
 def tensor(a, b, max_side: int = MAX_TENSOR_SIDE) -> np.ndarray:
@@ -220,140 +199,60 @@ def fidelity(rho, sigma) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def _support_factor(mat, cut: float = SUPPORT_CUT):
-    """Factor a PSD matrix as ``V diag(w) V†`` keeping eigenvalues > cut."""
-    w, v = np.linalg.eigh(hermitize(mat, 1e-8))
-    keep = w > cut
-    return v[:, keep], w[keep]
+def kron_power(mat, power: int) -> np.ndarray:
+    """``power``-fold Kronecker power of ``mat``; real input stays real."""
+    power = int(power)
+    if power < 1:
+        raise LinalgError(f"Kronecker power must be >= 1, got {power}")
+    out = mat = np.asarray(mat)
+    for _ in range(power - 1):
+        out = np.kron(out, mat)
+    return out
 
 
-def _left_singular_columns(mat, cut: float) -> np.ndarray:
-    """Left singular vectors of ``mat`` with singular values above ``cut``.
+def gram_support(grams):
+    """Eigenpairs of Gram matrices, all cut relative to the largest eigenvalue.
 
-    The divide-and-conquer SVD occasionally fails to converge on residual
-    blocks whose spectrum straddles the cut; the Hermitian augmentation
-    ``[[0, A], [A^H, 0]]`` has the same singular triplets as eigenpairs and
-    its eigensolver converges unconditionally, so it serves as a fallback.
-    """
-    try:
-        u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError:
-        n, k = mat.shape
-        aug = np.zeros((n + k, n + k), dtype=np.complex128)
-        aug[:n, n:] = mat
-        aug[n:, :n] = mat.conj().T
-        vals, vecs = np.linalg.eigh(aug)
-        order = np.argsort(vals)[::-1][: min(n, k)]
-        s = vals[order]
-        u = vecs[:n, order] * np.sqrt(2.0)
-    return u[:, s > cut]
-
-
-def _extend_orthonormal(basis, block, cut: float = 1e-8) -> np.ndarray:
-    """Append to ``basis`` an orthonormal basis for the new directions of ``block``.
-
-    ``basis`` has orthonormal columns (possibly zero of them).  One
-    re-orthogonalization pass plus an SVD rank cut keeps the result
-    orthonormal to machine precision even when ``block`` lies almost
-    entirely inside the existing span.
-    """
-    if basis.shape[1]:
-        resid = block - basis @ (basis.conj().T @ block)
-        resid -= basis @ (basis.conj().T @ resid)
-    else:
-        resid = block
-    u = _left_singular_columns(resid, cut)
-    if not u.shape[1]:
-        return basis
-    return np.hstack([basis, u])
-
-
-def _joint_basis(factors) -> np.ndarray:
-    """Orthonormal basis for the union of the column spans of ``factors``."""
-    dim = factors[0].shape[0]
-    basis = np.zeros((dim, 0), dtype=np.complex128)
-    for block in factors:
-        basis = _extend_orthonormal(basis, block)
-    return basis
-
-
-def joint_support_compress(states):
-    """Rotate an ensemble into the joint support of its members.
-
-    Parameters
-    ----------
-    states : sequence of DensityMatrix
+    ``grams`` are Hermitian PSD matrices whose spectra together form one
+    spectrum (for instance the diagonal blocks of a block-diagonalized
+    Gram matrix).  Eigenvalues at most ``GRAM_CUT`` times the largest of
+    them all are dropped.  Real input is decomposed in real arithmetic.
 
     Returns
     -------
-    (SubspaceBasis, list of DensityMatrix)
-        The basis ``B`` of the joint support and the states ``B† ρ B``.
-        Every trace norm of a real linear combination of the inputs is
-        preserved, so all distance-based bounds can be computed downstream
-        at the compressed dimension.
+    list of (numpy.ndarray, numpy.ndarray)
+        Per input, the kept eigenvalues ``w`` and eigenvectors ``v``
+        (one column each).
     """
-    states = list(states)
-    if not states:
-        raise LinalgError("need at least one state")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise LinalgError("states live on different dimensions")
-    factored = [_support_factor(s.mat) for s in states]
-    basis = _joint_basis([v for v, _ in factored])
-    sub = SubspaceBasis(basis)
-    compressed = []
-    for v, w in factored:
-        proj = basis.conj().T @ v
-        compressed.append(DensityMatrix((proj * w) @ proj.conj().T, validate=False))
-    return sub, compressed
+    pairs = [np.linalg.eigh(np.asarray(g)) for g in grams]
+    if not pairs:
+        raise LinalgError("need at least one Gram matrix")
+    floor = GRAM_CUT * max(w[-1] for w, _ in pairs)
+    return [(w[w > floor], v[:, w > floor]) for w, v in pairs]
 
 
-def compressed_tensor_power(states, power: int, max_side: int = MAX_TENSOR_SIDE):
-    """u-fold tensor powers of an ensemble, in their joint support basis.
+def gram_states(gram, sizes):
+    """The states of several vector families, known only through their Gram matrix.
 
-    The ambient dimension ``dim**power`` is never materialized.  Each state
-    is kept in factored form ``V diag(w) V†``; tensor powers act on the
-    factors and a joint re-orthonormalization after every doubling keeps the
-    working dimension at the joint support rank.  All pairwise distance and
-    overlap measures of the returned ensemble match the uncompressed tensor
-    powers because every state is conjugated by one common isometry.
-
-    Parameters
-    ----------
-    states : sequence of array_like or DensityMatrix
-    power : int
-        Tensor power ``u >= 1``.
+    If ``gram = A† A`` for ``A = [A_0, A_1, ...]``, whose blocks have
+    ``sizes`` columns, the eigenpairs ``(Λ, U)`` of ``gram`` kept by
+    :func:`gram_support` give ``X = Λ^{1/2} U†`` with ``A = Q X`` for one
+    isometry ``Q``.  The returned states ``X_n X_n†`` therefore equal
+    ``Q† A_n A_n† Q``: every state keeps its spectrum and every real
+    combination of them keeps its trace norm, at the dimension of the
+    joint support.  Real ``gram`` gives real states.
 
     Returns
     -------
     list of numpy.ndarray
-        The compressed states, all square of the joint support rank.
+        One square matrix per block, all of the kept rank.
     """
-    power = int(power)
-    if power < 1:
-        raise LinalgError(f"tensor power must be >= 1, got {power}")
-    mats = [s.mat if isinstance(s, DensityMatrix) else as_complex_matrix(s) for s in states]
-    if not mats:
-        raise LinalgError("need at least one state")
-
-    def compress(factored):
-        basis = _joint_basis([v for v, _ in factored])
-        if basis.shape[1] > max_side:
-            raise LinalgError(f"compressed rank {basis.shape[1]} exceeds guard {max_side}")
-        return [(basis.conj().T @ v, w) for v, w in factored]
-
-    def pairwise(left, right):
-        out = [(np.kron(lv, rv), np.kron(lw, rw)) for (lv, lw), (rv, rw) in zip(left, right)]
-        return compress(out)
-
-    base = compress([_support_factor(m) for m in mats])
-    result = None
-    square = base
-    remaining = power
-    while remaining:
-        if remaining & 1:
-            result = square if result is None else pairwise(result, square)
-        remaining >>= 1
-        if remaining:
-            square = pairwise(square, square)
-    return [(v * w) @ v.conj().T for v, w in result]
+    gram = np.asarray(gram)
+    sizes = [int(s) for s in sizes]
+    if not sizes or min(sizes) < 1:
+        raise LinalgError("need at least one block of at least one column")
+    if gram.ndim != 2 or gram.shape != (sum(sizes), sum(sizes)):
+        raise LinalgError(f"Gram shape {gram.shape} does not match block sizes {sizes}")
+    [(w, v)] = gram_support([gram])
+    x = np.sqrt(w)[:, None] * v.conj().T
+    return [b @ b.conj().T for b in np.split(x, np.cumsum(sizes)[:-1], axis=1)]

@@ -25,20 +25,14 @@ import math
 import numpy as np
 
 from .discrimination import KIND_EXACT, BoundReport
+from .linalg import ChandiscError, check_prob
 
 # Above this many uses the binomial pmf is evaluated in log space.
 DIRECT_PRODUCT_MAX_U = 50
 
 
-class OrcError(ValueError):
+class OrcError(ChandiscError):
     """Raised for invalid parameters."""
-
-
-def _check_prob(q, name) -> float:
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise OrcError(f"{name} must lie in [0, 1], got {q}")
-    return q
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,8 +50,8 @@ class OrcParams:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q_b", _check_prob(self.q_b, "q_b"))
-        object.__setattr__(self, "q_t", _check_prob(self.q_t, "q_t"))
+        object.__setattr__(self, "q_b", check_prob(self.q_b, "q_b", OrcError))
+        object.__setattr__(self, "q_t", check_prob(self.q_t, "q_t", OrcError))
         object.__setattr__(self, "u", int(self.u))
         object.__setattr__(self, "m", int(self.m))
         if self.u < 1:
@@ -102,8 +96,8 @@ def f_u(q0, q1, u: int) -> float:
     with binomial outcome distributions ``P(. | q)``.  Symmetric under
     ``(q0, q1) -> (1 - q0, 1 - q1)`` and non-increasing in ``u``.
     """
-    q0 = _check_prob(q0, "q0")
-    q1 = _check_prob(q1, "q1")
+    q0 = check_prob(q0, "q0", OrcError)
+    q1 = check_prob(q1, "q1", OrcError)
     u = int(u)
     if u < 1:
         raise OrcError(f"need u >= 1, got {u}")

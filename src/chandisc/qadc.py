@@ -3,7 +3,8 @@
 Amplitude damping channels are not teleportation-covariant, so unlike the
 erasure and depolarizing families they admit no closed-form ultimate error.
 The package instead brackets their block error between the pairwise-fidelity
-sandwich and numerically exact values on compressed tensor powers, and
+sandwich and numerically exact values computed from the Gram matrix of the
+``u``-fold Kraus vectors, and
 lower-bounds the adaptive error through the port-based simulation route with
 the damping-specific simulation error.
 
@@ -22,22 +23,17 @@ import math
 
 import numpy as np
 
-from .channels import choi, default_xi, make_qadc, qadc_pbt_error
-from .cpf import MOptimizationResult, cpf_fidelity_lb, cpf_sim_error, optimize_over_M
-from .discrimination import (KIND_LOWER, KIND_UPPER, BoundReport, StateEnsemble,
-                             helstrom_binary, pgm_error)
-from .linalg import DensityMatrix, compressed_tensor_power
+from .channels import default_xi, kraus_vectors, make_qadc, qadc_pbt_error
+from .cpf import cpf_fidelity_lb, cpf_sim_error, optimize_over_M
+from .discrimination import KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport
+from .linalg import ChandiscError, check_prob, gram_states, gram_support, kron_power
+
+# Largest Gram side 2 * 2**u of a block pair: u = 11.
+MAX_PAIR_SIDE = 4096
 
 
-class QadcError(ValueError):
+class QadcError(ChandiscError):
     """Raised for invalid damping parameters or receiver settings."""
-
-
-def _check_prob(q, name) -> float:
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise QadcError(f"{name} must lie in [0, 1], got {q}")
-    return q
 
 
 def qadc_choi_fidelity(q0, q1) -> float:
@@ -47,8 +43,8 @@ def qadc_choi_fidelity(q0, q1) -> float:
 
     Equals 1 exactly when ``q0 == q1``.
     """
-    q0 = _check_prob(q0, "q0")
-    q1 = _check_prob(q1, "q1")
+    q0 = check_prob(q0, "q0", QadcError)
+    q1 = check_prob(q1, "q1", QadcError)
     val = (1.0 + math.sqrt((1.0 - q0) * (1.0 - q1)) + math.sqrt(q0 * q1)) / 2.0
     return min(val, 1.0)
 
@@ -88,8 +84,8 @@ def qadc_adaptive_lb(q0, q1, u: int, ports: int, xi=None) -> BoundReport:
 
         ``(1 - u * (Δ_0 + Δ_1) - sqrt(1 - F**(2 u ports))) / 2``.
     """
-    q0 = _check_prob(q0, "q0")
-    q1 = _check_prob(q1, "q1")
+    q0 = check_prob(q0, "q0", QadcError)
+    q1 = check_prob(q1, "q1", QadcError)
     u = int(u)
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")
@@ -125,8 +121,8 @@ def qadc_cpf_adaptive_lb(q_b, q_t, m: int, u: int, ports: int, xi=None) -> Bound
     Combines the per-hypothesis simulation error ``(m-1) Δ_b + Δ_t`` with
     the position-finding fidelity bound at Choi fidelity ``F(q_b, q_t)``.
     """
-    q_b = _check_prob(q_b, "q_b")
-    q_t = _check_prob(q_t, "q_t")
+    q_b = check_prob(q_b, "q_b", QadcError)
+    q_t = check_prob(q_t, "q_t", QadcError)
     ports = int(ports)
     if ports < 1:
         raise QadcError(f"need ports >= 1, got {ports}")
@@ -151,41 +147,54 @@ def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
     return report, result
 
 
-def _choi_pair_ensemble(q0: float, q1: float, u: int) -> StateEnsemble:
-    chois = [choi(make_qadc(q0)).mat, choi(make_qadc(q1)).mat]
-    mats = compressed_tensor_power(chois, u)
-    return StateEnsemble.equiprobable([DensityMatrix(m, validate=False) for m in mats])
+def _pair_gram(q0, q1, u) -> np.ndarray:
+    """Prior-weighted Gram matrix of the ``u``-fold Kraus vectors of two damping channels.
+
+    ``G = 1/2 [[g00^{⊗u}, g01^{⊗u}], [g10^{⊗u}, g11^{⊗u}]]`` with the real
+    per-use Grams ``g_ab = V_a† V_b``.  Raises before allocating once the
+    side ``2 * 2**u`` exceeds ``MAX_PAIR_SIDE``.
+    """
+    q0 = check_prob(q0, "q0", QadcError)
+    q1 = check_prob(q1, "q1", QadcError)
+    u = int(u)
+    if u < 1:
+        raise QadcError(f"need u >= 1, got {u}")
+    # A capped exponent decides the same way: 2**64 exceeds any usable guard.
+    side = 2 * 2 ** min(u, 64)
+    if side > MAX_PAIR_SIDE:
+        raise QadcError(f"Gram side {side} exceeds guard {MAX_PAIR_SIDE}")
+    vecs = [kraus_vectors(make_qadc(q)) for q in (q0, q1)]
+    return np.block([[kron_power(a.T @ b, u) for b in vecs] for a in vecs]) / 2.0
 
 
 def qadc_block_helstrom(q0, q1, u: int) -> BoundReport:
     """Exact equiprobable block error for two damping channels.
 
-    Evaluates the binary trace-norm formula on the compressed ``u``-fold
-    Choi tensor powers; exact for block (non-adaptive, entanglement
-    assisted) strategies.
+    The binary trace-norm formula on the ``u``-fold Choi tensor powers,
+    evaluated on the pair compressed from its Gram matrix (see
+    :func:`~chandisc.linalg.gram_states`); exact for block (non-adaptive,
+    entanglement assisted) strategies.
     """
-    q0 = _check_prob(q0, "q0")
-    q1 = _check_prob(q1, "q1")
-    u = int(u)
-    if u < 1:
-        raise QadcError(f"need u >= 1, got {u}")
-    ensemble = _choi_pair_ensemble(q0, q1, u)
-    report = helstrom_binary(ensemble.states[0], ensemble.states[1])
-    return BoundReport(report.value, report.kind, "qadc_block_helstrom",
-                       {"q0": q0, "q1": q1, "u": u, "dim": ensemble.dim})
+    gram = _pair_gram(q0, q1, u)
+    half0, half1 = gram_states(gram, [gram.shape[0] // 2] * 2)
+    value = (1.0 - float(np.abs(np.linalg.eigvalsh(half0 - half1)).sum())) / 2.0
+    return BoundReport(value, KIND_EXACT, "qadc_block_helstrom",
+                       {"q0": float(q0), "q1": float(q1), "u": int(u), "dim": half0.shape[0]})
 
 
 def qadc_block_pgm(q0, q1, u: int) -> BoundReport:
-    """Square-root-measurement error on the compressed block pair."""
-    q0 = _check_prob(q0, "q0")
-    q1 = _check_prob(q1, "q1")
-    u = int(u)
-    if u < 1:
-        raise QadcError(f"need u >= 1, got {u}")
-    ensemble = _choi_pair_ensemble(q0, q1, u)
-    report = pgm_error(ensemble)
-    return BoundReport(report.value, KIND_UPPER, "qadc_block_pgm",
-                       {"q0": q0, "q1": q1, "u": u, "dim": ensemble.dim})
+    """Square-root-measurement error on the block pair.
+
+    The success probability is ``sum_n ||(√G)_nn||_F**2`` over the two
+    diagonal blocks of the square root of the prior-weighted Gram matrix.
+    """
+    gram = _pair_gram(q0, q1, u)
+    [(w, v)] = gram_support([gram])
+    root = v * w ** 0.25
+    half = gram.shape[0] // 2
+    success = sum(float(np.sum((b @ b.T) ** 2)) for b in (root[:half], root[half:]))
+    return BoundReport(1.0 - success, KIND_UPPER, "qadc_block_pgm",
+                       {"q0": float(q0), "q1": float(q1), "u": int(u), "dim": w.size})
 
 
 def nulling_unitary(q) -> np.ndarray:
@@ -196,7 +205,7 @@ def nulling_unitary(q) -> np.ndarray:
     0 and 1 are nulled.  Probing a channel with a different parameter leaks
     probability into outcome 0, which the counting receiver exploits.
     """
-    q = _check_prob(q, "q")
+    q = check_prob(q, "q", QadcError)
     a = math.sqrt((1.0 - q) / (2.0 - q))
     b = 1.0 / math.sqrt(2.0 - q)
     return np.array([
@@ -239,8 +248,8 @@ def nulling_outcome_dist(q_applied, q_actual) -> OutcomeDistribution:
 
     ``p00`` vanishes exactly at ``q' == q`` and is positive otherwise.
     """
-    q = _check_prob(q_applied, "q_applied")
-    qa = _check_prob(q_actual, "q_actual")
+    q = check_prob(q_applied, "q_applied", QadcError)
+    qa = check_prob(q_actual, "q_actual", QadcError)
     p00 = (2.0 - q - qa - 2.0 * math.sqrt((1.0 - q) * (1.0 - qa))) / (4.0 - 2.0 * q)
     probs = np.array([p00, 0.0, 1.0 - qa / 2.0 - p00, qa / 2.0])
     return OutcomeDistribution(probs=probs, q_applied=q, q_actual=qa)
@@ -270,8 +279,8 @@ def nulling_error(q0, q1, u: int, variant: str = "apply_min") -> float:
     The sum runs over all ``C(u+3, 3)`` count vectors, so moderate ``u``
     stays cheap.
     """
-    q0 = _check_prob(q0, "q0")
-    q1 = _check_prob(q1, "q1")
+    q0 = check_prob(q0, "q0", QadcError)
+    q1 = check_prob(q1, "q1", QadcError)
     u = int(u)
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")

@@ -1,4 +1,4 @@
-"""Independent position-finding routes that the tests compare ``h_mu`` with.
+"""Independent routes that the tests compare the package with.
 
 * ``string_histogram``/``h_mu_strings``: plain-numpy enumeration of all
   ``2**(u*m)`` outcome strings, collapsed into a histogram of per-cell
@@ -6,9 +6,13 @@
 * ``cpf_ml_exact``: exact rational arithmetic over every per-cell weight
   vector, with the maximum likelihood taken hypothesis by hypothesis;
 * ``weight_vector_success``: the same per-vector sum in floating point,
-  directly or from log-likelihoods, for sizes the rationals cannot reach.
+  directly or from log-likelihoods, for sizes the rationals cannot reach;
+* ``mp_block_gram``/``mp_gram_errors``: the Gram matrix of damping block
+  hypotheses, entry by entry, and its square-root-measurement and Helstrom
+  errors, all in mpmath precision with no eigenvalue cut.
 
-None shares code with the order-statistic formula in ``chandisc.orc``.
+None shares code with the order-statistic formula in ``chandisc.orc`` or
+with the Gram routes in ``chandisc.cpf`` and ``chandisc.qadc``.
 """
 
 import functools
@@ -135,3 +139,79 @@ def weight_vector_success(params, log: bool = False) -> float:
                 best = max(best, like)
             total += mult * best
     return total
+
+
+def _mp_qadc_vectors(mp, q):
+    # vec(K_i) / sqrt(2) of the damping Kraus operators, row-major, at mp precision.
+    q = mp.mpf(q)
+    scale = 1 / mp.sqrt(2)
+    return [[scale, 0, 0, scale * mp.sqrt(1 - q)], [0, scale * mp.sqrt(q), 0, 0]]
+
+
+def _mp_cell_gram(mp, qa, qb):
+    va, vb = _mp_qadc_vectors(mp, qa), _mp_qadc_vectors(mp, qb)
+    return [[mp.fsum(x * y for x, y in zip(a, b)) for b in vb] for a in va]
+
+
+def mp_block_gram(mp, hypotheses, u):
+    """Prior-weighted Gram matrix of damping block hypotheses, entry by entry.
+
+    ``hypotheses[n]`` lists the damping parameter of every cell under
+    hypothesis ``n``.  Column ``(n, i)`` is the tensor product of the Kraus
+    vectors selected by the multi-index ``i`` (cells major, uses minor),
+    and ``<(n, i), (n', j)> = prod_{cell, use} g[i_cu, j_cu]`` with the
+    per-use Gram of the two cells' channels.
+    """
+    cells = len(hypotheses[0])
+    grams = {}
+    for qs in hypotheses:
+        for qt in hypotheses:
+            for a, b in zip(qs, qt):
+                grams.setdefault((a, b), _mp_cell_gram(mp, a, b))
+    indices = list(itertools.product(range(2), repeat=cells * u))
+    side = len(hypotheses) * len(indices)
+    gram = mp.matrix(side, side)
+    prior = mp.mpf(1) / len(hypotheses)
+    for n, qs in enumerate(hypotheses):
+        for n2, qt in enumerate(hypotheses):
+            for i, left in enumerate(indices):
+                for j, right in enumerate(indices):
+                    val = prior
+                    for pos, (x, y) in enumerate(zip(left, right)):
+                        cell = pos // u
+                        val *= grams[qs[cell], qt[cell]][x][y]
+                    gram[n * len(indices) + i, n2 * len(indices) + j] = val
+    return gram
+
+
+def mp_gram_errors(mp, gram, blocks):
+    """Square-root-measurement error and, for two blocks, the Helstrom error.
+
+    ``gram`` is the prior-weighted Gram matrix of ``blocks`` equal column
+    blocks, in mpmath precision: no eigenvalue is cut.  The PGM error is
+    ``1 - sum_n ||(√G)_nn||_F**2``; the Helstrom error is
+    ``(1 - ||√G J √G||_1) / 2`` with ``J = ±1`` on the two blocks.
+    """
+    side = gram.rows
+    size = side // blocks
+    values, vectors = mp.eigsy(gram)
+    roots = [mp.sqrt(max(values[k], 0)) for k in range(side)]
+    root = mp.matrix(side, side)
+    for i in range(side):
+        for j in range(i, side):
+            root[i, j] = root[j, i] = mp.fsum(vectors[i, k] * roots[k] * vectors[j, k]
+                                             for k in range(side))
+    success = mp.fsum(root[i, j] ** 2 for n in range(blocks)
+                      for i in range(n * size, (n + 1) * size)
+                      for j in range(n * size, (n + 1) * size))
+    pgm = 1 - success
+    if blocks != 2:
+        return pgm, None
+    signed = mp.matrix(side, side)
+    for i in range(side):
+        for j in range(side):
+            signed[i, j] = mp.fsum(root[i, k] * (1 if k < size else -1) * root[k, j]
+                                   for k in range(side))
+    spread = mp.eigsy(signed, eigvals_only=True)
+    helstrom = (1 - mp.fsum(abs(spread[k]) for k in range(side))) / 2
+    return pgm, helstrom

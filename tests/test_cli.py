@@ -2,11 +2,17 @@
 
 import json
 import re
+import time
 
 import pytest
 
 from chandisc import cli
-from chandisc.discrimination import BoundReport
+from chandisc.channels import ChannelError
+from chandisc.cpf import CpfError
+from chandisc.discrimination import BoundReport, DiscriminationError
+from chandisc.linalg import ChandiscError, LinalgError
+from chandisc.orc import OrcError
+from chandisc.qadc import QadcError
 
 
 def run(tmp_path, *argv):
@@ -159,6 +165,39 @@ def test_fig2_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):
 def test_invalid_configurations_exit_two(tmp_path, argv):
     code, _ = run(tmp_path, *argv)
     assert code == 2
+
+
+def test_fig3_many_cells(tmp_path):
+    # 8 cells: the dense ensemble would be 4**8-dimensional; the Gram blocks are 256
+    code, text = run(tmp_path, "--command", "fig3", "--m", "8", "--u", "1", "--grid", "2")
+    assert code == 0
+    assert len(text.splitlines()) == 1 + 2
+
+
+def test_library_size_guard_exits_two(tmp_path, capsys):
+    started = time.monotonic()
+    code, text = run(tmp_path, "--command", "fig3", "--m", "3", "--u", "4", "--grid", "2")
+    assert code == 2
+    assert time.monotonic() - started < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds guard" in err
+    assert "Traceback" not in err and text == ""
+    code, _ = run(tmp_path, "--command", "binary", "--kind", "qadc", "--u", "12", "--grid", "2")
+    assert code == 2
+
+
+@pytest.mark.parametrize("error", [LinalgError, ChannelError, DiscriminationError,
+                                   CpfError, QadcError, OrcError])
+def test_every_library_error_exits_two(tmp_path, monkeypatch, capsys, error):
+    assert issubclass(error, ChandiscError)
+
+    def refuse(*args, **kwargs):
+        raise error("refused")
+    monkeypatch.setattr(cli, "qdc_cpf", refuse)
+    code, _ = run(tmp_path, "--command", "fig2", "--grid", "2", "--m", "2",
+                  "--u", "1", "--d", "2", "--gap", "0.5")
+    assert code == 2
+    assert capsys.readouterr().err == "error: refused\n"
 
 
 def test_unknown_command_is_argparse_error(tmp_path):

@@ -19,7 +19,8 @@ from chandisc.cpf import (
     optimize_over_M,
     theorem1_lower_bound,
 )
-from chandisc.linalg import fidelity, trace_norm
+from chandisc.discrimination import StateEnsemble, pgm_error
+from chandisc.linalg import fidelity, tensor_all, trace_norm
 from chandisc.orc import qdc_cpf
 
 
@@ -170,6 +171,17 @@ def test_solver_matches_depolarizing_analytics():
     assert abs(report.value - expect) <= gap + 1e-6
 
 
+def test_solver_on_ill_conditioned_block_ensemble():
+    # G_n Pi_n G_n squares the state spectra (down to 2e-5 here), so the
+    # re-summed measurement must still come out valid and near the analytics
+    q_b, q_t = 0.581198686098686, 0.12295120669755565
+    spec = CpfSpec(background=make_qdc(2, q_b), target=make_qdc(2, q_t), m=2, u=2)
+    report, povm, gap = cpf_helstrom_iterative(spec)
+    assert np.abs(sum(povm.elements) - np.eye(povm.dim)).max() < 1e-10
+    expect = qdc_cpf(q_b, q_t, m=2, u=2, d=2)[0].value
+    assert abs(report.value - expect) <= gap + 1e-6
+
+
 def test_block_fidelity_lb_agrees_with_analytic_route():
     spec = _qadc_spec(0.3, 0.55, m=3, u=2)
     measured = cpf_block_fidelity_lb(spec).value
@@ -185,3 +197,73 @@ def test_bounds_sandwich_solver():
     ub = cpf_pgm_upper(spec)
     assert lb.value <= exact.value + gap + 1e-9
     assert ub.value >= exact.value - gap - 1e-9
+
+
+def _dense_block_ensemble(spec):
+    """Explicit u-fold tensor powers of the single-use hypothesis states.
+
+    The single-use states are first restricted to their joint support,
+    which contains every state, so the powers live in (support)^{⊗u}
+    instead of the full ambient space and the PGM is unchanged.
+    """
+    single = CpfSpec(spec.background, spec.target, spec.m, 1)
+    states = [s.mat for s in build_cpf_choi_ensemble(single).states]
+    w, v = np.linalg.eigh(sum(states))
+    basis = v[:, w > 1e-12]
+    small = [basis.conj().T @ s @ basis for s in states]
+    return StateEnsemble.equiprobable([tensor_all([s] * spec.u) for s in small])
+
+
+_PGM_PAIRS = [(0.3, 0.55), (0.0, 0.4), (0.7, 0.0), (1.0, 0.2), (0.35, 1.0),
+              (0.0, 1.0), (0.45, 0.45)]
+
+
+@pytest.mark.parametrize("m,u", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+def test_pgm_upper_matches_dense_tensor_powers(m, u):
+    for q_b, q_t in _PGM_PAIRS:
+        spec = _qadc_spec(q_b, q_t, m=m, u=u)
+        dense = pgm_error(_dense_block_ensemble(spec)).value
+        gram = cpf_pgm_upper(spec)
+        assert abs(gram.value - dense) < 1e-12, (q_b, q_t)
+        if q_b == q_t:
+            assert abs(gram.value - (1 - 1 / m)) < 1e-12
+
+
+@pytest.mark.parametrize("background,target", [
+    (make_qdc(2, 0.3), make_qdc(2, 0.7)),     # complex Kraus operators
+    (make_qadc(0.3), make_qdc(2, 0.5)),       # two and four Kraus operators
+    (make_qec(2, 0.2), make_qec(2, 0.6)),
+])
+def test_pgm_upper_matches_dense_for_other_channels(background, target):
+    for m, u in ((2, 1), (3, 1), (2, 2)):
+        spec = CpfSpec(background=background, target=target, m=m, u=u)
+        dense = pgm_error(_dense_block_ensemble(spec)).value
+        assert abs(cpf_pgm_upper(spec).value - dense) < 1e-12, (m, u)
+        compressed = compressed_cpf_ensemble(spec)
+        assert abs(pgm_error(compressed).value - dense) < 1e-12, (m, u)
+
+
+def test_compressed_ensemble_is_geometrically_uniform_with_dense_distances():
+    spec = _qadc_spec(0.15, 0.6, m=3, u=2)
+    comp = compressed_cpf_ensemble(spec)
+    dense = _dense_block_ensemble(spec)
+    for i in range(3):
+        assert abs(np.trace(comp.states[i].mat).real - 1.0) < 1e-12
+        for j in range(i + 1, 3):
+            d_comp = trace_norm(comp.states[i].mat - comp.states[j].mat)
+            d_dense = trace_norm(dense.states[i].mat - dense.states[j].mat)
+            assert abs(d_comp - d_dense) < 1e-10
+            f_comp = fidelity(comp.states[i], comp.states[j])
+            assert abs(f_comp - fidelity(dense.states[i], dense.states[j])) < 1e-9
+
+
+def test_pgm_upper_size_guard_before_allocation():
+    # 2**(3*4) = 4096 > 2048: refused at once; 2**(8*1) = 256 runs
+    with pytest.raises(CpfError, match="exceeds guard 2048"):
+        cpf_pgm_upper(_qadc_spec(0.3, 0.5, m=3, u=4))
+    with pytest.raises(CpfError):
+        cpf_pgm_upper(_qadc_spec(0.3, 0.5, m=2, u=10**9))
+    with pytest.raises(CpfError):
+        compressed_cpf_ensemble(_qadc_spec(0.3, 0.5, m=3, u=4))
+    rep = cpf_pgm_upper(_qadc_spec(0.3, 0.5, m=8, u=1))
+    assert 0.0 < rep.value < 1 - 1 / 8

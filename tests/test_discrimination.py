@@ -178,6 +178,21 @@ def test_iterative_reports_certificate():
     assert report.params["iterations"] >= 1
 
 
+def test_iterative_unconverged_result_is_an_upper_bound():
+    # one iteration stops at the PGM, which is not optimal for these states
+    rng = np.random.default_rng(27)
+    ens = StateEnsemble.equiprobable([random_density(rng, 4) for _ in range(3)])
+    short, povm, gap = helstrom_iterative(ens, max_iters=1)
+    assert not short.params["converged"]
+    assert short.kind == "upper" and gap > 0.0
+    assert abs(short.value - (1.0 - success_probability(ens, povm))) < 1e-12
+    assert abs(short.value - pgm_error(ens).value) < 1e-12
+    full, _, full_gap = helstrom_iterative(ens)
+    assert full.params["converged"] and full.kind == "exact"
+    assert full.value < short.value - 1e-6
+    assert short.value - gap <= full.value + full_gap + 1e-12
+
+
 def test_continuity_lower_bound_arithmetic():
     val = continuity_lower_bound(0.4, [0.5, 0.5], [0.1, 0.3])
     assert abs(val - (0.4 - 0.1)) < 1e-15

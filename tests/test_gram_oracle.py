@@ -1,0 +1,59 @@
+"""Gram-space block errors against a 40-digit evaluation of the same Gram matrix.
+
+The oracle builds every Gram entry from its product formula in mpmath and
+decomposes it without any eigenvalue cut, so it shows both ways the
+floating-point cut can fail at the q = 0 and q = 1 endpoints, where exact
+zero and genuinely tiny eigenvalues meet:
+
+* no cut at all keeps rounding-noise eigenvalues, whose square roots move
+  the square-root measurement of ``m = 3, u = 1, q_b = 1, q_t = 0.96`` by
+  about 6e-10;
+* a cut of 1e-12 drops genuine eigenvalues of the damping pair at
+  ``q1 = 0``, moving both errors by about 3e-13 to 6e-13.
+"""
+
+import pytest
+
+from chandisc.channels import make_qadc
+from chandisc.cpf import CpfSpec, cpf_pgm_upper
+from chandisc.qadc import qadc_block_helstrom, qadc_block_pgm
+
+from _oracles import mp_block_gram, mp_gram_errors
+
+mpmath = pytest.importorskip("mpmath")
+
+TOL = 1e-13
+
+
+def _position_hypotheses(q_b, q_t, m):
+    return [[q_t if cell == n else q_b for cell in range(m)] for n in range(m)]
+
+
+@pytest.mark.parametrize("q_b,q_t,m,u", [
+    (1.0, 0.96, 3, 1),   # rounding-noise trap
+    (0.04, 0.0, 2, 2),
+    (0.0, 0.3, 3, 1),
+    (0.4, 0.44, 2, 2),
+])
+def test_position_finding_pgm_matches_mpmath(q_b, q_t, m, u):
+    with mpmath.workdps(40):
+        mp = mpmath.mp
+        gram = mp_block_gram(mp, _position_hypotheses(q_b, q_t, m), u)
+        pgm, _ = mp_gram_errors(mp, gram, m)
+    got = cpf_pgm_upper(CpfSpec(make_qadc(q_b), make_qadc(q_t), m, u)).value
+    assert abs(got - float(pgm)) < TOL
+
+
+@pytest.mark.parametrize("q0,q1,u", [
+    (0.008, 0.0, 5),     # genuine-eigenvalue traps
+    (0.002, 0.0, 4),
+    (1.0, 0.96, 3),
+    (0.3, 0.34, 4),
+])
+def test_binary_pair_matches_mpmath(q0, q1, u):
+    with mpmath.workdps(40):
+        mp = mpmath.mp
+        gram = mp_block_gram(mp, [[q0], [q1]], u)
+        pgm, helstrom = mp_gram_errors(mp, gram, 2)
+    assert abs(qadc_block_pgm(q0, q1, u).value - float(pgm)) < TOL
+    assert abs(qadc_block_helstrom(q0, q1, u).value - float(helstrom)) < TOL

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from chandisc.linalg import (
+    ChandiscError,
     DensityMatrix,
     LinalgError,
-    SubspaceBasis,
     as_complex_matrix,
-    compressed_tensor_power,
     fidelity,
+    gram_states,
+    gram_support,
     hermitize,
-    joint_support_compress,
+    kron_power,
     partial_trace,
     tensor,
     tensor_all,
@@ -136,98 +137,97 @@ def test_fidelity_unitary_invariance():
     assert abs(fidelity(rho_u, sigma_u) - fidelity(rho, sigma)) < 1e-10
 
 
-def test_subspace_basis_rejects_non_isometry():
+def test_kron_power_matches_tensor_all_and_stays_real():
+    rng = np.random.default_rng(11)
+    mat = rng.normal(size=(2, 3))
+    power = kron_power(mat, 3)
+    assert power.dtype == np.float64 and power.shape == (8, 27)
+    np.testing.assert_allclose(power, tensor_all([mat] * 3).real, atol=1e-15)
     with pytest.raises(LinalgError):
-        SubspaceBasis(np.ones((4, 2)))
+        kron_power(mat, 0)
 
 
-def test_subspace_basis_restrict():
-    basis = SubspaceBasis(np.eye(4)[:, :2])
-    mat = np.arange(16, dtype=float).reshape(4, 4)
-    np.testing.assert_allclose(basis.restrict(mat), mat[:2, :2])
+def _factor(state):
+    """A ``(dim, rank)`` matrix ``A`` with ``A A† = state``."""
+    w, v = np.linalg.eigh(state)
+    keep = w > 1e-12
+    return v[:, keep] * np.sqrt(w[keep])
 
 
-def _embed(rng, dim, states):
-    """Rotate low-dimensional states into a common dim-dimensional space."""
-    un = random_unitary(rng, dim)
-    out = []
-    for s in states:
-        big = np.zeros((dim, dim), dtype=np.complex128)
-        big[: s.shape[0], : s.shape[0]] = s
-        out.append(DensityMatrix(un @ big @ un.conj().T))
-    return out
+def _gram(factors):
+    joint = np.hstack(factors)
+    return joint.conj().T @ joint
 
 
 def test_joint_support_compress_rank_and_trace_norms():
+    # three rank-2 states inside one 3-dimensional subspace of C^12
     rng = np.random.default_rng(7)
-    small = [random_density(rng, 3, rank=2).mat for _ in range(3)]
-    states = _embed(rng, 12, small)
-    basis, compressed = joint_support_compress(states)
-    assert basis.rank <= 9  # at most the sum of the ranks, here 3 * 3
-    assert compressed[0].dim == basis.rank
-    # trace norms of arbitrary real combinations survive the rotation
+    frame = random_unitary(rng, 12)[:, :3]
+    factors = [frame @ (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+               for _ in range(3)]
+    factors = [a / np.linalg.norm(a) for a in factors]
+    states = [a @ a.conj().T for a in factors]
+    compressed = gram_states(_gram(factors), [2, 2, 2])
+    assert compressed[0].shape == (3, 3)  # the joint support, not 6 columns
+    # trace norms of arbitrary real combinations survive the compression
     for _ in range(5):
         coeff = rng.normal(size=3)
-        full = sum(c * s.mat for c, s in zip(coeff, states))
-        comp = sum(c * s.mat for c, s in zip(coeff, compressed))
-        assert abs(trace_norm(full) - trace_norm(comp)) < 1e-9
+        full = sum(c * s for c, s in zip(coeff, states))
+        comp = sum(c * s for c, s in zip(coeff, compressed))
+        assert abs(trace_norm(full) - trace_norm(comp)) < 1e-12
 
 
 def test_joint_support_compress_input_checks():
+    gram = np.eye(4)
     with pytest.raises(LinalgError):
-        joint_support_compress([])
-    rng = np.random.default_rng(8)
+        gram_states(gram, [])
     with pytest.raises(LinalgError):
-        joint_support_compress([random_density(rng, 2), random_density(rng, 3)])
+        gram_states(gram, [2, 1])
+    with pytest.raises(LinalgError):
+        gram_states(gram, [4, 0])
+    with pytest.raises(LinalgError):
+        gram_support([])
+    assert issubclass(LinalgError, ChandiscError)
 
 
 @pytest.mark.parametrize("power", [1, 2, 3])
 def test_compressed_tensor_power_matches_dense(power):
+    # u-fold powers known only through (A_a† A_b)^{⊗u}, against explicit krons
     rng = np.random.default_rng(9)
     states = [random_density(rng, 3, rank=1).mat, random_density(rng, 3, rank=2).mat]
-    compressed = compressed_tensor_power(states, power)
-    dense = [s for s in states]
-    for _ in range(power - 1):
-        dense = [np.kron(a, b) for a, b in zip(dense, states)]
-    # one shared isometry relates the two pictures, so pairwise
-    # differences keep their trace norms and states keep their spectra
+    factors = [_factor(s) for s in states]
+    gram = np.block([[kron_power(a.conj().T @ b, power) for b in factors] for a in factors])
+    compressed = gram_states(gram, [a.shape[1] ** power for a in factors])
+    dense = [tensor_all([s] * power) for s in states]
     diff_full = trace_norm(dense[0] - dense[1])
     diff_comp = trace_norm(compressed[0] - compressed[1])
-    assert abs(diff_full - diff_comp) < 1e-9
+    assert abs(diff_full - diff_comp) < 1e-12
     for full, comp in zip(dense, compressed):
         ev_full = np.sort(np.linalg.eigvalsh(full))[-comp.shape[0]:]
         ev_comp = np.sort(np.linalg.eigvalsh(comp))
-        np.testing.assert_allclose(ev_full, ev_comp, atol=1e-9)
-
-
-def test_left_singular_fallback_matches_svd(monkeypatch):
-    # the augmented-eigendecomposition fallback must reproduce the SVD route
-    from chandisc import linalg as _linalg
-
-    rng = np.random.default_rng(10)
-    low_rank = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
-    mat = np.hstack([low_rank, low_rank @ rng.normal(size=(3, 4))])
-    direct = _linalg._left_singular_columns(mat, 1e-8)
-
-    def refuse(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", refuse)
-    fallback = _linalg._left_singular_columns(mat, 1e-8)
-    assert fallback.shape == direct.shape == (12, 3)
-    assert np.abs(fallback.conj().T @ fallback - np.eye(3)).max() < 1e-10
-    # same column span: projectors agree
-    p_direct = direct @ direct.conj().T
-    p_fallback = fallback @ fallback.conj().T
-    assert np.abs(p_direct - p_fallback).max() < 1e-9
+        np.testing.assert_allclose(ev_full, ev_comp, atol=1e-12)
 
 
 def test_compressed_tensor_power_rank_growth():
-    # two rank-1 factors: the u-fold power spans at most u + 1 dimensions
-    # because doubling merges the two pure directions pairwise
-    v = np.zeros(4)
+    # two rank-1 factors: every power spans 2 dimensions, far below 4**8
+    v = np.zeros((4, 1))
     v[0] = 1.0
-    w = np.ones(4) / 2.0
-    states = [np.outer(v, v), np.outer(w, w)]
-    compressed = compressed_tensor_power(states, 8)
-    assert compressed[0].shape[0] <= 2**4  # far below ambient 4**8
+    w = np.ones((4, 1)) / 2.0
+    gram = np.block([[kron_power(a.T @ b, 8) for b in (v, w)] for a in (v, w)])
+    compressed = gram_states(gram, [1, 1])
+    assert compressed[0].shape == (2, 2)
+    assert compressed[0].dtype == np.float64  # real Gram, real arithmetic
+    overlap = 0.5**8
+    pure_distance = 2.0 * np.sqrt(1.0 - overlap**2)
+    assert abs(trace_norm(compressed[0] - compressed[1]) - pure_distance) < 1e-14
+
+
+def test_gram_support_cut_is_relative_to_the_largest_eigenvalue_of_all():
+    top = np.diag([1.0, 2e-14, 0.5e-14])
+    low = np.diag([3e-14, 1e-15])
+    kept = gram_support([top, low])
+    np.testing.assert_allclose(kept[0][0], [2e-14, 1.0])
+    np.testing.assert_allclose(kept[1][0], [3e-14])
+    assert kept[1][1].shape == (2, 1)
+    # the same block alone keeps everything above its own maximum's cut
+    np.testing.assert_allclose(gram_support([low])[0][0], [1e-15, 3e-14])

@@ -6,8 +6,8 @@ import pytest
 
 from chandisc.channels import choi, make_qadc, qadc_pbt_error
 from chandisc.cpf import cpf_fidelity_lb, cpf_sim_error
-from chandisc.discrimination import helstrom_binary
-from chandisc.linalg import fidelity
+from chandisc.discrimination import StateEnsemble, helstrom_binary, pgm_error
+from chandisc.linalg import fidelity, tensor_all
 from chandisc.qadc import (
     QadcError,
     fvg_sandwich,
@@ -69,6 +69,26 @@ def test_block_pgm_upper_bounds_helstrom():
     for q0, q1, u in [(0.1, 0.5, 2), (0.3, 0.35, 4), (0.6, 0.9, 3)]:
         assert (qadc_block_pgm(q0, q1, u).value
                 >= qadc_block_helstrom(q0, q1, u).value - 1e-10)
+
+
+@pytest.mark.parametrize("u", [1, 2, 3])
+def test_block_pair_matches_dense_tensor_powers(u):
+    for q0, q1 in [(0.15, 0.6), (0.04, 0.0), (1.0, 0.3), (0.0, 1.0), (0.5, 0.5), (0.9, 0.92)]:
+        rho0 = tensor_all([choi(make_qadc(q0)).mat] * u)
+        rho1 = tensor_all([choi(make_qadc(q1)).mat] * u)
+        helstrom = helstrom_binary(rho0, rho1).value
+        pgm = pgm_error(StateEnsemble.equiprobable([rho0, rho1])).value
+        assert abs(qadc_block_helstrom(q0, q1, u).value - helstrom) < 1e-12, (q0, q1)
+        assert abs(qadc_block_pgm(q0, q1, u).value - pgm) < 1e-12, (q0, q1)
+
+
+def test_block_pair_size_guard_before_allocation():
+    # side 2 * 2**u: u = 11 is the largest pair the default guard admits
+    for fn in (qadc_block_helstrom, qadc_block_pgm):
+        with pytest.raises(QadcError, match="exceeds guard 4096"):
+            fn(0.2, 0.3, 12)
+        with pytest.raises(QadcError):
+            fn(0.2, 0.3, 10**9)
 
 
 def test_nulling_unitary_is_unitary():
