@@ -290,6 +290,11 @@ def tele_covariance_check(channel: KrausChannel, tol: float = 1e-8) -> bool:
     their Choi state, so all their adaptive discrimination bounds collapse
     to block bounds.  Erasure and depolarizing channels pass; amplitude
     damping fails (it is phase- but not flip-covariant).
+
+    The test is one-sided: ``True`` is certified by an explicit ``V``, but
+    ``False`` may be a false negative.  Each ``V`` is sought among the basis
+    vectors of the linear solution space and 8 seeded random combinations of
+    them, so a valid unitary elsewhere in that space can be missed.
     """
     c = np.asarray(choi(channel).mat)
     d_in, d_out = channel.dim_in, channel.dim_out

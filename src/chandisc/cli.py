@@ -35,9 +35,9 @@ from .cpf import (CpfSpec, cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb,
                   cpf_pgm_upper, optimize_over_M)
 from .discrimination import (StateEnsemble, gus_unitary_helstrom, helstrom_binary,
                              helstrom_iterative, pgm_error)
-from .linalg import (ChandiscError, DensityMatrix, gram_states, kron_power, tensor_all,
-                     trace_norm)
-from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_cpf
+from .linalg import (ChandiscError, DensityMatrix, check_prob, gram_states, kron_power,
+                     tensor_all, trace_norm)
+from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_binary, qdc_cpf
 from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
                    qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
                    qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt)
@@ -128,12 +128,6 @@ def _parse_gaps(text, default):
     return gaps
 
 
-def _check_prob_flag(value, name):
-    if value is not None and not 0.0 <= value <= 1.0:
-        raise CliConfigError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
 def make_config(args) -> RunConfig:
     if args.grid < 2:
         raise CliConfigError(f"--grid must be >= 2, got {args.grid}")
@@ -155,7 +149,9 @@ def make_config(args) -> RunConfig:
     if (args.q0 is None) != (args.q1 is None):
         raise CliConfigError("--q0 and --q1 must be given together")
     for name, flag in (("q0", "--q0"), ("q1", "--q1"), ("q_b", "--qB"), ("q_t", "--qT")):
-        _check_prob_flag(getattr(args, name), flag)
+        value = getattr(args, name)
+        if value is not None:
+            check_prob(value, flag, CliConfigError)
     if args.xi != "uniform" and not args.xi.startswith("value-table:"):
         raise CliConfigError(f"--xi must be 'uniform' or 'value-table:FILE', got {args.xi!r}")
     return RunConfig(
@@ -288,13 +284,10 @@ def run_binary_qec(cfg: RunConfig):
 def run_binary_qdc(cfg: RunConfig):
     u = cfg.u if cfg.u is not None else 30
     d = cfg.d if cfg.d is not None else 6
-    ent_scale = 1.0 - 1.0 / d**2
-    cls_scale = 1.0 - 1.0 / d
     header = ["gap", "q1", "q0", "u", "d", "qdc_entangled[exact]", "qdc_classical[exact]"]
     rows = []
     for gap, q1, q0 in _binary_axis(cfg, (0.2, 0.4, 0.6, 0.8)):
-        entangled = f_u(ent_scale * q0, ent_scale * q1, u)
-        classical = f_u(cls_scale * q0, cls_scale * q1, u)
+        entangled, classical = (report.value for report in qdc_binary(q0, q1, d, u))
         if entangled > classical + 1e-12:
             raise InvariantViolation(
                 f"binary qdc: entangled value {entangled} exceeds classical "

@@ -3,8 +3,7 @@
 Amplitude damping channels are not teleportation-covariant, so unlike the
 erasure and depolarizing families they admit no closed-form ultimate error.
 The package instead brackets their block error between the pairwise-fidelity
-sandwich and numerically exact values computed from the Gram matrix of the
-``u``-fold Kraus vectors, and
+sandwich and exact values (``O(u)`` binomial sums over the Kraus weight), and
 lower-bounds the adaptive error through the port-based simulation route with
 the damping-specific simulation error.
 
@@ -23,13 +22,11 @@ import math
 
 import numpy as np
 
-from .channels import default_xi, kraus_vectors, make_qadc, qadc_pbt_error
+from .channels import default_xi, qadc_pbt_error
 from .cpf import cpf_fidelity_lb, cpf_sim_error, optimize_over_M
 from .discrimination import KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport
-from .linalg import ChandiscError, check_prob, gram_states, gram_support, kron_power
-
-# Largest Gram side 2 * 2**u of a block pair: u = 11.
-MAX_PAIR_SIDE = 4096
+from .linalg import ChandiscError, check_prob
+from .orc import _binom_pmf
 
 
 class QadcError(ChandiscError):
@@ -147,54 +144,69 @@ def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
     return report, result
 
 
-def _pair_gram(q0, q1, u) -> np.ndarray:
-    """Prior-weighted Gram matrix of the ``u``-fold Kraus vectors of two damping channels.
+def _weight_blocks(q0, q1, u):
+    """The 2×2 blocks of the block pair's prior-weighted Gram matrix.
 
-    ``G = 1/2 [[g00^{⊗u}, g01^{⊗u}], [g10^{⊗u}, g11^{⊗u}]]`` with the real
-    per-use Grams ``g_ab = V_a† V_b``.  Raises before allocating once the
-    side ``2 * 2**u`` exceeds ``MAX_PAIR_SIDE``.
+    The two Kraus vectors of any two damping channels have disjoint
+    supports, so the Gram matrix of the ``u``-fold Kraus vectors is a direct
+    sum of 2×2 blocks, one per Kraus multi-index, fixed by its weight ``w``
+    (the number of decay operators).  Summed over the ``C(u, w)`` indices of
+    weight ``w``, the diagonals are the Binomial(u, q0/2) and Binomial(u,
+    q1/2) pmfs ``x``, ``y`` and the squared off-diagonal is ``x y r**(u-w)``,
+    ``r = 1 - (sqrt(1-q0) - sqrt(1-q1))**2 / ((2-q0)(2-q1))``.
+
+    Returns the report parameters and, per ``w = 0..u``, ``min(x, y)``, the
+    ratio ``min(x, y) / max(x, y)`` (0 where both vanish), ``r**(u-w)`` and
+    ``1 - r**(u-w)``.  ``dim`` is the rank of the joint support: each state
+    has rank ``2**u`` (1 at q = 0), and the two share every support vector
+    when ``q0 == q1``, else only the all-decay one if both channels decay.
     """
     q0 = check_prob(q0, "q0", QadcError)
     q1 = check_prob(q1, "q1", QadcError)
     u = int(u)
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")
-    # A capped exponent decides the same way: 2**64 exceeds any usable guard.
-    side = 2 * 2 ** min(u, 64)
-    if side > MAX_PAIR_SIDE:
-        raise QadcError(f"Gram side {side} exceeds guard {MAX_PAIR_SIDE}")
-    vecs = [kraus_vectors(make_qadc(q)) for q in (q0, q1)]
-    return np.block([[kron_power(a.T @ b, u) for b in vecs] for a in vecs]) / 2.0
+    rank0, rank1 = (2**u if q > 0.0 else 1 for q in (q0, q1))
+    shared = rank0 if q0 == q1 else int(q0 > 0.0 and q1 > 0.0)
+    params = {"q0": q0, "q1": q1, "u": u, "dim": rank0 + rank1 - shared}
+    x, y = _binom_pmf(q0 / 2.0, u), _binom_pmf(q1 / 2.0, u)
+    small, large = np.minimum(x, y), np.maximum(x, y)
+    ratio = np.divide(small, large, out=np.zeros(u + 1), where=large > 0.0)
+    gap = (math.sqrt(1.0 - q0) - math.sqrt(1.0 - q1)) ** 2 / ((2.0 - q0) * (2.0 - q1))
+    log_power = np.arange(u, -1, -1) * math.log1p(-gap)
+    return params, small, ratio, np.exp(log_power), -np.expm1(log_power)
 
 
 def qadc_block_helstrom(q0, q1, u: int) -> BoundReport:
     """Exact equiprobable block error for two damping channels.
 
-    The binary trace-norm formula on the ``u``-fold Choi tensor powers,
-    evaluated on the pair compressed from its Gram matrix (see
-    :func:`~chandisc.linalg.gram_states`); exact for block (non-adaptive,
-    entanglement assisted) strategies.
+    The Helstrom error of the ``u``-fold Choi tensor powers, exact for block
+    (non-adaptive, entanglement assisted) strategies.  Each weight block
+    (see :func:`_weight_blocks`) holds two unnormalized pure states; their
+    trace distance leaves one positive term per block, evaluated divided
+    through by ``max(x, y)`` so that no product of two small pmfs underflows:
+
+        ``P = 1/2 sum_w x y r**(u-w) / ((x+y)/2 + sqrt(((x-y)/2)**2 + x y (1 - r**(u-w))))``
     """
-    gram = _pair_gram(q0, q1, u)
-    half0, half1 = gram_states(gram, [gram.shape[0] // 2] * 2)
-    value = (1.0 - float(np.abs(np.linalg.eigvalsh(half0 - half1)).sum())) / 2.0
-    return BoundReport(value, KIND_EXACT, "qadc_block_helstrom",
-                       {"q0": float(q0), "q1": float(q1), "u": int(u), "dim": half0.shape[0]})
+    params, small, ratio, overlap, spread = _weight_blocks(q0, q1, u)
+    root = np.sqrt(((1.0 - ratio) / 2.0) ** 2 + ratio * spread)
+    value = 0.5 * float(np.sum(small * overlap / ((1.0 + ratio) / 2.0 + root)))
+    return BoundReport(value, KIND_EXACT, "qadc_block_helstrom", params)
 
 
 def qadc_block_pgm(q0, q1, u: int) -> BoundReport:
     """Square-root-measurement error on the block pair.
 
-    The success probability is ``sum_n ||(√G)_nn||_F**2`` over the two
-    diagonal blocks of the square root of the prior-weighted Gram matrix.
+    The error ``1 - sum_n ||(√G)_nn||_F**2`` over the two diagonal blocks of
+    the square root of the prior-weighted Gram matrix, summed weight block
+    by weight block (see :func:`_weight_blocks`) and divided through by
+    ``max(x, y)``:
+
+        ``P = sum_w x y r**(u-w) / (x + y + 2 sqrt(x y (1 - r**(u-w))))``
     """
-    gram = _pair_gram(q0, q1, u)
-    [(w, v)] = gram_support([gram])
-    root = v * w ** 0.25
-    half = gram.shape[0] // 2
-    success = sum(float(np.sum((b @ b.T) ** 2)) for b in (root[:half], root[half:]))
-    return BoundReport(1.0 - success, KIND_UPPER, "qadc_block_pgm",
-                       {"q0": float(q0), "q1": float(q1), "u": int(u), "dim": w.size})
+    params, small, ratio, overlap, spread = _weight_blocks(q0, q1, u)
+    value = float(np.sum(small * overlap / (1.0 + ratio + 2.0 * np.sqrt(ratio * spread))))
+    return BoundReport(value, KIND_UPPER, "qadc_block_pgm", params)
 
 
 def nulling_unitary(q) -> np.ndarray:
@@ -255,29 +267,17 @@ def nulling_outcome_dist(q_applied, q_actual) -> OutcomeDistribution:
     return OutcomeDistribution(probs=probs, q_applied=q, q_actual=qa)
 
 
-def _count_vectors(u: int):
-    for c0 in range(u + 1):
-        for c1 in range(u + 1 - c0):
-            for c2 in range(u + 1 - c0 - c1):
-                yield c0, c1, c2, u - c0 - c1 - c2
-
-
-def _likelihood(counts, probs, coeff: float) -> float:
-    out = coeff
-    for c, p in zip(counts, probs):
-        out *= p**c
-    return out
-
-
 def nulling_error(q0, q1, u: int, variant: str = "apply_min") -> float:
     """Error probability of the counting nulling receiver over ``u`` probes.
 
     The receiver applies one fixed nulling unitary per probe, tallies the
-    four outcomes, and picks the hypothesis by maximum likelihood (ties to
-    the first hypothesis).  ``variant`` selects the applied parameter:
-    ``apply_q0``, ``apply_q1``, or ``apply_min`` for the better of the two.
-    The sum runs over all ``C(u+3, 3)`` count vectors, so moderate ``u``
-    stays cheap.
+    four outcomes, and picks the hypothesis by maximum likelihood.
+    ``variant`` selects the applied parameter: ``apply_q0``, ``apply_q1``,
+    or ``apply_min`` for the better of the two.  Outcome 1 never occurs, nor
+    outcome 0 under the matched hypothesis, so the error is an ``O(u)`` sum
+    over the outcome-3 count ``k`` when every probe gives 2 or 3:
+    ``1/2 sum_k min(L_0(k), L_1(k))``, ``L(k) = s**u Binomial(u, p3/s)(k)``
+    with ``s = p2 + p3``.
     """
     q0 = check_prob(q0, "q0", QadcError)
     q1 = check_prob(q1, "q1", QadcError)
@@ -290,11 +290,9 @@ def nulling_error(q0, q1, u: int, variant: str = "apply_min") -> float:
         return min(nulling_error(q0, q1, u, "apply_q0"),
                    nulling_error(q0, q1, u, "apply_q1"))
     applied = q0 if variant == "apply_q0" else q1
-    dist0 = nulling_outcome_dist(applied, q0).probs
-    dist1 = nulling_outcome_dist(applied, q1).probs
-    error = 0.0
-    for counts in _count_vectors(u):
-        c0, c1, c2, c3 = counts
-        coeff = float(math.comb(u, c0) * math.comb(u - c0, c1) * math.comb(u - c0 - c1, c2))
-        error += min(_likelihood(counts, dist0, coeff), _likelihood(counts, dist1, coeff))
-    return error / 2.0
+    likelihoods = []
+    for q in (q0, q1):
+        _, _, p2, p3 = nulling_outcome_dist(applied, q).probs
+        kept = p2 + p3
+        likelihoods.append(kept**u * _binom_pmf(p3 / kept, u))
+    return float(np.minimum(*likelihoods).sum()) / 2.0

@@ -9,10 +9,15 @@
   directly or from log-likelihoods, for sizes the rationals cannot reach;
 * ``mp_block_gram``/``mp_gram_errors``: the Gram matrix of damping block
   hypotheses, entry by entry, and its square-root-measurement and Helstrom
-  errors, all in mpmath precision with no eigenvalue cut.
+  errors, all in mpmath precision with no eigenvalue cut;
+* ``mp_pair_blocks``: the same errors for a damping pair, from the 2×2
+  blocks of its Gram matrix, each decomposed numerically;
+* ``nulling_count_sum``: the nulling receiver's error as a sum over all
+  ``C(u+3, 3)`` four-outcome count vectors with multinomial weights.
 
 None shares code with the order-statistic formula in ``chandisc.orc`` or
-with the Gram routes in ``chandisc.cpf`` and ``chandisc.qadc``.
+with the Gram routes and binomial sums in ``chandisc.cpf`` and
+``chandisc.qadc``.
 """
 
 import functools
@@ -190,10 +195,13 @@ def mp_gram_errors(mp, gram, blocks):
     ``gram`` is the prior-weighted Gram matrix of ``blocks`` equal column
     blocks, in mpmath precision: no eigenvalue is cut.  The PGM error is
     ``1 - sum_n ||(√G)_nn||_F**2``; the Helstrom error is
-    ``(1 - ||√G J √G||_1) / 2`` with ``J = ±1`` on the two blocks.
+    ``(1 - ||√G J √G||_1) / 2`` with ``J = ±1`` on the two blocks.  In
+    both, ``1`` stands for the trace of ``G``, so that a direct summand of a
+    Gram matrix gives its share of the errors.
     """
     side = gram.rows
     size = side // blocks
+    total = mp.fsum(gram[i, i] for i in range(side))
     values, vectors = mp.eigsy(gram)
     roots = [mp.sqrt(max(values[k], 0)) for k in range(side)]
     root = mp.matrix(side, side)
@@ -204,7 +212,7 @@ def mp_gram_errors(mp, gram, blocks):
     success = mp.fsum(root[i, j] ** 2 for n in range(blocks)
                       for i in range(n * size, (n + 1) * size)
                       for j in range(n * size, (n + 1) * size))
-    pgm = 1 - success
+    pgm = total - success
     if blocks != 2:
         return pgm, None
     signed = mp.matrix(side, side)
@@ -213,5 +221,55 @@ def mp_gram_errors(mp, gram, blocks):
             signed[i, j] = mp.fsum(root[i, k] * (1 if k < size else -1) * root[k, j]
                                    for k in range(side))
     spread = mp.eigsy(signed, eigvals_only=True)
-    helstrom = (1 - mp.fsum(abs(spread[k]) for k in range(side))) / 2
+    helstrom = (total - mp.fsum(abs(spread[k]) for k in range(side))) / 2
     return pgm, helstrom
+
+
+def mp_pair_blocks(mp, q0, q1, u):
+    """Square-root-measurement and Helstrom errors of a damping block pair.
+
+    The per-use Grams of two damping channels are diagonal, so the pair Gram
+    of ``mp_block_gram(mp, [[q0], [q1]], u)`` is a direct sum of 2×2
+    blocks, one per Kraus multi-index; an index with ``w`` decay operators
+    has entries ``g_ab[0][0]**(u-w) * g_ab[1][1]**w / 2``.  Each of the
+    ``u + 1`` distinct blocks is decomposed by ``mp_gram_errors``, and its
+    errors count ``C(u, w)`` times.
+    """
+    qs = (q0, q1)
+    grams = [[_mp_cell_gram(mp, a, b) for b in qs] for a in qs]
+    pgm = helstrom = mp.mpf(0)
+    for w in range(u + 1):
+        block = mp.matrix(2, 2)
+        for n in range(2):
+            for n2 in range(2):
+                g = grams[n][n2]
+                block[n, n2] = g[0][0] ** (u - w) * g[1][1] ** w / 2
+        block_pgm, block_helstrom = mp_gram_errors(mp, block, 2)
+        pgm += math.comb(u, w) * block_pgm
+        helstrom += math.comb(u, w) * block_helstrom
+    return pgm, helstrom
+
+
+def nulling_count_sum(probs0, probs1, u):
+    """Half the summed smaller likelihood over all four-outcome count vectors.
+
+    ``probs0``/``probs1`` are one probe's outcome distributions under the
+    two hypotheses; each count vector ``c`` of ``u`` probes weighs
+    ``multinomial(u; c) * prod_k p[k]**c[k]``.  The multinomial coefficient
+    is converted to a float, which overflows above ``u`` of about 1000.
+    """
+    error = 0.0
+    for c0 in range(u + 1):
+        for c1 in range(u + 1 - c0):
+            for c2 in range(u + 1 - c0 - c1):
+                counts = (c0, c1, c2, u - c0 - c1 - c2)
+                coeff = float(math.comb(u, c0) * math.comb(u - c0, c1)
+                              * math.comb(u - c0 - c1, c2))
+                likes = []
+                for probs in (probs0, probs1):
+                    like = coeff
+                    for c, p in zip(counts, probs):
+                        like *= p**c
+                    likes.append(like)
+                error += min(likes)
+    return error / 2.0

@@ -182,8 +182,16 @@ def test_library_size_guard_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds guard" in err
     assert "Traceback" not in err and text == ""
-    code, _ = run(tmp_path, "--command", "binary", "--kind", "qadc", "--u", "12", "--grid", "2")
-    assert code == 2
+
+
+def test_binary_qadc_deep_power(tmp_path):
+    # 2 * 2**2000 joint-support dimensions, summed over 2001 weight blocks
+    started = time.monotonic()
+    code, text = run(tmp_path, "--command", "binary", "--kind", "qadc", "--u", "2000",
+                     "--grid", "3")
+    assert code == 0
+    assert time.monotonic() - started < 5.0
+    assert len(text.splitlines()) == 1 + 3
 
 
 @pytest.mark.parametrize("error", [LinalgError, ChannelError, DiscriminationError,

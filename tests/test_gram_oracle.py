@@ -18,7 +18,7 @@ from chandisc.channels import make_qadc
 from chandisc.cpf import CpfSpec, cpf_pgm_upper
 from chandisc.qadc import qadc_block_helstrom, qadc_block_pgm
 
-from _oracles import mp_block_gram, mp_gram_errors
+from _oracles import mp_block_gram, mp_gram_errors, mp_pair_blocks
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -57,3 +57,46 @@ def test_binary_pair_matches_mpmath(q0, q1, u):
         pgm, helstrom = mp_gram_errors(mp, gram, 2)
     assert abs(qadc_block_pgm(q0, q1, u).value - float(pgm)) < TOL
     assert abs(qadc_block_helstrom(q0, q1, u).value - float(helstrom)) < TOL
+
+
+@pytest.mark.parametrize("q0,q1,u", [
+    (0.3, 0.34, 1),
+    (0.008, 0.0, 2),
+    (0.0, 1.0, 3),
+    (1.0, 0.96, 3),
+    (0.08, 0.04, 4),
+])
+def test_pair_blocks_match_full_gram(q0, q1, u):
+    # the rank-1 block at w = u gives the full Gram a zero eigenvalue, whose
+    # rounding noise enters through its square root: 1e-30 at 60 digits
+    with mpmath.workdps(60):
+        mp = mpmath.mp
+        full = mp_gram_errors(mp, mp_block_gram(mp, [[q0], [q1]], u), 2)
+        blocks = mp_pair_blocks(mp, q0, q1, u)
+    for got, want in zip(blocks, full):
+        assert abs(got - want) < 1e-25
+
+
+@pytest.mark.parametrize("q0,q1,u", [
+    (0.08, 0.04, 8),     # a row of the default binary sweep
+    (0.008, 0.0, 9),
+    (1.0, 0.96, 9),
+])
+def test_binary_pair_matches_weight_blocks(q0, q1, u):
+    with mpmath.workdps(50):
+        pgm, helstrom = mp_pair_blocks(mpmath.mp, q0, q1, u)
+    assert abs(qadc_block_pgm(q0, q1, u).value - float(pgm)) < TOL
+    assert abs(qadc_block_helstrom(q0, q1, u).value - float(helstrom)) < TOL
+
+
+@pytest.mark.parametrize("q0,q1,u,digits", [
+    (0.08, 0.04, 60, 50),
+    (0.08, 0.04, 500, 50),
+    (0.08, 0.04, 2000, 50),
+    (1.0, 0.2, 1200, 330),   # errors near 3e-285: a product of two pmfs underflows
+])
+def test_binary_pair_at_large_u_matches_weight_blocks(q0, q1, u, digits):
+    with mpmath.workdps(digits):
+        pgm, helstrom = mp_pair_blocks(mpmath.mp, q0, q1, u)
+    assert abs(qadc_block_pgm(q0, q1, u).value / float(pgm) - 1.0) < 1e-12
+    assert abs(qadc_block_helstrom(q0, q1, u).value / float(helstrom) - 1.0) < 1e-12

@@ -4,6 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chandisc import orc
 from chandisc.channels import choi, make_qadc, qadc_pbt_error
 from chandisc.cpf import cpf_fidelity_lb, cpf_sim_error
 from chandisc.discrimination import StateEnsemble, helstrom_binary, pgm_error
@@ -21,6 +25,8 @@ from chandisc.qadc import (
     qadc_choi_fidelity,
     qadc_cpf_adaptive_lb,
 )
+
+from _oracles import nulling_count_sum
 
 
 def test_choi_fidelity_closed_form_matches_uhlmann():
@@ -80,15 +86,8 @@ def test_block_pair_matches_dense_tensor_powers(u):
         pgm = pgm_error(StateEnsemble.equiprobable([rho0, rho1])).value
         assert abs(qadc_block_helstrom(q0, q1, u).value - helstrom) < 1e-12, (q0, q1)
         assert abs(qadc_block_pgm(q0, q1, u).value - pgm) < 1e-12, (q0, q1)
-
-
-def test_block_pair_size_guard_before_allocation():
-    # side 2 * 2**u: u = 11 is the largest pair the default guard admits
-    for fn in (qadc_block_helstrom, qadc_block_pgm):
-        with pytest.raises(QadcError, match="exceeds guard 4096"):
-            fn(0.2, 0.3, 12)
-        with pytest.raises(QadcError):
-            fn(0.2, 0.3, 10**9)
+        rank = np.linalg.matrix_rank(np.hstack([rho0, rho1]))
+        assert qadc_block_helstrom(q0, q1, u).params["dim"] == rank, (q0, q1)
 
 
 def test_nulling_unitary_is_unitary():
@@ -130,6 +129,30 @@ def test_nulling_error_matches_string_enumeration(q0, q1, u):
     for variant, applied in [("apply_q0", q0), ("apply_q1", q1)]:
         grouped = nulling_error(q0, q1, u, variant)
         assert abs(grouped - _nulling_error_by_strings(q0, q1, u, applied)) < 1e-13
+
+
+@pytest.mark.parametrize("q0,q1,u", [(0.2, 0.6, 1), (0.1, 0.35, 7), (0.04, 0.0, 12),
+                                     (1.0, 0.96, 25), (0.44, 0.4, 40), (0.0, 1.0, 40)])
+def test_nulling_error_matches_count_vectors(q0, q1, u):
+    for variant, applied in [("apply_q0", q0), ("apply_q1", q1)]:
+        oracle = nulling_count_sum(nulling_outcome_dist(applied, q0).probs,
+                                   nulling_outcome_dist(applied, q1).probs, u)
+        assert abs(nulling_error(q0, q1, u, variant) - oracle) < 1e-13
+
+
+def test_nulling_error_large_u():
+    # the count-vector sum overflows converting multinomials to floats here
+    assert 0.0 <= nulling_error(0.3, 0.34, 1100) <= 0.5
+
+
+def test_log_space_pmf_leaves_binomial_sums_unchanged(monkeypatch):
+    q0, q1, u = 0.3, 0.34, 40
+    fns = (lambda: nulling_error(q0, q1, u), lambda: qadc_block_helstrom(q0, q1, u).value,
+           lambda: qadc_block_pgm(q0, q1, u).value)
+    direct = [fn() for fn in fns]
+    monkeypatch.setattr(orc, "DIRECT_PRODUCT_MAX_U", 0)
+    for fn, value in zip(fns, direct):
+        assert abs(fn() - value) < 1e-12
 
 
 def test_nulling_error_basics():
@@ -189,3 +212,36 @@ def test_cpf_adaptive_lb_arithmetic():
     expect = cpf_fidelity_lb(f, m=m, u=u, ports=ports, delta_avg=delta).value
     rep = qadc_cpf_adaptive_lb(q_b, q_t, m=m, u=u, ports=ports)
     assert abs(rep.value - expect) < 1e-14
+
+
+_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@st.composite
+def _pairs(draw):
+    # endpoints and equal parameters are drawn on purpose: the sums must not
+    # special-case them
+    q0 = draw(_PROB)
+    q1 = q0 if draw(st.booleans()) else draw(_PROB)
+    return q0, q1, draw(st.integers(1, 2000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pairs())
+@example((0.08, 0.04, 8))
+@example((1.0, 0.0, 1))
+@example((0.0, 0.0, 2000))
+def test_block_pair_bracket_properties(pair):
+    q0, q1, u = pair
+    # above u = 50 the log-space pmf sums to 1 only within about 1e-15 * u
+    tol = 1e-12 + 2e-15 * u
+    helstrom = qadc_block_helstrom(q0, q1, u).value
+    pgm = qadc_block_pgm(q0, q1, u).value
+    nulling = nulling_error(q0, q1, u)
+    lower, upper = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
+    assert lower - tol <= helstrom <= min(upper, pgm, nulling) + tol
+    assert pgm <= 2.0 * helstrom + tol
+    assert qadc_block_helstrom(q1, q0, u).value == helstrom
+    assert qadc_block_pgm(q1, q0, u).value == pgm
+    assert abs(nulling_error(q1, q0, u) - nulling) <= tol
+    assert qadc_block_helstrom(q0, q1, u + 1).value <= helstrom + tol
