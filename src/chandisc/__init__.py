@@ -5,9 +5,9 @@ damping) in two tasks: telling two channels apart, and finding the position
 of one anomalous channel among ``m`` identical cells.  For the first two
 families the ultimate adaptive error is available in closed form through
 outcome counting; for amplitude damping the package brackets the error
-between simulation-based adaptive lower bounds, fidelity sandwiches, exact
-block values computed from Gram matrices of Kraus vectors (split by the
-cyclic symmetry of position finding), and an explicit nulling receiver.
+between simulation-based adaptive lower bounds, fidelity sandwiches, block
+values computed from Gram matrices of Kraus vectors (direct sums of small
+blocks fixed by the Kraus weights), and an explicit nulling receiver.
 
 Every error raised for a refused input derives from :class:`ChandiscError`.
 """
@@ -18,23 +18,22 @@ from .channels import (ChannelError, KrausChannel, SimulationError, apply, choi,
                        tele_covariance_check, zero_sim_error)
 from .cpf import (CpfError, CpfSpec, MOptimizationResult, build_cpf_choi_ensemble,
                   compressed_cpf_ensemble, cpf_block_fidelity_lb, cpf_fidelity_lb,
-                  cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb, cpf_pgm_upper,
-                  cpf_sim_error, cyclic_shift, general_fidelity_lb, optimize_over_M,
-                  theorem1_lower_bound)
+                  cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb, cpf_sim_error,
+                  cyclic_shift, general_fidelity_lb, optimize_over_M, theorem1_lower_bound)
 from .discrimination import (BoundReport, DiscriminationError, Povm, StateEnsemble,
                              continuity_lower_bound, fidelity_lower_bound,
                              fidelity_upper_bound, gus_unitary_helstrom,
                              helstrom_binary, helstrom_iterative, pgm_error,
                              pgm_povm, success_probability)
 from .linalg import (ChandiscError, DensityMatrix, LinalgError, fidelity, gram_states,
-                     gram_support, hermitize, kron_power, partial_trace, tensor,
-                     tensor_all, trace_norm)
+                     hermitize, kron_power, partial_trace, tensor, tensor_all, trace_norm)
 from .orc import (OrcError, OrcParams, f_u, h_m1_closed, h_mu, qdc_binary, qdc_cpf,
                   qec_binary, qec_cpf)
 from .qadc import (OutcomeDistribution, QadcError, fvg_sandwich, nulling_error,
                    nulling_outcome_dist, nulling_unitary, qadc_adaptive_lb,
                    qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
-                   qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt)
+                   qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt,
+                   qadc_cpf_block_pgm)
 
 __version__ = "0.1.0"
 

@@ -31,8 +31,7 @@ import time
 import numpy as np
 
 from .channels import kraus_vectors, make_qadc, make_qdc, make_qec, tele_covariance_check
-from .cpf import (CpfSpec, cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb,
-                  cpf_pgm_upper, optimize_over_M)
+from .cpf import CpfSpec, cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb, optimize_over_M
 from .discrimination import (StateEnsemble, gus_unitary_helstrom, helstrom_binary,
                              helstrom_iterative, pgm_error)
 from .linalg import (ChandiscError, DensityMatrix, check_prob, gram_states, kron_power,
@@ -40,7 +39,8 @@ from .linalg import (ChandiscError, DensityMatrix, check_prob, gram_states, kron
 from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_binary, qdc_cpf
 from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
                    qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
-                   qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt)
+                   qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt,
+                   qadc_cpf_block_pgm)
 from .channels import choi as channel_choi
 
 FLOAT_FORMAT = "%.16e"
@@ -244,7 +244,7 @@ def run_fig3(cfg: RunConfig):
             adaptive, opt = qadc_cpf_adaptive_lb_opt(
                 q_b, q_t, m, u, xi=xi, ports_range=(cfg.ports_min, cfg.ports_max))
             nonadaptive = cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u)
-            pgm = cpf_pgm_upper(CpfSpec(make_qadc(q_b), make_qadc(q_t), m, u))
+            pgm = qadc_cpf_block_pgm(q_b, q_t, m, u)
             if adaptive.value > nonadaptive.value + 1e-9:
                 raise InvariantViolation(
                     f"fig3: adaptive bound {adaptive.value} exceeds non-adaptive "

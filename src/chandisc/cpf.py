@@ -9,17 +9,16 @@ collect the resulting block states (tensor powers of cell Choi matrices),
 and pay a continuity penalty ``u/2`` times the accumulated simulation
 error.  This module provides the ensemble construction, the continuity
 arithmetic, fidelity-based evaluations of the block bound, the port-count
-optimization, and square-root-measurement upper bounds on the block
-ensemble.
+optimization, and the block ensemble of any Kraus family for the iterative
+Helstrom solver.
 
-Block quantities never touch the ambient ``dim**(m u)`` space.  Hypothesis
+Block states never touch the ambient ``dim**(m u)`` space.  Hypothesis
 ``n`` is ``W_n W_n†`` with ``W_n`` the tensor product of per-cell Kraus
 vectors, and the cyclic cell shift maps ``W_n`` to ``W_{n+1}``, so the Gram
-matrix of all hypotheses is block-circulant, ``W_n† W_n' = C_{n'-n}``.  A
-discrete Fourier transform over the cells (``ω = exp(2πi/m)``) splits it
-into ``m`` blocks of side ``r**(m u)`` (``r`` Kraus operators per cell), and
-the square-root measurement and the compressed states follow from those
-blocks alone.
+matrix of all hypotheses is block-circulant, ``W_n† W_n' = C_{n'-n}``, and
+the states follow from it in a basis of their joint support.  For damping
+cells the square-root-measurement error needs no states at all: see
+:func:`chandisc.qadc.qadc_cpf_block_pgm`.
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ import functools
 import numpy as np
 
 from .channels import KrausChannel, choi, kraus_vectors
-from .discrimination import (KIND_LOWER, KIND_UPPER, BoundReport, StateEnsemble,
+from .discrimination import (KIND_LOWER, BoundReport, StateEnsemble,
                              fidelity_lower_bound, helstrom_iterative)
-from .linalg import (ChandiscError, DensityMatrix, fidelity, gram_states, gram_support,
-                     kron_power, tensor_all)
+from .linalg import ChandiscError, DensityMatrix, fidelity, gram_states, kron_power, tensor_all
 
 
 class CpfError(ChandiscError):
@@ -321,39 +319,6 @@ def compressed_cpf_ensemble(spec: CpfSpec, max_rank: int = 2048) -> StateEnsembl
     gram = np.block([[terms[(k - n) % m] for k in range(m)] for n in range(m)])
     states = gram_states(gram, [terms.shape[1]] * m)
     return StateEnsemble.equiprobable([DensityMatrix(s, validate=False) for s in states])
-
-
-def cpf_pgm_upper(spec: CpfSpec, max_rank: int = 2048) -> BoundReport:
-    """Square-root-measurement upper bound on the block error.
-
-    With the prior in the Gram matrix, its Fourier blocks are
-    ``G_j = (1/m) sum_l ω^{jl} C_l`` and every diagonal block of its square
-    root is ``(1/m) sum_j √G_j``, so the success probability is
-    ``(1/m) ||sum_j √G_j||_F**2``.  Real blocks ``C_l`` make
-    ``G_{m-j}`` the complex conjugate of ``G_j``: only ``j <= m/2`` are
-    decomposed, the others counted through twice the real part.  Raises
-    before allocating once ``r**(m u)`` exceeds ``max_rank``.
-    """
-    m = spec.m
-    terms = _circulant_terms(spec, max_rank)
-    real = np.isrealobj(terms)
-    if real:
-        # rfft gives conj(m G_j); the conjugate block has the same square root, conjugated.
-        spectra = np.fft.rfft(terms, axis=0) / m
-        weights = [1 if j == 0 or 2 * j == m else 2 for j in range(len(spectra))]
-        blocks = [b.real if w == 1 else b for b, w in zip(spectra, weights)]
-    else:
-        blocks = np.fft.ifft(terms, axis=0)
-        weights = [1] * m
-    support = gram_support(blocks)
-    total = sum(weight * (v * np.sqrt(w)) @ v.conj().T
-                for weight, (w, v) in zip(weights, support))
-    if real:
-        total = total.real
-    success = float(np.sum(np.abs(total) ** 2)) / m
-    rank = sum(weight * w.size for weight, (w, _) in zip(weights, support))
-    return BoundReport(1.0 - success, KIND_UPPER, "cpf_pgm_ub",
-                       {"m": m, "u": spec.u, "dim": rank})
 
 
 def cpf_helstrom_iterative(spec: CpfSpec, tol: float = 1e-8, max_iters: int = 5000,

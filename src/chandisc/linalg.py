@@ -210,37 +210,17 @@ def kron_power(mat, power: int) -> np.ndarray:
     return out
 
 
-def gram_support(grams):
-    """Eigenpairs of Gram matrices, all cut relative to the largest eigenvalue.
-
-    ``grams`` are Hermitian PSD matrices whose spectra together form one
-    spectrum (for instance the diagonal blocks of a block-diagonalized
-    Gram matrix).  Eigenvalues at most ``GRAM_CUT`` times the largest of
-    them all are dropped.  Real input is decomposed in real arithmetic.
-
-    Returns
-    -------
-    list of (numpy.ndarray, numpy.ndarray)
-        Per input, the kept eigenvalues ``w`` and eigenvectors ``v``
-        (one column each).
-    """
-    pairs = [np.linalg.eigh(np.asarray(g)) for g in grams]
-    if not pairs:
-        raise LinalgError("need at least one Gram matrix")
-    floor = GRAM_CUT * max(w[-1] for w, _ in pairs)
-    return [(w[w > floor], v[:, w > floor]) for w, v in pairs]
-
-
 def gram_states(gram, sizes):
     """The states of several vector families, known only through their Gram matrix.
 
     If ``gram = A† A`` for ``A = [A_0, A_1, ...]``, whose blocks have
-    ``sizes`` columns, the eigenpairs ``(Λ, U)`` of ``gram`` kept by
-    :func:`gram_support` give ``X = Λ^{1/2} U†`` with ``A = Q X`` for one
-    isometry ``Q``.  The returned states ``X_n X_n†`` therefore equal
-    ``Q† A_n A_n† Q``: every state keeps its spectrum and every real
-    combination of them keeps its trace norm, at the dimension of the
-    joint support.  Real ``gram`` gives real states.
+    ``sizes`` columns, the eigenpairs ``(Λ, U)`` of ``gram`` above
+    ``GRAM_CUT`` times its largest eigenvalue give ``X = Λ^{1/2} U†`` with
+    ``A = Q X`` for one isometry ``Q``.  The returned states ``X_n X_n†``
+    therefore equal ``Q† A_n A_n† Q``: every state keeps its spectrum and
+    every real combination of them keeps its trace norm, at the dimension
+    of the joint support.  Real ``gram`` is decomposed in real arithmetic and gives
+    real states.
 
     Returns
     -------
@@ -253,6 +233,7 @@ def gram_states(gram, sizes):
         raise LinalgError("need at least one block of at least one column")
     if gram.ndim != 2 or gram.shape != (sum(sizes), sum(sizes)):
         raise LinalgError(f"Gram shape {gram.shape} does not match block sizes {sizes}")
-    [(w, v)] = gram_support([gram])
-    x = np.sqrt(w)[:, None] * v.conj().T
+    w, v = np.linalg.eigh(gram)
+    kept = w > GRAM_CUT * w[-1]
+    x = np.sqrt(w[kept])[:, None] * v[:, kept].conj().T
     return [b @ b.conj().T for b in np.split(x, np.cumsum(sizes)[:-1], axis=1)]

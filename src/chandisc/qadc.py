@@ -5,7 +5,10 @@ erasure and depolarizing families they admit no closed-form ultimate error.
 The package instead brackets their block error between the pairwise-fidelity
 sandwich and exact values (``O(u)`` binomial sums over the Kraus weight), and
 lower-bounds the adaptive error through the port-based simulation route with
-the damping-specific simulation error.
+the damping-specific simulation error.  For finding one damping cell among
+``m``, the square-root-measurement error is a sum over the ``C(m+u, m)``
+sorted vectors of per-cell Kraus weights, each an eigenproblem of side at
+most ``min(m, u+1)``.
 
 The module also implements a concrete entanglement-assisted receiver: a
 "nulling" unitary that rotates the Choi state of a reference damping
@@ -26,7 +29,13 @@ from .channels import default_xi, qadc_pbt_error
 from .cpf import cpf_fidelity_lb, cpf_sim_error, optimize_over_M
 from .discrimination import KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport
 from .linalg import ChandiscError, check_prob
-from .orc import _binom_pmf
+from .orc import _binom_log_pmf, _binom_pmf
+
+
+# Largest number of sorted cell-weight classes ``C(m+u, m)`` that
+# :func:`qadc_cpf_block_pgm` sums over.  (m, u) = (6, 20) has 230230 and
+# takes 1.2 s and 130 MB; (8, 20) has 3.1 million.
+MAX_CPF_CLASSES = 1 << 18
 
 
 class QadcError(ChandiscError):
@@ -43,7 +52,9 @@ def qadc_choi_fidelity(q0, q1) -> float:
     q0 = check_prob(q0, "q0", QadcError)
     q1 = check_prob(q1, "q1", QadcError)
     val = (1.0 + math.sqrt((1.0 - q0) * (1.0 - q1)) + math.sqrt(q0 * q1)) / 2.0
-    return min(val, 1.0)
+    # Distinct channels stay below 1 where the sum rounds to 1: at F = 1 the
+    # sandwich's sqrt(1 - F**(2u)) would drop a term of order sqrt(1 - F).
+    return min(val, 1.0 if q0 == q1 else math.nextafter(1.0, 0.0))
 
 
 def fvg_sandwich(choi_fidelity: float, u: int):
@@ -172,9 +183,14 @@ def _weight_blocks(q0, q1, u):
     x, y = _binom_pmf(q0 / 2.0, u), _binom_pmf(q1 / 2.0, u)
     small, large = np.minimum(x, y), np.maximum(x, y)
     ratio = np.divide(small, large, out=np.zeros(u + 1), where=large > 0.0)
-    gap = (math.sqrt(1.0 - q0) - math.sqrt(1.0 - q1)) ** 2 / ((2.0 - q0) * (2.0 - q1))
-    log_power = np.arange(u, -1, -1) * math.log1p(-gap)
+    log_power = np.arange(u, -1, -1) * _log_r(q0, q1)
     return params, small, ratio, np.exp(log_power), -np.expm1(log_power)
+
+
+def _log_r(q0, q1) -> float:
+    # log r, r = 1 - (sqrt(1-q0) - sqrt(1-q1))**2 / ((2-q0)(2-q1)); 0 iff the Grams match.
+    gap = (math.sqrt(1.0 - q0) - math.sqrt(1.0 - q1)) ** 2 / ((2.0 - q0) * (2.0 - q1))
+    return math.log1p(-gap)
 
 
 def qadc_block_helstrom(q0, q1, u: int) -> BoundReport:
@@ -207,6 +223,121 @@ def qadc_block_pgm(q0, q1, u: int) -> BoundReport:
     params, small, ratio, overlap, spread = _weight_blocks(q0, q1, u)
     value = float(np.sum(small * overlap / (1.0 + ratio + 2.0 * np.sqrt(ratio * spread))))
     return BoundReport(value, KIND_UPPER, "qadc_block_pgm", params)
+
+
+def _class_count(m: int, u: int) -> int:
+    # C(m + u, m), or MAX_CPF_CLASSES + 1 as soon as it exceeds the guard.
+    count = 1
+    for j in range(1, min(m, u) + 1):
+        count = count * (max(m, u) + j) // j
+        if count > MAX_CPF_CLASSES:
+            return MAX_CPF_CLASSES + 1
+    return count
+
+
+def _nondecreasing(length: int, top: int) -> np.ndarray:
+    # Every non-decreasing tuple of ``length`` entries in 0..top, one per row.
+    rows = np.zeros((1, 1), dtype=np.int64)  # a leading 0 constrains nothing
+    for _ in range(length):
+        last = rows[:, -1]
+        reps = top + 1 - last
+        parent = np.repeat(np.arange(len(rows)), reps)
+        step = np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([rows[parent], last[parent] + step])
+    return rows[:, 1:]
+
+
+def _weight_classes(m: int, u: int, side: int):
+    # The sorted weight vectors with ``side`` distinct weights: those weights
+    # (increasing) and how many cells hold each, paired every way.
+    weights = _nondecreasing(side, u + 1 - side) + np.arange(side)
+    cuts = _nondecreasing(side - 1, m - side) + np.arange(1, side)
+    groups = np.diff(cuts, axis=1, prepend=0, append=m)
+    return np.repeat(weights, len(groups), axis=0), np.tile(groups, (len(weights), 1))
+
+
+def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
+    """Square-root-measurement error for damping position finding.
+
+    The per-use damping Grams are diagonal, so the prior-weighted Gram of
+    the ``m`` block hypotheses is a direct sum of ``m × m`` blocks, one per
+    Kraus multi-index, fixed by the cells' Kraus weights ``w_c``.  Divided
+    by ``D = prod_c B0**(u-w_c) B1**w_c`` (``B0, B1 = (2-q_b)/2, q_b/2``)
+    a block is ``(1/m) (diag(d) + b bᵀ)`` with, per cell,
+
+        ``b(w) = (x0/B0)**(u-w) (x1/B1)**w``,  ``d(w) = b(w)**2 (r**-(u-w) - 1)``,
+
+    ``x0 = (1 + sqrt((1-q_b)(1-q_t)))/2``, ``x1 = sqrt(q_b q_t)/2`` and the
+    pair's ``r``.  The PGM success ``sum_n ||(√G)_nn||_F**2`` is then a sum
+    over the ``C(m+u, m)`` sorted weight vectors, weighted by their
+    multinomial count times ``prod_c Binomial(u, q_b/2)(w_c)``.  ``g`` cells
+    of equal weight give ``g - 1`` eigenvalues exactly ``d`` and one
+    collective coordinate with ``b sqrt(g)``, so every eigenproblem has the
+    side of the number of distinct weights, and classes of equal side are
+    decomposed together.  Each block is scaled by its largest diagonal
+    entry, in logs, so no power overflows.  At ``q_b = 0`` only the classes
+    where the target cell alone decays escape the normalisation; they
+    identify the target and add ``1 - (1 - q_t/2)**u`` to the success.
+
+    Raises before allocating when ``C(m+u, m)`` exceeds ``MAX_CPF_CLASSES``.
+    """
+    q_b = check_prob(q_b, "q_b", QadcError)
+    q_t = check_prob(q_t, "q_t", QadcError)
+    m, u = int(m), int(u)
+    if m < 2 or u < 1:
+        raise QadcError(f"need m >= 2 cells and u >= 1 uses, got m = {m}, u = {u}")
+    classes = _class_count(m, u)
+    if classes > MAX_CPF_CLASSES:
+        raise QadcError(f"weight class count C({m + u}, {m}) exceeds guard {MAX_CPF_CLASSES}")
+    params = {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "classes": classes}
+    log_r = _log_r(q_b, q_t)
+    mass_q = q_b / 2.0
+    w = np.arange(u + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # x1/B1 = sqrt(q_t/q_b), taken to the power w with 0**0 = 1; where
+        # mass_q = 0 the masses of w > 0 vanish and b does not matter there.
+        if mass_q == 0.0 or q_t == 0.0:
+            log_ratio = -math.inf
+        elif q_t / q_b < math.inf:
+            log_ratio = math.log(q_t / q_b)
+        else:
+            log_ratio = math.log(q_t) - math.log(q_b)
+        # x0/B0 = 1 - sqrt(1-q_b) (sqrt(1-q_b) - sqrt(1-q_t)) / (2-q_b), exactly 1 at q_b = q_t
+        root_b = math.sqrt(1.0 - q_b)
+        log_no_decay = math.log1p(-root_b * (root_b - math.sqrt(1.0 - q_t)) / (2.0 - q_b))
+        log_b = (u - w) * log_no_decay + np.where(w > 0, w * log_ratio / 2.0, 0.0)
+        excess = -(u - w) * log_r
+        log_d = 2.0 * log_b + excess + np.log(-np.expm1(-excess))
+    log_mass = _binom_log_pmf(mass_q, u)
+    log_fact = np.array([math.lgamma(g + 1) for g in range(m + 1)])
+
+    success = 0.0
+    for side in range(1, min(m, u + 1) + 1):
+        weight, group = _weight_classes(m, u, side)
+        log_weight = (log_fact[m] - log_fact[group].sum(axis=1)
+                      + (group * log_mass[weight]).sum(axis=1))
+        kept = np.isfinite(log_weight)  # classes of zero mass drop out
+        weight, group, log_weight = weight[kept], group[kept], log_weight[kept]
+        log_beta = log_b[weight] + np.log(group) / 2.0
+        log_scale = np.logaddexp(log_d[weight], 2.0 * log_beta).max(axis=1)
+        log_scale[np.isinf(log_scale)] = 0.0  # every cell's vector vanishes
+        diag = np.exp(log_d[weight] - log_scale[:, None])
+        beta = np.exp(log_beta - log_scale[:, None] / 2.0)
+        if log_r == 0.0:  # no diagonal part: the rank-one root is exact
+            norm = np.sqrt(np.sum(beta**2, axis=1, keepdims=True))
+            root = np.divide(beta**2, norm, out=np.zeros_like(beta), where=norm > 0.0)
+        else:
+            block = beta[:, :, None] * beta[:, None, :]
+            block[:, np.arange(side), np.arange(side)] += diag
+            eigval, eigvec = np.linalg.eigh(block)
+            root = np.einsum("nij,nj->ni", eigvec**2, np.sqrt(np.clip(eigval, 0.0, None)))
+        cell = np.sqrt(diag) * (1.0 - 1.0 / group) + root / group
+        scale = np.exp(log_weight + log_scale)
+        success += float(scale @ np.sum(group * cell**2, axis=1))
+    success /= m
+    if mass_q == 0.0:
+        success += -math.expm1(u * math.log1p(-q_t / 2.0))
+    return BoundReport(1.0 - success, KIND_UPPER, "qadc_cpf_block_pgm", params)
 
 
 def nulling_unitary(q) -> np.ndarray:

@@ -12,6 +12,8 @@
   errors, all in mpmath precision with no eigenvalue cut;
 * ``mp_pair_blocks``: the same errors for a damping pair, from the 2×2
   blocks of its Gram matrix, each decomposed numerically;
+* ``mp_weight_vector_pgm``: the position-finding square-root-measurement
+  error from the ``m × m`` blocks of every unsorted per-cell weight vector;
 * ``nulling_count_sum``: the nulling receiver's error as a sum over all
   ``C(u+3, 3)`` four-outcome count vectors with multinomial weights.
 
@@ -248,6 +250,36 @@ def mp_pair_blocks(mp, q0, q1, u):
         pgm += math.comb(u, w) * block_pgm
         helstrom += math.comb(u, w) * block_helstrom
     return pgm, helstrom
+
+
+def mp_weight_vector_pgm(mp, q_b, q_t, m, u):
+    """Square-root-measurement error of damping position finding, block by block.
+
+    The Gram matrix of ``mp_block_gram`` for the ``m`` position hypotheses
+    is a direct sum of ``m × m`` blocks, one per Kraus multi-index, whose
+    entries depend only on the cells' weights ``w_c``:
+    ``(1/m) prod_c g[0][0]**(u-w_c) * g[1][1]**w_c`` with ``g`` the
+    per-use Gram of the channels cell ``c`` holds under the two hypotheses.
+    The block of each of the ``(u+1)**m`` weight vectors is built from these
+    raw products (no normalisation, no merging of equal weights) and
+    decomposed by ``mp_gram_errors``; its error counts ``prod_c C(u, w_c)``
+    times.
+    """
+    qs = (q_b, q_t)
+    grams = [[_mp_cell_gram(mp, a, b) for b in qs] for a in qs]
+    pgm = mp.mpf(0)
+    for weights in itertools.product(range(u + 1), repeat=m):
+        block = mp.matrix(m, m)
+        for n in range(m):
+            for n2 in range(m):
+                val = mp.mpf(1) / m
+                for cell, w in enumerate(weights):
+                    g = grams[int(cell == n)][int(cell == n2)]
+                    val *= g[0][0] ** (u - w) * g[1][1] ** w
+                block[n, n2] = val
+        mult = math.prod(math.comb(u, w) for w in weights)
+        pgm += mult * mp_gram_errors(mp, block, m)[0]
+    return pgm
 
 
 def nulling_count_sum(probs0, probs1, u):

@@ -11,12 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from chandisc.channels import choi, make_qadc, make_qdc, make_qec
+from chandisc.channels import choi, make_qdc, make_qec
 from chandisc.cpf import (
     CpfSpec,
     build_cpf_choi_ensemble,
     cpf_nonadaptive_fidelity_lb,
-    cpf_pgm_upper,
     optimize_over_M,
 )
 from chandisc.discrimination import (
@@ -44,6 +43,7 @@ from chandisc.qadc import (
     qadc_block_pgm,
     qadc_choi_fidelity,
     qadc_cpf_adaptive_lb,
+    qadc_cpf_block_pgm,
 )
 
 from _oracles import h_mu_strings
@@ -228,9 +228,7 @@ def test_10_adaptive_vs_nonadaptive_position_finding(capsys):
                 lambda ports: qadc_cpf_adaptive_lb(q_b, q_t, m=m, u=u,
                                                    ports=ports).value)
             nonadaptive = cpf_nonadaptive_fidelity_lb(fid, m=m, u=u).value
-            spec = CpfSpec(background=make_qadc(q_b), target=make_qadc(q_t),
-                           m=m, u=u)
-            pgm = cpf_pgm_upper(spec).value
+            pgm = qadc_cpf_block_pgm(q_b, q_t, m=m, u=u).value
             check.see(max(best.best_value - nonadaptive, 0.0))
             check.see(max(nonadaptive - pgm - 1e-7, 0.0))
             if 0.2 <= q_t <= 0.8:

@@ -174,13 +174,25 @@ def test_fig3_many_cells(tmp_path):
     assert len(text.splitlines()) == 1 + 2
 
 
-def test_library_size_guard_exits_two(tmp_path, capsys):
+def test_fig3_beyond_the_old_rank_guard(tmp_path):
+    # 2**(3*4) = 4096 Gram columns per hypothesis refused the dense route;
+    # the weight-class sum has C(7, 3) = 35 classes
     started = time.monotonic()
     code, text = run(tmp_path, "--command", "fig3", "--m", "3", "--u", "4", "--grid", "2")
-    assert code == 2
+    assert code == 0
     assert time.monotonic() - started < 10.0
+    assert len(text.splitlines()) == 1 + 2
+
+
+def test_library_size_guard_exits_two(tmp_path, capsys):
+    # C(28, 8) = 3108105 weight classes
+    started = time.monotonic()
+    code, text = run(tmp_path, "--command", "fig3", "--m", "8", "--u", "20", "--grid", "2")
+    assert code == 2
+    assert time.monotonic() - started < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "exceeds guard" in err
+    assert len(err.splitlines()) == 1
     assert "Traceback" not in err and text == ""
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from chandisc.cpf import (
     cpf_fidelity_lb,
     cpf_helstrom_iterative,
     cpf_nonadaptive_fidelity_lb,
-    cpf_pgm_upper,
     cpf_sim_error,
     cyclic_shift,
     general_fidelity_lb,
@@ -22,6 +23,7 @@ from chandisc.cpf import (
 from chandisc.discrimination import StateEnsemble, pgm_error
 from chandisc.linalg import fidelity, tensor_all, trace_norm
 from chandisc.orc import qdc_cpf
+from chandisc.qadc import QadcError, qadc_cpf_block_pgm
 
 
 def _qadc_spec(q_b, q_t, m, u=1):
@@ -157,8 +159,7 @@ def test_compressed_ensemble_preserves_distances():
 
 
 def test_pgm_upper_with_identical_channels_is_blind_guessing():
-    spec = _qadc_spec(0.4, 0.4, m=3)
-    rep = cpf_pgm_upper(spec)
+    rep = qadc_cpf_block_pgm(0.4, 0.4, m=3, u=1)
     assert rep.kind == "upper"
     assert abs(rep.value - 2 / 3) < 1e-9
 
@@ -194,7 +195,7 @@ def test_bounds_sandwich_solver():
     spec = _qadc_spec(0.25, 0.6, m=2, u=2)
     exact, _, gap = cpf_helstrom_iterative(spec)
     lb = cpf_block_fidelity_lb(spec)
-    ub = cpf_pgm_upper(spec)
+    ub = qadc_cpf_block_pgm(0.25, 0.6, m=2, u=2)
     assert lb.value <= exact.value + gap + 1e-9
     assert ub.value >= exact.value - gap - 1e-9
 
@@ -223,7 +224,7 @@ def test_pgm_upper_matches_dense_tensor_powers(m, u):
     for q_b, q_t in _PGM_PAIRS:
         spec = _qadc_spec(q_b, q_t, m=m, u=u)
         dense = pgm_error(_dense_block_ensemble(spec)).value
-        gram = cpf_pgm_upper(spec)
+        gram = qadc_cpf_block_pgm(q_b, q_t, m, u)
         assert abs(gram.value - dense) < 1e-12, (q_b, q_t)
         if q_b == q_t:
             assert abs(gram.value - (1 - 1 / m)) < 1e-12
@@ -238,7 +239,6 @@ def test_pgm_upper_matches_dense_for_other_channels(background, target):
     for m, u in ((2, 1), (3, 1), (2, 2)):
         spec = CpfSpec(background=background, target=target, m=m, u=u)
         dense = pgm_error(_dense_block_ensemble(spec)).value
-        assert abs(cpf_pgm_upper(spec).value - dense) < 1e-12, (m, u)
         compressed = compressed_cpf_ensemble(spec)
         assert abs(pgm_error(compressed).value - dense) < 1e-12, (m, u)
 
@@ -258,12 +258,16 @@ def test_compressed_ensemble_is_geometrically_uniform_with_dense_distances():
 
 
 def test_pgm_upper_size_guard_before_allocation():
-    # 2**(3*4) = 4096 > 2048: refused at once; 2**(8*1) = 256 runs
-    with pytest.raises(CpfError, match="exceeds guard 2048"):
-        cpf_pgm_upper(_qadc_spec(0.3, 0.5, m=3, u=4))
-    with pytest.raises(CpfError):
-        cpf_pgm_upper(_qadc_spec(0.3, 0.5, m=2, u=10**9))
+    # C(28, 8) = 3108105 weight classes: refused at once, as is C(2 10**6, 10**6)
+    # before its 600000 digits are formed; C(9, 8) = 9 classes run
+    started = time.monotonic()
+    with pytest.raises(QadcError, match="exceeds guard"):
+        qadc_cpf_block_pgm(0.3, 0.5, m=8, u=20)
+    with pytest.raises(QadcError):
+        qadc_cpf_block_pgm(0.3, 0.5, m=10**6, u=10**6)
+    assert time.monotonic() - started < 1.0
     with pytest.raises(CpfError):
         compressed_cpf_ensemble(_qadc_spec(0.3, 0.5, m=3, u=4))
-    rep = cpf_pgm_upper(_qadc_spec(0.3, 0.5, m=8, u=1))
+    rep = qadc_cpf_block_pgm(0.3, 0.5, m=8, u=1)
     assert 0.0 < rep.value < 1 - 1 / 8
+    assert rep.params["classes"] == 9

@@ -14,11 +14,9 @@ zero and genuinely tiny eigenvalues meet:
 
 import pytest
 
-from chandisc.channels import make_qadc
-from chandisc.cpf import CpfSpec, cpf_pgm_upper
-from chandisc.qadc import qadc_block_helstrom, qadc_block_pgm
+from chandisc.qadc import qadc_block_helstrom, qadc_block_pgm, qadc_cpf_block_pgm
 
-from _oracles import mp_block_gram, mp_gram_errors, mp_pair_blocks
+from _oracles import mp_block_gram, mp_gram_errors, mp_pair_blocks, mp_weight_vector_pgm
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -40,8 +38,39 @@ def test_position_finding_pgm_matches_mpmath(q_b, q_t, m, u):
         mp = mpmath.mp
         gram = mp_block_gram(mp, _position_hypotheses(q_b, q_t, m), u)
         pgm, _ = mp_gram_errors(mp, gram, m)
-    got = cpf_pgm_upper(CpfSpec(make_qadc(q_b), make_qadc(q_t), m, u)).value
-    assert abs(got - float(pgm)) < TOL
+    assert abs(qadc_cpf_block_pgm(q_b, q_t, m, u).value - float(pgm)) < TOL
+
+
+@pytest.mark.parametrize("q_b,q_t,m,u", [
+    (0.44, 0.40, 2, 2),
+    (1.0, 0.96, 3, 1),
+    (0.0, 0.3, 3, 1),
+    (0.04, 0.0, 2, 2),
+])
+def test_weight_vector_pgm_matches_full_gram(q_b, q_t, m, u):
+    with mpmath.workdps(60):
+        mp = mpmath.mp
+        full, _ = mp_gram_errors(mp, mp_block_gram(mp, _position_hypotheses(q_b, q_t, m), u), m)
+        blocks = mp_weight_vector_pgm(mp, q_b, q_t, m, u)
+    assert abs(blocks - full) < 1e-25
+
+
+@pytest.mark.parametrize("q_b,q_t,m,u", [
+    (0.44, 0.40, 2, 4),   # the fig3 configurations
+    (0.44, 0.40, 4, 2),
+    (0.44, 0.40, 3, 3),
+    (1.0, 0.96, 4, 2),
+    (1.0, 0.96, 3, 1),
+    (0.3, 0.9, 3, 2),
+    (0.04, 0.0, 4, 2),    # the target cell never decays
+    (0.0, 0.4, 3, 2),     # the background cells never decay
+    (0.52, 0.48, 3, 4),   # r**(m u) = 4096 and 4096 Gram columns
+    (0.3, 0.5, 4, 3),
+])
+def test_position_finding_pgm_matches_weight_vectors(q_b, q_t, m, u):
+    with mpmath.workdps(50):
+        pgm = mp_weight_vector_pgm(mpmath.mp, q_b, q_t, m, u)
+    assert abs(qadc_cpf_block_pgm(q_b, q_t, m, u).value - float(pgm)) < TOL
 
 
 @pytest.mark.parametrize("q0,q1,u", [

@@ -8,7 +8,6 @@ from chandisc.linalg import (
     as_complex_matrix,
     fidelity,
     gram_states,
-    gram_support,
     hermitize,
     kron_power,
     partial_trace,
@@ -185,8 +184,6 @@ def test_joint_support_compress_input_checks():
         gram_states(gram, [2, 1])
     with pytest.raises(LinalgError):
         gram_states(gram, [4, 0])
-    with pytest.raises(LinalgError):
-        gram_support([])
     assert issubclass(LinalgError, ChandiscError)
 
 
@@ -225,9 +222,11 @@ def test_compressed_tensor_power_rank_growth():
 def test_gram_support_cut_is_relative_to_the_largest_eigenvalue_of_all():
     top = np.diag([1.0, 2e-14, 0.5e-14])
     low = np.diag([3e-14, 1e-15])
-    kept = gram_support([top, low])
-    np.testing.assert_allclose(kept[0][0], [2e-14, 1.0])
-    np.testing.assert_allclose(kept[1][0], [3e-14])
-    assert kept[1][1].shape == (2, 1)
+    gram = np.block([[top, np.zeros((3, 2))], [np.zeros((2, 3)), low]])
+    kept = gram_states(gram, [3, 2])
+    assert kept[0].shape == (3, 3)  # 1, 2e-14 and 3e-14 survive the cut
+    np.testing.assert_allclose(np.linalg.eigvalsh(kept[0]), [0.0, 2e-14, 1.0], atol=1e-30)
+    np.testing.assert_allclose(np.linalg.eigvalsh(kept[1]), [0.0, 0.0, 3e-14], atol=1e-30)
     # the same block alone keeps everything above its own maximum's cut
-    np.testing.assert_allclose(gram_support([low])[0][0], [1e-15, 3e-14])
+    np.testing.assert_allclose(np.linalg.eigvalsh(gram_states(low, [2])[0]), [1e-15, 3e-14],
+                               rtol=1e-12)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chandisc import orc
 from chandisc.orc import (
     OrcError,
     OrcParams,
@@ -222,3 +223,20 @@ def test_cpf_one_shot_endpoint():
         for d in (2, 10):
             ent, _ = qdc_cpf(0.0, 1.0, m=m, u=1, d=d)
             assert abs(ent.value - (m - 1) / (m * d * d)) < 1e-15
+
+
+@pytest.mark.parametrize("u", [60, 500, 2000, 5000])
+@pytest.mark.parametrize("q", [0.004, 0.3, 0.5, 0.97])
+def test_binom_pmf_beyond_direct_products_matches_mpmath(q, u):
+    mpmath = pytest.importorskip("mpmath")
+    pmf = orc._binom_pmf(q, u)
+    assert abs(pmf.sum() - 1.0) <= 1e-15
+    with mpmath.workdps(40):
+        mp_q = mpmath.mpf(q)
+        ref = [(1 - mp_q) ** u]
+        for k in range(1, u + 1):
+            ref.append(ref[-1] * (u - k + 1) / k * mp_q / (1 - mp_q))
+        # below about 1e-50 the rounding of the exponent itself, |log p|
+        # times the machine epsilon, approaches 1e-13
+        worst = max(abs(got / want - 1) for got, want in zip(pmf, ref) if want > 1e-50)
+    assert worst < 1e-13

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chandisc import orc
 from chandisc.channels import choi, make_qadc, qadc_pbt_error
-from chandisc.cpf import cpf_fidelity_lb, cpf_sim_error
+from chandisc.cpf import cpf_fidelity_lb, cpf_nonadaptive_fidelity_lb, cpf_sim_error
 from chandisc.discrimination import StateEnsemble, helstrom_binary, pgm_error
 from chandisc.linalg import fidelity, tensor_all
 from chandisc.qadc import (
@@ -24,6 +24,7 @@ from chandisc.qadc import (
     qadc_block_pgm,
     qadc_choi_fidelity,
     qadc_cpf_adaptive_lb,
+    qadc_cpf_block_pgm,
 )
 
 from _oracles import nulling_count_sum
@@ -35,6 +36,17 @@ def test_choi_fidelity_closed_form_matches_uhlmann():
             direct = fidelity(choi(make_qadc(q0)), choi(make_qadc(q1)))
             closed = qadc_choi_fidelity(q0, q1)
             assert abs(direct - closed) < 1e-12
+
+
+def test_choi_fidelity_is_one_only_for_equal_channels():
+    for q in (0.0, 0.1, 0.3, 0.7, 1.0):
+        assert qadc_choi_fidelity(q, q) == 1.0
+    # the sum rounds to 1 here; a fidelity of 1 put the sandwich's lower
+    # bound 0.5 above the exact error 0.4999999973658219
+    q0, q1 = 1.0, 0.9999999999999999
+    assert qadc_choi_fidelity(q0, q1) < 1.0
+    lower, upper = fvg_sandwich(qadc_choi_fidelity(q0, q1), 1)
+    assert lower <= qadc_block_helstrom(q0, q1, 1).value <= upper
 
 
 def test_choi_fidelity_worked_value():
@@ -231,10 +243,11 @@ def _pairs(draw):
 @example((0.08, 0.04, 8))
 @example((1.0, 0.0, 1))
 @example((0.0, 0.0, 2000))
+@example((1.0, 1.0, 1968))                 # 0.5 + 1.0e-12 with the old log-space pmf
+@example((1.0, 0.9999999999999999, 1))     # a Choi fidelity rounded to 1
 def test_block_pair_bracket_properties(pair):
     q0, q1, u = pair
-    # above u = 50 the log-space pmf sums to 1 only within about 1e-15 * u
-    tol = 1e-12 + 2e-15 * u
+    tol = 1e-12
     helstrom = qadc_block_helstrom(q0, q1, u).value
     pgm = qadc_block_pgm(q0, q1, u).value
     nulling = nulling_error(q0, q1, u)
@@ -245,3 +258,42 @@ def test_block_pair_bracket_properties(pair):
     assert qadc_block_pgm(q1, q0, u).value == pgm
     assert abs(nulling_error(q1, q0, u) - nulling) <= tol
     assert qadc_block_helstrom(q0, q1, u + 1).value <= helstrom + tol
+
+
+def test_block_pair_with_equal_parameters_is_blind_guessing_at_large_u():
+    # with a pmf summing to 1 only within 1.1e-15 u this read 0.5000000000010021 at u = 1968
+    for q, u in [(1.0, 1968), (0.5, 2000), (0.3, 5000)]:
+        assert abs(qadc_block_helstrom(q, q, u).value - 0.5) <= 1e-15
+        assert abs(qadc_block_pgm(q, q, u).value - 0.5) <= 1e-15
+
+
+def test_position_finding_pgm_input_checks():
+    for args in [(0.3, 0.5, 1, 2), (0.3, 0.5, 2, 0), (1.5, 0.5, 2, 2), (0.3, -0.1, 2, 2)]:
+        with pytest.raises(QadcError):
+            qadc_cpf_block_pgm(*args)
+
+
+@st.composite
+def _position_finding(draw):
+    q_b = draw(_PROB)
+    q_t = q_b if draw(st.booleans()) else draw(_PROB)
+    return q_b, q_t, draw(st.integers(2, 6)), draw(st.integers(1, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_position_finding())
+@example((0.44, 0.40, 4, 2))
+@example((0.0, 1.0, 6, 8))
+@example((1.0, 0.0, 2, 1))
+@example((0.5, 0.5, 6, 8))
+@example((0.0059513701127588475, 0.0059513701127588475, 2, 5))  # x0/B0 rounds off 1 as a quotient
+def test_position_finding_pgm_bracket_properties(case):
+    q_b, q_t, m, u = case
+    pgm = qadc_cpf_block_pgm(q_b, q_t, m, u).value
+    fid = qadc_choi_fidelity(q_b, q_t)
+    # Barnum-Knill: the PGM errs at most sum_{n != n'} F_nn' / m, and two
+    # hypotheses differ in 2u uses, so F_nn' = fid**(2u)
+    upper = min((m - 1) / m, (m - 1) * fid ** (2 * u))
+    assert cpf_nonadaptive_fidelity_lb(fid, m, u).value - 1e-12 <= pgm <= upper + 1e-12
+    if q_b == q_t:
+        assert abs(pgm - (m - 1) / m) <= 1e-15
