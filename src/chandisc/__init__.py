@@ -15,11 +15,12 @@ Every error raised for a refused input derives from :class:`ChandiscError`.
 from .channels import (ChannelError, KrausChannel, SimulationError, apply, choi,
                        default_xi, heisenberg_weyl, kraus_vectors, make_qadc, make_qdc,
                        make_qec, maximally_entangled, pbt_error_bound, qadc_pbt_error,
-                       tele_covariance_check, zero_sim_error)
+                       qadc_sim_error_values, tele_covariance_check, zero_sim_error)
 from .cpf import (CpfError, CpfSpec, MOptimizationResult, build_cpf_choi_ensemble,
                   compressed_cpf_ensemble, cpf_block_fidelity_lb, cpf_fidelity_lb,
-                  cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb, cpf_sim_error,
-                  cyclic_shift, general_fidelity_lb, optimize_over_M, theorem1_lower_bound)
+                  cpf_fidelity_lb_values, cpf_helstrom_iterative,
+                  cpf_nonadaptive_fidelity_lb, cpf_sim_error, cyclic_shift,
+                  general_fidelity_lb, optimize_over_M, theorem1_lower_bound)
 from .discrimination import (BoundReport, DiscriminationError, Povm, StateEnsemble,
                              continuity_lower_bound, fidelity_lower_bound,
                              fidelity_upper_bound, gus_unitary_helstrom,
@@ -29,10 +30,11 @@ from .linalg import (ChandiscError, DensityMatrix, LinalgError, fidelity, gram_s
                      hermitize, kron_power, partial_trace, tensor, tensor_all, trace_norm)
 from .orc import (OrcError, OrcParams, f_u, h_m1_closed, h_mu, qdc_binary, qdc_cpf,
                   qec_binary, qec_cpf)
-from .qadc import (OutcomeDistribution, QadcError, fvg_sandwich, nulling_error,
+from .qadc import (OutcomeDistribution, QadcError, XiTable, fvg_sandwich, nulling_error,
                    nulling_outcome_dist, nulling_unitary, qadc_adaptive_lb,
-                   qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
-                   qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt,
+                   qadc_adaptive_lb_opt, qadc_adaptive_lb_values, qadc_block_helstrom,
+                   qadc_block_pgm, qadc_choi_fidelity, qadc_cpf_adaptive_lb,
+                   qadc_cpf_adaptive_lb_opt, qadc_cpf_adaptive_lb_values,
                    qadc_cpf_block_pgm)
 
 __version__ = "0.1.0"

@@ -216,28 +216,39 @@ def pbt_error_bound(d: int, ports: int) -> SimulationError:
     return SimulationError(2.0 * d * (d - 1) / ports, ports, "uniform_bound")
 
 
-def default_xi(ports: int) -> float:
-    """Default port scaling for the amplitude damping simulation error."""
-    return min(4.0 / int(ports), 2.0)
+def default_xi(ports):
+    """Default port scaling ``min(4 / M, 2)`` of the damping simulation error.
+
+    Elementwise over an array of port counts.
+    """
+    return np.minimum(4.0 / np.asarray(ports), 2.0)
+
+
+def qadc_sim_error_values(q, xi) -> np.ndarray:
+    """Damping simulation errors ``xi * ((1 - q)/2 + sqrt(1 - q))``, elementwise over ``xi``.
+
+    ``xi`` holds the port-dependent prefactor at each port count.  The
+    damping-dependent factor vanishes at ``q = 1``, where the channel becomes
+    a constant map that is simulable exactly.
+    """
+    q = check_prob(q, "q", ChannelError)
+    xi = np.asarray(xi, dtype=np.float64)
+    if (xi < 0.0).any():
+        raise ChannelError(f"xi must be >= 0, got {xi.min()}")
+    return xi * ((1.0 - q) / 2.0 + np.sqrt(1.0 - q))
 
 
 def qadc_pbt_error(q, ports: int, xi=None) -> SimulationError:
     """Port-based simulation error for the amplitude damping channel.
 
-    ``xi`` is the port-dependent prefactor; by default ``min(4 / M, 2)``.
-    The damping-dependent factor ``(1 - q)/2 + sqrt(1 - q)`` vanishes at
-    ``q = 1``, where the channel becomes a constant map that is simulable
-    exactly.
+    ``xi`` is the port-dependent prefactor; by default :func:`default_xi`.
+    See :func:`qadc_sim_error_values`.
     """
-    q = check_prob(q, "q", ChannelError)
     ports = int(ports)
     if ports < 1:
         raise ChannelError(f"need ports >= 1, got {ports}")
     xi = default_xi(ports) if xi is None else float(xi)
-    if xi < 0.0:
-        raise ChannelError(f"xi must be >= 0, got {xi}")
-    value = xi * ((1.0 - q) / 2.0 + np.sqrt(1.0 - q))
-    return SimulationError(value, ports, "qadc_specific")
+    return SimulationError(float(qadc_sim_error_values(q, xi)), ports, "qadc_specific")
 
 
 def zero_sim_error() -> SimulationError:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -37,10 +38,10 @@ from .discrimination import (StateEnsemble, gus_unitary_helstrom, helstrom_binar
 from .linalg import (ChandiscError, DensityMatrix, check_prob, gram_states, kron_power,
                      tensor_all, trace_norm)
 from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_binary, qdc_cpf
-from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
-                   qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
+from .qadc import (QadcError, XiTable, fvg_sandwich, nulling_error, nulling_outcome_dist,
+                   nulling_unitary, qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
                    qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt,
-                   qadc_cpf_block_pgm)
+                   qadc_cpf_adaptive_lb_values, qadc_cpf_block_pgm)
 from .channels import choi as channel_choi
 
 FLOAT_FORMAT = "%.16e"
@@ -163,7 +164,7 @@ def make_config(args) -> RunConfig:
 
 
 def load_xi(cfg: RunConfig):
-    """Resolve --xi into 'None' (uniform default) or a step function of ports."""
+    """Resolve --xi into 'None' (uniform default) or an :class:`XiTable` step function."""
     if cfg.xi_text == "uniform":
         return None
     path = cfg.xi_text.split(":", 1)[1]
@@ -178,23 +179,11 @@ def load_xi(cfg: RunConfig):
                 entries.append((int(ports_text), float(value_text)))
     except (OSError, ValueError) as exc:
         raise CliConfigError(f"cannot read xi table {path!r}: {exc}") from None
-    if not entries:
-        raise CliConfigError(f"xi table {path!r} is empty")
     entries.sort()
-    ports_axis = [p for p, _ in entries]
-    if len(set(ports_axis)) != len(ports_axis):
-        raise CliConfigError(f"xi table {path!r} has duplicate port counts")
-    values = [v for _, v in entries]
-    if any(v < 0.0 for v in values):
-        raise CliConfigError(f"xi table {path!r} has negative values")
-
-    def xi_of(ports: int) -> float:
-        # Step function: value of the largest tabulated port count <= ports,
-        # extended as constant below the first entry.
-        idx = int(np.searchsorted(ports_axis, ports, side="right")) - 1
-        return values[max(idx, 0)]
-
-    return xi_of
+    try:
+        return XiTable([p for p, _ in entries], [v for _, v in entries])
+    except (QadcError, OverflowError) as exc:
+        raise CliConfigError(f"{exc}: {path!r}") from None
 
 
 # -- sweep construction --------------------------------------------------------
@@ -511,7 +500,8 @@ def _check_optimizer_vs_brute_force(_rng):
     def value_at(ports: int) -> float:
         return qadc_cpf_adaptive_lb(q_b, q_t, 2, 4, ports).value
 
-    result = optimize_over_M(value_at, ports_range=(1, 3000))
+    result = optimize_over_M(functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, 2, 4),
+                             ports_range=(1, 3000))
     brute = max((value_at(p), -p) for p in range(1, 3001))
     dev = abs(result.best_value - brute[0]) + abs(result.best_ports - (-brute[1]))
     return dev, 1e-12, 1

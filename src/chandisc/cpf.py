@@ -98,19 +98,20 @@ def cyclic_shift(cell_dim: int, m: int) -> np.ndarray:
     return mat
 
 
-def cpf_sim_error(delta_background: float, delta_target: float, m: int) -> float:
+def cpf_sim_error(delta_background, delta_target, m: int):
     """Per-hypothesis simulation error of an ``m``-cell instance.
 
     Simulating every cell adds errors linearly: ``m - 1`` background cells
     plus one target cell, independent of where the target sits.  Since it is
     the same for all hypotheses it already equals its prior average.
+    Elementwise over arrays of simulation errors (one entry per port count).
     """
     m = int(m)
     if m < 2:
         raise CpfError(f"need m >= 2, got {m}")
-    delta_background = float(delta_background)
-    delta_target = float(delta_target)
-    if delta_background < 0.0 or delta_target < 0.0:
+    delta_background = np.asarray(delta_background, dtype=np.float64)
+    delta_target = np.asarray(delta_target, dtype=np.float64)
+    if (delta_background < 0.0).any() or (delta_target < 0.0).any():
         raise CpfError("simulation errors must be >= 0")
     return (m - 1) * delta_background + delta_target
 
@@ -167,31 +168,55 @@ def general_fidelity_lb(ensemble: StateEnsemble, u: int, ports: int,
                        {"u": u, "ports": ports, "delta_avg": delta_avg, "m": ensemble.m})
 
 
-def cpf_fidelity_lb(choi_fidelity: float, m: int, u: int, ports: int,
-                    delta_avg: float) -> BoundReport:
+def check_ports(ports, error=CpfError) -> np.ndarray:
+    """``ports`` as an int64 array, raising ``error`` unless every count is >= 1."""
+    try:
+        ports = np.asarray(ports, dtype=np.int64)
+    except OverflowError:
+        raise error(f"port counts must fit in int64, got {ports}") from None
+    if (ports < 1).any():
+        raise error(f"need ports >= 1, got {ports.min()}")
+    return ports
+
+
+def cpf_fidelity_lb_values(choi_fidelity: float, m: int, u: int, ports,
+                           delta_avg) -> np.ndarray:
     """Position-finding specialization of :func:`general_fidelity_lb`.
 
     Two hypotheses differ in exactly two slots (background vs target either
     way), so every pairwise ensemble fidelity equals the squared Choi
     fidelity ``F**2`` and the bound collapses to
 
-        ``(m - 1) / (2 m) * F**(4 u ports) - u * delta_avg / 2``.
+        ``(m - 1) / (2 m) * F**(4 u ports) - u * delta_avg / 2``,
+
+    evaluated elementwise over an array of port counts and the simulation
+    errors at each of them.
     """
     choi_fidelity = float(choi_fidelity)
     if not 0.0 <= choi_fidelity <= 1.0:
         raise CpfError(f"fidelity must lie in [0, 1], got {choi_fidelity}")
     m = int(m)
     u = int(u)
-    ports = int(ports)
-    if m < 2 or u < 1 or ports < 1:
-        raise CpfError("need m >= 2, u >= 1 and ports >= 1")
-    delta_avg = float(delta_avg)
-    if delta_avg < 0.0:
-        raise CpfError(f"simulation error must be >= 0, got {delta_avg}")
-    value = (m - 1) / (2.0 * m) * choi_fidelity ** (4 * u * ports) - u * delta_avg / 2.0
+    if m < 2 or u < 1:
+        raise CpfError("need m >= 2 and u >= 1")
+    ports = check_ports(ports)
+    delta_avg = np.asarray(delta_avg, dtype=np.float64)
+    if (delta_avg < 0.0).any():
+        raise CpfError(f"simulation error must be >= 0, got {delta_avg.min()}")
+    # The exponent in floats, since 4 u ports can exceed the int64 range.
+    # float_power takes the scalar pow per element, as Python's ``**`` does;
+    # np.power's vectorised loop can be an ulp off it.
+    exponent = 4 * u * ports.astype(np.float64)
+    return (m - 1) / (2.0 * m) * np.float_power(choi_fidelity, exponent) - u * delta_avg / 2.0
+
+
+def cpf_fidelity_lb(choi_fidelity: float, m: int, u: int, ports: int,
+                    delta_avg: float) -> BoundReport:
+    """:func:`cpf_fidelity_lb_values` at one port count, as a report."""
+    value = cpf_fidelity_lb_values(choi_fidelity, m, u, int(ports), delta_avg)
     return BoundReport(value, KIND_LOWER, "cpf_fidelity_lb",
-                       {"choi_fidelity": choi_fidelity, "m": m, "u": u,
-                        "ports": ports, "delta_avg": delta_avg})
+                       {"choi_fidelity": float(choi_fidelity), "m": int(m), "u": int(u),
+                        "ports": int(ports), "delta_avg": float(delta_avg)})
 
 
 def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundReport:
@@ -222,55 +247,75 @@ class MOptimizationResult:
             raise CpfError("best_value must be the maximum over the evaluations")
 
 
-def optimize_over_M(bound_fn, ports_range=(1, 10**6), grid_points: int = 200) -> MOptimizationResult:
-    """Maximize ``bound_fn(ports)`` over integer port counts.
+# Largest port count the optimizer accepts: beyond 2**53 the float grid
+# points stop being exact integers.
+MAX_PORTS = 2**53
 
-    Starts from a geometric grid (endpoints always included), then zooms
-    into the window between the evaluated neighbors of the running argmax
-    until the window can be scanned exhaustively.  For bounds that are
-    unimodal in the port count, as the simulation-based bounds here are,
-    the returned optimum is the exact integer maximum.  Ties prefer the
-    smaller port count.
+
+def optimize_over_M(bound_fn, ports_range=(1, 10**6), grid_points: int = 200,
+                    breakpoints=()) -> MOptimizationResult:
+    """Maximize a bound over integer port counts.
+
+    ``bound_fn`` maps an int64 array of port counts to the bound at each of
+    them (anything that broadcasts to the array's shape, so a constant
+    works too).  Each search stage is one call on the ports it has not
+    evaluated yet: first a geometric grid (endpoints and the
+    ``breakpoints`` inside the range always included), then a 64-point
+    geometric zoom into the window between the evaluated neighbors of the
+    running argmax, repeated until the window holds at most 2000
+    unevaluated ports, which the last call scans exhaustively.  Ties prefer
+    the smaller port count.  The returned optimum is the exact integer
+    maximum for bounds that are unimodal in the port count, as the
+    simulation-based bounds here are with the default simulation prefactor,
+    and for bounds that are non-increasing from each breakpoint to the
+    next, as they are with a tabulated step-function prefactor whose knots
+    are the breakpoints.  Ranges beyond ``MAX_PORTS`` are refused.
     """
     lo, hi = int(ports_range[0]), int(ports_range[1])
     if lo < 1 or hi < lo:
         raise CpfError(f"invalid port range ({lo}, {hi})")
+    if hi > MAX_PORTS:
+        raise CpfError(f"port range ends at {hi}, beyond the largest exact grid point 2**53")
     grid_points = int(grid_points)
     if grid_points < 2:
         raise CpfError(f"need at least 2 grid points, got {grid_points}")
 
     evaluated = {}
 
-    def ev(ports: int) -> float:
-        if ports not in evaluated:
-            evaluated[ports] = float(bound_fn(ports))
-        return evaluated[ports]
+    def ev(candidates):
+        fresh = [p for p in dict.fromkeys(candidates) if p not in evaluated]
+        if fresh:
+            ports = np.array(fresh, dtype=np.int64)
+            values = np.broadcast_to(np.asarray(bound_fn(ports), dtype=np.float64), ports.shape)
+            evaluated.update(zip(fresh, values.tolist()))
 
-    grid = np.rint(np.geomspace(lo, hi, num=min(grid_points, hi - lo + 1))).astype(np.int64)
-    for ports in np.union1d(grid, [lo, hi]):
-        ev(int(np.clip(ports, lo, hi)))
+    def geometric(left, right, num):
+        points = np.rint(np.geomspace(left, right, num=num)).astype(np.int64)
+        return np.clip(points, lo, hi).tolist()
+
+    inside = {int(p) for p in breakpoints if lo <= p <= hi}
+    ev(sorted(set(geometric(lo, hi, min(grid_points, hi - lo + 1))) | {lo, hi} | inside))
 
     for _ in range(60):
-        best_ports = min(p for p, v in evaluated.items() if v == max(evaluated.values()))
+        best_value = max(evaluated.values())
+        best_ports = min(p for p, v in evaluated.items() if v == best_value)
         known = sorted(evaluated)
         pos = known.index(best_ports)
         left = known[pos - 1] if pos > 0 else best_ports
         right = known[pos + 1] if pos + 1 < len(known) else best_ports
-        missing = (right - left - 1) - sum(1 for p in known if left < p < right)
+        # left and right are neighbours of best_ports in ``known``
+        missing = right - left - 1 - int(left < best_ports < right)
         if missing <= 0:
             break
         if missing <= 2000:
-            for ports in range(left + 1, right):
-                ev(ports)
+            ev(range(left + 1, right))
             break
-        for ports in np.rint(np.geomspace(left, right, num=64)).astype(np.int64):
-            ev(int(np.clip(ports, lo, hi)))
+        ev(geometric(left, right, 64))
 
     best_value = max(evaluated.values())
     best_ports = min(p for p, v in evaluated.items() if v == best_value)
-    evaluations = tuple(sorted(evaluated.items()))
     return MOptimizationResult(best_ports=best_ports, best_value=best_value,
-                               evaluations=evaluations)
+                               evaluations=tuple(sorted(evaluated.items())))
 
 
 def _circulant_terms(spec: CpfSpec, max_rank: int) -> np.ndarray:

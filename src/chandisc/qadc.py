@@ -21,12 +21,13 @@ hence an upper bound to compare the lower bounds against.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .channels import default_xi, qadc_pbt_error
-from .cpf import cpf_fidelity_lb, cpf_sim_error, optimize_over_M
+from .channels import default_xi, qadc_sim_error_values
+from .cpf import check_ports, cpf_fidelity_lb_values, cpf_sim_error, optimize_over_M
 from .discrimination import KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport
 from .linalg import ChandiscError, check_prob
 from .orc import _binom_log_pmf, _binom_pmf
@@ -75,37 +76,85 @@ def fvg_sandwich(choi_fidelity: float, u: int):
     return lower, block / 2.0
 
 
-def _resolve_xi(xi, ports: int):
+@dataclasses.dataclass(frozen=True, eq=False)
+class XiTable:
+    """Step-function simulation prefactor from tabulated knots.
+
+    At ``M`` ports the value is that of the largest tabulated port count
+    ``<= M``, extended as constant below the first knot; elementwise over
+    arrays of port counts.  With ``xi`` constant between knots the adaptive
+    bounds are non-increasing there, so the ``_opt`` functions pass the
+    knots to :func:`~chandisc.cpf.optimize_over_M` as breakpoints.
+    """
+
+    ports: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        ports = np.asarray(self.ports, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if ports.ndim != 1 or ports.shape != values.shape or not ports.size:
+            raise QadcError("xi table needs at least one knot and one value per port count")
+        if (np.diff(ports) <= 0).any():
+            raise QadcError("xi table port counts must increase strictly")
+        if (values < 0.0).any():
+            raise QadcError("xi table has negative values")
+        object.__setattr__(self, "ports", ports)
+        object.__setattr__(self, "values", values)
+
+    def __call__(self, ports):
+        idx = np.searchsorted(self.ports, ports, side="right") - 1
+        return self.values[np.maximum(idx, 0)]
+
+
+def _breakpoints(xi):
+    return xi.ports if isinstance(xi, XiTable) else ()
+
+
+def _xi_at(ports: np.ndarray, xi) -> np.ndarray:
+    # xi at each port count: default_xi, a function of the port array (an
+    # XiTable, say), or a constant.
     if xi is None:
-        return default_xi(ports)
-    if callable(xi):
-        return float(xi(ports))
-    return float(xi)
+        xi = default_xi(ports)
+    elif callable(xi):
+        xi = xi(ports)
+    return np.broadcast_to(np.asarray(xi, dtype=np.float64), ports.shape)
 
 
-def qadc_adaptive_lb(q0, q1, u: int, ports: int, xi=None) -> BoundReport:
-    """Adaptive lower bound for two damping channels at a fixed port count.
+def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
+    """Adaptive lower bound for two damping channels at each port count.
 
     Simulating both hypotheses with ``ports``-port protocols costs the sum
     of their simulation errors per use; the simulated block error is then
     lower-bounded by the fidelity sandwich:
 
         ``(1 - u * (Δ_0 + Δ_1) - sqrt(1 - F**(2 u ports))) / 2``.
+
+    Elementwise over an int64 array of port counts.  ``xi`` is the
+    simulation prefactor: ``None`` for :func:`~chandisc.channels.default_xi`,
+    a constant, or a function mapping the port array to its values, such as
+    an :class:`XiTable`.
     """
     q0 = check_prob(q0, "q0", QadcError)
     q1 = check_prob(q1, "q1", QadcError)
     u = int(u)
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")
+    ports = check_ports(ports, QadcError)
+    xi = _xi_at(ports, xi)
+    delta = qadc_sim_error_values(q0, xi) + qadc_sim_error_values(q1, xi)
+    # Exponent in floats and float_power as in cpf_fidelity_lb_values.
+    block = np.float_power(qadc_choi_fidelity(q0, q1), u * ports.astype(np.float64))
+    return (1.0 - u * delta - np.sqrt(np.maximum(0.0, 1.0 - block * block))) / 2.0
+
+
+def qadc_adaptive_lb(q0, q1, u: int, ports: int, xi=None) -> BoundReport:
+    """:func:`qadc_adaptive_lb_values` at one port count, as a report."""
     ports = int(ports)
-    if ports < 1:
-        raise QadcError(f"need ports >= 1, got {ports}")
-    xi_val = _resolve_xi(xi, ports)
-    delta = qadc_pbt_error(q0, ports, xi_val).value + qadc_pbt_error(q1, ports, xi_val).value
-    block = qadc_choi_fidelity(q0, q1) ** (u * ports)
-    value = (1.0 - u * delta - math.sqrt(max(0.0, 1.0 - block * block))) / 2.0
+    value = qadc_adaptive_lb_values(q0, q1, u, ports, xi=xi)
     return BoundReport(value, KIND_LOWER, "qadc_adaptive_lb",
-                       {"q0": q0, "q1": q1, "u": u, "ports": ports, "xi": xi_val})
+                       {"q0": float(q0), "q1": float(q1), "u": int(u), "ports": ports,
+                        "xi": float(_xi_at(np.int64(ports), xi))})
 
 
 def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6),
@@ -115,42 +164,44 @@ def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6),
     Returns ``(BoundReport, MOptimizationResult)``; the report repeats the
     optimal value with the winning port count in its parameters.
     """
-    def value_at(ports: int) -> float:
-        return qadc_adaptive_lb(q0, q1, u, ports, xi=xi).value
-
-    result = optimize_over_M(value_at, ports_range=ports_range, grid_points=grid_points)
+    result = optimize_over_M(functools.partial(qadc_adaptive_lb_values, q0, q1, u, xi=xi),
+                             ports_range=ports_range, grid_points=grid_points,
+                             breakpoints=_breakpoints(xi))
     report = qadc_adaptive_lb(q0, q1, u, result.best_ports, xi=xi)
     return report, result
 
 
-def qadc_cpf_adaptive_lb(q_b, q_t, m: int, u: int, ports: int, xi=None) -> BoundReport:
-    """Adaptive lower bound for damping position finding at fixed ports.
+def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.ndarray:
+    """Adaptive lower bound for damping position finding at each port count.
 
     Combines the per-hypothesis simulation error ``(m-1) Δ_b + Δ_t`` with
-    the position-finding fidelity bound at Choi fidelity ``F(q_b, q_t)``.
+    the position-finding fidelity bound at Choi fidelity ``F(q_b, q_t)``
+    (:func:`~chandisc.cpf.cpf_fidelity_lb_values`).  Ports and ``xi`` as in
+    :func:`qadc_adaptive_lb_values`.
     """
     q_b = check_prob(q_b, "q_b", QadcError)
     q_t = check_prob(q_t, "q_t", QadcError)
+    ports = check_ports(ports, QadcError)
+    xi = _xi_at(ports, xi)
+    delta = cpf_sim_error(qadc_sim_error_values(q_b, xi), qadc_sim_error_values(q_t, xi), m)
+    return cpf_fidelity_lb_values(qadc_choi_fidelity(q_b, q_t), m, u, ports, delta)
+
+
+def qadc_cpf_adaptive_lb(q_b, q_t, m: int, u: int, ports: int, xi=None) -> BoundReport:
+    """:func:`qadc_cpf_adaptive_lb_values` at one port count, as a report."""
     ports = int(ports)
-    if ports < 1:
-        raise QadcError(f"need ports >= 1, got {ports}")
-    xi_val = _resolve_xi(xi, ports)
-    delta = cpf_sim_error(qadc_pbt_error(q_b, ports, xi_val).value,
-                          qadc_pbt_error(q_t, ports, xi_val).value, m)
-    fid = qadc_choi_fidelity(q_b, q_t)
-    inner = cpf_fidelity_lb(fid, m, u, ports, delta)
-    return BoundReport(inner.value, KIND_LOWER, "qadc_cpf_adaptive_lb",
-                       {"q_b": q_b, "q_t": q_t, "m": int(m), "u": int(u),
-                        "ports": ports, "xi": xi_val})
+    value = qadc_cpf_adaptive_lb_values(q_b, q_t, m, u, ports, xi=xi)
+    return BoundReport(value, KIND_LOWER, "qadc_cpf_adaptive_lb",
+                       {"q_b": float(q_b), "q_t": float(q_t), "m": int(m), "u": int(u),
+                        "ports": ports, "xi": float(_xi_at(np.int64(ports), xi))})
 
 
 def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
                              ports_range=(1, 10**6), grid_points: int = 200):
     """Position-finding adaptive lower bound maximized over ports."""
-    def value_at(ports: int) -> float:
-        return qadc_cpf_adaptive_lb(q_b, q_t, m, u, ports, xi=xi).value
-
-    result = optimize_over_M(value_at, ports_range=ports_range, grid_points=grid_points)
+    result = optimize_over_M(
+        functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, m, u, xi=xi),
+        ports_range=ports_range, grid_points=grid_points, breakpoints=_breakpoints(xi))
     report = qadc_cpf_adaptive_lb(q_b, q_t, m, u, result.best_ports, xi=xi)
     return report, result
 

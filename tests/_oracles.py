@@ -15,13 +15,17 @@
 * ``mp_weight_vector_pgm``: the position-finding square-root-measurement
   error from the ``m × m`` blocks of every unsorted per-cell weight vector;
 * ``nulling_count_sum``: the nulling receiver's error as a sum over all
-  ``C(u+3, 3)`` four-outcome count vectors with multinomial weights.
+  ``C(u+3, 3)`` four-outcome count vectors with multinomial weights;
+* ``pbt_pair_adaptive_lb``/``pbt_position_finding_adaptive_lb``: the
+  port-based adaptive lower bounds at one port count, in plain ``math``
+  floats, with ``step_xi`` for a tabulated simulation prefactor.
 
 None shares code with the order-statistic formula in ``chandisc.orc`` or
-with the Gram routes and binomial sums in ``chandisc.cpf`` and
-``chandisc.qadc``.
+with the Gram routes, binomial sums and port-count arrays in
+``chandisc.cpf`` and ``chandisc.qadc``.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -305,3 +309,34 @@ def nulling_count_sum(probs0, probs1, u):
                     likes.append(like)
                 error += min(likes)
     return error / 2.0
+
+
+def _damping_sim_error(q, xi):
+    # port-based simulation error of one damping channel
+    return xi * ((1.0 - q) / 2.0 + math.sqrt(1.0 - q))
+
+
+def pbt_pair_adaptive_lb(fid, q0, q1, u, ports, xi):
+    """``(1 - u (Δ_0 + Δ_1) - sqrt(1 - F**(2 u M))) / 2`` at ``M = ports``.
+
+    ``fid`` is the Choi fidelity of the two damping channels and
+    ``Δ = xi ((1 - q)/2 + sqrt(1 - q))`` the simulation error of each.
+    """
+    delta = _damping_sim_error(q0, xi) + _damping_sim_error(q1, xi)
+    block = fid ** (u * ports)
+    return (1.0 - u * delta - math.sqrt(max(0.0, 1.0 - block * block))) / 2.0
+
+
+def pbt_position_finding_adaptive_lb(fid, q_b, q_t, m, u, ports, xi):
+    """``(m-1)/(2m) F**(4 u M) - u ((m-1) Δ_b + Δ_t) / 2`` at ``M = ports``."""
+    delta = (m - 1) * _damping_sim_error(q_b, xi) + _damping_sim_error(q_t, xi)
+    return (m - 1) / (2.0 * m) * fid ** (4 * u * ports) - u * delta / 2.0
+
+
+def step_xi(knots, ports):
+    """Value of the last ``(port count, value)`` knot at or below ``ports``.
+
+    The first knot's value holds below it; ``knots`` are sorted by port count.
+    """
+    at = bisect.bisect_right([p for p, _ in knots], ports) - 1
+    return knots[max(at, 0)][1]

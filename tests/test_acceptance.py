@@ -16,7 +16,6 @@ from chandisc.cpf import (
     CpfSpec,
     build_cpf_choi_ensemble,
     cpf_nonadaptive_fidelity_lb,
-    optimize_over_M,
 )
 from chandisc.discrimination import (
     StateEnsemble,
@@ -42,7 +41,7 @@ from chandisc.qadc import (
     qadc_block_helstrom,
     qadc_block_pgm,
     qadc_choi_fidelity,
-    qadc_cpf_adaptive_lb,
+    qadc_cpf_adaptive_lb_opt,
     qadc_cpf_block_pgm,
 )
 
@@ -224,9 +223,7 @@ def test_10_adaptive_vs_nonadaptive_position_finding(capsys):
         strict_gap = 0.0
         for q_b, q_t in _damping_grid():
             fid = qadc_choi_fidelity(q_b, q_t)
-            best = optimize_over_M(
-                lambda ports: qadc_cpf_adaptive_lb(q_b, q_t, m=m, u=u,
-                                                   ports=ports).value)
+            _, best = qadc_cpf_adaptive_lb_opt(q_b, q_t, m=m, u=u)
             nonadaptive = cpf_nonadaptive_fidelity_lb(fid, m=m, u=u).value
             pgm = qadc_cpf_block_pgm(q_b, q_t, m=m, u=u).value
             check.see(max(best.best_value - nonadaptive, 0.0))

@@ -1,9 +1,13 @@
 """End-to-end command line behavior: formats, determinism, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
+import numpy as np
 import pytest
 
 from chandisc import cli
@@ -196,6 +200,27 @@ def test_library_size_guard_exits_two(tmp_path, capsys):
     assert "Traceback" not in err and text == ""
 
 
+@pytest.mark.parametrize("command", [("fig3", "--m", "2"), ("binary", "--kind", "qadc")])
+def test_port_range_up_to_two_to_the_53(tmp_path, command):
+    code, text = run(tmp_path, "--command", *command, "--u", "2", "--grid", "2",
+                     "--M-max", str(2**53))
+    assert code == 0
+    assert len(text.splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("ports_max", [2**53 + 1, 10**19])
+@pytest.mark.parametrize("command", [("fig3", "--m", "2"), ("binary", "--kind", "qadc")])
+def test_port_range_beyond_exact_grid_exits_two(tmp_path, capsys, command, ports_max):
+    # float grid points above 2**53 are no longer exact integers
+    code, text = run(tmp_path, "--command", *command, "--u", "2", "--grid", "2",
+                     "--M-max", str(ports_max))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ports_max) in err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and text == ""
+
+
 def test_binary_qadc_deep_power(tmp_path):
     # 2 * 2**2000 joint-support dimensions, summed over 2001 weight blocks
     started = time.monotonic()
@@ -237,6 +262,8 @@ def test_xi_table_step_function(tmp_path):
     assert xi_of(8) == 0.5
     assert xi_of(63) == 0.5
     assert xi_of(10**6) == 0.125
+    ports = np.array([1, 2, 7, 8, 9, 63, 64, 65, 10**6, 2**53])
+    assert xi_of(ports).tolist() == [xi_of(int(p)) for p in ports]
 
 
 def test_xi_table_validation(tmp_path):
@@ -281,3 +308,20 @@ def test_unwritable_output_exits_two(tmp_path):
                      "--d", "2", "--gap", "0.5",
                      "--out", str(tmp_path / "missing_dir" / "out.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--command", "fig3", "--grid", "2"],
+    ["--command", "binary", "--kind", "qadc", "--u", "2", "--grid", "2"],
+])
+def test_cli_never_imports_numpy_ma(tmp_path, argv):
+    # numpy.ma costs about 20 ms to import; nothing in the package needs it
+    script = ("import sys\nfrom chandisc import cli\n"
+              f"assert cli.main({argv + ['--out', str(tmp_path / 'out.csv')]!r}) == 0\n"
+              "print('numpy.ma' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -23,7 +23,8 @@ from chandisc.cpf import (
 from chandisc.discrimination import StateEnsemble, pgm_error
 from chandisc.linalg import fidelity, tensor_all, trace_norm
 from chandisc.orc import qdc_cpf
-from chandisc.qadc import QadcError, qadc_cpf_block_pgm
+from chandisc.qadc import (QadcError, qadc_adaptive_lb_opt, qadc_cpf_adaptive_lb_values,
+                          qadc_cpf_block_pgm)
 
 
 def _qadc_spec(q_b, q_t, m, u=1):
@@ -114,15 +115,85 @@ def test_optimizer_finds_exact_integer_peak():
     assert result.best_value == 0
 
 
+def test_optimizer_calls_the_bound_once_per_stage_on_fresh_ports():
+    calls = []
+
+    def bound(ports):
+        calls.append(ports.tolist())
+        return -((ports - 137_777) ** 2)
+
+    result = optimize_over_M(bound, ports_range=(1, 10**6))
+    assert result.best_ports == 137_777
+    flat = [p for call in calls for p in call]
+    assert len(flat) == len(set(flat)) == len(result.evaluations)
+    assert calls[0] == sorted(calls[0]) and calls[0][0] == 1 and calls[0][-1] == 10**6
+    assert [len(call) for call in calls] == [175, 62, 606]  # grid, one zoom, last window
+    # the last window: every port between the running argmax's neighbours,
+    # in order, but the argmax itself
+    window = range(calls[-1][0], calls[-1][-1] + 1)
+    assert calls[-1] == sorted(calls[-1]) and len(window) - len(calls[-1]) <= 1
+    assert len(calls[-1]) <= 2000
+
+
+def test_optimizer_search_order_is_pinned():
+    # the order of the earlier one-port-at-a-time search: the 175 distinct
+    # grid points, then the 19 other ports between the argmax's grid neighbours
+    calls = []
+
+    def bound(ports):
+        calls.append(ports.tolist())
+        return qadc_cpf_adaptive_lb_values(0.44, 0.40, 4, 2, ports)
+
+    result = optimize_over_M(bound)
+    assert [len(call) for call in calls] == [175, 19]
+    assert calls[1] == [p for p in range(139, 159) if p != 148]
+    assert result.best_ports == 148
+    # three grid points with the argmax in the middle: the 2000 other ports
+    # between its neighbours are still one exhaustive last stage
+    calls.clear()
+
+    def peak(ports):
+        calls.append(ports.tolist())
+        return -((ports - 45) ** 2)
+
+    optimize_over_M(peak, ports_range=(1, 2003), grid_points=3)
+    assert [len(call) for call in calls] == [3, 2000]
+
+
+def test_optimizer_evaluates_breakpoints_first():
+    # a step up at each breakpoint, falling in between: the grid's best point
+    # can sit after the wrong step, so the breakpoints join the first stage
+    steps = np.array([1, 99, 973, 2500])  # each just after a grid point
+    heights = np.array([0.0, 1.0, 1.2, 0.0])
+
+    def bound(ports):
+        at = np.searchsorted(steps, ports, side="right") - 1
+        return heights[at] - 0.01 * (ports - steps[at])
+
+    assert optimize_over_M(bound, ports_range=(1, 3000)).best_ports == 99
+    result = optimize_over_M(bound, ports_range=(1, 3000), breakpoints=[0, 99, 973, 2500, 4000])
+    assert (result.best_ports, result.best_value) == (973, 1.2)
+    assert {0, 4000}.isdisjoint(p for p, _ in result.evaluations)
+
+
+def test_optimizer_refuses_ranges_beyond_exact_grid_points():
+    assert optimize_over_M(lambda p: -p.astype(float), ports_range=(1, 2**53)).best_ports == 1
+    for hi in (2**53 + 1, 2**63 - 1, 10**19):
+        with pytest.raises(CpfError, match="2\\*\\*53"):
+            optimize_over_M(lambda p: 1.0, ports_range=(1, hi))
+    with pytest.raises(CpfError):
+        qadc_adaptive_lb_opt(0.04, 0.0, 2, ports_range=(1, 2**63 - 1))
+
+
 def test_optimizer_prefers_smaller_port_count_on_ties():
     result = optimize_over_M(lambda p: 1.0, ports_range=(1, 500))
     assert result.best_ports == 1
 
 
 def test_optimizer_handles_boundary_maxima():
-    inc = optimize_over_M(lambda p: float(p), ports_range=(1, 3000))
+    inc = optimize_over_M(lambda p: p.astype(float), ports_range=(1, 3000))
     assert inc.best_ports == 3000
-    dec = optimize_over_M(lambda p: -float(p), ports_range=(1, 3000))
+    dec = optimize_over_M(lambda p: -p.astype(float), ports_range=(1, 3000))
     assert dec.best_ports == 1
 
 
@@ -130,7 +201,7 @@ def test_optimizer_matches_brute_force_on_bound_shape():
     # the adaptive bounds trade a growing fidelity term against a linear
     # penalty; replicate that shape and compare with full enumeration
     def bound(ports):
-        return 0.25 * (1 - 0.998 ** (4 * ports)) - 3.0 / ports if ports else 0.0
+        return 0.25 * (1 - 0.998 ** (4 * ports)) - 3.0 / ports
 
     lo, hi = 1, 3000
     brute_best = max(range(lo, hi + 1), key=lambda p: (bound(p), -p))

@@ -8,26 +8,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chandisc import orc
-from chandisc.channels import choi, make_qadc, qadc_pbt_error
-from chandisc.cpf import cpf_fidelity_lb, cpf_nonadaptive_fidelity_lb, cpf_sim_error
+from chandisc.channels import ChannelError, choi, make_qadc, qadc_pbt_error
+from chandisc.cpf import CpfError, cpf_fidelity_lb, cpf_nonadaptive_fidelity_lb, cpf_sim_error
 from chandisc.discrimination import StateEnsemble, helstrom_binary, pgm_error
 from chandisc.linalg import fidelity, tensor_all
 from chandisc.qadc import (
     QadcError,
+    XiTable,
     fvg_sandwich,
     nulling_error,
     nulling_outcome_dist,
     nulling_unitary,
     qadc_adaptive_lb,
     qadc_adaptive_lb_opt,
+    qadc_adaptive_lb_values,
     qadc_block_helstrom,
     qadc_block_pgm,
     qadc_choi_fidelity,
     qadc_cpf_adaptive_lb,
+    qadc_cpf_adaptive_lb_opt,
+    qadc_cpf_adaptive_lb_values,
     qadc_cpf_block_pgm,
 )
 
-from _oracles import nulling_count_sum
+from _oracles import (nulling_count_sum, pbt_pair_adaptive_lb,
+                      pbt_position_finding_adaptive_lb, step_xi)
 
 
 def test_choi_fidelity_closed_form_matches_uhlmann():
@@ -199,6 +204,20 @@ def test_adaptive_lb_custom_xi():
     assert tight.value > loose.value  # smaller simulation error, better bound
 
 
+def test_adaptive_lb_input_checks():
+    for ports in (0, -3, 2**63, np.array([4, 0, 9])):
+        with pytest.raises(QadcError):
+            qadc_adaptive_lb_values(0.2, 0.5, 2, ports)
+        with pytest.raises(QadcError):
+            qadc_cpf_adaptive_lb_values(0.2, 0.5, 3, 2, ports)
+    with pytest.raises(CpfError):
+        cpf_fidelity_lb(0.9, 2, 1, 2**70, 0.0)
+    with pytest.raises(ChannelError):  # xi below 0 at one port count
+        qadc_adaptive_lb_values(0.2, 0.5, 2, np.arange(1, 5), xi=lambda p: 3.0 - p)
+    with pytest.raises(QadcError):
+        qadc_adaptive_lb_values(0.2, 1.5, 2, 4)
+
+
 def test_adaptive_lb_opt_matches_manual_scan():
     q0, q1, u = 0.3, 0.48, 4
     report, result = qadc_adaptive_lb_opt(q0, q1, u, ports_range=(1, 4000))
@@ -227,6 +246,47 @@ def test_cpf_adaptive_lb_arithmetic():
 
 
 _PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+# xi = min(4/M, 2) sampled at powers of two and held between them
+_XI_KNOTS = [(2**k, min(4.0 / 2**k, 2.0)) for k in range(12)]
+
+
+@st.composite
+def _adaptive_case(draw):
+    q0 = draw(_PROB)
+    q1 = q0 if draw(st.booleans()) else draw(_PROB)
+    return q0, q1, draw(st.integers(2, 6)), draw(st.integers(1, 12)), draw(st.booleans())
+
+
+@settings(max_examples=50, deadline=None)
+@given(_adaptive_case())
+@example((0.3, 0.48, 3, 4, False))
+@example((0.44, 0.48, 2, 4, True))
+@example((0.6719028034776905, 0.76048659866525, 6, 2, True))  # the grid alone finds 32, not 64
+@example((0.9857696351964191, 0.9867696351964191, 3, 11, True))  # and 256, not 512
+def test_adaptive_bounds_match_oracle_and_brute_force(case):
+    # every port count 1..3000 against plain-math formulas, and both
+    # optimizers against the argmax over all of them (ties to fewer ports):
+    # checks the unimodality the search assumes with the default xi, and the
+    # non-increasing stretches between knots with a tabulated one
+    q0, q1, m, u, tabled = case
+    xi = XiTable(*zip(*_XI_KNOTS)) if tabled else None
+    xi_at = (lambda p: step_xi(_XI_KNOTS, p)) if tabled else (lambda p: min(4.0 / p, 2.0))
+    fid = qadc_choi_fidelity(q0, q1)
+    ports = range(1, 3001)
+    routes = [
+        (qadc_adaptive_lb_values(q0, q1, u, np.array(ports), xi=xi),
+         [pbt_pair_adaptive_lb(fid, q0, q1, u, p, xi_at(p)) for p in ports],
+         qadc_adaptive_lb_opt(q0, q1, u, xi=xi, ports_range=(1, 3000))[1]),
+        (qadc_cpf_adaptive_lb_values(q0, q1, m, u, np.array(ports), xi=xi),
+         [pbt_position_finding_adaptive_lb(fid, q0, q1, m, u, p, xi_at(p)) for p in ports],
+         qadc_cpf_adaptive_lb_opt(q0, q1, m, u, xi=xi, ports_range=(1, 3000))[1]),
+    ]
+    for values, oracle, result in routes:
+        assert np.max(np.abs(values - oracle)) <= 1e-15
+        best = max(ports, key=lambda p: (oracle[p - 1], -p))
+        assert result.best_ports == best
+        assert abs(result.best_value - oracle[best - 1]) <= 1e-15
 
 
 @st.composite
