@@ -22,14 +22,14 @@ from .cpf import (CpfError, CpfSpec, MOptimizationResult, build_cpf_choi_ensembl
                   cpf_nonadaptive_fidelity_lb, cpf_sim_error, cyclic_shift,
                   general_fidelity_lb, optimize_over_M, theorem1_lower_bound)
 from .discrimination import (BoundReport, DiscriminationError, Povm, StateEnsemble,
-                             continuity_lower_bound, fidelity_lower_bound,
+                             check_exact_prob, continuity_lower_bound, fidelity_lower_bound,
                              fidelity_upper_bound, gus_unitary_helstrom,
                              helstrom_binary, helstrom_iterative, pgm_error,
                              pgm_povm, success_probability)
 from .linalg import (ChandiscError, DensityMatrix, LinalgError, fidelity, gram_states,
                      hermitize, kron_power, partial_trace, tensor, tensor_all, trace_norm)
-from .orc import (OrcError, OrcParams, f_u, h_m1_closed, h_mu, qdc_binary, qdc_cpf,
-                  qec_binary, qec_cpf)
+from .orc import (OrcError, OrcParams, f_u, f_u_values, h_m1_closed, h_mu, h_mu_values,
+                  qdc_binary, qdc_cpf, qdc_scales, qec_binary, qec_cpf)
 from .qadc import (OutcomeDistribution, QadcError, XiTable, fvg_sandwich, nulling_error,
                    nulling_outcome_dist, nulling_unitary, qadc_adaptive_lb,
                    qadc_adaptive_lb_opt, qadc_adaptive_lb_values, qadc_block_helstrom,

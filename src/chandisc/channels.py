@@ -74,7 +74,7 @@ def make_qec(d: int, q) -> KrausChannel:
     d = int(d)
     if d < 2:
         raise ChannelError(f"erasure channel needs d >= 2, got {d}")
-    q = check_prob(q, "q", ChannelError)
+    q = float(check_prob(q, "q", ChannelError))
     iso = np.zeros((d + 1, d), dtype=np.complex128)
     iso[:d, :] = np.eye(d)
     ops = [np.sqrt(1.0 - q) * iso]
@@ -121,7 +121,7 @@ def make_qdc(d: int, q) -> KrausChannel:
     d = int(d)
     if d < 2:
         raise ChannelError(f"depolarizing channel needs d >= 2, got {d}")
-    q = check_prob(q, "q", ChannelError)
+    q = float(check_prob(q, "q", ChannelError))
     unitaries = heisenberg_weyl(d)
     ops = [np.sqrt(1.0 - q + q / d**2) * unitaries[0]]
     ops.extend(np.sqrt(q / d**2) * w for w in unitaries[1:])
@@ -130,7 +130,7 @@ def make_qdc(d: int, q) -> KrausChannel:
 
 def make_qadc(q) -> KrausChannel:
     """Amplitude damping channel on a qubit with decay probability ``q``."""
-    q = check_prob(q, "q", ChannelError)
+    q = float(check_prob(q, "q", ChannelError))
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - q)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(q)], [0.0, 0.0]], dtype=np.complex128)
     return KrausChannel((k0, k1))
@@ -231,7 +231,7 @@ def qadc_sim_error_values(q, xi) -> np.ndarray:
     damping-dependent factor vanishes at ``q = 1``, where the channel becomes
     a constant map that is simulable exactly.
     """
-    q = check_prob(q, "q", ChannelError)
+    q = float(check_prob(q, "q", ChannelError))
     xi = np.asarray(xi, dtype=np.float64)
     if (xi < 0.0).any():
         raise ChannelError(f"xi must be >= 0, got {xi.min()}")

@@ -33,11 +33,12 @@ import numpy as np
 
 from .channels import kraus_vectors, make_qadc, make_qdc, make_qec, tele_covariance_check
 from .cpf import CpfSpec, cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb, optimize_over_M
-from .discrimination import (StateEnsemble, gus_unitary_helstrom, helstrom_binary,
-                             helstrom_iterative, pgm_error)
+from .discrimination import (StateEnsemble, check_exact_prob, gus_unitary_helstrom,
+                             helstrom_binary, helstrom_iterative, pgm_error)
 from .linalg import (ChandiscError, DensityMatrix, check_prob, gram_states, kron_power,
                      tensor_all, trace_norm)
-from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_binary, qdc_cpf
+from .orc import (OrcParams, f_u, f_u_values, h_m1_closed, h_mu, h_mu_values, qdc_cpf,
+                  qdc_scales)
 from .qadc import (QadcError, XiTable, fvg_sandwich, nulling_error, nulling_outcome_dist,
                    nulling_unitary, qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
                    qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt,
@@ -192,6 +193,14 @@ def _sweep_axis(gap: float, grid: int) -> np.ndarray:
     return np.linspace(0.0, 1.0 - gap, grid)
 
 
+def _first_excess(entangled: np.ndarray, classical: np.ndarray):
+    # Index of the first point where the entangled error exceeds the
+    # classical one beyond rounding, or None.  For floats, x - y > 0 exactly
+    # when x > y, so the maximum tests every point.
+    excess = entangled - (classical + 1e-12)
+    return int(np.argmax(excess > 0.0)) if excess.max() > 0.0 else None
+
+
 def run_fig2(cfg: RunConfig):
     m = cfg.m if cfg.m is not None else 5
     d = cfg.d if cfg.d is not None else 100
@@ -199,19 +208,22 @@ def run_fig2(cfg: RunConfig):
     gaps = cfg.gaps or (0.5, 0.9, 0.99, 0.999)
     header = ["u", "gap", "q_t", "q_b", "qdc_cpf_entangled[exact]",
               "qdc_cpf_classical[exact]", "at_q_t_max"]
+    ent_scale, cls_scale = qdc_scales(d)
     rows = []
     for u in us:
         for gap in gaps:
-            axis = _sweep_axis(gap, cfg.grid)
-            for i, q_t in enumerate(axis):
-                q_b = q_t + gap
-                entangled, classical = qdc_cpf(q_b, q_t, m, u, d)
-                if entangled.value > classical.value + 1e-12:
-                    raise InvariantViolation(
-                        f"fig2: entangled value {entangled.value} exceeds classical "
-                        f"{classical.value} at u={u}, gap={gap}, q_t={q_t}")
-                rows.append(SweepRow((u, gap, float(q_t), float(q_b), entangled.value,
-                                      classical.value, int(i == len(axis) - 1))))
+            q_t = _sweep_axis(gap, cfg.grid)
+            q_b = q_t + gap
+            entangled = check_exact_prob(h_mu_values(ent_scale * q_b, ent_scale * q_t, m, u))
+            classical = check_exact_prob(h_mu_values(cls_scale * q_b, cls_scale * q_t, m, u))
+            bad = _first_excess(entangled, classical)
+            if bad is not None:
+                raise InvariantViolation(
+                    f"fig2: entangled value {entangled[bad]} exceeds classical "
+                    f"{classical[bad]} at u={u}, gap={gap}, q_t={q_t[bad]}")
+            points = zip(q_t.tolist(), q_b.tolist(), entangled.tolist(), classical.tolist())
+            rows.extend(SweepRow((u, gap, t, b, ent, cls, int(i == cfg.grid - 1)))
+                        for i, (t, b, ent, cls) in enumerate(points))
     return header, rows
 
 
@@ -251,22 +263,32 @@ def run_fig3(cfg: RunConfig):
     return header, rows
 
 
-def _binary_axis(cfg: RunConfig, default_gaps):
-    # Either one explicit (q0, q1) pair or a sweep q0 = q1 + gap.
+def _binary_blocks(cfg: RunConfig, default_gaps):
+    # (gap, q1 array, q0 array) blocks: one explicit (q0, q1) pair or, per
+    # gap, a sweep q0 = q1 + gap.
     if cfg.q0 is not None:
-        return [(float(cfg.q0 - cfg.q1), cfg.q1, cfg.q0)]
-    pairs = []
+        return [(float(cfg.q0 - cfg.q1), np.array([cfg.q1]), np.array([cfg.q0]))]
+    blocks = []
     for gap in (cfg.gaps or default_gaps):
-        for q1 in _sweep_axis(gap, cfg.grid):
-            pairs.append((gap, float(q1), float(q1 + gap)))
-    return pairs
+        q1 = _sweep_axis(gap, cfg.grid)
+        blocks.append((gap, q1, q1 + gap))
+    return blocks
+
+
+def _binary_points(cfg: RunConfig, default_gaps):
+    # The points of _binary_blocks one (gap, q1, q0) at a time.
+    return [(gap, q1, q0) for gap, q1s, q0s in _binary_blocks(cfg, default_gaps)
+            for q1, q0 in zip(q1s.tolist(), q0s.tolist())]
 
 
 def run_binary_qec(cfg: RunConfig):
     u = cfg.u if cfg.u is not None else 30
     header = ["gap", "q1", "q0", "u", "qec_ultimate[exact]"]
-    rows = [SweepRow((gap, q1, q0, u, f_u(q0, q1, u)))
-            for gap, q1, q0 in _binary_axis(cfg, (0.2, 0.4, 0.6, 0.8))]
+    rows = []
+    for gap, q1, q0 in _binary_blocks(cfg, (0.2, 0.4, 0.6, 0.8)):
+        values = check_exact_prob(f_u_values(q0, q1, u))
+        rows.extend(SweepRow((gap, p1, p0, u, value))
+                    for p1, p0, value in zip(q1.tolist(), q0.tolist(), values.tolist()))
     return header, rows
 
 
@@ -274,14 +296,18 @@ def run_binary_qdc(cfg: RunConfig):
     u = cfg.u if cfg.u is not None else 30
     d = cfg.d if cfg.d is not None else 6
     header = ["gap", "q1", "q0", "u", "d", "qdc_entangled[exact]", "qdc_classical[exact]"]
+    ent_scale, cls_scale = qdc_scales(d)
     rows = []
-    for gap, q1, q0 in _binary_axis(cfg, (0.2, 0.4, 0.6, 0.8)):
-        entangled, classical = (report.value for report in qdc_binary(q0, q1, d, u))
-        if entangled > classical + 1e-12:
+    for gap, q1, q0 in _binary_blocks(cfg, (0.2, 0.4, 0.6, 0.8)):
+        entangled = check_exact_prob(f_u_values(ent_scale * q0, ent_scale * q1, u))
+        classical = check_exact_prob(f_u_values(cls_scale * q0, cls_scale * q1, u))
+        bad = _first_excess(entangled, classical)
+        if bad is not None:
             raise InvariantViolation(
-                f"binary qdc: entangled value {entangled} exceeds classical "
-                f"{classical} at q1={q1}, q0={q0}")
-        rows.append(SweepRow((gap, q1, q0, u, d, entangled, classical)))
+                f"binary qdc: entangled value {entangled[bad]} exceeds classical "
+                f"{classical[bad]} at q1={q1[bad]}, q0={q0[bad]}")
+        points = zip(q1.tolist(), q0.tolist(), entangled.tolist(), classical.tolist())
+        rows.extend(SweepRow((gap, p1, p0, u, d, ent, cls)) for p1, p0, ent, cls in points)
     return header, rows
 
 
@@ -295,7 +321,7 @@ def run_binary_qadc(cfg: RunConfig):
               "block_pgm[upper]", "nulling_q0[upper]", "nulling_q1[upper]",
               "nulling_min[upper]"]
     rows = []
-    for gap, q1, q0 in _binary_axis(cfg, (0.04,)):
+    for gap, q1, q0 in _binary_points(cfg, (0.04,)):
         adaptive, opt = qadc_adaptive_lb_opt(
             q0, q1, u, xi=xi, ports_range=(cfg.ports_min, cfg.ports_max))
         fvg_lo, fvg_hi = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)

@@ -19,7 +19,8 @@ import dataclasses
 
 import numpy as np
 
-from .linalg import ChandiscError, DensityMatrix, fidelity, hermitize, trace_norm
+from .linalg import (ChandiscError, DensityMatrix, fidelity, first_outside, hermitize,
+                     trace_norm)
 
 
 class DiscriminationError(ChandiscError):
@@ -35,6 +36,21 @@ PRIOR_TOL = 1e-12
 POVM_PSD_TOL = 1e-9
 POVM_SUM_TOL = 1e-8
 _EXACT_SLACK = 1e-9
+
+
+def check_exact_prob(values):
+    """Exact probabilities clamped into [0, 1]: a float, or a float64 array.
+
+    Rounding may carry an exact value up to ``_EXACT_SLACK`` outside the
+    interval; anything further out, or NaN, raises
+    :class:`DiscriminationError`.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bad = first_outside(values, -_EXACT_SLACK, 1.0 + _EXACT_SLACK)
+    if bad is not None:
+        raise DiscriminationError(f"exact probability {bad} falls outside [0, 1] beyond tolerance")
+    clamped = np.clip(values, 0.0, 1.0)
+    return float(clamped) if clamped.ndim == 0 else clamped
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -57,10 +73,7 @@ class BoundReport:
             raise DiscriminationError(f"unknown bound kind {self.kind!r}")
         value = float(self.value)
         if self.kind == KIND_EXACT:
-            if not -_EXACT_SLACK <= value <= 1.0 + _EXACT_SLACK:
-                raise DiscriminationError(
-                    f"exact probability {value} falls outside [0, 1] beyond tolerance")
-            value = min(max(value, 0.0), 1.0)
+            value = check_exact_prob(value)
         object.__setattr__(self, "value", value)
 
     @property

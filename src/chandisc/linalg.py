@@ -35,12 +35,31 @@ class LinalgError(ChandiscError):
     """Raised when an input violates a documented precondition."""
 
 
-def check_prob(q, name: str = "q", error=LinalgError) -> float:
-    """``q`` as a float, raising ``error`` unless it lies in [0, 1]."""
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise error(f"{name} must lie in [0, 1], got {q}")
-    return q
+def first_outside(values: np.ndarray, lo: float, hi: float):
+    """The first entry of ``values`` outside ``[lo, hi]`` as a float, or None.
+
+    NaN fails both comparisons with the bounds, so it counts as outside.
+    Arrays are tested through their minimum and maximum, which NaN turns
+    into NaN; the elementwise comparisons run only to name a failing entry.
+    """
+    if values.ndim == 0:
+        value = float(values)  # numpy's ufuncs on a 0-d array cost microseconds
+        return None if lo <= value <= hi else value
+    if not values.size or lo <= values.min() and values.max() <= hi:
+        return None
+    return float(values[~((values >= lo) & (values <= hi))][0])
+
+
+def check_prob(q, name: str = "q", error=LinalgError):
+    """``q`` as a float, or a float64 array, raising ``error`` unless every entry lies in [0, 1].
+
+    NaN is refused with the rest.
+    """
+    values = np.asarray(q, dtype=np.float64)
+    bad = first_outside(values, 0.0, 1.0)
+    if bad is not None:
+        raise error(f"{name} must lie in [0, 1], got {bad}")
+    return float(values) if values.ndim == 0 else values
 
 
 def as_complex_matrix(a) -> np.ndarray:

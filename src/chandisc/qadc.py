@@ -50,8 +50,8 @@ def qadc_choi_fidelity(q0, q1) -> float:
 
     Equals 1 exactly when ``q0 == q1``.
     """
-    q0 = check_prob(q0, "q0", QadcError)
-    q1 = check_prob(q1, "q1", QadcError)
+    q0 = float(check_prob(q0, "q0", QadcError))
+    q1 = float(check_prob(q1, "q1", QadcError))
     val = (1.0 + math.sqrt((1.0 - q0) * (1.0 - q1)) + math.sqrt(q0 * q1)) / 2.0
     # Distinct channels stay below 1 where the sum rounds to 1: at F = 1 the
     # sandwich's sqrt(1 - F**(2u)) would drop a term of order sqrt(1 - F).
@@ -135,8 +135,8 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
     a constant, or a function mapping the port array to its values, such as
     an :class:`XiTable`.
     """
-    q0 = check_prob(q0, "q0", QadcError)
-    q1 = check_prob(q1, "q1", QadcError)
+    q0 = float(check_prob(q0, "q0", QadcError))
+    q1 = float(check_prob(q1, "q1", QadcError))
     u = int(u)
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")
@@ -179,8 +179,8 @@ def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.
     (:func:`~chandisc.cpf.cpf_fidelity_lb_values`).  Ports and ``xi`` as in
     :func:`qadc_adaptive_lb_values`.
     """
-    q_b = check_prob(q_b, "q_b", QadcError)
-    q_t = check_prob(q_t, "q_t", QadcError)
+    q_b = float(check_prob(q_b, "q_b", QadcError))
+    q_t = float(check_prob(q_t, "q_t", QadcError))
     ports = check_ports(ports, QadcError)
     xi = _xi_at(ports, xi)
     delta = cpf_sim_error(qadc_sim_error_values(q_b, xi), qadc_sim_error_values(q_t, xi), m)
@@ -223,8 +223,8 @@ def _weight_blocks(q0, q1, u):
     has rank ``2**u`` (1 at q = 0), and the two share every support vector
     when ``q0 == q1``, else only the all-decay one if both channels decay.
     """
-    q0 = check_prob(q0, "q0", QadcError)
-    q1 = check_prob(q1, "q1", QadcError)
+    q0 = float(check_prob(q0, "q0", QadcError))
+    q1 = float(check_prob(q1, "q1", QadcError))
     u = int(u)
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")
@@ -332,8 +332,8 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
 
     Raises before allocating when ``C(m+u, m)`` exceeds ``MAX_CPF_CLASSES``.
     """
-    q_b = check_prob(q_b, "q_b", QadcError)
-    q_t = check_prob(q_t, "q_t", QadcError)
+    q_b = float(check_prob(q_b, "q_b", QadcError))
+    q_t = float(check_prob(q_t, "q_t", QadcError))
     m, u = int(m), int(u)
     if m < 2 or u < 1:
         raise QadcError(f"need m >= 2 cells and u >= 1 uses, got m = {m}, u = {u}")
@@ -399,7 +399,7 @@ def nulling_unitary(q) -> np.ndarray:
     0 and 1 are nulled.  Probing a channel with a different parameter leaks
     probability into outcome 0, which the counting receiver exploits.
     """
-    q = check_prob(q, "q", QadcError)
+    q = float(check_prob(q, "q", QadcError))
     a = math.sqrt((1.0 - q) / (2.0 - q))
     b = 1.0 / math.sqrt(2.0 - q)
     return np.array([
@@ -442,8 +442,8 @@ def nulling_outcome_dist(q_applied, q_actual) -> OutcomeDistribution:
 
     ``p00`` vanishes exactly at ``q' == q`` and is positive otherwise.
     """
-    q = check_prob(q_applied, "q_applied", QadcError)
-    qa = check_prob(q_actual, "q_actual", QadcError)
+    q = float(check_prob(q_applied, "q_applied", QadcError))
+    qa = float(check_prob(q_actual, "q_actual", QadcError))
     p00 = (2.0 - q - qa - 2.0 * math.sqrt((1.0 - q) * (1.0 - qa))) / (4.0 - 2.0 * q)
     probs = np.array([p00, 0.0, 1.0 - qa / 2.0 - p00, qa / 2.0])
     return OutcomeDistribution(probs=probs, q_applied=q, q_actual=qa)
@@ -461,8 +461,8 @@ def nulling_error(q0, q1, u: int, variant: str = "apply_min") -> float:
     ``1/2 sum_k min(L_0(k), L_1(k))``, ``L(k) = s**u Binomial(u, p3/s)(k)``
     with ``s = p2 + p3``.
     """
-    q0 = check_prob(q0, "q0", QadcError)
-    q1 = check_prob(q1, "q1", QadcError)
+    q0 = float(check_prob(q0, "q0", QadcError))
+    q1 = float(check_prob(q1, "q1", QadcError))
     u = int(u)
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")

@@ -140,6 +140,13 @@ def test_zero_sim_error():
     assert rep.value == 0.0 and rep.kind == "exact_zero"
 
 
+def test_constructors_take_one_probability():
+    # check_prob passes arrays through for the array kernels; a channel has one q
+    for make in (lambda q: make_qec(2, q), lambda q: make_qdc(2, q), make_qadc):
+        with pytest.raises(TypeError):
+            make(np.array([0.1, 0.2]))
+
+
 def test_sim_error_validation():
     with pytest.raises(ChannelError):
         pbt_error_bound(2, 0)

@@ -13,7 +13,7 @@ import pytest
 from chandisc import cli
 from chandisc.channels import ChannelError
 from chandisc.cpf import CpfError
-from chandisc.discrimination import BoundReport, DiscriminationError
+from chandisc.discrimination import DiscriminationError
 from chandisc.linalg import ChandiscError, LinalgError
 from chandisc.orc import OrcError
 from chandisc.qadc import QadcError
@@ -44,6 +44,21 @@ def test_fig2_large_instance(tmp_path):
     code, text = run(tmp_path, "--command", "fig2", "--m", "8", "--u", "30")
     assert code == 0
     assert len(text.splitlines()) == 1 + 800
+
+
+def test_fig2_cells_keep_their_bits(tmp_path):
+    # 17 significant digits round-trip a float, so equal text is equal bits;
+    # these are the cells of the sum over counts taken in index order, which
+    # the kernels keep for any batch size
+    code, text = run(tmp_path, "--command", "fig2", "--m", "4", "--u", "40",
+                     "--gap", "0.04", "--grid", "5")
+    assert code == 0
+    assert [line.split(",")[4:6] for line in text.splitlines()[1:]] == [
+        ["2.5678252780299560e-01", "2.6047164821085156e-01"],
+        ["5.8590566063921834e-01", "5.8714060431771520e-01"],
+        ["6.0529449925147571e-01", "6.0687357181326818e-01"],
+        ["5.8116695584875566e-01", "5.8464971623170192e-01"],
+        ["1.4846858787357731e-01", "2.7749001518917693e-01"]]
 
 
 def test_fig2_json_round_trip(tmp_path):
@@ -148,13 +163,47 @@ def test_crosscheck_failure_exits_three(tmp_path, monkeypatch, capsys):
 
 
 def test_fig2_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):
-    def swapped(q_b, q_t, m, u, d):
-        return (BoundReport(0.9, "exact", "x"), BoundReport(0.1, "exact", "x"))
-    monkeypatch.setattr(cli, "qdc_cpf", swapped)
+    # the entangled call comes first in each block; its second point (q_t =
+    # 0.5 on a two-point grid at gap 0.5) exceeds the classical value
+    values = iter([np.array([0.1, 0.9]), np.array([0.1, 0.1])])
+
+    def swapped(q_b, q_t, m, u):
+        return next(values)
+    monkeypatch.setattr(cli, "h_mu_values", swapped)
     code, _ = run(tmp_path, "--command", "fig2", "--grid", "2", "--m", "2",
                   "--u", "1", "--d", "2", "--gap", "0.5")
     assert code == 3
-    assert "invariant violation" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invariant violation" in err
+    assert "at u=1, gap=0.5, q_t=0.5\n" in err
+
+
+@pytest.mark.parametrize("value,code,cell", [
+    (-1e-13, 0, "0.0000000000000000e+00"),   # rounding below 0 is clamped
+    (1.0 + 1e-13, 0, "1.0000000000000000e+00"),
+    (-1e-8, 2, None),                        # beyond the slack: refused
+    (np.nan, 2, None),
+])
+def test_fig2_kernel_values_pass_the_exact_check(tmp_path, monkeypatch, capsys, value, code,
+                                                  cell):
+    monkeypatch.setattr(cli, "h_mu_values", lambda q_b, q_t, m, u: np.full(q_t.shape, value))
+    got, text = run(tmp_path, "--command", "fig2", "--grid", "3", "--m", "2",
+                    "--u", "1", "--d", "2", "--gap", "0.5")
+    assert got == code
+    if cell is None:
+        err = capsys.readouterr().err
+        assert err.startswith("error: exact probability ") and text == ""
+    else:
+        assert [line.split(",")[4:6] for line in text.splitlines()[1:]] == [[cell, cell]] * 3
+
+
+def test_binary_qdc_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):
+    values = iter([np.array([0.1, 0.3]), np.array([0.2, 0.2])])
+    monkeypatch.setattr(cli, "f_u_values", lambda q0, q1, u: next(values))
+    code, _ = run(tmp_path, "--command", "binary", "--kind", "qdc", "--grid", "2",
+                  "--gap", "0.5")
+    assert code == 3
+    assert "at q1=0.5, q0=1.0\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -238,7 +287,7 @@ def test_every_library_error_exits_two(tmp_path, monkeypatch, capsys, error):
 
     def refuse(*args, **kwargs):
         raise error("refused")
-    monkeypatch.setattr(cli, "qdc_cpf", refuse)
+    monkeypatch.setattr(cli, "h_mu_values", refuse)
     code, _ = run(tmp_path, "--command", "fig2", "--grid", "2", "--m", "2",
                   "--u", "1", "--d", "2", "--gap", "0.5")
     assert code == 2

@@ -4,6 +4,7 @@ import pytest
 from chandisc.discrimination import (
     BoundReport,
     DiscriminationError,
+    check_exact_prob,
     Povm,
     StateEnsemble,
     continuity_lower_bound,
@@ -32,6 +33,18 @@ def test_bound_report_exact_range():
         BoundReport(1.5, "exact", "x")
     # tiny numerical overshoot snaps back into range
     assert BoundReport(1.0 + 1e-10, "exact", "x").value == 1.0
+
+
+def test_exact_check_over_arrays():
+    # one check for BoundReport and the array kernels' callers
+    got = check_exact_prob(np.array([-1e-13, 0.25, 1.0 + 1e-10, -0.0]))
+    assert got.tolist() == [0.0, 0.25, 1.0, 0.0]
+    assert check_exact_prob(-1e-13) == 0.0 and isinstance(check_exact_prob(0.5), float)
+    for bad in (-1e-8, 1.0 + 1e-8, np.nan, np.inf):
+        with pytest.raises(DiscriminationError, match="beyond tolerance"):
+            check_exact_prob(np.array([0.5, bad]))
+        with pytest.raises(DiscriminationError, match="beyond tolerance"):
+            BoundReport(bad, "exact", "x")
 
 
 def test_bound_report_clamping():

@@ -6,6 +6,7 @@ from chandisc.linalg import (
     DensityMatrix,
     LinalgError,
     as_complex_matrix,
+    check_prob,
     fidelity,
     gram_states,
     hermitize,
@@ -26,6 +27,17 @@ def test_as_complex_matrix_accepts_rectangular():
         as_complex_matrix(np.ones(4))
     with pytest.raises(LinalgError):
         as_complex_matrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+def test_check_prob_scalars_and_arrays():
+    assert check_prob(0.25) == 0.25 and isinstance(check_prob(np.float64(1.0)), float)
+    values = check_prob([0.0, 0.5, 1.0])
+    assert values.dtype == np.float64 and values.tolist() == [0.0, 0.5, 1.0]
+    for bad in (np.nan, -1e-300, 1.0 + 2**-52, np.inf, -np.inf):
+        with pytest.raises(LinalgError, match="p must lie in"):
+            check_prob(bad, "p")
+        with pytest.raises(LinalgError, match="p must lie in"):
+            check_prob(np.array([[0.5, bad], [0.0, 1.0]]), "p")
 
 
 def test_hermitize_symmetrizes_small_drift():

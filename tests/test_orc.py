@@ -11,16 +11,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chandisc import orc
+from chandisc.discrimination import check_exact_prob
 from chandisc.orc import (
     OrcError,
     OrcParams,
     f_u,
+    f_u_values,
     h_m1_closed,
     h_mu,
+    h_mu_values,
     qdc_binary,
     qdc_cpf,
     qec_binary,
@@ -48,6 +51,8 @@ def test_params_validation():
         OrcParams(q_b=0.5, q_t=0.5, u=0, m=2)
     with pytest.raises(OrcError):
         OrcParams(q_b=1.5, q_t=0.5, u=1, m=2)
+    with pytest.raises(TypeError):  # one point; arrays go to h_mu_values
+        OrcParams(q_b=np.array([0.2, 0.3]), q_t=0.5, u=1, m=2)
 
 
 def test_weight_profile_realizability():
@@ -240,3 +245,148 @@ def test_binom_pmf_beyond_direct_products_matches_mpmath(q, u):
         # times the machine epsilon, approaches 1e-13
         worst = max(abs(got / want - 1) for got, want in zip(pmf, ref) if want > 1e-50)
     assert worst < 1e-13
+
+
+# -- the array kernels ---------------------------------------------------------
+
+# (q_b, q_t) pairs every kernel batch carries: both orders, a tie, and the
+# endpoints, so one batch runs the mirrored, the plain and the tied branch
+_BRANCH_PAIRS = [(0.3, 0.7), (0.7, 0.3), (0.45, 0.45), (0.0, 1.0), (1.0, 0.0),
+                 (0.0, 0.0), (1.0, 1.0), (0.0, 0.6), (0.2, 1.0)]
+_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@st.composite
+def _kernel_batches(draw, max_u, max_m):
+    # u from 1 up past the direct-product/log switch at 50/51 (when max_u allows)
+    u = draw(st.one_of(st.sampled_from(sorted({1, min(50, max_u), min(51, max_u), max_u})),
+                       st.integers(1, max_u)))
+    m = draw(st.integers(2, max_m))
+    drawn = draw(st.lists(st.tuples(_PROB, _PROB), max_size=6))
+    pairs = drawn + _BRANCH_PAIRS
+    pairs = [pairs[i] for i in draw(st.permutations(range(len(pairs))))]
+    q_b, q_t = (np.array(column) for column in zip(*pairs))
+    return q_b, q_t, m, u
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kernel_batches(max_u=80, max_m=6))
+@example((np.array([p[0] for p in _BRANCH_PAIRS]), np.array([p[1] for p in _BRANCH_PAIRS]),
+          3, 51))
+def test_kernels_match_scalar_wrappers_bit_for_bit(batch):
+    q_b, q_t, m, u = batch
+    values = h_mu_values(q_b, q_t, m, u)
+    binary = f_u_values(q_b, q_t, u)
+    assert values.shape == binary.shape == q_b.shape
+    for i, (b, t) in enumerate(zip(q_b.tolist(), q_t.tolist())):
+        assert values[i] == h_mu(OrcParams(q_b=b, q_t=t, u=u, m=m))
+        assert qec_cpf(b, t, m, u).value == check_exact_prob(values[i])
+        assert binary[i] == f_u(b, t, u)
+    # a tie is blind guessing, whatever the branch takes it to
+    tied = q_b == q_t
+    assert np.all(np.abs(values[tied] - (m - 1) / m) < 1e-13)
+    assert np.all(np.abs(binary[tied] - 0.5) < 1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_kernel_batches(max_u=3, max_m=3))
+def test_kernels_match_exact_rationals(batch):
+    q_b, q_t, m, u = batch
+    values = h_mu_values(q_b, q_t, m, u)
+    binary = f_u_values(q_b, q_t, u)
+    for i, (b, t) in enumerate(zip(q_b.tolist(), q_t.tolist())):
+        assert abs(values[i] - float(cpf_ml_exact(b, t, m, u))) < 1e-13
+        assert abs(binary[i] - float(_binary_ml_exact(b, t, u))) < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(_kernel_batches(max_u=6, max_m=6))
+def test_kernel_matches_string_oracle(batch):
+    q_b, q_t, m, u = batch
+    u = min(u, 12 // m)  # at most 4096 strings
+    values = h_mu_values(q_b, q_t, m, u)
+    for i, (b, t) in enumerate(zip(q_b.tolist(), q_t.tolist())):
+        assert abs(values[i] - h_mu_strings(OrcParams(q_b=b, q_t=t, u=u, m=m))) < 1e-12
+
+
+@pytest.mark.parametrize("u", [3, 60])
+def test_kernel_passes_keep_the_bits(monkeypatch, u):
+    # points are taken TABLE_ENTRIES // (u+1) at a time; every split of a
+    # batch gives the same values
+    rng = np.random.default_rng(u)
+    q_b, q_t = rng.uniform(0.0, 1.0, size=(2, 5, 7))
+    whole_h, whole_f = h_mu_values(q_b, q_t, 4, u), f_u_values(q_b, q_t, u)
+    for entries in (1, 3 * (u + 1)):
+        monkeypatch.setattr(orc, "TABLE_ENTRIES", entries)
+        assert np.array_equal(h_mu_values(q_b, q_t, 4, u), whole_h)
+        assert np.array_equal(f_u_values(q_b, q_t, u), whole_f)
+
+
+def test_kernels_broadcast():
+    q_t = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    values = h_mu_values(0.4, q_t, 3, 5)
+    assert values.shape == (2, 3)
+    assert values[1, 2] == h_mu(OrcParams(q_b=0.4, q_t=1.0, u=5, m=3))
+    assert f_u_values(q_t, 0.4, 60).shape == (2, 3)
+    assert np.ndim(h_mu_values(0.1, 0.2, 2, 1)) == 0
+    assert h_mu_values(np.array([]), 0.3, 2, 2).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-300, 1.0 + 2**-52, np.inf, -np.inf])
+def test_kernels_refuse_probabilities_outside_the_interval(bad):
+    batch = np.array([0.2, bad, 0.5])
+    for name, call in (("q_b", lambda: h_mu_values(batch, 0.3, 3, 2)),
+                       ("q_t", lambda: h_mu_values(0.3, batch, 3, 2)),
+                       ("q0", lambda: f_u_values(batch, 0.3, 2)),
+                       ("q1", lambda: f_u_values(0.3, batch, 60)),
+                       ("q_b", lambda: OrcParams(q_b=bad, q_t=0.3, u=2, m=3))):
+        with pytest.raises(OrcError, match=f"^{name} must lie in \\[0, 1\\]"):
+            call()
+
+
+def test_kernel_size_checks():
+    with pytest.raises(OrcError, match="u >= 1"):
+        h_mu_values(0.2, 0.3, 2, 0)
+    with pytest.raises(OrcError, match="m >= 2"):
+        h_mu_values(0.2, 0.3, 1, 2)
+    with pytest.raises(OrcError, match="u >= 1"):
+        f_u_values(0.2, 0.3, 0)
+    with pytest.raises(OrcError, match="d >= 2"):
+        qdc_cpf(0.2, 0.3, 2, 2, d=1)
+
+
+# float.hex of Binomial(u, q) masses from the direct product of powers, which
+# is plain IEEE multiplication and so the same on every machine; qadc's block
+# errors read these tables, so their bits must not move
+_PMF_BITS = {
+    (0.3, 1): {0: "0x1.6666666666666p-1", 1: "0x1.3333333333333p-2"},
+    (0.41, 7): dict(enumerate([
+        "0x1.97bd9bd899eb9p-6", "0x1.efdaa6bebb2eap-4", "0x1.026eb43182196p-2",
+        "0x1.2b507ccfc211bp-2", "0x1.9fff0cecae43fp-3", "0x1.5ae60ac71a6e6p-4",
+        "0x1.416b907ea071dp-6", "0x1.fe89617ba6350p-10"])),
+    (0.97, 50): {0: "0x1.0a01901b23344p-253", 25: "0x1.3595627bdfc44p-81",
+                 48: "0x1.05a690459020ep-2", 49: "0x1.594ec1e1e6437p-2",
+                 50: "0x1.be990f3c0e7fbp-3"},
+    (2.0**-40, 50): {0: "0x1.ffffffff9c000p-1", 1: "0x1.8fffffffb3700p-35", 50: "0x0.0p+0"},
+}
+
+
+def test_binom_pmf_direct_product_bits():
+    for (q, u), bits in _PMF_BITS.items():
+        single = orc._binom_pmf(q, u)
+        row = orc._binom_pmf(np.array([0.5, q]), u)[1]
+        for k, want in bits.items():
+            assert single[k].hex() == want and row[k].hex() == want
+
+
+@pytest.mark.parametrize("u", [1, 7, 50, 51, 300])
+def test_binom_pmf_rows_match_single_points(u):
+    qs = np.array([0.0, 1.0, 0.3, 1e-300, 1.0 - 2**-53, 0.97, 0.41])
+    table = orc._binom_pmf(qs, u)
+    assert table.shape == (qs.size, u + 1)
+    for row, q in zip(table, qs.tolist()):
+        single = orc._binom_pmf(q, u)
+        assert single.shape == (u + 1,)
+        assert np.array_equal(row, single)
+    assert table[0].tolist() == [1.0] + [0.0] * u
+    assert table[1].tolist() == [0.0] * u + [1.0]
