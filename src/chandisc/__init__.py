@@ -10,33 +10,61 @@ values computed from Gram matrices of Kraus vectors (direct sums of small
 blocks fixed by the Kraus weights), and an explicit nulling receiver.
 
 Every error raised for a refused input derives from :class:`ChandiscError`.
+
+The public names are exported lazily (PEP 562): ``import chandisc`` loads no
+submodule, and the first use of a name imports the one that defines it, so a
+command that needs only ``orc`` never loads the damping code.
 """
 
-from .channels import (ChannelError, KrausChannel, SimulationError, apply, choi,
-                       default_xi, heisenberg_weyl, kraus_vectors, make_qadc, make_qdc,
-                       make_qec, maximally_entangled, pbt_error_bound, qadc_pbt_error,
-                       qadc_sim_error_values, tele_covariance_check, zero_sim_error)
-from .cpf import (CpfError, CpfSpec, MOptimizationResult, build_cpf_choi_ensemble,
-                  compressed_cpf_ensemble, cpf_block_fidelity_lb, cpf_fidelity_lb,
-                  cpf_fidelity_lb_values, cpf_helstrom_iterative,
-                  cpf_nonadaptive_fidelity_lb, cpf_sim_error, cyclic_shift,
-                  general_fidelity_lb, optimize_over_M, theorem1_lower_bound)
-from .discrimination import (BoundReport, DiscriminationError, Povm, StateEnsemble,
-                             check_exact_prob, continuity_lower_bound, fidelity_lower_bound,
-                             fidelity_upper_bound, gus_unitary_helstrom,
-                             helstrom_binary, helstrom_iterative, pgm_error,
-                             pgm_povm, success_probability)
-from .linalg import (ChandiscError, DensityMatrix, LinalgError, fidelity, gram_states,
-                     hermitize, kron_power, partial_trace, tensor, tensor_all, trace_norm)
-from .orc import (OrcError, OrcParams, f_u, f_u_values, h_m1_closed, h_mu, h_mu_values,
-                  qdc_binary, qdc_cpf, qdc_scales, qec_binary, qec_cpf)
-from .qadc import (OutcomeDistribution, QadcError, XiTable, fvg_sandwich, nulling_error,
-                   nulling_outcome_dist, nulling_unitary, qadc_adaptive_lb,
-                   qadc_adaptive_lb_opt, qadc_adaptive_lb_values, qadc_block_helstrom,
-                   qadc_block_pgm, qadc_choi_fidelity, qadc_cpf_adaptive_lb,
-                   qadc_cpf_adaptive_lb_opt, qadc_cpf_adaptive_lb_values,
-                   qadc_cpf_block_pgm)
+import importlib
+
+# Exported names by the submodule that defines them.
+_EXPORTS = {
+    "channels": (
+        "ChannelError", "KrausChannel", "SimulationError", "apply", "choi", "default_xi",
+        "heisenberg_weyl", "kraus_vectors", "make_qadc", "make_qdc", "make_qec",
+        "maximally_entangled", "pbt_error_bound", "qadc_pbt_error", "qadc_sim_error_values",
+        "tele_covariance_check", "zero_sim_error"),
+    "cpf": (
+        "CpfError", "CpfSpec", "MOptimizationResult", "build_cpf_choi_ensemble",
+        "compressed_cpf_ensemble", "cpf_block_fidelity_lb", "cpf_fidelity_lb",
+        "cpf_fidelity_lb_values", "cpf_helstrom_iterative", "cpf_nonadaptive_fidelity_lb",
+        "cpf_sim_error", "cyclic_shift", "general_fidelity_lb", "optimize_over_M",
+        "theorem1_lower_bound"),
+    "discrimination": (
+        "BoundReport", "DiscriminationError", "Povm", "StateEnsemble", "check_exact_prob",
+        "continuity_lower_bound", "fidelity_lower_bound", "fidelity_upper_bound",
+        "gus_unitary_helstrom", "helstrom_binary", "helstrom_iterative", "pgm_error",
+        "pgm_povm", "success_probability"),
+    "linalg": (
+        "ChandiscError", "DensityMatrix", "LinalgError", "fidelity", "gram_states",
+        "hermitize", "kron_power", "partial_trace", "tensor", "tensor_all", "trace_norm"),
+    "orc": (
+        "OrcError", "OrcParams", "f_u", "f_u_values", "h_m1_closed", "h_mu", "h_mu_values",
+        "qdc_binary", "qdc_cpf", "qdc_scales", "qec_binary", "qec_cpf"),
+    "qadc": (
+        "OutcomeDistribution", "QadcError", "XiTable", "fvg_sandwich", "nulling_error",
+        "nulling_outcome_dist", "nulling_unitary", "qadc_adaptive_lb", "qadc_adaptive_lb_opt",
+        "qadc_adaptive_lb_values", "qadc_block_helstrom", "qadc_block_pgm",
+        "qadc_choi_fidelity", "qadc_cpf_adaptive_lb", "qadc_cpf_adaptive_lb_opt",
+        "qadc_cpf_adaptive_lb_values", "qadc_cpf_block_pgm"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_ORIGIN])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,7 +10,14 @@ Four commands, selected with ``--command``:
 * ``binary``: two-channel discrimination sweeps; ``--kind`` picks the
   channel family (``qec``, ``qdc``, ``qadc``).
 * ``crosscheck``: seeded agreement suite between independent computation
-  routes; any disagreement is reported by name and exits with code 3.
+  routes (:mod:`chandisc.crosscheck`); any disagreement is reported by name
+  and exits with code 3.
+
+Each command imports only the modules it runs: ``orc``, ``discrimination``
+and ``linalg`` are loaded with this module, which is all ``fig2`` and
+``binary --kind qec/qdc`` need; the damping commands import ``qadc`` (with
+``cpf`` and ``channels``) and ``crosscheck`` imports its suite when they
+run.
 
 Output is CSV (default) or JSON.  CSV uses comma separators, ``.`` decimal
 points, 17-significant-digit scientific floats, LF line endings and UTF-8;
@@ -24,26 +31,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
-import json
 import sys
 import time
 
 import numpy as np
 
-from .channels import kraus_vectors, make_qadc, make_qdc, make_qec, tele_covariance_check
-from .cpf import CpfSpec, cpf_helstrom_iterative, cpf_nonadaptive_fidelity_lb, optimize_over_M
-from .discrimination import (StateEnsemble, check_exact_prob, gus_unitary_helstrom,
-                             helstrom_binary, helstrom_iterative, pgm_error)
-from .linalg import (ChandiscError, DensityMatrix, check_prob, gram_states, kron_power,
-                     tensor_all, trace_norm)
-from .orc import (OrcParams, f_u, f_u_values, h_m1_closed, h_mu, h_mu_values, qdc_cpf,
-                  qdc_scales)
-from .qadc import (QadcError, XiTable, fvg_sandwich, nulling_error, nulling_outcome_dist,
-                   nulling_unitary, qadc_adaptive_lb_opt, qadc_block_helstrom, qadc_block_pgm,
-                   qadc_choi_fidelity, qadc_cpf_adaptive_lb, qadc_cpf_adaptive_lb_opt,
-                   qadc_cpf_adaptive_lb_values, qadc_cpf_block_pgm)
-from .channels import choi as channel_choi
+from .discrimination import check_exact_prob
+from .linalg import ChandiscError, check_prob
+from .orc import f_u_values, h_mu_values, qdc_scales
 
 FLOAT_FORMAT = "%.16e"
 
@@ -74,7 +69,6 @@ class RunConfig:
     fmt: str
     out: str
     seed: int
-    tol: float
     kind: str | None
     budget: float
 
@@ -107,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     parser.add_argument("--out", type=str, default="-")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--tol", type=float, default=1e-8)
     parser.add_argument("--kind", choices=["qec", "qdc", "qadc"], default=None,
                         help="channel family for --command binary")
     parser.add_argument("--budget", type=float, default=60.0,
@@ -136,9 +129,7 @@ def make_config(args) -> RunConfig:
     if args.ports_min < 1 or args.ports_max < args.ports_min:
         raise CliConfigError(
             f"invalid port range ({args.ports_min}, {args.ports_max})")
-    if args.tol <= 0.0:
-        raise CliConfigError(f"--tol must be > 0, got {args.tol}")
-    if args.budget <= 0.0:
+    if not args.budget > 0.0:
         raise CliConfigError(f"--budget must be > 0, got {args.budget}")
     if args.m is not None and args.m < 2:
         raise CliConfigError(f"--m must be >= 2, got {args.m}")
@@ -160,7 +151,7 @@ def make_config(args) -> RunConfig:
         command=args.command, m=args.m, u=args.u, d=args.d, q0=args.q0, q1=args.q1,
         q_b=args.q_b, q_t=args.q_t, gaps=_parse_gaps(args.gap, ()), grid=args.grid,
         ports_min=args.ports_min, ports_max=args.ports_max, xi_text=args.xi,
-        fmt=args.fmt, out=args.out, seed=args.seed, tol=args.tol, kind=args.kind,
+        fmt=args.fmt, out=args.out, seed=args.seed, kind=args.kind,
         budget=args.budget)
 
 
@@ -168,6 +159,7 @@ def load_xi(cfg: RunConfig):
     """Resolve --xi into 'None' (uniform default) or an :class:`XiTable` step function."""
     if cfg.xi_text == "uniform":
         return None
+    from .qadc import QadcError, XiTable
     path = cfg.xi_text.split(":", 1)[1]
     entries = []
     try:
@@ -228,6 +220,8 @@ def run_fig2(cfg: RunConfig):
 
 
 def run_fig3(cfg: RunConfig):
+    from .cpf import cpf_nonadaptive_fidelity_lb
+    from .qadc import qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt, qadc_cpf_block_pgm
     configs = [(cfg.m, cfg.u)] if cfg.m is not None and cfg.u is not None else [(2, 4), (4, 2)]
     if (cfg.m is None) != (cfg.u is None):
         raise CliConfigError("fig3 needs --m and --u together (or neither)")
@@ -312,6 +306,8 @@ def run_binary_qdc(cfg: RunConfig):
 
 
 def run_binary_qadc(cfg: RunConfig):
+    from .qadc import (fvg_sandwich, nulling_error, qadc_adaptive_lb_opt, qadc_block_helstrom,
+                       qadc_block_pgm, qadc_choi_fidelity)
     u = cfg.u if cfg.u is not None else 8
     xi = load_xi(cfg)
     header = ["gap", "q1", "q0", "u",
@@ -354,231 +350,8 @@ def run_binary(cfg: RunConfig):
     return run_binary_qadc(cfg)
 
 
-# -- cross-validation suite ----------------------------------------------------
-
-def _dense_block_pair(channel0, channel1, u: int):
-    c0 = channel_choi(channel0).mat
-    c1 = channel_choi(channel1).mat
-    return (DensityMatrix(tensor_all([c0] * u)), DensityMatrix(tensor_all([c1] * u)))
-
-
-def _check_f_vs_helstrom_qec(rng):
-    worst = 0.0
-    cases = 0
-    for _ in range(3):
-        q0, q1 = rng.uniform(0.05, 0.95, size=2)
-        for u in (1, 2, 3):
-            rho0, rho1 = _dense_block_pair(make_qec(2, q0), make_qec(2, q1), u)
-            dev = abs(helstrom_binary(rho0, rho1).value - f_u(q0, q1, u))
-            worst = max(worst, dev)
-            cases += 1
-    return worst, 1e-9, cases
-
-
-def _check_qdc_binary_vs_helstrom(rng):
-    worst = 0.0
-    cases = 0
-    for _ in range(3):
-        q0, q1 = rng.uniform(0.05, 0.95, size=2)
-        for u in (1, 2):
-            rho0, rho1 = _dense_block_pair(make_qdc(2, q0), make_qdc(2, q1), u)
-            ent = f_u(0.75 * q0, 0.75 * q1, u)
-            worst = max(worst, abs(helstrom_binary(rho0, rho1).value - ent))
-            out0 = np.diag([1.0 - q0 / 2.0, q0 / 2.0])
-            out1 = np.diag([1.0 - q1 / 2.0, q1 / 2.0])
-            cls = f_u(0.5 * q0, 0.5 * q1, u)
-            block0 = DensityMatrix(tensor_all([out0] * u))
-            block1 = DensityMatrix(tensor_all([out1] * u))
-            worst = max(worst, abs(helstrom_binary(block0, block1).value - cls))
-            cases += 2
-    return worst, 1e-9, cases
-
-
-def _check_h_route_agreement(rng):
-    worst = 0.0
-    cases = 0
-    for m, u in ((2, 3), (3, 2), (4, 2), (2, 5), (2, 1), (3, 1), (5, 1)):
-        for _ in range(3):
-            q_b, q_t = rng.uniform(0.0, 1.0, size=2)
-            success = 0.0
-            for string in range(2 ** (u * m)):
-                counts = [bin((string >> (cell * u)) % 2**u).count("1") for cell in range(m)]
-                best = 0.0
-                for target in range(m):
-                    like = 1.0
-                    for cell, k in enumerate(counts):
-                        q = q_t if cell == target else q_b
-                        like *= q**k * (1.0 - q) ** (u - k)
-                    best = max(best, like)
-                success += best
-            strings = 1.0 - success / m
-            params = OrcParams(q_b=q_b, q_t=q_t, u=u, m=m)
-            worst = max(worst, abs(h_mu(params) - strings))
-            if u == 1:
-                worst = max(worst, abs(h_m1_closed(params) - strings))
-            cases += 1
-    return worst, 1e-12, cases
-
-
-def _check_cpf_vs_solver(rng):
-    worst = 0.0
-    cases = 0
-    for m, u in ((2, 1), (2, 2)):
-        q_b, q_t = rng.uniform(0.1, 0.9, size=2)
-        spec = CpfSpec(make_qdc(2, q_b), make_qdc(2, q_t), m, u)
-        report, _, gap = cpf_helstrom_iterative(spec)
-        target = qdc_cpf(q_b, q_t, m, u, 2)[0].value
-        worst = max(worst, max(0.0, abs(report.value - target) - gap))
-        cases += 1
-    for m in (2, 3):
-        q_b, q_t = rng.uniform(0.1, 0.9, size=2)
-        spec = CpfSpec(make_qec(2, q_b), make_qec(2, q_t), m, 1)
-        report, _, gap = cpf_helstrom_iterative(spec)
-        target = h_m1_closed(OrcParams(q_b=q_b, q_t=q_t, u=1, m=m))
-        worst = max(worst, max(0.0, abs(report.value - target) - gap))
-        cases += 1
-    return worst, 1e-6, cases
-
-
-def _check_compression_distance(rng):
-    worst = 0.0
-    q0, q1 = rng.uniform(0.1, 0.9, size=2)
-    c0 = channel_choi(make_qadc(q0)).mat
-    c1 = channel_choi(make_qadc(q1)).mat
-    vecs = [kraus_vectors(make_qadc(q)) for q in (q0, q1)]
-    for u in (2, 3):
-        dense = trace_norm(tensor_all([c0] * u) - tensor_all([c1] * u))
-        gram = np.block([[kron_power(a.T @ b, u) for b in vecs] for a in vecs])
-        small0, small1 = gram_states(gram, [gram.shape[0] // 2] * 2)
-        worst = max(worst, abs(trace_norm(small0 - small1) - dense))
-    return worst, 1e-9, 2
-
-
-def _check_nulling_dist(_rng):
-    worst = 0.0
-    cases = 0
-    for q_app in (0.0, 0.3, 0.7, 1.0):
-        unitary = nulling_unitary(q_app)
-        for q_act in (0.0, 0.3, 0.7, 1.0):
-            state = channel_choi(make_qadc(q_act)).mat
-            direct = np.diag(unitary @ state @ unitary.conj().T).real
-            closed = nulling_outcome_dist(q_app, q_act).probs
-            worst = max(worst, np.abs(direct - closed).max())
-            cases += 1
-    return worst, 1e-10, cases
-
-
-def _check_nulling_vs_strings(rng):
-    worst = 0.0
-    cases = 0
-    for u in (1, 2, 3):
-        q0, q1 = rng.uniform(0.1, 0.9, size=2)
-        for variant, applied in (("apply_q0", q0), ("apply_q1", q1)):
-            p0 = nulling_outcome_dist(applied, q0).probs
-            p1 = nulling_outcome_dist(applied, q1).probs
-            total = 0.0
-            for string in range(4**u):
-                like0 = like1 = 1.0
-                rem = string
-                for _ in range(u):
-                    rem, outcome = divmod(rem, 4)
-                    like0 *= p0[outcome]
-                    like1 *= p1[outcome]
-                total += min(like0, like1)
-            worst = max(worst, abs(total / 2.0 - nulling_error(q0, q1, u, variant)))
-            cases += 1
-    return worst, 1e-12, cases
-
-
-def _check_sandwich_contains_helstrom(rng):
-    worst = 0.0
-    cases = 0
-    for u in (1, 2, 4):
-        q0, q1 = rng.uniform(0.05, 0.95, size=2)
-        lower, upper = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
-        exact = qadc_block_helstrom(q0, q1, u).value
-        worst = max(worst, lower - exact, exact - upper)
-        cases += 1
-    return max(worst, 0.0), 1e-9, cases
-
-
-def _check_gus_vs_solver(_rng):
-    worst = 0.0
-    cases = 0
-    for m in (2, 3, 4):
-        for eta in (0.2, 0.6):
-            amps = np.sqrt(np.full(m, (1.0 - eta) / m) + np.array([eta] + [0.0] * (m - 1)))
-            phases = np.exp(2j * np.pi * np.arange(m) / m)
-            states = []
-            for k in range(m):
-                vec = amps * phases**k
-                states.append(DensityMatrix(np.outer(vec, vec.conj())))
-            report, _, gap = helstrom_iterative(StateEnsemble.equiprobable(states))
-            closed = gus_unitary_helstrom(eta, m).value
-            worst = max(worst, max(0.0, abs(report.value - closed) - gap))
-            cases += 1
-    return worst, 1e-6, cases
-
-
-def _check_optimizer_vs_brute_force(_rng):
-    q_b, q_t = 0.24, 0.2
-
-    def value_at(ports: int) -> float:
-        return qadc_cpf_adaptive_lb(q_b, q_t, 2, 4, ports).value
-
-    result = optimize_over_M(functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, 2, 4),
-                             ports_range=(1, 3000))
-    brute = max((value_at(p), -p) for p in range(1, 3001))
-    dev = abs(result.best_value - brute[0]) + abs(result.best_ports - (-brute[1]))
-    return dev, 1e-12, 1
-
-
-def _check_pgm_vs_double_helstrom(rng):
-    worst = 0.0
-    cases = 0
-    for _ in range(3):
-        states = []
-        for _ in range(3):
-            raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            mat = raw @ raw.conj().T
-            states.append(DensityMatrix(mat / mat.trace().real))
-        ensemble = StateEnsemble.equiprobable(states)
-        report, _, gap = helstrom_iterative(ensemble)
-        excess = pgm_error(ensemble).value - 2.0 * (report.value + gap)
-        worst = max(worst, excess)
-        cases += 1
-    return max(worst, 0.0), 1e-9, cases
-
-
-def _check_covariance_classes(_rng):
-    expected = [
-        (tele_covariance_check(make_qec(2, 0.3)), True),
-        (tele_covariance_check(make_qdc(2, 0.4)), True),
-        (tele_covariance_check(make_qdc(3, 0.2)), True),
-        (tele_covariance_check(make_qadc(0.3)), False),
-        (tele_covariance_check(make_qadc(0.7)), False),
-    ]
-    dev = float(sum(got != want for got, want in expected))
-    return dev, 0.5, len(expected)
-
-
-CROSSCHECKS = [
-    ("counting-vs-helstrom-erasure", _check_f_vs_helstrom_qec),
-    ("counting-vs-helstrom-depolarizing", _check_qdc_binary_vs_helstrom),
-    ("position-error-route-agreement", _check_h_route_agreement),
-    ("position-error-vs-solver", _check_cpf_vs_solver),
-    ("compression-preserves-distance", _check_compression_distance),
-    ("nulling-dist-vs-conjugation", _check_nulling_dist),
-    ("nulling-vs-string-enumeration", _check_nulling_vs_strings),
-    ("sandwich-contains-block-error", _check_sandwich_contains_helstrom),
-    ("symmetric-pure-closed-form-vs-solver", _check_gus_vs_solver),
-    ("port-optimizer-vs-brute-force", _check_optimizer_vs_brute_force),
-    ("pgm-within-double-optimum", _check_pgm_vs_double_helstrom),
-    ("covariance-classification", _check_covariance_classes),
-]
-
-
 def run_crosscheck(cfg: RunConfig):
+    from .crosscheck import CROSSCHECKS
     header = ["check", "status", "max_abs_dev", "tolerance", "cases"]
     rows = []
     failures = []
@@ -598,14 +371,25 @@ def run_crosscheck(cfg: RunConfig):
 
 # -- output ---------------------------------------------------------------------
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return FLOAT_FORMAT % float(value)
+def _cell_format(kind: type) -> str:
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer, np.bool_)):   # bool is an int
+        return "%d"
+    return FLOAT_FORMAT
+
+
+def _csv_row_format(header, values) -> str:
+    # One %-format for every row of the table, from the types each column
+    # holds: text as is, booleans and integers as integers, anything else as
+    # a float.  A column whose values need two formats is a bug in the table.
+    formats = []
+    for name, column in zip(header, zip(*values)):
+        kinds = {_cell_format(kind) for kind in set(map(type, column))}
+        if len(kinds) != 1:
+            raise TypeError(f"column {name!r} mixes cell formats {sorted(kinds)}")
+        formats.append(kinds.pop())
+    return ",".join(formats)
 
 
 def _json_value(value):
@@ -619,12 +403,12 @@ def _json_value(value):
 
 
 def render(header, rows, fmt: str) -> str:
+    values = [row.values for row in rows]
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_cell(v) for v in row.values) for row in rows)
-        return "\n".join(lines) + "\n"
-    payload = [{name: _json_value(v) for name, v in zip(header, row.values)}
-               for row in rows]
+        line = _csv_row_format(header, values)
+        return "\n".join([",".join(header), *(line % row for row in values)]) + "\n"
+    import json
+    payload = [{name: _json_value(v) for name, v in zip(header, row)} for row in values]
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from chandisc import cli
+from chandisc import cli, crosscheck
 from chandisc.channels import ChannelError
 from chandisc.cpf import CpfError
 from chandisc.discrimination import DiscriminationError
@@ -141,7 +141,7 @@ def test_crosscheck_all_pass(tmp_path):
     assert code == 0
     lines = text.splitlines()
     assert lines[0] == "check,status,max_abs_dev,tolerance,cases"
-    assert len(lines) == 1 + len(cli.CROSSCHECKS)
+    assert len(lines) == 1 + len(crosscheck.CROSSCHECKS)
     assert all(line.split(",")[1] == "pass" for line in lines[1:])
 
 
@@ -155,7 +155,7 @@ def test_crosscheck_budget_skips_tail(tmp_path):
 def test_crosscheck_failure_exits_three(tmp_path, monkeypatch, capsys):
     def broken(_rng):
         return 1.0, 1e-9, 1
-    monkeypatch.setattr(cli, "CROSSCHECKS", [("always-off", broken)])
+    monkeypatch.setattr(crosscheck, "CROSSCHECKS", [("always-off", broken)])
     code, text = run(tmp_path, "--command", "crosscheck")
     assert code == 3
     assert text.splitlines()[1].split(",")[1] == "fail"
@@ -214,6 +214,7 @@ def test_binary_qdc_invariant_violation_exits_three(tmp_path, monkeypatch, capsy
     ("--command", "fig3", "--M-min", "10", "--M-max", "2"),
     ("--command", "crosscheck", "--budget", "0"),
     ("--command", "fig2", "--xi", "bogus"),
+    ("--command", "crosscheck", "--budget", "nan"),    # would never run out
 ])
 def test_invalid_configurations_exit_two(tmp_path, argv):
     code, _ = run(tmp_path, *argv)
@@ -294,9 +295,50 @@ def test_every_library_error_exits_two(tmp_path, monkeypatch, capsys, error):
     assert capsys.readouterr().err == "error: refused\n"
 
 
+RENDER_HEADER = ["check", "status", "max_abs_dev", "tolerance", "cases", "flag"]
+RENDER_ROWS = [cli.SweepRow(values) for values in [
+    ("alpha", "pass", 1.0 / 3.0, 1e-12, 3, True),
+    ("beta", "fail", np.float64(-2.5e-300), np.float64(1e-9), np.int64(-12), np.bool_(False)),
+    ("gamma", "skipped", 0.0, 0.0, 0, np.bool_(True)),   # crosscheck's skipped row
+]]
+
+
+def test_render_csv_golden():
+    assert cli.render(RENDER_HEADER, RENDER_ROWS, "csv") == (
+        "check,status,max_abs_dev,tolerance,cases,flag\n"
+        "alpha,pass,3.3333333333333331e-01,9.9999999999999998e-13,3,1\n"
+        "beta,fail,-2.5000000000000000e-300,1.0000000000000001e-09,-12,0\n"
+        "gamma,skipped,0.0000000000000000e+00,0.0000000000000000e+00,0,1\n")
+    assert cli.render(RENDER_HEADER, [], "csv") == ",".join(RENDER_HEADER) + "\n"
+    # one format per column: a column holding both integers and floats is refused
+    mixed = [cli.SweepRow((1,)), cli.SweepRow((1.0,))]
+    with pytest.raises(TypeError, match="'x' mixes"):
+        cli.render(["x"], mixed, "csv")
+
+
+def test_render_json_golden():
+    assert cli.render(RENDER_HEADER, RENDER_ROWS, "json") == (
+        '[\n  {\n    "check": "alpha",\n    "status": "pass",\n'
+        '    "max_abs_dev": 0.3333333333333333,\n    "tolerance": 1e-12,\n'
+        '    "cases": 3,\n    "flag": 1\n  },\n'
+        '  {\n    "check": "beta",\n    "status": "fail",\n'
+        '    "max_abs_dev": -2.5e-300,\n    "tolerance": 1e-09,\n'
+        '    "cases": -12,\n    "flag": 0\n  },\n'
+        '  {\n    "check": "gamma",\n    "status": "skipped",\n'
+        '    "max_abs_dev": 0.0,\n    "tolerance": 0.0,\n'
+        '    "cases": 0,\n    "flag": 1\n  }\n]\n')
+
+
 def test_unknown_command_is_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         run(tmp_path, "--command", "fig9")
+    assert info.value.code == 2
+
+
+def test_removed_tol_flag_is_argparse_error(tmp_path):
+    # --tol was parsed and never read; it is gone, not silently accepted
+    with pytest.raises(SystemExit) as info:
+        run(tmp_path, "--command", "fig2", "--tol", "1e-8")
     assert info.value.code == 2
 
 
@@ -359,18 +401,42 @@ def test_unwritable_output_exits_two(tmp_path):
     assert code == 2
 
 
+def _modules_after(tmp_path, argv=None):
+    """The ``sys.modules`` names of a fresh process after ``import chandisc.cli``
+    and, when ``argv`` is given, one CLI run with it."""
+    script = "import sys\nfrom chandisc import cli\n"
+    if argv is not None:
+        script += f"assert cli.main({argv + ['--out', str(tmp_path / 'out.csv')]!r}) == 0\n"
+    script += "print(' '.join(sorted(sys.modules)))\n"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.split())
+
+
 @pytest.mark.parametrize("argv", [
     ["--command", "fig3", "--grid", "2"],
     ["--command", "binary", "--kind", "qadc", "--u", "2", "--grid", "2"],
 ])
 def test_cli_never_imports_numpy_ma(tmp_path, argv):
     # numpy.ma costs about 20 ms to import; nothing in the package needs it
-    script = ("import sys\nfrom chandisc import cli\n"
-              f"assert cli.main({argv + ['--out', str(tmp_path / 'out.csv')]!r}) == 0\n"
-              "print('numpy.ma' in sys.modules)\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert "numpy.ma" not in _modules_after(tmp_path, argv)
+
+
+DAMPING_MODULES = {"chandisc.qadc", "chandisc.cpf", "chandisc.channels"}
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (None, DAMPING_MODULES | {"chandisc.crosscheck"}),
+    (["--command", "fig2", "--grid", "2"], DAMPING_MODULES | {"chandisc.crosscheck"}),
+    (["--command", "binary", "--kind", "qec", "--grid", "2"],
+     DAMPING_MODULES | {"chandisc.crosscheck"}),
+    (["--command", "fig3", "--m", "2", "--u", "1", "--grid", "2"], {"chandisc.crosscheck"}),
+])
+def test_commands_import_only_their_modules(tmp_path, argv, absent):
+    # a process compiles and runs only the modules its command uses
+    loaded = _modules_after(tmp_path, argv)
+    assert "chandisc.cli" in loaded
+    assert not loaded & absent
