@@ -21,33 +21,32 @@ import importlib
 # Exported names by the submodule that defines them.
 _EXPORTS = {
     "channels": (
-        "ChannelError", "KrausChannel", "SimulationError", "apply", "choi", "default_xi",
-        "heisenberg_weyl", "kraus_vectors", "make_qadc", "make_qdc", "make_qec",
-        "maximally_entangled", "pbt_error_bound", "qadc_pbt_error", "qadc_sim_error_values",
-        "tele_covariance_check", "zero_sim_error"),
+        "CpfSpec", "KrausChannel", "SimulationError", "apply", "choi",
+        "compressed_cpf_ensemble", "cpf_helstrom_iterative", "heisenberg_weyl",
+        "kraus_vectors", "make_qadc", "make_qdc", "make_qec", "maximally_entangled",
+        "pbt_error_bound", "qadc_pbt_error", "tele_covariance_check", "zero_sim_error"),
     "cpf": (
-        "CpfError", "CpfSpec", "MOptimizationResult", "build_cpf_choi_ensemble",
-        "compressed_cpf_ensemble", "cpf_block_fidelity_lb", "cpf_fidelity_lb",
-        "cpf_fidelity_lb_values", "cpf_helstrom_iterative", "cpf_nonadaptive_fidelity_lb",
-        "cpf_sim_error", "cyclic_shift", "general_fidelity_lb", "optimize_over_M",
+        "CpfError", "MOptimizationResult", "cpf_fidelity_lb", "cpf_fidelity_lb_values",
+        "cpf_nonadaptive_fidelity_lb", "cpf_sim_error", "optimize_over_M",
         "theorem1_lower_bound"),
     "discrimination": (
-        "BoundReport", "DiscriminationError", "Povm", "StateEnsemble", "check_exact_prob",
-        "continuity_lower_bound", "fidelity_lower_bound", "fidelity_upper_bound",
-        "gus_unitary_helstrom", "helstrom_binary", "helstrom_iterative", "pgm_error",
-        "pgm_povm", "success_probability"),
+        "DensityMatrix", "Povm", "StateEnsemble", "continuity_lower_bound", "fidelity",
+        "fidelity_lower_bound", "fidelity_upper_bound", "gram_states", "gus_unitary_helstrom",
+        "helstrom_binary", "helstrom_iterative", "hermitize", "kron_power", "partial_trace",
+        "pgm_error", "pgm_povm", "success_probability", "tensor", "tensor_all", "trace_norm"),
     "linalg": (
-        "ChandiscError", "DensityMatrix", "LinalgError", "fidelity", "gram_states",
-        "hermitize", "kron_power", "partial_trace", "tensor", "tensor_all", "trace_norm"),
+        "BoundReport", "ChandiscError", "ChannelError", "DiscriminationError", "LinalgError",
+        "check_exact_prob"),
     "orc": (
         "OrcError", "OrcParams", "f_u", "f_u_values", "h_m1_closed", "h_mu", "h_mu_values",
         "qdc_binary", "qdc_cpf", "qdc_scales", "qec_binary", "qec_cpf"),
     "qadc": (
-        "OutcomeDistribution", "QadcError", "XiTable", "fvg_sandwich", "nulling_error",
-        "nulling_outcome_dist", "nulling_unitary", "qadc_adaptive_lb", "qadc_adaptive_lb_opt",
-        "qadc_adaptive_lb_values", "qadc_block_helstrom", "qadc_block_pgm",
-        "qadc_choi_fidelity", "qadc_cpf_adaptive_lb", "qadc_cpf_adaptive_lb_opt",
-        "qadc_cpf_adaptive_lb_values", "qadc_cpf_block_pgm"),
+        "OutcomeDistribution", "QadcError", "XiTable", "default_xi", "fvg_sandwich",
+        "nulling_error", "nulling_outcome_dist", "nulling_unitary", "qadc_adaptive_lb",
+        "qadc_adaptive_lb_opt", "qadc_adaptive_lb_values", "qadc_block_helstrom",
+        "qadc_block_pgm", "qadc_choi_fidelity", "qadc_cpf_adaptive_lb",
+        "qadc_cpf_adaptive_lb_opt", "qadc_cpf_adaptive_lb_values", "qadc_cpf_block_pgm",
+        "qadc_sim_error_values"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,46 +1,55 @@
-"""Channel families, Choi matrices, and teleportation-simulation errors.
+"""Channel families, Choi matrices, simulation errors and block ensembles.
 
 The three channel families used throughout the package are quantum erasure
 channels (``make_qec``), qudit depolarizing channels (``make_qdc``) and qubit
 amplitude damping channels (``make_qadc``).  All are represented by explicit
 Kraus operators, and every derived object (Choi matrix, output state) is a
-validated :class:`~chandisc.linalg.DensityMatrix`.
+validated :class:`~chandisc.discrimination.DensityMatrix`.
 
 Simulation errors quantify how well a channel can be replaced by a
 teleportation-style protocol consuming a fixed program state with ``M``
 ports.  They feed the adaptive-strategy lower bounds: an adaptive protocol
 probing a simulable channel ``u`` times can be traded for a block protocol at
 the cost of ``u/2`` times the simulation error in trace distance.
+
+The module also builds the ``u``-fold block ensemble of position finding
+(:class:`CpfSpec`) for any Kraus family, for the iterative Helstrom solver.
+Block states never touch the ambient ``dim**(m u)`` space.  Hypothesis ``n``
+is ``W_n W_n†`` with ``W_n`` the tensor product of per-cell Kraus vectors,
+and the cyclic cell shift maps ``W_n`` to ``W_{n+1}``, so the Gram matrix of
+all hypotheses is block-circulant, ``W_n† W_n' = C_{n'-n}``, and the states
+follow from it in a basis of their joint support.  This is the dense route
+that the cross-checks and the tests compare the closed forms with; the sweep
+commands never load it.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 
 import numpy as np
 
-from .linalg import ChandiscError, DensityMatrix, as_complex_matrix, check_prob, hermitize
-
-
-class ChannelError(ChandiscError):
-    """Raised for invalid channel parameters or mismatched dimensions."""
+from .cpf import CpfError
+from .discrimination import (DensityMatrix, StateEnsemble, as_complex_matrix, gram_states,
+                             helstrom_iterative, hermitize, kron_power)
+from .linalg import ChannelError, Frozen, check_prob
+from .qadc import default_xi, qadc_sim_error_values
 
 
 TP_TOL = 1e-9
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class KrausChannel:
+class KrausChannel(Frozen):
     """A completely positive trace-preserving map in Kraus form.
 
     ``kraus`` is a tuple of ``(dim_out, dim_in)`` matrices ``K_i`` with
     ``sum_i K_i† K_i = I`` within ``TP_TOL``.
     """
 
-    kraus: tuple
+    __slots__ = ("kraus",)
 
-    def __post_init__(self):
-        ops = tuple(as_complex_matrix(k) for k in self.kraus)
+    def __init__(self, kraus):
+        ops = tuple(as_complex_matrix(k) for k in kraus)
         if not ops:
             raise ChannelError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
@@ -178,8 +187,7 @@ def choi(channel: KrausChannel) -> DensityMatrix:
 SIM_ERROR_KINDS = ("uniform_bound", "qadc_specific", "exact_zero")
 
 
-@dataclasses.dataclass(frozen=True)
-class SimulationError:
+class SimulationError(Frozen):
     """Trace-norm accuracy of a port-based channel simulation.
 
     ``value`` bounds the diamond-norm distance between the channel and its
@@ -188,17 +196,18 @@ class SimulationError:
     distance 2, which simply makes the downstream lower bounds vacuous.
     """
 
-    value: float
-    ports: int
-    kind: str
+    __slots__ = ("value", "ports", "kind")
 
-    def __post_init__(self):
-        if self.kind not in SIM_ERROR_KINDS:
-            raise ChannelError(f"unknown simulation error kind {self.kind!r}")
-        if self.value < 0.0:
-            raise ChannelError(f"simulation error must be >= 0, got {self.value}")
-        if self.ports < 1:
-            raise ChannelError(f"port count must be >= 1, got {self.ports}")
+    def __init__(self, value: float, ports: int, kind: str):
+        if kind not in SIM_ERROR_KINDS:
+            raise ChannelError(f"unknown simulation error kind {kind!r}")
+        if value < 0.0:
+            raise ChannelError(f"simulation error must be >= 0, got {value}")
+        if ports < 1:
+            raise ChannelError(f"port count must be >= 1, got {ports}")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "ports", ports)
+        object.__setattr__(self, "kind", kind)
 
 
 def pbt_error_bound(d: int, ports: int) -> SimulationError:
@@ -216,33 +225,12 @@ def pbt_error_bound(d: int, ports: int) -> SimulationError:
     return SimulationError(2.0 * d * (d - 1) / ports, ports, "uniform_bound")
 
 
-def default_xi(ports):
-    """Default port scaling ``min(4 / M, 2)`` of the damping simulation error.
-
-    Elementwise over an array of port counts.
-    """
-    return np.minimum(4.0 / np.asarray(ports), 2.0)
-
-
-def qadc_sim_error_values(q, xi) -> np.ndarray:
-    """Damping simulation errors ``xi * ((1 - q)/2 + sqrt(1 - q))``, elementwise over ``xi``.
-
-    ``xi`` holds the port-dependent prefactor at each port count.  The
-    damping-dependent factor vanishes at ``q = 1``, where the channel becomes
-    a constant map that is simulable exactly.
-    """
-    q = float(check_prob(q, "q", ChannelError))
-    xi = np.asarray(xi, dtype=np.float64)
-    if (xi < 0.0).any():
-        raise ChannelError(f"xi must be >= 0, got {xi.min()}")
-    return xi * ((1.0 - q) / 2.0 + np.sqrt(1.0 - q))
-
-
 def qadc_pbt_error(q, ports: int, xi=None) -> SimulationError:
     """Port-based simulation error for the amplitude damping channel.
 
-    ``xi`` is the port-dependent prefactor; by default :func:`default_xi`.
-    See :func:`qadc_sim_error_values`.
+    ``xi`` is the port-dependent prefactor; by default
+    :func:`~chandisc.qadc.default_xi`.  See
+    :func:`~chandisc.qadc.qadc_sim_error_values`.
     """
     ports = int(ports)
     if ports < 1:
@@ -314,3 +302,82 @@ def tele_covariance_check(channel: KrausChannel, tol: float = 1e-8) -> bool:
         if not _correction_exists(c, c_u, d_out, d_in, tol):
             return False
     return True
+
+
+class CpfSpec(Frozen):
+    """One anomalous ``target`` cell among ``m``, the rest ``background``."""
+
+    __slots__ = ("background", "target", "m", "u")
+
+    def __init__(self, background: KrausChannel, target: KrausChannel, m: int, u: int):
+        object.__setattr__(self, "background", background)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "u", int(u))
+        if self.m < 2:
+            raise CpfError(f"need m >= 2 cells, got {self.m}")
+        if self.u < 1:
+            raise CpfError(f"need u >= 1 uses, got {self.u}")
+        same_in = background.dim_in == target.dim_in
+        same_out = background.dim_out == target.dim_out
+        if not (same_in and same_out):
+            raise CpfError("background and target channels must share dimensions")
+
+
+def _circulant_terms(spec: CpfSpec, max_rank: int) -> np.ndarray:
+    """The blocks ``C_k = W_0† W_k``, stacked along the first axis.
+
+    ``W_n`` is the tensor product, over cells and uses, of the Kraus
+    vectors of hypothesis ``n`` (target in cell ``n``), its columns
+    labelled relative to the target: ``W_n = S^n W_0`` for the cyclic cell
+    shift ``S``, so the Kraus index that ``W_0`` attaches to cell ``j``,
+    ``W_n`` attaches to cell ``j + n``.  Then ``W_n† W_n' = C_{n'-n}``.
+    Row cell ``l`` of ``C_k`` meets column cell ``l - k``, so ``C_k`` is a
+    Kronecker product of per-cell Grams with its column cells rotated.
+    Raises before allocating anything when the side
+    ``r_t**u r_b**((m-1) u)`` exceeds ``max_rank``.
+    """
+    m, u = spec.m, spec.u
+    ranks = {"t": len(spec.target.kraus), "b": len(spec.background.kraus)}
+    # Capped exponents decide the same way: 2**64 exceeds any usable guard.
+    side = ranks["t"] ** min(u, 64) * ranks["b"] ** min((m - 1) * u, 64)
+    if side > max_rank:
+        raise CpfError(f"Gram block side {side} exceeds guard {max_rank}")
+    vecs = {"t": kraus_vectors(spec.target), "b": kraus_vectors(spec.background)}
+    cell_grams = {(x, y): kron_power(vecs[x].conj().T @ vecs[y], u)
+                  for x in vecs for y in vecs}
+    labels = ["t"] + ["b"] * (m - 1)
+    terms = []
+    for k in range(m):
+        term = functools.reduce(np.kron, [cell_grams[labels[l], labels[(l - k) % m]]
+                                          for l in range(m)])
+        term = term.reshape([side] + [ranks[labels[(l - k) % m]] ** u for l in range(m)])
+        term = term.transpose([0] + [1 + (j + k) % m for j in range(m)])
+        terms.append(term.reshape(side, side))
+    return np.stack(terms)
+
+
+def compressed_cpf_ensemble(spec: CpfSpec, max_rank: int = 2048) -> StateEnsemble:
+    """The ``u``-fold block ensemble, in an orthonormal basis of its joint support.
+
+    Equivalent for every discrimination quantity to the ``u``-th tensor
+    powers of the hypothesis Choi states: :func:`~chandisc.discrimination.gram_states`
+    of the block-circulant Gram matrix.  Raises before allocating once its
+    side ``m r**(m u)`` exceeds ``max_rank``.
+    """
+    m = spec.m
+    terms = _circulant_terms(spec, max_rank // m)
+    gram = np.block([[terms[(k - n) % m] for k in range(m)] for n in range(m)])
+    states = gram_states(gram, [terms.shape[1]] * m)
+    return StateEnsemble.equiprobable([DensityMatrix(s, validate=False) for s in states])
+
+
+def cpf_helstrom_iterative(spec: CpfSpec, tol: float = 1e-8, max_iters: int = 5000,
+                           dim_guard: int = 256, max_rank: int = 2048):
+    """Minimum block error of the compressed block ensemble, with certificate.
+
+    Returns the same ``(report, povm, gap)`` triple as
+    :func:`~chandisc.discrimination.helstrom_iterative`.
+    """
+    ensemble = compressed_cpf_ensemble(spec, max_rank=max_rank)
+    return helstrom_iterative(ensemble, tol=tol, max_iters=max_iters, dim_guard=dim_guard)

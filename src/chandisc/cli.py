@@ -13,11 +13,11 @@ Four commands, selected with ``--command``:
   routes (:mod:`chandisc.crosscheck`); any disagreement is reported by name
   and exits with code 3.
 
-Each command imports only the modules it runs: ``orc``, ``discrimination``
-and ``linalg`` are loaded with this module, which is all ``fig2`` and
-``binary --kind qec/qdc`` need; the damping commands import ``qadc`` (with
-``cpf`` and ``channels``) and ``crosscheck`` imports its suite when they
-run.
+Each command imports only the modules it runs: ``orc`` and ``linalg`` are
+loaded with this module, which is all ``fig2`` and ``binary --kind
+qec/qdc`` need; the damping commands import ``qadc`` (with ``cpf``) when
+they run.  Only ``crosscheck`` loads the dense-state route
+(``discrimination`` and ``channels``), through its suite.
 
 Output is CSV (default) or JSON.  CSV uses comma separators, ``.`` decimal
 points, 17-significant-digit scientific floats, LF line endings and UTF-8;
@@ -30,14 +30,12 @@ internal ordering invariants.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
 import numpy as np
 
-from .discrimination import check_exact_prob
-from .linalg import ChandiscError, check_prob
+from .linalg import ChandiscError, check_exact_prob, check_prob
 from .orc import f_u_values, h_mu_values, qdc_scales
 
 FLOAT_FORMAT = "%.16e"
@@ -49,33 +47,6 @@ class CliConfigError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A computed table broke one of its internal guarantees (exit code 3)."""
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str
-    m: int | None
-    u: int | None
-    d: int | None
-    q0: float | None
-    q1: float | None
-    q_b: float | None
-    q_t: float | None
-    gaps: tuple
-    grid: int
-    ports_min: int
-    ports_max: int
-    xi_text: str
-    fmt: str
-    out: str
-    seed: int
-    kind: str | None
-    budget: float
-
-
-@dataclasses.dataclass(frozen=True)
-class SweepRow:
-    values: tuple
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_gaps(text, default):
+def _parse_gaps(text):
     if text is None:
-        return tuple(default)
+        return ()
     try:
         gaps = tuple(float(g) for g in text.split(","))
     except ValueError as exc:
@@ -123,7 +94,8 @@ def _parse_gaps(text, default):
     return gaps
 
 
-def make_config(args) -> RunConfig:
+def make_config(args):
+    """Validate the parsed options and return them, with ``--gap`` parsed into ``gaps``."""
     if args.grid < 2:
         raise CliConfigError(f"--grid must be >= 2, got {args.grid}")
     if args.ports_min < 1 or args.ports_max < args.ports_min:
@@ -147,20 +119,16 @@ def make_config(args) -> RunConfig:
             check_prob(value, flag, CliConfigError)
     if args.xi != "uniform" and not args.xi.startswith("value-table:"):
         raise CliConfigError(f"--xi must be 'uniform' or 'value-table:FILE', got {args.xi!r}")
-    return RunConfig(
-        command=args.command, m=args.m, u=args.u, d=args.d, q0=args.q0, q1=args.q1,
-        q_b=args.q_b, q_t=args.q_t, gaps=_parse_gaps(args.gap, ()), grid=args.grid,
-        ports_min=args.ports_min, ports_max=args.ports_max, xi_text=args.xi,
-        fmt=args.fmt, out=args.out, seed=args.seed, kind=args.kind,
-        budget=args.budget)
+    args.gaps = _parse_gaps(args.gap)
+    return args
 
 
-def load_xi(cfg: RunConfig):
+def load_xi(cfg):
     """Resolve --xi into 'None' (uniform default) or an :class:`XiTable` step function."""
-    if cfg.xi_text == "uniform":
+    if cfg.xi == "uniform":
         return None
     from .qadc import QadcError, XiTable
-    path = cfg.xi_text.split(":", 1)[1]
+    path = cfg.xi.split(":", 1)[1]
     entries = []
     try:
         with open(path, encoding="utf-8") as handle:
@@ -193,7 +161,7 @@ def _first_excess(entangled: np.ndarray, classical: np.ndarray):
     return int(np.argmax(excess > 0.0)) if excess.max() > 0.0 else None
 
 
-def run_fig2(cfg: RunConfig):
+def run_fig2(cfg):
     m = cfg.m if cfg.m is not None else 5
     d = cfg.d if cfg.d is not None else 100
     us = (cfg.u,) if cfg.u is not None else (1, 3)
@@ -214,12 +182,12 @@ def run_fig2(cfg: RunConfig):
                     f"fig2: entangled value {entangled[bad]} exceeds classical "
                     f"{classical[bad]} at u={u}, gap={gap}, q_t={q_t[bad]}")
             points = zip(q_t.tolist(), q_b.tolist(), entangled.tolist(), classical.tolist())
-            rows.extend(SweepRow((u, gap, t, b, ent, cls, int(i == cfg.grid - 1)))
+            rows.extend((u, gap, t, b, ent, cls, int(i == cfg.grid - 1))
                         for i, (t, b, ent, cls) in enumerate(points))
     return header, rows
 
 
-def run_fig3(cfg: RunConfig):
+def run_fig3(cfg):
     from .cpf import cpf_nonadaptive_fidelity_lb
     from .qadc import qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt, qadc_cpf_block_pgm
     configs = [(cfg.m, cfg.u)] if cfg.m is not None and cfg.u is not None else [(2, 4), (4, 2)]
@@ -248,16 +216,16 @@ def run_fig3(cfg: RunConfig):
                 raise InvariantViolation(
                     f"fig3: fidelity lower bound {nonadaptive.value} exceeds the "
                     f"measured upper bound {pgm.value} at m={m}, u={u}, q_t={q_t}")
-            rows.append(SweepRow((
+            rows.append((
                 m, u, gap, float(q_t), float(q_b),
                 adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
                 opt.best_ports,
                 nonadaptive.clamped_value, nonadaptive.value, int(nonadaptive.clamped),
-                pgm.value)))
+                pgm.value))
     return header, rows
 
 
-def _binary_blocks(cfg: RunConfig, default_gaps):
+def _binary_blocks(cfg, default_gaps):
     # (gap, q1 array, q0 array) blocks: one explicit (q0, q1) pair or, per
     # gap, a sweep q0 = q1 + gap.
     if cfg.q0 is not None:
@@ -269,24 +237,24 @@ def _binary_blocks(cfg: RunConfig, default_gaps):
     return blocks
 
 
-def _binary_points(cfg: RunConfig, default_gaps):
+def _binary_points(cfg, default_gaps):
     # The points of _binary_blocks one (gap, q1, q0) at a time.
     return [(gap, q1, q0) for gap, q1s, q0s in _binary_blocks(cfg, default_gaps)
             for q1, q0 in zip(q1s.tolist(), q0s.tolist())]
 
 
-def run_binary_qec(cfg: RunConfig):
+def run_binary_qec(cfg):
     u = cfg.u if cfg.u is not None else 30
     header = ["gap", "q1", "q0", "u", "qec_ultimate[exact]"]
     rows = []
     for gap, q1, q0 in _binary_blocks(cfg, (0.2, 0.4, 0.6, 0.8)):
         values = check_exact_prob(f_u_values(q0, q1, u))
-        rows.extend(SweepRow((gap, p1, p0, u, value))
+        rows.extend((gap, p1, p0, u, value)
                     for p1, p0, value in zip(q1.tolist(), q0.tolist(), values.tolist()))
     return header, rows
 
 
-def run_binary_qdc(cfg: RunConfig):
+def run_binary_qdc(cfg):
     u = cfg.u if cfg.u is not None else 30
     d = cfg.d if cfg.d is not None else 6
     header = ["gap", "q1", "q0", "u", "d", "qdc_entangled[exact]", "qdc_classical[exact]"]
@@ -301,11 +269,11 @@ def run_binary_qdc(cfg: RunConfig):
                 f"binary qdc: entangled value {entangled[bad]} exceeds classical "
                 f"{classical[bad]} at q1={q1[bad]}, q0={q0[bad]}")
         points = zip(q1.tolist(), q0.tolist(), entangled.tolist(), classical.tolist())
-        rows.extend(SweepRow((gap, p1, p0, u, d, ent, cls)) for p1, p0, ent, cls in points)
+        rows.extend((gap, p1, p0, u, d, ent, cls) for p1, p0, ent, cls in points)
     return header, rows
 
 
-def run_binary_qadc(cfg: RunConfig):
+def run_binary_qadc(cfg):
     from .qadc import (fvg_sandwich, nulling_error, qadc_adaptive_lb_opt, qadc_block_helstrom,
                        qadc_block_pgm, qadc_choi_fidelity)
     u = cfg.u if cfg.u is not None else 8
@@ -334,15 +302,15 @@ def run_binary_qadc(cfg: RunConfig):
             raise InvariantViolation(
                 f"binary qadc: adaptive lower bound {adaptive.value} exceeds the "
                 f"block error {exact.value} at q1={q1}, q0={q0}")
-        rows.append(SweepRow((
+        rows.append((
             gap, q1, q0, u,
             adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
             opt.best_ports, fvg_lo, exact.value, fvg_hi, pgm.value,
-            nulls["apply_q0"], nulls["apply_q1"], nulls["apply_min"])))
+            nulls["apply_q0"], nulls["apply_q1"], nulls["apply_min"]))
     return header, rows
 
 
-def run_binary(cfg: RunConfig):
+def run_binary(cfg):
     if cfg.kind == "qec":
         return run_binary_qec(cfg)
     if cfg.kind == "qdc":
@@ -350,7 +318,7 @@ def run_binary(cfg: RunConfig):
     return run_binary_qadc(cfg)
 
 
-def run_crosscheck(cfg: RunConfig):
+def run_crosscheck(cfg):
     from .crosscheck import CROSSCHECKS
     header = ["check", "status", "max_abs_dev", "tolerance", "cases"]
     rows = []
@@ -358,14 +326,14 @@ def run_crosscheck(cfg: RunConfig):
     started = time.monotonic()
     for name, check in CROSSCHECKS:
         if time.monotonic() - started > cfg.budget:
-            rows.append(SweepRow((name, "skipped", 0.0, 0.0, 0)))
+            rows.append((name, "skipped", 0.0, 0.0, 0))
             continue
         rng = np.random.default_rng(cfg.seed)
         dev, tol, cases = check(rng)
         status = "pass" if dev <= tol else "fail"
         if status == "fail":
             failures.append(f"{name} (deviation {dev:.3e} > tolerance {tol:.3e})")
-        rows.append(SweepRow((name, status, float(dev), float(tol), cases)))
+        rows.append((name, status, float(dev), float(tol), cases))
     return header, rows, failures
 
 
@@ -403,12 +371,11 @@ def _json_value(value):
 
 
 def render(header, rows, fmt: str) -> str:
-    values = [row.values for row in rows]
     if fmt == "csv":
-        line = _csv_row_format(header, values)
-        return "\n".join([",".join(header), *(line % row for row in values)]) + "\n"
+        line = _csv_row_format(header, rows)
+        return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
     import json
-    payload = [{name: _json_value(v) for name, v in zip(header, row)} for row in values]
+    payload = [{name: _json_value(v) for name, v in zip(header, row)} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -7,95 +7,27 @@ adaptive, entangled strategies admits a lower bound built from channel
 simulation: replace each cell by an ``M``-port teleportation simulation,
 collect the resulting block states (tensor powers of cell Choi matrices),
 and pay a continuity penalty ``u/2`` times the accumulated simulation
-error.  This module provides the ensemble construction, the continuity
-arithmetic, fidelity-based evaluations of the block bound, the port-count
-optimization, and the block ensemble of any Kraus family for the iterative
-Helstrom solver.
+error.  This module holds the arithmetic of that route, all of it on
+numbers and arrays of port counts: the simulation error of an instance, the
+continuity bound, the fidelity bounds on the block error, and the
+port-count optimization.
 
-Block states never touch the ambient ``dim**(m u)`` space.  Hypothesis
-``n`` is ``W_n W_n†`` with ``W_n`` the tensor product of per-cell Kraus
-vectors, and the cyclic cell shift maps ``W_n`` to ``W_{n+1}``, so the Gram
-matrix of all hypotheses is block-circulant, ``W_n† W_n' = C_{n'-n}``, and
-the states follow from it in a basis of their joint support.  For damping
-cells the square-root-measurement error needs no states at all: see
+The block states themselves are not built here.  The block ensemble of any
+Kraus family, for the iterative Helstrom solver, is
+:func:`chandisc.channels.compressed_cpf_ensemble`; for damping cells the
+square-root-measurement error needs no states at all: see
 :func:`chandisc.qadc.qadc_cpf_block_pgm`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-
 import numpy as np
 
-from .channels import KrausChannel, choi, kraus_vectors
-from .discrimination import (KIND_LOWER, BoundReport, StateEnsemble,
-                             fidelity_lower_bound, helstrom_iterative)
-from .linalg import ChandiscError, DensityMatrix, fidelity, gram_states, kron_power, tensor_all
+from .linalg import KIND_LOWER, BoundReport, ChandiscError, Frozen
 
 
 class CpfError(ChandiscError):
     """Raised for invalid position-finding specifications."""
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class CpfSpec:
-    """One anomalous ``target`` cell among ``m``, the rest ``background``."""
-
-    background: KrausChannel
-    target: KrausChannel
-    m: int
-    u: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "u", int(self.u))
-        if self.m < 2:
-            raise CpfError(f"need m >= 2 cells, got {self.m}")
-        if self.u < 1:
-            raise CpfError(f"need u >= 1 uses, got {self.u}")
-        same_in = self.background.dim_in == self.target.dim_in
-        same_out = self.background.dim_out == self.target.dim_out
-        if not (same_in and same_out):
-            raise CpfError("background and target channels must share dimensions")
-
-
-def build_cpf_choi_ensemble(spec: CpfSpec, max_dim: int = 4096) -> StateEnsemble:
-    """The ``m`` hypothesis states built from single-use cell Choi matrices.
-
-    Dense, in the ambient space: the small-size reference for the
-    Gram-space routes.  Hypothesis ``n`` places the target Choi matrix in slot ``n`` (ascending
-    slot order, first factor most significant) and the background Choi in
-    every other slot.  The ensemble is equiprobable and geometrically
-    uniform: the cyclic shift of :func:`cyclic_shift` maps hypothesis ``n``
-    to ``n + 1 mod m``.
-    """
-    bg = choi(spec.background).mat
-    tg = choi(spec.target).mat
-    if bg.shape[0] ** spec.m > max_dim:
-        raise CpfError(
-            f"ambient dimension {bg.shape[0]}**{spec.m} exceeds guard {max_dim}; "
-            f"use the compressed ensemble")
-    states = []
-    for n in range(spec.m):
-        factors = [bg] * spec.m
-        factors[n] = tg
-        states.append(DensityMatrix(tensor_all(factors)))
-    return StateEnsemble.equiprobable(states)
-
-
-def cyclic_shift(cell_dim: int, m: int) -> np.ndarray:
-    """Permutation matrix rotating ``m`` cells of size ``cell_dim`` up one slot."""
-    cell_dim = int(cell_dim)
-    m = int(m)
-    if cell_dim < 1 or m < 1:
-        raise CpfError("cell_dim and m must be positive")
-    dim = cell_dim**m
-    old = np.arange(dim)
-    new = (old % cell_dim) * cell_dim ** (m - 1) + old // cell_dim
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[new, old] = 1.0
-    return mat
 
 
 def cpf_sim_error(delta_background, delta_target, m: int):
@@ -141,33 +73,6 @@ def theorem1_lower_bound(block_error: float, u: int, delta_avg: float) -> BoundR
                        {"block_error": block_error, "u": u, "delta_avg": delta_avg})
 
 
-def general_fidelity_lb(ensemble: StateEnsemble, u: int, ports: int,
-                        delta_avg: float) -> BoundReport:
-    """Adaptive lower bound from pairwise fidelities of single-use states.
-
-    Lower-bounds the block error of ``u * ports``-fold tensor powers via
-    pairwise fidelities (which exponentiate across tensor products), then
-    subtracts the continuity penalty:
-
-        ``sum_{k<k'} p_k p_k' F(rho_k, rho_k')**(2 u ports) - u * delta_avg / 2``.
-    """
-    u = int(u)
-    ports = int(ports)
-    if u < 1 or ports < 1:
-        raise CpfError("need u >= 1 and ports >= 1")
-    delta_avg = float(delta_avg)
-    if delta_avg < 0.0:
-        raise CpfError(f"simulation error must be >= 0, got {delta_avg}")
-    total = 0.0
-    for i in range(ensemble.m):
-        for j in range(i + 1, ensemble.m):
-            pair = fidelity(ensemble.states[i], ensemble.states[j])
-            total += ensemble.priors[i] * ensemble.priors[j] * pair ** (2 * u * ports)
-    value = total - u * delta_avg / 2.0
-    return BoundReport(value, KIND_LOWER, "general_fidelity_lb",
-                       {"u": u, "ports": ports, "delta_avg": delta_avg, "m": ensemble.m})
-
-
 def check_ports(ports, error=CpfError) -> np.ndarray:
     """``ports`` as an int64 array, raising ``error`` unless every count is >= 1."""
     try:
@@ -181,9 +86,12 @@ def check_ports(ports, error=CpfError) -> np.ndarray:
 
 def cpf_fidelity_lb_values(choi_fidelity: float, m: int, u: int, ports,
                            delta_avg) -> np.ndarray:
-    """Position-finding specialization of :func:`general_fidelity_lb`.
+    """Position-finding adaptive lower bound from pairwise fidelities.
 
-    Two hypotheses differ in exactly two slots (background vs target either
+    The pairwise-fidelity bound
+    ``sum_{k<k'} p_k p_k' F(rho_k, rho_k')**(2 u ports)`` on the block error
+    of ``u * ports``-fold tensor powers, minus the continuity penalty.  Two
+    hypotheses differ in exactly two slots (background vs target either
     way), so every pairwise ensemble fidelity equals the squared Choi
     fidelity ``F**2`` and the bound collapses to
 
@@ -233,18 +141,18 @@ def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundRe
                        {"choi_fidelity": choi_fidelity, "m": m, "u": u})
 
 
-@dataclasses.dataclass(frozen=True)
-class MOptimizationResult:
+class MOptimizationResult(Frozen):
     """Outcome of maximizing a bound over the simulation port count."""
 
-    best_ports: int
-    best_value: float
-    evaluations: tuple
+    __slots__ = ("best_ports", "best_value", "evaluations")
 
-    def __post_init__(self):
-        values = [v for _, v in self.evaluations]
-        if not values or max(values) != self.best_value:
+    def __init__(self, best_ports: int, best_value: float, evaluations: tuple):
+        values = [v for _, v in evaluations]
+        if not values or max(values) != best_value:
             raise CpfError("best_value must be the maximum over the evaluations")
+        object.__setattr__(self, "best_ports", best_ports)
+        object.__setattr__(self, "best_value", best_value)
+        object.__setattr__(self, "evaluations", evaluations)
 
 
 # Largest port count the optimizer accepts: beyond 2**53 the float grid
@@ -269,7 +177,8 @@ def optimize_over_M(bound_fn, ports_range=(1, 10**6), grid_points: int = 200,
     simulation-based bounds here are with the default simulation prefactor,
     and for bounds that are non-increasing from each breakpoint to the
     next, as they are with a tabulated step-function prefactor whose knots
-    are the breakpoints.  Ranges beyond ``MAX_PORTS`` are refused.
+    are the breakpoints.  Ranges beyond ``MAX_PORTS`` are refused, and so
+    is a NaN bound, which has no place in the order the search relies on.
     """
     lo, hi = int(ports_range[0]), int(ports_range[1])
     if lo < 1 or hi < lo:
@@ -287,6 +196,8 @@ def optimize_over_M(bound_fn, ports_range=(1, 10**6), grid_points: int = 200,
         if fresh:
             ports = np.array(fresh, dtype=np.int64)
             values = np.broadcast_to(np.asarray(bound_fn(ports), dtype=np.float64), ports.shape)
+            if np.isnan(values).any():
+                raise CpfError(f"bound is NaN at {int(ports[np.isnan(values)][0])} ports")
             evaluated.update(zip(fresh, values.tolist()))
 
     def geometric(left, right, num):
@@ -316,75 +227,3 @@ def optimize_over_M(bound_fn, ports_range=(1, 10**6), grid_points: int = 200,
     best_ports = min(p for p, v in evaluated.items() if v == best_value)
     return MOptimizationResult(best_ports=best_ports, best_value=best_value,
                                evaluations=tuple(sorted(evaluated.items())))
-
-
-def _circulant_terms(spec: CpfSpec, max_rank: int) -> np.ndarray:
-    """The blocks ``C_k = W_0† W_k``, stacked along the first axis.
-
-    ``W_n`` is the tensor product, over cells and uses, of the Kraus
-    vectors of hypothesis ``n`` (target in cell ``n``), its columns
-    labelled relative to the target: ``W_n = S^n W_0`` for the cyclic cell
-    shift ``S``, so the Kraus index that ``W_0`` attaches to cell ``j``,
-    ``W_n`` attaches to cell ``j + n``.  Then ``W_n† W_n' = C_{n'-n}``.
-    Row cell ``l`` of ``C_k`` meets column cell ``l - k``, so ``C_k`` is a
-    Kronecker product of per-cell Grams with its column cells rotated.
-    Raises before allocating anything when the side
-    ``r_t**u r_b**((m-1) u)`` exceeds ``max_rank``.
-    """
-    m, u = spec.m, spec.u
-    ranks = {"t": len(spec.target.kraus), "b": len(spec.background.kraus)}
-    # Capped exponents decide the same way: 2**64 exceeds any usable guard.
-    side = ranks["t"] ** min(u, 64) * ranks["b"] ** min((m - 1) * u, 64)
-    if side > max_rank:
-        raise CpfError(f"Gram block side {side} exceeds guard {max_rank}")
-    vecs = {"t": kraus_vectors(spec.target), "b": kraus_vectors(spec.background)}
-    cell_grams = {(x, y): kron_power(vecs[x].conj().T @ vecs[y], u)
-                  for x in vecs for y in vecs}
-    labels = ["t"] + ["b"] * (m - 1)
-    terms = []
-    for k in range(m):
-        term = functools.reduce(np.kron, [cell_grams[labels[l], labels[(l - k) % m]]
-                                          for l in range(m)])
-        term = term.reshape([side] + [ranks[labels[(l - k) % m]] ** u for l in range(m)])
-        term = term.transpose([0] + [1 + (j + k) % m for j in range(m)])
-        terms.append(term.reshape(side, side))
-    return np.stack(terms)
-
-
-def compressed_cpf_ensemble(spec: CpfSpec, max_rank: int = 2048) -> StateEnsemble:
-    """The ``u``-fold block ensemble, in an orthonormal basis of its joint support.
-
-    Equivalent for every discrimination quantity to the ``u``-th tensor
-    powers of the hypothesis Choi states: :func:`~chandisc.linalg.gram_states`
-    of the block-circulant Gram matrix.  Raises before allocating once its
-    side ``m r**(m u)`` exceeds ``max_rank``.
-    """
-    m = spec.m
-    terms = _circulant_terms(spec, max_rank // m)
-    gram = np.block([[terms[(k - n) % m] for k in range(m)] for n in range(m)])
-    states = gram_states(gram, [terms.shape[1]] * m)
-    return StateEnsemble.equiprobable([DensityMatrix(s, validate=False) for s in states])
-
-
-def cpf_helstrom_iterative(spec: CpfSpec, tol: float = 1e-8, max_iters: int = 5000,
-                           dim_guard: int = 256, max_rank: int = 2048):
-    """Minimum block error of the compressed block ensemble, with certificate.
-
-    Returns the same ``(report, povm, gap)`` triple as
-    :func:`~chandisc.discrimination.helstrom_iterative`.
-    """
-    ensemble = compressed_cpf_ensemble(spec, max_rank=max_rank)
-    return helstrom_iterative(ensemble, tol=tol, max_iters=max_iters, dim_guard=dim_guard)
-
-
-def cpf_block_fidelity_lb(spec: CpfSpec, max_rank: int = 2048) -> BoundReport:
-    """Pairwise-fidelity lower bound evaluated on the compressed block states.
-
-    Cross-check route for :func:`cpf_nonadaptive_fidelity_lb`: instead of
-    exponentiating the Choi fidelity analytically, this measures the
-    pairwise fidelities of the actual ``u``-fold states and feeds them to
-    the general mixed-state bound.
-    """
-    report = fidelity_lower_bound(compressed_cpf_ensemble(spec, max_rank=max_rank))
-    return BoundReport(report.value, KIND_LOWER, "cpf_block_fidelity_lb",
-                       {"m": spec.m, "u": spec.u})

@@ -12,12 +12,12 @@ import functools
 
 import numpy as np
 
-from .channels import (choi as channel_choi, kraus_vectors, make_qadc, make_qdc, make_qec,
-                       tele_covariance_check)
-from .cpf import CpfSpec, cpf_helstrom_iterative, optimize_over_M
-from .discrimination import (StateEnsemble, gus_unitary_helstrom, helstrom_binary,
-                             helstrom_iterative, pgm_error)
-from .linalg import DensityMatrix, gram_states, kron_power, tensor_all, trace_norm
+from .channels import (CpfSpec, choi as channel_choi, cpf_helstrom_iterative, kraus_vectors,
+                       make_qadc, make_qdc, make_qec, tele_covariance_check)
+from .cpf import optimize_over_M
+from .discrimination import (DensityMatrix, StateEnsemble, gram_states, gus_unitary_helstrom,
+                             helstrom_binary, helstrom_iterative, kron_power, pgm_error,
+                             tensor_all, trace_norm)
 from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_cpf
 from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
                    qadc_block_helstrom, qadc_choi_fidelity, qadc_cpf_adaptive_lb,

@@ -21,13 +21,11 @@ oracles live with the tests.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 
-from .discrimination import KIND_EXACT, BoundReport
-from .linalg import ChandiscError, check_prob
+from .linalg import KIND_EXACT, BoundReport, ChandiscError, Frozen, check_prob
 
 # Up to this many uses the binomial pmf is a direct product of powers; above
 # it, Loader's saddle-point form (see ``_binom_log_pmf``).
@@ -59,8 +57,7 @@ def _check_sizes(u: int, m: int):
         raise OrcError(f"need m >= 2 cells, got {m}")
 
 
-@dataclasses.dataclass(frozen=True)
-class OrcParams:
+class OrcParams(Frozen):
     """Effective Bernoulli parameters of a position-finding instance.
 
     ``q_b`` is the per-use damage probability in each of the ``m - 1``
@@ -68,16 +65,13 @@ class OrcParams:
     number of uses per cell.
     """
 
-    q_b: float
-    q_t: float
-    u: int
-    m: int
+    __slots__ = ("q_b", "q_t", "u", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q_b", float(check_prob(self.q_b, "q_b", OrcError)))
-        object.__setattr__(self, "q_t", float(check_prob(self.q_t, "q_t", OrcError)))
-        object.__setattr__(self, "u", int(self.u))
-        object.__setattr__(self, "m", int(self.m))
+    def __init__(self, q_b: float, q_t: float, u: int, m: int):
+        object.__setattr__(self, "q_b", float(check_prob(q_b, "q_b", OrcError)))
+        object.__setattr__(self, "q_t", float(check_prob(q_t, "q_t", OrcError)))
+        object.__setattr__(self, "u", int(u))
+        object.__setattr__(self, "m", int(m))
         _check_sizes(self.u, self.m)
 
 

@@ -20,16 +20,14 @@ hence an upper bound to compare the lower bounds against.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
 import numpy as np
 
-from .channels import default_xi, qadc_sim_error_values
 from .cpf import check_ports, cpf_fidelity_lb_values, cpf_sim_error, optimize_over_M
-from .discrimination import KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport
-from .linalg import ChandiscError, check_prob
+from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError,
+                     ChannelError, Frozen, check_prob)
 from .orc import _binom_log_pmf, _binom_pmf
 
 
@@ -76,8 +74,29 @@ def fvg_sandwich(choi_fidelity: float, u: int):
     return lower, block / 2.0
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class XiTable:
+def default_xi(ports):
+    """Default port scaling ``min(4 / M, 2)`` of the damping simulation error.
+
+    Elementwise over an array of port counts.
+    """
+    return np.minimum(4.0 / np.asarray(ports), 2.0)
+
+
+def qadc_sim_error_values(q, xi) -> np.ndarray:
+    """Damping simulation errors ``xi * ((1 - q)/2 + sqrt(1 - q))``, elementwise over ``xi``.
+
+    ``xi`` holds the port-dependent prefactor at each port count.  The
+    damping-dependent factor vanishes at ``q = 1``, where the channel becomes
+    a constant map that is simulable exactly.
+    """
+    q = float(check_prob(q, "q", ChannelError))
+    xi = np.asarray(xi, dtype=np.float64)
+    if (xi < 0.0).any():
+        raise ChannelError(f"xi must be >= 0, got {xi.min()}")
+    return xi * ((1.0 - q) / 2.0 + np.sqrt(1.0 - q))
+
+
+class XiTable(Frozen):
     """Step-function simulation prefactor from tabulated knots.
 
     At ``M`` ports the value is that of the largest tabulated port count
@@ -87,16 +106,17 @@ class XiTable:
     knots to :func:`~chandisc.cpf.optimize_over_M` as breakpoints.
     """
 
-    ports: np.ndarray
-    values: np.ndarray
+    __slots__ = ("ports", "values")
 
-    def __post_init__(self):
-        ports = np.asarray(self.ports, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, ports, values):
+        ports = np.asarray(ports, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
         if ports.ndim != 1 or ports.shape != values.shape or not ports.size:
             raise QadcError("xi table needs at least one knot and one value per port count")
         if (np.diff(ports) <= 0).any():
             raise QadcError("xi table port counts must increase strictly")
+        if not np.isfinite(values).all():
+            raise QadcError("xi table has non-finite values")
         if (values < 0.0).any():
             raise QadcError("xi table has negative values")
         object.__setattr__(self, "ports", ports)
@@ -131,7 +151,7 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
         ``(1 - u * (Δ_0 + Δ_1) - sqrt(1 - F**(2 u ports))) / 2``.
 
     Elementwise over an int64 array of port counts.  ``xi`` is the
-    simulation prefactor: ``None`` for :func:`~chandisc.channels.default_xi`,
+    simulation prefactor: ``None`` for :func:`default_xi`,
     a constant, or a function mapping the port array to its values, such as
     an :class:`XiTable`.
     """
@@ -410,16 +430,13 @@ def nulling_unitary(q) -> np.ndarray:
     ], dtype=np.complex128)
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
+class OutcomeDistribution(Frozen):
     """Four-outcome statistics of the nulling receiver on one probe."""
 
-    probs: np.ndarray
-    q_applied: float
-    q_actual: float
+    __slots__ = ("probs", "q_applied", "q_actual")
 
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+    def __init__(self, probs, q_applied: float, q_actual: float):
+        probs = np.asarray(probs, dtype=np.float64)
         if probs.shape != (4,):
             raise QadcError(f"expected 4 outcome probabilities, got shape {probs.shape}")
         if probs.min() < -1e-12:
@@ -429,6 +446,8 @@ class OutcomeDistribution:
         probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "q_applied", q_applied)
+        object.__setattr__(self, "q_actual", q_actual)
 
 
 def nulling_outcome_dist(q_applied, q_actual) -> OutcomeDistribution:

@@ -18,7 +18,13 @@
   ``C(u+3, 3)`` four-outcome count vectors with multinomial weights;
 * ``pbt_pair_adaptive_lb``/``pbt_position_finding_adaptive_lb``: the
   port-based adaptive lower bounds at one port count, in plain ``math``
-  floats, with ``step_xi`` for a tabulated simulation prefactor.
+  floats, with ``step_xi`` for a tabulated simulation prefactor;
+* ``build_cpf_choi_ensemble``/``cyclic_shift``: the position-finding
+  hypotheses as dense tensor products of cell Choi matrices in the ambient
+  space, and the cell rotation that maps each to the next;
+* ``general_fidelity_lb``/``cpf_block_fidelity_lb``: the pairwise-fidelity
+  lower bounds measured on dense or compressed block states, built from the
+  package's dense primitives in ``chandisc.discrimination``.
 
 None shares code with the order-statistic formula in ``chandisc.orc`` or
 with the Gram routes, binomial sums and port-count arrays in
@@ -32,6 +38,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from chandisc.channels import CpfSpec, choi, compressed_cpf_ensemble
+from chandisc.cpf import CpfError
+from chandisc.discrimination import (DensityMatrix, StateEnsemble, fidelity,
+                                     fidelity_lower_bound, tensor_all)
+from chandisc.linalg import KIND_LOWER, BoundReport
 
 _CHUNK = 1 << 20
 
@@ -340,3 +352,81 @@ def step_xi(knots, ports):
     """
     at = bisect.bisect_right([p for p, _ in knots], ports) - 1
     return knots[max(at, 0)][1]
+
+
+def build_cpf_choi_ensemble(spec: CpfSpec, max_dim: int = 4096) -> StateEnsemble:
+    """The ``m`` hypothesis states built from single-use cell Choi matrices.
+
+    Dense, in the ambient space: the small-size reference for the
+    Gram-space routes.  Hypothesis ``n`` places the target Choi matrix in slot ``n`` (ascending
+    slot order, first factor most significant) and the background Choi in
+    every other slot.  The ensemble is equiprobable and geometrically
+    uniform: the cyclic shift of :func:`cyclic_shift` maps hypothesis ``n``
+    to ``n + 1 mod m``.
+    """
+    bg = choi(spec.background).mat
+    tg = choi(spec.target).mat
+    if bg.shape[0] ** spec.m > max_dim:
+        raise CpfError(
+            f"ambient dimension {bg.shape[0]}**{spec.m} exceeds guard {max_dim}; "
+            f"use the compressed ensemble")
+    states = []
+    for n in range(spec.m):
+        factors = [bg] * spec.m
+        factors[n] = tg
+        states.append(DensityMatrix(tensor_all(factors)))
+    return StateEnsemble.equiprobable(states)
+
+
+def cyclic_shift(cell_dim: int, m: int) -> np.ndarray:
+    """Permutation matrix rotating ``m`` cells of size ``cell_dim`` up one slot."""
+    cell_dim = int(cell_dim)
+    m = int(m)
+    if cell_dim < 1 or m < 1:
+        raise CpfError("cell_dim and m must be positive")
+    dim = cell_dim**m
+    old = np.arange(dim)
+    new = (old % cell_dim) * cell_dim ** (m - 1) + old // cell_dim
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[new, old] = 1.0
+    return mat
+
+
+def general_fidelity_lb(ensemble: StateEnsemble, u: int, ports: int,
+                        delta_avg: float) -> BoundReport:
+    """Adaptive lower bound from pairwise fidelities of single-use states.
+
+    Lower-bounds the block error of ``u * ports``-fold tensor powers via
+    pairwise fidelities (which exponentiate across tensor products), then
+    subtracts the continuity penalty:
+
+        ``sum_{k<k'} p_k p_k' F(rho_k, rho_k')**(2 u ports) - u * delta_avg / 2``.
+    """
+    u = int(u)
+    ports = int(ports)
+    if u < 1 or ports < 1:
+        raise CpfError("need u >= 1 and ports >= 1")
+    delta_avg = float(delta_avg)
+    if delta_avg < 0.0:
+        raise CpfError(f"simulation error must be >= 0, got {delta_avg}")
+    total = 0.0
+    for i in range(ensemble.m):
+        for j in range(i + 1, ensemble.m):
+            pair = fidelity(ensemble.states[i], ensemble.states[j])
+            total += ensemble.priors[i] * ensemble.priors[j] * pair ** (2 * u * ports)
+    value = total - u * delta_avg / 2.0
+    return BoundReport(value, KIND_LOWER, "general_fidelity_lb",
+                       {"u": u, "ports": ports, "delta_avg": delta_avg, "m": ensemble.m})
+
+
+def cpf_block_fidelity_lb(spec: CpfSpec, max_rank: int = 2048) -> BoundReport:
+    """Pairwise-fidelity lower bound evaluated on the compressed block states.
+
+    Cross-check route for :func:`cpf_nonadaptive_fidelity_lb`: instead of
+    exponentiating the Choi fidelity analytically, this measures the
+    pairwise fidelities of the actual ``u``-fold states and feeds them to
+    the general mixed-state bound.
+    """
+    report = fidelity_lower_bound(compressed_cpf_ensemble(spec, max_rank=max_rank))
+    return BoundReport(report.value, KIND_LOWER, "cpf_block_fidelity_lb",
+                       {"m": spec.m, "u": spec.u})

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from chandisc.linalg import DensityMatrix
+from chandisc.discrimination import DensityMatrix
 
 
 def random_density(rng, dim: int, rank=None) -> DensityMatrix:

@@ -11,20 +11,18 @@ import time
 import numpy as np
 import pytest
 
-from chandisc.channels import choi, make_qdc, make_qec
-from chandisc.cpf import (
-    CpfSpec,
-    build_cpf_choi_ensemble,
-    cpf_nonadaptive_fidelity_lb,
-)
+from chandisc.channels import CpfSpec, choi, make_qdc, make_qec
+from chandisc.cpf import cpf_nonadaptive_fidelity_lb
 from chandisc.discrimination import (
+    DensityMatrix,
     StateEnsemble,
     continuity_lower_bound,
     gus_unitary_helstrom,
     helstrom_binary,
     helstrom_iterative,
+    tensor_all,
+    trace_norm,
 )
-from chandisc.linalg import DensityMatrix, tensor_all, trace_norm
 from chandisc.orc import (
     OrcParams,
     f_u,
@@ -45,7 +43,7 @@ from chandisc.qadc import (
     qadc_cpf_block_pgm,
 )
 
-from _oracles import h_mu_strings
+from _oracles import build_cpf_choi_ensemble, h_mu_strings
 from _util import gus_pure_states, random_density
 
 

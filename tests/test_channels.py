@@ -6,7 +6,6 @@ from chandisc.channels import (
     KrausChannel,
     apply,
     choi,
-    default_xi,
     heisenberg_weyl,
     make_qadc,
     make_qdc,
@@ -17,7 +16,8 @@ from chandisc.channels import (
     tele_covariance_check,
     zero_sim_error,
 )
-from chandisc.linalg import DensityMatrix, partial_trace
+from chandisc.discrimination import DensityMatrix, partial_trace
+from chandisc.qadc import default_xi
 
 from _util import random_density
 

@@ -296,11 +296,11 @@ def test_every_library_error_exits_two(tmp_path, monkeypatch, capsys, error):
 
 
 RENDER_HEADER = ["check", "status", "max_abs_dev", "tolerance", "cases", "flag"]
-RENDER_ROWS = [cli.SweepRow(values) for values in [
+RENDER_ROWS = [
     ("alpha", "pass", 1.0 / 3.0, 1e-12, 3, True),
     ("beta", "fail", np.float64(-2.5e-300), np.float64(1e-9), np.int64(-12), np.bool_(False)),
     ("gamma", "skipped", 0.0, 0.0, 0, np.bool_(True)),   # crosscheck's skipped row
-]]
+]
 
 
 def test_render_csv_golden():
@@ -311,7 +311,7 @@ def test_render_csv_golden():
         "gamma,skipped,0.0000000000000000e+00,0.0000000000000000e+00,0,1\n")
     assert cli.render(RENDER_HEADER, [], "csv") == ",".join(RENDER_HEADER) + "\n"
     # one format per column: a column holding both integers and floats is refused
-    mixed = [cli.SweepRow((1,)), cli.SweepRow((1.0,))]
+    mixed = [(1,), (1.0,)]
     with pytest.raises(TypeError, match="'x' mixes"):
         cli.render(["x"], mixed, "csv")
 
@@ -373,6 +373,23 @@ def test_xi_table_validation(tmp_path):
         cli.load_xi(cfg)
 
 
+@pytest.mark.parametrize("command", [
+    ["--command", "fig3", "--m", "2", "--u", "1"],
+    ["--command", "binary", "--kind", "qadc", "--u", "2"],
+])
+@pytest.mark.parametrize("knots", ["1,nan\n", "1,2.0\n8,inf\n"])
+def test_non_finite_xi_table_exits_two(tmp_path, capsys, command, knots):
+    # a NaN or infinite prefactor used to reach the port optimizer, where NaN
+    # bounds raised "min() arg is an empty sequence" with a traceback
+    table = tmp_path / "xi.csv"
+    table.write_text(knots, encoding="utf-8")
+    code, _ = run(tmp_path, *command, "--grid", "3", "--xi", f"value-table:{table}")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi table has non-finite values") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_xi_table_changes_qadc_sweep(tmp_path):
     table = tmp_path / "xi.csv"
     table.write_text("1,0.001\n", encoding="utf-8")  # near-perfect simulation
@@ -425,18 +442,30 @@ def test_cli_never_imports_numpy_ma(tmp_path, argv):
     assert "numpy.ma" not in _modules_after(tmp_path, argv)
 
 
-DAMPING_MODULES = {"chandisc.qadc", "chandisc.cpf", "chandisc.channels"}
+DAMPING_MODULES = {"chandisc.qadc", "chandisc.cpf"}
+DENSE_MODULES = {"chandisc.discrimination", "chandisc.channels", "chandisc.crosscheck"}
 
 
 @pytest.mark.parametrize("argv,absent", [
-    (None, DAMPING_MODULES | {"chandisc.crosscheck"}),
-    (["--command", "fig2", "--grid", "2"], DAMPING_MODULES | {"chandisc.crosscheck"}),
-    (["--command", "binary", "--kind", "qec", "--grid", "2"],
-     DAMPING_MODULES | {"chandisc.crosscheck"}),
-    (["--command", "fig3", "--m", "2", "--u", "1", "--grid", "2"], {"chandisc.crosscheck"}),
+    (None, DAMPING_MODULES | DENSE_MODULES),
+    (["--command", "fig2", "--grid", "2"], DAMPING_MODULES | DENSE_MODULES),
+    (["--command", "binary", "--kind", "qec", "--grid", "2"], DAMPING_MODULES | DENSE_MODULES),
+    (["--command", "binary", "--kind", "qdc", "--grid", "2"], DAMPING_MODULES | DENSE_MODULES),
+    (["--command", "fig3", "--m", "2", "--u", "1", "--grid", "2"], DENSE_MODULES),
+    (["--command", "binary", "--kind", "qadc", "--u", "2", "--grid", "2"], DENSE_MODULES),
 ])
 def test_commands_import_only_their_modules(tmp_path, argv, absent):
-    # a process compiles and runs only the modules its command uses
+    # a process compiles and runs only the modules its command uses: the
+    # sweeps never build a dense state, and none of them builds a dataclass
     loaded = _modules_after(tmp_path, argv)
-    assert "chandisc.cli" in loaded
+    assert "chandisc.cli" in loaded and "chandisc.linalg" in loaded
     assert not loaded & absent
+    assert "dataclasses" not in loaded
+
+
+def test_numpy_alone_does_not_import_dataclasses():
+    # otherwise the dataclasses check above would hold for no command
+    done = subprocess.run([sys.executable, "-c", "import sys, numpy; "
+                           "print('dataclasses' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -3,28 +3,31 @@ import time
 import numpy as np
 import pytest
 
-from chandisc.channels import choi, make_qadc, make_qdc, make_qec
+from chandisc.channels import (
+    CpfSpec,
+    choi,
+    compressed_cpf_ensemble,
+    cpf_helstrom_iterative,
+    make_qadc,
+    make_qdc,
+    make_qec,
+)
 from chandisc.cpf import (
     CpfError,
-    CpfSpec,
     MOptimizationResult,
-    build_cpf_choi_ensemble,
-    compressed_cpf_ensemble,
-    cpf_block_fidelity_lb,
     cpf_fidelity_lb,
-    cpf_helstrom_iterative,
     cpf_nonadaptive_fidelity_lb,
     cpf_sim_error,
-    cyclic_shift,
-    general_fidelity_lb,
     optimize_over_M,
     theorem1_lower_bound,
 )
-from chandisc.discrimination import StateEnsemble, pgm_error
-from chandisc.linalg import fidelity, tensor_all, trace_norm
+from chandisc.discrimination import StateEnsemble, fidelity, pgm_error, tensor_all, trace_norm
 from chandisc.orc import qdc_cpf
 from chandisc.qadc import (QadcError, qadc_adaptive_lb_opt, qadc_cpf_adaptive_lb_values,
                           qadc_cpf_block_pgm)
+
+from _oracles import (build_cpf_choi_ensemble, cpf_block_fidelity_lb, cyclic_shift,
+                      general_fidelity_lb)
 
 
 def _qadc_spec(q_b, q_t, m, u=1):
@@ -183,6 +186,17 @@ def test_optimizer_refuses_ranges_beyond_exact_grid_points():
             optimize_over_M(lambda p: 1.0, ports_range=(1, hi))
     with pytest.raises(CpfError):
         qadc_adaptive_lb_opt(0.04, 0.0, 2, ports_range=(1, 2**63 - 1))
+
+
+def test_optimizer_refuses_nan_bounds():
+    # NaN compares false with everything, so the argmax search cannot use it
+    with pytest.raises(CpfError, match="NaN at 1 ports"):
+        optimize_over_M(lambda p: np.nan, ports_range=(1, 100))
+    with pytest.raises(CpfError, match="NaN at 7 ports"):
+        optimize_over_M(lambda p: np.where(p == 7, np.nan, -p.astype(float)),
+                        ports_range=(1, 100))
+    with pytest.raises(CpfError):
+        qadc_adaptive_lb_opt(0.3, 0.2, 2, xi=np.nan)
 
 
 def test_optimizer_prefers_smaller_port_count_on_ties():

@@ -3,6 +3,7 @@ import pytest
 
 from chandisc.discrimination import (
     BoundReport,
+    DensityMatrix,
     DiscriminationError,
     check_exact_prob,
     Povm,
@@ -13,11 +14,11 @@ from chandisc.discrimination import (
     gus_unitary_helstrom,
     helstrom_binary,
     helstrom_iterative,
+    fidelity,
     pgm_error,
     pgm_povm,
     success_probability,
 )
-from chandisc.linalg import DensityMatrix, fidelity
 
 from _util import gus_pure_states, random_density, random_unitary
 

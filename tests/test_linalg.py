@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from chandisc.linalg import (
-    ChandiscError,
+from chandisc.discrimination import (
     DensityMatrix,
-    LinalgError,
     as_complex_matrix,
-    check_prob,
     fidelity,
     gram_states,
     hermitize,
@@ -16,6 +13,7 @@ from chandisc.linalg import (
     tensor_all,
     trace_norm,
 )
+from chandisc.linalg import ChandiscError, LinalgError, check_prob
 
 from _util import random_density, random_pure, random_unitary
 

@@ -1,6 +1,11 @@
 """The package's public surface: lazily exported names resolve as before."""
 
+import copy
 import importlib
+import pickle
+
+import numpy as np
+import pytest
 
 import chandisc
 
@@ -14,6 +19,9 @@ def test_every_export_is_its_defining_object():
             assert value is importlib.import_module(f"chandisc.{name}")
         else:
             assert vars(importlib.import_module(value.__module__))[name] is value, name
+    # the error classes defined in linalg are the ones their old modules raise
+    assert chandisc.discrimination.DiscriminationError is chandisc.DiscriminationError
+    assert chandisc.channels.ChannelError is chandisc.ChannelError
 
 
 def test_star_import_binds_all():
@@ -27,3 +35,51 @@ def test_unknown_names_are_attribute_errors():
     assert getattr(chandisc, "no_such_name", None) is None
     assert not hasattr(chandisc, "active_backend")
     assert "h_mu_values" in dir(chandisc)
+
+
+# One bad and one good construction per value type, with the error the bad one raises.
+VALUE_TYPES = {
+    "BoundReport": (lambda: chandisc.BoundReport(0.5, "sideways", "m"),
+                    lambda: chandisc.BoundReport(0.5, "exact", "m"), chandisc.DiscriminationError),
+    "KrausChannel": (lambda: chandisc.KrausChannel((2 * np.eye(2),)),
+                     lambda: chandisc.make_qadc(0.3), chandisc.ChannelError),
+    "SimulationError": (lambda: chandisc.SimulationError(-1.0, 4, "uniform_bound"),
+                        lambda: chandisc.zero_sim_error(), chandisc.ChannelError),
+    "CpfSpec": (lambda: chandisc.CpfSpec(chandisc.make_qadc(0.1), chandisc.make_qadc(0.2), 1, 1),
+                lambda: chandisc.CpfSpec(chandisc.make_qadc(0.1), chandisc.make_qadc(0.2), 2, 1),
+                chandisc.CpfError),
+    "MOptimizationResult": (lambda: chandisc.MOptimizationResult(1, 2.0, ((1, 1.0),)),
+                            lambda: chandisc.MOptimizationResult(1, 1.0, ((1, 1.0),)),
+                            chandisc.CpfError),
+    "XiTable": (lambda: chandisc.XiTable([1, 2], [1.0, np.nan]),
+                lambda: chandisc.XiTable([1, 2], [1.0, 0.5]), chandisc.QadcError),
+    "OutcomeDistribution": (lambda: chandisc.OutcomeDistribution([0.5, 0.5, 0.5, 0.0], 0.1, 0.1),
+                            lambda: chandisc.nulling_outcome_dist(0.1, 0.2), chandisc.QadcError),
+    "OrcParams": (lambda: chandisc.OrcParams(q_b=1.5, q_t=0.5, u=1, m=2),
+                  lambda: chandisc.OrcParams(q_b=0.5, q_t=0.5, u=1, m=2), chandisc.OrcError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_types_validate_and_stay_immutable(name):
+    bad, good, error = VALUE_TYPES[name]
+    with pytest.raises(error):
+        bad()
+    value = good()
+    assert type(value).__name__ == name
+    field = type(value).__slots__[0]
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) is before
+    assert repr(value).startswith(f"{name}(")
+    # copies keep every field and stay immutable
+    for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert repr(twin) == repr(value)
+        with pytest.raises(AttributeError):
+            setattr(twin, field, before)

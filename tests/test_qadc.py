@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from chandisc import orc
 from chandisc.channels import ChannelError, choi, make_qadc, qadc_pbt_error
 from chandisc.cpf import CpfError, cpf_fidelity_lb, cpf_nonadaptive_fidelity_lb, cpf_sim_error
-from chandisc.discrimination import StateEnsemble, helstrom_binary, pgm_error
-from chandisc.linalg import fidelity, tensor_all
+from chandisc.discrimination import StateEnsemble, fidelity, helstrom_binary, pgm_error, tensor_all
 from chandisc.qadc import (
     QadcError,
     XiTable,
