@@ -21,12 +21,11 @@ import importlib
 # Exported names by the submodule that defines them.
 _EXPORTS = {
     "channels": (
-        "CpfSpec", "KrausChannel", "SimulationError", "apply", "choi",
-        "compressed_cpf_ensemble", "cpf_helstrom_iterative", "heisenberg_weyl",
-        "kraus_vectors", "make_qadc", "make_qdc", "make_qec", "maximally_entangled",
-        "pbt_error_bound", "qadc_pbt_error", "tele_covariance_check", "zero_sim_error"),
+        "CpfSpec", "KrausChannel", "apply", "choi", "compressed_cpf_ensemble",
+        "cpf_helstrom_iterative", "heisenberg_weyl", "kraus_vectors", "make_qadc", "make_qdc",
+        "make_qec", "maximally_entangled", "pbt_error_bound", "tele_covariance_check"),
     "cpf": (
-        "CpfError", "MOptimizationResult", "cpf_fidelity_lb", "cpf_fidelity_lb_values",
+        "CpfError", "MOptimizationResult", "cpf_fidelity_lb_values",
         "cpf_nonadaptive_fidelity_lb", "cpf_sim_error", "optimize_over_M",
         "theorem1_lower_bound"),
     "discrimination": (
@@ -42,11 +41,10 @@ _EXPORTS = {
         "qdc_binary", "qdc_cpf", "qdc_scales", "qec_binary", "qec_cpf"),
     "qadc": (
         "OutcomeDistribution", "QadcError", "XiTable", "default_xi", "fvg_sandwich",
-        "nulling_error", "nulling_outcome_dist", "nulling_unitary", "qadc_adaptive_lb",
-        "qadc_adaptive_lb_opt", "qadc_adaptive_lb_values", "qadc_block_helstrom",
-        "qadc_block_pgm", "qadc_choi_fidelity", "qadc_cpf_adaptive_lb",
-        "qadc_cpf_adaptive_lb_opt", "qadc_cpf_adaptive_lb_values", "qadc_cpf_block_pgm",
-        "qadc_sim_error_values"),
+        "nulling_error", "nulling_outcome_dist", "nulling_unitary", "qadc_adaptive_lb_opt",
+        "qadc_adaptive_lb_values", "qadc_block_helstrom", "qadc_block_pgm",
+        "qadc_choi_fidelity", "qadc_cpf_adaptive_lb_opt", "qadc_cpf_adaptive_lb_values",
+        "qadc_cpf_block_pgm", "qadc_sim_error_values"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,16 +1,10 @@
-"""Channel families, Choi matrices, simulation errors and block ensembles.
+"""Channel families, Choi matrices and block ensembles.
 
 The three channel families used throughout the package are quantum erasure
 channels (``make_qec``), qudit depolarizing channels (``make_qdc``) and qubit
 amplitude damping channels (``make_qadc``).  All are represented by explicit
 Kraus operators, and every derived object (Choi matrix, output state) is a
 validated :class:`~chandisc.discrimination.DensityMatrix`.
-
-Simulation errors quantify how well a channel can be replaced by a
-teleportation-style protocol consuming a fixed program state with ``M``
-ports.  They feed the adaptive-strategy lower bounds: an adaptive protocol
-probing a simulable channel ``u`` times can be traded for a block protocol at
-the cost of ``u/2`` times the simulation error in trace distance.
 
 The module also builds the ``u``-fold block ensemble of position finding
 (:class:`CpfSpec`) for any Kraus family, for the iterative Helstrom solver.
@@ -33,7 +27,6 @@ from .cpf import CpfError
 from .discrimination import (DensityMatrix, StateEnsemble, as_complex_matrix, gram_states,
                              helstrom_iterative, hermitize, kron_power)
 from .linalg import ChannelError, Frozen, check_prob
-from .qadc import default_xi, qadc_sim_error_values
 
 
 TP_TOL = 1e-9
@@ -184,37 +177,12 @@ def choi(channel: KrausChannel) -> DensityMatrix:
     return DensityMatrix(vecs @ vecs.conj().T)
 
 
-SIM_ERROR_KINDS = ("uniform_bound", "qadc_specific", "exact_zero")
-
-
-class SimulationError(Frozen):
-    """Trace-norm accuracy of a port-based channel simulation.
-
-    ``value`` bounds the diamond-norm distance between the channel and its
-    simulation through an ``M = ports`` port teleportation protocol.  The
-    bound is not clamped: small ``M`` can give values above the trivial
-    distance 2, which simply makes the downstream lower bounds vacuous.
-    """
-
-    __slots__ = ("value", "ports", "kind")
-
-    def __init__(self, value: float, ports: int, kind: str):
-        if kind not in SIM_ERROR_KINDS:
-            raise ChannelError(f"unknown simulation error kind {kind!r}")
-        if value < 0.0:
-            raise ChannelError(f"simulation error must be >= 0, got {value}")
-        if ports < 1:
-            raise ChannelError(f"port count must be >= 1, got {ports}")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "ports", ports)
-        object.__setattr__(self, "kind", kind)
-
-
-def pbt_error_bound(d: int, ports: int) -> SimulationError:
+def pbt_error_bound(d: int, ports: int) -> float:
     """Universal port-based simulation error ``2 d (d - 1) / M`` in dimension ``d``.
 
-    Valid for any channel with input dimension ``d``; it decays only linearly
-    in the number of ports but requires no structure from the channel.
+    Bounds the diamond-norm distance between any channel of input dimension
+    ``d`` and its ``M = ports`` port teleportation simulation; it decays only
+    linearly in the number of ports but requires no structure from the channel.
     """
     d = int(d)
     ports = int(ports)
@@ -222,26 +190,7 @@ def pbt_error_bound(d: int, ports: int) -> SimulationError:
         raise ChannelError(f"need d >= 2, got {d}")
     if ports < 1:
         raise ChannelError(f"need ports >= 1, got {ports}")
-    return SimulationError(2.0 * d * (d - 1) / ports, ports, "uniform_bound")
-
-
-def qadc_pbt_error(q, ports: int, xi=None) -> SimulationError:
-    """Port-based simulation error for the amplitude damping channel.
-
-    ``xi`` is the port-dependent prefactor; by default
-    :func:`~chandisc.qadc.default_xi`.  See
-    :func:`~chandisc.qadc.qadc_sim_error_values`.
-    """
-    ports = int(ports)
-    if ports < 1:
-        raise ChannelError(f"need ports >= 1, got {ports}")
-    xi = default_xi(ports) if xi is None else float(xi)
-    return SimulationError(float(qadc_sim_error_values(q, xi)), ports, "qadc_specific")
-
-
-def zero_sim_error() -> SimulationError:
-    """Exact single-port simulation, available for tele-covariant channels."""
-    return SimulationError(0.0, 1, "exact_zero")
+    return 2.0 * d * (d - 1) / ports
 
 
 def _correction_exists(c, c_u, dim_out: int, dim_in: int, tol: float) -> bool:

@@ -23,8 +23,8 @@ Output is CSV (default) or JSON.  CSV uses comma separators, ``.`` decimal
 points, 17-significant-digit scientific floats, LF line endings and UTF-8;
 two runs with an identical configuration produce byte-identical output.
 Exit codes: 0 on success, 2 for invalid configurations (including inputs a
-library size guard refuses), 3 when a result table violates one of its
-internal ordering invariants.
+library size guard refuses, and tables too large for the memory at hand), 3
+when a result table violates one of its internal ordering invariants.
 """
 
 from __future__ import annotations
@@ -413,6 +413,9 @@ def main(argv=None) -> int:
         return 0
     except (CliConfigError, ChandiscError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -118,27 +118,14 @@ def cpf_fidelity_lb_values(choi_fidelity: float, m: int, u: int, ports,
     return (m - 1) / (2.0 * m) * np.float_power(choi_fidelity, exponent) - u * delta_avg / 2.0
 
 
-def cpf_fidelity_lb(choi_fidelity: float, m: int, u: int, ports: int,
-                    delta_avg: float) -> BoundReport:
-    """:func:`cpf_fidelity_lb_values` at one port count, as a report."""
-    value = cpf_fidelity_lb_values(choi_fidelity, m, u, int(ports), delta_avg)
-    return BoundReport(value, KIND_LOWER, "cpf_fidelity_lb",
-                       {"choi_fidelity": float(choi_fidelity), "m": int(m), "u": int(u),
-                        "ports": int(ports), "delta_avg": float(delta_avg)})
-
-
 def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundReport:
-    """Lower bound for block (non-adaptive) strategies, no simulation penalty."""
-    choi_fidelity = float(choi_fidelity)
-    if not 0.0 <= choi_fidelity <= 1.0:
-        raise CpfError(f"fidelity must lie in [0, 1], got {choi_fidelity}")
-    m = int(m)
-    u = int(u)
-    if m < 2 or u < 1:
-        raise CpfError("need m >= 2 and u >= 1")
-    value = (m - 1) / (2.0 * m) * choi_fidelity ** (4 * u)
+    """Lower bound for block (non-adaptive) strategies: one port, no simulation penalty.
+
+    :func:`cpf_fidelity_lb_values` at ``ports = 1`` and ``delta_avg = 0``.
+    """
+    value = cpf_fidelity_lb_values(choi_fidelity, m, u, 1, 0.0)
     return BoundReport(value, KIND_LOWER, "cpf_nonadaptive_fidelity_lb",
-                       {"choi_fidelity": choi_fidelity, "m": m, "u": u})
+                       {"choi_fidelity": float(choi_fidelity), "m": int(m), "u": int(u)})
 
 
 class MOptimizationResult(Frozen):

@@ -8,19 +8,16 @@ this module for that command only.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .channels import (CpfSpec, choi as channel_choi, cpf_helstrom_iterative, kraus_vectors,
                        make_qadc, make_qdc, make_qec, tele_covariance_check)
-from .cpf import optimize_over_M
 from .discrimination import (DensityMatrix, StateEnsemble, gram_states, gus_unitary_helstrom,
                              helstrom_binary, helstrom_iterative, kron_power, pgm_error,
                              tensor_all, trace_norm)
 from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_cpf
 from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
-                   qadc_block_helstrom, qadc_choi_fidelity, qadc_cpf_adaptive_lb,
+                   qadc_block_helstrom, qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt,
                    qadc_cpf_adaptive_lb_values)
 
 
@@ -189,16 +186,12 @@ def _check_gus_vs_solver(_rng):
 
 
 def _check_optimizer_vs_brute_force(_rng):
-    q_b, q_t = 0.24, 0.2
-
-    def value_at(ports: int) -> float:
-        return qadc_cpf_adaptive_lb(q_b, q_t, 2, 4, ports).value
-
-    result = optimize_over_M(functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, 2, 4),
-                             ports_range=(1, 3000))
-    brute = max((value_at(p), -p) for p in range(1, 3001))
-    dev = abs(result.best_value - brute[0]) + abs(result.best_ports - (-brute[1]))
-    return dev, 1e-12, 1
+    # every port count in one kernel call; argmax takes the first, fewest-port maximum
+    _, result = qadc_cpf_adaptive_lb_opt(0.24, 0.2, 2, 4, ports_range=(1, 3000))
+    values = qadc_cpf_adaptive_lb_values(0.24, 0.2, 2, 4, np.arange(1, 3001))
+    best = int(np.argmax(values))
+    dev = abs(result.best_value - values[best]) + abs(result.best_ports - (best + 1))
+    return float(dev), 1e-12, 1
 
 
 def _check_pgm_vs_double_helstrom(rng):

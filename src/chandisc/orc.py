@@ -177,12 +177,13 @@ def _in_passes(kernel, u: int, *arrays) -> np.ndarray:
 def f_u_values(q0, q1, u: int) -> np.ndarray:
     """Binary minimum error from counting damage events over ``u`` uses.
 
-        f_u = 1/2 - 1/4 * sum_k |P(k | q0) - P(k | q1)|
+        f_u = 1/2 * sum_k min(P(k | q0), P(k | q1))
 
     with binomial outcome distributions ``P(. | q)``, elementwise over
-    broadcast arrays ``q0`` and ``q1``.  Symmetric under
-    ``(q0, q1) -> (1 - q0, 1 - q1)`` and non-increasing in ``u``.  Values
-    are unclamped: pass them through
+    broadcast arrays ``q0`` and ``q1``.  Equal to ``1/2 - 1/4 * sum_k |P0 - P1|``,
+    but a sum of non-negative terms, so relative-accurate down to underflow.
+    Symmetric under ``(q0, q1) -> (1 - q0, 1 - q1)`` and non-increasing in ``u``.
+    Values are unclamped: pass them through
     :func:`~chandisc.discrimination.check_exact_prob` before reporting them.
     """
     q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
@@ -193,8 +194,11 @@ def f_u_values(q0, q1, u: int) -> np.ndarray:
 
 
 def _binary_error(q0: np.ndarray, q1: np.ndarray, u: int) -> np.ndarray:
-    deviation = np.abs(_binom_pmf(q0, u) - _binom_pmf(q1, u)).sum(axis=-1)
-    return 0.5 - 0.25 * deviation
+    # Divided by the two pmf totals, each 1 only to rounding: equal
+    # distributions then give exactly 1/2, and no value exceeds it, since
+    # rounding is monotone and sum_k min <= min(total0, total1).
+    pmf0, pmf1 = _binom_pmf(q0, u), _binom_pmf(q1, u)
+    return np.minimum(pmf0, pmf1).sum(axis=-1) / (pmf0.sum(axis=-1) + pmf1.sum(axis=-1))
 
 
 def f_u(q0, q1, u: int) -> float:

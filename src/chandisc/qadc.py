@@ -91,7 +91,7 @@ def qadc_sim_error_values(q, xi) -> np.ndarray:
     """
     q = float(check_prob(q, "q", ChannelError))
     xi = np.asarray(xi, dtype=np.float64)
-    if (xi < 0.0).any():
+    if not (xi >= 0.0).all():  # NaN fails the comparison too
         raise ChannelError(f"xi must be >= 0, got {xi.min()}")
     return xi * ((1.0 - q) / 2.0 + np.sqrt(1.0 - q))
 
@@ -127,18 +127,19 @@ class XiTable(Frozen):
         return self.values[np.maximum(idx, 0)]
 
 
-def _breakpoints(xi):
-    return xi.ports if isinstance(xi, XiTable) else ()
-
-
 def _xi_at(ports: np.ndarray, xi) -> np.ndarray:
-    # xi at each port count: default_xi, a function of the port array (an
-    # XiTable, say), or a constant.
+    # xi at each port count: default_xi for None, else the XiTable's steps.
     if xi is None:
-        xi = default_xi(ports)
-    elif callable(xi):
-        xi = xi(ports)
-    return np.broadcast_to(np.asarray(xi, dtype=np.float64), ports.shape)
+        return default_xi(ports)
+    if not isinstance(xi, XiTable):
+        raise QadcError(f"xi must be None or an XiTable, got {type(xi).__name__}")
+    return xi(ports)
+
+
+def _maximize(kernel, xi, ports_range, grid_points):
+    # optimize_over_M with the knots of an XiTable as breakpoints
+    return optimize_over_M(kernel, ports_range=ports_range, grid_points=grid_points,
+                           breakpoints=xi.ports if isinstance(xi, XiTable) else ())
 
 
 def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
@@ -151,9 +152,8 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
         ``(1 - u * (Δ_0 + Δ_1) - sqrt(1 - F**(2 u ports))) / 2``.
 
     Elementwise over an int64 array of port counts.  ``xi`` is the
-    simulation prefactor: ``None`` for :func:`default_xi`,
-    a constant, or a function mapping the port array to its values, such as
-    an :class:`XiTable`.
+    simulation prefactor: ``None`` for :func:`default_xi`, or an
+    :class:`XiTable`.
     """
     q0 = float(check_prob(q0, "q0", QadcError))
     q1 = float(check_prob(q1, "q1", QadcError))
@@ -168,15 +168,6 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
     return (1.0 - u * delta - np.sqrt(np.maximum(0.0, 1.0 - block * block))) / 2.0
 
 
-def qadc_adaptive_lb(q0, q1, u: int, ports: int, xi=None) -> BoundReport:
-    """:func:`qadc_adaptive_lb_values` at one port count, as a report."""
-    ports = int(ports)
-    value = qadc_adaptive_lb_values(q0, q1, u, ports, xi=xi)
-    return BoundReport(value, KIND_LOWER, "qadc_adaptive_lb",
-                       {"q0": float(q0), "q1": float(q1), "u": int(u), "ports": ports,
-                        "xi": float(_xi_at(np.int64(ports), xi))})
-
-
 def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6),
                          grid_points: int = 200):
     """Adaptive lower bound maximized over the simulation port count.
@@ -184,11 +175,10 @@ def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6),
     Returns ``(BoundReport, MOptimizationResult)``; the report repeats the
     optimal value with the winning port count in its parameters.
     """
-    result = optimize_over_M(functools.partial(qadc_adaptive_lb_values, q0, q1, u, xi=xi),
-                             ports_range=ports_range, grid_points=grid_points,
-                             breakpoints=_breakpoints(xi))
-    report = qadc_adaptive_lb(q0, q1, u, result.best_ports, xi=xi)
-    return report, result
+    result = _maximize(functools.partial(qadc_adaptive_lb_values, q0, q1, u, xi=xi), xi,
+                       ports_range, grid_points)
+    params = {"q0": float(q0), "q1": float(q1), "u": int(u), "ports": result.best_ports}
+    return BoundReport(result.best_value, KIND_LOWER, "qadc_adaptive_lb", params), result
 
 
 def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.ndarray:
@@ -207,23 +197,14 @@ def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.
     return cpf_fidelity_lb_values(qadc_choi_fidelity(q_b, q_t), m, u, ports, delta)
 
 
-def qadc_cpf_adaptive_lb(q_b, q_t, m: int, u: int, ports: int, xi=None) -> BoundReport:
-    """:func:`qadc_cpf_adaptive_lb_values` at one port count, as a report."""
-    ports = int(ports)
-    value = qadc_cpf_adaptive_lb_values(q_b, q_t, m, u, ports, xi=xi)
-    return BoundReport(value, KIND_LOWER, "qadc_cpf_adaptive_lb",
-                       {"q_b": float(q_b), "q_t": float(q_t), "m": int(m), "u": int(u),
-                        "ports": ports, "xi": float(_xi_at(np.int64(ports), xi))})
-
-
 def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
                              ports_range=(1, 10**6), grid_points: int = 200):
     """Position-finding adaptive lower bound maximized over ports."""
-    result = optimize_over_M(
-        functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, m, u, xi=xi),
-        ports_range=ports_range, grid_points=grid_points, breakpoints=_breakpoints(xi))
-    report = qadc_cpf_adaptive_lb(q_b, q_t, m, u, result.best_ports, xi=xi)
-    return report, result
+    result = _maximize(functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, m, u, xi=xi),
+                       xi, ports_range, grid_points)
+    params = {"q_b": float(q_b), "q_t": float(q_t), "m": int(m), "u": int(u),
+              "ports": result.best_ports}
+    return BoundReport(result.best_value, KIND_LOWER, "qadc_cpf_adaptive_lb", params), result
 
 
 def _weight_blocks(q0, q1, u):

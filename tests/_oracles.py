@@ -14,6 +14,8 @@
   blocks of its Gram matrix, each decomposed numerically;
 * ``mp_weight_vector_pgm``: the position-finding square-root-measurement
   error from the ``m × m`` blocks of every unsorted per-cell weight vector;
+* ``mp_binary_error``: the binary counting error ``1/2 sum_k min(P0(k), P1(k))``
+  over binomial masses computed term by term in mpmath precision;
 * ``nulling_count_sum``: the nulling receiver's error as a sum over all
   ``C(u+3, 3)`` four-outcome count vectors with multinomial weights;
 * ``pbt_pair_adaptive_lb``/``pbt_position_finding_adaptive_lb``: the
@@ -296,6 +298,24 @@ def mp_weight_vector_pgm(mp, q_b, q_t, m, u):
         mult = math.prod(math.comb(u, w) for w in weights)
         pgm += mult * mp_gram_errors(mp, block, m)[0]
     return pgm
+
+
+def mp_binary_error(mp, q0, q1, u):
+    """``1/2 sum_k min(P(k | q0), P(k | q1))`` over Binomial(u, q) masses, in mpmath.
+
+    The masses follow from ``(1-q)**u`` by the ratio ``(u-k+1)/k * q/(1-q)``
+    at the working precision, whose exponent range is unbounded, so the sum
+    keeps its relative accuracy however small it is.
+    """
+    def pmf(q):
+        if q == 1:
+            return [mp.mpf(0)] * u + [mp.mpf(1)]
+        q = mp.mpf(q)
+        masses = [(1 - q) ** u]
+        for k in range(1, u + 1):
+            masses.append(masses[-1] * (u - k + 1) / k * q / (1 - q))
+        return masses
+    return mp.fsum(min(a, b) for a, b in zip(pmf(q0), pmf(q1))) / 2
 
 
 def nulling_count_sum(probs0, probs1, u):

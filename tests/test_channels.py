@@ -12,12 +12,10 @@ from chandisc.channels import (
     make_qec,
     maximally_entangled,
     pbt_error_bound,
-    qadc_pbt_error,
     tele_covariance_check,
-    zero_sim_error,
 )
 from chandisc.discrimination import DensityMatrix, partial_trace
-from chandisc.qadc import default_xi
+from chandisc.qadc import default_xi, qadc_sim_error_values
 
 from _util import random_density
 
@@ -103,41 +101,32 @@ def test_maximally_entangled():
 
 
 def test_pbt_error_values():
-    rep = pbt_error_bound(2, 4)
-    assert rep.kind == "uniform_bound"
-    assert rep.ports == 4
-    assert abs(rep.value - 1.0) < 1e-15
+    assert pbt_error_bound(2, 4) == 1.0
+    assert type(pbt_error_bound(2, 4)) is float
     # 2 d (d-1) / M
-    assert abs(pbt_error_bound(3, 100).value - 0.12) < 1e-15
+    assert abs(pbt_error_bound(3, 100) - 0.12) < 1e-15
 
 
 def test_pbt_error_monotone_in_ports():
-    values = [pbt_error_bound(2, ports).value for ports in (1, 10, 100, 1000)]
+    values = [pbt_error_bound(2, ports) for ports in (1, 10, 100, 1000)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_qadc_pbt_error_value():
-    rep = qadc_pbt_error(0.36, 4)
-    assert rep.kind == "qadc_specific"
-    # xi = min(4/4, 2) = 1; (1-q)/2 + sqrt(1-q) = 0.32 + 0.8
-    assert abs(rep.value - 1.12) < 1e-15
-    assert qadc_pbt_error(1.0, 4).value == 0.0
+    # the damping port-based error at 4 ports: xi = min(4/4, 2) = 1 times
+    # (1-q)/2 + sqrt(1-q) = 0.32 + 0.8
+    assert abs(qadc_sim_error_values(0.36, default_xi(4)) - 1.12) < 1e-15
+    assert qadc_sim_error_values(1.0, default_xi(4)) == 0.0
 
 
 def test_qadc_pbt_error_custom_xi():
-    rep = qadc_pbt_error(0.36, 7, xi=0.5)
-    assert abs(rep.value - 0.5 * 1.12) < 1e-15
+    assert abs(qadc_sim_error_values(0.36, 0.5) - 0.5 * 1.12) < 1e-15
 
 
 def test_default_xi_caps_at_two():
     assert default_xi(1) == 2.0
     assert default_xi(2) == 2.0
     assert abs(default_xi(16) - 0.25) < 1e-15
-
-
-def test_zero_sim_error():
-    rep = zero_sim_error()
-    assert rep.value == 0.0 and rep.kind == "exact_zero"
 
 
 def test_constructors_take_one_probability():
@@ -151,7 +140,9 @@ def test_sim_error_validation():
     with pytest.raises(ChannelError):
         pbt_error_bound(2, 0)
     with pytest.raises(ChannelError):
-        qadc_pbt_error(1.2, 4)
+        pbt_error_bound(1, 4)
+    with pytest.raises(ChannelError):
+        qadc_sim_error_values(1.2, default_xi(4))
 
 
 def test_tele_covariance_classes():

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -250,6 +251,21 @@ def test_library_size_guard_exits_two(tmp_path, capsys):
     assert "Traceback" not in err and text == ""
 
 
+def test_oversized_grid_exits_two(tmp_path):
+    # 3e8 grid points need 2.2 GiB; the child's address space is capped at
+    # 1.5 GiB, so numpy's allocation fails before it touches any memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+    done = subprocess.run([sys.executable, "-m", "chandisc.cli", "--command", "fig2",
+                           "--grid", "300000000", "--out", str(tmp_path / "out.csv")],
+                          env=_child_env(), capture_output=True, text=True, preexec_fn=cap,
+                          timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: out of memory: ")
+    assert len(done.stderr.splitlines()) == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("command", [("fig3", "--m", "2"), ("binary", "--kind", "qadc")])
 def test_port_range_up_to_two_to_the_53(tmp_path, command):
     code, text = run(tmp_path, "--command", *command, "--u", "2", "--grid", "2",
@@ -425,12 +441,16 @@ def _modules_after(tmp_path, argv=None):
     if argv is not None:
         script += f"assert cli.main({argv + ['--out', str(tmp_path / 'out.csv')]!r}) == 0\n"
     script += "print(' '.join(sorted(sys.modules)))\n"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True,
                           text=True, check=True)
     return set(done.stdout.split())
+
+
+def _child_env():
+    # this environment with the checkout's src/ first on PYTHONPATH
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,7 +15,7 @@ from chandisc.channels import (
 from chandisc.cpf import (
     CpfError,
     MOptimizationResult,
-    cpf_fidelity_lb,
+    cpf_fidelity_lb_values,
     cpf_nonadaptive_fidelity_lb,
     cpf_sim_error,
     optimize_over_M,
@@ -101,13 +101,13 @@ def test_fidelity_lb_specialization_matches_general_form():
     pair = fidelity(choi(spec.background), choi(spec.target))
     for u, ports, delta in [(1, 1, 0.0), (2, 5, 0.01), (3, 40, 0.2)]:
         a = general_fidelity_lb(ens, u, ports, delta).value
-        b = cpf_fidelity_lb(pair, m=3, u=u, ports=ports, delta_avg=delta).value
+        b = cpf_fidelity_lb_values(pair, 3, u, ports, delta)
         assert abs(a - b) < 1e-12
 
 
 def test_nonadaptive_lb_is_single_port_zero_error_case():
     a = cpf_nonadaptive_fidelity_lb(0.9, m=4, u=3).value
-    b = cpf_fidelity_lb(0.9, m=4, u=3, ports=1, delta_avg=0.0).value
+    b = cpf_fidelity_lb_values(0.9, 4, 3, 1, 0.0)
     assert abs(a - b) < 1e-15
     assert a == pytest.approx(3 / 8 * 0.9 ** 12)
 
@@ -195,7 +195,7 @@ def test_optimizer_refuses_nan_bounds():
     with pytest.raises(CpfError, match="NaN at 7 ports"):
         optimize_over_M(lambda p: np.where(p == 7, np.nan, -p.astype(float)),
                         ports_range=(1, 100))
-    with pytest.raises(CpfError):
+    with pytest.raises(QadcError):  # xi is None or an XiTable, which holds no NaN
         qadc_adaptive_lb_opt(0.3, 0.2, 2, xi=np.nan)
 
 

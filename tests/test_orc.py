@@ -26,11 +26,12 @@ from chandisc.orc import (
     h_mu_values,
     qdc_binary,
     qdc_cpf,
+    qdc_scales,
     qec_binary,
     qec_cpf,
 )
 
-from _oracles import cpf_ml_exact, h_mu_strings, string_histogram
+from _oracles import cpf_ml_exact, h_mu_strings, mp_binary_error, string_histogram
 
 
 def _binary_ml_exact(q0, q1, u):
@@ -96,6 +97,39 @@ def test_f_monotone_in_uses():
 def test_f_complement_and_swap_symmetry(q0, q1, u):
     assert abs(f_u(q0, q1, u) - f_u(1 - q0, 1 - q1, u)) < 1e-13
     assert abs(f_u(q0, q1, u) - f_u(q1, q0, u)) < 1e-13
+
+
+_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+# probabilities k / 2**30, whose complements 1 - q are exact floats
+_DYADIC = st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 2**30).map(lambda k: k / 2**30))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_PROB, _PROB, st.integers(1, 2000))
+@example(0.2, 0.0, 2000)  # 7.567e-195, which 1/2 - 1/4 sum |P0 - P1| rounded to 0
+@example(0.3, 0.3, 2000)
+def test_f_relative_accuracy_against_mpmath(q0, q1, u):
+    mpmath = pytest.importorskip("mpmath")
+    got = f_u(q0, q1, u)
+    assert got >= 0.0
+    with mpmath.workdps(30):
+        want = mp_binary_error(mpmath.mp, q0, q1, u)
+        if want > 1e-290:
+            assert abs(got / want - 1) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DYADIC, _DYADIC, st.integers(1, 300), st.integers(2, 10))
+def test_f_bounds_monotonicity_symmetry_and_entanglement(q0, q1, u, d):
+    f = f_u(q0, q1, u)
+    assert 0.0 <= f <= 0.5
+    # non-increasing in u and symmetric under q -> 1 - q, up to rounding
+    assert f_u(q0, q1, u + 1) <= f * (1 + 1e-12) + 1e-300
+    assert math.isclose(f_u(1.0 - q0, 1.0 - q1, u), f, rel_tol=1e-12, abs_tol=1e-300)
+    # a maximally entangled probe detects more depolarizing events
+    ent_scale, cls_scale = qdc_scales(d)
+    entangled = f_u(ent_scale * q0, ent_scale * q1, u)
+    assert entangled <= f_u(cls_scale * q0, cls_scale * q1, u) * (1 + 1e-12) + 1e-300
 
 
 def test_binary_reports():
@@ -253,7 +287,6 @@ def test_binom_pmf_beyond_direct_products_matches_mpmath(q, u):
 # endpoints, so one batch runs the mirrored, the plain and the tied branch
 _BRANCH_PAIRS = [(0.3, 0.7), (0.7, 0.3), (0.45, 0.45), (0.0, 1.0), (1.0, 0.0),
                  (0.0, 0.0), (1.0, 1.0), (0.0, 0.6), (0.2, 1.0)]
-_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
 
 
 @st.composite

@@ -43,8 +43,6 @@ VALUE_TYPES = {
                     lambda: chandisc.BoundReport(0.5, "exact", "m"), chandisc.DiscriminationError),
     "KrausChannel": (lambda: chandisc.KrausChannel((2 * np.eye(2),)),
                      lambda: chandisc.make_qadc(0.3), chandisc.ChannelError),
-    "SimulationError": (lambda: chandisc.SimulationError(-1.0, 4, "uniform_bound"),
-                        lambda: chandisc.zero_sim_error(), chandisc.ChannelError),
     "CpfSpec": (lambda: chandisc.CpfSpec(chandisc.make_qadc(0.1), chandisc.make_qadc(0.2), 1, 1),
                 lambda: chandisc.CpfSpec(chandisc.make_qadc(0.1), chandisc.make_qadc(0.2), 2, 1),
                 chandisc.CpfError),

@@ -8,26 +8,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chandisc import orc
-from chandisc.channels import ChannelError, choi, make_qadc, qadc_pbt_error
-from chandisc.cpf import CpfError, cpf_fidelity_lb, cpf_nonadaptive_fidelity_lb, cpf_sim_error
+from chandisc.channels import ChannelError, choi, make_qadc
+from chandisc.cpf import CpfError, cpf_fidelity_lb_values, cpf_nonadaptive_fidelity_lb
 from chandisc.discrimination import StateEnsemble, fidelity, helstrom_binary, pgm_error, tensor_all
 from chandisc.qadc import (
     QadcError,
     XiTable,
+    default_xi,
     fvg_sandwich,
     nulling_error,
     nulling_outcome_dist,
     nulling_unitary,
-    qadc_adaptive_lb,
     qadc_adaptive_lb_opt,
     qadc_adaptive_lb_values,
     qadc_block_helstrom,
     qadc_block_pgm,
     qadc_choi_fidelity,
-    qadc_cpf_adaptive_lb,
     qadc_cpf_adaptive_lb_opt,
     qadc_cpf_adaptive_lb_values,
     qadc_cpf_block_pgm,
+    qadc_sim_error_values,
 )
 
 from _oracles import (nulling_count_sum, pbt_pair_adaptive_lb,
@@ -189,18 +189,28 @@ def test_nulling_never_beats_helstrom():
 
 def test_adaptive_lb_arithmetic():
     q0, q1, u, ports = 0.2, 0.5, 3, 40
-    delta = qadc_pbt_error(q0, ports).value + qadc_pbt_error(q1, ports).value
+    xi = default_xi(ports)
+    delta = qadc_sim_error_values(q0, xi) + qadc_sim_error_values(q1, xi)
     f = qadc_choi_fidelity(q0, q1)
     expect = (1.0 - u * delta - math.sqrt(1.0 - f ** (2 * u * ports))) / 2.0
-    rep = qadc_adaptive_lb(q0, q1, u, ports)
-    assert rep.kind == "lower"
-    assert abs(rep.value - expect) < 1e-12
+    value = qadc_adaptive_lb_values(q0, q1, u, ports)
+    assert abs(value - expect) < 1e-12
+    report, _ = qadc_adaptive_lb_opt(q0, q1, u, ports_range=(ports, ports))
+    assert report.kind == "lower" and report.value == value
+    assert report.params == {"q0": q0, "q1": q1, "u": u, "ports": ports}
 
 
 def test_adaptive_lb_custom_xi():
-    loose = qadc_adaptive_lb(0.2, 0.5, 2, 50)
-    tight = qadc_adaptive_lb(0.2, 0.5, 2, 50, xi=0.01)
-    assert tight.value > loose.value  # smaller simulation error, better bound
+    loose = qadc_adaptive_lb_values(0.2, 0.5, 2, 50)
+    tight = qadc_adaptive_lb_values(0.2, 0.5, 2, 50, xi=XiTable([1], [0.01]))
+    assert tight > loose  # smaller simulation error, better bound
+
+
+def test_sim_error_refuses_nan_and_negative_xi():
+    for xi in (np.nan, -0.5, np.array([0.5, np.nan]), np.array([1.0, -1.0])):
+        with pytest.raises(ChannelError):
+            qadc_sim_error_values(0.3, xi)
+    assert qadc_sim_error_values(1.0, np.array([0.0, 2.0])).tolist() == [0.0, 0.0]
 
 
 def test_adaptive_lb_input_checks():
@@ -210,9 +220,12 @@ def test_adaptive_lb_input_checks():
         with pytest.raises(QadcError):
             qadc_cpf_adaptive_lb_values(0.2, 0.5, 3, 2, ports)
     with pytest.raises(CpfError):
-        cpf_fidelity_lb(0.9, 2, 1, 2**70, 0.0)
-    with pytest.raises(ChannelError):  # xi below 0 at one port count
-        qadc_adaptive_lb_values(0.2, 0.5, 2, np.arange(1, 5), xi=lambda p: 3.0 - p)
+        cpf_fidelity_lb_values(0.9, 2, 1, 2**70, 0.0)
+    for xi in (0.01, np.nan, lambda p: 3.0 - p, [1.0, 1.0, 1.0, 1.0]):
+        with pytest.raises(QadcError, match="None or an XiTable"):
+            qadc_adaptive_lb_values(0.2, 0.5, 2, np.arange(1, 5), xi=xi)
+        with pytest.raises(QadcError, match="None or an XiTable"):
+            qadc_cpf_adaptive_lb_values(0.2, 0.5, 3, 2, np.arange(1, 5), xi=xi)
     with pytest.raises(QadcError):
         qadc_adaptive_lb_values(0.2, 1.5, 2, 4)
 
@@ -220,10 +233,10 @@ def test_adaptive_lb_input_checks():
 def test_adaptive_lb_opt_matches_manual_scan():
     q0, q1, u = 0.3, 0.48, 4
     report, result = qadc_adaptive_lb_opt(q0, q1, u, ports_range=(1, 4000))
-    manual = max(range(1, 4001),
-                 key=lambda p: (qadc_adaptive_lb(q0, q1, u, p).value, -p))
-    assert result.best_ports == manual
-    assert abs(report.value - qadc_adaptive_lb(q0, q1, u, manual).value) < 1e-15
+    values = qadc_adaptive_lb_values(q0, q1, u, np.arange(1, 4001))
+    manual = int(np.argmax(values)) + 1  # the first maximum: ties go to fewer ports
+    assert result.best_ports == report.params["ports"] == manual
+    assert report.value == result.best_value == values[manual - 1]
 
 
 def test_adaptive_lb_below_block_error_where_positive():
@@ -236,12 +249,13 @@ def test_adaptive_lb_below_block_error_where_positive():
 
 def test_cpf_adaptive_lb_arithmetic():
     q_b, q_t, m, u, ports = 0.3, 0.6, 3, 2, 25
-    delta = cpf_sim_error(qadc_pbt_error(q_b, ports).value,
-                          qadc_pbt_error(q_t, ports).value, m)
     f = qadc_choi_fidelity(q_b, q_t)
-    expect = cpf_fidelity_lb(f, m=m, u=u, ports=ports, delta_avg=delta).value
-    rep = qadc_cpf_adaptive_lb(q_b, q_t, m=m, u=u, ports=ports)
-    assert abs(rep.value - expect) < 1e-14
+    expect = pbt_position_finding_adaptive_lb(f, q_b, q_t, m, u, ports, 4.0 / ports)
+    value = qadc_cpf_adaptive_lb_values(q_b, q_t, m, u, ports)
+    assert abs(value - expect) < 1e-14
+    report, _ = qadc_cpf_adaptive_lb_opt(q_b, q_t, m, u, ports_range=(ports, ports))
+    assert report.kind == "lower" and report.value == value
+    assert report.params == {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "ports": ports}
 
 
 _PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
@@ -286,6 +300,32 @@ def test_adaptive_bounds_match_oracle_and_brute_force(case):
         best = max(ports, key=lambda p: (oracle[p - 1], -p))
         assert result.best_ports == best
         assert abs(result.best_value - oracle[best - 1]) <= 1e-15
+
+
+@st.composite
+def _xi_tables(draw):
+    # finite non-negative steps, some knots beyond the searched range
+    ports = sorted(draw(st.lists(st.integers(1, 4000), min_size=1, max_size=6, unique=True)))
+    values = draw(st.lists(st.floats(0, 4), min_size=len(ports), max_size=len(ports)))
+    return XiTable(ports, values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PROB, _PROB, st.sampled_from([(2, 4), (4, 2), (3, 3)]), st.none() | _xi_tables())
+def test_port_search_returns_the_brute_force_argmax(q_b, q_t, m_u, xi):
+    # both optimizers against one kernel call over every port count in range
+    m, u = m_u
+    ports = np.arange(1, 3001)
+    routes = [
+        (qadc_cpf_adaptive_lb_values(q_b, q_t, m, u, ports, xi=xi),
+         qadc_cpf_adaptive_lb_opt(q_b, q_t, m, u, xi=xi, ports_range=(1, 3000))),
+        (qadc_adaptive_lb_values(q_b, q_t, u, ports, xi=xi),
+         qadc_adaptive_lb_opt(q_b, q_t, u, xi=xi, ports_range=(1, 3000))),
+    ]
+    for values, (report, result) in routes:
+        best = int(np.argmax(values))  # the first maximum: ties go to fewer ports
+        assert result.best_ports == report.params["ports"] == best + 1
+        assert report.value == result.best_value == values[best]
 
 
 @st.composite
