@@ -21,18 +21,18 @@ import importlib
 # Exported names by the submodule that defines them.
 _EXPORTS = {
     "channels": (
-        "CpfSpec", "KrausChannel", "apply", "choi", "compressed_cpf_ensemble",
-        "cpf_helstrom_iterative", "heisenberg_weyl", "kraus_vectors", "make_qadc", "make_qdc",
-        "make_qec", "maximally_entangled", "pbt_error_bound", "tele_covariance_check"),
+        "KrausChannel", "apply", "choi", "heisenberg_weyl", "kraus_vectors", "make_qadc",
+        "make_qdc", "make_qec", "maximally_entangled", "pbt_error_bound",
+        "tele_covariance_check"),
     "cpf": (
         "CpfError", "MOptimizationResult", "cpf_fidelity_lb_values",
         "cpf_nonadaptive_fidelity_lb", "cpf_sim_error", "optimize_over_M",
         "theorem1_lower_bound"),
     "discrimination": (
         "DensityMatrix", "Povm", "StateEnsemble", "continuity_lower_bound", "fidelity",
-        "fidelity_lower_bound", "fidelity_upper_bound", "gram_states", "gus_unitary_helstrom",
-        "helstrom_binary", "helstrom_iterative", "hermitize", "kron_power", "partial_trace",
-        "pgm_error", "pgm_povm", "success_probability", "tensor", "tensor_all", "trace_norm"),
+        "fidelity_lower_bound", "fidelity_upper_bound", "gus_unitary_helstrom",
+        "helstrom_binary", "helstrom_iterative", "hermitize", "partial_trace", "pgm_error",
+        "pgm_povm", "success_probability", "tensor", "tensor_all", "trace_norm"),
     "linalg": (
         "BoundReport", "ChandiscError", "ChannelError", "DiscriminationError", "LinalgError",
         "check_exact_prob"),

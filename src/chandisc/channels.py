@@ -1,4 +1,4 @@
-"""Channel families, Choi matrices and block ensembles.
+"""Channel families and Choi matrices.
 
 The three channel families used throughout the package are quantum erasure
 channels (``make_qec``), qudit depolarizing channels (``make_qdc``) and qubit
@@ -6,26 +6,17 @@ amplitude damping channels (``make_qadc``).  All are represented by explicit
 Kraus operators, and every derived object (Choi matrix, output state) is a
 validated :class:`~chandisc.discrimination.DensityMatrix`.
 
-The module also builds the ``u``-fold block ensemble of position finding
-(:class:`CpfSpec`) for any Kraus family, for the iterative Helstrom solver.
-Block states never touch the ambient ``dim**(m u)`` space.  Hypothesis ``n``
-is ``W_n W_n†`` with ``W_n`` the tensor product of per-cell Kraus vectors,
-and the cyclic cell shift maps ``W_n`` to ``W_{n+1}``, so the Gram matrix of
-all hypotheses is block-circulant, ``W_n† W_n' = C_{n'-n}``, and the states
-follow from it in a basis of their joint support.  This is the dense route
-that the cross-checks and the tests compare the closed forms with; the sweep
-commands never load it.
+Block states are plain tensor powers of these Choi matrices
+(:func:`~chandisc.discrimination.tensor_all`): the dense route that the
+cross-checks and the tests compare the closed forms with.  The sweep
+commands never load this module.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .cpf import CpfError
-from .discrimination import (DensityMatrix, StateEnsemble, as_complex_matrix, gram_states,
-                             helstrom_iterative, hermitize, kron_power)
+from .discrimination import DensityMatrix, as_complex_matrix, hermitize
 from .linalg import ChannelError, Frozen, check_prob
 
 
@@ -251,82 +242,3 @@ def tele_covariance_check(channel: KrausChannel, tol: float = 1e-8) -> bool:
         if not _correction_exists(c, c_u, d_out, d_in, tol):
             return False
     return True
-
-
-class CpfSpec(Frozen):
-    """One anomalous ``target`` cell among ``m``, the rest ``background``."""
-
-    __slots__ = ("background", "target", "m", "u")
-
-    def __init__(self, background: KrausChannel, target: KrausChannel, m: int, u: int):
-        object.__setattr__(self, "background", background)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "u", int(u))
-        if self.m < 2:
-            raise CpfError(f"need m >= 2 cells, got {self.m}")
-        if self.u < 1:
-            raise CpfError(f"need u >= 1 uses, got {self.u}")
-        same_in = background.dim_in == target.dim_in
-        same_out = background.dim_out == target.dim_out
-        if not (same_in and same_out):
-            raise CpfError("background and target channels must share dimensions")
-
-
-def _circulant_terms(spec: CpfSpec, max_rank: int) -> np.ndarray:
-    """The blocks ``C_k = W_0† W_k``, stacked along the first axis.
-
-    ``W_n`` is the tensor product, over cells and uses, of the Kraus
-    vectors of hypothesis ``n`` (target in cell ``n``), its columns
-    labelled relative to the target: ``W_n = S^n W_0`` for the cyclic cell
-    shift ``S``, so the Kraus index that ``W_0`` attaches to cell ``j``,
-    ``W_n`` attaches to cell ``j + n``.  Then ``W_n† W_n' = C_{n'-n}``.
-    Row cell ``l`` of ``C_k`` meets column cell ``l - k``, so ``C_k`` is a
-    Kronecker product of per-cell Grams with its column cells rotated.
-    Raises before allocating anything when the side
-    ``r_t**u r_b**((m-1) u)`` exceeds ``max_rank``.
-    """
-    m, u = spec.m, spec.u
-    ranks = {"t": len(spec.target.kraus), "b": len(spec.background.kraus)}
-    # Capped exponents decide the same way: 2**64 exceeds any usable guard.
-    side = ranks["t"] ** min(u, 64) * ranks["b"] ** min((m - 1) * u, 64)
-    if side > max_rank:
-        raise CpfError(f"Gram block side {side} exceeds guard {max_rank}")
-    vecs = {"t": kraus_vectors(spec.target), "b": kraus_vectors(spec.background)}
-    cell_grams = {(x, y): kron_power(vecs[x].conj().T @ vecs[y], u)
-                  for x in vecs for y in vecs}
-    labels = ["t"] + ["b"] * (m - 1)
-    terms = []
-    for k in range(m):
-        term = functools.reduce(np.kron, [cell_grams[labels[l], labels[(l - k) % m]]
-                                          for l in range(m)])
-        term = term.reshape([side] + [ranks[labels[(l - k) % m]] ** u for l in range(m)])
-        term = term.transpose([0] + [1 + (j + k) % m for j in range(m)])
-        terms.append(term.reshape(side, side))
-    return np.stack(terms)
-
-
-def compressed_cpf_ensemble(spec: CpfSpec, max_rank: int = 2048) -> StateEnsemble:
-    """The ``u``-fold block ensemble, in an orthonormal basis of its joint support.
-
-    Equivalent for every discrimination quantity to the ``u``-th tensor
-    powers of the hypothesis Choi states: :func:`~chandisc.discrimination.gram_states`
-    of the block-circulant Gram matrix.  Raises before allocating once its
-    side ``m r**(m u)`` exceeds ``max_rank``.
-    """
-    m = spec.m
-    terms = _circulant_terms(spec, max_rank // m)
-    gram = np.block([[terms[(k - n) % m] for k in range(m)] for n in range(m)])
-    states = gram_states(gram, [terms.shape[1]] * m)
-    return StateEnsemble.equiprobable([DensityMatrix(s, validate=False) for s in states])
-
-
-def cpf_helstrom_iterative(spec: CpfSpec, tol: float = 1e-8, max_iters: int = 5000,
-                           dim_guard: int = 256, max_rank: int = 2048):
-    """Minimum block error of the compressed block ensemble, with certificate.
-
-    Returns the same ``(report, povm, gap)`` triple as
-    :func:`~chandisc.discrimination.helstrom_iterative`.
-    """
-    ensemble = compressed_cpf_ensemble(spec, max_rank=max_rank)
-    return helstrom_iterative(ensemble, tol=tol, max_iters=max_iters, dim_guard=dim_guard)

@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--d", type=int, default=None, help="channel dimension")
     parser.add_argument("--q0", type=float, default=None)
     parser.add_argument("--q1", type=float, default=None)
-    parser.add_argument("--qB", dest="q_b", type=float, default=None)
-    parser.add_argument("--qT", dest="q_t", type=float, default=None)
     parser.add_argument("--gap", type=str, default=None,
                         help="comma separated list of probability gaps")
     parser.add_argument("--grid", type=int, default=200, help="sweep points per curve")
@@ -103,6 +101,8 @@ def make_config(args):
             f"invalid port range ({args.ports_min}, {args.ports_max})")
     if not args.budget > 0.0:
         raise CliConfigError(f"--budget must be > 0, got {args.budget}")
+    if args.seed < 0:
+        raise CliConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.m is not None and args.m < 2:
         raise CliConfigError(f"--m must be >= 2, got {args.m}")
     if args.u is not None and args.u < 1:
@@ -113,10 +113,12 @@ def make_config(args):
         raise CliConfigError("--command binary requires --kind {qec,qdc,qadc}")
     if (args.q0 is None) != (args.q1 is None):
         raise CliConfigError("--q0 and --q1 must be given together")
-    for name, flag in (("q0", "--q0"), ("q1", "--q1"), ("q_b", "--qB"), ("q_t", "--qT")):
+    if args.command == "binary" and args.q0 is not None and args.gap is not None:
+        raise CliConfigError("--gap sweeps q0 = q1 + gap; it cannot be combined with --q0/--q1")
+    for name in ("q0", "q1"):
         value = getattr(args, name)
         if value is not None:
-            check_prob(value, flag, CliConfigError)
+            check_prob(value, f"--{name}", CliConfigError)
     if args.xi != "uniform" and not args.xi.startswith("value-table:"):
         raise CliConfigError(f"--xi must be 'uniform' or 'value-table:FILE', got {args.xi!r}")
     args.gaps = _parse_gaps(args.gap)
@@ -193,7 +195,7 @@ def run_fig3(cfg):
     configs = [(cfg.m, cfg.u)] if cfg.m is not None and cfg.u is not None else [(2, 4), (4, 2)]
     if (cfg.m is None) != (cfg.u is None):
         raise CliConfigError("fig3 needs --m and --u together (or neither)")
-    gap = cfg.gaps[0] if cfg.gaps else 0.04
+    gaps = cfg.gaps or (0.04,)
     xi = load_xi(cfg)
     header = ["m", "u", "gap", "q_t", "q_b",
               "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
@@ -201,27 +203,28 @@ def run_fig3(cfg):
               "nonadaptive_fidelity_lb[lower]", "nonadaptive_fidelity_lb[raw]",
               "nonadaptive_fidelity_lb[clamped_flag]", "block_pgm[upper]"]
     rows = []
-    for m, u in configs:
-        for q_t in _sweep_axis(gap, cfg.grid):
-            q_b = q_t + gap
-            adaptive, opt = qadc_cpf_adaptive_lb_opt(
-                q_b, q_t, m, u, xi=xi, ports_range=(cfg.ports_min, cfg.ports_max))
-            nonadaptive = cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u)
-            pgm = qadc_cpf_block_pgm(q_b, q_t, m, u)
-            if adaptive.value > nonadaptive.value + 1e-9:
-                raise InvariantViolation(
-                    f"fig3: adaptive bound {adaptive.value} exceeds non-adaptive "
-                    f"{nonadaptive.value} at m={m}, u={u}, q_t={q_t}")
-            if nonadaptive.value > pgm.value + 1e-7:
-                raise InvariantViolation(
-                    f"fig3: fidelity lower bound {nonadaptive.value} exceeds the "
-                    f"measured upper bound {pgm.value} at m={m}, u={u}, q_t={q_t}")
-            rows.append((
-                m, u, gap, float(q_t), float(q_b),
-                adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
-                opt.best_ports,
-                nonadaptive.clamped_value, nonadaptive.value, int(nonadaptive.clamped),
-                pgm.value))
+    points = [(m, u, gap, q_t) for m, u in configs for gap in gaps
+              for q_t in _sweep_axis(gap, cfg.grid)]
+    for m, u, gap, q_t in points:
+        q_b = q_t + gap
+        adaptive, opt = qadc_cpf_adaptive_lb_opt(
+            q_b, q_t, m, u, xi=xi, ports_range=(cfg.ports_min, cfg.ports_max))
+        nonadaptive = cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u)
+        pgm = qadc_cpf_block_pgm(q_b, q_t, m, u)
+        if adaptive.value > nonadaptive.value + 1e-9:
+            raise InvariantViolation(
+                f"fig3: adaptive bound {adaptive.value} exceeds non-adaptive "
+                f"{nonadaptive.value} at m={m}, u={u}, q_t={q_t}")
+        if nonadaptive.value > pgm.value + 1e-7:
+            raise InvariantViolation(
+                f"fig3: fidelity lower bound {nonadaptive.value} exceeds the "
+                f"measured upper bound {pgm.value} at m={m}, u={u}, q_t={q_t}")
+        rows.append((
+            m, u, gap, float(q_t), float(q_b),
+            adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
+            opt.best_ports,
+            nonadaptive.clamped_value, nonadaptive.value, int(nonadaptive.clamped),
+            pgm.value))
     return header, rows
 
 

@@ -12,9 +12,9 @@ numbers and arrays of port counts: the simulation error of an instance, the
 continuity bound, the fidelity bounds on the block error, and the
 port-count optimization.
 
-The block states themselves are not built here.  The block ensemble of any
-Kraus family, for the iterative Helstrom solver, is
-:func:`chandisc.channels.compressed_cpf_ensemble`; for damping cells the
+The block states themselves are not built here.  The iterative Helstrom
+solver runs on plain tensor powers of the cell Choi matrices
+(:func:`chandisc.discrimination.tensor_all`); for damping cells the
 square-root-measurement error needs no states at all: see
 :func:`chandisc.qadc.qadc_cpf_block_pgm`.
 """

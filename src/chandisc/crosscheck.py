@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import (CpfSpec, choi as channel_choi, cpf_helstrom_iterative, kraus_vectors,
-                       make_qadc, make_qdc, make_qec, tele_covariance_check)
-from .discrimination import (DensityMatrix, StateEnsemble, gram_states, gus_unitary_helstrom,
-                             helstrom_binary, helstrom_iterative, kron_power, pgm_error,
-                             tensor_all, trace_norm)
+from .channels import choi as channel_choi, make_qadc, make_qdc, make_qec, tele_covariance_check
+from .discrimination import (DensityMatrix, StateEnsemble, gus_unitary_helstrom, helstrom_binary,
+                             helstrom_iterative, pgm_error, tensor_all)
 from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_cpf
 from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
                    qadc_block_helstrom, qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt,
@@ -25,6 +23,17 @@ def _dense_block_pair(channel0, channel1, u: int):
     c0 = channel_choi(channel0).mat
     c1 = channel_choi(channel1).mat
     return (DensityMatrix(tensor_all([c0] * u)), DensityMatrix(tensor_all([c1] * u)))
+
+
+def _dense_cpf_ensemble(background, target, m: int, u: int):
+    # Hypothesis n: the target's Choi state in cell n, the background's in
+    # the others, u uses each; in a basis of the joint support of all m.
+    bg, tg = channel_choi(background).mat, channel_choi(target).mat
+    states = [tensor_all([tg if cell == n else bg for cell in range(m) for _ in range(u)])
+              for n in range(m)]
+    w, v = np.linalg.eigh(sum(states))
+    basis = v[:, w > 1e-12]
+    return StateEnsemble.equiprobable([basis.conj().T @ s @ basis for s in states])
 
 
 def _check_f_vs_helstrom_qec(rng):
@@ -90,15 +99,15 @@ def _check_cpf_vs_solver(rng):
     cases = 0
     for m, u in ((2, 1), (2, 2)):
         q_b, q_t = rng.uniform(0.1, 0.9, size=2)
-        spec = CpfSpec(make_qdc(2, q_b), make_qdc(2, q_t), m, u)
-        report, _, gap = cpf_helstrom_iterative(spec)
+        report, _, gap = helstrom_iterative(
+            _dense_cpf_ensemble(make_qdc(2, q_b), make_qdc(2, q_t), m, u))
         target = qdc_cpf(q_b, q_t, m, u, 2)[0].value
         worst = max(worst, max(0.0, abs(report.value - target) - gap))
         cases += 1
     for m in (2, 3):
         q_b, q_t = rng.uniform(0.1, 0.9, size=2)
-        spec = CpfSpec(make_qec(2, q_b), make_qec(2, q_t), m, 1)
-        report, _, gap = cpf_helstrom_iterative(spec)
+        report, _, gap = helstrom_iterative(
+            _dense_cpf_ensemble(make_qec(2, q_b), make_qec(2, q_t), m, 1))
         target = h_m1_closed(OrcParams(q_b=q_b, q_t=q_t, u=1, m=m))
         worst = max(worst, max(0.0, abs(report.value - target) - gap))
         cases += 1
@@ -106,16 +115,12 @@ def _check_cpf_vs_solver(rng):
 
 
 def _check_compression_distance(rng):
+    # the damping pair's weight-block Gram decomposition against the dense trace norm
     worst = 0.0
     q0, q1 = rng.uniform(0.1, 0.9, size=2)
-    c0 = channel_choi(make_qadc(q0)).mat
-    c1 = channel_choi(make_qadc(q1)).mat
-    vecs = [kraus_vectors(make_qadc(q)) for q in (q0, q1)]
     for u in (2, 3):
-        dense = trace_norm(tensor_all([c0] * u) - tensor_all([c1] * u))
-        gram = np.block([[kron_power(a.T @ b, u) for b in vecs] for a in vecs])
-        small0, small1 = gram_states(gram, [gram.shape[0] // 2] * 2)
-        worst = max(worst, abs(trace_norm(small0 - small1) - dense))
+        dense = helstrom_binary(*_dense_block_pair(make_qadc(q0), make_qadc(q1), u)).value
+        worst = max(worst, abs(qadc_block_helstrom(q0, q1, u).value - dense))
     return worst, 1e-9, 2
 
 

@@ -1,12 +1,10 @@
 """Dense quantum states and minimum-error discrimination of finite ensembles.
 
 The first half holds the dense matrix primitives: validated states
-(:class:`DensityMatrix`), tensor products, partial traces, the trace norm,
-the fidelity, and :func:`gram_states`, which recovers block states
-``A_n A_n†`` in a basis of their joint support from the Gram matrix of the
-columns of all the ``A_n`` instead of building them in their ambient space.
-These are the numerical details that are easy to get subtly wrong, so the
-rest of the package has one vetted implementation of each.
+(:class:`DensityMatrix`), tensor products, partial traces, the trace norm
+and the fidelity.  These are the numerical details that are easy to get
+subtly wrong, so the rest of the package has one vetted implementation of
+each.
 
 The second half computes the smallest achievable probability of
 misidentifying which state from a known ensemble was prepared.  For two
@@ -30,14 +28,10 @@ import numpy as np
 from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, DiscriminationError,
                      Frozen, LinalgError, check_exact_prob)
 
-# HERM_TOL / EIG_TOL / TRACE_TOL gate
-# state validation.  Gram eigenvalues below GRAM_CUT times the largest are
-# rounding noise of zero eigenvalues: keeping them moved one tested PGM error
-# by 6e-10, while a cut of 1e-12 dropped genuine ones (errors near 6e-13).
+# HERM_TOL / EIG_TOL / TRACE_TOL gate state validation.
 HERM_TOL = 1e-10
 EIG_TOL = 1e-10
 TRACE_TOL = 1e-10
-GRAM_CUT = 1e-14
 
 # Reject tensor products whose side length would exceed this.
 MAX_TENSOR_SIDE = 1 << 20
@@ -86,28 +80,22 @@ class DensityMatrix(Frozen):
     Parameters
     ----------
     mat : array_like
-        Square complex matrix.  With ``validate=True`` (the default) it must
-        be Hermitian within ``HERM_TOL``, have unit trace within
-        ``TRACE_TOL`` and eigenvalues above ``-EIG_TOL``.
-    validate : bool
-        Skip the eigenvalue/trace checks.  Internal hot paths that construct
-        states which are positive by construction (e.g. states compressed
-        from a Gram matrix) pass ``False``; external inputs should not.
+        Square complex matrix, Hermitian within ``HERM_TOL``, with unit
+        trace within ``TRACE_TOL`` and eigenvalues above ``-EIG_TOL``.
     """
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat, *, validate: bool = True):
+    def __init__(self, mat):
         mat = as_complex_matrix(mat)
         if mat.shape[0] != mat.shape[1]:
             raise LinalgError(f"state must be square, got shape {mat.shape}")
-        if validate:
-            mat = hermitize(mat, HERM_TOL)
-            tr = mat.trace()
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise LinalgError(f"state trace {tr} deviates from 1 beyond {TRACE_TOL}")
-            if np.linalg.eigvalsh(mat).min() < -EIG_TOL:
-                raise LinalgError("state has an eigenvalue below the PSD tolerance")
+        mat = hermitize(mat, HERM_TOL)
+        tr = mat.trace()
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise LinalgError(f"state trace {tr} deviates from 1 beyond {TRACE_TOL}")
+        if np.linalg.eigvalsh(mat).min() < -EIG_TOL:
+            raise LinalgError("state has an eigenvalue below the PSD tolerance")
         mat = np.array(mat, dtype=np.complex128, copy=True)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -201,46 +189,6 @@ def fidelity(rho, sigma) -> float:
     if val > 1.0 + 1e-9:
         raise LinalgError(f"fidelity {val} exceeds 1 beyond tolerance")
     return min(max(val, 0.0), 1.0)
-
-
-def kron_power(mat, power: int) -> np.ndarray:
-    """``power``-fold Kronecker power of ``mat``; real input stays real."""
-    power = int(power)
-    if power < 1:
-        raise LinalgError(f"Kronecker power must be >= 1, got {power}")
-    out = mat = np.asarray(mat)
-    for _ in range(power - 1):
-        out = np.kron(out, mat)
-    return out
-
-
-def gram_states(gram, sizes):
-    """The states of several vector families, known only through their Gram matrix.
-
-    If ``gram = A† A`` for ``A = [A_0, A_1, ...]``, whose blocks have
-    ``sizes`` columns, the eigenpairs ``(Λ, U)`` of ``gram`` above
-    ``GRAM_CUT`` times its largest eigenvalue give ``X = Λ^{1/2} U†`` with
-    ``A = Q X`` for one isometry ``Q``.  The returned states ``X_n X_n†``
-    therefore equal ``Q† A_n A_n† Q``: every state keeps its spectrum and
-    every real combination of them keeps its trace norm, at the dimension
-    of the joint support.  Real ``gram`` is decomposed in real arithmetic and gives
-    real states.
-
-    Returns
-    -------
-    list of numpy.ndarray
-        One square matrix per block, all of the kept rank.
-    """
-    gram = np.asarray(gram)
-    sizes = [int(s) for s in sizes]
-    if not sizes or min(sizes) < 1:
-        raise LinalgError("need at least one block of at least one column")
-    if gram.ndim != 2 or gram.shape != (sum(sizes), sum(sizes)):
-        raise LinalgError(f"Gram shape {gram.shape} does not match block sizes {sizes}")
-    w, v = np.linalg.eigh(gram)
-    kept = w > GRAM_CUT * w[-1]
-    x = np.sqrt(w[kept])[:, None] * v[:, kept].conj().T
-    return [b @ b.conj().T for b in np.split(x, np.cumsum(sizes)[:-1], axis=1)]
 
 
 class StateEnsemble(Frozen):
@@ -450,7 +398,8 @@ def helstrom_iterative(ensemble: StateEnsemble, tol: float = 1e-8,
     """
     if ensemble.dim > dim_guard:
         raise DiscriminationError(
-            f"dimension {ensemble.dim} exceeds solver guard {dim_guard}; compress first")
+            f"dimension {ensemble.dim} exceeds solver guard {dim_guard}; restrict the "
+            f"states to their joint support first")
     dim = ensemble.dim
     weighted = [p * s.mat for p, s in zip(ensemble.priors, ensemble.states)]
     identity = np.eye(dim)

@@ -136,9 +136,9 @@ def _xi_at(ports: np.ndarray, xi) -> np.ndarray:
     return xi(ports)
 
 
-def _maximize(kernel, xi, ports_range, grid_points):
+def _maximize(kernel, xi, ports_range):
     # optimize_over_M with the knots of an XiTable as breakpoints
-    return optimize_over_M(kernel, ports_range=ports_range, grid_points=grid_points,
+    return optimize_over_M(kernel, ports_range=ports_range,
                            breakpoints=xi.ports if isinstance(xi, XiTable) else ())
 
 
@@ -168,15 +168,14 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
     return (1.0 - u * delta - np.sqrt(np.maximum(0.0, 1.0 - block * block))) / 2.0
 
 
-def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6),
-                         grid_points: int = 200):
+def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6)):
     """Adaptive lower bound maximized over the simulation port count.
 
     Returns ``(BoundReport, MOptimizationResult)``; the report repeats the
     optimal value with the winning port count in its parameters.
     """
     result = _maximize(functools.partial(qadc_adaptive_lb_values, q0, q1, u, xi=xi), xi,
-                       ports_range, grid_points)
+                       ports_range)
     params = {"q0": float(q0), "q1": float(q1), "u": int(u), "ports": result.best_ports}
     return BoundReport(result.best_value, KIND_LOWER, "qadc_adaptive_lb", params), result
 
@@ -197,11 +196,10 @@ def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.
     return cpf_fidelity_lb_values(qadc_choi_fidelity(q_b, q_t), m, u, ports, delta)
 
 
-def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
-                             ports_range=(1, 10**6), grid_points: int = 200):
+def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None, ports_range=(1, 10**6)):
     """Position-finding adaptive lower bound maximized over ports."""
     result = _maximize(functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, m, u, xi=xi),
-                       xi, ports_range, grid_points)
+                       xi, ports_range)
     params = {"q_b": float(q_b), "q_t": float(q_t), "m": int(m), "u": int(u),
               "ports": result.best_ports}
     return BoundReport(result.best_value, KIND_LOWER, "qadc_cpf_adaptive_lb", params), result

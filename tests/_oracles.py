@@ -24,9 +24,11 @@
 * ``build_cpf_choi_ensemble``/``cyclic_shift``: the position-finding
   hypotheses as dense tensor products of cell Choi matrices in the ambient
   space, and the cell rotation that maps each to the next;
+* ``dense_block_ensemble``: their ``u``-fold tensor powers, in a basis of
+  the joint support of the single-use states;
 * ``general_fidelity_lb``/``cpf_block_fidelity_lb``: the pairwise-fidelity
-  lower bounds measured on dense or compressed block states, built from the
-  package's dense primitives in ``chandisc.discrimination``.
+  lower bounds measured on single-use or ``u``-fold dense states, built from
+  the package's dense primitives in ``chandisc.discrimination``.
 
 None shares code with the order-statistic formula in ``chandisc.orc`` or
 with the Gram routes, binomial sums and port-count arrays in
@@ -41,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from chandisc.channels import CpfSpec, choi, compressed_cpf_ensemble
+from chandisc.channels import choi
 from chandisc.cpf import CpfError
 from chandisc.discrimination import (DensityMatrix, StateEnsemble, fidelity,
                                      fidelity_lower_bound, tensor_all)
@@ -374,7 +376,7 @@ def step_xi(knots, ports):
     return knots[max(at, 0)][1]
 
 
-def build_cpf_choi_ensemble(spec: CpfSpec, max_dim: int = 4096) -> StateEnsemble:
+def build_cpf_choi_ensemble(background, target, m: int, max_dim: int = 4096) -> StateEnsemble:
     """The ``m`` hypothesis states built from single-use cell Choi matrices.
 
     Dense, in the ambient space: the small-size reference for the
@@ -384,18 +386,31 @@ def build_cpf_choi_ensemble(spec: CpfSpec, max_dim: int = 4096) -> StateEnsemble
     uniform: the cyclic shift of :func:`cyclic_shift` maps hypothesis ``n``
     to ``n + 1 mod m``.
     """
-    bg = choi(spec.background).mat
-    tg = choi(spec.target).mat
-    if bg.shape[0] ** spec.m > max_dim:
-        raise CpfError(
-            f"ambient dimension {bg.shape[0]}**{spec.m} exceeds guard {max_dim}; "
-            f"use the compressed ensemble")
+    bg = choi(background).mat
+    tg = choi(target).mat
+    if bg.shape[0] ** m > max_dim:
+        raise CpfError(f"ambient dimension {bg.shape[0]}**{m} exceeds guard {max_dim}")
     states = []
-    for n in range(spec.m):
-        factors = [bg] * spec.m
+    for n in range(m):
+        factors = [bg] * m
         factors[n] = tg
         states.append(DensityMatrix(tensor_all(factors)))
     return StateEnsemble.equiprobable(states)
+
+
+def dense_block_ensemble(background, target, m: int, u: int) -> StateEnsemble:
+    """Explicit ``u``-fold tensor powers of the single-use hypothesis states.
+
+    The single-use states are first restricted to their joint support,
+    which contains every state, so the powers live in ``(support)^{⊗u}``
+    instead of the full ambient space; every discrimination quantity is
+    unchanged.
+    """
+    states = [s.mat for s in build_cpf_choi_ensemble(background, target, m).states]
+    w, v = np.linalg.eigh(sum(states))
+    basis = v[:, w > 1e-12]
+    small = [basis.conj().T @ s @ basis for s in states]
+    return StateEnsemble.equiprobable([tensor_all([s] * u) for s in small])
 
 
 def cyclic_shift(cell_dim: int, m: int) -> np.ndarray:
@@ -439,14 +454,13 @@ def general_fidelity_lb(ensemble: StateEnsemble, u: int, ports: int,
                        {"u": u, "ports": ports, "delta_avg": delta_avg, "m": ensemble.m})
 
 
-def cpf_block_fidelity_lb(spec: CpfSpec, max_rank: int = 2048) -> BoundReport:
-    """Pairwise-fidelity lower bound evaluated on the compressed block states.
+def cpf_block_fidelity_lb(background, target, m: int, u: int) -> BoundReport:
+    """Pairwise-fidelity lower bound evaluated on the dense block states.
 
     Cross-check route for :func:`cpf_nonadaptive_fidelity_lb`: instead of
     exponentiating the Choi fidelity analytically, this measures the
     pairwise fidelities of the actual ``u``-fold states and feeds them to
     the general mixed-state bound.
     """
-    report = fidelity_lower_bound(compressed_cpf_ensemble(spec, max_rank=max_rank))
-    return BoundReport(report.value, KIND_LOWER, "cpf_block_fidelity_lb",
-                       {"m": spec.m, "u": spec.u})
+    report = fidelity_lower_bound(dense_block_ensemble(background, target, m, u))
+    return BoundReport(report.value, KIND_LOWER, "cpf_block_fidelity_lb", {"m": m, "u": u})

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from chandisc.channels import CpfSpec, choi, make_qdc, make_qec
+from chandisc.channels import choi, make_qdc, make_qec
 from chandisc.cpf import cpf_nonadaptive_fidelity_lb
 from chandisc.discrimination import (
     DensityMatrix,
@@ -131,14 +131,12 @@ def test_05_cpf_solver_matches_analytics(capsys):
     slack = 0.0
     for m in (2, 3):
         for q_b, q_t in [(0.3, 0.8), (0.75, 0.2)]:
-            spec = CpfSpec(background=make_qec(2, q_b), target=make_qec(2, q_t),
-                           m=m, u=1)
-            report, _, gap = helstrom_iterative(build_cpf_choi_ensemble(spec))
+            ensemble = build_cpf_choi_ensemble(make_qec(2, q_b), make_qec(2, q_t), m)
+            report, _, gap = helstrom_iterative(ensemble)
             check.see(abs(report.value - qec_cpf(q_b, q_t, m=m, u=1).value))
             slack = max(slack, gap)
-            spec = CpfSpec(background=make_qdc(2, q_b), target=make_qdc(2, q_t),
-                           m=m, u=1)
-            report, _, gap = helstrom_iterative(build_cpf_choi_ensemble(spec))
+            ensemble = build_cpf_choi_ensemble(make_qdc(2, q_b), make_qdc(2, q_t), m)
+            report, _, gap = helstrom_iterative(ensemble)
             expect = qdc_cpf(q_b, q_t, m=m, u=1, d=2)[0].value
             check.see(abs(report.value - expect))
             slack = max(slack, gap)

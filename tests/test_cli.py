@@ -87,8 +87,7 @@ def test_runs_are_byte_identical(tmp_path):
 
 def test_binary_qec_values(tmp_path):
     code, text = run(tmp_path, "--command", "binary", "--kind", "qec",
-                     "--u", "1", "--grid", "2", "--gap", "0.5",
-                     "--q0", "0.2", "--q1", "0.7")
+                     "--u", "1", "--grid", "2", "--q0", "0.2", "--q1", "0.7")
     assert code == 0
     lines = text.splitlines()
     assert lines[0] == "gap,q1,q0,u,qec_ultimate[exact]"
@@ -137,6 +136,14 @@ def test_fig3_header_and_ordering(tmp_path):
         assert cells[idx_na] <= cells[idx_ub] + 1e-7
 
 
+def test_fig3_sweeps_every_gap(tmp_path):
+    code, text = run(tmp_path, "--command", "fig3", "--m", "2", "--u", "1",
+                     "--gap", "0.04,0.3", "--grid", "2")
+    assert code == 0
+    gaps = [float(line.split(",")[2]) for line in text.splitlines()[1:]]
+    assert gaps == [0.04, 0.04, 0.3, 0.3]
+
+
 def test_crosscheck_all_pass(tmp_path):
     code, text = run(tmp_path, "--command", "crosscheck", "--seed", "11")
     assert code == 0
@@ -144,6 +151,31 @@ def test_crosscheck_all_pass(tmp_path):
     assert lines[0] == "check,status,max_abs_dev,tolerance,cases"
     assert len(lines) == 1 + len(crosscheck.CROSSCHECKS)
     assert all(line.split(",")[1] == "pass" for line in lines[1:])
+
+
+# Every check's name, tolerance and case count, in run order.
+CROSSCHECK_TABLE = [
+    ("counting-vs-helstrom-erasure", 1e-9, 9),
+    ("counting-vs-helstrom-depolarizing", 1e-9, 12),
+    ("position-error-route-agreement", 1e-12, 21),
+    ("position-error-vs-solver", 1e-6, 4),
+    ("compression-preserves-distance", 1e-9, 2),
+    ("nulling-dist-vs-conjugation", 1e-10, 16),
+    ("nulling-vs-string-enumeration", 1e-12, 6),
+    ("sandwich-contains-block-error", 1e-9, 3),
+    ("symmetric-pure-closed-form-vs-solver", 1e-6, 6),
+    ("port-optimizer-vs-brute-force", 1e-12, 1),
+    ("pgm-within-double-optimum", 1e-9, 3),
+    ("covariance-classification", 0.5, 5),
+]
+
+
+def test_crosscheck_names_tolerances_and_cases_are_pinned(tmp_path):
+    code, text = run(tmp_path, "--command", "crosscheck", "--seed", "7", "--budget", "600")
+    assert code == 0
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [(name, float(tol), int(cases)) for name, _, _, tol, cases in rows] == \
+        CROSSCHECK_TABLE
 
 
 def test_crosscheck_budget_skips_tail(tmp_path):
@@ -211,11 +243,13 @@ def test_binary_qdc_invariant_violation_exits_three(tmp_path, monkeypatch, capsy
     ("--command", "fig2", "--grid", "1"),
     ("--command", "binary",),                          # --kind missing
     ("--command", "binary", "--kind", "qec", "--q0", "0.2"),  # q1 missing
-    ("--command", "fig2", "--qB", "1.5"),
+    ("--command", "fig2", "--q0", "1.5", "--q1", "0.2"),
     ("--command", "fig3", "--M-min", "10", "--M-max", "2"),
     ("--command", "crosscheck", "--budget", "0"),
     ("--command", "fig2", "--xi", "bogus"),
     ("--command", "crosscheck", "--budget", "nan"),    # would never run out
+    ("--command", "crosscheck", "--seed", "-1"),       # numpy refuses negative seeds
+    ("--command", "binary", "--kind", "qec", "--q0", "0.7", "--q1", "0.2", "--gap", "0.3"),
 ])
 def test_invalid_configurations_exit_two(tmp_path, argv):
     code, _ = run(tmp_path, *argv)
@@ -352,10 +386,12 @@ def test_unknown_command_is_argparse_error(tmp_path):
 
 
 def test_removed_tol_flag_is_argparse_error(tmp_path):
-    # --tol was parsed and never read; it is gone, not silently accepted
-    with pytest.raises(SystemExit) as info:
-        run(tmp_path, "--command", "fig2", "--tol", "1e-8")
-    assert info.value.code == 2
+    # --tol, --qB and --qT were parsed and never read; they are gone, not
+    # silently accepted
+    for flag, value in (("--tol", "1e-8"), ("--qB", "0.5"), ("--qT", "0.5")):
+        with pytest.raises(SystemExit) as info:
+            run(tmp_path, "--command", "fig2", flag, value)
+        assert info.value.code == 2
 
 
 def test_xi_table_step_function(tmp_path):

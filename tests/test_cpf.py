@@ -3,15 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from chandisc.channels import (
-    CpfSpec,
-    choi,
-    compressed_cpf_ensemble,
-    cpf_helstrom_iterative,
-    make_qadc,
-    make_qdc,
-    make_qec,
-)
+from chandisc.channels import choi, make_qadc, make_qdc
 from chandisc.cpf import (
     CpfError,
     MOptimizationResult,
@@ -21,26 +13,13 @@ from chandisc.cpf import (
     optimize_over_M,
     theorem1_lower_bound,
 )
-from chandisc.discrimination import StateEnsemble, fidelity, pgm_error, tensor_all, trace_norm
+from chandisc.discrimination import fidelity, helstrom_iterative, pgm_error
 from chandisc.orc import qdc_cpf
 from chandisc.qadc import (QadcError, qadc_adaptive_lb_opt, qadc_cpf_adaptive_lb_values,
                           qadc_cpf_block_pgm)
 
 from _oracles import (build_cpf_choi_ensemble, cpf_block_fidelity_lb, cyclic_shift,
-                      general_fidelity_lb)
-
-
-def _qadc_spec(q_b, q_t, m, u=1):
-    return CpfSpec(background=make_qadc(q_b), target=make_qadc(q_t), m=m, u=u)
-
-
-def test_spec_validation():
-    with pytest.raises(CpfError):
-        _qadc_spec(0.2, 0.4, m=1)
-    with pytest.raises(CpfError):
-        CpfSpec(background=make_qadc(0.2), target=make_qadc(0.4), m=2, u=0)
-    with pytest.raises(CpfError):
-        CpfSpec(background=make_qec(2, 0.2), target=make_qadc(0.4), m=2, u=1)
+                      dense_block_ensemble, general_fidelity_lb)
 
 
 def test_cyclic_shift_is_permutation_with_order_m():
@@ -52,21 +31,20 @@ def test_cyclic_shift_is_permutation_with_order_m():
 
 
 def test_ensemble_is_geometrically_uniform():
-    spec = _qadc_spec(0.3, 0.6, m=3)
-    ens = build_cpf_choi_ensemble(spec)
-    cell = choi(spec.background).dim
-    s = cyclic_shift(cell, spec.m)
-    for n in range(spec.m):
+    background, m = make_qadc(0.3), 3
+    ens = build_cpf_choi_ensemble(background, make_qadc(0.6), m)
+    s = cyclic_shift(choi(background).dim, m)
+    for n in range(m):
         rotated = s @ ens.states[n].mat @ s.conj().T
-        target = ens.states[(n + 1) % spec.m].mat
+        target = ens.states[(n + 1) % m].mat
         assert np.abs(rotated - target).max() < 1e-12
     np.testing.assert_allclose(ens.priors, 1 / 3)
 
 
 def test_ensemble_pairwise_fidelity_is_squared_choi_fidelity():
-    spec = _qadc_spec(0.25, 0.55, m=3)
-    ens = build_cpf_choi_ensemble(spec)
-    pair = fidelity(choi(spec.background), choi(spec.target))
+    background, target = make_qadc(0.25), make_qadc(0.55)
+    ens = build_cpf_choi_ensemble(background, target, 3)
+    pair = fidelity(choi(background), choi(target))
     for i in range(3):
         for j in range(i + 1, 3):
             f = fidelity(ens.states[i], ens.states[j])
@@ -75,7 +53,7 @@ def test_ensemble_pairwise_fidelity_is_squared_choi_fidelity():
 
 def test_ensemble_dimension_guard():
     with pytest.raises(CpfError):
-        build_cpf_choi_ensemble(_qadc_spec(0.2, 0.4, m=8), max_dim=4096)
+        build_cpf_choi_ensemble(make_qadc(0.2), make_qadc(0.4), 8, max_dim=4096)
 
 
 def test_sim_error_combines_cells_linearly():
@@ -96,9 +74,9 @@ def test_theorem1_arithmetic():
 
 
 def test_fidelity_lb_specialization_matches_general_form():
-    spec = _qadc_spec(0.3, 0.7, m=3)
-    ens = build_cpf_choi_ensemble(spec)
-    pair = fidelity(choi(spec.background), choi(spec.target))
+    background, target = make_qadc(0.3), make_qadc(0.7)
+    ens = build_cpf_choi_ensemble(background, target, 3)
+    pair = fidelity(choi(background), choi(target))
     for u, ports, delta in [(1, 1, 0.0), (2, 5, 0.01), (3, 40, 0.2)]:
         a = general_fidelity_lb(ens, u, ports, delta).value
         b = cpf_fidelity_lb_values(pair, 3, u, ports, delta)
@@ -230,19 +208,6 @@ def test_optimization_result_requires_consistent_maximum():
                             evaluations=((1, 1.0), (2, 0.5)))
 
 
-def test_compressed_ensemble_preserves_distances():
-    spec = _qadc_spec(0.2, 0.5, m=2, u=2)
-    dense_spec = CpfSpec(background=spec.background, target=spec.target, m=2, u=1)
-    dense = build_cpf_choi_ensemble(dense_spec)
-    # u=2 dense states: explicit kron of the u=1 states with themselves
-    full = [np.kron(s.mat, s.mat) for s in dense.states]
-    comp = compressed_cpf_ensemble(spec)
-    assert comp.dim <= 32  # two rank-16 block states
-    d_full = trace_norm(full[0] - full[1])
-    d_comp = trace_norm(comp.states[0].mat - comp.states[1].mat)
-    assert abs(d_full - d_comp) < 1e-9
-
-
 def test_pgm_upper_with_identical_channels_is_blind_guessing():
     rep = qadc_cpf_block_pgm(0.4, 0.4, m=3, u=1)
     assert rep.kind == "upper"
@@ -251,8 +216,8 @@ def test_pgm_upper_with_identical_channels_is_blind_guessing():
 
 def test_solver_matches_depolarizing_analytics():
     q_b, q_t, m, d = 0.35, 0.75, 2, 2
-    spec = CpfSpec(background=make_qdc(d, q_b), target=make_qdc(d, q_t), m=m, u=1)
-    report, _, gap = cpf_helstrom_iterative(spec)
+    report, _, gap = helstrom_iterative(dense_block_ensemble(make_qdc(d, q_b), make_qdc(d, q_t),
+                                                             m, 1))
     expect = qdc_cpf(q_b, q_t, m=m, u=1, d=d)[0].value
     assert abs(report.value - expect) <= gap + 1e-6
 
@@ -261,43 +226,28 @@ def test_solver_on_ill_conditioned_block_ensemble():
     # G_n Pi_n G_n squares the state spectra (down to 2e-5 here), so the
     # re-summed measurement must still come out valid and near the analytics
     q_b, q_t = 0.581198686098686, 0.12295120669755565
-    spec = CpfSpec(background=make_qdc(2, q_b), target=make_qdc(2, q_t), m=2, u=2)
-    report, povm, gap = cpf_helstrom_iterative(spec)
+    ensemble = dense_block_ensemble(make_qdc(2, q_b), make_qdc(2, q_t), 2, 2)
+    report, povm, gap = helstrom_iterative(ensemble)
     assert np.abs(sum(povm.elements) - np.eye(povm.dim)).max() < 1e-10
     expect = qdc_cpf(q_b, q_t, m=2, u=2, d=2)[0].value
     assert abs(report.value - expect) <= gap + 1e-6
 
 
 def test_block_fidelity_lb_agrees_with_analytic_route():
-    spec = _qadc_spec(0.3, 0.55, m=3, u=2)
-    measured = cpf_block_fidelity_lb(spec).value
-    pair = fidelity(choi(spec.background), choi(spec.target))
+    background, target = make_qadc(0.3), make_qadc(0.55)
+    measured = cpf_block_fidelity_lb(background, target, 3, 2).value
+    pair = fidelity(choi(background), choi(target))
     analytic = cpf_nonadaptive_fidelity_lb(pair, m=3, u=2).value
     assert abs(measured - analytic) < 1e-9
 
 
 def test_bounds_sandwich_solver():
-    spec = _qadc_spec(0.25, 0.6, m=2, u=2)
-    exact, _, gap = cpf_helstrom_iterative(spec)
-    lb = cpf_block_fidelity_lb(spec)
+    background, target = make_qadc(0.25), make_qadc(0.6)
+    exact, _, gap = helstrom_iterative(dense_block_ensemble(background, target, 2, 2))
+    lb = cpf_block_fidelity_lb(background, target, 2, 2)
     ub = qadc_cpf_block_pgm(0.25, 0.6, m=2, u=2)
     assert lb.value <= exact.value + gap + 1e-9
     assert ub.value >= exact.value - gap - 1e-9
-
-
-def _dense_block_ensemble(spec):
-    """Explicit u-fold tensor powers of the single-use hypothesis states.
-
-    The single-use states are first restricted to their joint support,
-    which contains every state, so the powers live in (support)^{⊗u}
-    instead of the full ambient space and the PGM is unchanged.
-    """
-    single = CpfSpec(spec.background, spec.target, spec.m, 1)
-    states = [s.mat for s in build_cpf_choi_ensemble(single).states]
-    w, v = np.linalg.eigh(sum(states))
-    basis = v[:, w > 1e-12]
-    small = [basis.conj().T @ s @ basis for s in states]
-    return StateEnsemble.equiprobable([tensor_all([s] * spec.u) for s in small])
 
 
 _PGM_PAIRS = [(0.3, 0.55), (0.0, 0.4), (0.7, 0.0), (1.0, 0.2), (0.35, 1.0),
@@ -307,39 +257,11 @@ _PGM_PAIRS = [(0.3, 0.55), (0.0, 0.4), (0.7, 0.0), (1.0, 0.2), (0.35, 1.0),
 @pytest.mark.parametrize("m,u", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
 def test_pgm_upper_matches_dense_tensor_powers(m, u):
     for q_b, q_t in _PGM_PAIRS:
-        spec = _qadc_spec(q_b, q_t, m=m, u=u)
-        dense = pgm_error(_dense_block_ensemble(spec)).value
+        dense = pgm_error(dense_block_ensemble(make_qadc(q_b), make_qadc(q_t), m, u)).value
         gram = qadc_cpf_block_pgm(q_b, q_t, m, u)
         assert abs(gram.value - dense) < 1e-12, (q_b, q_t)
         if q_b == q_t:
             assert abs(gram.value - (1 - 1 / m)) < 1e-12
-
-
-@pytest.mark.parametrize("background,target", [
-    (make_qdc(2, 0.3), make_qdc(2, 0.7)),     # complex Kraus operators
-    (make_qadc(0.3), make_qdc(2, 0.5)),       # two and four Kraus operators
-    (make_qec(2, 0.2), make_qec(2, 0.6)),
-])
-def test_pgm_upper_matches_dense_for_other_channels(background, target):
-    for m, u in ((2, 1), (3, 1), (2, 2)):
-        spec = CpfSpec(background=background, target=target, m=m, u=u)
-        dense = pgm_error(_dense_block_ensemble(spec)).value
-        compressed = compressed_cpf_ensemble(spec)
-        assert abs(pgm_error(compressed).value - dense) < 1e-12, (m, u)
-
-
-def test_compressed_ensemble_is_geometrically_uniform_with_dense_distances():
-    spec = _qadc_spec(0.15, 0.6, m=3, u=2)
-    comp = compressed_cpf_ensemble(spec)
-    dense = _dense_block_ensemble(spec)
-    for i in range(3):
-        assert abs(np.trace(comp.states[i].mat).real - 1.0) < 1e-12
-        for j in range(i + 1, 3):
-            d_comp = trace_norm(comp.states[i].mat - comp.states[j].mat)
-            d_dense = trace_norm(dense.states[i].mat - dense.states[j].mat)
-            assert abs(d_comp - d_dense) < 1e-10
-            f_comp = fidelity(comp.states[i], comp.states[j])
-            assert abs(f_comp - fidelity(dense.states[i], dense.states[j])) < 1e-9
 
 
 def test_pgm_upper_size_guard_before_allocation():
@@ -351,8 +273,6 @@ def test_pgm_upper_size_guard_before_allocation():
     with pytest.raises(QadcError):
         qadc_cpf_block_pgm(0.3, 0.5, m=10**6, u=10**6)
     assert time.monotonic() - started < 1.0
-    with pytest.raises(CpfError):
-        compressed_cpf_ensemble(_qadc_spec(0.3, 0.5, m=3, u=4))
     rep = qadc_cpf_block_pgm(0.3, 0.5, m=8, u=1)
     assert 0.0 < rep.value < 1 - 1 / 8
     assert rep.params["classes"] == 9

@@ -5,15 +5,13 @@ from chandisc.discrimination import (
     DensityMatrix,
     as_complex_matrix,
     fidelity,
-    gram_states,
     hermitize,
-    kron_power,
     partial_trace,
     tensor,
     tensor_all,
     trace_norm,
 )
-from chandisc.linalg import ChandiscError, LinalgError, check_prob
+from chandisc.linalg import LinalgError, check_prob
 
 from _util import random_density, random_pure, random_unitary
 
@@ -54,8 +52,6 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([0.6, 0.6]))  # trace 1.2
     with pytest.raises(LinalgError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
-    # validate=False accepts anything square, used on pre-checked paths
-    DensityMatrix(np.diag([1.5, -0.5]), validate=False)
 
 
 def test_density_matrix_is_read_only():
@@ -144,99 +140,3 @@ def test_fidelity_unitary_invariance():
     rho_u = DensityMatrix(un @ rho.mat @ un.conj().T)
     sigma_u = DensityMatrix(un @ sigma.mat @ un.conj().T)
     assert abs(fidelity(rho_u, sigma_u) - fidelity(rho, sigma)) < 1e-10
-
-
-def test_kron_power_matches_tensor_all_and_stays_real():
-    rng = np.random.default_rng(11)
-    mat = rng.normal(size=(2, 3))
-    power = kron_power(mat, 3)
-    assert power.dtype == np.float64 and power.shape == (8, 27)
-    np.testing.assert_allclose(power, tensor_all([mat] * 3).real, atol=1e-15)
-    with pytest.raises(LinalgError):
-        kron_power(mat, 0)
-
-
-def _factor(state):
-    """A ``(dim, rank)`` matrix ``A`` with ``A A† = state``."""
-    w, v = np.linalg.eigh(state)
-    keep = w > 1e-12
-    return v[:, keep] * np.sqrt(w[keep])
-
-
-def _gram(factors):
-    joint = np.hstack(factors)
-    return joint.conj().T @ joint
-
-
-def test_joint_support_compress_rank_and_trace_norms():
-    # three rank-2 states inside one 3-dimensional subspace of C^12
-    rng = np.random.default_rng(7)
-    frame = random_unitary(rng, 12)[:, :3]
-    factors = [frame @ (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
-               for _ in range(3)]
-    factors = [a / np.linalg.norm(a) for a in factors]
-    states = [a @ a.conj().T for a in factors]
-    compressed = gram_states(_gram(factors), [2, 2, 2])
-    assert compressed[0].shape == (3, 3)  # the joint support, not 6 columns
-    # trace norms of arbitrary real combinations survive the compression
-    for _ in range(5):
-        coeff = rng.normal(size=3)
-        full = sum(c * s for c, s in zip(coeff, states))
-        comp = sum(c * s for c, s in zip(coeff, compressed))
-        assert abs(trace_norm(full) - trace_norm(comp)) < 1e-12
-
-
-def test_joint_support_compress_input_checks():
-    gram = np.eye(4)
-    with pytest.raises(LinalgError):
-        gram_states(gram, [])
-    with pytest.raises(LinalgError):
-        gram_states(gram, [2, 1])
-    with pytest.raises(LinalgError):
-        gram_states(gram, [4, 0])
-    assert issubclass(LinalgError, ChandiscError)
-
-
-@pytest.mark.parametrize("power", [1, 2, 3])
-def test_compressed_tensor_power_matches_dense(power):
-    # u-fold powers known only through (A_a† A_b)^{⊗u}, against explicit krons
-    rng = np.random.default_rng(9)
-    states = [random_density(rng, 3, rank=1).mat, random_density(rng, 3, rank=2).mat]
-    factors = [_factor(s) for s in states]
-    gram = np.block([[kron_power(a.conj().T @ b, power) for b in factors] for a in factors])
-    compressed = gram_states(gram, [a.shape[1] ** power for a in factors])
-    dense = [tensor_all([s] * power) for s in states]
-    diff_full = trace_norm(dense[0] - dense[1])
-    diff_comp = trace_norm(compressed[0] - compressed[1])
-    assert abs(diff_full - diff_comp) < 1e-12
-    for full, comp in zip(dense, compressed):
-        ev_full = np.sort(np.linalg.eigvalsh(full))[-comp.shape[0]:]
-        ev_comp = np.sort(np.linalg.eigvalsh(comp))
-        np.testing.assert_allclose(ev_full, ev_comp, atol=1e-12)
-
-
-def test_compressed_tensor_power_rank_growth():
-    # two rank-1 factors: every power spans 2 dimensions, far below 4**8
-    v = np.zeros((4, 1))
-    v[0] = 1.0
-    w = np.ones((4, 1)) / 2.0
-    gram = np.block([[kron_power(a.T @ b, 8) for b in (v, w)] for a in (v, w)])
-    compressed = gram_states(gram, [1, 1])
-    assert compressed[0].shape == (2, 2)
-    assert compressed[0].dtype == np.float64  # real Gram, real arithmetic
-    overlap = 0.5**8
-    pure_distance = 2.0 * np.sqrt(1.0 - overlap**2)
-    assert abs(trace_norm(compressed[0] - compressed[1]) - pure_distance) < 1e-14
-
-
-def test_gram_support_cut_is_relative_to_the_largest_eigenvalue_of_all():
-    top = np.diag([1.0, 2e-14, 0.5e-14])
-    low = np.diag([3e-14, 1e-15])
-    gram = np.block([[top, np.zeros((3, 2))], [np.zeros((2, 3)), low]])
-    kept = gram_states(gram, [3, 2])
-    assert kept[0].shape == (3, 3)  # 1, 2e-14 and 3e-14 survive the cut
-    np.testing.assert_allclose(np.linalg.eigvalsh(kept[0]), [0.0, 2e-14, 1.0], atol=1e-30)
-    np.testing.assert_allclose(np.linalg.eigvalsh(kept[1]), [0.0, 0.0, 3e-14], atol=1e-30)
-    # the same block alone keeps everything above its own maximum's cut
-    np.testing.assert_allclose(np.linalg.eigvalsh(gram_states(low, [2])[0]), [1e-15, 3e-14],
-                               rtol=1e-12)

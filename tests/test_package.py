@@ -43,9 +43,6 @@ VALUE_TYPES = {
                     lambda: chandisc.BoundReport(0.5, "exact", "m"), chandisc.DiscriminationError),
     "KrausChannel": (lambda: chandisc.KrausChannel((2 * np.eye(2),)),
                      lambda: chandisc.make_qadc(0.3), chandisc.ChannelError),
-    "CpfSpec": (lambda: chandisc.CpfSpec(chandisc.make_qadc(0.1), chandisc.make_qadc(0.2), 1, 1),
-                lambda: chandisc.CpfSpec(chandisc.make_qadc(0.1), chandisc.make_qadc(0.2), 2, 1),
-                chandisc.CpfError),
     "MOptimizationResult": (lambda: chandisc.MOptimizationResult(1, 2.0, ((1, 1.0),)),
                             lambda: chandisc.MOptimizationResult(1, 1.0, ((1, 1.0),)),
                             chandisc.CpfError),
