@@ -13,6 +13,8 @@ Four commands, selected with ``--command``:
   routes (:mod:`chandisc.crosscheck`); any disagreement is reported by name
   and exits with code 3.
 
+:data:`COMMANDS` lists the options each command (each ``--kind`` of
+``binary``) reads, with their defaults; any other option exits with code 2.
 Each command imports only the modules it runs: ``orc`` and ``linalg`` are
 loaded with this module, which is all ``fig2`` and ``binary --kind
 qec/qdc`` need; the damping commands import ``qadc`` (with ``cpf``) when
@@ -50,42 +52,39 @@ class InvariantViolation(RuntimeError):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser defaults: a namespace holds only the options given (see COMMANDS)
     parser = argparse.ArgumentParser(
-        prog="chandisc",
+        prog="chandisc", argument_default=argparse.SUPPRESS,
         description="Error-probability sweeps for channel discrimination and position finding.")
     parser.add_argument("--command", required=True,
-                        choices=["fig2", "fig3", "binary", "crosscheck"])
-    parser.add_argument("--m", type=int, default=None, help="number of cells")
-    parser.add_argument("--u", type=int, default=None, help="channel uses per cell")
-    parser.add_argument("--d", type=int, default=None, help="channel dimension")
-    parser.add_argument("--q0", type=float, default=None)
-    parser.add_argument("--q1", type=float, default=None)
-    parser.add_argument("--gap", type=str, default=None,
-                        help="comma separated list of probability gaps")
-    parser.add_argument("--grid", type=int, default=200, help="sweep points per curve")
-    parser.add_argument("--M-min", dest="ports_min", type=int, default=1)
-    parser.add_argument("--M-max", dest="ports_max", type=int, default=10**6)
-    parser.add_argument("--xi", type=str, default="uniform",
-                        help="'uniform' or 'value-table:FILE' with 'ports,value' lines")
-    parser.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
-    parser.add_argument("--out", type=str, default="-")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--kind", choices=["qec", "qdc", "qadc"], default=None,
-                        help="channel family for --command binary")
-    parser.add_argument("--budget", type=float, default=60.0,
-                        help="time budget in seconds for --command crosscheck")
+                        choices=list(dict.fromkeys(command for command, _ in COMMANDS)))
+    parser.add_argument("--m", type=int, help="number of cells")
+    parser.add_argument("--u", type=int, help="channel uses per cell")
+    parser.add_argument("--d", type=int, help="channel dimension")
+    parser.add_argument("--q0", type=float)
+    parser.add_argument("--q1", type=float)
+    parser.add_argument("--gap", help="comma separated list of probability gaps")
+    parser.add_argument("--grid", type=int, help="sweep points per curve")
+    parser.add_argument("--M-min", type=int)
+    parser.add_argument("--M-max", type=int)
+    parser.add_argument("--xi", help="'uniform' or 'value-table:FILE' with 'ports,value' lines")
+    parser.add_argument("--format", choices=["csv", "json"])
+    parser.add_argument("--out")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--kind", choices=[kind for _, kind in COMMANDS if kind])
+    parser.add_argument("--budget", type=float, help="time budget in seconds")
     return parser
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _parse_gaps(text):
-    if text is None:
-        return ()
     try:
         gaps = tuple(float(g) for g in text.split(","))
     except ValueError as exc:
         raise CliConfigError(f"cannot parse --gap {text!r}: {exc}") from None
-    if not gaps:
-        raise CliConfigError("--gap needs at least one value")
     for gap in gaps:
         if not 0.0 < gap < 1.0:
             raise CliConfigError(f"gaps must lie in (0, 1), got {gap}")
@@ -93,36 +92,48 @@ def _parse_gaps(text):
 
 
 def make_config(args):
-    """Validate the parsed options and return them, with ``--gap`` parsed into ``gaps``."""
-    if args.grid < 2:
-        raise CliConfigError(f"--grid must be >= 2, got {args.grid}")
-    if args.ports_min < 1 or args.ports_max < args.ports_min:
-        raise CliConfigError(
-            f"invalid port range ({args.ports_min}, {args.ports_max})")
-    if not args.budget > 0.0:
-        raise CliConfigError(f"--budget must be > 0, got {args.budget}")
-    if args.seed < 0:
-        raise CliConfigError(f"--seed must be >= 0, got {args.seed}")
-    if args.m is not None and args.m < 2:
-        raise CliConfigError(f"--m must be >= 2, got {args.m}")
-    if args.u is not None and args.u < 1:
-        raise CliConfigError(f"--u must be >= 1, got {args.u}")
-    if args.d is not None and args.d < 2:
-        raise CliConfigError(f"--d must be >= 2, got {args.d}")
-    if args.command == "binary" and args.kind is None:
-        raise CliConfigError("--command binary requires --kind {qec,qdc,qadc}")
-    if (args.q0 is None) != (args.q1 is None):
+    """Check ``args`` against the command's entry in :data:`COMMANDS`.
+
+    Returns the options the command reads, defaults filled in, and ``run``
+    naming its function.  Raises :class:`CliConfigError` for an option the
+    command does not read and for a value out of range.
+    """
+    given = dict(vars(args))
+    command = given.pop("command")
+    kinds = [kind for name, kind in COMMANDS if name == command and kind]
+    kind = given.pop("kind", None) if kinds else None
+    if (command, kind) not in COMMANDS:
+        raise CliConfigError(f"--command {command} requires --kind {{{','.join(kinds)}}}")
+    run, defaults = COMMANDS[command, kind]
+    unread = [_flag(name) for name in given if name not in defaults and name not in COMMON]
+    if unread:
+        reader = f"--command {command}" + (f" --kind {kind}" if kind else "")
+        raise CliConfigError(f"{reader} does not read {', '.join(unread)}")
+    for name, low in MINIMUM.items():
+        if given.get(name, low) < low:
+            raise CliConfigError(f"{_flag(name)} must be >= {low}, got {given[name]}")
+    if not given.get("budget", 1.0) > 0.0:
+        raise CliConfigError(f"--budget must be > 0, got {given['budget']}")
+    if ("q0" in given) != ("q1" in given):
         raise CliConfigError("--q0 and --q1 must be given together")
-    if args.command == "binary" and args.q0 is not None and args.gap is not None:
+    if "q0" in given and "gap" in given:
         raise CliConfigError("--gap sweeps q0 = q1 + gap; it cannot be combined with --q0/--q1")
     for name in ("q0", "q1"):
-        value = getattr(args, name)
-        if value is not None:
-            check_prob(value, f"--{name}", CliConfigError)
-    if args.xi != "uniform" and not args.xi.startswith("value-table:"):
-        raise CliConfigError(f"--xi must be 'uniform' or 'value-table:FILE', got {args.xi!r}")
-    args.gaps = _parse_gaps(args.gap)
-    return args
+        if name in given:
+            check_prob(given[name], _flag(name), CliConfigError)
+    xi = given.get("xi", "uniform")
+    if xi != "uniform" and not xi.startswith("value-table:"):
+        raise CliConfigError(f"--xi must be 'uniform' or 'value-table:FILE', got {xi!r}")
+    if "gap" in given:
+        given["gap"] = _parse_gaps(given["gap"])
+    cfg = argparse.Namespace(run=run, **COMMON, **defaults)
+    for name, value in given.items():
+        # a swept option given once sweeps that one value
+        swept = isinstance(getattr(cfg, name), tuple) and not isinstance(value, tuple)
+        setattr(cfg, name, (value,) if swept else value)
+    if "M_max" in defaults and cfg.M_max < cfg.M_min:
+        raise CliConfigError(f"invalid port range ({cfg.M_min}, {cfg.M_max})")
+    return cfg
 
 
 def load_xi(cfg):
@@ -164,20 +175,16 @@ def _first_excess(entangled: np.ndarray, classical: np.ndarray):
 
 
 def run_fig2(cfg):
-    m = cfg.m if cfg.m is not None else 5
-    d = cfg.d if cfg.d is not None else 100
-    us = (cfg.u,) if cfg.u is not None else (1, 3)
-    gaps = cfg.gaps or (0.5, 0.9, 0.99, 0.999)
     header = ["u", "gap", "q_t", "q_b", "qdc_cpf_entangled[exact]",
               "qdc_cpf_classical[exact]", "at_q_t_max"]
-    ent_scale, cls_scale = qdc_scales(d)
+    ent_scale, cls_scale = qdc_scales(cfg.d)
     rows = []
-    for u in us:
-        for gap in gaps:
+    for u in cfg.u:
+        for gap in cfg.gap:
             q_t = _sweep_axis(gap, cfg.grid)
             q_b = q_t + gap
-            entangled = check_exact_prob(h_mu_values(ent_scale * q_b, ent_scale * q_t, m, u))
-            classical = check_exact_prob(h_mu_values(cls_scale * q_b, cls_scale * q_t, m, u))
+            entangled = check_exact_prob(h_mu_values(ent_scale * q_b, ent_scale * q_t, cfg.m, u))
+            classical = check_exact_prob(h_mu_values(cls_scale * q_b, cls_scale * q_t, cfg.m, u))
             bad = _first_excess(entangled, classical)
             if bad is not None:
                 raise InvariantViolation(
@@ -192,10 +199,8 @@ def run_fig2(cfg):
 def run_fig3(cfg):
     from .cpf import cpf_nonadaptive_fidelity_lb
     from .qadc import qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt, qadc_cpf_block_pgm
-    configs = [(cfg.m, cfg.u)] if cfg.m is not None and cfg.u is not None else [(2, 4), (4, 2)]
-    if (cfg.m is None) != (cfg.u is None):
+    if len(cfg.m) != len(cfg.u):  # --m without --u or the other way round
         raise CliConfigError("fig3 needs --m and --u together (or neither)")
-    gaps = cfg.gaps or (0.04,)
     xi = load_xi(cfg)
     header = ["m", "u", "gap", "q_t", "q_b",
               "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
@@ -203,12 +208,12 @@ def run_fig3(cfg):
               "nonadaptive_fidelity_lb[lower]", "nonadaptive_fidelity_lb[raw]",
               "nonadaptive_fidelity_lb[clamped_flag]", "block_pgm[upper]"]
     rows = []
-    points = [(m, u, gap, q_t) for m, u in configs for gap in gaps
+    points = [(m, u, gap, q_t) for m, u in zip(cfg.m, cfg.u) for gap in cfg.gap
               for q_t in _sweep_axis(gap, cfg.grid)]
     for m, u, gap, q_t in points:
         q_b = q_t + gap
         adaptive, opt = qadc_cpf_adaptive_lb_opt(
-            q_b, q_t, m, u, xi=xi, ports_range=(cfg.ports_min, cfg.ports_max))
+            q_b, q_t, m, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
         nonadaptive = cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u)
         pgm = qadc_cpf_block_pgm(q_b, q_t, m, u)
         if adaptive.value > nonadaptive.value + 1e-9:
@@ -228,42 +233,31 @@ def run_fig3(cfg):
     return header, rows
 
 
-def _binary_blocks(cfg, default_gaps):
+def _binary_blocks(cfg):
     # (gap, q1 array, q0 array) blocks: one explicit (q0, q1) pair or, per
     # gap, a sweep q0 = q1 + gap.
     if cfg.q0 is not None:
         return [(float(cfg.q0 - cfg.q1), np.array([cfg.q1]), np.array([cfg.q0]))]
-    blocks = []
-    for gap in (cfg.gaps or default_gaps):
-        q1 = _sweep_axis(gap, cfg.grid)
-        blocks.append((gap, q1, q1 + gap))
-    return blocks
-
-
-def _binary_points(cfg, default_gaps):
-    # The points of _binary_blocks one (gap, q1, q0) at a time.
-    return [(gap, q1, q0) for gap, q1s, q0s in _binary_blocks(cfg, default_gaps)
-            for q1, q0 in zip(q1s.tolist(), q0s.tolist())]
+    axes = [(gap, _sweep_axis(gap, cfg.grid)) for gap in cfg.gap]
+    return [(gap, q1, q1 + gap) for gap, q1 in axes]
 
 
 def run_binary_qec(cfg):
-    u = cfg.u if cfg.u is not None else 30
     header = ["gap", "q1", "q0", "u", "qec_ultimate[exact]"]
     rows = []
-    for gap, q1, q0 in _binary_blocks(cfg, (0.2, 0.4, 0.6, 0.8)):
-        values = check_exact_prob(f_u_values(q0, q1, u))
-        rows.extend((gap, p1, p0, u, value)
+    for gap, q1, q0 in _binary_blocks(cfg):
+        values = check_exact_prob(f_u_values(q0, q1, cfg.u))
+        rows.extend((gap, p1, p0, cfg.u, value)
                     for p1, p0, value in zip(q1.tolist(), q0.tolist(), values.tolist()))
     return header, rows
 
 
 def run_binary_qdc(cfg):
-    u = cfg.u if cfg.u is not None else 30
-    d = cfg.d if cfg.d is not None else 6
+    u, d = cfg.u, cfg.d
     header = ["gap", "q1", "q0", "u", "d", "qdc_entangled[exact]", "qdc_classical[exact]"]
     ent_scale, cls_scale = qdc_scales(d)
     rows = []
-    for gap, q1, q0 in _binary_blocks(cfg, (0.2, 0.4, 0.6, 0.8)):
+    for gap, q1, q0 in _binary_blocks(cfg):
         entangled = check_exact_prob(f_u_values(ent_scale * q0, ent_scale * q1, u))
         classical = check_exact_prob(f_u_values(cls_scale * q0, cls_scale * q1, u))
         bad = _first_excess(entangled, classical)
@@ -279,8 +273,7 @@ def run_binary_qdc(cfg):
 def run_binary_qadc(cfg):
     from .qadc import (fvg_sandwich, nulling_error, qadc_adaptive_lb_opt, qadc_block_helstrom,
                        qadc_block_pgm, qadc_choi_fidelity)
-    u = cfg.u if cfg.u is not None else 8
-    xi = load_xi(cfg)
+    u, xi = cfg.u, load_xi(cfg)
     header = ["gap", "q1", "q0", "u",
               "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
               "adaptive_lb_opt[clamped_flag]", "best_ports",
@@ -288,15 +281,18 @@ def run_binary_qadc(cfg):
               "block_pgm[upper]", "nulling_q0[upper]", "nulling_q1[upper]",
               "nulling_min[upper]"]
     rows = []
-    for gap, q1, q0 in _binary_points(cfg, (0.04,)):
+    points = [(gap, q1, q0) for gap, q1s, q0s in _binary_blocks(cfg)
+              for q1, q0 in zip(q1s.tolist(), q0s.tolist())]
+    for gap, q1, q0 in points:
         adaptive, opt = qadc_adaptive_lb_opt(
-            q0, q1, u, xi=xi, ports_range=(cfg.ports_min, cfg.ports_max))
+            q0, q1, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
         fvg_lo, fvg_hi = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
         exact = qadc_block_helstrom(q0, q1, u)
         pgm = qadc_block_pgm(q0, q1, u)
-        nulls = {variant: nulling_error(q0, q1, u, variant)
-                 for variant in ("apply_q0", "apply_q1", "apply_min")}
-        achievable = min(fvg_hi, pgm.value, nulls["apply_min"])
+        null_q0 = nulling_error(q0, q1, u, "apply_q0")
+        null_q1 = nulling_error(q0, q1, u, "apply_q1")
+        null_min = min(null_q0, null_q1)  # the library's apply_min, without a second pass
+        achievable = min(fvg_hi, pgm.value, null_min)
         if not fvg_lo - 1e-7 <= exact.value <= achievable + 1e-7:
             raise InvariantViolation(
                 f"binary qadc: exact block error {exact.value} escapes its bracket "
@@ -309,16 +305,8 @@ def run_binary_qadc(cfg):
             gap, q1, q0, u,
             adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
             opt.best_ports, fvg_lo, exact.value, fvg_hi, pgm.value,
-            nulls["apply_q0"], nulls["apply_q1"], nulls["apply_min"]))
+            null_q0, null_q1, null_min))
     return header, rows
-
-
-def run_binary(cfg):
-    if cfg.kind == "qec":
-        return run_binary_qec(cfg)
-    if cfg.kind == "qdc":
-        return run_binary_qdc(cfg)
-    return run_binary_qadc(cfg)
 
 
 def run_crosscheck(cfg):
@@ -337,7 +325,32 @@ def run_crosscheck(cfg):
         if status == "fail":
             failures.append(f"{name} (deviation {dev:.3e} > tolerance {tol:.3e})")
         rows.append((name, status, float(dev), float(tol), cases))
-    return header, rows, failures
+    return (header, rows, *failures)
+
+
+# Each command's interface: the options it reads, each with the value it
+# takes when not given, and the name of the function that builds its table
+# (looked up when it runs, so a wrapper set on this module is the one
+# called).  ``binary`` has one entry per --kind.  A tuple default is a
+# sweep; --m and --u of fig3 are swept in pairs.  Every command also reads
+# the COMMON options, and make_config refuses any other with exit code 2.
+COMMANDS = {
+    ("fig2", None): ("run_fig2", {"m": 5, "u": (1, 3), "d": 100,
+                                  "gap": (0.5, 0.9, 0.99, 0.999), "grid": 200}),
+    ("fig3", None): ("run_fig3", {"m": (2, 4), "u": (4, 2), "gap": (0.04,), "grid": 200,
+                                  "M_min": 1, "M_max": 10**6, "xi": "uniform"}),
+    ("binary", "qec"): ("run_binary_qec", {"u": 30, "q0": None, "q1": None,
+                                           "gap": (0.2, 0.4, 0.6, 0.8), "grid": 200}),
+    ("binary", "qdc"): ("run_binary_qdc", {"u": 30, "d": 6, "q0": None, "q1": None,
+                                           "gap": (0.2, 0.4, 0.6, 0.8), "grid": 200}),
+    ("binary", "qadc"): ("run_binary_qadc", {"u": 8, "q0": None, "q1": None, "gap": (0.04,),
+                                             "grid": 200, "M_min": 1, "M_max": 10**6,
+                                             "xi": "uniform"}),
+    ("crosscheck", None): ("run_crosscheck", {"seed": 7, "budget": 60.0}),
+}
+COMMON = {"format": "csv", "out": "-"}
+# The smallest value each integer option takes.
+MINIMUM = {"m": 2, "u": 1, "d": 2, "grid": 2, "M_min": 1, "seed": 0}
 
 
 # -- output ---------------------------------------------------------------------
@@ -364,9 +377,7 @@ def _csv_row_format(header, values) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):   # bool is an int
         return int(value)
     if isinstance(value, (float, np.floating)):
         return float(value)
@@ -397,23 +408,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = make_config(args)
-        if cfg.command == "fig2":
-            header, rows = run_fig2(cfg)
-            failures = []
-        elif cfg.command == "fig3":
-            header, rows = run_fig3(cfg)
-            failures = []
-        elif cfg.command == "binary":
-            header, rows = run_binary(cfg)
-            failures = []
-        else:
-            header, rows, failures = run_crosscheck(cfg)
-        write_output(render(header, rows, cfg.fmt), cfg.out)
-        if failures:
-            for failure in failures:
-                print(f"invariant violation: {failure}", file=sys.stderr)
-            return 3
-        return 0
+        header, rows, *failures = globals()[cfg.run](cfg)
+        write_output(render(header, rows, cfg.format), cfg.out)
+        for failure in failures:
+            print(f"invariant violation: {failure}", file=sys.stderr)
+        return 3 if failures else 0
     except (CliConfigError, ChandiscError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -74,11 +74,15 @@ def theorem1_lower_bound(block_error: float, u: int, delta_avg: float) -> BoundR
 
 
 def check_ports(ports, error=CpfError) -> np.ndarray:
-    """``ports`` as an int64 array, raising ``error`` unless every count is >= 1."""
+    """``ports`` as an int64 array, raising ``error`` unless every count is an integer >= 1."""
+    counts = np.asarray(ports)
     try:
+        if counts.dtype.kind == "f" and not ((np.trunc(counts) == counts)
+                                             & (np.abs(counts) < 2.0**63)).all():
+            raise OverflowError  # the int64 cast would truncate or wrap these counts
         ports = np.asarray(ports, dtype=np.int64)
     except OverflowError:
-        raise error(f"port counts must fit in int64, got {ports}") from None
+        raise error(f"port counts must be integers that fit in int64, got {ports}") from None
     if (ports < 1).any():
         raise error(f"need ports >= 1, got {ports.min()}")
     return ports

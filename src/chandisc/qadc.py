@@ -297,13 +297,19 @@ def _nondecreasing(length: int, top: int) -> np.ndarray:
     return rows[:, 1:]
 
 
+@functools.lru_cache(maxsize=32)
 def _weight_classes(m: int, u: int, side: int):
-    # The sorted weight vectors with ``side`` distinct weights: those weights
-    # (increasing) and how many cells hold each, paired every way.
+    # The sorted weight vectors with ``side`` distinct weights, in two
+    # factors: every increasing row of those weights, and every row of how
+    # many cells hold each; each pairing of the two is one vector.  Built
+    # once per (m, u, side) and shared by every sweep point, hence
+    # read-only; the pairings are many, so the caller forms them.
     weights = _nondecreasing(side, u + 1 - side) + np.arange(side)
     cuts = _nondecreasing(side - 1, m - side) + np.arange(1, side)
     groups = np.diff(cuts, axis=1, prepend=0, append=m)
-    return np.repeat(weights, len(groups), axis=0), np.tile(groups, (len(weights), 1))
+    for table in (weights, groups):
+        table.setflags(write=False)
+    return weights, groups
 
 
 def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
@@ -363,7 +369,9 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
 
     success = 0.0
     for side in range(1, min(m, u + 1) + 1):
-        weight, group = _weight_classes(m, u, side)
+        weights, groups = _weight_classes(m, u, side)
+        weight = np.repeat(weights, len(groups), axis=0)
+        group = np.tile(groups, (len(weights), 1))
         log_weight = (log_fact[m] - log_fact[group].sum(axis=1)
                       + (group * log_mass[weight]).sum(axis=1))
         kept = np.isfinite(log_weight)  # classes of zero mass drop out

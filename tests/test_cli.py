@@ -1,5 +1,6 @@
 """End-to-end command line behavior: formats, determinism, exit codes."""
 
+import importlib.util
 import json
 import os
 import re
@@ -239,21 +240,100 @@ def test_binary_qdc_invariant_violation_exits_three(tmp_path, monkeypatch, capsy
     assert "at q1=0.5, q0=1.0\n" in capsys.readouterr().err
 
 
+# Options the command does not read, and the refusal naming them
+UNREAD = {
+    "fig2 --q0 0.5 --q1 0.2 --kind qadc --budget 3 --u 1 --gap 0.5 --grid 2":
+        "--command fig2 does not read --q0, --q1, --kind, --budget",
+    "fig3 --d 7 --m 2 --u 1 --grid 2": "--command fig3 does not read --d",
+    "binary --kind qec --M-max 5 --xi value-table:/nonexistent --u 3 --grid 2":
+        "--command binary --kind qec does not read --M-max, --xi",
+    "crosscheck --m 3 --grid 5 --budget 0.001": "--command crosscheck does not read --m, --grid",
+    "fig2 --seed 3 --M-min 4 --u 1 --gap 0.5 --grid 2":
+        "--command fig2 does not read --seed, --M-min",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("--command", "fig2", "--grid", "1"),
     ("--command", "binary",),                          # --kind missing
     ("--command", "binary", "--kind", "qec", "--q0", "0.2"),  # q1 missing
-    ("--command", "fig2", "--q0", "1.5", "--q1", "0.2"),
+    ("--command", "fig2", "--q0", "1.5", "--q1", "0.2"),      # unread
+    ("--command", "binary", "--kind", "qec", "--q0", "1.5", "--q1", "0.2"),
     ("--command", "fig3", "--M-min", "10", "--M-max", "2"),
     ("--command", "crosscheck", "--budget", "0"),
-    ("--command", "fig2", "--xi", "bogus"),
+    ("--command", "fig2", "--xi", "bogus"),                   # unread
+    ("--command", "fig3", "--xi", "bogus"),
     ("--command", "crosscheck", "--budget", "nan"),    # would never run out
     ("--command", "crosscheck", "--seed", "-1"),       # numpy refuses negative seeds
     ("--command", "binary", "--kind", "qec", "--q0", "0.7", "--q1", "0.2", "--gap", "0.3"),
+    ("--command", "fig3", "--m", "3", "--grid", "2"),  # --u missing
+    *(("--command", *line.split()) for line in UNREAD),
 ])
-def test_invalid_configurations_exit_two(tmp_path, argv):
-    code, _ = run(tmp_path, *argv)
+def test_invalid_configurations_exit_two(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
     assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and text == ""
+    if " ".join(argv[1:]) in UNREAD:
+        assert err == f"error: {UNREAD[' '.join(argv[1:])]}\n"
+
+
+def test_every_option_is_read_by_some_command():
+    # no option is parsed for nothing, and every option a command reads is parsed
+    flags = {flag for action in cli.build_parser()._actions for flag in action.option_strings}
+    read = set(cli.COMMON).union(*(options for _, options in cli.COMMANDS.values()),
+                                 cli.MINIMUM)
+    assert flags - {"-h", "--help", "--command", "--kind"} == {cli._flag(name) for name in read}
+    for run_name, _ in cli.COMMANDS.values():
+        assert callable(getattr(cli, run_name))
+
+
+def test_defaults_come_from_the_command_table():
+    cfg = cli.make_config(cli.build_parser().parse_args(["--command", "binary", "--kind", "qdc"]))
+    assert vars(cfg) == {"run": "run_binary_qdc", "format": "csv", "out": "-", "u": 30, "d": 6,
+                         "q0": None, "q1": None, "gap": (0.2, 0.4, 0.6, 0.8), "grid": 200}
+    cfg = cli.make_config(cli.build_parser().parse_args(
+        ["--command", "fig3", "--m", "3", "--u", "2", "--gap", "0.1,0.2", "--M-max", "9"]))
+    assert (cfg.m, cfg.u, cfg.gap, cfg.M_min, cfg.M_max) == ((3,), (2,), (0.1, 0.2), 1, 9)
+
+
+def _benchmark_invocations():
+    # Every CLI invocation the benchmark harness named in BENCHMARK.json
+    # builds: all workloads, smoke and full, seeds 0-2.  The harness is
+    # imported as is, without writing bytecode next to it.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as handle:
+        command = json.load(handle)["command"]
+    script = os.path.join(root, next(part for part in command if part.endswith(".py")))
+    here = os.path.dirname(script)
+    saved = sys.dont_write_bytecode, list(sys.path)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, here)
+    try:
+        spec = importlib.util.spec_from_file_location("_benchmark_harness", script)
+        harness = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = harness
+        spec.loader.exec_module(harness)
+        return sorted({inv.argv for name in harness.WORKLOADS for seed in range(3)
+                       for smoke in (False, True)
+                       for invocations in harness.workload_sets(name, seed, smoke)
+                       for inv in invocations})
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+        for name, module in list(sys.modules.items()):  # the harness and its siblings
+            if os.path.dirname(getattr(module, "__file__", None) or "") == here:
+                del sys.modules[name]
+
+
+def test_benchmark_invocations_are_accepted():
+    # a refused option there would turn every benchmark run into failed invocations
+    invocations = _benchmark_invocations()
+    assert len(invocations) >= 10
+    parser = cli.build_parser()
+    for argv in invocations:
+        cfg = cli.make_config(parser.parse_args(list(argv) + ["--out", "table.csv"]))
+        assert callable(getattr(cli, cfg.run))
 
 
 def test_fig3_many_cells(tmp_path):

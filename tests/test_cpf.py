@@ -15,8 +15,8 @@ from chandisc.cpf import (
 )
 from chandisc.discrimination import fidelity, helstrom_iterative, pgm_error
 from chandisc.orc import qdc_cpf
-from chandisc.qadc import (QadcError, qadc_adaptive_lb_opt, qadc_cpf_adaptive_lb_values,
-                          qadc_cpf_block_pgm)
+from chandisc.qadc import (QadcError, qadc_adaptive_lb_opt, qadc_adaptive_lb_values,
+                          qadc_cpf_adaptive_lb_values, qadc_cpf_block_pgm)
 
 from _oracles import (build_cpf_choi_ensemble, cpf_block_fidelity_lb, cyclic_shift,
                       dense_block_ensemble, general_fidelity_lb)
@@ -175,6 +175,21 @@ def test_optimizer_refuses_nan_bounds():
                         ports_range=(1, 100))
     with pytest.raises(QadcError):  # xi is None or an XiTable, which holds no NaN
         qadc_adaptive_lb_opt(0.3, 0.2, 2, xi=np.nan)
+
+
+@pytest.mark.parametrize("ports", [[2.5, 3.9], [1.9], np.array([4.0, 1.5]), [np.nan], [np.inf],
+                                   [1e300]])
+def test_port_counts_must_be_integers(ports):
+    # a fractional count was truncated: [1.9] gave the value at 1 port
+    with pytest.raises(CpfError, match="integers"):
+        cpf_fidelity_lb_values(0.9, 3, 2, ports, 0.0)
+    with pytest.raises(QadcError, match="integers"):
+        qadc_adaptive_lb_values(0.3, 0.2, 2, ports)
+    with pytest.raises(QadcError, match="integers"):
+        qadc_cpf_adaptive_lb_values(0.3, 0.2, 3, 2, ports)
+    # whole floats are counts
+    assert qadc_adaptive_lb_values(0.3, 0.2, 2, [1.0, 4.0]).tolist() == \
+        qadc_adaptive_lb_values(0.3, 0.2, 2, [1, 4]).tolist()
 
 
 def test_optimizer_prefers_smaller_port_count_on_ties():

@@ -372,6 +372,21 @@ def test_position_finding_pgm_input_checks():
             qadc_cpf_block_pgm(*args)
 
 
+def test_weight_class_tables_are_built_once_and_read_only():
+    # every sorted weight vector of (m, u) = (3, 4) once, from tables shared across calls
+    from chandisc.qadc import _weight_classes
+    vectors = []
+    for side in (1, 2, 3):
+        weights, groups = _weight_classes(3, 4, side)
+        assert _weight_classes(3, 4, side)[0] is weights
+        assert weights.shape[1] == groups.shape[1] == side
+        assert not weights.flags.writeable and not groups.flags.writeable
+        vectors += [tuple(np.repeat(w, g)) for w in weights for g in groups]
+    assert sorted(vectors) == list(itertools.combinations_with_replacement(range(5), 3))
+    before = qadc_cpf_block_pgm(0.3, 0.1, 3, 4).value
+    assert qadc_cpf_block_pgm(0.3, 0.1, 3, 4).value == before
+
+
 @st.composite
 def _position_finding(draw):
     q_b = draw(_PROB)
