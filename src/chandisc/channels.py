@@ -21,6 +21,7 @@ from .linalg import ChannelError, Frozen, check_prob
 
 
 TP_TOL = 1e-9
+COVARIANCE_TOL = 1e-8
 
 
 class KrausChannel(Frozen):
@@ -184,7 +185,7 @@ def pbt_error_bound(d: int, ports: int) -> float:
     return 2.0 * d * (d - 1) / ports
 
 
-def _correction_exists(c, c_u, dim_out: int, dim_in: int, tol: float) -> bool:
+def _correction_exists(c, c_u, dim_out: int, dim_in: int) -> bool:
     # Solve the linear condition (V ⊗ I) C = C_U (V ⊗ I) for V, then look
     # for a unitary inside the solution space via polar projections.
     big = dim_out * dim_in
@@ -206,7 +207,7 @@ def _correction_exists(c, c_u, dim_out: int, dim_in: int, tol: float) -> bool:
         pu, _, pvh = np.linalg.svd(candidate)
         v = pu @ pvh
         lifted = np.kron(v, np.eye(dim_in))
-        return np.abs(lifted @ c @ lifted.conj().T - c_u).max() <= tol
+        return np.abs(lifted @ c @ lifted.conj().T - c_u).max() <= COVARIANCE_TOL
 
     for vec in null_vecs:
         if is_valid(vec.reshape(dim_out, dim_out)):
@@ -220,7 +221,7 @@ def _correction_exists(c, c_u, dim_out: int, dim_in: int, tol: float) -> bool:
     return False
 
 
-def tele_covariance_check(channel: KrausChannel, tol: float = 1e-8) -> bool:
+def tele_covariance_check(channel: KrausChannel) -> bool:
     """Whether teleportation corrections can be pushed through the channel.
 
     For every shift-and-phase unitary ``U`` on the input, checks that some
@@ -233,12 +234,13 @@ def tele_covariance_check(channel: KrausChannel, tol: float = 1e-8) -> bool:
     The test is one-sided: ``True`` is certified by an explicit ``V``, but
     ``False`` may be a false negative.  Each ``V`` is sought among the basis
     vectors of the linear solution space and 8 seeded random combinations of
-    them, so a valid unitary elsewhere in that space can be missed.
+    them, so a valid unitary elsewhere in that space can be missed.  A
+    candidate must match within ``COVARIANCE_TOL`` (max-abs).
     """
     c = np.asarray(choi(channel).mat)
     d_in, d_out = channel.dim_in, channel.dim_out
     for u in heisenberg_weyl(d_in)[1:]:
         c_u = np.kron(np.eye(d_out), u.T) @ c @ np.kron(np.eye(d_out), u.conj())
-        if not _correction_exists(c, c_u, d_out, d_in, tol):
+        if not _correction_exists(c, c_u, d_out, d_in):
             return False
     return True

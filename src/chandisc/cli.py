@@ -289,9 +289,8 @@ def run_binary_qadc(cfg):
         fvg_lo, fvg_hi = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
         exact = qadc_block_helstrom(q0, q1, u)
         pgm = qadc_block_pgm(q0, q1, u)
-        null_q0 = nulling_error(q0, q1, u, "apply_q0")
-        null_q1 = nulling_error(q0, q1, u, "apply_q1")
-        null_min = min(null_q0, null_q1)  # the library's apply_min, without a second pass
+        null_q0, null_q1 = nulling_error(q0, q1, u)
+        null_min = min(null_q0, null_q1)
         achievable = min(fvg_hi, pgm.value, null_min)
         if not fvg_lo - 1e-7 <= exact.value <= achievable + 1e-7:
             raise InvariantViolation(

@@ -150,35 +150,34 @@ class MOptimizationResult(Frozen):
 # points stop being exact integers.
 MAX_PORTS = 2**53
 
+GRID_POINTS = 200  # of the optimizer's first-stage geometric grid
 
-def optimize_over_M(bound_fn, ports_range=(1, 10**6), grid_points: int = 200,
-                    breakpoints=()) -> MOptimizationResult:
+
+def optimize_over_M(bound_fn, ports_range=(1, 10**6), breakpoints=()) -> MOptimizationResult:
     """Maximize a bound over integer port counts.
 
     ``bound_fn`` maps an int64 array of port counts to the bound at each of
     them (anything that broadcasts to the array's shape, so a constant
     works too).  Each search stage is one call on the ports it has not
-    evaluated yet: first a geometric grid (endpoints and the
-    ``breakpoints`` inside the range always included), then a 64-point
+    evaluated yet: first a ``GRID_POINTS`` geometric grid (endpoints and
+    the ``breakpoints`` inside the range always included), then a 64-point
     geometric zoom into the window between the evaluated neighbors of the
     running argmax, repeated until the window holds at most 2000
     unevaluated ports, which the last call scans exhaustively.  Ties prefer
-    the smaller port count.  The returned optimum is the exact integer
-    maximum for bounds that are unimodal in the port count, as the
-    simulation-based bounds here are with the default simulation prefactor,
-    and for bounds that are non-increasing from each breakpoint to the
-    next, as they are with a tabulated step-function prefactor whose knots
-    are the breakpoints.  Ranges beyond ``MAX_PORTS`` are refused, and so
-    is a NaN bound, which has no place in the order the search relies on.
+    the smaller port count.  The search is local: it is exact when the grid's
+    best point neighbors the global maximum, as for unimodal bounds and for
+    bounds non-increasing between breakpoints (step-function prefactors).
+    The simulation-based bounds here are not unimodal: past their maximum
+    they fall to a trough, then rise toward 0 from below as the ``1/ports``
+    penalty fades; tests compare the search with a scan of every port.
+    Ranges beyond ``MAX_PORTS`` are refused, and so is a NaN bound, which has
+    no place in the order the search relies on.
     """
     lo, hi = int(ports_range[0]), int(ports_range[1])
     if lo < 1 or hi < lo:
         raise CpfError(f"invalid port range ({lo}, {hi})")
     if hi > MAX_PORTS:
         raise CpfError(f"port range ends at {hi}, beyond the largest exact grid point 2**53")
-    grid_points = int(grid_points)
-    if grid_points < 2:
-        raise CpfError(f"need at least 2 grid points, got {grid_points}")
 
     evaluated = {}
 
@@ -196,7 +195,7 @@ def optimize_over_M(bound_fn, ports_range=(1, 10**6), grid_points: int = 200,
         return np.clip(points, lo, hi).tolist()
 
     inside = {int(p) for p in breakpoints if lo <= p <= hi}
-    ev(sorted(set(geometric(lo, hi, min(grid_points, hi - lo + 1))) | {lo, hi} | inside))
+    ev(sorted(set(geometric(lo, hi, min(GRID_POINTS, hi - lo + 1))) | {lo, hi} | inside))
 
     for _ in range(60):
         best_value = max(evaluated.values())

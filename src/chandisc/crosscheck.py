@@ -143,7 +143,7 @@ def _check_nulling_vs_strings(rng):
     cases = 0
     for u in (1, 2, 3):
         q0, q1 = rng.uniform(0.1, 0.9, size=2)
-        for variant, applied in (("apply_q0", q0), ("apply_q1", q1)):
+        for applied, grouped in zip((q0, q1), nulling_error(q0, q1, u)):
             p0 = nulling_outcome_dist(applied, q0).probs
             p1 = nulling_outcome_dist(applied, q1).probs
             total = 0.0
@@ -155,7 +155,7 @@ def _check_nulling_vs_strings(rng):
                     like0 *= p0[outcome]
                     like1 *= p1[outcome]
                 total += min(like0, like1)
-            worst = max(worst, abs(total / 2.0 - nulling_error(q0, q1, u, variant)))
+            worst = max(worst, abs(total / 2.0 - grouped))
             cases += 1
     return worst, 1e-12, cases
 

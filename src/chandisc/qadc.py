@@ -455,15 +455,16 @@ def nulling_outcome_dist(q_applied, q_actual) -> OutcomeDistribution:
     return OutcomeDistribution(probs=probs, q_applied=q, q_actual=qa)
 
 
-def nulling_error(q0, q1, u: int, variant: str = "apply_min") -> float:
-    """Error probability of the counting nulling receiver over ``u`` probes.
+def nulling_error(q0, q1, u: int) -> tuple[float, float]:
+    """Error probabilities of the counting nulling receiver over ``u`` probes.
 
     The receiver applies one fixed nulling unitary per probe, tallies the
-    four outcomes, and picks the hypothesis by maximum likelihood.
-    ``variant`` selects the applied parameter: ``apply_q0``, ``apply_q1``,
-    or ``apply_min`` for the better of the two.  Outcome 1 never occurs, nor
-    outcome 0 under the matched hypothesis, so the error is an ``O(u)`` sum
-    over the outcome-3 count ``k`` when every probe gives 2 or 3:
+    four outcomes, and picks the hypothesis by maximum likelihood.  Returns
+    ``(apply_q0, apply_q1)``, the errors with the unitary matched to ``q0``
+    and to ``q1``; the better receiver is their ``min``, and neither match
+    is better everywhere.  Outcome 1 never occurs, nor outcome 0 under the
+    matched hypothesis, so each error is an ``O(u)`` sum over the outcome-3
+    count ``k`` when every probe gives 2 or 3:
     ``1/2 sum_k min(L_0(k), L_1(k))``, ``L(k) = s**u Binomial(u, p3/s)(k)``
     with ``s = p2 + p3``.
     """
@@ -472,15 +473,10 @@ def nulling_error(q0, q1, u: int, variant: str = "apply_min") -> float:
     u = int(u)
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")
-    if variant not in ("apply_q0", "apply_q1", "apply_min"):
-        raise QadcError(f"unknown variant {variant!r}")
-    if variant == "apply_min":
-        return min(nulling_error(q0, q1, u, "apply_q0"),
-                   nulling_error(q0, q1, u, "apply_q1"))
-    applied = q0 if variant == "apply_q0" else q1
-    likelihoods = []
-    for q in (q0, q1):
+
+    def likelihood(applied, q):
         _, _, p2, p3 = nulling_outcome_dist(applied, q).probs
-        kept = p2 + p3
-        likelihoods.append(kept**u * _binom_pmf(p3 / kept, u))
-    return float(np.minimum(*likelihoods).sum()) / 2.0
+        return (p2 + p3)**u * _binom_pmf(p3 / (p2 + p3), u)
+
+    return tuple(float(np.minimum(likelihood(applied, q0), likelihood(applied, q1)).sum()) / 2.0
+                 for applied in (q0, q1))

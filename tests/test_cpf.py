@@ -129,16 +129,20 @@ def test_optimizer_search_order_is_pinned():
     assert [len(call) for call in calls] == [175, 19]
     assert calls[1] == [p for p in range(139, 159) if p != 148]
     assert result.best_ports == 148
-    # three grid points with the argmax in the middle: the 2000 other ports
-    # between its neighbours are still one exhaustive last stage
+    # a grid about 1001 ports apart whose first three points are 10**9,
+    # 10**9 + 1001 and 10**9 + 2002, with the argmax in the middle: the 2000
+    # other ports between its neighbours are still one exhaustive last stage
     calls.clear()
+    top = 10**9 + 1001
 
     def peak(ports):
         calls.append(ports.tolist())
-        return -((ports - 45) ** 2)
+        return -((ports - top) ** 2)
 
-    optimize_over_M(peak, ports_range=(1, 2003), grid_points=3)
-    assert [len(call) for call in calls] == [3, 2000]
+    optimize_over_M(peak, ports_range=(10**9, 10**9 + 199 * 1001))
+    assert [len(call) for call in calls] == [200, 2000]
+    assert calls[0][:3] == [10**9, top, 10**9 + 2002]
+    assert calls[1] == [p for p in range(10**9 + 1, 10**9 + 2002) if p != top]
 
 
 def test_optimizer_evaluates_breakpoints_first():
@@ -215,6 +219,39 @@ def test_optimizer_matches_brute_force_on_bound_shape():
     result = optimize_over_M(bound, ports_range=(lo, hi))
     assert result.best_ports == brute_best
     assert result.best_value == pytest.approx(bound(brute_best))
+
+
+# (q0, q1, u) of a `binary --kind qadc --u 1 --gap 0.04` row
+_BIMODAL_ROW = (0.04482412060301508, 0.004824120603015075, 1)
+
+
+@pytest.mark.parametrize("kernel,args,best", [
+    (qadc_adaptive_lb_values, _BIMODAL_ROW, 49),
+    (qadc_cpf_adaptive_lb_values, (0.44, 0.40, 4, 2), 148),
+    (qadc_cpf_adaptive_lb_values, (0.9, 0.94, 4, 2), 47),
+    (qadc_cpf_adaptive_lb_values, (0.2, 0.24, 2, 4), 10**6),  # negative everywhere
+])
+def test_optimizer_matches_a_scan_of_every_port(kernel, args, best):
+    # the damping bounds are not unimodal in the port count; the search must
+    # still find what one kernel call on all 10**6 ports finds
+    ports = np.arange(1, 10**6 + 1, dtype=np.int64)
+    values = kernel(*args, ports)
+    top = int(np.argmax(values))  # the first maximum: ties prefer fewer ports
+    result = optimize_over_M(lambda p: kernel(*args, p))
+    assert (result.best_ports, result.best_value) == (ports[top], values[top])
+    assert result.best_ports == best
+
+
+def test_damping_bound_rises_again_after_its_maximum():
+    # falls from 1 to 2 ports, rises to its maximum at 49, falls to 421 and
+    # then rises toward 0 from below as the 1/ports penalty fades
+    ports = np.arange(1, 10**6 + 1, dtype=np.int64)
+    values = qadc_adaptive_lb_values(*_BIMODAL_ROW, ports)
+    turns = np.flatnonzero(np.diff(np.sign(np.diff(values)))) + 2
+    assert turns.tolist() == [2, 49, 421]
+    assert values[48] == pytest.approx(0.0642, abs=1e-4)
+    assert values[420] < values[-1] < 0.0
+    assert values[-1] == pytest.approx(-5.9e-6, rel=1e-2)
 
 
 def test_optimization_result_requires_consistent_maximum():

@@ -281,6 +281,20 @@ def test_binom_pmf_beyond_direct_products_matches_mpmath(q, u):
     assert worst < 1e-13
 
 
+@pytest.mark.parametrize("u", [1, 8, 30, 50])
+@pytest.mark.parametrize("q", [0.004, 0.3, 0.5, 0.97])
+def test_binom_pmf_direct_products_match_mpmath(q, u):
+    # every mass of the direct product, relative to a 50-digit evaluation
+    mpmath = pytest.importorskip("mpmath")
+    assert u <= orc.DIRECT_PRODUCT_MAX_U
+    pmf = orc._binom_pmf(q, u)
+    with mpmath.workdps(50):
+        mp_q = mpmath.mpf(q)
+        ref = [mpmath.binomial(u, k) * mp_q**k * (1 - mp_q) ** (u - k) for k in range(u + 1)]
+        worst = max(abs(got / want - 1) for got, want in zip(pmf, ref))
+    assert worst < 1e-14
+
+
 # -- the array kernels ---------------------------------------------------------
 
 # (q_b, q_t) pairs every kernel batch carries: both orders, a tie, and the

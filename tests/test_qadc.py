@@ -142,29 +142,28 @@ def _nulling_error_by_strings(q0, q1, u, applied):
 
 @pytest.mark.parametrize("q0,q1,u", [(0.2, 0.6, 1), (0.1, 0.35, 3), (0.55, 0.8, 4)])
 def test_nulling_error_matches_string_enumeration(q0, q1, u):
-    for variant, applied in [("apply_q0", q0), ("apply_q1", q1)]:
-        grouped = nulling_error(q0, q1, u, variant)
+    for applied, grouped in zip((q0, q1), nulling_error(q0, q1, u)):
         assert abs(grouped - _nulling_error_by_strings(q0, q1, u, applied)) < 1e-13
 
 
 @pytest.mark.parametrize("q0,q1,u", [(0.2, 0.6, 1), (0.1, 0.35, 7), (0.04, 0.0, 12),
                                      (1.0, 0.96, 25), (0.44, 0.4, 40), (0.0, 1.0, 40)])
 def test_nulling_error_matches_count_vectors(q0, q1, u):
-    for variant, applied in [("apply_q0", q0), ("apply_q1", q1)]:
+    for applied, grouped in zip((q0, q1), nulling_error(q0, q1, u)):
         oracle = nulling_count_sum(nulling_outcome_dist(applied, q0).probs,
                                    nulling_outcome_dist(applied, q1).probs, u)
-        assert abs(nulling_error(q0, q1, u, variant) - oracle) < 1e-13
+        assert abs(grouped - oracle) < 1e-13
 
 
 def test_nulling_error_large_u():
     # the count-vector sum overflows converting multinomials to floats here
-    assert 0.0 <= nulling_error(0.3, 0.34, 1100) <= 0.5
+    assert all(0.0 <= error <= 0.5 for error in nulling_error(0.3, 0.34, 1100))
 
 
 def test_log_space_pmf_leaves_binomial_sums_unchanged(monkeypatch):
     q0, q1, u = 0.3, 0.34, 40
-    fns = (lambda: nulling_error(q0, q1, u), lambda: qadc_block_helstrom(q0, q1, u).value,
-           lambda: qadc_block_pgm(q0, q1, u).value)
+    fns = (lambda: nulling_error(q0, q1, u)[0], lambda: nulling_error(q0, q1, u)[1],
+           lambda: qadc_block_helstrom(q0, q1, u).value, lambda: qadc_block_pgm(q0, q1, u).value)
     direct = [fn() for fn in fns]
     monkeypatch.setattr(orc, "DIRECT_PRODUCT_MAX_U", 0)
     for fn, value in zip(fns, direct):
@@ -172,18 +171,16 @@ def test_log_space_pmf_leaves_binomial_sums_unchanged(monkeypatch):
 
 
 def test_nulling_error_basics():
-    assert abs(nulling_error(0.4, 0.4, 3) - 0.5) < 1e-15  # indistinguishable
-    a = nulling_error(0.3, 0.5, 2, "apply_q0")
-    b = nulling_error(0.3, 0.5, 2, "apply_q1")
-    assert nulling_error(0.3, 0.5, 2) == pytest.approx(min(a, b))
-    with pytest.raises(QadcError):
-        nulling_error(0.3, 0.5, 2, "apply_other")
-    assert abs(nulling_error(0.3, 0.5, 3) - 0.39973719700396043) < 1e-12  # pinned
+    for error in nulling_error(0.4, 0.4, 3):
+        assert abs(error - 0.5) < 1e-15  # indistinguishable
+    a, b = nulling_error(0.3, 0.5, 2)
+    assert (b, a) == nulling_error(0.5, 0.3, 2)  # the matches swap with the pair
+    assert abs(min(nulling_error(0.3, 0.5, 3)) - 0.39973719700396043) < 1e-12  # pinned
 
 
 def test_nulling_never_beats_helstrom():
     for q0, q1, u in [(0.1, 0.4, 2), (0.3, 0.7, 3), (0.2, 0.24, 4)]:
-        achievable = nulling_error(q0, q1, u)
+        achievable = min(nulling_error(q0, q1, u))
         assert achievable >= qadc_block_helstrom(q0, q1, u).value - 1e-10
 
 
@@ -349,13 +346,13 @@ def test_block_pair_bracket_properties(pair):
     tol = 1e-12
     helstrom = qadc_block_helstrom(q0, q1, u).value
     pgm = qadc_block_pgm(q0, q1, u).value
-    nulling = nulling_error(q0, q1, u)
+    nulling = min(nulling_error(q0, q1, u))
     lower, upper = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
     assert lower - tol <= helstrom <= min(upper, pgm, nulling) + tol
     assert pgm <= 2.0 * helstrom + tol
     assert qadc_block_helstrom(q1, q0, u).value == helstrom
     assert qadc_block_pgm(q1, q0, u).value == pgm
-    assert abs(nulling_error(q1, q0, u) - nulling) <= tol
+    assert abs(min(nulling_error(q1, q0, u)) - nulling) <= tol
     assert qadc_block_helstrom(q0, q1, u + 1).value <= helstrom + tol
 
 
