@@ -40,7 +40,7 @@ _EXPORTS = {
         "OrcError", "OrcParams", "f_u", "f_u_values", "h_m1_closed", "h_mu", "h_mu_values",
         "qdc_binary", "qdc_cpf", "qdc_scales", "qec_binary", "qec_cpf"),
     "qadc": (
-        "OutcomeDistribution", "QadcError", "XiTable", "default_xi", "fvg_sandwich",
+        "QadcError", "XiTable", "default_xi", "fvg_sandwich",
         "nulling_error", "nulling_outcome_dist", "nulling_unitary", "qadc_adaptive_lb_opt",
         "qadc_adaptive_lb_values", "qadc_block_helstrom", "qadc_block_pgm",
         "qadc_choi_fidelity", "qadc_cpf_adaptive_lb_opt", "qadc_cpf_adaptive_lb_values",

@@ -132,7 +132,7 @@ def _check_nulling_dist(_rng):
         for q_act in (0.0, 0.3, 0.7, 1.0):
             state = channel_choi(make_qadc(q_act)).mat
             direct = np.diag(unitary @ state @ unitary.conj().T).real
-            closed = nulling_outcome_dist(q_app, q_act).probs
+            closed = nulling_outcome_dist(q_app, q_act)
             worst = max(worst, np.abs(direct - closed).max())
             cases += 1
     return worst, 1e-10, cases
@@ -144,8 +144,8 @@ def _check_nulling_vs_strings(rng):
     for u in (1, 2, 3):
         q0, q1 = rng.uniform(0.1, 0.9, size=2)
         for applied, grouped in zip((q0, q1), nulling_error(q0, q1, u)):
-            p0 = nulling_outcome_dist(applied, q0).probs
-            p1 = nulling_outcome_dist(applied, q1).probs
+            p0 = nulling_outcome_dist(applied, q0)
+            p1 = nulling_outcome_dist(applied, q1)
             total = 0.0
             for string in range(4**u):
                 like0 = like1 = 1.0

@@ -235,7 +235,10 @@ class StateEnsemble(Frozen):
 
 
 class Povm(Frozen):
-    """A positive operator-valued measure: PSD elements summing to identity, checked."""
+    """A positive operator-valued measure: PSD elements summing to identity, checked.
+
+    A non-Hermitian element raises :func:`hermitize`'s ``LinalgError``.
+    """
 
     __slots__ = ("elements",)
 
@@ -248,10 +251,7 @@ class Povm(Frozen):
         for e in elements:
             if e.shape != (dim, dim):
                 raise DiscriminationError("measurement elements differ in shape")
-            h = (e + e.conj().T) / 2.0
-            if np.abs(e - h).max() > 1e-8:
-                raise DiscriminationError("measurement element is not Hermitian")
-            if np.linalg.eigvalsh(h).min() < -POVM_PSD_TOL:
+            if np.linalg.eigvalsh(hermitize(e)).min() < -POVM_PSD_TOL:
                 raise DiscriminationError("measurement element is not positive semidefinite")
             total += e
         if np.abs(total - np.eye(dim)).max() > POVM_SUM_TOL:

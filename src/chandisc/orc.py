@@ -9,14 +9,15 @@ likelihood test on counts.  This module implements the binary version
 channel-specific wrappers that map channel parameters onto effective
 Bernoulli probabilities.
 
-The position-finding value ``h`` has one route: ``h_mu_values`` sums over
-the target cell's count with the background counts entering through the
-distribution of their maximum (an order statistic), at ``O(u * m)`` cost
-per point for any size.  It and the binary ``f_u_values`` are array
-kernels over points, and the scalar functions wrap them.  ``h_m1_closed``
-is an independent closed form for the single-use case that the crosscheck
-and the tests compare it with; the string-enumeration and exact-rational
-oracles live with the tests.
+Every counting receiver is one of two functionals of count pmf tables
+(counts along the last axis, certain decisions as one extra atom):
+``_binary_error``, and ``_position_error``, an order statistic over the
+background maximum at ``O(u * m)`` cost per point for any size.  The array
+kernels ``f_u_values`` and ``h_mu_values`` apply them to binomial tables,
+and the scalar functions wrap them.  ``h_m1_closed`` is an independent
+closed form for the single-use case that the crosscheck and the tests
+compare it with; the string-enumeration and exact-rational oracles live
+with the tests.
 """
 
 from __future__ import annotations
@@ -192,14 +193,13 @@ def f_u_values(q0, q1, u: int) -> np.ndarray:
     u = int(u)
     if u < 1:
         raise OrcError(f"need u >= 1, got {u}")
-    return _in_passes(lambda p0, p1: _binary_error(p0, p1, u), u, q0, q1)
+    return _in_passes(lambda a, b: _binary_error(_binom_pmf(a, u), _binom_pmf(b, u)), u, q0, q1)
 
 
-def _binary_error(q0: np.ndarray, q1: np.ndarray, u: int) -> np.ndarray:
-    # Divided by the two pmf totals, each 1 only to rounding: equal
-    # distributions then give exactly 1/2, and no value exceeds it, since
+def _binary_error(pmf0: np.ndarray, pmf1: np.ndarray) -> np.ndarray:
+    # sum_k min(P0, P1) / (sum P0 + sum P1) over two count tables: divided by
+    # the totals, equal tables give exactly 1/2, and no value exceeds it, as
     # rounding is monotone and sum_k min <= min(total0, total1).
-    pmf0, pmf1 = _binom_pmf(q0, u), _binom_pmf(q1, u)
     return np.minimum(pmf0, pmf1).sum(axis=-1) / (pmf0.sum(axis=-1) + pmf1.sum(axis=-1))
 
 
@@ -295,16 +295,22 @@ def h_mu_values(q_b, q_t, m: int, u: int) -> np.ndarray:
     q_b, q_t = _probabilities((("q_b", q_b), ("q_t", q_t)))
     u, m = int(u), int(m)
     _check_sizes(u, m)
-    return _in_passes(lambda b, t: _position_error(b, t, m, u), u, q_b, q_t)
+    return _in_passes(lambda b, t: _position_error(*_position_tables(b, t, u), m), u, q_b, q_t)
 
 
-def _position_error(q_b: np.ndarray, q_t: np.ndarray, m: int, u: int) -> np.ndarray:
-    # h_mu_values on checked arrays of one shape.
-    target = _binom_pmf(q_t, u)
-    background = _binom_pmf(q_b, u)
-    mirror = (q_t < q_b)[..., None]
-    target = np.where(mirror, target[..., ::-1], target)
-    background = np.where(mirror, background[..., ::-1], background)
+def _position_tables(q_b, q_t, u: int):
+    # Binomial (target, background) count tables, mirrored k -> u - k where
+    # q_t < q_b, so that the likelihood ratio rises along the last axis.
+    target, background = _binom_pmf(q_t, u), _binom_pmf(q_b, u)
+    mirror = (np.asarray(q_t) < q_b)[..., None]
+    return (np.where(mirror, target[..., ::-1], target),
+            np.where(mirror, background[..., ::-1], background))
+
+
+def _position_error(target: np.ndarray, background: np.ndarray, m: int) -> np.ndarray:
+    # h_mu_values' order statistic on target and background count tables whose
+    # likelihood ratio rises along the last axis; mass decided with certainty
+    # is a top atom of the target table (0 in the background table).
     upper = np.cumsum(background, axis=-1)
     lower = np.zeros_like(upper)
     lower[..., 1:] = upper[..., :-1]
@@ -322,8 +328,7 @@ def h_mu(params: OrcParams) -> float:
     Reads only the ``q_b``, ``q_t``, ``u`` and ``m`` fields, which
     :class:`OrcParams` has already checked.
     """
-    return float(_position_error(np.float64(params.q_b), np.float64(params.q_t),
-                                 params.m, params.u))
+    return float(_position_error(*_position_tables(params.q_b, params.q_t, params.u), params.m))
 
 
 def qec_cpf(q_b, q_t, m: int, u: int) -> BoundReport:

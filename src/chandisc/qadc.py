@@ -28,7 +28,7 @@ import numpy as np
 from .cpf import check_ports, cpf_fidelity_lb_values, cpf_sim_error, optimize_over_M
 from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError,
                      ChannelError, Frozen, check_prob)
-from .orc import _binom_log_pmf, _binom_pmf
+from .orc import _binary_error, _binom_log_pmf, _binom_pmf
 
 
 # Largest number of sorted cell-weight classes ``C(m+u, m)`` that
@@ -417,42 +417,36 @@ def nulling_unitary(q) -> np.ndarray:
     ], dtype=np.complex128)
 
 
-class OutcomeDistribution(Frozen):
-    """Four-outcome statistics of the nulling receiver on one probe."""
-
-    __slots__ = ("probs", "q_applied", "q_actual")
-
-    def __init__(self, probs, q_applied: float, q_actual: float):
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.shape != (4,):
-            raise QadcError(f"expected 4 outcome probabilities, got shape {probs.shape}")
-        if probs.min() < -1e-12:
-            raise QadcError(f"negative outcome probability {probs.min()}")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise QadcError(f"outcome probabilities sum to {probs.sum()}")
-        probs = np.clip(probs, 0.0, None)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "q_applied", q_applied)
-        object.__setattr__(self, "q_actual", q_actual)
-
-
-def nulling_outcome_dist(q_applied, q_actual) -> OutcomeDistribution:
+def nulling_outcome_dist(q_applied, q_actual) -> np.ndarray:
     """Outcome distribution of the ``q_applied`` nulling unitary.
 
     Equals the diagonal of ``U ρ U†`` for the Choi state ``ρ`` of the actual
     channel.  In closed form, with ``q = q_applied`` and ``q' = q_actual``:
 
         ``p = [p00, 0, 1 - q'/2 - p00, q'/2]``,
-        ``p00 = (2 - q - q' - 2 sqrt((1-q)(1-q'))) / (4 - 2q)``.
+        ``p00 = (sqrt(1-q) - sqrt(1-q'))**2 / (4 - 2q)``.
 
-    ``p00`` vanishes exactly at ``q' == q`` and is positive otherwise.
+    ``p00`` is a square: exactly 0 at ``q' == q``, never negative.  Returns
+    a read-only array.
     """
     q = float(check_prob(q_applied, "q_applied", QadcError))
     qa = float(check_prob(q_actual, "q_actual", QadcError))
-    p00 = (2.0 - q - qa - 2.0 * math.sqrt((1.0 - q) * (1.0 - qa))) / (4.0 - 2.0 * q)
+    p00 = (math.sqrt(1.0 - q) - math.sqrt(1.0 - qa)) ** 2 / (4.0 - 2.0 * q)
     probs = np.array([p00, 0.0, 1.0 - qa / 2.0 - p00, qa / 2.0])
-    return OutcomeDistribution(probs=probs, q_applied=q, q_actual=qa)
+    if abs(probs.sum() - 1.0) > 1e-12:
+        raise QadcError(f"outcome probabilities sum to {probs.sum()}")
+    probs = np.clip(probs, 0.0, None)
+    probs.setflags(write=False)
+    return probs
+
+
+def _nulling_table(applied, q, u: int) -> np.ndarray:
+    # The nulling receiver's count table for channel q: s**u Binomial(u, p3/s)
+    # over the outcome-3 count, s = 1 - p00, and an atom 1 - s**u for "some
+    # outcome 0"; both powers from u log1p(-p00), which keeps a small p00's bits.
+    p00, _, _, p3 = nulling_outcome_dist(applied, q)
+    log_none = u * math.log1p(-p00)
+    return np.append(math.exp(log_none) * _binom_pmf(p3 / (1.0 - p00), u), -math.expm1(log_none))
 
 
 def nulling_error(q0, q1, u: int) -> tuple[float, float]:
@@ -463,20 +457,14 @@ def nulling_error(q0, q1, u: int) -> tuple[float, float]:
     ``(apply_q0, apply_q1)``, the errors with the unitary matched to ``q0``
     and to ``q1``; the better receiver is their ``min``, and neither match
     is better everywhere.  Outcome 1 never occurs, nor outcome 0 under the
-    matched hypothesis, so each error is an ``O(u)`` sum over the outcome-3
-    count ``k`` when every probe gives 2 or 3:
-    ``1/2 sum_k min(L_0(k), L_1(k))``, ``L(k) = s**u Binomial(u, p3/s)(k)``
-    with ``s = p2 + p3``.
+    matched hypothesis, so each error is orc's binary counting functional on
+    the outcome-3 count tables, each with an atom for "some outcome 0".
     """
     q0 = float(check_prob(q0, "q0", QadcError))
     q1 = float(check_prob(q1, "q1", QadcError))
     u = int(u)
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")
-
-    def likelihood(applied, q):
-        _, _, p2, p3 = nulling_outcome_dist(applied, q).probs
-        return (p2 + p3)**u * _binom_pmf(p3 / (p2 + p3), u)
-
-    return tuple(float(np.minimum(likelihood(applied, q0), likelihood(applied, q1)).sum()) / 2.0
+    return tuple(float(_binary_error(_nulling_table(applied, q0, u),
+                                     _nulling_table(applied, q1, u)))
                  for applied in (q0, q1))

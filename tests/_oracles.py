@@ -18,6 +18,8 @@
   over binomial masses computed term by term in mpmath precision;
 * ``nulling_count_sum``: the nulling receiver's error as a sum over all
   ``C(u+3, 3)`` four-outcome count vectors with multinomial weights;
+* ``mp_nulling_error``: the same error in mpmath precision, over the
+  outcome-3 count of the probes that give no outcome 0;
 * ``pbt_pair_adaptive_lb``/``pbt_position_finding_adaptive_lb``: the
   port-based adaptive lower bounds at one port count, in plain ``math``
   floats, with ``step_xi`` for a tabulated simulation prefactor;
@@ -318,6 +320,26 @@ def mp_binary_error(mp, q0, q1, u):
             masses.append(masses[-1] * (u - k + 1) / k * q / (1 - q))
         return masses
     return mp.fsum(min(a, b) for a, b in zip(pmf(q0), pmf(q1))) / 2
+
+
+def mp_nulling_error(mp, q0, q1, u):
+    """The nulling receiver's ``(apply_q0, apply_q1)`` errors in mpmath.
+
+    With the unitary matched to one hypothesis, that hypothesis never gives
+    outcome 0 (nor does either give outcome 1), so every string with an
+    outcome 0 has one zero likelihood.  The error is then half the sum over
+    the outcome-3 count ``k`` of the smaller ``C(u, k) p2**(u-k) p3**k``,
+    with each probe's ``p3 = q/2`` and ``p2 = 1 - q/2 - p00``,
+    ``p00 = (2 - a - q - 2 sqrt((1-a)(1-q))) / (4 - 2a)`` for the applied
+    parameter ``a``, all at the working precision from the float inputs.
+    """
+    def masses(applied, q):
+        a, q = mp.mpf(applied), mp.mpf(q)
+        p3 = q / 2
+        p2 = 1 - p3 - (2 - a - q - 2 * mp.sqrt((1 - a) * (1 - q))) / (4 - 2 * a)
+        return [mp.binomial(u, k) * p2 ** (u - k) * p3 ** k for k in range(u + 1)]
+    return tuple(mp.fsum(min(x, y) for x, y in zip(masses(a, q0), masses(a, q1))) / 2
+                 for a in (q0, q1))
 
 
 def nulling_count_sum(probs0, probs1, u):

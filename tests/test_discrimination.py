@@ -20,6 +20,8 @@ from chandisc.discrimination import (
     success_probability,
 )
 
+from chandisc.linalg import ChandiscError, LinalgError
+
 from _util import gus_pure_states, random_density, random_unitary
 
 
@@ -73,6 +75,11 @@ def test_povm_validation():
         Povm((eye, eye))  # sums to 2I
     with pytest.raises(DiscriminationError):
         Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))  # negative element
+    # hermitize's error, a ChandiscError like every library error (the CLI exits 2)
+    assert issubclass(LinalgError, ChandiscError)
+    skew = np.array([[0.0, 0.5], [-0.5, 0.0]])
+    with pytest.raises(LinalgError, match="not Hermitian"):
+        Povm((0.5 * eye + skew, 0.5 * eye - skew))  # sums to I, but not Hermitian
 
 
 def test_success_probability_orthogonal_states():

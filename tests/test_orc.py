@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chandisc import orc
 from chandisc.discrimination import check_exact_prob
@@ -116,6 +117,24 @@ def test_f_relative_accuracy_against_mpmath(q0, q1, u):
         want = mp_binary_error(mpmath.mp, q0, q1, u)
         if want > 1e-290:
             assert abs(got / want - 1) <= 1e-12
+
+
+# two count tables of a few points: masses in [0, 1] along the last axis,
+# sub-stochastic or not, each row with some mass
+_TABLES = st.tuples(st.integers(1, 4), st.integers(1, 12)).flatmap(
+    lambda shape: st.tuples(*[arrays(np.float64, shape, elements=st.floats(0, 1))] * 2)).filter(
+    lambda tables: all(table.sum(axis=-1).all() for table in tables))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TABLES)
+def test_binary_functional_is_symmetric_and_at_most_half(tables):
+    pmf0, pmf1 = tables
+    error = orc._binary_error(pmf0, pmf1)
+    assert error.shape == (len(pmf0),)
+    assert (orc._binary_error(pmf1, pmf0) == error).all()
+    assert ((error >= 0.0) & (error <= 0.5)).all()
+    assert (orc._binary_error(pmf0, pmf0) == 0.5).all()
 
 
 @settings(max_examples=60, deadline=None)

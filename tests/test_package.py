@@ -48,8 +48,6 @@ VALUE_TYPES = {
                             chandisc.CpfError),
     "XiTable": (lambda: chandisc.XiTable([1, 2], [1.0, np.nan]),
                 lambda: chandisc.XiTable([1, 2], [1.0, 0.5]), chandisc.QadcError),
-    "OutcomeDistribution": (lambda: chandisc.OutcomeDistribution([0.5, 0.5, 0.5, 0.0], 0.1, 0.1),
-                            lambda: chandisc.nulling_outcome_dist(0.1, 0.2), chandisc.QadcError),
     "OrcParams": (lambda: chandisc.OrcParams(q_b=1.5, q_t=0.5, u=1, m=2),
                   lambda: chandisc.OrcParams(q_b=0.5, q_t=0.5, u=1, m=2), chandisc.OrcError),
 }

@@ -30,7 +30,7 @@ from chandisc.qadc import (
     qadc_sim_error_values,
 )
 
-from _oracles import (nulling_count_sum, pbt_pair_adaptive_lb,
+from _oracles import (mp_nulling_error, nulling_count_sum, pbt_pair_adaptive_lb,
                       pbt_position_finding_adaptive_lb, step_xi)
 
 
@@ -113,9 +113,12 @@ def test_nulling_unitary_is_unitary():
 
 
 def test_nulling_matched_distribution():
-    # the matched unitary empties outcomes 0 and 1
+    # the matched unitary empties outcomes 0 and 1, exactly, at every q
     dist = nulling_outcome_dist(0.5, 0.5)
-    np.testing.assert_allclose(dist.probs, [0.0, 0.0, 0.75, 0.25], atol=1e-14)
+    np.testing.assert_allclose(dist, [0.0, 0.0, 0.75, 0.25], atol=1e-14)
+    assert not dist.flags.writeable
+    for q in np.linspace(0.0, 1.0, 1001):
+        assert nulling_outcome_dist(q, q)[:2].tolist() == [0.0, 0.0]
 
 
 def test_nulling_dist_matches_conjugated_choi():
@@ -124,14 +127,14 @@ def test_nulling_dist_matches_conjugated_choi():
         for q_act in (0.0, 0.25, 0.8, 1.0):
             state = choi(make_qadc(q_act)).mat
             direct = np.diag(un @ state @ un.conj().T).real
-            closed = nulling_outcome_dist(q_app, q_act).probs
+            closed = nulling_outcome_dist(q_app, q_act)
             np.testing.assert_allclose(direct, closed, atol=1e-12)
 
 
 def _nulling_error_by_strings(q0, q1, u, applied):
     """Sum min-likelihood over all 4**u outcome strings, no count grouping."""
-    dist0 = nulling_outcome_dist(applied, q0).probs
-    dist1 = nulling_outcome_dist(applied, q1).probs
+    dist0 = nulling_outcome_dist(applied, q0)
+    dist1 = nulling_outcome_dist(applied, q1)
     error = 0.0
     for outcomes in itertools.product(range(4), repeat=u):
         l0 = math.prod(dist0[k] for k in outcomes)
@@ -150,14 +153,44 @@ def test_nulling_error_matches_string_enumeration(q0, q1, u):
                                      (1.0, 0.96, 25), (0.44, 0.4, 40), (0.0, 1.0, 40)])
 def test_nulling_error_matches_count_vectors(q0, q1, u):
     for applied, grouped in zip((q0, q1), nulling_error(q0, q1, u)):
-        oracle = nulling_count_sum(nulling_outcome_dist(applied, q0).probs,
-                                   nulling_outcome_dist(applied, q1).probs, u)
+        oracle = nulling_count_sum(nulling_outcome_dist(applied, q0),
+                                   nulling_outcome_dist(applied, q1), u)
         assert abs(grouped - oracle) < 1e-13
 
 
 def test_nulling_error_large_u():
     # the count-vector sum overflows converting multinomials to floats here
     assert all(0.0 <= error <= 0.5 for error in nulling_error(0.3, 0.34, 1100))
+
+
+def _nulling_relative_errors(q0, q1, u):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return [float(abs(got / want - 1))
+                for got, want in zip(nulling_error(q0, q1, u), mp_nulling_error(mpmath.mp, q0, q1, u))
+                if want > 1e-290]
+
+
+_NULLING_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NULLING_PROB, _NULLING_PROB, st.booleans(), st.integers(1, 50))
+@example(0.0, 1.0, False, 50)
+@example(1.0, 0.0, False, 7)
+@example(0.3, 0.0, True, 12)                 # q0 == q1: exactly 1/2
+@example(1.0, 0.0, True, 1)
+@example(0.61, 0.6100001, False, 40)
+def test_nulling_error_relative_accuracy(q0, q1, equal, u):
+    q1 = q0 if equal else q1
+    assert max(_nulling_relative_errors(q0, q1, u), default=0.0) <= 2e-14
+
+
+@pytest.mark.parametrize("u", [60, 500, 2000])
+@pytest.mark.parametrize("q0,q1", [(0.3, 0.34), (0.0, 0.01), (1.0, 0.999), (0.0, 1.0),
+                                   (0.5, 0.5), (1.0, 1.0), (0.2, 0.2000001), (0.95, 0.9)])
+def test_nulling_error_relative_accuracy_large_u(q0, q1, u):
+    assert max(_nulling_relative_errors(q0, q1, u), default=0.0) <= 1e-12
 
 
 def test_log_space_pmf_leaves_binomial_sums_unchanged(monkeypatch):
@@ -171,8 +204,8 @@ def test_log_space_pmf_leaves_binomial_sums_unchanged(monkeypatch):
 
 
 def test_nulling_error_basics():
-    for error in nulling_error(0.4, 0.4, 3):
-        assert abs(error - 0.5) < 1e-15  # indistinguishable
+    for q, u in itertools.product((0.0, 0.4, 1.0), (3, 2000)):
+        assert nulling_error(q, q, u) == (0.5, 0.5)  # indistinguishable, exactly
     a, b = nulling_error(0.3, 0.5, 2)
     assert (b, a) == nulling_error(0.5, 0.3, 2)  # the matches swap with the pair
     assert abs(min(nulling_error(0.3, 0.5, 3)) - 0.39973719700396043) < 1e-12  # pinned
