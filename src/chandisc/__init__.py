@@ -21,24 +21,19 @@ import importlib
 # Exported names by the submodule that defines them.
 _EXPORTS = {
     "channels": (
-        "KrausChannel", "apply", "choi", "heisenberg_weyl", "kraus_vectors", "make_qadc",
-        "make_qdc", "make_qec", "maximally_entangled", "pbt_error_bound",
-        "tele_covariance_check"),
+        "KrausChannel", "choi", "heisenberg_weyl", "kraus_vectors", "make_qadc", "make_qdc",
+        "make_qec", "tele_covariance_check"),
     "cpf": (
         "CpfError", "MOptimizationResult", "cpf_fidelity_lb_values",
-        "cpf_nonadaptive_fidelity_lb", "cpf_sim_error", "optimize_over_M",
-        "theorem1_lower_bound"),
+        "cpf_nonadaptive_fidelity_lb", "cpf_sim_error", "optimize_over_M"),
     "discrimination": (
-        "DensityMatrix", "Povm", "StateEnsemble", "continuity_lower_bound", "fidelity",
-        "fidelity_lower_bound", "fidelity_upper_bound", "gus_unitary_helstrom",
-        "helstrom_binary", "helstrom_iterative", "hermitize", "partial_trace", "pgm_error",
-        "pgm_povm", "success_probability", "tensor", "tensor_all", "trace_norm"),
+        "DensityMatrix", "Povm", "StateEnsemble", "gus_unitary_helstrom", "helstrom_binary",
+        "helstrom_iterative", "hermitize", "pgm_error", "pgm_povm", "tensor", "tensor_all",
+        "trace_norm"),
     "linalg": (
         "BoundReport", "ChandiscError", "ChannelError", "DiscriminationError", "LinalgError",
         "check_exact_prob"),
-    "orc": (
-        "OrcError", "OrcParams", "f_u", "f_u_values", "h_m1_closed", "h_mu", "h_mu_values",
-        "qdc_binary", "qdc_cpf", "qdc_scales", "qec_binary", "qec_cpf"),
+    "orc": ("OrcError", "f_u_values", "h_m1_closed", "h_mu_values", "qdc_scales"),
     "qadc": (
         "QadcError", "XiTable", "default_xi", "fvg_sandwich",
         "nulling_error", "nulling_outcome_dist", "nulling_unitary", "qadc_adaptive_lb_opt",

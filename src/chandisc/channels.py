@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discrimination import DensityMatrix, as_complex_matrix, hermitize
+from .discrimination import DensityMatrix, as_complex_matrix
 from .linalg import ChannelError, Frozen, check_prob
 
 
@@ -130,22 +130,6 @@ def make_qadc(q) -> KrausChannel:
     return KrausChannel((k0, k1))
 
 
-def apply(channel: KrausChannel, rho) -> DensityMatrix:
-    """Apply a channel to a state: ``sum_i K_i rho K_i†``."""
-    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    if rho.dim != channel.dim_in:
-        raise ChannelError(f"state dimension {rho.dim} does not match channel input {channel.dim_in}")
-    out = sum(k @ rho.mat @ k.conj().T for k in channel.kraus)
-    return DensityMatrix(hermitize(out))
-
-
-def maximally_entangled(d: int) -> DensityMatrix:
-    """The rank-one projector on ``sum_i |ii> / sqrt(d)``."""
-    d = int(d)
-    vec = np.eye(d, dtype=np.complex128).reshape(-1) / np.sqrt(d)
-    return DensityMatrix(np.outer(vec, vec.conj()))
-
-
 def kraus_vectors(channel: KrausChannel) -> np.ndarray:
     """Columns ``vec(K_i) / sqrt(d_in)``, so that ``choi(channel) = V V†``.
 
@@ -167,22 +151,6 @@ def choi(channel: KrausChannel) -> DensityMatrix:
     """
     vecs = kraus_vectors(channel)
     return DensityMatrix(vecs @ vecs.conj().T)
-
-
-def pbt_error_bound(d: int, ports: int) -> float:
-    """Universal port-based simulation error ``2 d (d - 1) / M`` in dimension ``d``.
-
-    Bounds the diamond-norm distance between any channel of input dimension
-    ``d`` and its ``M = ports`` port teleportation simulation; it decays only
-    linearly in the number of ports but requires no structure from the channel.
-    """
-    d = int(d)
-    ports = int(ports)
-    if d < 2:
-        raise ChannelError(f"need d >= 2, got {d}")
-    if ports < 1:
-        raise ChannelError(f"need ports >= 1, got {ports}")
-    return 2.0 * d * (d - 1) / ports
 
 
 def _correction_exists(c, c_u, dim_out: int, dim_in: int) -> bool:

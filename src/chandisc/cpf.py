@@ -9,8 +9,8 @@ collect the resulting block states (tensor powers of cell Choi matrices),
 and pay a continuity penalty ``u/2`` times the accumulated simulation
 error.  This module holds the arithmetic of that route, all of it on
 numbers and arrays of port counts: the simulation error of an instance, the
-continuity bound, the fidelity bounds on the block error, and the
-port-count optimization.
+fidelity bounds on the block error net of that penalty, and the port-count
+optimization.
 
 The block states themselves are not built here.  The iterative Helstrom
 solver runs on plain tensor powers of the cell Choi matrices
@@ -46,31 +46,6 @@ def cpf_sim_error(delta_background, delta_target, m: int):
     if (delta_background < 0.0).any() or (delta_target < 0.0).any():
         raise CpfError("simulation errors must be >= 0")
     return (m - 1) * delta_background + delta_target
-
-
-def theorem1_lower_bound(block_error: float, u: int, delta_avg: float) -> BoundReport:
-    """Adaptive-strategy lower bound from a block error and a simulation error.
-
-    If the prior-averaged per-use simulation error is ``delta_avg``, any
-    adaptive protocol with ``u`` uses errs at least
-
-        ``block_error - u * delta_avg / 2``
-
-    where ``block_error`` is the minimum error of the simulated block
-    ensemble.  The value is reported raw; it may be negative when vacuous.
-    """
-    block_error = float(block_error)
-    if not 0.0 <= block_error <= 1.0:
-        raise CpfError(f"block error must lie in [0, 1], got {block_error}")
-    u = int(u)
-    if u < 1:
-        raise CpfError(f"need u >= 1, got {u}")
-    delta_avg = float(delta_avg)
-    if delta_avg < 0.0:
-        raise CpfError(f"simulation error must be >= 0, got {delta_avg}")
-    return BoundReport(block_error - u * delta_avg / 2.0, KIND_LOWER,
-                       "adaptive_continuity_lb",
-                       {"block_error": block_error, "u": u, "delta_avg": delta_avg})
 
 
 def check_ports(ports, error=CpfError) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 from .channels import choi as channel_choi, make_qadc, make_qdc, make_qec, tele_covariance_check
 from .discrimination import (DensityMatrix, StateEnsemble, gus_unitary_helstrom, helstrom_binary,
                              helstrom_iterative, pgm_error, tensor_all)
-from .orc import OrcParams, f_u, h_m1_closed, h_mu, qdc_cpf
+from .orc import f_u_values, h_m1_closed, h_mu_values, qdc_scales
 from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
                    qadc_block_helstrom, qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt,
                    qadc_cpf_adaptive_lb_values)
@@ -43,7 +43,7 @@ def _check_f_vs_helstrom_qec(rng):
         q0, q1 = rng.uniform(0.05, 0.95, size=2)
         for u in (1, 2, 3):
             rho0, rho1 = _dense_block_pair(make_qec(2, q0), make_qec(2, q1), u)
-            dev = abs(helstrom_binary(rho0, rho1).value - f_u(q0, q1, u))
+            dev = abs(helstrom_binary(rho0, rho1).value - f_u_values(q0, q1, u))
             worst = max(worst, dev)
             cases += 1
     return worst, 1e-9, cases
@@ -52,15 +52,16 @@ def _check_f_vs_helstrom_qec(rng):
 def _check_qdc_binary_vs_helstrom(rng):
     worst = 0.0
     cases = 0
+    ent_scale, cls_scale = qdc_scales(2)
     for _ in range(3):
         q0, q1 = rng.uniform(0.05, 0.95, size=2)
         for u in (1, 2):
             rho0, rho1 = _dense_block_pair(make_qdc(2, q0), make_qdc(2, q1), u)
-            ent = f_u(0.75 * q0, 0.75 * q1, u)
+            ent = f_u_values(ent_scale * q0, ent_scale * q1, u)
             worst = max(worst, abs(helstrom_binary(rho0, rho1).value - ent))
             out0 = np.diag([1.0 - q0 / 2.0, q0 / 2.0])
             out1 = np.diag([1.0 - q1 / 2.0, q1 / 2.0])
-            cls = f_u(0.5 * q0, 0.5 * q1, u)
+            cls = f_u_values(cls_scale * q0, cls_scale * q1, u)
             block0 = DensityMatrix(tensor_all([out0] * u))
             block1 = DensityMatrix(tensor_all([out1] * u))
             worst = max(worst, abs(helstrom_binary(block0, block1).value - cls))
@@ -86,10 +87,9 @@ def _check_h_route_agreement(rng):
                     best = max(best, like)
                 success += best
             strings = 1.0 - success / m
-            params = OrcParams(q_b=q_b, q_t=q_t, u=u, m=m)
-            worst = max(worst, abs(h_mu(params) - strings))
+            worst = max(worst, abs(h_mu_values(q_b, q_t, m, u) - strings))
             if u == 1:
-                worst = max(worst, abs(h_m1_closed(params) - strings))
+                worst = max(worst, abs(h_m1_closed(q_b, q_t, m) - strings))
             cases += 1
     return worst, 1e-12, cases
 
@@ -97,18 +97,19 @@ def _check_h_route_agreement(rng):
 def _check_cpf_vs_solver(rng):
     worst = 0.0
     cases = 0
+    scale = qdc_scales(2)[0]
     for m, u in ((2, 1), (2, 2)):
         q_b, q_t = rng.uniform(0.1, 0.9, size=2)
         report, _, gap = helstrom_iterative(
             _dense_cpf_ensemble(make_qdc(2, q_b), make_qdc(2, q_t), m, u))
-        target = qdc_cpf(q_b, q_t, m, u, 2)[0].value
+        target = h_mu_values(scale * q_b, scale * q_t, m, u)
         worst = max(worst, max(0.0, abs(report.value - target) - gap))
         cases += 1
     for m in (2, 3):
         q_b, q_t = rng.uniform(0.1, 0.9, size=2)
         report, _, gap = helstrom_iterative(
             _dense_cpf_ensemble(make_qec(2, q_b), make_qec(2, q_t), m, 1))
-        target = h_m1_closed(OrcParams(q_b=q_b, q_t=q_t, u=1, m=m))
+        target = h_m1_closed(q_b, q_t, m)
         worst = max(worst, max(0.0, abs(report.value - target) - gap))
         cases += 1
     return worst, 1e-6, cases

@@ -1,18 +1,17 @@
 """Dense quantum states and minimum-error discrimination of finite ensembles.
 
 The first half holds the dense matrix primitives: validated states
-(:class:`DensityMatrix`), tensor products, partial traces, the trace norm
-and the fidelity.  These are the numerical details that are easy to get
-subtly wrong, so the rest of the package has one vetted implementation of
-each.
+(:class:`DensityMatrix`), tensor products and the trace norm.  These are
+the numerical details that are easy to get subtly wrong, so the rest of the
+package has one vetted implementation of each.
 
 The second half computes the smallest achievable probability of
 misidentifying which state from a known ensemble was prepared.  For two
 states this is given in closed form by the trace-norm (Helstrom) formula;
-for larger ensembles the module provides the square-root measurement, the
-pairwise-fidelity sandwich, a fixed-point iteration for the optimal
-measurement with a rigorous optimality certificate, and a closed form for
-geometrically uniform pure ensembles.
+for larger ensembles the module provides the square-root measurement, a
+fixed-point iteration for the optimal measurement with a rigorous
+optimality certificate, and a closed form for geometrically uniform pure
+ensembles.
 
 Every bound is returned as a :class:`~chandisc.linalg.BoundReport` carrying
 the raw value, its direction (``exact`` / ``lower`` / ``upper``) and the
@@ -25,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, DiscriminationError,
-                     Frozen, LinalgError, check_exact_prob)
+from .linalg import (KIND_EXACT, KIND_UPPER, BoundReport, DiscriminationError, Frozen,
+                     LinalgError)
 
 # HERM_TOL / EIG_TOL / TRACE_TOL gate state validation.
 HERM_TOL = 1e-10
@@ -132,34 +131,6 @@ def tensor_all(mats) -> np.ndarray:
     return out
 
 
-def partial_trace(mat, dims, keep) -> np.ndarray:
-    """Trace out all tensor factors except those listed in ``keep``.
-
-    Parameters
-    ----------
-    mat : array_like
-        Square matrix on a tensor-product space with factor sizes ``dims``
-        (first factor most significant, matching ``numpy.kron`` order).
-    dims : sequence of int
-    keep : sequence of int
-        Indices of factors to retain, in ascending order.
-    """
-    mat = as_complex_matrix(mat)
-    dims = tuple(int(d) for d in dims)
-    keep = tuple(sorted(int(k) for k in keep))
-    n = len(dims)
-    if mat.shape[0] != np.prod(dims) or mat.shape[0] != mat.shape[1]:
-        raise LinalgError("matrix shape does not match the factor dimensions")
-    if any(k < 0 or k >= n for k in keep):
-        raise LinalgError("keep indices out of range")
-    tensor_form = mat.reshape(dims + dims)
-    # Trace highest factors first so lower axis indices stay valid.
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        tensor_form = np.trace(tensor_form, axis1=ax, axis2=ax + tensor_form.ndim // 2)
-    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return tensor_form.reshape(kept_dim, kept_dim)
-
-
 def trace_norm(mat) -> float:
     """Sum of singular values; for Hermitian input, the sum of |eigenvalues|."""
     mat = as_complex_matrix(mat)
@@ -167,29 +138,6 @@ def trace_norm(mat) -> float:
         herm = (mat + mat.conj().T) / 2.0
         return float(np.abs(np.linalg.eigvalsh(herm)).sum())
     return float(np.linalg.svd(mat, compute_uv=False).sum())
-
-
-def _psd_sqrt(mat) -> np.ndarray:
-    # mat must already be Hermitian; small negative eigenvalues are clipped.
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity ``tr|√ρ √σ|`` of two states, clipped to [0, 1].
-
-    Accepts ``DensityMatrix`` or raw arrays; raw arrays are validated.
-    """
-    rho = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    sigma = sigma if isinstance(sigma, DensityMatrix) else DensityMatrix(sigma)
-    if rho.dim != sigma.dim:
-        raise LinalgError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    prod = _psd_sqrt(hermitize(rho.mat, 1e-8)) @ _psd_sqrt(hermitize(sigma.mat, 1e-8))
-    val = float(np.linalg.svd(prod, compute_uv=False).sum())
-    if val > 1.0 + 1e-9:
-        raise LinalgError(f"fidelity {val} exceeds 1 beyond tolerance")
-    return min(max(val, 0.0), 1.0)
 
 
 class StateEnsemble(Frozen):
@@ -264,16 +212,6 @@ class Povm(Frozen):
 
     def __len__(self):
         return len(self.elements)
-
-
-def success_probability(ensemble: StateEnsemble, povm: Povm) -> float:
-    """Probability that the measurement identifies the prepared state."""
-    if len(povm) != ensemble.m:
-        raise DiscriminationError("measurement has wrong number of outcomes")
-    total = 0.0
-    for p, state, element in zip(ensemble.priors, ensemble.states, povm.elements):
-        total += p * np.einsum("ij,ji->", state.mat, element).real
-    return float(total)
 
 
 def helstrom_binary(rho0, rho1, p0: float = 0.5) -> BoundReport:
@@ -352,28 +290,6 @@ def pgm_error(ensemble: StateEnsemble) -> BoundReport:
                        {"m": ensemble.m, "dim": ensemble.dim})
 
 
-def fidelity_upper_bound(ensemble: StateEnsemble) -> BoundReport:
-    """Pairwise-fidelity upper bound ``2 sum_{n<n'} sqrt(p_n p_n') F(rho_n, rho_n')``."""
-    total = 0.0
-    for i in range(ensemble.m):
-        for j in range(i + 1, ensemble.m):
-            total += 2.0 * np.sqrt(ensemble.priors[i] * ensemble.priors[j]) * \
-                fidelity(ensemble.states[i], ensemble.states[j])
-    return BoundReport(float(total), KIND_UPPER, "fidelity_pairwise_ub",
-                       {"m": ensemble.m, "dim": ensemble.dim})
-
-
-def fidelity_lower_bound(ensemble: StateEnsemble) -> BoundReport:
-    """Pairwise-fidelity lower bound ``sum_{n<n'} p_n p_n' F(rho_n, rho_n')**2``."""
-    total = 0.0
-    for i in range(ensemble.m):
-        for j in range(i + 1, ensemble.m):
-            total += ensemble.priors[i] * ensemble.priors[j] * \
-                fidelity(ensemble.states[i], ensemble.states[j]) ** 2
-    return BoundReport(float(total), KIND_LOWER, "fidelity_pairwise_lb",
-                       {"m": ensemble.m, "dim": ensemble.dim})
-
-
 def helstrom_iterative(ensemble: StateEnsemble, max_iters: int = 5000):
     """Minimum error probability of an ensemble via measurement iteration.
 
@@ -432,23 +348,6 @@ def helstrom_iterative(ensemble: StateEnsemble, max_iters: int = 5000):
         "residual": float(residual), "converged": converged,
     })
     return report, Povm(elements), float(gap)
-
-
-def continuity_lower_bound(error_probability: float, priors, deltas) -> float:
-    """Error probability after perturbing each state within trace distance.
-
-    If every state ``rho_n`` is replaced by a state within trace-norm
-    distance ``deltas[n]``, the minimum error drops by at most
-    ``sum_n p_n deltas[n] / 2``; the returned value lower-bounds the
-    perturbed ensemble's minimum error.  It may be negative (vacuous).
-    """
-    priors = np.asarray(priors, dtype=np.float64)
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if priors.shape != deltas.shape:
-        raise DiscriminationError("priors and deltas must have matching shapes")
-    if deltas.min() < 0.0:
-        raise DiscriminationError("trace-norm distances must be >= 0")
-    return float(error_probability - 0.5 * float(priors @ deltas))
 
 
 def gus_unitary_helstrom(eta: float, m: int) -> BoundReport:

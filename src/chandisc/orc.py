@@ -5,19 +5,18 @@ collapses to a classical problem: each probe either reveals a damage event
 (erasure flag, depolarized symbol) or passes intact, so ``u`` probes of a
 channel produce a Bernoulli count and the optimal receiver is a maximum
 likelihood test on counts.  This module implements the binary version
-(``f_u``), the multi-cell position-finding version (``h_mu``), and the
-channel-specific wrappers that map channel parameters onto effective
-Bernoulli probabilities.
+(``f_u_values``) and the multi-cell position-finding version
+(``h_mu_values``); a depolarizing cell enters either at the effective
+detection probabilities of ``qdc_scales``.
 
 Every counting receiver is one of two functionals of count pmf tables
 (counts along the last axis, certain decisions as one extra atom):
 ``_binary_error``, and ``_position_error``, an order statistic over the
 background maximum at ``O(u * m)`` cost per point for any size.  The array
-kernels ``f_u_values`` and ``h_mu_values`` apply them to binomial tables,
-and the scalar functions wrap them.  ``h_m1_closed`` is an independent
-closed form for the single-use case that the crosscheck and the tests
-compare it with; the string-enumeration and exact-rational oracles live
-with the tests.
+kernels ``f_u_values`` and ``h_mu_values`` apply them to binomial tables.
+``h_m1_closed`` is an independent closed form for the single-use case that
+the crosscheck and the tests compare it with; the string-enumeration and
+exact-rational oracles live with the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 
 import numpy as np
 
-from .linalg import KIND_EXACT, BoundReport, ChandiscError, Frozen, check_prob
+from .linalg import ChandiscError, check_prob
 
 # Up to this many uses the binomial pmf is a direct product of powers; above
 # it, Loader's saddle-point form (see ``_binom_log_pmf``).  Up to 50 the
@@ -58,24 +57,6 @@ def _check_sizes(u: int, m: int):
         raise OrcError(f"need u >= 1, got {u}")
     if m < 2:
         raise OrcError(f"need m >= 2 cells, got {m}")
-
-
-class OrcParams(Frozen):
-    """Effective Bernoulli parameters of a position-finding instance.
-
-    ``q_b`` is the per-use damage probability in each of the ``m - 1``
-    background cells, ``q_t`` the one in the target cell, and ``u`` the
-    number of uses per cell.
-    """
-
-    __slots__ = ("q_b", "q_t", "u", "m")
-
-    def __init__(self, q_b: float, q_t: float, u: int, m: int):
-        object.__setattr__(self, "q_b", float(check_prob(q_b, "q_b", OrcError)))
-        object.__setattr__(self, "q_t", float(check_prob(q_t, "q_t", OrcError)))
-        object.__setattr__(self, "u", int(u))
-        object.__setattr__(self, "m", int(m))
-        _check_sizes(self.u, self.m)
 
 
 def _binom_pmf(q, u: int) -> np.ndarray:
@@ -187,7 +168,7 @@ def f_u_values(q0, q1, u: int) -> np.ndarray:
     but a sum of non-negative terms, so relative-accurate down to underflow.
     Symmetric under ``(q0, q1) -> (1 - q0, 1 - q1)`` and non-increasing in ``u``.
     Values are unclamped: pass them through
-    :func:`~chandisc.discrimination.check_exact_prob` before reporting them.
+    :func:`~chandisc.linalg.check_exact_prob` before reporting them.
     """
     q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
     u = int(u)
@@ -203,11 +184,6 @@ def _binary_error(pmf0: np.ndarray, pmf1: np.ndarray) -> np.ndarray:
     return np.minimum(pmf0, pmf1).sum(axis=-1) / (pmf0.sum(axis=-1) + pmf1.sum(axis=-1))
 
 
-def f_u(q0, q1, u: int) -> float:
-    """:func:`f_u_values` at one pair of probabilities."""
-    return float(f_u_values(q0, q1, u))
-
-
 def qdc_scales(d: int):
     """Detection-probability scales ``(1 - 1/d**2, 1 - 1/d)`` of a depolarizing cell.
 
@@ -221,45 +197,24 @@ def qdc_scales(d: int):
     return 1.0 - 1.0 / d**2, 1.0 - 1.0 / d
 
 
-def qec_binary(q0, q1, u: int) -> BoundReport:
-    """Ultimate error probability for two erasure channels.
-
-    Counting erasure flags is optimal even against adaptive, entangled
-    strategies, and classical probes already achieve it, so one number
-    covers every protocol class.
-    """
-    value = f_u_values(q0, q1, u)
-    return BoundReport(value, KIND_EXACT, "qec_binary", {"q0": q0, "q1": q1, "u": u})
-
-
-def qdc_binary(q0, q1, d: int, u: int):
-    """Ultimate error probabilities for two depolarizing channels.
-
-    Returns ``(entangled, classical)`` reports: ``f_u`` at the effective
-    detection probabilities of :func:`qdc_scales`.
-    """
-    scales = np.array(qdc_scales(d))
-    entangled, classical = f_u_values(scales * q0, scales * q1, u)
-    meta = {"q0": q0, "q1": q1, "d": int(d), "u": u}
-    return (BoundReport(entangled, KIND_EXACT, "qdc_binary_entangled", meta),
-            BoundReport(classical, KIND_EXACT, "qdc_binary_classical", meta))
-
-
-def h_m1_closed(params: OrcParams) -> float:
+def h_m1_closed(q_b, q_t, m: int) -> float:
     """Single-use position-finding error in closed form.
 
-    Only defined for ``u == 1``.  The expression groups outcome strings by
-    total weight; the all-same-outcome strings contribute their own terms
-    and the mixed strings carry the larger of the two likelihood ratios,
-    which reduces to comparing ``q_t`` with ``q_b``.  The grouped factor
-    ``(1 - (1-q_b)**m - q_b**m) / q_b`` is expanded through the geometric
-    identity ``(1 - (1-q)**m) / q = sum_j (1-q)**j`` so that nothing is
-    divided by a vanishing parameter; the naive quotient loses every digit
-    once ``q_b`` drops below the rounding scale.
+    The ``u == 1`` case of :func:`h_mu_values` at one point, with ``q_b``
+    and ``q_t`` in [0, 1] and ``m >= 2`` checked as there.  The expression
+    groups outcome strings by total weight; the all-same-outcome strings
+    contribute their own terms and the mixed strings carry the larger of
+    the two likelihood ratios, which reduces to comparing ``q_t`` with
+    ``q_b``.  The grouped factor ``(1 - (1-q_b)**m - q_b**m) / q_b`` is
+    expanded through the geometric identity
+    ``(1 - (1-q)**m) / q = sum_j (1-q)**j`` so that nothing is divided by a
+    vanishing parameter; the naive quotient loses every digit once ``q_b``
+    drops below the rounding scale.
     """
-    if params.u != 1:
-        raise OrcError(f"closed form requires u = 1, got u = {params.u}")
-    m, q_b, q_t = params.m, params.q_b, params.q_t
+    q_b = float(check_prob(q_b, "q_b", OrcError))
+    q_t = float(check_prob(q_t, "q_t", OrcError))
+    m = int(m)
+    _check_sizes(1, m)
     if q_t >= q_b:
         bracket = sum((1.0 - q_b) ** j for j in range(m)) - q_b ** (m - 1)
         mid = q_t * bracket
@@ -290,7 +245,7 @@ def h_mu_values(q_b, q_t, m: int, u: int) -> np.ndarray:
     ``q in {0, 1}`` and ``q_t == q_b`` need no special case, and it costs
     ``O(u * m)`` per point.  The outer sum runs over ``k`` in index order.
     Values are unclamped: pass them through
-    :func:`~chandisc.discrimination.check_exact_prob` before reporting them.
+    :func:`~chandisc.linalg.check_exact_prob` before reporting them.
     """
     q_b, q_t = _probabilities((("q_b", q_b), ("q_t", q_t)))
     u, m = int(u), int(m)
@@ -320,36 +275,3 @@ def _position_error(target: np.ndarray, background: np.ndarray, m: int) -> np.nd
         inner = inner * upper + lower_pow
         lower_pow = lower_pow * lower
     return 1.0 - np.cumsum(target * inner, axis=-1)[..., -1] / m
-
-
-def h_mu(params: OrcParams) -> float:
-    """:func:`h_mu_values` at the point ``params``.
-
-    Reads only the ``q_b``, ``q_t``, ``u`` and ``m`` fields, which
-    :class:`OrcParams` has already checked.
-    """
-    return float(_position_error(*_position_tables(params.q_b, params.q_t, params.u), params.m))
-
-
-def qec_cpf(q_b, q_t, m: int, u: int) -> BoundReport:
-    """Ultimate error for finding one erasure channel among ``m`` positions.
-
-    Erasure flags are classical evidence, so the adaptive, entangled optimum
-    equals the counting receiver's error at the raw probabilities.
-    """
-    return BoundReport(h_mu_values(q_b, q_t, m, u), KIND_EXACT, "qec_cpf",
-                       {"q_b": q_b, "q_t": q_t, "m": m, "u": u})
-
-
-def qdc_cpf(q_b, q_t, m: int, u: int, d: int):
-    """Ultimate errors for finding one depolarizing channel among ``m``.
-
-    Returns ``(entangled, classical)`` reports, obtained by rescaling both
-    cell probabilities to the effective detection probabilities of
-    :func:`qdc_scales`.
-    """
-    scales = np.array(qdc_scales(d))
-    entangled, classical = h_mu_values(scales * q_b, scales * q_t, m, u)
-    meta = {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "d": int(d)}
-    return (BoundReport(entangled, KIND_EXACT, "qdc_cpf_entangled", meta),
-            BoundReport(classical, KIND_EXACT, "qdc_cpf_classical", meta))

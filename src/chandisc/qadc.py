@@ -426,8 +426,11 @@ def nulling_outcome_dist(q_applied, q_actual) -> np.ndarray:
         ``p = [p00, 0, 1 - q'/2 - p00, q'/2]``,
         ``p00 = (sqrt(1-q) - sqrt(1-q'))**2 / (4 - 2q)``.
 
-    ``p00`` is a square: exactly 0 at ``q' == q``, never negative.  Returns
-    a read-only array.
+    No entry needs clipping at 0: ``p00`` is a square, exactly 0 at
+    ``q' == q``; ``q'/2`` is not negative; and with ``x = sqrt(1-q)``,
+    ``y = sqrt(1-q')`` the third entry equals ``(1 + x y)**2 / (2 (1 + x**2))``,
+    at least 1/4, far above the rounding of its difference form.  Returns a
+    read-only array.
     """
     q = float(check_prob(q_applied, "q_applied", QadcError))
     qa = float(check_prob(q_actual, "q_actual", QadcError))
@@ -435,7 +438,6 @@ def nulling_outcome_dist(q_applied, q_actual) -> np.ndarray:
     probs = np.array([p00, 0.0, 1.0 - qa / 2.0 - p00, qa / 2.0])
     if abs(probs.sum() - 1.0) > 1e-12:
         raise QadcError(f"outcome probabilities sum to {probs.sum()}")
-    probs = np.clip(probs, 0.0, None)
     probs.setflags(write=False)
     return probs
 

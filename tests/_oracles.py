@@ -28,9 +28,13 @@
   space, and the cell rotation that maps each to the next;
 * ``dense_block_ensemble``: their ``u``-fold tensor powers, in a basis of
   the joint support of the single-use states;
-* ``general_fidelity_lb``/``cpf_block_fidelity_lb``: the pairwise-fidelity
-  lower bounds measured on single-use or ``u``-fold dense states, built from
-  the package's dense primitives in ``chandisc.discrimination``.
+* ``partial_trace``, ``fidelity`` and ``success_probability``: dense
+  references for Choi marginals, Uhlmann fidelities and the success of a
+  given measurement;
+* ``fidelity_lower_bound``/``general_fidelity_lb``/``cpf_block_fidelity_lb``:
+  the pairwise-fidelity lower bounds measured on single-use or ``u``-fold
+  dense states, built from ``fidelity`` and the package's dense states in
+  ``chandisc.discrimination``.
 
 None shares code with the order-statistic formula in ``chandisc.orc`` or
 with the Gram routes, binomial sums and port-count arrays in
@@ -47,8 +51,7 @@ import numpy as np
 
 from chandisc.channels import choi
 from chandisc.cpf import CpfError
-from chandisc.discrimination import (DensityMatrix, StateEnsemble, fidelity,
-                                     fidelity_lower_bound, tensor_all)
+from chandisc.discrimination import DensityMatrix, StateEnsemble, tensor_all
 from chandisc.linalg import KIND_LOWER, BoundReport
 
 _CHUNK = 1 << 20
@@ -90,21 +93,20 @@ def _powers(q: float, top: int) -> np.ndarray:
     return out
 
 
-def h_mu_strings(params) -> float:
+def h_mu_strings(q_b, q_t, m, u) -> float:
     """Position-finding error by enumerating every outcome string.
 
     The maximum-likelihood receiver names the cell with the largest damage
     count when ``q_t >= q_b`` and the smallest otherwise, so a string's
     best likelihood depends only on its weight profile.
     """
-    u, m = params.u, params.m
     counts = string_histogram(m, u)
     w_min, w_max, total = counts.nonzero()
     mult = counts[w_min, w_max, total].astype(np.float64)
-    w_star = w_max if params.q_t >= params.q_b else w_min
-    target = _powers(params.q_t, u) * _powers(1.0 - params.q_t, u)[::-1]
+    w_star = w_max if q_t >= q_b else w_min
+    target = _powers(q_t, u) * _powers(1.0 - q_t, u)[::-1]
     top = (m - 1) * u
-    background = _powers(params.q_b, top) * _powers(1.0 - params.q_b, top)[::-1]
+    background = _powers(q_b, top) * _powers(1.0 - q_b, top)[::-1]
     best = float(np.sum(mult * target[w_star] * background[total - w_star]))
     return 1.0 - best / m
 
@@ -128,16 +130,14 @@ def cpf_ml_exact(q_b, q_t, m, u):
     return 1 - success / m
 
 
-def weight_vector_success(params, log: bool = False) -> float:
+def weight_vector_success(q_b, q_t, m, u, log: bool = False) -> float:
     """Maximum-likelihood success sum, visiting every per-cell weight vector.
 
     Sums ``prod_l C(u, w_l) * max_n P(w | target in n)`` over all
     ``(u+1)**m`` weight vectors ``w`` in floating point, one vector at a
     time; with ``log`` each term is built from log-likelihoods and
-    exponentiated last.  Only ``u``, ``m``, ``q_b`` and ``q_t`` of
-    ``params`` are read.
+    exponentiated last.  Any ``m >= 1`` is accepted.
     """
-    u, m, q_b, q_t = params.u, params.m, params.q_b, params.q_t
 
     def _log(q):
         return math.log(q) if q > 0.0 else -math.inf
@@ -449,6 +449,47 @@ def cyclic_shift(cell_dim: int, m: int) -> np.ndarray:
     return mat
 
 
+def partial_trace(mat, dims, keep) -> np.ndarray:
+    """Trace out every tensor factor not listed in ``keep``.
+
+    ``mat`` is square on a product space with factor sizes ``dims``, first
+    factor most significant (``numpy.kron`` order); the kept factors stay
+    in ascending order.
+    """
+    n, keep = len(dims), sorted(keep)
+    cols = [n + k if k in keep else k for k in range(n)]
+    side = math.prod(dims[k] for k in keep)
+    reduced = np.einsum(np.asarray(mat).reshape(tuple(dims) * 2), [*range(n), *cols],
+                        [*keep, *(n + k for k in keep)])
+    return reduced.reshape(side, side)
+
+
+def _psd_sqrt(mat) -> np.ndarray:
+    # square root of a Hermitian matrix, small negative eigenvalues clipped
+    w, v = np.linalg.eigh(mat)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann fidelity ``tr|√ρ √σ|`` of two states, capped at 1."""
+    root = _psd_sqrt(rho.mat) @ _psd_sqrt(sigma.mat)
+    return min(float(np.linalg.svd(root, compute_uv=False).sum()), 1.0)
+
+
+def success_probability(ensemble: StateEnsemble, povm) -> float:
+    """``sum_n p_n tr(rho_n E_n)``: how often ``povm`` names the prepared state."""
+    return float(sum(p * np.einsum("ij,ji->", state.mat, element).real
+                     for p, state, element in zip(ensemble.priors, ensemble.states,
+                                                  povm.elements)))
+
+
+def fidelity_lower_bound(ensemble: StateEnsemble) -> float:
+    """Pairwise-fidelity lower bound ``sum_{n<n'} p_n p_n' F(rho_n, rho_n')**2``."""
+    return float(sum(ensemble.priors[i] * ensemble.priors[j]
+                     * fidelity(ensemble.states[i], ensemble.states[j]) ** 2
+                     for i, j in itertools.combinations(range(ensemble.m), 2)))
+
+
 def general_fidelity_lb(ensemble: StateEnsemble, u: int, ports: int,
                         delta_avg: float) -> BoundReport:
     """Adaptive lower bound from pairwise fidelities of single-use states.
@@ -476,7 +517,7 @@ def general_fidelity_lb(ensemble: StateEnsemble, u: int, ports: int,
                        {"u": u, "ports": ports, "delta_avg": delta_avg, "m": ensemble.m})
 
 
-def cpf_block_fidelity_lb(background, target, m: int, u: int) -> BoundReport:
+def cpf_block_fidelity_lb(background, target, m: int, u: int) -> float:
     """Pairwise-fidelity lower bound evaluated on the dense block states.
 
     Cross-check route for :func:`cpf_nonadaptive_fidelity_lb`: instead of
@@ -484,5 +525,4 @@ def cpf_block_fidelity_lb(background, target, m: int, u: int) -> BoundReport:
     pairwise fidelities of the actual ``u``-fold states and feeds them to
     the general mixed-state bound.
     """
-    report = fidelity_lower_bound(dense_block_ensemble(background, target, m, u))
-    return BoundReport(report.value, KIND_LOWER, "cpf_block_fidelity_lb", {"m": m, "u": u})
+    return fidelity_lower_bound(dense_block_ensemble(background, target, m, u))

@@ -4,20 +4,23 @@ import pytest
 from chandisc.channels import (
     ChannelError,
     KrausChannel,
-    apply,
     choi,
     heisenberg_weyl,
     make_qadc,
     make_qdc,
     make_qec,
-    maximally_entangled,
-    pbt_error_bound,
     tele_covariance_check,
 )
-from chandisc.discrimination import DensityMatrix, partial_trace
+from chandisc.discrimination import DensityMatrix
 from chandisc.qadc import default_xi, qadc_sim_error_values
 
+from _oracles import partial_trace
 from _util import random_density
+
+
+def _apply(channel, rho):
+    # sum_i K_i rho K_i†
+    return sum(k @ rho.mat @ k.conj().T for k in channel.kraus)
 
 
 def test_kraus_channel_requires_trace_preservation():
@@ -37,7 +40,7 @@ def test_erasure_choi_spectrum():
 def test_erasure_flags_orthogonally():
     ch = make_qec(3, 1.0)
     rho = DensityMatrix(np.diag([0.2, 0.3, 0.5]))
-    out = apply(ch, rho).mat
+    out = _apply(ch, rho)
     expect = np.zeros((4, 4))
     expect[3, 3] = 1.0
     np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -60,7 +63,7 @@ def test_depolarizing_choi_spectrum():
 def test_depolarizing_mixes_toward_identity():
     rng = np.random.default_rng(10)
     rho = random_density(rng, 3)
-    out = apply(make_qdc(3, 0.6), rho).mat
+    out = _apply(make_qdc(3, 0.6), rho)
     np.testing.assert_allclose(out, 0.4 * rho.mat + 0.6 * np.eye(3) / 3, atol=1e-12)
 
 
@@ -68,7 +71,7 @@ def test_qadc_kraus_action():
     q = 0.35
     ch = make_qadc(q)
     rho = DensityMatrix(np.array([[0.2, 0.4], [0.4, 0.8]]))
-    out = apply(ch, rho).mat
+    out = _apply(ch, rho)
     expect = np.array([[0.2 + q * 0.8, 0.4 * np.sqrt(1 - q)],
                        [0.4 * np.sqrt(1 - q), (1 - q) * 0.8]])
     np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -83,33 +86,11 @@ def test_choi_is_normalized_state_with_maximally_mixed_input_marginal(ch):
     np.testing.assert_allclose(marginal, np.eye(ch.dim_in) / ch.dim_in, atol=1e-10)
 
 
-def test_apply_is_linear():
-    rng = np.random.default_rng(11)
-    ch = make_qadc(0.45)
-    a = random_density(rng, 2)
-    b = random_density(rng, 2)
-    mix = DensityMatrix(0.3 * a.mat + 0.7 * b.mat)
-    lhs = apply(ch, mix).mat
-    rhs = 0.3 * apply(ch, a).mat + 0.7 * apply(ch, b).mat
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
 def test_maximally_entangled():
-    phi = maximally_entangled(2).mat
+    # the Choi matrix of the identity channel is the maximally entangled projector
+    phi = choi(KrausChannel((np.eye(2),))).mat
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
     np.testing.assert_allclose(phi, np.outer(v, v), atol=1e-12)
-
-
-def test_pbt_error_values():
-    assert pbt_error_bound(2, 4) == 1.0
-    assert type(pbt_error_bound(2, 4)) is float
-    # 2 d (d-1) / M
-    assert abs(pbt_error_bound(3, 100) - 0.12) < 1e-15
-
-
-def test_pbt_error_monotone_in_ports():
-    values = [pbt_error_bound(2, ports) for ports in (1, 10, 100, 1000)]
-    assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_qadc_pbt_error_value():
@@ -137,10 +118,6 @@ def test_constructors_take_one_probability():
 
 
 def test_sim_error_validation():
-    with pytest.raises(ChannelError):
-        pbt_error_bound(2, 0)
-    with pytest.raises(ChannelError):
-        pbt_error_bound(1, 4)
     with pytest.raises(ChannelError):
         qadc_sim_error_values(1.2, default_xi(4))
 

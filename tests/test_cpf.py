@@ -11,15 +11,14 @@ from chandisc.cpf import (
     cpf_nonadaptive_fidelity_lb,
     cpf_sim_error,
     optimize_over_M,
-    theorem1_lower_bound,
 )
-from chandisc.discrimination import fidelity, helstrom_iterative, pgm_error
-from chandisc.orc import qdc_cpf
+from chandisc.discrimination import helstrom_iterative, pgm_error
+from chandisc.orc import h_mu_values, qdc_scales
 from chandisc.qadc import (QadcError, qadc_adaptive_lb_opt, qadc_adaptive_lb_values,
                           qadc_cpf_adaptive_lb_values, qadc_cpf_block_pgm)
 
 from _oracles import (build_cpf_choi_ensemble, cpf_block_fidelity_lb, cyclic_shift,
-                      dense_block_ensemble, general_fidelity_lb)
+                      dense_block_ensemble, fidelity, general_fidelity_lb)
 
 
 def test_cyclic_shift_is_permutation_with_order_m():
@@ -65,12 +64,12 @@ def test_sim_error_combines_cells_linearly():
 
 
 def test_theorem1_arithmetic():
-    rep = theorem1_lower_bound(0.4, u=3, delta_avg=0.1)
-    assert rep.kind == "lower"
-    assert rep.value == pytest.approx(0.4 - 0.15)
-    assert theorem1_lower_bound(0.01, u=4, delta_avg=0.5).value < 0  # vacuous
+    # the adaptive bound is the block bound minus the penalty u * delta_avg / 2
+    block = cpf_fidelity_lb_values(0.9, 3, 3, 5, 0.0)
+    assert cpf_fidelity_lb_values(0.9, 3, 3, 5, 0.1) == pytest.approx(block - 0.15)
+    assert cpf_fidelity_lb_values(0.9, 3, 4, 5, 0.5) < 0  # vacuous
     with pytest.raises(CpfError):
-        theorem1_lower_bound(1.4, u=1, delta_avg=0.0)
+        cpf_fidelity_lb_values(0.9, 3, 3, 5, -0.1)
 
 
 def test_fidelity_lb_specialization_matches_general_form():
@@ -270,7 +269,8 @@ def test_solver_matches_depolarizing_analytics():
     q_b, q_t, m, d = 0.35, 0.75, 2, 2
     report, _, gap = helstrom_iterative(dense_block_ensemble(make_qdc(d, q_b), make_qdc(d, q_t),
                                                              m, 1))
-    expect = qdc_cpf(q_b, q_t, m=m, u=1, d=d)[0].value
+    scale = qdc_scales(d)[0]
+    expect = h_mu_values(scale * q_b, scale * q_t, m, 1)
     assert abs(report.value - expect) <= gap + 1e-6
 
 
@@ -281,13 +281,14 @@ def test_solver_on_ill_conditioned_block_ensemble():
     ensemble = dense_block_ensemble(make_qdc(2, q_b), make_qdc(2, q_t), 2, 2)
     report, povm, gap = helstrom_iterative(ensemble)
     assert np.abs(sum(povm.elements) - np.eye(povm.dim)).max() < 1e-10
-    expect = qdc_cpf(q_b, q_t, m=2, u=2, d=2)[0].value
+    scale = qdc_scales(2)[0]
+    expect = h_mu_values(scale * q_b, scale * q_t, 2, 2)
     assert abs(report.value - expect) <= gap + 1e-6
 
 
 def test_block_fidelity_lb_agrees_with_analytic_route():
     background, target = make_qadc(0.3), make_qadc(0.55)
-    measured = cpf_block_fidelity_lb(background, target, 3, 2).value
+    measured = cpf_block_fidelity_lb(background, target, 3, 2)
     pair = fidelity(choi(background), choi(target))
     analytic = cpf_nonadaptive_fidelity_lb(pair, m=3, u=2).value
     assert abs(measured - analytic) < 1e-9
@@ -298,7 +299,7 @@ def test_bounds_sandwich_solver():
     exact, _, gap = helstrom_iterative(dense_block_ensemble(background, target, 2, 2))
     lb = cpf_block_fidelity_lb(background, target, 2, 2)
     ub = qadc_cpf_block_pgm(0.25, 0.6, m=2, u=2)
-    assert lb.value <= exact.value + gap + 1e-9
+    assert lb <= exact.value + gap + 1e-9
     assert ub.value >= exact.value - gap - 1e-9
 
 

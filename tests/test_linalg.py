@@ -4,15 +4,14 @@ import pytest
 from chandisc.discrimination import (
     DensityMatrix,
     as_complex_matrix,
-    fidelity,
     hermitize,
-    partial_trace,
     tensor,
     tensor_all,
     trace_norm,
 )
 from chandisc.linalg import LinalgError, check_prob
 
+from _oracles import fidelity, partial_trace
 from _util import random_density, random_pure, random_unitary
 
 

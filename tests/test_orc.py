@@ -16,21 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chandisc import orc
-from chandisc.discrimination import check_exact_prob
-from chandisc.orc import (
-    OrcError,
-    OrcParams,
-    f_u,
-    f_u_values,
-    h_m1_closed,
-    h_mu,
-    h_mu_values,
-    qdc_binary,
-    qdc_cpf,
-    qdc_scales,
-    qec_binary,
-    qec_cpf,
-)
+from chandisc.orc import OrcError, f_u_values, h_m1_closed, h_mu_values, qdc_scales
 
 from _oracles import cpf_ml_exact, h_mu_strings, mp_binary_error, string_histogram
 
@@ -47,14 +33,15 @@ def _binary_ml_exact(q0, q1, u):
 
 
 def test_params_validation():
-    with pytest.raises(OrcError):
-        OrcParams(q_b=0.5, q_t=0.5, u=1, m=1)
-    with pytest.raises(OrcError):
-        OrcParams(q_b=0.5, q_t=0.5, u=0, m=2)
-    with pytest.raises(OrcError):
-        OrcParams(q_b=1.5, q_t=0.5, u=1, m=2)
+    # the single-use closed form checks its point as h_mu_values does
+    with pytest.raises(OrcError, match="m >= 2"):
+        h_m1_closed(0.5, 0.5, 1)
+    with pytest.raises(OrcError, match="^q_b must lie in"):
+        h_m1_closed(1.5, 0.5, 2)
+    with pytest.raises(OrcError, match="^q_t must lie in"):
+        h_m1_closed(0.5, -0.25, 2)
     with pytest.raises(TypeError):  # one point; arrays go to h_mu_values
-        OrcParams(q_b=np.array([0.2, 0.3]), q_t=0.5, u=1, m=2)
+        h_m1_closed(np.array([0.2, 0.3]), 0.5, 2)
 
 
 def test_weight_profile_realizability():
@@ -72,7 +59,7 @@ def test_weight_profiles_count_full_space():
 
 def test_f1_worked_value():
     # single use, q0=0.2 vs q1=0.7: 1/2 - (|0.8-0.3| + |0.2-0.7|)/4 = 1/4
-    assert abs(f_u(0.2, 0.7, 1) - 0.25) < 1e-15
+    assert abs(f_u_values(0.2, 0.7, 1) - 0.25) < 1e-15
 
 
 @pytest.mark.parametrize("q0,q1,u", [(0.2, 0.7, 1), (0.1, 0.35, 3),
@@ -80,24 +67,24 @@ def test_f1_worked_value():
 def test_f_matches_exact_rational(q0, q1, u):
     expect = _binary_ml_exact(Fraction(q0).limit_denominator(100),
                               Fraction(q1).limit_denominator(100), u)
-    assert abs(f_u(q0, q1, u) - float(expect)) < 1e-14
+    assert abs(f_u_values(q0, q1, u) - float(expect)) < 1e-14
 
 
 def test_f_trivial_endpoints():
-    assert abs(f_u(0.3, 0.3, 5) - 0.5) < 1e-15  # indistinguishable
-    assert f_u(0.0, 1.0, 1) < 1e-15  # perfectly distinguishable
+    assert abs(f_u_values(0.3, 0.3, 5) - 0.5) < 1e-15  # indistinguishable
+    assert f_u_values(0.0, 1.0, 1) < 1e-15  # perfectly distinguishable
 
 
 def test_f_monotone_in_uses():
-    values = [f_u(0.2, 0.5, u) for u in range(1, 12)]
+    values = [f_u_values(0.2, 0.5, u) for u in range(1, 12)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0, 1), st.floats(0, 1), st.integers(1, 8))
 def test_f_complement_and_swap_symmetry(q0, q1, u):
-    assert abs(f_u(q0, q1, u) - f_u(1 - q0, 1 - q1, u)) < 1e-13
-    assert abs(f_u(q0, q1, u) - f_u(q1, q0, u)) < 1e-13
+    assert abs(f_u_values(q0, q1, u) - f_u_values(1 - q0, 1 - q1, u)) < 1e-13
+    assert abs(f_u_values(q0, q1, u) - f_u_values(q1, q0, u)) < 1e-13
 
 
 _PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
@@ -111,7 +98,7 @@ _DYADIC = st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 2**30).map(lambd
 @example(0.3, 0.3, 2000)
 def test_f_relative_accuracy_against_mpmath(q0, q1, u):
     mpmath = pytest.importorskip("mpmath")
-    got = f_u(q0, q1, u)
+    got = f_u_values(q0, q1, u)
     assert got >= 0.0
     with mpmath.workdps(30):
         want = mp_binary_error(mpmath.mp, q0, q1, u)
@@ -140,31 +127,24 @@ def test_binary_functional_is_symmetric_and_at_most_half(tables):
 @settings(max_examples=60, deadline=None)
 @given(_DYADIC, _DYADIC, st.integers(1, 300), st.integers(2, 10))
 def test_f_bounds_monotonicity_symmetry_and_entanglement(q0, q1, u, d):
-    f = f_u(q0, q1, u)
+    f = f_u_values(q0, q1, u)
     assert 0.0 <= f <= 0.5
     # non-increasing in u and symmetric under q -> 1 - q, up to rounding
-    assert f_u(q0, q1, u + 1) <= f * (1 + 1e-12) + 1e-300
-    assert math.isclose(f_u(1.0 - q0, 1.0 - q1, u), f, rel_tol=1e-12, abs_tol=1e-300)
+    assert f_u_values(q0, q1, u + 1) <= f * (1 + 1e-12) + 1e-300
+    assert math.isclose(f_u_values(1.0 - q0, 1.0 - q1, u), f, rel_tol=1e-12, abs_tol=1e-300)
     # a maximally entangled probe detects more depolarizing events
     ent_scale, cls_scale = qdc_scales(d)
-    entangled = f_u(ent_scale * q0, ent_scale * q1, u)
-    assert entangled <= f_u(cls_scale * q0, cls_scale * q1, u) * (1 + 1e-12) + 1e-300
-
-
-def test_binary_reports():
-    rep = qec_binary(0.2, 0.7, 1)
-    assert rep.kind == "exact" and abs(rep.value - 0.25) < 1e-15
-    ent, cls = qdc_binary(0.2, 0.7, d=2, u=1)
-    assert abs(ent.value - f_u(0.75 * 0.2, 0.75 * 0.7, 1)) < 1e-15
-    assert abs(cls.value - f_u(0.5 * 0.2, 0.5 * 0.7, 1)) < 1e-15
+    entangled = f_u_values(ent_scale * q0, ent_scale * q1, u)
+    assert entangled <= f_u_values(cls_scale * q0, cls_scale * q1, u) * (1 + 1e-12) + 1e-300
 
 
 def test_binary_entanglement_advantage():
     for d in (2, 6):
+        scales = np.array(qdc_scales(d))
         for u in (1, 3, 10):
             for q0 in np.linspace(0.05, 0.9, 6):
-                ent, cls = qdc_binary(q0, 0.95, d=d, u=u)
-                assert ent.value < cls.value - 1e-12
+                ent, cls = f_u_values(scales * q0, scales * 0.95, u)
+                assert ent < cls - 1e-12
 
 
 @pytest.mark.parametrize("m,u,q_b,q_t", [
@@ -175,24 +155,22 @@ def test_binary_entanglement_advantage():
 def test_h_routes_match_exact_rational(m, u, q_b, q_t):
     expect = float(cpf_ml_exact(Fraction(q_b).limit_denominator(100),
                                 Fraction(q_t).limit_denominator(100), m, u))
-    params = OrcParams(q_b=q_b, q_t=q_t, u=u, m=m)
-    assert abs(h_mu(params) - expect) < 1e-13
-    assert abs(h_mu_strings(params) - expect) < 1e-13
+    assert abs(h_mu_values(q_b, q_t, m, u) - expect) < 1e-13
+    assert abs(h_mu_strings(q_b, q_t, m, u) - expect) < 1e-13
     if u == 1:
-        assert abs(h_m1_closed(params) - expect) < 1e-13
+        assert abs(h_m1_closed(q_b, q_t, m) - expect) < 1e-13
 
 
 def test_h_single_use_worked_value():
     # m=4 cells, certain background detection: 3/4 * q_t at q_t = 1/2
-    params = OrcParams(q_b=1.0, q_t=0.5, u=1, m=4)
-    assert abs(h_mu(params) - 0.375) < 1e-15
+    assert abs(h_mu_values(1.0, 0.5, 4, 1) - 0.375) < 1e-15
 
 
 def test_h_closed_form_edges():
     for m in (2, 3, 6):
         for q_t in (0.0, 0.3, 1.0):
-            lo = h_m1_closed(OrcParams(q_b=0.0, q_t=q_t, u=1, m=m))
-            hi = h_m1_closed(OrcParams(q_b=1.0, q_t=q_t, u=1, m=m))
+            lo = h_m1_closed(0.0, q_t, m)
+            hi = h_m1_closed(1.0, q_t, m)
             assert abs(lo - (m - 1) * (1 - q_t) / m) < 1e-15
             assert abs(hi - (m - 1) * q_t / m) < 1e-15
 
@@ -200,31 +178,29 @@ def test_h_closed_form_edges():
 def test_h_equal_parameters_is_blind_guessing():
     for m in (2, 4):
         for u in (1, 3):
-            params = OrcParams(q_b=0.4, q_t=0.4, u=u, m=m)
-            assert abs(h_mu(params) - (m - 1) / m) < 1e-13
+            assert abs(h_mu_values(0.4, 0.4, m, u) - (m - 1) / m) < 1e-13
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0, 1), st.floats(0, 1), st.integers(2, 4), st.integers(1, 3))
 def test_h_complement_symmetry(q_b, q_t, m, u):
-    a = h_mu(OrcParams(q_b=q_b, q_t=q_t, u=u, m=m))
-    b = h_mu(OrcParams(q_b=1 - q_b, q_t=1 - q_t, u=u, m=m))
+    a = h_mu_values(q_b, q_t, m, u)
+    b = h_mu_values(1 - q_b, 1 - q_t, m, u)
     assert abs(a - b) < 1e-13
 
 
 def test_h_monotone_in_uses():
-    values = [h_mu(OrcParams(q_b=0.3, q_t=0.7, u=u, m=3)) for u in range(1, 9)]
+    values = [h_mu_values(0.3, 0.7, 3, u) for u in range(1, 9)]
     assert all(a >= b - 1e-14 for a, b in zip(values, values[1:]))
 
 
 def test_h_large_u_log_route():
     # above the direct-product cutoff the binomial pmf is built in log space;
     # crossing the cutoff must keep the error non-increasing in u
-    lo = h_mu(OrcParams(q_b=0.41, q_t=0.37, u=50, m=2))
-    hi = h_mu(OrcParams(q_b=0.41, q_t=0.37, u=51, m=2))
+    lo = h_mu_values(0.41, 0.37, 2, 50)
+    hi = h_mu_values(0.41, 0.37, 2, 51)
     assert 0.0 <= hi <= lo + 1e-12  # more uses cannot hurt
-    params = OrcParams(q_b=0.3, q_t=0.8, u=12, m=2)
-    assert abs(h_mu(params) - h_mu_strings(params)) < 1e-12
+    assert abs(h_mu_values(0.3, 0.8, 2, 12) - h_mu_strings(0.3, 0.8, 2, 12)) < 1e-12
 
 
 @st.composite
@@ -236,42 +212,27 @@ def _small_instances(draw):
     prob = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
     q_b = draw(prob)
     q_t = q_b if draw(st.booleans()) else draw(prob)
-    return OrcParams(q_b=q_b, q_t=q_t, u=u, m=m)
+    return q_b, q_t, m, u
 
 
 @settings(max_examples=150, deadline=None)
 @given(_small_instances())
-def test_h_matches_string_oracle(params):
-    assert abs(h_mu(params) - h_mu_strings(params)) < 1e-12
+def test_h_matches_string_oracle(instance):
+    assert abs(h_mu_values(*instance) - h_mu_strings(*instance)) < 1e-12
 
 
 def test_h_large_sizes():
     m = 1000
-    values = [h_mu(OrcParams(q_b=0.41, q_t=0.37, u=u, m=m)) for u in (1000, 2000, 4999, 5000)]
+    values = [h_mu_values(0.41, 0.37, m, u) for u in (1000, 2000, 4999, 5000)]
     assert all(0.0 <= v <= (m - 1) / m for v in values)
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[-1] < values[0]
 
 
 def test_route_guards():
-    # the closed form is the only route with a size restriction left
-    with pytest.raises(OrcError, match="u = 1"):
-        h_m1_closed(OrcParams(q_b=0.5, q_t=0.6, u=2, m=2))
     # far beyond any enumeration of strings or weight vectors
     for u, m in ((13, 2), (30, 8), (1000, 10)):
-        assert 0.0 <= h_mu(OrcParams(q_b=0.5, q_t=0.6, u=u, m=m)) <= (m - 1) / m
-
-
-def test_cpf_reports_and_scaling():
-    rep = qec_cpf(0.3, 0.8, m=3, u=2)
-    assert rep.kind == "exact"
-    assert abs(rep.value - h_mu(OrcParams(q_b=0.3, q_t=0.8, u=2, m=3))) < 1e-15
-    ent, cls = qdc_cpf(0.3, 0.8, m=3, u=2, d=2)
-    scale_e, scale_c = 1 - 0.25, 1 - 0.5
-    assert abs(ent.value - h_mu(OrcParams(q_b=scale_e * 0.3, q_t=scale_e * 0.8,
-                                          u=2, m=3))) < 1e-15
-    assert abs(cls.value - h_mu(OrcParams(q_b=scale_c * 0.3, q_t=scale_c * 0.8,
-                                          u=2, m=3))) < 1e-15
+        assert 0.0 <= h_mu_values(0.5, 0.6, m, u) <= (m - 1) / m
 
 
 def test_cpf_one_shot_endpoint():
@@ -279,8 +240,8 @@ def test_cpf_one_shot_endpoint():
     # clicks with the rescaled probability, leaving (m-1)/(m d^2)
     for m in (2, 5):
         for d in (2, 10):
-            ent, _ = qdc_cpf(0.0, 1.0, m=m, u=1, d=d)
-            assert abs(ent.value - (m - 1) / (m * d * d)) < 1e-15
+            entangled = h_mu_values(0.0, qdc_scales(d)[0] * 1.0, m, 1)
+            assert abs(entangled - (m - 1) / (m * d * d)) < 1e-15
 
 
 @pytest.mark.parametrize("u", [60, 500, 2000, 5000])
@@ -339,15 +300,14 @@ def _kernel_batches(draw, max_u, max_m):
 @given(_kernel_batches(max_u=80, max_m=6))
 @example((np.array([p[0] for p in _BRANCH_PAIRS]), np.array([p[1] for p in _BRANCH_PAIRS]),
           3, 51))
-def test_kernels_match_scalar_wrappers_bit_for_bit(batch):
+def test_kernel_rows_match_single_points_bit_for_bit(batch):
     q_b, q_t, m, u = batch
     values = h_mu_values(q_b, q_t, m, u)
     binary = f_u_values(q_b, q_t, u)
     assert values.shape == binary.shape == q_b.shape
     for i, (b, t) in enumerate(zip(q_b.tolist(), q_t.tolist())):
-        assert values[i] == h_mu(OrcParams(q_b=b, q_t=t, u=u, m=m))
-        assert qec_cpf(b, t, m, u).value == check_exact_prob(values[i])
-        assert binary[i] == f_u(b, t, u)
+        assert values[i] == h_mu_values(b, t, m, u)
+        assert binary[i] == f_u_values(b, t, u)
     # a tie is blind guessing, whatever the branch takes it to
     tied = q_b == q_t
     assert np.all(np.abs(values[tied] - (m - 1) / m) < 1e-13)
@@ -372,7 +332,7 @@ def test_kernel_matches_string_oracle(batch):
     u = min(u, 12 // m)  # at most 4096 strings
     values = h_mu_values(q_b, q_t, m, u)
     for i, (b, t) in enumerate(zip(q_b.tolist(), q_t.tolist())):
-        assert abs(values[i] - h_mu_strings(OrcParams(q_b=b, q_t=t, u=u, m=m))) < 1e-12
+        assert abs(values[i] - h_mu_strings(b, t, m, u)) < 1e-12
 
 
 @pytest.mark.parametrize("u", [3, 60])
@@ -392,7 +352,7 @@ def test_kernels_broadcast():
     q_t = np.linspace(0.0, 1.0, 6).reshape(2, 3)
     values = h_mu_values(0.4, q_t, 3, 5)
     assert values.shape == (2, 3)
-    assert values[1, 2] == h_mu(OrcParams(q_b=0.4, q_t=1.0, u=5, m=3))
+    assert values[1, 2] == h_mu_values(0.4, 1.0, 3, 5)
     assert f_u_values(q_t, 0.4, 60).shape == (2, 3)
     assert np.ndim(h_mu_values(0.1, 0.2, 2, 1)) == 0
     assert h_mu_values(np.array([]), 0.3, 2, 2).shape == (0,)
@@ -405,7 +365,7 @@ def test_kernels_refuse_probabilities_outside_the_interval(bad):
                        ("q_t", lambda: h_mu_values(0.3, batch, 3, 2)),
                        ("q0", lambda: f_u_values(batch, 0.3, 2)),
                        ("q1", lambda: f_u_values(0.3, batch, 60)),
-                       ("q_b", lambda: OrcParams(q_b=bad, q_t=0.3, u=2, m=3))):
+                       ("q_b", lambda: h_m1_closed(bad, 0.3, 3))):
         with pytest.raises(OrcError, match=f"^{name} must lie in \\[0, 1\\]"):
             call()
 
@@ -418,7 +378,7 @@ def test_kernel_size_checks():
     with pytest.raises(OrcError, match="u >= 1"):
         f_u_values(0.2, 0.3, 0)
     with pytest.raises(OrcError, match="d >= 2"):
-        qdc_cpf(0.2, 0.3, 2, 2, d=1)
+        qdc_scales(1)
 
 
 # float.hex of Binomial(u, q) masses from the direct product of powers, which

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from chandisc import orc
 from chandisc.channels import ChannelError, choi, make_qadc
 from chandisc.cpf import CpfError, cpf_fidelity_lb_values, cpf_nonadaptive_fidelity_lb
-from chandisc.discrimination import StateEnsemble, fidelity, helstrom_binary, pgm_error, tensor_all
+from chandisc.discrimination import StateEnsemble, helstrom_binary, pgm_error, tensor_all
 from chandisc.qadc import (
     QadcError,
     XiTable,
@@ -30,7 +30,7 @@ from chandisc.qadc import (
     qadc_sim_error_values,
 )
 
-from _oracles import (mp_nulling_error, nulling_count_sum, pbt_pair_adaptive_lb,
+from _oracles import (fidelity, mp_nulling_error, nulling_count_sum, pbt_pair_adaptive_lb,
                       pbt_position_finding_adaptive_lb, step_xi)
 
 
