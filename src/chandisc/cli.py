@@ -24,14 +24,22 @@ they run.  Only ``crosscheck`` loads the dense-state route
 Output is CSV (default) or JSON.  CSV uses comma separators, ``.`` decimal
 points, 17-significant-digit scientific floats, LF line endings and UTF-8;
 two runs with an identical configuration produce byte-identical output.
+Rows are written to ``--out`` as they are computed, one checked block at a
+time (a ``(u, gap)`` sweep, a sweep point or a crosscheck), so memory is
+bounded by a block, not by the table.
 Exit codes: 0 on success, 2 for invalid configurations (including inputs a
-library size guard refuses, and tables too large for the memory at hand), 3
-when a result table violates one of its internal ordering invariants.
+library size guard refuses, tables too large for the memory at hand, and
+an output that cannot be written, such as a closed pipe), 3 when a result
+table violates one of its internal ordering invariants.  On exit 2 or 3 the
+output holds the rows computed before the failure; no file is created when
+the first block fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import sys
 import time
 
@@ -175,10 +183,10 @@ def _first_excess(entangled: np.ndarray, classical: np.ndarray):
 
 
 def run_fig2(cfg):
-    header = ["u", "gap", "q_t", "q_b", "qdc_cpf_entangled[exact]",
-              "qdc_cpf_classical[exact]", "at_q_t_max"]
+    """Yield the header, then one block of rows per (u, gap)."""
+    yield ["u", "gap", "q_t", "q_b", "qdc_cpf_entangled[exact]",
+           "qdc_cpf_classical[exact]", "at_q_t_max"]
     ent_scale, cls_scale = qdc_scales(cfg.d)
-    rows = []
     for u in cfg.u:
         for gap in cfg.gap:
             q_t = _sweep_axis(gap, cfg.grid)
@@ -191,23 +199,22 @@ def run_fig2(cfg):
                     f"fig2: entangled value {entangled[bad]} exceeds classical "
                     f"{classical[bad]} at u={u}, gap={gap}, q_t={q_t[bad]}")
             points = zip(q_t.tolist(), q_b.tolist(), entangled.tolist(), classical.tolist())
-            rows.extend((u, gap, t, b, ent, cls, int(i == cfg.grid - 1))
-                        for i, (t, b, ent, cls) in enumerate(points))
-    return header, rows
+            yield ((u, gap, t, b, ent, cls, int(i == cfg.grid - 1))
+                   for i, (t, b, ent, cls) in enumerate(points))
 
 
 def run_fig3(cfg):
+    """Yield the header, then one row per sweep point."""
     from .cpf import cpf_nonadaptive_fidelity_lb
     from .qadc import qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt, qadc_cpf_block_pgm
     if len(cfg.m) != len(cfg.u):  # --m without --u or the other way round
         raise CliConfigError("fig3 needs --m and --u together (or neither)")
     xi = load_xi(cfg)
-    header = ["m", "u", "gap", "q_t", "q_b",
-              "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
-              "adaptive_lb_opt[clamped_flag]", "best_ports",
-              "nonadaptive_fidelity_lb[lower]", "nonadaptive_fidelity_lb[raw]",
-              "nonadaptive_fidelity_lb[clamped_flag]", "block_pgm[upper]"]
-    rows = []
+    yield ["m", "u", "gap", "q_t", "q_b",
+           "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
+           "adaptive_lb_opt[clamped_flag]", "best_ports",
+           "nonadaptive_fidelity_lb[lower]", "nonadaptive_fidelity_lb[raw]",
+           "nonadaptive_fidelity_lb[clamped_flag]", "block_pgm[upper]"]
     points = [(m, u, gap, q_t) for m, u in zip(cfg.m, cfg.u) for gap in cfg.gap
               for q_t in _sweep_axis(gap, cfg.grid)]
     for m, u, gap, q_t in points:
@@ -224,13 +231,12 @@ def run_fig3(cfg):
             raise InvariantViolation(
                 f"fig3: fidelity lower bound {nonadaptive.value} exceeds the "
                 f"measured upper bound {pgm.value} at m={m}, u={u}, q_t={q_t}")
-        rows.append((
+        yield [(
             m, u, gap, float(q_t), float(q_b),
             adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
             opt.best_ports,
             nonadaptive.clamped_value, nonadaptive.value, int(nonadaptive.clamped),
-            pgm.value))
-    return header, rows
+            pgm.value)]
 
 
 def _binary_blocks(cfg):
@@ -243,20 +249,19 @@ def _binary_blocks(cfg):
 
 
 def run_binary_qec(cfg):
-    header = ["gap", "q1", "q0", "u", "qec_ultimate[exact]"]
-    rows = []
+    """Yield the header, then one block of rows per gap."""
+    yield ["gap", "q1", "q0", "u", "qec_ultimate[exact]"]
     for gap, q1, q0 in _binary_blocks(cfg):
         values = check_exact_prob(f_u_values(q0, q1, cfg.u))
-        rows.extend((gap, p1, p0, cfg.u, value)
-                    for p1, p0, value in zip(q1.tolist(), q0.tolist(), values.tolist()))
-    return header, rows
+        yield ((gap, p1, p0, cfg.u, value)
+               for p1, p0, value in zip(q1.tolist(), q0.tolist(), values.tolist()))
 
 
 def run_binary_qdc(cfg):
+    """Yield the header, then one block of rows per gap."""
     u, d = cfg.u, cfg.d
-    header = ["gap", "q1", "q0", "u", "d", "qdc_entangled[exact]", "qdc_classical[exact]"]
+    yield ["gap", "q1", "q0", "u", "d", "qdc_entangled[exact]", "qdc_classical[exact]"]
     ent_scale, cls_scale = qdc_scales(d)
-    rows = []
     for gap, q1, q0 in _binary_blocks(cfg):
         entangled = check_exact_prob(f_u_values(ent_scale * q0, ent_scale * q1, u))
         classical = check_exact_prob(f_u_values(cls_scale * q0, cls_scale * q1, u))
@@ -266,21 +271,20 @@ def run_binary_qdc(cfg):
                 f"binary qdc: entangled value {entangled[bad]} exceeds classical "
                 f"{classical[bad]} at q1={q1[bad]}, q0={q0[bad]}")
         points = zip(q1.tolist(), q0.tolist(), entangled.tolist(), classical.tolist())
-        rows.extend((gap, p1, p0, u, d, ent, cls) for p1, p0, ent, cls in points)
-    return header, rows
+        yield ((gap, p1, p0, u, d, ent, cls) for p1, p0, ent, cls in points)
 
 
 def run_binary_qadc(cfg):
+    """Yield the header, then one row per sweep point."""
     from .qadc import (fvg_sandwich, nulling_error, qadc_adaptive_lb_opt, qadc_block_helstrom,
                        qadc_block_pgm, qadc_choi_fidelity)
     u, xi = cfg.u, load_xi(cfg)
-    header = ["gap", "q1", "q0", "u",
-              "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
-              "adaptive_lb_opt[clamped_flag]", "best_ports",
-              "fvg_lower[lower]", "block_helstrom[exact]", "fvg_upper[upper]",
-              "block_pgm[upper]", "nulling_q0[upper]", "nulling_q1[upper]",
-              "nulling_min[upper]"]
-    rows = []
+    yield ["gap", "q1", "q0", "u",
+           "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
+           "adaptive_lb_opt[clamped_flag]", "best_ports",
+           "fvg_lower[lower]", "block_helstrom[exact]", "fvg_upper[upper]",
+           "block_pgm[upper]", "nulling_q0[upper]", "nulling_q1[upper]",
+           "nulling_min[upper]"]
     points = [(gap, q1, q0) for gap, q1s, q0s in _binary_blocks(cfg)
               for q1, q0 in zip(q1s.tolist(), q0s.tolist())]
     for gap, q1, q0 in points:
@@ -300,37 +304,39 @@ def run_binary_qadc(cfg):
             raise InvariantViolation(
                 f"binary qadc: adaptive lower bound {adaptive.value} exceeds the "
                 f"block error {exact.value} at q1={q1}, q0={q0}")
-        rows.append((
+        yield [(
             gap, q1, q0, u,
             adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
             opt.best_ports, fvg_lo, exact.value, fvg_hi, pgm.value,
-            null_q0, null_q1, null_min))
-    return header, rows
+            null_q0, null_q1, null_min)]
 
 
 def run_crosscheck(cfg):
+    """Yield the header, then one row per check; return the failed checks."""
     from .crosscheck import CROSSCHECKS
-    header = ["check", "status", "max_abs_dev", "tolerance", "cases"]
-    rows = []
+    yield ["check", "status", "max_abs_dev", "tolerance", "cases"]
     failures = []
     started = time.monotonic()
     for name, check in CROSSCHECKS:
         if time.monotonic() - started > cfg.budget:
-            rows.append((name, "skipped", 0.0, 0.0, 0))
+            yield [(name, "skipped", 0.0, 0.0, 0)]
             continue
         rng = np.random.default_rng(cfg.seed)
         dev, tol, cases = check(rng)
         status = "pass" if dev <= tol else "fail"
         if status == "fail":
             failures.append(f"{name} (deviation {dev:.3e} > tolerance {tol:.3e})")
-        rows.append((name, status, float(dev), float(tol), cases))
-    return (header, rows, *failures)
+        yield [(name, status, float(dev), float(tol), cases)]
+    return failures
 
 
 # Each command's interface: the options it reads, each with the value it
-# takes when not given, and the name of the function that builds its table
-# (looked up when it runs, so a wrapper set on this module is the one
-# called).  ``binary`` has one entry per --kind.  A tuple default is a
+# takes when not given, and the name of the generator that yields its
+# header and then its rows, block by block (looked up when it runs, so a
+# wrapper set on this module is the one called).  A block is computed and
+# checked whole before it is yielded, so :func:`write_table` writes only
+# checked rows.  A generator may return failures found in its complete
+# table; they exit with code 3 after the table is written.  ``binary`` has one entry per --kind.  A tuple default is a
 # sweep; --m and --u of fig3 are swept in pairs.  Every command also reads
 # the COMMON options, and make_config refuses any other with exit code 2.
 COMMANDS = {
@@ -363,7 +369,7 @@ def _cell_format(kind: type) -> str:
 
 
 def _csv_row_format(header, values) -> str:
-    # One %-format for every row of the table, from the types each column
+    # One %-format line for every row given, from the types each column
     # holds: text as is, booleans and integers as integers, anything else as
     # a float.  A column whose values need two formats is a bug in the table.
     formats = []
@@ -372,7 +378,7 @@ def _csv_row_format(header, values) -> str:
         if len(kinds) != 1:
             raise TypeError(f"column {name!r} mixes cell formats {sorted(kinds)}")
         formats.append(kinds.pop())
-    return ",".join(formats)
+    return ",".join(formats) + "\n"
 
 
 def _json_value(value):
@@ -383,23 +389,70 @@ def _json_value(value):
     return value
 
 
-def render(header, rows, fmt: str) -> str:
+# The most rows the writer holds at once, as tuples and as text.
+SLICE_ROWS = 1024
+
+
+def _slices(blocks):
+    for block in blocks:
+        rows = iter(block)
+        while rows_slice := list(itertools.islice(rows, SLICE_ROWS)):
+            yield rows_slice
+
+
+def _table_text(header, blocks, fmt: str):
+    # The table's text, piece by piece: the first piece (the header and the
+    # first slice) once the first block is ready, then one piece per slice.
+    # The pieces join to the text of the whole table formatted at once.
+    slices = _slices(blocks)
     if fmt == "csv":
-        line = _csv_row_format(header, rows)
-        return "\n".join([",".join(header), *(line % row for row in rows)]) + "\n"
-    import json
-    payload = [{name: _json_value(v) for name, v in zip(header, row)} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def write_output(text: str, out: str):
-    if out == "-":
-        sys.stdout.write(text)
+        head = ",".join(header) + "\n"
+        first = next(slices, [])
+        line = _csv_row_format(header, first)
+        yield head + "".join(map(line.__mod__, first))
+        for rows in slices:
+            # typed with the first row, so a column whose format changes
+            # between slices is refused as within one
+            _csv_row_format(header, [first[0], *rows])
+            yield "".join(map(line.__mod__, rows))
         return
+    import json
+    opening = "[\n"
+    for rows in slices:
+        payload = [{name: _json_value(v) for name, v in zip(header, row)} for row in rows]
+        # the rows of json.dumps(table, indent=2), without the brackets
+        yield opening + json.dumps(payload, indent=2)[2:-2]
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
+
+
+def write_table(header, blocks, fmt: str, out: str):
+    """Write the table to ``out`` ('-' for stdout) as its blocks arrive.
+
+    ``blocks`` yields the rows block by block.  ``out`` is opened once the
+    first block is ready, and each block is formatted and written
+    :data:`SLICE_ROWS` rows at a time, so memory is bounded by one block
+    and one slice, not by the table.  When a block raises, the rows before
+    it stay written, and no file is created when the first block raises.
+    """
+    pieces = _table_text(header, blocks, fmt)
+    first = next(pieces)
     try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        handle = sys.stdout if out == "-" else open(out, "w", encoding="utf-8", newline="")
+        try:
+            handle.write(first)
+            for piece in pieces:
+                handle.write(piece)
+        finally:
+            if handle is sys.stdout:
+                handle.flush()
+            else:
+                handle.close()
     except OSError as exc:
+        if out == "-":
+            # the reader went away: send what stdout still buffers to the
+            # null device, so the interpreter's final flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise CliConfigError(f"cannot write {out!r}: {exc}") from None
 
 
@@ -407,8 +460,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = make_config(args)
-        header, rows, *failures = globals()[cfg.run](cfg)
-        write_output(render(header, rows, cfg.format), cfg.out)
+        table = globals()[cfg.run](cfg)
+        failures = []
+
+        def blocks():
+            # the table's blocks, keeping the failures its generator returns
+            failures.extend((yield from table) or ())
+        write_table(next(table), blocks(), cfg.format, cfg.out)
         for failure in failures:
             print(f"invariant violation: {failure}", file=sys.stderr)
         return 3 if failures else 0

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,10 @@ def test_crosscheck_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert text.splitlines()[1].split(",")[1] == "fail"
     assert "always-off" in capsys.readouterr().err
+    # the failure is reported after the table, which is complete
+    code, text = run(tmp_path, "--command", "crosscheck", "--format", "json")
+    assert code == 3
+    assert [row["status"] for row in json.loads(text)] == ["fail"]
 
 
 def test_fig2_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):
@@ -229,6 +234,47 @@ def test_fig2_kernel_values_pass_the_exact_check(tmp_path, monkeypatch, capsys, 
         assert err.startswith("error: exact probability ") and text == ""
     else:
         assert [line.split(",")[4:6] for line in text.splitlines()[1:]] == [[cell, cell]] * 3
+
+
+@pytest.mark.parametrize("code", [2, 3])
+def test_failed_sweep_keeps_its_earlier_rows(tmp_path, monkeypatch, capsys, code):
+    # the second of two (u, gap) blocks fails, with a library error (exit 2)
+    # or an entangled value above the classical one (exit 3): the file holds
+    # the header and the whole first block, as in the table of a clean run
+    argv = ("--command", "fig2", "--grid", "3", "--m", "2", "--u", "1", "--d", "2",
+            "--gap", "0.5,0.9")
+    _, full = run(tmp_path, *argv)
+    (tmp_path / "out.txt").unlink()
+    real, calls = cli.h_mu_values, []
+
+    def second_block_fails(q_b, q_t, m, u):
+        calls.append(u)
+        if len(calls) != 3:   # the third call is the second block's entangled one
+            return real(q_b, q_t, m, u)
+        if code == 2:
+            raise OrcError("refused")
+        return np.ones(q_t.shape)
+    monkeypatch.setattr(cli, "h_mu_values", second_block_fails)
+    got, text = run(tmp_path, *argv)
+    assert got == code
+    assert capsys.readouterr().err.startswith("error: " if code == 2 else "invariant violation: ")
+    assert len(full.splitlines()) == 1 + 2 * 3
+    assert text == "".join(full.splitlines(keepends=True)[:1 + 3])
+
+
+def test_memory_is_bounded_by_a_block(tmp_path):
+    # fig2 --grid 2000 is 16 000 rows in 8 blocks.  Holding the whole table
+    # as row tuples and then as one string peaked at 8.09 MB of traced Python
+    # memory (7.73 MB once warm); streaming it peaks at 1.67 MB (1.31 MB
+    # warm).  Measured with Python 3.11.7 and numpy 2.4.6.
+    tracemalloc.start()
+    try:
+        code = cli.main(["--command", "fig2", "--grid", "2000", "--out", str(tmp_path / "t.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 << 20
 
 
 def test_binary_qdc_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):
@@ -433,21 +479,27 @@ RENDER_ROWS = [
 ]
 
 
-def test_render_csv_golden():
-    assert cli.render(RENDER_HEADER, RENDER_ROWS, "csv") == (
+def _table(header, rows, fmt, capsys):
+    # the text the writer sends to stdout for one block of rows
+    cli.write_table(header, [rows], fmt, "-")
+    return capsys.readouterr().out
+
+
+def test_render_csv_golden(capsys):
+    assert _table(RENDER_HEADER, RENDER_ROWS, "csv", capsys) == (
         "check,status,max_abs_dev,tolerance,cases,flag\n"
         "alpha,pass,3.3333333333333331e-01,9.9999999999999998e-13,3,1\n"
         "beta,fail,-2.5000000000000000e-300,1.0000000000000001e-09,-12,0\n"
         "gamma,skipped,0.0000000000000000e+00,0.0000000000000000e+00,0,1\n")
-    assert cli.render(RENDER_HEADER, [], "csv") == ",".join(RENDER_HEADER) + "\n"
+    assert _table(RENDER_HEADER, [], "csv", capsys) == ",".join(RENDER_HEADER) + "\n"
     # one format per column: a column holding both integers and floats is refused
     mixed = [(1,), (1.0,)]
     with pytest.raises(TypeError, match="'x' mixes"):
-        cli.render(["x"], mixed, "csv")
+        _table(["x"], mixed, "csv", capsys)
 
 
-def test_render_json_golden():
-    assert cli.render(RENDER_HEADER, RENDER_ROWS, "json") == (
+def test_render_json_golden(capsys):
+    assert _table(RENDER_HEADER, RENDER_ROWS, "json", capsys) == (
         '[\n  {\n    "check": "alpha",\n    "status": "pass",\n'
         '    "max_abs_dev": 0.3333333333333333,\n    "tolerance": 1e-12,\n'
         '    "cases": 3,\n    "flag": 1\n  },\n'
@@ -457,6 +509,21 @@ def test_render_json_golden():
         '  {\n    "check": "gamma",\n    "status": "skipped",\n'
         '    "max_abs_dev": 0.0,\n    "tolerance": 0.0,\n'
         '    "cases": 0,\n    "flag": 1\n  }\n]\n')
+    assert _table(RENDER_HEADER, [], "json", capsys) == "[]\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_slices_join_to_one_table(monkeypatch, capsys, fmt):
+    rows = [*RENDER_ROWS, ("delta", "pass", 2.0, 0.5, 7, True), ("eps", "fail", 1e300, 0.0, 1, 0)]
+    whole = _table(RENDER_HEADER, rows, fmt, capsys)
+    monkeypatch.setattr(cli, "SLICE_ROWS", 2)
+    assert _table(RENDER_HEADER, rows, fmt, capsys) == whole
+    # blocks split across and within slices give the same text
+    cli.write_table(RENDER_HEADER, [rows[:1], [], rows[1:]], fmt, "-")
+    assert capsys.readouterr().out == whole
+    # a column whose format changes in a later slice is refused as within one
+    with pytest.raises(TypeError, match="'x' mixes"):
+        _table(["x"], [(1,), (2,), (3,), (4,), (5.0,)], "csv", capsys)
 
 
 def test_unknown_command_is_argparse_error(tmp_path):
@@ -548,6 +615,22 @@ def test_unwritable_output_exits_two(tmp_path):
                      "--d", "2", "--gap", "0.5",
                      "--out", str(tmp_path / "missing_dir" / "out.csv")])
     assert code == 2
+
+
+def test_closed_stdout_exits_two():
+    # the reader stops after one line; block-buffered stdout then fails on a
+    # later write, which is reported once, without a traceback or a message
+    # from the interpreter's final flush
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen([sys.executable, "-m", "chandisc.cli", "--command", "fig2",
+                           "--grid", "2000"], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as child:
+        assert child.stdout.readline().startswith("u,gap,q_t,q_b,")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 2
+    assert err == "error: cannot write '-': [Errno 32] Broken pipe\n"
 
 
 def _modules_after(tmp_path, argv=None):
