@@ -417,11 +417,14 @@ def _table_text(header, blocks, fmt: str):
             yield "".join(map(line.__mod__, rows))
         return
     import json
+    # json's C encoder, which runs only without ``indent``: each row keeps
+    # the layout of json.dumps(table, indent=2) through its separators
+    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
     opening = "[\n"
     for rows in slices:
-        payload = [{name: _json_value(v) for name, v in zip(header, row)} for row in rows]
-        # the rows of json.dumps(table, indent=2), without the brackets
-        yield opening + json.dumps(payload, indent=2)[2:-2]
+        yield opening + ",\n".join(
+            "  {\n    " + encode({name: _json_value(v) for name, v in zip(header, row)})[1:-1]
+            + "\n  }" for row in rows)
         opening = ",\n"
     yield "[]\n" if opening == "[\n" else "\n]\n"
 

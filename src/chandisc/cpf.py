@@ -108,14 +108,19 @@ def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundRe
 
 
 class MOptimizationResult(Frozen):
-    """Outcome of maximizing a bound over the simulation port count."""
+    """Outcome of maximizing a bound over the simulation port count.
+
+    ``evaluations`` is the read-only int64 array of the port counts the
+    search evaluated, in evaluation order; ``best_ports`` must be among them.
+    """
 
     __slots__ = ("best_ports", "best_value", "evaluations")
 
-    def __init__(self, best_ports: int, best_value: float, evaluations: tuple):
-        values = [v for _, v in evaluations]
-        if not values or max(values) != best_value:
-            raise CpfError("best_value must be the maximum over the evaluations")
+    def __init__(self, best_ports: int, best_value: float, evaluations):
+        evaluations = np.array(evaluations, dtype=np.int64)
+        evaluations.flags.writeable = False
+        if not (evaluations == best_ports).any():
+            raise CpfError(f"best_ports {best_ports} is not among the evaluated port counts")
         object.__setattr__(self, "best_ports", best_ports)
         object.__setattr__(self, "best_value", best_value)
         object.__setattr__(self, "evaluations", evaluations)
@@ -132,63 +137,57 @@ def optimize_over_M(bound_fn, ports_range=(1, 10**6), breakpoints=()) -> MOptimi
     """Maximize a bound over integer port counts.
 
     ``bound_fn`` maps an int64 array of port counts to the bound at each of
-    them (anything that broadcasts to the array's shape, so a constant
-    works too).  Each search stage is one call on the ports it has not
-    evaluated yet: first a ``GRID_POINTS`` geometric grid (endpoints and
-    the ``breakpoints`` inside the range always included), then a 64-point
-    geometric zoom into the window between the evaluated neighbors of the
-    running argmax, repeated until the window holds at most 2000
-    unevaluated ports, which the last call scans exhaustively.  Ties prefer
-    the smaller port count.  The search is local: it is exact when the grid's
-    best point neighbors the global maximum, as for unimodal bounds and for
-    bounds non-increasing between breakpoints (step-function prefactors).
-    The simulation-based bounds here are not unimodal: past their maximum
-    they fall to a trough, then rise toward 0 from below as the ``1/ports``
-    penalty fades; tests compare the search with a scan of every port.
-    Ranges beyond ``MAX_PORTS`` are refused, and so is a NaN bound, which has
-    no place in the order the search relies on.
+    them (anything that broadcasts to the array's shape, so a constant works
+    too).  Each search stage is one call on ports not evaluated yet: a
+    ``GRID_POINTS`` geometric grid (endpoints and the ``breakpoints`` inside
+    the range included), then 64-point geometric zooms into the window
+    between the evaluated neighbors of the running argmax until it holds at
+    most 2000 unevaluated ports, which the last call scans.  No port
+    strictly inside that window but the argmax has been evaluated, so the
+    window is all the search keeps.  Ties prefer fewer ports.  The search is
+    local: exact when the grid's best point neighbors the global maximum, as
+    for unimodal bounds and for bounds non-increasing between breakpoints
+    (step-function prefactors).  The simulation-based bounds here are not
+    unimodal: past their maximum they fall to a trough, then rise toward 0
+    from below as the ``1/ports`` penalty fades; tests compare the search
+    with a scan of every port.  Ranges beyond ``MAX_PORTS`` are refused, and
+    so is a NaN bound, which has no place in that order.
     """
     lo, hi = int(ports_range[0]), int(ports_range[1])
     if lo < 1 or hi < lo:
         raise CpfError(f"invalid port range ({lo}, {hi})")
     if hi > MAX_PORTS:
         raise CpfError(f"port range ends at {hi}, beyond the largest exact grid point 2**53")
+    evaluations = []
 
-    evaluated = {}
+    def ev(ports):
+        values = np.broadcast_to(np.asarray(bound_fn(ports), dtype=np.float64), ports.shape)
+        if np.isnan(values).any():
+            raise CpfError(f"bound is NaN at {int(ports[np.isnan(values)][0])} ports")
+        evaluations.append(ports)
+        return values
 
-    def ev(candidates):
-        fresh = [p for p in dict.fromkeys(candidates) if p not in evaluated]
-        if fresh:
-            ports = np.array(fresh, dtype=np.int64)
-            values = np.broadcast_to(np.asarray(bound_fn(ports), dtype=np.float64), ports.shape)
-            if np.isnan(values).any():
-                raise CpfError(f"bound is NaN at {int(ports[np.isnan(values)][0])} ports")
-            evaluated.update(zip(fresh, values.tolist()))
+    def geometric(left, right, num):  # non-decreasing, from left to right
+        return np.clip(np.rint(np.geomspace(left, right, num=num)).astype(np.int64), lo, hi)
 
-    def geometric(left, right, num):
-        points = np.rint(np.geomspace(left, right, num=num)).astype(np.int64)
-        return np.clip(points, lo, hi).tolist()
+    def window(ports, values):  # the first maximum (ties prefer fewer ports) and its neighbors
+        i = int(np.argmax(values))
+        return ports[max(i - 1, 0):i + 2], values[max(i - 1, 0):i + 2], min(i, 1)
 
-    inside = {int(p) for p in breakpoints if lo <= p <= hi}
-    ev(sorted(set(geometric(lo, hi, min(GRID_POINTS, hi - lo + 1))) | {lo, hi} | inside))
-
+    grid = {lo, hi, *geometric(lo, hi, min(GRID_POINTS, hi - lo + 1)).tolist()}
+    ports = np.array(sorted(grid.union(int(p) for p in breakpoints if lo <= p <= hi)), np.int64)
+    ports, values, i = window(ports, ev(ports))
     for _ in range(60):
-        best_value = max(evaluated.values())
-        best_ports = min(p for p, v in evaluated.items() if v == best_value)
-        known = sorted(evaluated)
-        pos = known.index(best_ports)
-        left = known[pos - 1] if pos > 0 else best_ports
-        right = known[pos + 1] if pos + 1 < len(known) else best_ports
-        # left and right are neighbours of best_ports in ``known``
-        missing = right - left - 1 - int(left < best_ports < right)
+        left, best, right = ports[0], ports[i], ports[-1]
+        missing = right - left + 1 - len(ports)
         if missing <= 0:
             break
-        if missing <= 2000:
-            ev(range(left + 1, right))
-            break
-        ev(geometric(left, right, 64))
-
-    best_value = max(evaluated.values())
-    best_ports = min(p for p, v in evaluated.items() if v == best_value)
-    return MOptimizationResult(best_ports=best_ports, best_value=best_value,
-                               evaluations=tuple(sorted(evaluated.items())))
+        fresh = (np.arange(left + 1, right, dtype=np.int64) if missing <= 2000
+                 else geometric(left, right, 64))
+        fresh = fresh[(np.diff(fresh, prepend=left) > 0) & (fresh < right) & (fresh != best)]
+        k = int(np.searchsorted(fresh, best))  # left < fresh[:k] < best < fresh[k:] < right
+        ports = np.concatenate((ports[:i], np.insert(fresh, k, best), ports[i + 1:]))
+        values = np.concatenate((values[:i], np.insert(ev(fresh), k, values[i]), values[i + 1:]))
+        ports, values, i = window(ports, values)
+    return MOptimizationResult(best_ports=int(ports[i]), best_value=float(values[i]),
+                               evaluations=np.concatenate(evaluations))

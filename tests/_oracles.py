@@ -20,6 +20,8 @@
   ``C(u+3, 3)`` four-outcome count vectors with multinomial weights;
 * ``mp_nulling_error``: the same error in mpmath precision, over the
   outcome-3 count of the probes that give no outcome 0;
+* ``staged_search``: the port-count search with a dict of every evaluated
+  port as its state, for the window search in ``chandisc.cpf``;
 * ``pbt_pair_adaptive_lb``/``pbt_position_finding_adaptive_lb``: the
   port-based adaptive lower bounds at one port count, in plain ``math``
   floats, with ``step_xi`` for a tabulated simulation prefactor;
@@ -50,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from chandisc.channels import choi
-from chandisc.cpf import CpfError
+from chandisc.cpf import GRID_POINTS, MAX_PORTS, CpfError
 from chandisc.discrimination import DensityMatrix, StateEnsemble, tensor_all
 from chandisc.linalg import KIND_LOWER, BoundReport
 
@@ -365,6 +367,61 @@ def nulling_count_sum(probs0, probs1, u):
                     likes.append(like)
                 error += min(likes)
     return error / 2.0
+
+
+def staged_search(bound_fn, ports_range=(1, 10**6), breakpoints=()):
+    """The port-count search of ``chandisc.cpf.optimize_over_M`` with a dict
+    of every evaluated port as its state.
+
+    The same stages (grid, geometric zooms, exhaustive last window) and tie
+    rule, kept as a reference for the package's search, which keeps only the
+    window around its running argmax.  Returns ``(best_ports, best_value,
+    evaluated)``, ``evaluated`` mapping each evaluated port to its bound in
+    evaluation order.
+    """
+    lo, hi = int(ports_range[0]), int(ports_range[1])
+    if lo < 1 or hi < lo:
+        raise CpfError(f"invalid port range ({lo}, {hi})")
+    if hi > MAX_PORTS:
+        raise CpfError(f"port range ends at {hi}, beyond the largest exact grid point 2**53")
+
+    evaluated = {}
+
+    def ev(candidates):
+        fresh = [p for p in dict.fromkeys(candidates) if p not in evaluated]
+        if fresh:
+            ports = np.array(fresh, dtype=np.int64)
+            values = np.broadcast_to(np.asarray(bound_fn(ports), dtype=np.float64), ports.shape)
+            if np.isnan(values).any():
+                raise CpfError(f"bound is NaN at {int(ports[np.isnan(values)][0])} ports")
+            evaluated.update(zip(fresh, values.tolist()))
+
+    def geometric(left, right, num):
+        points = np.rint(np.geomspace(left, right, num=num)).astype(np.int64)
+        return np.clip(points, lo, hi).tolist()
+
+    inside = {int(p) for p in breakpoints if lo <= p <= hi}
+    ev(sorted(set(geometric(lo, hi, min(GRID_POINTS, hi - lo + 1))) | {lo, hi} | inside))
+
+    for _ in range(60):
+        best_value = max(evaluated.values())
+        best_ports = min(p for p, v in evaluated.items() if v == best_value)
+        known = sorted(evaluated)
+        pos = known.index(best_ports)
+        left = known[pos - 1] if pos > 0 else best_ports
+        right = known[pos + 1] if pos + 1 < len(known) else best_ports
+        # left and right are neighbours of best_ports in ``known``
+        missing = right - left - 1 - int(left < best_ports < right)
+        if missing <= 0:
+            break
+        if missing <= 2000:
+            ev(range(left + 1, right))
+            break
+        ev(geometric(left, right, 64))
+
+    best_value = max(evaluated.values())
+    best_ports = min(p for p, v in evaluated.items() if v == best_value)
+    return best_ports, best_value, evaluated
 
 
 def _damping_sim_error(q, xi):

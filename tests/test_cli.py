@@ -382,6 +382,43 @@ def test_benchmark_invocations_are_accepted():
         assert callable(getattr(cli, cfg.run))
 
 
+# The benchmark's two damping invocations at gap 0.040, each six searches,
+# and the port counts those searches evaluate in all.
+DAMPING_WORK = [
+    (["--command", "fig3", "--gap", "0.040", "--grid", "3"], 5715),
+    (["--command", "binary", "--kind", "qadc", "--u", "8", "--gap", "0.040", "--grid", "6"], 8022),
+]
+
+
+@pytest.mark.parametrize("argv,evaluations", DAMPING_WORK)
+def test_damping_searches_evaluate_the_pinned_ports(tmp_path, monkeypatch, argv, evaluations):
+    # a search that evaluated fewer or more ports would change the work the
+    # benchmark measures, even with the same tables
+    from chandisc import qadc
+    search, counts = qadc.optimize_over_M, []
+
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        counts.append(len(result.evaluations))
+        return result
+    monkeypatch.setattr(qadc, "optimize_over_M", counted)
+    assert run(tmp_path, *argv)[0] == 0
+    assert len(counts) == 6 and sum(counts) == evaluations
+
+
+@pytest.mark.parametrize("argv,evaluations", DAMPING_WORK)
+def test_benchmark_tracer_counts_the_pinned_evaluations(tmp_path, argv, evaluations):
+    # the traced benchmark pass takes len() of every search's evaluations
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spans = tmp_path / "spans.json"
+    done = subprocess.run([sys.executable, os.path.join(root, "perfbench", "tracer.py"),
+                           str(spans), "0", "--", *argv, "--out", str(tmp_path / "out.csv")],
+                          env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    attrs = json.loads(spans.read_text(encoding="utf-8"))["attrs"]
+    assert attrs["cpf.optimize_over_M.evaluations"] == evaluations
+
+
 def test_fig3_many_cells(tmp_path):
     # 8 cells: the dense ensemble would be 4**8-dimensional; the Gram blocks are 256
     code, text = run(tmp_path, "--command", "fig3", "--m", "8", "--u", "1", "--grid", "2")
@@ -655,9 +692,14 @@ def _child_env():
 @pytest.mark.parametrize("argv", [
     ["--command", "fig3", "--grid", "2"],
     ["--command", "binary", "--kind", "qadc", "--u", "2", "--grid", "2"],
+    ["--command", "fig2", "--grid", "2"],
+    ["--command", "binary", "--kind", "qec", "--grid", "2"],
+    ["--command", "binary", "--kind", "qdc", "--grid", "2"],
 ])
 def test_cli_never_imports_numpy_ma(tmp_path, argv):
-    # numpy.ma costs about 20 ms to import; nothing in the package needs it
+    # numpy.ma costs about 20 ms to import and nothing in the package needs
+    # it; under numpy 2.4 np.unique, np.union1d and np.setdiff1d import it
+    # (np.isin does not)
     assert "numpy.ma" not in _modules_after(tmp_path, argv)
 
 

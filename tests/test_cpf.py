@@ -1,10 +1,16 @@
+import functools
+import math
 import time
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from chandisc.channels import choi, make_qadc, make_qdc
 from chandisc.cpf import (
+    MAX_PORTS,
     CpfError,
     MOptimizationResult,
     cpf_fidelity_lb_values,
@@ -14,11 +20,11 @@ from chandisc.cpf import (
 )
 from chandisc.discrimination import helstrom_iterative, pgm_error
 from chandisc.orc import h_mu_values, qdc_scales
-from chandisc.qadc import (QadcError, qadc_adaptive_lb_opt, qadc_adaptive_lb_values,
+from chandisc.qadc import (QadcError, XiTable, qadc_adaptive_lb_opt, qadc_adaptive_lb_values,
                           qadc_cpf_adaptive_lb_values, qadc_cpf_block_pgm)
 
 from _oracles import (build_cpf_choi_ensemble, cpf_block_fidelity_lb, cyclic_shift,
-                      dense_block_ensemble, fidelity, general_fidelity_lb)
+                      dense_block_ensemble, fidelity, general_fidelity_lb, staged_search)
 
 
 def test_cyclic_shift_is_permutation_with_order_m():
@@ -157,7 +163,7 @@ def test_optimizer_evaluates_breakpoints_first():
     assert optimize_over_M(bound, ports_range=(1, 3000)).best_ports == 99
     result = optimize_over_M(bound, ports_range=(1, 3000), breakpoints=[0, 99, 973, 2500, 4000])
     assert (result.best_ports, result.best_value) == (973, 1.2)
-    assert {0, 4000}.isdisjoint(p for p, _ in result.evaluations)
+    assert {0, 4000}.isdisjoint(result.evaluations.tolist())
 
 
 def test_optimizer_refuses_ranges_beyond_exact_grid_points():
@@ -241,6 +247,79 @@ def test_optimizer_matches_a_scan_of_every_port(kernel, args, best):
     assert result.best_ports == best
 
 
+@st.composite
+def _port_range(draw):
+    # lo == hi, spans the last stage scans whole, and spans up to 10**9,
+    # also just below the largest port count the search accepts
+    near_top = st.integers(MAX_PORTS - 2 * 10**9, MAX_PORTS - 10**9)
+    lo = draw(st.one_of(st.integers(1, 10**9), near_top))
+    span = draw(st.one_of(st.just(0), st.integers(1, 2000), st.integers(2001, 10**9)))
+    return lo, lo + span
+
+
+@st.composite
+def _bump_bound(draw, lo, hi):
+    # 1-4 bumps on log(ports) minus a 1/ports penalty; rounding to 3
+    # decimals makes plateaus and ties
+    k = draw(st.integers(1, 4))
+    floats = st.floats(0.0, 1.0)
+    centers = np.array([math.log(lo) - 1 + draw(floats) * (math.log(hi / lo) + 2)
+                        for _ in range(k)])
+    widths = np.array([0.01 + 3 * draw(floats) for _ in range(k)])
+    heights = np.array([draw(floats) for _ in range(k)])
+    penalty = 5 * draw(floats)
+    decimals = draw(st.sampled_from([None, 3]))
+
+    def bound(ports):
+        x = np.log(ports.astype(np.float64))
+        bumps = heights[:, None] * np.exp(-(((x - centers[:, None]) / widths[:, None]) ** 2))
+        values = bumps.sum(axis=0) - penalty / ports
+        return values if decimals is None else np.round(values, decimals)
+    return bound, ()
+
+
+@st.composite
+def _damping_bound(draw, lo, hi):
+    # either damping kernel at drawn (q, m, u), with or without an XiTable,
+    # whose knots are the breakpoints as in qadc's _opt functions
+    q = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    q0, q1, u = draw(q), draw(q), draw(st.integers(1, 50))
+    xi = None
+    if draw(st.booleans()):
+        knots = sorted(draw(st.sets(st.integers(1, 2 * hi), min_size=1, max_size=6)))
+        xi = XiTable(knots, [draw(st.floats(0.0, 2.0)) for _ in knots])
+    if draw(st.booleans()):
+        kernel = functools.partial(qadc_adaptive_lb_values, q0, q1, u, xi=xi)
+    else:
+        kernel = functools.partial(qadc_cpf_adaptive_lb_values, q0, q1, draw(st.integers(2, 4)),
+                                   u, xi=xi)
+    return kernel, () if xi is None else xi.ports
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_optimizer_matches_the_staged_dict_search(data):
+    lo, hi = data.draw(_port_range())
+    bound, breakpoints = data.draw(st.one_of(_bump_bound(lo, hi), _damping_bound(lo, hi)))
+    # breakpoints inside and outside the range
+    extra = data.draw(st.lists(st.integers(max(lo - 100, 0), hi + 100), max_size=5))
+    breakpoints = [*breakpoints, *extra]
+    calls, reference_calls = [], []
+
+    def recording(log):
+        def fn(ports):
+            log.append(ports.tolist())
+            return bound(ports)
+        return fn
+
+    result = optimize_over_M(recording(calls), (lo, hi), breakpoints)
+    best_ports, best_value, evaluated = staged_search(recording(reference_calls), (lo, hi),
+                                                      breakpoints)
+    assert calls == reference_calls
+    assert (result.best_ports, result.best_value) == (best_ports, best_value)
+    assert result.evaluations.tolist() == list(evaluated)
+
+
 def test_damping_bound_rises_again_after_its_maximum():
     # falls from 1 to 2 ports, rises to its maximum at 49, falls to 421 and
     # then rises toward 0 from below as the 1/ports penalty fades
@@ -254,9 +333,12 @@ def test_damping_bound_rises_again_after_its_maximum():
 
 
 def test_optimization_result_requires_consistent_maximum():
-    with pytest.raises(CpfError):
-        MOptimizationResult(best_ports=1, best_value=2.0,
-                            evaluations=((1, 1.0), (2, 0.5)))
+    # the best port count must be one the search evaluated
+    with pytest.raises(CpfError, match="not among"):
+        MOptimizationResult(best_ports=3, best_value=2.0, evaluations=[1, 2])
+    result = MOptimizationResult(best_ports=2, best_value=2.0, evaluations=[1, 2])
+    assert result.evaluations.dtype == np.int64 and result.evaluations.tolist() == [1, 2]
+    assert not result.evaluations.flags.writeable
 
 
 def test_pgm_upper_with_identical_channels_is_blind_guessing():
