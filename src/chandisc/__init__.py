@@ -24,8 +24,7 @@ _EXPORTS = {
         "KrausChannel", "choi", "heisenberg_weyl", "kraus_vectors", "make_qadc", "make_qdc",
         "make_qec", "tele_covariance_check"),
     "cpf": (
-        "CpfError", "MOptimizationResult", "cpf_fidelity_lb_values",
-        "cpf_nonadaptive_fidelity_lb", "cpf_sim_error", "optimize_over_M"),
+        "CpfError", "cpf_fidelity_lb_values", "cpf_nonadaptive_fidelity_lb", "cpf_sim_error"),
     "discrimination": (
         "DensityMatrix", "Povm", "StateEnsemble", "gus_unitary_helstrom", "helstrom_binary",
         "helstrom_iterative", "hermitize", "pgm_error", "pgm_povm", "tensor", "tensor_all",

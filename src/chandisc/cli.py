@@ -219,7 +219,7 @@ def run_fig3(cfg):
               for q_t in _sweep_axis(gap, cfg.grid)]
     for m, u, gap, q_t in points:
         q_b = q_t + gap
-        adaptive, opt = qadc_cpf_adaptive_lb_opt(
+        adaptive = qadc_cpf_adaptive_lb_opt(
             q_b, q_t, m, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
         nonadaptive = cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u)
         pgm = qadc_cpf_block_pgm(q_b, q_t, m, u)
@@ -234,7 +234,7 @@ def run_fig3(cfg):
         yield [(
             m, u, gap, float(q_t), float(q_b),
             adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
-            opt.best_ports,
+            adaptive.params["ports"],
             nonadaptive.clamped_value, nonadaptive.value, int(nonadaptive.clamped),
             pgm.value)]
 
@@ -288,7 +288,7 @@ def run_binary_qadc(cfg):
     points = [(gap, q1, q0) for gap, q1s, q0s in _binary_blocks(cfg)
               for q1, q0 in zip(q1s.tolist(), q0s.tolist())]
     for gap, q1, q0 in points:
-        adaptive, opt = qadc_adaptive_lb_opt(
+        adaptive = qadc_adaptive_lb_opt(
             q0, q1, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
         fvg_lo, fvg_hi = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
         exact = qadc_block_helstrom(q0, q1, u)
@@ -307,7 +307,7 @@ def run_binary_qadc(cfg):
         yield [(
             gap, q1, q0, u,
             adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
-            opt.best_ports, fvg_lo, exact.value, fvg_hi, pgm.value,
+            adaptive.params["ports"], fvg_lo, exact.value, fvg_hi, pgm.value,
             null_q0, null_q1, null_min)]
 
 
@@ -368,25 +368,20 @@ def _cell_format(kind: type) -> str:
     return FLOAT_FORMAT
 
 
-def _csv_row_format(header, values) -> str:
-    # One %-format line for every row given, from the types each column
-    # holds: text as is, booleans and integers as integers, anything else as
-    # a float.  A column whose values need two formats is a bug in the table.
+def _column_formats(header, values) -> list:
+    # One %-format per column, from the types it holds in every row given:
+    # text as is, booleans and integers as integers, anything else as a
+    # float.  A column whose values need two formats is a bug in the table.
     formats = []
     for name, column in zip(header, zip(*values)):
         kinds = {_cell_format(kind) for kind in set(map(type, column))}
         if len(kinds) != 1:
             raise TypeError(f"column {name!r} mixes cell formats {sorted(kinds)}")
         formats.append(kinds.pop())
-    return ",".join(formats) + "\n"
+    return formats
 
 
-def _json_value(value):
-    if isinstance(value, (int, np.integer, np.bool_)):   # bool is an int
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
+_JSON_VALUE = {"%s": str, "%d": int, FLOAT_FORMAT: float}  # by a column's cell format
 
 
 # The most rows the writer holds at once, as tuples and as text.
@@ -404,29 +399,34 @@ def _table_text(header, blocks, fmt: str):
     # The table's text, piece by piece: the first piece (the header and the
     # first slice) once the first block is ready, then one piece per slice.
     # The pieces join to the text of the whole table formatted at once.
+    # Columns are typed with the first slice, so a column whose format
+    # changes between slices is refused as within one.
     slices = _slices(blocks)
+    first = next(slices, [])
+    formats = _column_formats(header, first)
     if fmt == "csv":
-        head = ",".join(header) + "\n"
-        first = next(slices, [])
-        line = _csv_row_format(header, first)
-        yield head + "".join(map(line.__mod__, first))
-        for rows in slices:
-            # typed with the first row, so a column whose format changes
-            # between slices is refused as within one
-            _csv_row_format(header, [first[0], *rows])
-            yield "".join(map(line.__mod__, rows))
-        return
-    import json
-    # json's C encoder, which runs only without ``indent``: each row keeps
-    # the layout of json.dumps(table, indent=2) through its separators
-    encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-    opening = "[\n"
+        line = ",".join(formats) + "\n"
+        head, joint, tail = ",".join(header) + "\n", "", ""
+
+        def text(rows):
+            return "".join(map(line.__mod__, rows))
+    else:
+        import json
+        # json's C encoder, which runs only without ``indent``: each row keeps
+        # the layout of json.dumps(table, indent=2) through its separators
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+        columns = [(name, _JSON_VALUE[kind]) for name, kind in zip(header, formats)]
+        head, joint, tail = ("[\n", ",\n", "\n]\n") if first else ("[]\n", "", "")
+
+        def text(rows):
+            return ",\n".join("  {\n    " + encode({name: value(cell) for (name, value), cell
+                                                 in zip(columns, row)})[1:-1] + "\n  }"
+                              for row in rows)
+    yield head + text(first)
     for rows in slices:
-        yield opening + ",\n".join(
-            "  {\n    " + encode({name: _json_value(v) for name, v in zip(header, row)})[1:-1]
-            + "\n  }" for row in rows)
-        opening = ",\n"
-    yield "[]\n" if opening == "[\n" else "\n]\n"
+        _column_formats(header, [first[0], *rows])
+        yield joint + text(rows)
+    yield tail
 
 
 def write_table(header, blocks, fmt: str, out: str):

@@ -9,8 +9,10 @@ collect the resulting block states (tensor powers of cell Choi matrices),
 and pay a continuity penalty ``u/2`` times the accumulated simulation
 error.  This module holds the arithmetic of that route, all of it on
 numbers and arrays of port counts: the simulation error of an instance, the
-fidelity bounds on the block error net of that penalty, and the port-count
-optimization.
+fidelity bounds on the block error net of that penalty, the checks on port
+counts and port ranges, and the maximum over port counts
+(:func:`argmax_ports`): one bound evaluation on at most five candidates read
+off the stationary points of the bound's closed form, no search.
 
 The block states themselves are not built here.  The iterative Helstrom
 solver runs on plain tensor powers of the cell Choi matrices
@@ -21,9 +23,11 @@ square-root-measurement error needs no states at all: see
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import KIND_LOWER, BoundReport, ChandiscError, Frozen
+from .linalg import KIND_LOWER, BoundReport, ChandiscError
 
 
 class CpfError(ChandiscError):
@@ -45,6 +49,11 @@ def cpf_sim_error(delta_background, delta_target, m: int):
     delta_target = np.asarray(delta_target, dtype=np.float64)
     if (delta_background < 0.0).any() or (delta_target < 0.0).any():
         raise CpfError("simulation errors must be >= 0")
+    return _sim_error(delta_background, delta_target, m)
+
+
+def _sim_error(delta_background, delta_target, m: int):
+    # cpf_sim_error on checked arguments
     return (m - 1) * delta_background + delta_target
 
 
@@ -90,6 +99,11 @@ def cpf_fidelity_lb_values(choi_fidelity: float, m: int, u: int, ports,
     delta_avg = np.asarray(delta_avg, dtype=np.float64)
     if (delta_avg < 0.0).any():
         raise CpfError(f"simulation error must be >= 0, got {delta_avg.min()}")
+    return _fidelity_lb(choi_fidelity, m, u, ports, delta_avg)
+
+
+def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_avg):
+    # cpf_fidelity_lb_values on checked arguments.
     # The exponent in floats, since 4 u ports can exceed the int64 range.
     # float_power takes the scalar pow per element, as Python's ``**`` does;
     # np.power's vectorised loop can be an ulp off it.
@@ -107,87 +121,122 @@ def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundRe
                        {"choi_fidelity": float(choi_fidelity), "m": int(m), "u": int(u)})
 
 
-class MOptimizationResult(Frozen):
-    """Outcome of maximizing a bound over the simulation port count.
-
-    ``evaluations`` is the read-only int64 array of the port counts the
-    search evaluated, in evaluation order; ``best_ports`` must be among them.
-    """
-
-    __slots__ = ("best_ports", "best_value", "evaluations")
-
-    def __init__(self, best_ports: int, best_value: float, evaluations):
-        evaluations = np.array(evaluations, dtype=np.int64)
-        evaluations.flags.writeable = False
-        if not (evaluations == best_ports).any():
-            raise CpfError(f"best_ports {best_ports} is not among the evaluated port counts")
-        object.__setattr__(self, "best_ports", best_ports)
-        object.__setattr__(self, "best_value", best_value)
-        object.__setattr__(self, "evaluations", evaluations)
-
-
-# Largest port count the optimizer accepts: beyond 2**53 the float grid
-# points stop being exact integers.
+# Largest port count accepted in a range: the kernels take the exponent
+# ``4 u ports`` and ``default_xi``'s ``4 / ports`` in floats, and beyond 2**53
+# a port count has no exact float, so neighbouring counts would share one
+# value and a range end would be reported with the value of another count.
 MAX_PORTS = 2**53
 
-GRID_POINTS = 200  # of the optimizer's first-stage geometric grid
 
-
-def optimize_over_M(bound_fn, ports_range=(1, 10**6), breakpoints=()) -> MOptimizationResult:
-    """Maximize a bound over integer port counts.
-
-    ``bound_fn`` maps an int64 array of port counts to the bound at each of
-    them (anything that broadcasts to the array's shape, so a constant works
-    too).  Each search stage is one call on ports not evaluated yet: a
-    ``GRID_POINTS`` geometric grid (endpoints and the ``breakpoints`` inside
-    the range included), then 64-point geometric zooms into the window
-    between the evaluated neighbors of the running argmax until it holds at
-    most 2000 unevaluated ports, which the last call scans.  No port
-    strictly inside that window but the argmax has been evaluated, so the
-    window is all the search keeps.  Ties prefer fewer ports.  The search is
-    local: exact when the grid's best point neighbors the global maximum, as
-    for unimodal bounds and for bounds non-increasing between breakpoints
-    (step-function prefactors).  The simulation-based bounds here are not
-    unimodal: past their maximum they fall to a trough, then rise toward 0
-    from below as the ``1/ports`` penalty fades; tests compare the search
-    with a scan of every port.  Ranges beyond ``MAX_PORTS`` are refused, and
-    so is a NaN bound, which has no place in that order.
-    """
+def check_port_range(ports_range) -> tuple[int, int]:
+    """``(lo, hi)`` as ints, raising :class:`CpfError` unless ``1 <= lo <= hi <= MAX_PORTS``."""
     lo, hi = int(ports_range[0]), int(ports_range[1])
     if lo < 1 or hi < lo:
         raise CpfError(f"invalid port range ({lo}, {hi})")
     if hi > MAX_PORTS:
-        raise CpfError(f"port range ends at {hi}, beyond the largest exact grid point 2**53")
-    evaluations = []
+        raise CpfError(f"port range ends at {hi}, beyond the largest exact float port count 2**53")
+    return lo, hi
 
-    def ev(ports):
-        values = np.broadcast_to(np.asarray(bound_fn(ports), dtype=np.float64), ports.shape)
-        if np.isnan(values).any():
-            raise CpfError(f"bound is NaN at {int(ports[np.isnan(values)][0])} ports")
-        evaluations.append(ports)
-        return values
 
-    def geometric(left, right, num):  # non-decreasing, from left to right
-        return np.clip(np.rint(np.geomspace(left, right, num=num)).astype(np.int64), lo, hi)
+def argmax_ports(kernel, ports_range, peak, knots=None):
+    """The port count in ``ports_range = (lo, hi)`` where ``kernel`` peaks, and its value.
 
-    def window(ports, values):  # the first maximum (ties prefer fewer ports) and its neighbors
-        i = int(np.argmax(values))
-        return ports[max(i - 1, 0):i + 2], values[max(i - 1, 0):i + 2], min(i, 1)
+    ``kernel`` maps an int64 array of port counts to the adaptive bound at
+    each.  With a tabulated simulation prefactor, stepping at the port
+    counts ``knots``, the bound is non-increasing between knots, so its
+    maximum lies on ``lo`` or a knot in range.  With the default prefactor
+    ``min(4/M, 2)`` the bound falls from 1 to 2 ports (the prefactor is
+    constant there) and from 2 ports on rises to a local maximum at the
+    stationary point ``peak()`` (:func:`position_peak`, :func:`pair_peak`),
+    falls to a trough, then rises toward 0 from below as the penalty fades;
+    so its maximum over the integers lies on ``lo``, 2, ``floor(peak())``,
+    ``ceil(peak())`` or ``hi``.  ``kernel`` is called once, on the
+    candidates in range.
 
-    grid = {lo, hi, *geometric(lo, hi, min(GRID_POINTS, hi - lo + 1)).tolist()}
-    ports = np.array(sorted(grid.union(int(p) for p in breakpoints if lo <= p <= hi)), np.int64)
-    ports, values, i = window(ports, ev(ports))
-    for _ in range(60):
-        left, best, right = ports[0], ports[i], ports[-1]
-        missing = right - left + 1 - len(ports)
-        if missing <= 0:
+    Tie rule: the smallest port among the candidates whose values are
+    float-equal maxima.  In exact arithmetic that is the smallest argmax
+    over the whole range.  In floats a port off the candidates can match
+    or beat it by the kernel's rounding alone, where the bound moves by
+    less than its rounding from port to port: the tail below a large
+    ``hi``, or the top of a wide maximum.  A NaN bound is refused.
+    """
+    lo, hi = check_port_range(ports_range)
+    if knots is not None:
+        candidates = {lo, *knots[(knots > lo) & (knots <= hi)].tolist()}
+    else:
+        candidates = {lo, 2, hi}
+        top = peak()
+        if top < math.inf:
+            candidates.update((math.floor(top), math.ceil(top)))
+    ports = np.array(sorted(p for p in candidates if lo <= p <= hi), dtype=np.int64)
+    values = kernel(ports).tolist()
+    nan = [port for port, value in zip(ports.tolist(), values) if value != value]
+    if nan:  # NaN has no place in the order
+        raise CpfError(f"bound is NaN at {nan[0]} ports")
+    best = values.index(max(values))  # the first maximum
+    return int(ports[best]), values[best]
+
+
+def position_peak(c: float, a: float, b: float) -> float:
+    """Stationary point of the position-finding bound ``a e**(-c M) - b/M``.
+
+    The root of ``h(M) = c a M**2 e**(-c M) = b`` on the rising side of
+    ``h``, ``M = -(2/c) W0(-sqrt(c b / a) / 2)`` with ``W0`` the principal
+    Lambert W branch, or the peak ``2/c`` of ``h`` when ``h < b``
+    everywhere; ``inf`` when the bound is monotone (``c`` or ``b`` is 0).
+    """
+    if not (c > 0.0 and b > 0.0):
+        return math.inf
+    if math.isinf(c):
+        return 0.0
+    return -2.0 / c * _lambert_w0(max(-0.5 * math.sqrt(c * b / a), -1.0 / math.e))
+
+
+def _lambert_w0(z: float) -> float:
+    # Principal branch of the Lambert W function on [-1/e, 0], by Halley steps.
+    branch = math.sqrt(max(0.0, 2.0 * (math.e * z + 1.0)))
+    w = -1.0 + branch - branch * branch / 3.0 if z < -0.25 else math.log1p(z)
+    for _ in range(20):
+        ew = math.exp(w)
+        f = w * ew - z
+        if f == 0.0 or w == -1.0:
             break
-        fresh = (np.arange(left + 1, right, dtype=np.int64) if missing <= 2000
-                 else geometric(left, right, 64))
-        fresh = fresh[(np.diff(fresh, prepend=left) > 0) & (fresh < right) & (fresh != best)]
-        k = int(np.searchsorted(fresh, best))  # left < fresh[:k] < best < fresh[k:] < right
-        ports = np.concatenate((ports[:i], np.insert(fresh, k, best), ports[i + 1:]))
-        values = np.concatenate((values[:i], np.insert(ev(fresh), k, values[i]), values[i + 1:]))
-        ports, values, i = window(ports, values)
-    return MOptimizationResult(best_ports=int(ports[i]), best_value=float(values[i]),
-                               evaluations=np.concatenate(evaluations))
+        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 4e-16 * abs(w):
+            break
+    return max(w, -1.0)
+
+
+# x = c M at the peak of the pair bound's h (see pair_peak): the root of
+# 2/x - 1 - 1/(2 (e**x - 1)), the derivative of log h in x.
+PAIR_PEAK_X = 1.8245642597362943
+
+
+def pair_peak(c: float, b: float) -> float:
+    """Stationary point of the pair bound ``(1 - b/M - sqrt(1 - e**(-c M))) / 2``.
+
+    The root of ``h(M) = phi(c M) / c = b``, ``phi(x) = x**2 e**(-x) / (2
+    sqrt(1 - e**(-x)))``, on the rising side of ``h``, or the peak of ``h``
+    when ``h < b`` everywhere; ``inf`` when the bound is monotone.  ``log
+    phi`` is concave in ``t = log x``, so Newton steps from below the root
+    rise to it monotonically; ``phi(x) <= x**1.5 / 2`` starts them below.
+    """
+    if not (c > 0.0 and b > 0.0):
+        return math.inf
+    if math.isinf(c):
+        return 0.0
+    target = math.log(c) + math.log(b)
+    top = math.log(PAIR_PEAK_X)
+    t = min(2.0 / 3.0 * (math.log(2.0) + target), top)
+    for _ in range(100):
+        x = math.exp(t)
+        gap = target - (2.0 * t - x - 0.5 * math.log(-math.expm1(-x)) - math.log(2.0))
+        slope = 2.0 - x - x / (2.0 * math.expm1(x))  # d log phi / dt, > 0 below the peak
+        if gap <= 0.0 or slope <= 0.0:
+            break
+        step = gap / slope
+        t = min(t + step, top)
+        if t == top or step <= 1e-16 * max(1.0, abs(t)):
+            break
+    return math.exp(t) / c

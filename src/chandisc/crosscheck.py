@@ -193,10 +193,10 @@ def _check_gus_vs_solver(_rng):
 
 def _check_optimizer_vs_brute_force(_rng):
     # every port count in one kernel call; argmax takes the first, fewest-port maximum
-    _, result = qadc_cpf_adaptive_lb_opt(0.24, 0.2, 2, 4, ports_range=(1, 3000))
+    report = qadc_cpf_adaptive_lb_opt(0.24, 0.2, 2, 4, ports_range=(1, 3000))
     values = qadc_cpf_adaptive_lb_values(0.24, 0.2, 2, 4, np.arange(1, 3001))
     best = int(np.argmax(values))
-    dev = abs(result.best_value - values[best]) + abs(result.best_ports - (best + 1))
+    dev = abs(report.value - values[best]) + abs(report.params["ports"] - (best + 1))
     return float(dev), 1e-12, 1
 
 

@@ -75,6 +75,8 @@ def check_prob(q, name: str = "q", error=LinalgError):
 
     NaN is refused with the rest.
     """
+    if isinstance(q, float) and 0.0 <= q <= 1.0:  # a scalar in range needs no array
+        return float(q)
     values = np.asarray(q, dtype=np.float64)
     bad = first_outside(values, 0.0, 1.0)
     if bad is not None:

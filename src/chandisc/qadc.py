@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .cpf import check_ports, cpf_fidelity_lb_values, cpf_sim_error, optimize_over_M
+from .cpf import _fidelity_lb, _sim_error, argmax_ports, check_ports, pair_peak, position_peak
 from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError,
                      ChannelError, Frozen, check_prob)
 from .orc import _binary_error, _binom_log_pmf, _binom_pmf
@@ -82,6 +82,11 @@ def default_xi(ports):
     return np.minimum(4.0 / np.asarray(ports), 2.0)
 
 
+def _sim_factor(q: float) -> float:
+    # the damping factor (1 - q)/2 + sqrt(1 - q) of the simulation error
+    return (1.0 - q) / 2.0 + math.sqrt(1.0 - q)
+
+
 def qadc_sim_error_values(q, xi) -> np.ndarray:
     """Damping simulation errors ``xi * ((1 - q)/2 + sqrt(1 - q))``, elementwise over ``xi``.
 
@@ -93,7 +98,7 @@ def qadc_sim_error_values(q, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=np.float64)
     if not (xi >= 0.0).all():  # NaN fails the comparison too
         raise ChannelError(f"xi must be >= 0, got {xi.min()}")
-    return xi * ((1.0 - q) / 2.0 + np.sqrt(1.0 - q))
+    return xi * _sim_factor(q)
 
 
 class XiTable(Frozen):
@@ -102,8 +107,8 @@ class XiTable(Frozen):
     At ``M`` ports the value is that of the largest tabulated port count
     ``<= M``, extended as constant below the first knot; elementwise over
     arrays of port counts.  With ``xi`` constant between knots the adaptive
-    bounds are non-increasing there, so the ``_opt`` functions pass the
-    knots to :func:`~chandisc.cpf.optimize_over_M` as breakpoints.
+    bounds are non-increasing there, so the ``_opt`` functions evaluate
+    only the low end of the port range and the knots inside it.
     """
 
     __slots__ = ("ports", "values")
@@ -136,10 +141,9 @@ def _xi_at(ports: np.ndarray, xi) -> np.ndarray:
     return xi(ports)
 
 
-def _maximize(kernel, xi, ports_range):
-    # optimize_over_M with the knots of an XiTable as breakpoints
-    return optimize_over_M(kernel, ports_range=ports_range,
-                           breakpoints=xi.ports if isinstance(xi, XiTable) else ())
+def _knots(xi):
+    # the port counts where an XiTable steps, or None for the default xi
+    return xi.ports if isinstance(xi, XiTable) else None
 
 
 def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
@@ -161,23 +165,35 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
     if u < 1:
         raise QadcError(f"need u >= 1, got {u}")
     ports = check_ports(ports, QadcError)
-    xi = _xi_at(ports, xi)
-    delta = qadc_sim_error_values(q0, xi) + qadc_sim_error_values(q1, xi)
+    xi = _xi_at(ports, xi)  # checked: non-negative, as the sim errors below need
+    delta = xi * _sim_factor(q0) + xi * _sim_factor(q1)
     # Exponent in floats and float_power as in cpf_fidelity_lb_values.
     block = np.float_power(qadc_choi_fidelity(q0, q1), u * ports.astype(np.float64))
     return (1.0 - u * delta - np.sqrt(np.maximum(0.0, 1.0 - block * block))) / 2.0
 
 
-def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6)):
+def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6)) -> BoundReport:
     """Adaptive lower bound maximized over the simulation port count.
 
-    Returns ``(BoundReport, MOptimizationResult)``; the report repeats the
-    optimal value with the winning port count in its parameters.
+    The report's ``ports`` parameter is the winning port count.  With the
+    default xi and ``M >= 2`` ports the bound is ``(1 - B/M - sqrt(1 -
+    e**(-c M))) / 2``, ``B = 4 u (s(q0) + s(q1))``, ``s(q) = (1-q)/2 +
+    sqrt(1-q)``, ``c = -2 u ln F``: it rises to a local maximum where ``h(M)
+    = c M**2 e**(-c M) / (2 sqrt(1 - e**(-c M)))`` first reaches ``B``,
+    falls, then rises toward 0 from below as the penalty fades; see
+    :func:`~chandisc.cpf.argmax_ports`.
     """
-    result = _maximize(functools.partial(qadc_adaptive_lb_values, q0, q1, u, xi=xi), xi,
-                       ports_range)
-    params = {"q0": float(q0), "q1": float(q1), "u": int(u), "ports": result.best_ports}
-    return BoundReport(result.best_value, KIND_LOWER, "qadc_adaptive_lb", params), result
+    q0 = float(check_prob(q0, "q0", QadcError))
+    q1 = float(check_prob(q1, "q1", QadcError))
+    u = int(u)
+
+    def peak():
+        c = -2.0 * u * math.log(qadc_choi_fidelity(q0, q1))
+        return pair_peak(c, 4.0 * u * (_sim_factor(q0) + _sim_factor(q1)))
+    ports, value = argmax_ports(functools.partial(qadc_adaptive_lb_values, q0, q1, u, xi=xi),
+                                ports_range, peak, _knots(xi))
+    params = {"q0": q0, "q1": q1, "u": u, "ports": ports}
+    return BoundReport(value, KIND_LOWER, "qadc_adaptive_lb", params)
 
 
 def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.ndarray:
@@ -190,19 +206,41 @@ def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.
     """
     q_b = float(check_prob(q_b, "q_b", QadcError))
     q_t = float(check_prob(q_t, "q_t", QadcError))
+    m, u = int(m), int(u)
+    if m < 2 or u < 1:
+        raise QadcError(f"need m >= 2 cells and u >= 1 uses, got m = {m}, u = {u}")
     ports = check_ports(ports, QadcError)
-    xi = _xi_at(ports, xi)
-    delta = cpf_sim_error(qadc_sim_error_values(q_b, xi), qadc_sim_error_values(q_t, xi), m)
-    return cpf_fidelity_lb_values(qadc_choi_fidelity(q_b, q_t), m, u, ports, delta)
+    xi = _xi_at(ports, xi)  # checked: non-negative, as the sim errors below need
+    delta = _sim_error(xi * _sim_factor(q_b), xi * _sim_factor(q_t), m)
+    return _fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u, ports, delta)
 
 
-def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None, ports_range=(1, 10**6)):
-    """Position-finding adaptive lower bound maximized over ports."""
-    result = _maximize(functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, m, u, xi=xi),
-                       xi, ports_range)
-    params = {"q_b": float(q_b), "q_t": float(q_t), "m": int(m), "u": int(u),
-              "ports": result.best_ports}
-    return BoundReport(result.best_value, KIND_LOWER, "qadc_cpf_adaptive_lb", params), result
+def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
+                             ports_range=(1, 10**6)) -> BoundReport:
+    """Position-finding adaptive lower bound maximized over ports.
+
+    The report's ``ports`` parameter is the winning port count.  With the
+    default xi and ``M >= 2`` ports the bound is ``A e**(-c M) - B/M``, ``A =
+    (m-1)/(2m)``, ``B = 2 u ((m-1) s(q_b) + s(q_t))``, ``c = -4 u ln F`` (``s``
+    as in :func:`qadc_adaptive_lb_opt`): it
+    rises to a local maximum where ``h(M) = c A M**2 e**(-c M)`` first
+    reaches ``B``, at ``M = -(2/c) W0(-sqrt(c B / A) / 2)``, falls, then
+    rises toward 0 from below; see :func:`~chandisc.cpf.argmax_ports`.
+    """
+    q_b = float(check_prob(q_b, "q_b", QadcError))
+    q_t = float(check_prob(q_t, "q_t", QadcError))
+    m, u = int(m), int(u)
+
+    def peak():
+        c = -4.0 * u * math.log(qadc_choi_fidelity(q_b, q_t))
+        b = 2.0 * u * ((m - 1) * _sim_factor(q_b) + _sim_factor(q_t))
+        # m < 2 is refused by the kernel
+        return position_peak(c, (m - 1) / (2.0 * m), b) if m >= 2 else math.inf
+    ports, value = argmax_ports(
+        functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, m, u, xi=xi), ports_range, peak,
+        _knots(xi))
+    params = {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "ports": ports}
+    return BoundReport(value, KIND_LOWER, "qadc_cpf_adaptive_lb", params)
 
 
 def _weight_blocks(q0, q1, u):

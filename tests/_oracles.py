@@ -20,8 +20,9 @@
   ``C(u+3, 3)`` four-outcome count vectors with multinomial weights;
 * ``mp_nulling_error``: the same error in mpmath precision, over the
   outcome-3 count of the probes that give no outcome 0;
-* ``staged_search``: the port-count search with a dict of every evaluated
-  port as its state, for the window search in ``chandisc.cpf``;
+* ``staged_search``: a staged numeric search over port counts (geometric
+  grid, zooms, exhaustive last window), a second route to the port optimum
+  that ``chandisc.cpf.argmax_ports`` reads off the bound's stationary points;
 * ``pbt_pair_adaptive_lb``/``pbt_position_finding_adaptive_lb``: the
   port-based adaptive lower bounds at one port count, in plain ``math``
   floats, with ``step_xi`` for a tabulated simulation prefactor;
@@ -52,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from chandisc.channels import choi
-from chandisc.cpf import GRID_POINTS, MAX_PORTS, CpfError
+from chandisc.cpf import MAX_PORTS, CpfError
 from chandisc.discrimination import DensityMatrix, StateEnsemble, tensor_all
 from chandisc.linalg import KIND_LOWER, BoundReport
 
@@ -369,15 +370,20 @@ def nulling_count_sum(probs0, probs1, u):
     return error / 2.0
 
 
-def staged_search(bound_fn, ports_range=(1, 10**6), breakpoints=()):
-    """The port-count search of ``chandisc.cpf.optimize_over_M`` with a dict
-    of every evaluated port as its state.
+GRID_POINTS = 200  # of the staged search's first-stage geometric grid
 
-    The same stages (grid, geometric zooms, exhaustive last window) and tie
-    rule, kept as a reference for the package's search, which keeps only the
-    window around its running argmax.  Returns ``(best_ports, best_value,
-    evaluated)``, ``evaluated`` mapping each evaluated port to its bound in
-    evaluation order.
+
+def staged_search(bound_fn, ports_range=(1, 10**6), breakpoints=()):
+    """Maximize ``bound_fn`` over integer port counts by a staged search.
+
+    A ``GRID_POINTS`` geometric grid (endpoints and the ``breakpoints``
+    inside the range included), then 64-point geometric zooms into the
+    window between the evaluated neighbours of the running argmax until it
+    holds at most 2000 unevaluated ports, which the last stage scans.  Ties
+    prefer fewer ports.  The search is local: exact when the grid's best
+    point neighbours the global maximum.  Returns
+    ``(best_ports, best_value, evaluated)``, ``evaluated`` mapping each
+    evaluated port to its bound in evaluation order.
     """
     lo, hi = int(ports_range[0]), int(ports_range[1])
     if lo < 1 or hi < lo:

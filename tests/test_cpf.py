@@ -1,27 +1,31 @@
 import functools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chandisc import qadc
 from chandisc.channels import choi, make_qadc, make_qdc
 from chandisc.cpf import (
     MAX_PORTS,
+    PAIR_PEAK_X,
     CpfError,
-    MOptimizationResult,
     cpf_fidelity_lb_values,
     cpf_nonadaptive_fidelity_lb,
     cpf_sim_error,
-    optimize_over_M,
+    pair_peak,
+    position_peak,
 )
 from chandisc.discrimination import helstrom_iterative, pgm_error
 from chandisc.orc import h_mu_values, qdc_scales
 from chandisc.qadc import (QadcError, XiTable, qadc_adaptive_lb_opt, qadc_adaptive_lb_values,
-                          qadc_cpf_adaptive_lb_values, qadc_cpf_block_pgm)
+                          qadc_cpf_adaptive_lb_opt, qadc_cpf_adaptive_lb_values,
+                          qadc_cpf_block_pgm)
 
 from _oracles import (build_cpf_choi_ensemble, cpf_block_fidelity_lb, cyclic_shift,
                       dense_block_ensemble, fidelity, general_fidelity_lb, staged_search)
@@ -95,95 +99,109 @@ def test_nonadaptive_lb_is_single_port_zero_error_case():
     assert a == pytest.approx(3 / 8 * 0.9 ** 12)
 
 
+# The port-count maximum of each damping kernel.
+_OPT = {qadc_adaptive_lb_values: qadc_adaptive_lb_opt,
+        qadc_cpf_adaptive_lb_values: qadc_cpf_adaptive_lb_opt}
+
+# (q0, q1, u) of a `binary --kind qadc --u 1 --gap 0.04` row
+_BIMODAL_ROW = (0.04482412060301508, 0.004824120603015075, 1)
+
+
+def _recording(monkeypatch, calls):
+    # record the port counts each damping kernel is called on
+    for name in ("qadc_adaptive_lb_values", "qadc_cpf_adaptive_lb_values"):
+        kernel = getattr(qadc, name)
+
+        def recorded(*args, _kernel=kernel, **kwargs):
+            calls.append(np.asarray(args[-1]).tolist())
+            return _kernel(*args, **kwargs)
+        monkeypatch.setattr(qadc, name, recorded)
+
+
 def test_optimizer_finds_exact_integer_peak():
-    result = optimize_over_M(lambda p: -((p - 137) ** 2), ports_range=(1, 10**6))
-    assert result.best_ports == 137
-    assert result.best_value == 0
+    # a step down of xi at 137 ports: the bound jumps up there, then falls
+    xi = XiTable([1, 137], [2.0, 0.0])
+    for report in (qadc_adaptive_lb_opt(0.3, 0.5, 1, xi=xi),
+                   qadc_cpf_adaptive_lb_opt(0.3, 0.5, 3, 1, xi=xi)):
+        assert report.params["ports"] == 137
+    assert report.value == qadc_cpf_adaptive_lb_values(0.3, 0.5, 3, 1, 137, xi=xi)
+    # with the default xi, an interior stationary point
+    assert qadc_cpf_adaptive_lb_opt(0.44, 0.40, 4, 2).params["ports"] == 148
 
 
-def test_optimizer_calls_the_bound_once_per_stage_on_fresh_ports():
+def test_optimizer_calls_the_bound_once_per_stage_on_fresh_ports(monkeypatch):
+    # one stage: one kernel call on at most five distinct ports, in order
     calls = []
-
-    def bound(ports):
-        calls.append(ports.tolist())
-        return -((ports - 137_777) ** 2)
-
-    result = optimize_over_M(bound, ports_range=(1, 10**6))
-    assert result.best_ports == 137_777
-    flat = [p for call in calls for p in call]
-    assert len(flat) == len(set(flat)) == len(result.evaluations)
-    assert calls[0] == sorted(calls[0]) and calls[0][0] == 1 and calls[0][-1] == 10**6
-    assert [len(call) for call in calls] == [175, 62, 606]  # grid, one zoom, last window
-    # the last window: every port between the running argmax's neighbours,
-    # in order, but the argmax itself
-    window = range(calls[-1][0], calls[-1][-1] + 1)
-    assert calls[-1] == sorted(calls[-1]) and len(window) - len(calls[-1]) <= 1
-    assert len(calls[-1]) <= 2000
+    _recording(monkeypatch, calls)
+    for q_b, q_t in [(0.44, 0.40), (0.04, 0.0), (1.0, 1.0), (0.3, 0.3), (1.0, 0.0)]:
+        for opt in (lambda: qadc_adaptive_lb_opt(q_b, q_t, 3),
+                    lambda: qadc_cpf_adaptive_lb_opt(q_b, q_t, 3, 2, ports_range=(2, 10**9))):
+            calls.clear()
+            opt()
+            assert len(calls) == 1
+            assert calls[0] == sorted(set(calls[0])) and 1 <= len(calls[0]) <= 5
 
 
-def test_optimizer_search_order_is_pinned():
-    # the order of the earlier one-port-at-a-time search: the 175 distinct
-    # grid points, then the 19 other ports between the argmax's grid neighbours
+def test_optimizer_search_order_is_pinned(monkeypatch):
+    # the candidates: lo, 2, both sides of the stationary point, and hi
     calls = []
-
-    def bound(ports):
-        calls.append(ports.tolist())
-        return qadc_cpf_adaptive_lb_values(0.44, 0.40, 4, 2, ports)
-
-    result = optimize_over_M(bound)
-    assert [len(call) for call in calls] == [175, 19]
-    assert calls[1] == [p for p in range(139, 159) if p != 148]
-    assert result.best_ports == 148
-    # a grid about 1001 ports apart whose first three points are 10**9,
-    # 10**9 + 1001 and 10**9 + 2002, with the argmax in the middle: the 2000
-    # other ports between its neighbours are still one exhaustive last stage
+    _recording(monkeypatch, calls)
+    assert qadc_cpf_adaptive_lb_opt(0.44, 0.40, 4, 2).params["ports"] == 148
+    assert qadc_cpf_adaptive_lb_opt(0.2, 0.24, 2, 4).params["ports"] == 10**6
+    assert qadc_adaptive_lb_opt(*_BIMODAL_ROW).params["ports"] == 49
+    assert calls == [[1, 2, 148, 149, 10**6], [1, 2, 214, 215, 10**6], [1, 2, 48, 49, 10**6]]
+    # out of range candidates drop out; a one-port range is its own candidate
     calls.clear()
-    top = 10**9 + 1001
-
-    def peak(ports):
-        calls.append(ports.tolist())
-        return -((ports - top) ** 2)
-
-    optimize_over_M(peak, ports_range=(10**9, 10**9 + 199 * 1001))
-    assert [len(call) for call in calls] == [200, 2000]
-    assert calls[0][:3] == [10**9, top, 10**9 + 2002]
-    assert calls[1] == [p for p in range(10**9 + 1, 10**9 + 2002) if p != top]
+    qadc_cpf_adaptive_lb_opt(0.44, 0.40, 4, 2, ports_range=(100, 148))
+    qadc_cpf_adaptive_lb_opt(0.44, 0.40, 4, 2, ports_range=(7, 7))
+    assert calls == [[100, 148], [7]]
 
 
-def test_optimizer_evaluates_breakpoints_first():
-    # a step up at each breakpoint, falling in between: the grid's best point
-    # can sit after the wrong step, so the breakpoints join the first stage
-    steps = np.array([1, 99, 973, 2500])  # each just after a grid point
-    heights = np.array([0.0, 1.0, 1.2, 0.0])
-
-    def bound(ports):
-        at = np.searchsorted(steps, ports, side="right") - 1
-        return heights[at] - 0.01 * (ports - steps[at])
-
-    assert optimize_over_M(bound, ports_range=(1, 3000)).best_ports == 99
-    result = optimize_over_M(bound, ports_range=(1, 3000), breakpoints=[0, 99, 973, 2500, 4000])
-    assert (result.best_ports, result.best_value) == (973, 1.2)
-    assert {0, 4000}.isdisjoint(result.evaluations.tolist())
+def test_optimizer_evaluates_breakpoints_first(monkeypatch):
+    # xi steps down at 99 and 973 and up at 2500, constant in between: the
+    # bound is largest at a knot, and only lo and the knots in range are
+    # evaluated
+    xi = XiTable([1, 99, 973, 2500, 4000], [2.0, 1.0, 0.5, 1.5, 0.0])
+    calls = []
+    _recording(monkeypatch, calls)
+    for kernel, args in [(qadc_adaptive_lb_values, (0.30, 0.31, 2)),
+                         (qadc_cpf_adaptive_lb_values, (0.30, 0.31, 3, 2))]:
+        calls.clear()
+        report = _OPT[kernel](*args, xi=xi, ports_range=(1, 3000))
+        assert calls == [[1, 99, 973, 2500]]
+        values = kernel(*args, np.arange(1, 3001), xi=xi)
+        assert (report.params["ports"], report.value) == (973, values[972]) == \
+            (int(np.argmax(values)) + 1, values.max())
+    calls.clear()
+    qadc_adaptive_lb_opt(0.30, 0.31, 2, xi=xi, ports_range=(100, 2000))
+    assert calls == [[100, 973]]
 
 
 def test_optimizer_refuses_ranges_beyond_exact_grid_points():
-    assert optimize_over_M(lambda p: -p.astype(float), ports_range=(1, 2**53)).best_ports == 1
+    # port counts above 2**53 have no exact float, nor the exponent 4 u ports
+    assert qadc_adaptive_lb_opt(0.04, 0.0, 2, ports_range=(1, 2**53)).params["ports"] >= 1
     for hi in (2**53 + 1, 2**63 - 1, 10**19):
         with pytest.raises(CpfError, match="2\\*\\*53"):
-            optimize_over_M(lambda p: 1.0, ports_range=(1, hi))
-    with pytest.raises(CpfError):
-        qadc_adaptive_lb_opt(0.04, 0.0, 2, ports_range=(1, 2**63 - 1))
+            qadc_adaptive_lb_opt(0.04, 0.0, 2, ports_range=(1, hi))
+        with pytest.raises(CpfError, match="2\\*\\*53"):
+            qadc_cpf_adaptive_lb_opt(0.04, 0.0, 2, 2, ports_range=(1, hi))
+    for ports_range in [(0, 5), (5, 4)]:
+        with pytest.raises(CpfError, match="invalid port range"):
+            qadc_cpf_adaptive_lb_opt(0.04, 0.0, 2, 2, ports_range=ports_range)
 
 
-def test_optimizer_refuses_nan_bounds():
-    # NaN compares false with everything, so the argmax search cannot use it
-    with pytest.raises(CpfError, match="NaN at 1 ports"):
-        optimize_over_M(lambda p: np.nan, ports_range=(1, 100))
-    with pytest.raises(CpfError, match="NaN at 7 ports"):
-        optimize_over_M(lambda p: np.where(p == 7, np.nan, -p.astype(float)),
-                        ports_range=(1, 100))
+def test_optimizer_refuses_nan_bounds(monkeypatch):
+    # NaN compares false with everything, so the argmax cannot use it
     with pytest.raises(QadcError):  # xi is None or an XiTable, which holds no NaN
         qadc_adaptive_lb_opt(0.3, 0.2, 2, xi=np.nan)
+    monkeypatch.setattr(qadc, "qadc_adaptive_lb_values",
+                        lambda *args, **kwargs: np.where(args[-1] == 7, np.nan, 0.0))
+    with pytest.raises(CpfError, match="NaN at 7 ports"):
+        qadc_adaptive_lb_opt(0.3, 0.2, 2, xi=XiTable([1, 7], [1.0, 0.5]))
+    monkeypatch.setattr(qadc, "qadc_adaptive_lb_values",
+                        lambda *args, **kwargs: np.full(len(args[-1]), np.nan))
+    with pytest.raises(CpfError, match="NaN at 1 ports"):
+        qadc_adaptive_lb_opt(0.3, 0.2, 2)
 
 
 @pytest.mark.parametrize("ports", [[2.5, 3.9], [1.9], np.array([4.0, 1.5]), [np.nan], [np.inf],
@@ -202,32 +220,44 @@ def test_port_counts_must_be_integers(ports):
 
 
 def test_optimizer_prefers_smaller_port_count_on_ties():
-    result = optimize_over_M(lambda p: 1.0, ports_range=(1, 500))
-    assert result.best_ports == 1
+    # the tie rule: the smallest port among float-equal maxima.  Equal
+    # channels at q = 1 simulate exactly and never differ: 1/2 everywhere.
+    for lo in (1, 5):
+        assert qadc_adaptive_lb_opt(1.0, 1.0, 3, ports_range=(lo, 500)).params["ports"] == lo
+        assert qadc_cpf_adaptive_lb_opt(1.0, 1.0, 3, 3, ports_range=(lo, 500)).params["ports"] == lo
+    # equal channels (F = 1) with xi flat from 10 ports on: every port from
+    # 10 on ties, and the full scan agrees
+    xi = XiTable([1, 10, 20], [1.0, 0.5, 0.5])
+    for kernel, args in [(qadc_adaptive_lb_values, (0.3, 0.3, 2)),
+                         (qadc_cpf_adaptive_lb_values, (0.3, 0.3, 3, 2))]:
+        values = kernel(*args, np.arange(1, 501), xi=xi)
+        assert (values[9:] == values[9]).all() and values[9] > values[0]
+        assert _OPT[kernel](*args, xi=xi, ports_range=(1, 500)).params["ports"] == 10
 
 
 def test_optimizer_handles_boundary_maxima():
-    inc = optimize_over_M(lambda p: p.astype(float), ports_range=(1, 3000))
-    assert inc.best_ports == 3000
-    dec = optimize_over_M(lambda p: -p.astype(float), ports_range=(1, 3000))
-    assert dec.best_ports == 1
+    # equal channels (F = 1): the penalty B/M fades and nothing else moves
+    for kernel, args in [(qadc_adaptive_lb_values, (0.3, 0.3, 2)),
+                         (qadc_cpf_adaptive_lb_values, (0.3, 0.3, 3, 2))]:
+        assert _OPT[kernel](*args, ports_range=(1, 3000)).params["ports"] == 3000
+        # a constant xi: the fidelity term only falls
+        assert _OPT[kernel](*args, xi=XiTable([1], [0.5]), ports_range=(4, 3000)).params[
+            "ports"] == 4
+    # negative everywhere, rising toward 0 from below
+    assert qadc_cpf_adaptive_lb_opt(0.2, 0.24, 2, 4).params["ports"] == 10**6
 
 
 def test_optimizer_matches_brute_force_on_bound_shape():
-    # the adaptive bounds trade a growing fidelity term against a linear
-    # penalty; replicate that shape and compare with full enumeration
-    def bound(ports):
-        return 0.25 * (1 - 0.998 ** (4 * ports)) - 3.0 / ports
-
-    lo, hi = 1, 3000
-    brute_best = max(range(lo, hi + 1), key=lambda p: (bound(p), -p))
-    result = optimize_over_M(bound, ports_range=(lo, hi))
-    assert result.best_ports == brute_best
-    assert result.best_value == pytest.approx(bound(brute_best))
-
-
-# (q0, q1, u) of a `binary --kind qadc --u 1 --gap 0.04` row
-_BIMODAL_ROW = (0.04482412060301508, 0.004824120603015075, 1)
+    # the adaptive bounds trade a falling fidelity term against a fading
+    # penalty; compare with full enumeration
+    for kernel, args in [(qadc_adaptive_lb_values, (0.3, 0.48, 4)),
+                         (qadc_adaptive_lb_values, (0.9, 0.99, 1)),
+                         (qadc_cpf_adaptive_lb_values, (0.05, 0.0, 7, 3)),
+                         (qadc_cpf_adaptive_lb_values, (0.6, 0.75, 2, 30))]:
+        values = kernel(*args, np.arange(1, 3001))
+        report = _OPT[kernel](*args, ports_range=(1, 3000))
+        assert (report.params["ports"], report.value) == (int(np.argmax(values)) + 1,
+                                                          values.max())
 
 
 @pytest.mark.parametrize("kernel,args,best", [
@@ -237,87 +267,157 @@ _BIMODAL_ROW = (0.04482412060301508, 0.004824120603015075, 1)
     (qadc_cpf_adaptive_lb_values, (0.2, 0.24, 2, 4), 10**6),  # negative everywhere
 ])
 def test_optimizer_matches_a_scan_of_every_port(kernel, args, best):
-    # the damping bounds are not unimodal in the port count; the search must
-    # still find what one kernel call on all 10**6 ports finds
+    # the damping bounds are not unimodal in the port count; the optimum
+    # must still be what one kernel call on all 10**6 ports finds
     ports = np.arange(1, 10**6 + 1, dtype=np.int64)
     values = kernel(*args, ports)
     top = int(np.argmax(values))  # the first maximum: ties prefer fewer ports
-    result = optimize_over_M(lambda p: kernel(*args, p))
-    assert (result.best_ports, result.best_value) == (ports[top], values[top])
-    assert result.best_ports == best
+    report = _OPT[kernel](*args)
+    assert (report.params["ports"], report.value) == (ports[top], values[top])
+    assert report.params["ports"] == best
+
+
+_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _damping_case(draw, lo, hi):
+    # either damping kernel at drawn (q, m, u), with or without an XiTable
+    # whose knots fall inside and outside the range
+    q_b = draw(_PROB)
+    q_t = q_b if draw(st.booleans()) else draw(_PROB)
+    m, u = draw(st.integers(2, 50)), draw(st.integers(1, 300))
+    xi = None
+    if draw(st.booleans()):
+        knots = sorted(draw(st.sets(st.integers(max(lo - 100, 1), 2 * hi), min_size=1,
+                                    max_size=6)))
+        xi = XiTable(knots, [draw(st.floats(0.0, 2.0)) for _ in knots])
+    if draw(st.booleans()):
+        return qadc_adaptive_lb_values, (q_b, q_t, u), xi
+    return qadc_cpf_adaptive_lb_values, (q_b, q_t, m, u), xi
+
+
+def _rounding(value):
+    # a bound for the rounding of a kernel value: its terms are at most
+    # 1 + |value| in size, each rounded a few times
+    return 16 * np.finfo(np.float64).eps * (1.0 + abs(value))
 
 
 @st.composite
 def _port_range(draw):
-    # lo == hi, spans the last stage scans whole, and spans up to 10**9,
-    # also just below the largest port count the search accepts
+    # lo == hi, short spans, and spans up to 10**9, also just below the
+    # largest port count accepted
     near_top = st.integers(MAX_PORTS - 2 * 10**9, MAX_PORTS - 10**9)
     lo = draw(st.one_of(st.integers(1, 10**9), near_top))
     span = draw(st.one_of(st.just(0), st.integers(1, 2000), st.integers(2001, 10**9)))
     return lo, lo + span
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_optimizer_matches_the_staged_dict_search(data):
+    # the staged search is a second route: the candidates never do worse,
+    # and where the two maxima agree they name the same port unless two
+    # ports tie within rounding
+    lo, hi = data.draw(_port_range())
+    kernel, args, xi = data.draw(_damping_case(lo, hi))
+    report = _OPT[kernel](*args, xi=xi, ports_range=(lo, hi))
+    bound = functools.partial(kernel, *args, xi=xi)
+    best_ports, best_value, _ = staged_search(bound, (lo, hi), () if xi is None else xi.ports)
+    slack = _rounding(best_value)
+    assert report.value >= best_value - slack
+    assert report.value == bound(np.array([report.params["ports"]]))[0]
+    if report.params["ports"] != best_ports:
+        assert abs(report.value - best_value) <= slack or report.value > best_value
+
+
+def test_optimization_result_requires_consistent_maximum():
+    # the report's value is the kernel's value at the report's port count
+    xi = XiTable([1, 64, 700], [2.0, 0.1, 0.02])
+    for kernel, args in [(qadc_adaptive_lb_values, (0.3, 0.48, 4)),
+                         (qadc_cpf_adaptive_lb_values, (0.44, 0.40, 4, 2))]:
+        for table in (None, xi):
+            report = _OPT[kernel](*args, xi=table, ports_range=(3, 5000))
+            assert report.kind == "lower"
+            assert report.value == kernel(*args, report.params["ports"], xi=table)
+            assert 3 <= report.params["ports"] <= 5000
+
+
 @st.composite
-def _bump_bound(draw, lo, hi):
-    # 1-4 bumps on log(ports) minus a 1/ports penalty; rounding to 3
-    # decimals makes plateaus and ties
-    k = draw(st.integers(1, 4))
-    floats = st.floats(0.0, 1.0)
-    centers = np.array([math.log(lo) - 1 + draw(floats) * (math.log(hi / lo) + 2)
-                        for _ in range(k)])
-    widths = np.array([0.01 + 3 * draw(floats) for _ in range(k)])
-    heights = np.array([draw(floats) for _ in range(k)])
-    penalty = 5 * draw(floats)
-    decimals = draw(st.sampled_from([None, 3]))
-
-    def bound(ports):
-        x = np.log(ports.astype(np.float64))
-        bumps = heights[:, None] * np.exp(-(((x - centers[:, None]) / widths[:, None]) ** 2))
-        values = bumps.sum(axis=0) - penalty / ports
-        return values if decimals is None else np.round(values, decimals)
-    return bound, ()
-
-
-@st.composite
-def _damping_bound(draw, lo, hi):
-    # either damping kernel at drawn (q, m, u), with or without an XiTable,
-    # whose knots are the breakpoints as in qadc's _opt functions
-    q = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-    q0, q1, u = draw(q), draw(q), draw(st.integers(1, 50))
-    xi = None
-    if draw(st.booleans()):
-        knots = sorted(draw(st.sets(st.integers(1, 2 * hi), min_size=1, max_size=6)))
-        xi = XiTable(knots, [draw(st.floats(0.0, 2.0)) for _ in knots])
-    if draw(st.booleans()):
-        kernel = functools.partial(qadc_adaptive_lb_values, q0, q1, u, xi=xi)
-    else:
-        kernel = functools.partial(qadc_cpf_adaptive_lb_values, q0, q1, draw(st.integers(2, 4)),
-                                   u, xi=xi)
-    return kernel, () if xi is None else xi.ports
+def _xi_tables(draw):
+    # finite non-negative steps, knots inside and beyond the scanned ranges
+    knots = sorted(draw(st.sets(st.integers(1, 2 * 10**5 + 100), min_size=1, max_size=6)))
+    return XiTable(knots, [draw(st.floats(0.0, 2.0)) for _ in knots])
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_optimizer_matches_the_staged_dict_search(data):
-    lo, hi = data.draw(_port_range())
-    bound, breakpoints = data.draw(st.one_of(_bump_bound(lo, hi), _damping_bound(lo, hi)))
-    # breakpoints inside and outside the range
-    extra = data.draw(st.lists(st.integers(max(lo - 100, 0), hi + 100), max_size=5))
-    breakpoints = [*breakpoints, *extra]
-    calls, reference_calls = [], []
+@given(_PROB, _PROB, st.booleans(), st.integers(2, 50), st.integers(1, 300),
+       st.sampled_from([1, 2, 3, 50]), st.integers(0, 10**5), st.none() | _xi_tables())
+@example(0.3, 0.3, False, 3, 2, 1, 3000, None)  # F = 1: rises to hi
+@example(0.0, 1.0, True, 2, 1, 1, 3000, None)  # the smallest damping F, 1/2
+@example(1.0, 1.0, True, 3, 2, 1, 3000, None)  # q_b = q_t = 1: B = 0, flat
+@example(0.9, 0.2, False, 2, 30, 1, 3000, None)  # far apart: M1 = 0.1 < 2
+@example(0.9, 0.94, False, 4, 2, 50, 10**5, None)  # lo > 2, past M1 = 47.3
+@example(0.44, 0.40, False, 4, 2, 3, 10**5, None)  # lo > 2, before M1 = 148.2
+@example(1.0, 1.0 - 2**-53, False, 9, 1, 1, 10**5, None)  # float-flat top of a wide maximum
+@example(1.0 - 2**-53, 1.0 - 2**-53, True, 2, 3, 1, 58126, None)  # float-flat tail below hi
+def test_port_optimum_matches_a_scan_of_every_port(q_b, q_t, pair, m, u, lo, span, xi):
+    # The candidate argmax against one kernel call on every port in range.
+    # Tie rule: the smallest port among float-equal maxima of the
+    # candidates.  Off the candidates a port can match or beat that value
+    # by rounding alone, where the bound is flatter than its rounding; an
+    # isolated maximum is the scan's.
+    hi = lo + span
+    kernel, args = ((qadc_adaptive_lb_values, (q_b, q_t, u)) if pair
+                    else (qadc_cpf_adaptive_lb_values, (q_b, q_t, m, u)))
+    calls = []
 
-    def recording(log):
-        def fn(ports):
-            log.append(ports.tolist())
-            return bound(ports)
-        return fn
+    def recorded(*a, **k):
+        calls.append(np.asarray(a[-1]))
+        return kernel(*a, **k)
+    with mock.patch.object(qadc, kernel.__name__, recorded):
+        report = _OPT[kernel](*args, xi=xi, ports_range=(lo, hi))
+    best = report.params["ports"]
+    (candidates,) = calls
+    assert len(candidates) <= 5 or xi is not None
+    assert best == candidates[int(np.argmax(kernel(*args, candidates, xi=xi)))]
+    ports = np.arange(lo, hi + 1)
+    values = kernel(*args, ports, xi=xi)
+    assert report.value == values[best - lo]
+    slack = _rounding(values.max())
+    assert report.value >= values.max() - slack
+    near = ports[values >= report.value - slack]
+    assert best in near
+    if len(near) == 1:
+        assert best == ports[int(np.argmax(values))]
 
-    result = optimize_over_M(recording(calls), (lo, hi), breakpoints)
-    best_ports, best_value, evaluated = staged_search(recording(reference_calls), (lo, hi),
-                                                      breakpoints)
-    assert calls == reference_calls
-    assert (result.best_ports, result.best_value) == (best_ports, best_value)
-    assert result.evaluations.tolist() == list(evaluated)
+
+def test_stationary_points_solve_h_equals_b():
+    # the rising-side roots of h(M) = B, in closed form for position finding
+    # and by Newton steps for the pair, and h's peak where h < B everywhere
+    rng = np.random.default_rng(5)
+    for c, a, b in zip(10.0 ** rng.uniform(-12, 1, 200), rng.uniform(0.25, 0.5, 200),
+                       10.0 ** rng.uniform(-6, 3, 200)):
+        x = c * position_peak(c, a, b)
+        if c * b / a < 4.0 / math.e**2:
+            assert x < 2.0 and c * a * (x / c) ** 2 * math.exp(-x) == pytest.approx(b, rel=1e-9)
+        else:
+            assert x == pytest.approx(2.0)
+        x = c * pair_peak(c, b)
+        h = x**2 * math.exp(-x) / (2.0 * math.sqrt(-math.expm1(-x))) / c
+        if h < b * (1 - 1e-9):
+            assert x == pytest.approx(PAIR_PEAK_X, rel=1e-14)
+        else:
+            assert x <= PAIR_PEAK_X and h == pytest.approx(b, rel=1e-9)
+    # the pair's h peaks at _PAIR_PEAK_X, where d log h / dx = 0
+    x = PAIR_PEAK_X
+    assert abs(2.0 / x - 1.0 - 1.0 / (2.0 * math.expm1(x))) < 1e-15
+    # F = 1 (c = 0) and B = 0 are monotone: no interior candidate; F = 0
+    # (c infinite) puts the stationary point at 0 ports
+    for peak in (position_peak(0.0, 0.3, 1.0), position_peak(1.0, 0.3, 0.0),
+                 pair_peak(0.0, 1.0), pair_peak(1.0, 0.0)):
+        assert peak == math.inf
+    assert position_peak(math.inf, 0.3, 1.0) == pair_peak(math.inf, 1.0) == 0.0
 
 
 def test_damping_bound_rises_again_after_its_maximum():
@@ -330,15 +430,6 @@ def test_damping_bound_rises_again_after_its_maximum():
     assert values[48] == pytest.approx(0.0642, abs=1e-4)
     assert values[420] < values[-1] < 0.0
     assert values[-1] == pytest.approx(-5.9e-6, rel=1e-2)
-
-
-def test_optimization_result_requires_consistent_maximum():
-    # the best port count must be one the search evaluated
-    with pytest.raises(CpfError, match="not among"):
-        MOptimizationResult(best_ports=3, best_value=2.0, evaluations=[1, 2])
-    result = MOptimizationResult(best_ports=2, best_value=2.0, evaluations=[1, 2])
-    assert result.evaluations.dtype == np.int64 and result.evaluations.tolist() == [1, 2]
-    assert not result.evaluations.flags.writeable
 
 
 def test_pgm_upper_with_identical_channels_is_blind_guessing():

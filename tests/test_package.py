@@ -43,9 +43,6 @@ VALUE_TYPES = {
                     lambda: chandisc.BoundReport(0.5, "exact", "m"), chandisc.DiscriminationError),
     "KrausChannel": (lambda: chandisc.KrausChannel((2 * np.eye(2),)),
                      lambda: chandisc.make_qadc(0.3), chandisc.ChannelError),
-    "MOptimizationResult": (lambda: chandisc.MOptimizationResult(2, 1.0, [1]),
-                            lambda: chandisc.MOptimizationResult(1, 1.0, [1]),
-                            chandisc.CpfError),
     "XiTable": (lambda: chandisc.XiTable([1, 2], [1.0, np.nan]),
                 lambda: chandisc.XiTable([1, 2], [1.0, 0.5]), chandisc.QadcError),
 }

@@ -225,7 +225,7 @@ def test_adaptive_lb_arithmetic():
     expect = (1.0 - u * delta - math.sqrt(1.0 - f ** (2 * u * ports))) / 2.0
     value = qadc_adaptive_lb_values(q0, q1, u, ports)
     assert abs(value - expect) < 1e-12
-    report, _ = qadc_adaptive_lb_opt(q0, q1, u, ports_range=(ports, ports))
+    report = qadc_adaptive_lb_opt(q0, q1, u, ports_range=(ports, ports))
     assert report.kind == "lower" and report.value == value
     assert report.params == {"q0": q0, "q1": q1, "u": u, "ports": ports}
 
@@ -262,18 +262,18 @@ def test_adaptive_lb_input_checks():
 
 def test_adaptive_lb_opt_matches_manual_scan():
     q0, q1, u = 0.3, 0.48, 4
-    report, result = qadc_adaptive_lb_opt(q0, q1, u, ports_range=(1, 4000))
+    report = qadc_adaptive_lb_opt(q0, q1, u, ports_range=(1, 4000))
     values = qadc_adaptive_lb_values(q0, q1, u, np.arange(1, 4001))
     manual = int(np.argmax(values)) + 1  # the first maximum: ties go to fewer ports
-    assert result.best_ports == report.params["ports"] == manual
-    assert report.value == result.best_value == values[manual - 1]
+    assert report.params["ports"] == manual
+    assert report.value == values[manual - 1]
 
 
 def test_adaptive_lb_below_block_error_where_positive():
     q0, q1, u = 0.44, 0.48, 4
-    report, result = qadc_adaptive_lb_opt(q0, q1, u)
+    report = qadc_adaptive_lb_opt(q0, q1, u)
     assert report.value > 0  # informative at this nearly-degenerate pair
-    assert result.best_ports < 10**6  # interior optimum, not a range edge
+    assert report.params["ports"] < 10**6  # interior optimum, not a range edge
     assert report.value <= qadc_block_helstrom(q0, q1, u).value + 1e-9
 
 
@@ -283,7 +283,7 @@ def test_cpf_adaptive_lb_arithmetic():
     expect = pbt_position_finding_adaptive_lb(f, q_b, q_t, m, u, ports, 4.0 / ports)
     value = qadc_cpf_adaptive_lb_values(q_b, q_t, m, u, ports)
     assert abs(value - expect) < 1e-14
-    report, _ = qadc_cpf_adaptive_lb_opt(q_b, q_t, m, u, ports_range=(ports, ports))
+    report = qadc_cpf_adaptive_lb_opt(q_b, q_t, m, u, ports_range=(ports, ports))
     assert report.kind == "lower" and report.value == value
     assert report.params == {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "ports": ports}
 
@@ -305,12 +305,12 @@ def _adaptive_case(draw):
 @given(_adaptive_case())
 @example((0.3, 0.48, 3, 4, False))
 @example((0.44, 0.48, 2, 4, True))
-@example((0.6719028034776905, 0.76048659866525, 6, 2, True))  # the grid alone finds 32, not 64
+@example((0.6719028034776905, 0.76048659866525, 6, 2, True))  # a staged grid alone found 32, not 64
 @example((0.9857696351964191, 0.9867696351964191, 3, 11, True))  # and 256, not 512
 def test_adaptive_bounds_match_oracle_and_brute_force(case):
     # every port count 1..3000 against plain-math formulas, and both
     # optimizers against the argmax over all of them (ties to fewer ports):
-    # checks the unimodality the search assumes with the default xi, and the
+    # checks the stationary-point candidates with the default xi, and the
     # non-increasing stretches between knots with a tabulated one
     q0, q1, m, u, tabled = case
     xi = XiTable(*zip(*_XI_KNOTS)) if tabled else None
@@ -320,16 +320,16 @@ def test_adaptive_bounds_match_oracle_and_brute_force(case):
     routes = [
         (qadc_adaptive_lb_values(q0, q1, u, np.array(ports), xi=xi),
          [pbt_pair_adaptive_lb(fid, q0, q1, u, p, xi_at(p)) for p in ports],
-         qadc_adaptive_lb_opt(q0, q1, u, xi=xi, ports_range=(1, 3000))[1]),
+         qadc_adaptive_lb_opt(q0, q1, u, xi=xi, ports_range=(1, 3000))),
         (qadc_cpf_adaptive_lb_values(q0, q1, m, u, np.array(ports), xi=xi),
          [pbt_position_finding_adaptive_lb(fid, q0, q1, m, u, p, xi_at(p)) for p in ports],
-         qadc_cpf_adaptive_lb_opt(q0, q1, m, u, xi=xi, ports_range=(1, 3000))[1]),
+         qadc_cpf_adaptive_lb_opt(q0, q1, m, u, xi=xi, ports_range=(1, 3000))),
     ]
-    for values, oracle, result in routes:
+    for values, oracle, report in routes:
         assert np.max(np.abs(values - oracle)) <= 1e-15
         best = max(ports, key=lambda p: (oracle[p - 1], -p))
-        assert result.best_ports == best
-        assert abs(result.best_value - oracle[best - 1]) <= 1e-15
+        assert report.params["ports"] == best
+        assert abs(report.value - oracle[best - 1]) <= 1e-15
 
 
 @st.composite
@@ -352,10 +352,10 @@ def test_port_search_returns_the_brute_force_argmax(q_b, q_t, m_u, xi):
         (qadc_adaptive_lb_values(q_b, q_t, u, ports, xi=xi),
          qadc_adaptive_lb_opt(q_b, q_t, u, xi=xi, ports_range=(1, 3000))),
     ]
-    for values, (report, result) in routes:
+    for values, report in routes:
         best = int(np.argmax(values))  # the first maximum: ties go to fewer ports
-        assert result.best_ports == report.params["ports"] == best + 1
-        assert report.value == result.best_value == values[best]
+        assert report.params["ports"] == best + 1
+        assert report.value == values[best]
 
 
 @st.composite
