@@ -21,10 +21,9 @@ import importlib
 # Exported names by the submodule that defines them.
 _EXPORTS = {
     "channels": (
-        "KrausChannel", "choi", "heisenberg_weyl", "kraus_vectors", "make_qadc", "make_qdc",
-        "make_qec", "tele_covariance_check"),
-    "cpf": (
-        "CpfError", "cpf_fidelity_lb_values", "cpf_nonadaptive_fidelity_lb", "cpf_sim_error"),
+        "KrausChannel", "choi", "heisenberg_weyl", "make_qadc", "make_qdc", "make_qec",
+        "tele_covariance_check"),
+    "cpf": ("CpfError", "cpf_nonadaptive_fidelity_lb"),
     "discrimination": (
         "DensityMatrix", "Povm", "StateEnsemble", "gus_unitary_helstrom", "helstrom_binary",
         "helstrom_iterative", "hermitize", "pgm_error", "pgm_povm", "tensor", "tensor_all",
@@ -32,13 +31,12 @@ _EXPORTS = {
     "linalg": (
         "BoundReport", "ChandiscError", "ChannelError", "DiscriminationError", "LinalgError",
         "check_exact_prob"),
-    "orc": ("OrcError", "f_u_values", "h_m1_closed", "h_mu_values", "qdc_scales"),
+    "orc": ("OrcError", "f_u_values", "h_mu_values", "qdc_scales"),
     "qadc": (
-        "QadcError", "XiTable", "default_xi", "fvg_sandwich",
-        "nulling_error", "nulling_outcome_dist", "nulling_unitary", "qadc_adaptive_lb_opt",
-        "qadc_adaptive_lb_values", "qadc_block_helstrom", "qadc_block_pgm",
-        "qadc_choi_fidelity", "qadc_cpf_adaptive_lb_opt", "qadc_cpf_adaptive_lb_values",
-        "qadc_cpf_block_pgm", "qadc_sim_error_values"),
+        "QadcError", "XiTable", "default_xi", "fvg_sandwich", "nulling_error",
+        "nulling_outcome_dist", "qadc_adaptive_lb_opt", "qadc_adaptive_lb_values",
+        "qadc_block_helstrom", "qadc_block_pgm", "qadc_choi_fidelity",
+        "qadc_cpf_adaptive_lb_opt", "qadc_cpf_adaptive_lb_values", "qadc_cpf_block_pgm"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

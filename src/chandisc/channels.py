@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .discrimination import DensityMatrix, as_complex_matrix
-from .linalg import ChannelError, Frozen, check_prob
+from .linalg import ChannelError, Frozen, check_count, check_prob
 
 
 TP_TOL = 1e-9
@@ -65,9 +65,7 @@ def make_qec(d: int, q) -> KrausChannel:
     of a ``d + 1``-dimensional output; with probability ``q`` it is replaced
     by the orthogonal erasure flag (the last output level).
     """
-    d = int(d)
-    if d < 2:
-        raise ChannelError(f"erasure channel needs d >= 2, got {d}")
+    d = check_count(d, "d", 2, ChannelError)
     q = float(check_prob(q, "q", ChannelError))
     iso = np.zeros((d + 1, d), dtype=np.complex128)
     iso[:d, :] = np.eye(d)
@@ -86,9 +84,7 @@ def heisenberg_weyl(d: int):
     These are exactly the correction unitaries appearing in qudit
     teleportation.
     """
-    d = int(d)
-    if d < 2:
-        raise ChannelError(f"need d >= 2, got {d}")
+    d = check_count(d, "d", 2, ChannelError)
     omega = np.exp(2j * np.pi / d)
     x = np.zeros((d, d), dtype=np.complex128)
     for j in range(d):
@@ -112,9 +108,7 @@ def make_qdc(d: int, q) -> KrausChannel:
     state; equivalently each of the ``d**2 - 1`` non-identity shift-and-phase
     unitaries is applied with probability ``q / d**2``.
     """
-    d = int(d)
-    if d < 2:
-        raise ChannelError(f"depolarizing channel needs d >= 2, got {d}")
+    d = check_count(d, "d", 2, ChannelError)
     q = float(check_prob(q, "q", ChannelError))
     unitaries = heisenberg_weyl(d)
     ops = [np.sqrt(1.0 - q + q / d**2) * unitaries[0]]
@@ -130,26 +124,18 @@ def make_qadc(q) -> KrausChannel:
     return KrausChannel((k0, k1))
 
 
-def kraus_vectors(channel: KrausChannel) -> np.ndarray:
-    """Columns ``vec(K_i) / sqrt(d_in)``, so that ``choi(channel) = V V†``.
-
-    ``vec`` stacks rows, matching the output-tensor-idler order of
-    :func:`choi`.  The array is real when every Kraus operator is, so
-    Gram matrices of real channels stay in real arithmetic.
-    """
-    vecs = np.stack([k.reshape(-1) for k in channel.kraus], axis=1) / np.sqrt(channel.dim_in)
-    return vecs if vecs.imag.any() else vecs.real.copy()
-
-
 def choi(channel: KrausChannel) -> DensityMatrix:
     """Choi matrix of a channel, ordered as output tensor idler.
 
     This is the channel applied to one half of a maximally entangled pair,
     ``(E ⊗ id)(|Ω><Ω|)`` with ``|Ω> = sum_i |ii> / sqrt(d_in)``.  In this
     (row-major) convention the Choi matrix is ``sum_i vec(K_i) vec(K_i)† / d_in``,
-    i.e. ``V V†`` for the :func:`kraus_vectors` ``V``.
+    i.e. ``V V†`` for ``V`` with columns ``vec(K_i) / sqrt(d_in)``, a product
+    taken in real arithmetic when every Kraus operator is real.
     """
-    vecs = kraus_vectors(channel)
+    vecs = np.stack([k.reshape(-1) for k in channel.kraus], axis=1) / np.sqrt(channel.dim_in)
+    if not vecs.imag.any():
+        vecs = vecs.real
     return DensityMatrix(vecs @ vecs.conj().T)
 
 

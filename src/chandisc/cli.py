@@ -164,7 +164,7 @@ def load_xi(cfg):
     entries.sort()
     try:
         return XiTable([p for p, _ in entries], [v for _, v in entries])
-    except (QadcError, OverflowError) as exc:
+    except QadcError as exc:
         raise CliConfigError(f"{exc}: {path!r}") from None
 
 

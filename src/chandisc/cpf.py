@@ -8,9 +8,9 @@ simulation: replace each cell by an ``M``-port teleportation simulation,
 collect the resulting block states (tensor powers of cell Choi matrices),
 and pay a continuity penalty ``u/2`` times the accumulated simulation
 error.  This module holds the arithmetic of that route, all of it on
-numbers and arrays of port counts: the simulation error of an instance, the
-fidelity bounds on the block error net of that penalty, the checks on port
-counts and port ranges, and the maximum over port counts
+numbers and arrays of port counts: the fidelity bound on the block error net
+of that penalty, the checks on port counts and port ranges, and the maximum
+over port counts
 (:func:`argmax_ports`): one bound evaluation on at most five candidates read
 off the stationary points of the bound's closed form, no search.
 
@@ -27,34 +27,11 @@ import math
 
 import numpy as np
 
-from .linalg import KIND_LOWER, BoundReport, ChandiscError
+from .linalg import KIND_LOWER, BoundReport, ChandiscError, check_count, check_prob
 
 
 class CpfError(ChandiscError):
     """Raised for invalid position-finding specifications."""
-
-
-def cpf_sim_error(delta_background, delta_target, m: int):
-    """Per-hypothesis simulation error of an ``m``-cell instance.
-
-    Simulating every cell adds errors linearly: ``m - 1`` background cells
-    plus one target cell, independent of where the target sits.  Since it is
-    the same for all hypotheses it already equals its prior average.
-    Elementwise over arrays of simulation errors (one entry per port count).
-    """
-    m = int(m)
-    if m < 2:
-        raise CpfError(f"need m >= 2, got {m}")
-    delta_background = np.asarray(delta_background, dtype=np.float64)
-    delta_target = np.asarray(delta_target, dtype=np.float64)
-    if (delta_background < 0.0).any() or (delta_target < 0.0).any():
-        raise CpfError("simulation errors must be >= 0")
-    return _sim_error(delta_background, delta_target, m)
-
-
-def _sim_error(delta_background, delta_target, m: int):
-    # cpf_sim_error on checked arguments
-    return (m - 1) * delta_background + delta_target
 
 
 def check_ports(ports, error=CpfError) -> np.ndarray:
@@ -72,9 +49,8 @@ def check_ports(ports, error=CpfError) -> np.ndarray:
     return ports
 
 
-def cpf_fidelity_lb_values(choi_fidelity: float, m: int, u: int, ports,
-                           delta_avg) -> np.ndarray:
-    """Position-finding adaptive lower bound from pairwise fidelities.
+def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_avg):
+    """Position-finding adaptive lower bound from pairwise fidelities, on checked arguments.
 
     The pairwise-fidelity bound
     ``sum_{k<k'} p_k p_k' F(rho_k, rho_k')**(2 u ports)`` on the block error
@@ -88,22 +64,6 @@ def cpf_fidelity_lb_values(choi_fidelity: float, m: int, u: int, ports,
     evaluated elementwise over an array of port counts and the simulation
     errors at each of them.
     """
-    choi_fidelity = float(choi_fidelity)
-    if not 0.0 <= choi_fidelity <= 1.0:
-        raise CpfError(f"fidelity must lie in [0, 1], got {choi_fidelity}")
-    m = int(m)
-    u = int(u)
-    if m < 2 or u < 1:
-        raise CpfError("need m >= 2 and u >= 1")
-    ports = check_ports(ports)
-    delta_avg = np.asarray(delta_avg, dtype=np.float64)
-    if (delta_avg < 0.0).any():
-        raise CpfError(f"simulation error must be >= 0, got {delta_avg.min()}")
-    return _fidelity_lb(choi_fidelity, m, u, ports, delta_avg)
-
-
-def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_avg):
-    # cpf_fidelity_lb_values on checked arguments.
     # The exponent in floats, since 4 u ports can exceed the int64 range.
     # float_power takes the scalar pow per element, as Python's ``**`` does;
     # np.power's vectorised loop can be an ulp off it.
@@ -114,11 +74,13 @@ def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_
 def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundReport:
     """Lower bound for block (non-adaptive) strategies: one port, no simulation penalty.
 
-    :func:`cpf_fidelity_lb_values` at ``ports = 1`` and ``delta_avg = 0``.
+    :func:`_fidelity_lb` at ``ports = 1`` and ``delta_avg = 0``.
     """
-    value = cpf_fidelity_lb_values(choi_fidelity, m, u, 1, 0.0)
+    choi_fidelity = float(check_prob(choi_fidelity, "fidelity", CpfError))
+    m, u = check_count(m, "m", 2, CpfError), check_count(u, "u", 1, CpfError)
+    value = _fidelity_lb(choi_fidelity, m, u, np.int64(1), 0.0)
     return BoundReport(value, KIND_LOWER, "cpf_nonadaptive_fidelity_lb",
-                       {"choi_fidelity": float(choi_fidelity), "m": int(m), "u": int(u)})
+                       {"choi_fidelity": choi_fidelity, "m": m, "u": u})
 
 
 # Largest port count accepted in a range: the kernels take the exponent
@@ -130,9 +92,11 @@ MAX_PORTS = 2**53
 
 def check_port_range(ports_range) -> tuple[int, int]:
     """``(lo, hi)`` as ints, raising :class:`CpfError` unless ``1 <= lo <= hi <= MAX_PORTS``."""
-    lo, hi = int(ports_range[0]), int(ports_range[1])
-    if lo < 1 or hi < lo:
-        raise CpfError(f"invalid port range ({lo}, {hi})")
+    try:
+        lo = check_count(ports_range[0], "start", 1, CpfError)
+        hi = check_count(ports_range[1], "end", lo, CpfError)
+    except CpfError as exc:
+        raise CpfError(f"invalid port range ({ports_range[0]}, {ports_range[1]}): {exc}") from None
     if hi > MAX_PORTS:
         raise CpfError(f"port range ends at {hi}, beyond the largest exact float port count 2**53")
     return lo, hi

@@ -4,19 +4,74 @@ Each check draws its random cases from the generator it is given and returns
 ``(worst deviation, tolerance, cases)``; ``CROSSCHECKS`` lists them in run
 order under the names ``--command crosscheck`` prints.  The CLI imports
 this module for that command only.
+
+Two routes that only the checks use live here too: the single-use
+position-finding closed form :func:`h_m1_closed` and the receiver unitary
+:func:`nulling_unitary`, each raising the error class of the module whose
+quantity it checks.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .channels import choi as channel_choi, make_qadc, make_qdc, make_qec, tele_covariance_check
 from .discrimination import (DensityMatrix, StateEnsemble, gus_unitary_helstrom, helstrom_binary,
                              helstrom_iterative, pgm_error, tensor_all)
-from .orc import f_u_values, h_m1_closed, h_mu_values, qdc_scales
-from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, nulling_unitary,
+from .linalg import check_count, check_prob
+from .orc import OrcError, f_u_values, h_mu_values, qdc_scales
+from .qadc import (QadcError, fvg_sandwich, nulling_error, nulling_outcome_dist,
                    qadc_block_helstrom, qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt,
                    qadc_cpf_adaptive_lb_values)
+
+
+def h_m1_closed(q_b, q_t, m: int) -> float:
+    """Single-use position-finding error in closed form.
+
+    The ``u == 1`` case of :func:`~chandisc.orc.h_mu_values` at one point,
+    with ``q_b`` and ``q_t`` in [0, 1] and ``m >= 2`` checked as there.  The
+    expression groups outcome strings by total weight; the all-same-outcome
+    strings contribute their own terms and the mixed strings carry the
+    larger of the two likelihood ratios, which reduces to comparing ``q_t``
+    with ``q_b``.  The grouped factor ``(1 - (1-q_b)**m - q_b**m) / q_b`` is
+    expanded through the geometric identity
+    ``(1 - (1-q)**m) / q = sum_j (1-q)**j`` so that nothing is divided by a
+    vanishing parameter; the naive quotient loses every digit once ``q_b``
+    drops below the rounding scale.
+    """
+    q_b = float(check_prob(q_b, "q_b", OrcError))
+    q_t = float(check_prob(q_t, "q_t", OrcError))
+    m = check_count(m, "m", 2, OrcError)
+    if q_t >= q_b:
+        bracket = sum((1.0 - q_b) ** j for j in range(m)) - q_b ** (m - 1)
+        mid = q_t * bracket
+    else:
+        bracket = sum(q_b**j for j in range(m)) - (1.0 - q_b) ** (m - 1)
+        mid = (1.0 - q_t) * bracket
+    best = q_t * q_b ** (m - 1) + (1.0 - q_t) * (1.0 - q_b) ** (m - 1) + mid
+    return 1.0 - best / m
+
+
+def nulling_unitary(q) -> np.ndarray:
+    """Receiver unitary that empties two outcome levels of a damping Choi state.
+
+    Acting on the Choi state of the damping channel with the same parameter
+    ``q``, the rotated state is diagonal ``[0, 0, 1 - q/2, q/2]``: outcomes
+    0 and 1 are nulled.  Probing a channel with a different parameter leaks
+    probability into outcome 0, which the counting receiver
+    (:func:`~chandisc.qadc.nulling_error`) exploits.
+    """
+    q = float(check_prob(q, "q", QadcError))
+    a = math.sqrt((1.0 - q) / (2.0 - q))
+    b = 1.0 / math.sqrt(2.0 - q)
+    return np.array([
+        [-a, 0.0, 0.0, b],
+        [0.0, 0.0, 1.0, 0.0],
+        [b, 0.0, 0.0, a],
+        [0.0, 1.0, 0.0, 0.0],
+    ], dtype=np.complex128)
 
 
 def _dense_block_pair(channel0, channel1, u: int):

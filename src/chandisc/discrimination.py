@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (KIND_EXACT, KIND_UPPER, BoundReport, DiscriminationError, Frozen,
-                     LinalgError)
+                     LinalgError, check_count)
 
 # HERM_TOL / EIG_TOL / TRACE_TOL gate state validation.
 HERM_TOL = 1e-10
@@ -360,9 +360,7 @@ def gus_unitary_helstrom(eta: float, m: int) -> BoundReport:
 
         ``P = (m - 1) / m**2 * (sqrt(1 + (m-1) eta) - sqrt(1 - eta))**2``.
     """
-    m = int(m)
-    if m < 2:
-        raise DiscriminationError(f"need at least 2 hypotheses, got m={m}")
+    m = check_count(m, "m", 2, DiscriminationError)
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise DiscriminationError(f"overlap must lie in [0, 1], got {eta}")

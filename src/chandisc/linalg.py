@@ -2,13 +2,15 @@
 
 This is the one module every command loads, so it holds only what the
 closed forms, the binomial sums and the port-count optimizer need: the
-package's error classes, the range checks on probabilities, the
+package's error classes, the range checks on probabilities and sizes, the
 :class:`BoundReport` that states what each number is, and :class:`Frozen`,
 the base of the package's immutable value types.  Dense matrices, states,
 ensembles and their solvers live in :mod:`chandisc.discrimination`.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -82,6 +84,22 @@ def check_prob(q, name: str = "q", error=LinalgError):
     if bad is not None:
         raise error(f"{name} must lie in [0, 1], got {bad}")
     return float(values) if values.ndim == 0 else values
+
+
+def check_count(value, name: str, low: int, error) -> int:
+    """``value`` as an int, raising ``error`` unless it is an integer ``>= low``.
+
+    Ints, numpy integers and integral floats pass; a fractional or
+    non-finite float, a string or any other type is refused, not truncated.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
+        count = int(value) if integral else None
+    if count is None or count < low:
+        raise error(f"need an integer {name} >= {low}, got {value!r}")
+    return count
 
 
 _EXACT_SLACK = 1e-9

@@ -14,9 +14,9 @@ Every counting receiver is one of two functionals of count pmf tables
 ``_binary_error``, and ``_position_error``, an order statistic over the
 background maximum at ``O(u * m)`` cost per point for any size.  The array
 kernels ``f_u_values`` and ``h_mu_values`` apply them to binomial tables.
-``h_m1_closed`` is an independent closed form for the single-use case that
-the crosscheck and the tests compare it with; the string-enumeration and
-exact-rational oracles live with the tests.
+The independent routes they are checked against live with the checks: the
+single-use closed form in :mod:`chandisc.crosscheck`, the string-enumeration
+and exact-rational oracles with the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .linalg import ChandiscError, check_prob
+from .linalg import ChandiscError, check_count, check_prob
 
 # Up to this many uses the binomial pmf is a direct product of powers; above
 # it, Loader's saddle-point form (see ``_binom_log_pmf``).  Up to 50 the
@@ -50,13 +50,6 @@ _STIRLERR = np.array([
 
 class OrcError(ChandiscError):
     """Raised for invalid parameters."""
-
-
-def _check_sizes(u: int, m: int):
-    if u < 1:
-        raise OrcError(f"need u >= 1, got {u}")
-    if m < 2:
-        raise OrcError(f"need m >= 2 cells, got {m}")
 
 
 def _binom_pmf(q, u: int) -> np.ndarray:
@@ -171,9 +164,7 @@ def f_u_values(q0, q1, u: int) -> np.ndarray:
     :func:`~chandisc.linalg.check_exact_prob` before reporting them.
     """
     q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
-    u = int(u)
-    if u < 1:
-        raise OrcError(f"need u >= 1, got {u}")
+    u = check_count(u, "u", 1, OrcError)
     return _in_passes(lambda a, b: _binary_error(_binom_pmf(a, u), _binom_pmf(b, u)), u, q0, q1)
 
 
@@ -191,38 +182,8 @@ def qdc_scales(d: int):
     probability ``(1 - 1/d**2) q``; an optimal unentangled probe only
     reaches ``(1 - 1/d) q``.
     """
-    d = int(d)
-    if d < 2:
-        raise OrcError(f"need d >= 2, got {d}")
+    d = check_count(d, "d", 2, OrcError)
     return 1.0 - 1.0 / d**2, 1.0 - 1.0 / d
-
-
-def h_m1_closed(q_b, q_t, m: int) -> float:
-    """Single-use position-finding error in closed form.
-
-    The ``u == 1`` case of :func:`h_mu_values` at one point, with ``q_b``
-    and ``q_t`` in [0, 1] and ``m >= 2`` checked as there.  The expression
-    groups outcome strings by total weight; the all-same-outcome strings
-    contribute their own terms and the mixed strings carry the larger of
-    the two likelihood ratios, which reduces to comparing ``q_t`` with
-    ``q_b``.  The grouped factor ``(1 - (1-q_b)**m - q_b**m) / q_b`` is
-    expanded through the geometric identity
-    ``(1 - (1-q)**m) / q = sum_j (1-q)**j`` so that nothing is divided by a
-    vanishing parameter; the naive quotient loses every digit once ``q_b``
-    drops below the rounding scale.
-    """
-    q_b = float(check_prob(q_b, "q_b", OrcError))
-    q_t = float(check_prob(q_t, "q_t", OrcError))
-    m = int(m)
-    _check_sizes(1, m)
-    if q_t >= q_b:
-        bracket = sum((1.0 - q_b) ** j for j in range(m)) - q_b ** (m - 1)
-        mid = q_t * bracket
-    else:
-        bracket = sum(q_b**j for j in range(m)) - (1.0 - q_b) ** (m - 1)
-        mid = (1.0 - q_t) * bracket
-    best = q_t * q_b ** (m - 1) + (1.0 - q_t) * (1.0 - q_b) ** (m - 1) + mid
-    return 1.0 - best / m
 
 
 def h_mu_values(q_b, q_t, m: int, u: int) -> np.ndarray:
@@ -248,8 +209,7 @@ def h_mu_values(q_b, q_t, m: int, u: int) -> np.ndarray:
     :func:`~chandisc.linalg.check_exact_prob` before reporting them.
     """
     q_b, q_t = _probabilities((("q_b", q_b), ("q_t", q_t)))
-    u, m = int(u), int(m)
-    _check_sizes(u, m)
+    u, m = check_count(u, "u", 1, OrcError), check_count(m, "m", 2, OrcError)
     return _in_passes(lambda b, t: _position_error(*_position_tables(b, t, u), m), u, q_b, q_t)
 
 

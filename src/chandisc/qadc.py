@@ -15,7 +15,9 @@ The module also implements a concrete entanglement-assisted receiver: a
 parameter onto two outcome levels, so that any deviation of the actual
 parameter populates a forbidden outcome.  Counting the four outcome levels
 over ``u`` probes and applying maximum likelihood gives an achievable error,
-hence an upper bound to compare the lower bounds against.
+hence an upper bound to compare the lower bounds against.  Only the outcome
+distribution is needed here; the unitary itself is built by
+:mod:`chandisc.crosscheck`, which checks that distribution against it.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import math
 
 import numpy as np
 
-from .cpf import _fidelity_lb, _sim_error, argmax_ports, check_ports, pair_peak, position_peak
-from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError,
-                     ChannelError, Frozen, check_prob)
+from .cpf import _fidelity_lb, argmax_ports, check_ports, pair_peak, position_peak
+from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError, Frozen,
+                     check_count, check_prob)
 from .orc import _binary_error, _binom_log_pmf, _binom_pmf
 
 
@@ -63,12 +65,8 @@ def fvg_sandwich(choi_fidelity: float, u: int):
 
         ``(1 - sqrt(1 - F**(2u))) / 2  <=  P  <=  F**u / 2``.
     """
-    choi_fidelity = float(choi_fidelity)
-    if not 0.0 <= choi_fidelity <= 1.0:
-        raise QadcError(f"fidelity must lie in [0, 1], got {choi_fidelity}")
-    u = int(u)
-    if u < 1:
-        raise QadcError(f"need u >= 1, got {u}")
+    choi_fidelity = float(check_prob(choi_fidelity, "fidelity", QadcError))
+    u = check_count(u, "u", 1, QadcError)
     block = choi_fidelity ** u
     lower = (1.0 - math.sqrt(max(0.0, 1.0 - block * block))) / 2.0
     return lower, block / 2.0
@@ -87,34 +85,22 @@ def _sim_factor(q: float) -> float:
     return (1.0 - q) / 2.0 + math.sqrt(1.0 - q)
 
 
-def qadc_sim_error_values(q, xi) -> np.ndarray:
-    """Damping simulation errors ``xi * ((1 - q)/2 + sqrt(1 - q))``, elementwise over ``xi``.
-
-    ``xi`` holds the port-dependent prefactor at each port count.  The
-    damping-dependent factor vanishes at ``q = 1``, where the channel becomes
-    a constant map that is simulable exactly.
-    """
-    q = float(check_prob(q, "q", ChannelError))
-    xi = np.asarray(xi, dtype=np.float64)
-    if not (xi >= 0.0).all():  # NaN fails the comparison too
-        raise ChannelError(f"xi must be >= 0, got {xi.min()}")
-    return xi * _sim_factor(q)
-
-
 class XiTable(Frozen):
     """Step-function simulation prefactor from tabulated knots.
 
     At ``M`` ports the value is that of the largest tabulated port count
     ``<= M``, extended as constant below the first knot; elementwise over
-    arrays of port counts.  With ``xi`` constant between knots the adaptive
-    bounds are non-increasing there, so the ``_opt`` functions evaluate
-    only the low end of the port range and the knots inside it.
+    arrays of port counts.  Knots are checked as port counts
+    (:func:`~chandisc.cpf.check_ports`), values as finite and
+    non-negative.  With ``xi`` constant between knots the adaptive bounds
+    are non-increasing there, so the ``_opt`` functions evaluate only the
+    low end of the port range and the knots inside it.
     """
 
     __slots__ = ("ports", "values")
 
     def __init__(self, ports, values):
-        ports = np.asarray(ports, dtype=np.int64)
+        ports = check_ports(ports, QadcError)
         values = np.asarray(values, dtype=np.float64)
         if ports.ndim != 1 or ports.shape != values.shape or not ports.size:
             raise QadcError("xi table needs at least one knot and one value per port count")
@@ -161,13 +147,11 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
     """
     q0 = float(check_prob(q0, "q0", QadcError))
     q1 = float(check_prob(q1, "q1", QadcError))
-    u = int(u)
-    if u < 1:
-        raise QadcError(f"need u >= 1, got {u}")
+    u = check_count(u, "u", 1, QadcError)
     ports = check_ports(ports, QadcError)
     xi = _xi_at(ports, xi)  # checked: non-negative, as the sim errors below need
     delta = xi * _sim_factor(q0) + xi * _sim_factor(q1)
-    # Exponent in floats and float_power as in cpf_fidelity_lb_values.
+    # Exponent in floats and float_power as in cpf._fidelity_lb.
     block = np.float_power(qadc_choi_fidelity(q0, q1), u * ports.astype(np.float64))
     return (1.0 - u * delta - np.sqrt(np.maximum(0.0, 1.0 - block * block))) / 2.0
 
@@ -185,7 +169,7 @@ def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6)) -> Bou
     """
     q0 = float(check_prob(q0, "q0", QadcError))
     q1 = float(check_prob(q1, "q1", QadcError))
-    u = int(u)
+    u = check_count(u, "u", 1, QadcError)
 
     def peak():
         c = -2.0 * u * math.log(qadc_choi_fidelity(q0, q1))
@@ -201,17 +185,15 @@ def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.
 
     Combines the per-hypothesis simulation error ``(m-1) Δ_b + Δ_t`` with
     the position-finding fidelity bound at Choi fidelity ``F(q_b, q_t)``
-    (:func:`~chandisc.cpf.cpf_fidelity_lb_values`).  Ports and ``xi`` as in
+    (:func:`~chandisc.cpf._fidelity_lb`).  Ports and ``xi`` as in
     :func:`qadc_adaptive_lb_values`.
     """
     q_b = float(check_prob(q_b, "q_b", QadcError))
     q_t = float(check_prob(q_t, "q_t", QadcError))
-    m, u = int(m), int(u)
-    if m < 2 or u < 1:
-        raise QadcError(f"need m >= 2 cells and u >= 1 uses, got m = {m}, u = {u}")
+    m, u = check_count(m, "m", 2, QadcError), check_count(u, "u", 1, QadcError)
     ports = check_ports(ports, QadcError)
     xi = _xi_at(ports, xi)  # checked: non-negative, as the sim errors below need
-    delta = _sim_error(xi * _sim_factor(q_b), xi * _sim_factor(q_t), m)
+    delta = (m - 1) * (xi * _sim_factor(q_b)) + xi * _sim_factor(q_t)
     return _fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u, ports, delta)
 
 
@@ -229,13 +211,12 @@ def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
     """
     q_b = float(check_prob(q_b, "q_b", QadcError))
     q_t = float(check_prob(q_t, "q_t", QadcError))
-    m, u = int(m), int(u)
+    m, u = check_count(m, "m", 2, QadcError), check_count(u, "u", 1, QadcError)
 
     def peak():
         c = -4.0 * u * math.log(qadc_choi_fidelity(q_b, q_t))
         b = 2.0 * u * ((m - 1) * _sim_factor(q_b) + _sim_factor(q_t))
-        # m < 2 is refused by the kernel
-        return position_peak(c, (m - 1) / (2.0 * m), b) if m >= 2 else math.inf
+        return position_peak(c, (m - 1) / (2.0 * m), b)
     ports, value = argmax_ports(
         functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, m, u, xi=xi), ports_range, peak,
         _knots(xi))
@@ -262,9 +243,7 @@ def _weight_blocks(q0, q1, u):
     """
     q0 = float(check_prob(q0, "q0", QadcError))
     q1 = float(check_prob(q1, "q1", QadcError))
-    u = int(u)
-    if u < 1:
-        raise QadcError(f"need u >= 1, got {u}")
+    u = check_count(u, "u", 1, QadcError)
     rank0, rank1 = (2**u if q > 0.0 else 1 for q in (q0, q1))
     shared = rank0 if q0 == q1 else int(q0 > 0.0 and q1 > 0.0)
     params = {"q0": q0, "q1": q1, "u": u, "dim": rank0 + rank1 - shared}
@@ -377,9 +356,7 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
     """
     q_b = float(check_prob(q_b, "q_b", QadcError))
     q_t = float(check_prob(q_t, "q_t", QadcError))
-    m, u = int(m), int(u)
-    if m < 2 or u < 1:
-        raise QadcError(f"need m >= 2 cells and u >= 1 uses, got m = {m}, u = {u}")
+    m, u = check_count(m, "m", 2, QadcError), check_count(u, "u", 1, QadcError)
     classes = _class_count(m, u)
     if classes > MAX_CPF_CLASSES:
         raise QadcError(f"weight class count C({m + u}, {m}) exceeds guard {MAX_CPF_CLASSES}")
@@ -436,30 +413,12 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
     return BoundReport(1.0 - success, KIND_UPPER, "qadc_cpf_block_pgm", params)
 
 
-def nulling_unitary(q) -> np.ndarray:
-    """Receiver unitary that empties two outcome levels of a damping Choi state.
-
-    Acting on the Choi state of the damping channel with the same parameter
-    ``q``, the rotated state is diagonal ``[0, 0, 1 - q/2, q/2]``: outcomes
-    0 and 1 are nulled.  Probing a channel with a different parameter leaks
-    probability into outcome 0, which the counting receiver exploits.
-    """
-    q = float(check_prob(q, "q", QadcError))
-    a = math.sqrt((1.0 - q) / (2.0 - q))
-    b = 1.0 / math.sqrt(2.0 - q)
-    return np.array([
-        [-a, 0.0, 0.0, b],
-        [0.0, 0.0, 1.0, 0.0],
-        [b, 0.0, 0.0, a],
-        [0.0, 1.0, 0.0, 0.0],
-    ], dtype=np.complex128)
-
-
 def nulling_outcome_dist(q_applied, q_actual) -> np.ndarray:
     """Outcome distribution of the ``q_applied`` nulling unitary.
 
     Equals the diagonal of ``U ρ U†`` for the Choi state ``ρ`` of the actual
-    channel.  In closed form, with ``q = q_applied`` and ``q' = q_actual``:
+    channel and ``U`` = :func:`chandisc.crosscheck.nulling_unitary`.  In
+    closed form, with ``q = q_applied`` and ``q' = q_actual``:
 
         ``p = [p00, 0, 1 - q'/2 - p00, q'/2]``,
         ``p00 = (sqrt(1-q) - sqrt(1-q'))**2 / (4 - 2q)``.
@@ -502,9 +461,7 @@ def nulling_error(q0, q1, u: int) -> tuple[float, float]:
     """
     q0 = float(check_prob(q0, "q0", QadcError))
     q1 = float(check_prob(q1, "q1", QadcError))
-    u = int(u)
-    if u < 1:
-        raise QadcError(f"need u >= 1, got {u}")
+    u = check_count(u, "u", 1, QadcError)
     return tuple(float(_binary_error(_nulling_table(applied, q0, u),
                                      _nulling_table(applied, q1, u)))
                  for applied in (q0, q1))

@@ -22,7 +22,8 @@ from chandisc.discrimination import (
     tensor_all,
     trace_norm,
 )
-from chandisc.orc import f_u_values, h_m1_closed, h_mu_values, qdc_scales
+from chandisc.crosscheck import h_m1_closed
+from chandisc.orc import f_u_values, h_mu_values, qdc_scales
 from chandisc.qadc import (
     fvg_sandwich,
     nulling_error,

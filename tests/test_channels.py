@@ -12,7 +12,7 @@ from chandisc.channels import (
     tele_covariance_check,
 )
 from chandisc.discrimination import DensityMatrix
-from chandisc.qadc import default_xi, qadc_sim_error_values
+from chandisc.qadc import QadcError, XiTable, default_xi, qadc_adaptive_lb_values
 
 from _oracles import partial_trace
 from _util import random_density
@@ -93,15 +93,22 @@ def test_maximally_entangled():
     np.testing.assert_allclose(phi, np.outer(v, v), atol=1e-12)
 
 
+def _sim_error(q, xi=None):
+    # a channel's simulation error at 4 ports, read off the pair bound of two
+    # equal channels at one use: there F = 1 and the bound is (1 - 2 delta) / 2
+    return (1.0 - 2.0 * qadc_adaptive_lb_values(q, q, 1, 4, xi=xi)) / 2.0
+
+
 def test_qadc_pbt_error_value():
     # the damping port-based error at 4 ports: xi = min(4/4, 2) = 1 times
     # (1-q)/2 + sqrt(1-q) = 0.32 + 0.8
-    assert abs(qadc_sim_error_values(0.36, default_xi(4)) - 1.12) < 1e-15
-    assert qadc_sim_error_values(1.0, default_xi(4)) == 0.0
+    assert default_xi(4) == 1.0
+    assert abs(_sim_error(0.36) - 1.12) < 1e-15
+    assert _sim_error(1.0) == 0.0
 
 
 def test_qadc_pbt_error_custom_xi():
-    assert abs(qadc_sim_error_values(0.36, 0.5) - 0.5 * 1.12) < 1e-15
+    assert abs(_sim_error(0.36, XiTable([1], [0.5])) - 0.5 * 1.12) < 1e-15
 
 
 def test_default_xi_caps_at_two():
@@ -118,8 +125,8 @@ def test_constructors_take_one_probability():
 
 
 def test_sim_error_validation():
-    with pytest.raises(ChannelError):
-        qadc_sim_error_values(1.2, default_xi(4))
+    with pytest.raises(QadcError):
+        _sim_error(1.2)
 
 
 def test_tele_covariance_classes():

@@ -611,6 +611,18 @@ def test_xi_table_validation(tmp_path):
         cli.load_xi(cfg)
 
 
+@pytest.mark.parametrize("knots", ["0,2.0\n8,1.0\n", f"1,2.0\n{2**70},1.0\n"])
+def test_xi_table_knots_out_of_range_exit_two(tmp_path, capsys, knots):
+    # a knot below one port was kept, and 2**70 escaped XiTable as an OverflowError
+    table = tmp_path / "xi.csv"
+    table.write_text(knots, encoding="utf-8")
+    code, text = run(tmp_path, "--command", "binary", "--kind", "qadc", "--u", "2", "--grid", "3",
+                     "--xi", f"value-table:{table}")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(table) in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [
     ["--command", "fig3", "--m", "2", "--u", "1"],
     ["--command", "binary", "--kind", "qadc", "--u", "2"],

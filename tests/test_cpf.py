@@ -9,23 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chandisc import qadc
+from chandisc import cpf, qadc
 from chandisc.channels import choi, make_qadc, make_qdc
 from chandisc.cpf import (
     MAX_PORTS,
     PAIR_PEAK_X,
     CpfError,
-    cpf_fidelity_lb_values,
     cpf_nonadaptive_fidelity_lb,
-    cpf_sim_error,
     pair_peak,
     position_peak,
 )
 from chandisc.discrimination import helstrom_iterative, pgm_error
 from chandisc.orc import h_mu_values, qdc_scales
 from chandisc.qadc import (QadcError, XiTable, qadc_adaptive_lb_opt, qadc_adaptive_lb_values,
-                          qadc_cpf_adaptive_lb_opt, qadc_cpf_adaptive_lb_values,
-                          qadc_cpf_block_pgm)
+                          qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt,
+                          qadc_cpf_adaptive_lb_values, qadc_cpf_block_pgm)
 
 from _oracles import (build_cpf_choi_ensemble, cpf_block_fidelity_lb, cyclic_shift,
                       dense_block_ensemble, fidelity, general_fidelity_lb, staged_search)
@@ -66,20 +64,27 @@ def test_ensemble_dimension_guard():
 
 
 def test_sim_error_combines_cells_linearly():
-    assert cpf_sim_error(0.1, 0.3, m=4) == pytest.approx(0.6)
-    with pytest.raises(CpfError):
-        cpf_sim_error(-0.1, 0.3, m=2)
-    with pytest.raises(CpfError):
-        cpf_sim_error(0.1, 0.3, m=1)
+    # m - 1 background cells and one target cell: the penalty is u/2 times
+    # (m - 1) delta_b + delta_t, delta = xi ((1 - q)/2 + sqrt(1 - q)) at xi = 0.5
+    q_b, q_t, m, u, ports = 0.36, 0.64, 4, 2, np.array([3, 40])
+    delta_b, delta_t = 0.5 * (0.32 + 0.8), 0.5 * (0.18 + 0.6)
+    block = cpf._fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u, ports, 0.0)
+    value = qadc_cpf_adaptive_lb_values(q_b, q_t, m, u, ports, xi=XiTable([1], [0.5]))
+    np.testing.assert_allclose(value, block - u * ((m - 1) * delta_b + delta_t) / 2, rtol=1e-12)
+    with pytest.raises(QadcError):  # a negative simulation error
+        XiTable([1], [-0.1])
+    with pytest.raises(QadcError):
+        qadc_cpf_adaptive_lb_values(q_b, q_t, 1, u, ports)
 
 
 def test_theorem1_arithmetic():
     # the adaptive bound is the block bound minus the penalty u * delta_avg / 2
-    block = cpf_fidelity_lb_values(0.9, 3, 3, 5, 0.0)
-    assert cpf_fidelity_lb_values(0.9, 3, 3, 5, 0.1) == pytest.approx(block - 0.15)
-    assert cpf_fidelity_lb_values(0.9, 3, 4, 5, 0.5) < 0  # vacuous
-    with pytest.raises(CpfError):
-        cpf_fidelity_lb_values(0.9, 3, 3, 5, -0.1)
+    block = cpf._fidelity_lb(0.9, 3, 3, np.int64(5), 0.0)
+    assert cpf._fidelity_lb(0.9, 3, 3, np.int64(5), 0.1) == pytest.approx(block - 0.15)
+    assert cpf._fidelity_lb(0.9, 3, 4, np.int64(5), 0.5) < 0  # vacuous
+    assert qadc_cpf_adaptive_lb_values(0.3, 0.6, 3, 4, 5) < 0  # vacuous, default xi
+    with pytest.raises(QadcError):  # the only route to a negative simulation error
+        XiTable([1, 2], [1.0, -0.1])
 
 
 def test_fidelity_lb_specialization_matches_general_form():
@@ -88,13 +93,13 @@ def test_fidelity_lb_specialization_matches_general_form():
     pair = fidelity(choi(background), choi(target))
     for u, ports, delta in [(1, 1, 0.0), (2, 5, 0.01), (3, 40, 0.2)]:
         a = general_fidelity_lb(ens, u, ports, delta).value
-        b = cpf_fidelity_lb_values(pair, 3, u, ports, delta)
+        b = cpf._fidelity_lb(pair, 3, u, np.int64(ports), delta)
         assert abs(a - b) < 1e-12
 
 
 def test_nonadaptive_lb_is_single_port_zero_error_case():
     a = cpf_nonadaptive_fidelity_lb(0.9, m=4, u=3).value
-    b = cpf_fidelity_lb_values(0.9, 4, 3, 1, 0.0)
+    b = cpf._fidelity_lb(0.9, 4, 3, np.int64(1), 0.0)
     assert abs(a - b) < 1e-15
     assert a == pytest.approx(3 / 8 * 0.9 ** 12)
 
@@ -208,8 +213,8 @@ def test_optimizer_refuses_nan_bounds(monkeypatch):
                                    [1e300]])
 def test_port_counts_must_be_integers(ports):
     # a fractional count was truncated: [1.9] gave the value at 1 port
-    with pytest.raises(CpfError, match="integers"):
-        cpf_fidelity_lb_values(0.9, 3, 2, ports, 0.0)
+    with pytest.raises(QadcError, match="integers"):
+        XiTable(ports, np.ones(len(ports)))
     with pytest.raises(QadcError, match="integers"):
         qadc_adaptive_lb_values(0.3, 0.2, 2, ports)
     with pytest.raises(QadcError, match="integers"):

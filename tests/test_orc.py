@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chandisc import orc
-from chandisc.orc import OrcError, f_u_values, h_m1_closed, h_mu_values, qdc_scales
+from chandisc.crosscheck import h_m1_closed
+from chandisc.orc import OrcError, f_u_values, h_mu_values, qdc_scales
 
 from _oracles import cpf_ml_exact, h_mu_strings, mp_binary_error, string_histogram
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chandisc
+from chandisc.crosscheck import h_m1_closed
 
 
 def test_every_export_is_its_defining_object():
@@ -29,6 +30,22 @@ def test_star_import_binds_all():
     exec("from chandisc import *", namespace)
     assert set(chandisc.__all__) <= set(namespace)
     assert namespace["qadc_cpf_block_pgm"] is chandisc.qadc.qadc_cpf_block_pgm
+
+
+def test_public_surface_is_pinned():
+    # an export added or dropped shows up in this list
+    assert chandisc.__all__ == [
+        "BoundReport", "ChandiscError", "ChannelError", "CpfError", "DensityMatrix",
+        "DiscriminationError", "KrausChannel", "LinalgError", "OrcError", "Povm", "QadcError",
+        "StateEnsemble", "XiTable", "channels", "check_exact_prob", "choi", "cpf",
+        "cpf_nonadaptive_fidelity_lb", "default_xi", "discrimination", "f_u_values",
+        "fvg_sandwich", "gus_unitary_helstrom", "h_mu_values", "heisenberg_weyl",
+        "helstrom_binary", "helstrom_iterative", "hermitize", "linalg", "make_qadc", "make_qdc",
+        "make_qec", "nulling_error", "nulling_outcome_dist", "orc", "pgm_error", "pgm_povm",
+        "qadc", "qadc_adaptive_lb_opt", "qadc_adaptive_lb_values", "qadc_block_helstrom",
+        "qadc_block_pgm", "qadc_choi_fidelity", "qadc_cpf_adaptive_lb_opt",
+        "qadc_cpf_adaptive_lb_values", "qadc_cpf_block_pgm", "qdc_scales",
+        "tele_covariance_check", "tensor", "tensor_all", "trace_norm"]
 
 
 def test_unknown_names_are_attribute_errors():
@@ -71,3 +88,62 @@ def test_value_types_validate_and_stay_immutable(name):
         assert repr(twin) == repr(value)
         with pytest.raises(AttributeError):
             setattr(twin, field, before)
+
+
+# Every public entry that takes a size (m, u, d or a port-range end), called
+# with that size as ``n``.
+SIZED = {
+    "h_mu_values:m": lambda n: chandisc.h_mu_values(0.3, 0.2, n, 2),
+    "h_mu_values:u": lambda n: chandisc.h_mu_values(0.3, 0.2, 3, n),
+    "f_u_values:u": lambda n: chandisc.f_u_values(0.3, 0.2, n),
+    "qdc_scales:d": lambda n: chandisc.qdc_scales(n),
+    "qadc_adaptive_lb_values:u": lambda n: chandisc.qadc_adaptive_lb_values(0.3, 0.2, n, [1, 9]),
+    "qadc_cpf_adaptive_lb_values:m":
+        lambda n: chandisc.qadc_cpf_adaptive_lb_values(0.3, 0.2, n, 2, [1, 9]),
+    "qadc_cpf_adaptive_lb_values:u":
+        lambda n: chandisc.qadc_cpf_adaptive_lb_values(0.3, 0.2, 2, n, [1, 9]),
+    "qadc_adaptive_lb_opt:u": lambda n: chandisc.qadc_adaptive_lb_opt(0.3, 0.2, n),
+    "qadc_adaptive_lb_opt:lo":
+        lambda n: chandisc.qadc_adaptive_lb_opt(0.3, 0.2, 2, ports_range=(n, 10)),
+    "qadc_adaptive_lb_opt:hi":
+        lambda n: chandisc.qadc_adaptive_lb_opt(0.3, 0.2, 2, ports_range=(1, n)),
+    "qadc_cpf_adaptive_lb_opt:m": lambda n: chandisc.qadc_cpf_adaptive_lb_opt(0.3, 0.2, n, 4),
+    "qadc_cpf_adaptive_lb_opt:u": lambda n: chandisc.qadc_cpf_adaptive_lb_opt(0.3, 0.2, 2, n),
+    "qadc_cpf_adaptive_lb_opt:lo":
+        lambda n: chandisc.qadc_cpf_adaptive_lb_opt(0.3, 0.2, 2, 4, ports_range=(n, 10)),
+    "qadc_cpf_adaptive_lb_opt:hi":
+        lambda n: chandisc.qadc_cpf_adaptive_lb_opt(0.3, 0.2, 2, 4, ports_range=(1, n)),
+    "qadc_block_helstrom:u": lambda n: chandisc.qadc_block_helstrom(0.1, 0.3, n),
+    "qadc_block_pgm:u": lambda n: chandisc.qadc_block_pgm(0.1, 0.3, n),
+    "qadc_cpf_block_pgm:m": lambda n: chandisc.qadc_cpf_block_pgm(0.3, 0.2, n, 2),
+    "qadc_cpf_block_pgm:u": lambda n: chandisc.qadc_cpf_block_pgm(0.3, 0.2, 2, n),
+    "fvg_sandwich:u": lambda n: chandisc.fvg_sandwich(0.9, n),
+    "nulling_error:u": lambda n: chandisc.nulling_error(0.1, 0.3, n),
+    "cpf_nonadaptive_fidelity_lb:m": lambda n: chandisc.cpf_nonadaptive_fidelity_lb(0.9, n, 2),
+    "cpf_nonadaptive_fidelity_lb:u": lambda n: chandisc.cpf_nonadaptive_fidelity_lb(0.9, 2, n),
+    "make_qec:d": lambda n: chandisc.make_qec(n, 0.3),
+    "make_qdc:d": lambda n: chandisc.make_qdc(n, 0.3),
+    "gus_unitary_helstrom:m": lambda n: chandisc.gus_unitary_helstrom(0.4, n),
+    "h_m1_closed:m": lambda n: h_m1_closed(0.3, 0.2, n),
+}
+
+
+def _outcome(value):
+    # a printable form of an entry's result, equal only for equal results
+    if isinstance(value, chandisc.BoundReport):
+        value = (value.value, value.kind, value.method, value.params)
+    elif isinstance(value, chandisc.KrausChannel):
+        value = [k.tolist() for k in value.kraus]
+    else:
+        value = np.asarray(value).tolist()
+    return repr(value)
+
+
+@pytest.mark.parametrize("entry", sorted(SIZED))
+def test_sizes_are_refused_not_truncated(entry):
+    # int(2.5) ran at 2 and int("2") parsed a string
+    call = SIZED[entry]
+    for bad in (2.5, "2", np.nan, np.inf):
+        with pytest.raises(chandisc.ChandiscError):
+            call(bad)
+    assert _outcome(call(3)) == _outcome(call(np.int64(3))) == _outcome(call(3.0))

@@ -8,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chandisc import orc
-from chandisc.channels import ChannelError, choi, make_qadc
-from chandisc.cpf import CpfError, cpf_fidelity_lb_values, cpf_nonadaptive_fidelity_lb
+from chandisc.channels import choi, make_qadc
+from chandisc.cpf import cpf_nonadaptive_fidelity_lb
+from chandisc.crosscheck import nulling_unitary
 from chandisc.discrimination import StateEnsemble, helstrom_binary, pgm_error, tensor_all
 from chandisc.qadc import (
     QadcError,
@@ -18,7 +19,6 @@ from chandisc.qadc import (
     fvg_sandwich,
     nulling_error,
     nulling_outcome_dist,
-    nulling_unitary,
     qadc_adaptive_lb_opt,
     qadc_adaptive_lb_values,
     qadc_block_helstrom,
@@ -27,7 +27,6 @@ from chandisc.qadc import (
     qadc_cpf_adaptive_lb_opt,
     qadc_cpf_adaptive_lb_values,
     qadc_cpf_block_pgm,
-    qadc_sim_error_values,
 )
 
 from _oracles import (fidelity, mp_nulling_error, nulling_count_sum, pbt_pair_adaptive_lb,
@@ -220,7 +219,7 @@ def test_nulling_never_beats_helstrom():
 def test_adaptive_lb_arithmetic():
     q0, q1, u, ports = 0.2, 0.5, 3, 40
     xi = default_xi(ports)
-    delta = qadc_sim_error_values(q0, xi) + qadc_sim_error_values(q1, xi)
+    delta = xi * ((1 - q0) / 2 + math.sqrt(1 - q0)) + xi * ((1 - q1) / 2 + math.sqrt(1 - q1))
     f = qadc_choi_fidelity(q0, q1)
     expect = (1.0 - u * delta - math.sqrt(1.0 - f ** (2 * u * ports))) / 2.0
     value = qadc_adaptive_lb_values(q0, q1, u, ports)
@@ -237,20 +236,32 @@ def test_adaptive_lb_custom_xi():
 
 
 def test_sim_error_refuses_nan_and_negative_xi():
-    for xi in (np.nan, -0.5, np.array([0.5, np.nan]), np.array([1.0, -1.0])):
-        with pytest.raises(ChannelError):
-            qadc_sim_error_values(0.3, xi)
-    assert qadc_sim_error_values(1.0, np.array([0.0, 2.0])).tolist() == [0.0, 0.0]
+    # xi reaches the kernels only as None or an XiTable, which holds no such value
+    for xi in ([np.nan], [-0.5], [0.5, np.nan], [1.0, -1.0]):
+        with pytest.raises(QadcError):
+            XiTable(np.arange(1, len(xi) + 1), xi)
+    # at q = 1 the channel is simulable exactly: no penalty at any xi
+    ports, xi = np.array([1, 2, 7]), XiTable([1, 2], [0.0, 2.0])
+    assert qadc_adaptive_lb_values(1.0, 1.0, 3, ports, xi=xi).tolist() == [0.5] * 3
+
+
+@pytest.mark.parametrize("knots", [[1.5, 7.9], [1.5, 7], [0, 7], [-3, 7], [1, 2**70]])
+def test_xi_table_knots_are_port_counts(knots):
+    # [1.5, 7.9] was stored as [1, 7], knots <= 0 were kept, and 2**70
+    # raised a bare OverflowError
+    with pytest.raises(QadcError):
+        XiTable(knots, [2.0, 1.0])
+    assert XiTable([1.0, np.int64(7)], [2.0, 1.0]).ports.tolist() == [1, 7]
 
 
 def test_adaptive_lb_input_checks():
-    for ports in (0, -3, 2**63, np.array([4, 0, 9])):
+    for ports in (0, -3, 2**63, 2**70, np.array([4, 0, 9])):
         with pytest.raises(QadcError):
             qadc_adaptive_lb_values(0.2, 0.5, 2, ports)
         with pytest.raises(QadcError):
             qadc_cpf_adaptive_lb_values(0.2, 0.5, 3, 2, ports)
-    with pytest.raises(CpfError):
-        cpf_fidelity_lb_values(0.9, 2, 1, 2**70, 0.0)
+    with pytest.raises(QadcError):
+        XiTable([1, 2**70], [1.0, 0.5])
     for xi in (0.01, np.nan, lambda p: 3.0 - p, [1.0, 1.0, 1.0, 1.0]):
         with pytest.raises(QadcError, match="None or an XiTable"):
             qadc_adaptive_lb_values(0.2, 0.5, 2, np.arange(1, 5), xi=xi)
