@@ -34,7 +34,7 @@ class CpfError(ChandiscError):
     """Raised for invalid position-finding specifications."""
 
 
-def check_ports(ports, error=CpfError) -> np.ndarray:
+def check_ports(ports, error) -> np.ndarray:
     """``ports`` as an int64 array, raising ``error`` unless every count is an integer >= 1."""
     counts = np.asarray(ports)
     try:
