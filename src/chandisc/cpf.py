@@ -10,9 +10,9 @@ and pay a continuity penalty ``u/2`` times the accumulated simulation
 error.  This module holds the arithmetic of that route, all of it on
 numbers and arrays of port counts: the fidelity bound on the block error net
 of that penalty, the checks on port counts and port ranges, and the maximum
-over port counts
-(:func:`argmax_ports`): one bound evaluation on at most five candidates read
-off the stationary points of the bound's closed form, no search.
+over port counts (:func:`argmax_ports`): one bound evaluation on at most five
+candidates read off the stationary points of the bound's closed form, no
+search.
 
 The block states themselves are not built here.  The iterative Helstrom
 solver runs on plain tensor powers of the cell Choi matrices

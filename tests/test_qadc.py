@@ -260,8 +260,6 @@ def test_adaptive_lb_input_checks():
             qadc_adaptive_lb_values(0.2, 0.5, 2, ports)
         with pytest.raises(QadcError):
             qadc_cpf_adaptive_lb_values(0.2, 0.5, 3, 2, ports)
-    with pytest.raises(QadcError):
-        XiTable([1, 2**70], [1.0, 0.5])
     for xi in (0.01, np.nan, lambda p: 3.0 - p, [1.0, 1.0, 1.0, 1.0]):
         with pytest.raises(QadcError, match="None or an XiTable"):
             qadc_adaptive_lb_values(0.2, 0.5, 2, np.arange(1, 5), xi=xi)
