@@ -1,9 +1,14 @@
 """Seeded agreement suite between independent computation routes.
 
-Each check draws its random cases from the generator it is given and returns
-``(worst deviation, tolerance, cases)``; ``CROSSCHECKS`` lists them in run
-order under the names ``--command crosscheck`` prints.  The CLI imports
-this module for that command only.
+Each check is a generator that yields one deviation per case, or several
+for a case compared more than one way, and :func:`run_check` folds them
+into the worst deviation and the case count.  ``CROSSCHECKS`` lists
+``(name, tolerance, check)`` rows in run order under the names
+``--command crosscheck`` prints; each check there draws its cases from the
+seeded generator it is given.  :func:`counting_vs_helstrom` and
+:func:`gus_vs_solver` take their cases instead, so that the acceptance
+suite runs the same comparisons on its fixed grids.  The CLI imports this
+module for that command only.
 
 Two routes that only the checks use live here too: the single-use
 position-finding closed form :func:`h_m1_closed` and the receiver unitary
@@ -13,6 +18,7 @@ quantity it checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -74,10 +80,23 @@ def nulling_unitary(q) -> np.ndarray:
     ], dtype=np.complex128)
 
 
-def _dense_block_pair(channel0, channel1, u: int):
-    c0 = channel_choi(channel0).mat
-    c1 = channel_choi(channel1).mat
-    return (DensityMatrix(tensor_all([c0] * u)), DensityMatrix(tensor_all([c1] * u)))
+def run_check(check, *args):
+    """Fold the deviations ``check(*args)`` yields into ``(worst, cases)``.
+
+    ``worst`` is the largest of 0 and every deviation; an array yielded for
+    one case counts its largest entry.  A NaN, which :func:`max` would drop,
+    makes it NaN, so it fails every tolerance.
+    """
+    worst, cases = 0.0, 0
+    for cases, dev in enumerate(check(*args), 1):
+        dev = float(np.max(dev))
+        worst = max(worst, dev) if dev == dev else dev
+    return worst, cases
+
+
+def _dense_helstrom(state0, state1, u: int) -> float:
+    return helstrom_binary(DensityMatrix(tensor_all([state0] * u)),
+                           DensityMatrix(tensor_all([state1] * u))).value
 
 
 def _dense_cpf_ensemble(background, target, m: int, u: int):
@@ -91,159 +110,115 @@ def _dense_cpf_ensemble(background, target, m: int, u: int):
     return StateEnsemble.equiprobable([basis.conj().T @ s @ basis for s in states])
 
 
-def _check_f_vs_helstrom_qec(rng):
-    worst = 0.0
-    cases = 0
-    for _ in range(3):
-        q0, q1 = rng.uniform(0.05, 0.95, size=2)
-        for u in (1, 2, 3):
-            rho0, rho1 = _dense_block_pair(make_qec(2, q0), make_qec(2, q1), u)
-            dev = abs(helstrom_binary(rho0, rho1).value - f_u_values(q0, q1, u))
-            worst = max(worst, dev)
-            cases += 1
-    return worst, 1e-9, cases
+def _solver_excess(ensemble, target):
+    # how far the solver's minimum error lies from target beyond its certified gap
+    report, _, gap = helstrom_iterative(ensemble)
+    return abs(report.value - target) - gap
 
 
-def _check_qdc_binary_vs_helstrom(rng):
-    worst = 0.0
-    cases = 0
-    ent_scale, cls_scale = qdc_scales(2)
-    for _ in range(3):
-        q0, q1 = rng.uniform(0.05, 0.95, size=2)
-        for u in (1, 2):
-            rho0, rho1 = _dense_block_pair(make_qdc(2, q0), make_qdc(2, q1), u)
-            ent = f_u_values(ent_scale * q0, ent_scale * q1, u)
-            worst = max(worst, abs(helstrom_binary(rho0, rho1).value - ent))
-            out0 = np.diag([1.0 - q0 / 2.0, q0 / 2.0])
-            out1 = np.diag([1.0 - q1 / 2.0, q1 / 2.0])
-            cls = f_u_values(cls_scale * q0, cls_scale * q1, u)
-            block0 = DensityMatrix(tensor_all([out0] * u))
-            block1 = DensityMatrix(tensor_all([out1] * u))
-            worst = max(worst, abs(helstrom_binary(block0, block1).value - cls))
-            cases += 2
-    return worst, 1e-9, cases
+# Each case kind of :func:`counting_vs_helstrom`: its single-use state at q
+# (a qubit channel's Choi state, or the depolarizing output on |0> measured)
+# and the flip probability that f_u counts for it.
+COUNTED = {
+    "erasure": lambda q: (channel_choi(make_qec(2, q)).mat, q),
+    "depolarizing": lambda q: (channel_choi(make_qdc(2, q)).mat, qdc_scales(2)[0] * q),
+    "depolarizing-classical": lambda q: (np.diag([1.0 - q / 2.0, q / 2.0]),
+                                         qdc_scales(2)[1] * q),
+}
+
+
+def counting_vs_helstrom(cases):
+    """Yield ``|f_u - Helstrom|`` on the dense ``u``-fold powers per ``(kind, q0, q1, u)``."""
+    for kind, q0, q1, u in cases:
+        (state0, p0), (state1, p1) = COUNTED[kind](q0), COUNTED[kind](q1)
+        yield abs(_dense_helstrom(state0, state1, u) - f_u_values(p0, p1, u))
+
+
+def gus_vs_solver(cases):
+    """Yield the closed form's distance from the solver, beyond its gap, per ``(m, eta)``.
+
+    The states are ``m`` cyclic pure states on C^m with pairwise overlaps
+    ``eta``: component j of state k has phase omega^(j k), component 0 the
+    excess weight.
+    """
+    for m, eta in cases:
+        amps = np.sqrt(np.full(m, (1.0 - eta) / m) + np.array([eta] + [0.0] * (m - 1)))
+        phases = np.exp(2j * np.pi * np.arange(m) / m)
+        states = [DensityMatrix(np.outer(vec, vec.conj()))
+                  for vec in (amps * phases**k for k in range(m))]
+        yield _solver_excess(StateEnsemble.equiprobable(states), gus_unitary_helstrom(eta, m).value)
+
+
+def _draws(rng):
+    return [rng.uniform(0.05, 0.95, size=2) for _ in range(3)]
 
 
 def _check_h_route_agreement(rng):
-    worst = 0.0
-    cases = 0
     for m, u in ((2, 3), (3, 2), (4, 2), (2, 5), (2, 1), (3, 1), (5, 1)):
         for _ in range(3):
             q_b, q_t = rng.uniform(0.0, 1.0, size=2)
+            hypotheses = [[q_t if cell == target else q_b for cell in range(m)]
+                          for target in range(m)]
             success = 0.0
             for string in range(2 ** (u * m)):
                 counts = [bin((string >> (cell * u)) % 2**u).count("1") for cell in range(m)]
-                best = 0.0
-                for target in range(m):
-                    like = 1.0
-                    for cell, k in enumerate(counts):
-                        q = q_t if cell == target else q_b
-                        like *= q**k * (1.0 - q) ** (u - k)
-                    best = max(best, like)
-                success += best
+                success += max(math.prod(q**k * (1.0 - q) ** (u - k) for q, k in zip(qs, counts))
+                               for qs in hypotheses)
             strings = 1.0 - success / m
-            worst = max(worst, abs(h_mu_values(q_b, q_t, m, u) - strings))
+            devs = [abs(h_mu_values(q_b, q_t, m, u) - strings)]
             if u == 1:
-                worst = max(worst, abs(h_m1_closed(q_b, q_t, m) - strings))
-            cases += 1
-    return worst, 1e-12, cases
+                devs.append(abs(h_m1_closed(q_b, q_t, m) - strings))
+            yield devs
 
 
 def _check_cpf_vs_solver(rng):
-    worst = 0.0
-    cases = 0
     scale = qdc_scales(2)[0]
     for m, u in ((2, 1), (2, 2)):
         q_b, q_t = rng.uniform(0.1, 0.9, size=2)
-        report, _, gap = helstrom_iterative(
-            _dense_cpf_ensemble(make_qdc(2, q_b), make_qdc(2, q_t), m, u))
-        target = h_mu_values(scale * q_b, scale * q_t, m, u)
-        worst = max(worst, max(0.0, abs(report.value - target) - gap))
-        cases += 1
+        yield _solver_excess(_dense_cpf_ensemble(make_qdc(2, q_b), make_qdc(2, q_t), m, u),
+                             h_mu_values(scale * q_b, scale * q_t, m, u))
     for m in (2, 3):
         q_b, q_t = rng.uniform(0.1, 0.9, size=2)
-        report, _, gap = helstrom_iterative(
-            _dense_cpf_ensemble(make_qec(2, q_b), make_qec(2, q_t), m, 1))
-        target = h_m1_closed(q_b, q_t, m)
-        worst = max(worst, max(0.0, abs(report.value - target) - gap))
-        cases += 1
-    return worst, 1e-6, cases
+        yield _solver_excess(_dense_cpf_ensemble(make_qec(2, q_b), make_qec(2, q_t), m, 1),
+                             h_m1_closed(q_b, q_t, m))
 
 
-def _check_compression_distance(rng):
+def _check_block_helstrom_vs_dense(rng):
     # the damping pair's weight-block Gram decomposition against the dense trace norm
-    worst = 0.0
     q0, q1 = rng.uniform(0.1, 0.9, size=2)
+    state0, state1 = channel_choi(make_qadc(q0)).mat, channel_choi(make_qadc(q1)).mat
     for u in (2, 3):
-        dense = helstrom_binary(*_dense_block_pair(make_qadc(q0), make_qadc(q1), u)).value
-        worst = max(worst, abs(qadc_block_helstrom(q0, q1, u).value - dense))
-    return worst, 1e-9, 2
+        yield abs(qadc_block_helstrom(q0, q1, u).value - _dense_helstrom(state0, state1, u))
 
 
 def _check_nulling_dist(_rng):
-    worst = 0.0
-    cases = 0
     for q_app in (0.0, 0.3, 0.7, 1.0):
         unitary = nulling_unitary(q_app)
         for q_act in (0.0, 0.3, 0.7, 1.0):
             state = channel_choi(make_qadc(q_act)).mat
             direct = np.diag(unitary @ state @ unitary.conj().T).real
-            closed = nulling_outcome_dist(q_app, q_act)
-            worst = max(worst, np.abs(direct - closed).max())
-            cases += 1
-    return worst, 1e-10, cases
+            yield np.abs(direct - nulling_outcome_dist(q_app, q_act))
 
 
 def _check_nulling_vs_strings(rng):
-    worst = 0.0
-    cases = 0
     for u in (1, 2, 3):
         q0, q1 = rng.uniform(0.1, 0.9, size=2)
         for applied, grouped in zip((q0, q1), nulling_error(q0, q1, u)):
             p0 = nulling_outcome_dist(applied, q0)
             p1 = nulling_outcome_dist(applied, q1)
             total = 0.0
-            for string in range(4**u):
-                like0 = like1 = 1.0
-                rem = string
-                for _ in range(u):
-                    rem, outcome = divmod(rem, 4)
-                    like0 *= p0[outcome]
-                    like1 *= p1[outcome]
-                total += min(like0, like1)
-            worst = max(worst, abs(total / 2.0 - grouped))
-            cases += 1
-    return worst, 1e-12, cases
+            for string in itertools.product(range(4), repeat=u):
+                uses = string[::-1]  # fastest-varying use first, a fixed rounding order
+                total += min(math.prod(p0[o] for o in uses), math.prod(p1[o] for o in uses))
+            yield abs(total / 2.0 - grouped)
 
 
 def _check_sandwich_contains_helstrom(rng):
-    worst = 0.0
-    cases = 0
     for u in (1, 2, 4):
         q0, q1 = rng.uniform(0.05, 0.95, size=2)
         lower, upper = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
         exact = qadc_block_helstrom(q0, q1, u).value
-        worst = max(worst, lower - exact, exact - upper)
-        cases += 1
-    return max(worst, 0.0), 1e-9, cases
-
-
-def _check_gus_vs_solver(_rng):
-    worst = 0.0
-    cases = 0
-    for m in (2, 3, 4):
-        for eta in (0.2, 0.6):
-            amps = np.sqrt(np.full(m, (1.0 - eta) / m) + np.array([eta] + [0.0] * (m - 1)))
-            phases = np.exp(2j * np.pi * np.arange(m) / m)
-            states = []
-            for k in range(m):
-                vec = amps * phases**k
-                states.append(DensityMatrix(np.outer(vec, vec.conj())))
-            report, _, gap = helstrom_iterative(StateEnsemble.equiprobable(states))
-            closed = gus_unitary_helstrom(eta, m).value
-            worst = max(worst, max(0.0, abs(report.value - closed) - gap))
-            cases += 1
-    return worst, 1e-6, cases
+        yield lower - exact, exact - upper
 
 
 def _check_optimizer_vs_brute_force(_rng):
@@ -251,13 +226,10 @@ def _check_optimizer_vs_brute_force(_rng):
     report = qadc_cpf_adaptive_lb_opt(0.24, 0.2, 2, 4, ports_range=(1, 3000))
     values = qadc_cpf_adaptive_lb_values(0.24, 0.2, 2, 4, np.arange(1, 3001))
     best = int(np.argmax(values))
-    dev = abs(report.value - values[best]) + abs(report.params["ports"] - (best + 1))
-    return float(dev), 1e-12, 1
+    yield abs(report.value - values[best]) + abs(report.params["ports"] - (best + 1))
 
 
 def _check_pgm_vs_double_helstrom(rng):
-    worst = 0.0
-    cases = 0
     for _ in range(3):
         states = []
         for _ in range(3):
@@ -266,35 +238,32 @@ def _check_pgm_vs_double_helstrom(rng):
             states.append(DensityMatrix(mat / mat.trace().real))
         ensemble = StateEnsemble.equiprobable(states)
         report, _, gap = helstrom_iterative(ensemble)
-        excess = pgm_error(ensemble).value - 2.0 * (report.value + gap)
-        worst = max(worst, excess)
-        cases += 1
-    return max(worst, 0.0), 1e-9, cases
+        yield pgm_error(ensemble).value - 2.0 * (report.value + gap)
 
 
 def _check_covariance_classes(_rng):
-    expected = [
-        (tele_covariance_check(make_qec(2, 0.3)), True),
-        (tele_covariance_check(make_qdc(2, 0.4)), True),
-        (tele_covariance_check(make_qdc(3, 0.2)), True),
-        (tele_covariance_check(make_qadc(0.3)), False),
-        (tele_covariance_check(make_qadc(0.7)), False),
-    ]
-    dev = float(sum(got != want for got, want in expected))
-    return dev, 0.5, len(expected)
+    # a deviation of 1 for each channel classified the wrong way
+    for channel, covariant in ((make_qec(2, 0.3), True), (make_qdc(2, 0.4), True),
+                               (make_qdc(3, 0.2), True), (make_qadc(0.3), False),
+                               (make_qadc(0.7), False)):
+        yield float(tele_covariance_check(channel) != covariant)
 
 
 CROSSCHECKS = [
-    ("counting-vs-helstrom-erasure", _check_f_vs_helstrom_qec),
-    ("counting-vs-helstrom-depolarizing", _check_qdc_binary_vs_helstrom),
-    ("position-error-route-agreement", _check_h_route_agreement),
-    ("position-error-vs-solver", _check_cpf_vs_solver),
-    ("compression-preserves-distance", _check_compression_distance),
-    ("nulling-dist-vs-conjugation", _check_nulling_dist),
-    ("nulling-vs-string-enumeration", _check_nulling_vs_strings),
-    ("sandwich-contains-block-error", _check_sandwich_contains_helstrom),
-    ("symmetric-pure-closed-form-vs-solver", _check_gus_vs_solver),
-    ("port-optimizer-vs-brute-force", _check_optimizer_vs_brute_force),
-    ("pgm-within-double-optimum", _check_pgm_vs_double_helstrom),
-    ("covariance-classification", _check_covariance_classes),
+    ("counting-vs-helstrom-erasure", 1e-9, lambda rng: counting_vs_helstrom(
+        ("erasure", q0, q1, u) for q0, q1 in _draws(rng) for u in (1, 2, 3))),
+    ("counting-vs-helstrom-depolarizing", 1e-9, lambda rng: counting_vs_helstrom(
+        (kind, q0, q1, u) for q0, q1 in _draws(rng) for u in (1, 2)
+        for kind in ("depolarizing", "depolarizing-classical"))),
+    ("position-error-route-agreement", 1e-12, _check_h_route_agreement),
+    ("position-error-vs-solver", 1e-6, _check_cpf_vs_solver),
+    ("block-helstrom-vs-dense", 1e-9, _check_block_helstrom_vs_dense),
+    ("nulling-dist-vs-conjugation", 1e-10, _check_nulling_dist),
+    ("nulling-vs-string-enumeration", 1e-12, _check_nulling_vs_strings),
+    ("sandwich-contains-block-error", 1e-9, _check_sandwich_contains_helstrom),
+    ("symmetric-pure-closed-form-vs-solver", 1e-6,
+     lambda _rng: gus_vs_solver((m, eta) for m in (2, 3, 4) for eta in (0.2, 0.6))),
+    ("port-optimizer-vs-brute-force", 1e-12, _check_optimizer_vs_brute_force),
+    ("pgm-within-double-optimum", 1e-9, _check_pgm_vs_double_helstrom),
+    ("covariance-classification", 0.5, _check_covariance_classes),
 ]

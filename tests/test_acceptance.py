@@ -1,28 +1,23 @@
 """Acceptance suite: the package's headline guarantees, one line per check.
 
-Each test prints a single ``acceptance NN [pass|FAIL]`` line (visible even
-under pytest capture) and then asserts.  Tolerances and runtime ceilings
-are part of the checked contract.
+``ACCEPTANCE`` lists ``(number, name, tolerance, budget_s, check)`` rows.
+Each check is a generator that yields one deviation per case, folded by
+:func:`chandisc.crosscheck.run_check`; 04 and 12 are crosscheck comparisons
+run on fixed grids.  Each row becomes one test, named after its number and
+check, which prints a single ``acceptance NN [pass|FAIL]`` line (visible
+even under pytest capture) and then asserts.  Tolerances and runtime
+ceilings are part of the checked contract.
 """
 
 import itertools
 import time
 
 import numpy as np
-import pytest
 
-from chandisc.channels import choi, make_qdc, make_qec
+from chandisc.channels import make_qdc, make_qec
 from chandisc.cpf import cpf_nonadaptive_fidelity_lb
-from chandisc.discrimination import (
-    DensityMatrix,
-    StateEnsemble,
-    gus_unitary_helstrom,
-    helstrom_binary,
-    helstrom_iterative,
-    tensor_all,
-    trace_norm,
-)
-from chandisc.crosscheck import h_m1_closed
+from chandisc.crosscheck import counting_vs_helstrom, gus_vs_solver, h_m1_closed, run_check
+from chandisc.discrimination import DensityMatrix, StateEnsemble, helstrom_iterative, trace_norm
 from chandisc.orc import f_u_values, h_mu_values, qdc_scales
 from chandisc.qadc import (
     fvg_sandwich,
@@ -35,143 +30,71 @@ from chandisc.qadc import (
 )
 
 from _oracles import build_cpf_choi_ensemble, h_mu_strings
-from _util import gus_pure_states, random_density
+from _util import random_density
 
 
-class _Check:
-    """Collects a worst deviation, then renders the one-line verdict."""
-
-    def __init__(self, number, name, budget_s):
-        self.number = number
-        self.name = name
-        self.budget_s = budget_s
-        self.started = time.perf_counter()
-        self.worst = 0.0
-        self.cases = 0
-
-    def see(self, deviation):
-        self.worst = max(self.worst, float(deviation))
-        self.cases += 1
-
-    def finish(self, capsys, tolerance):
-        elapsed = time.perf_counter() - self.started
-        ok = self.worst <= tolerance and elapsed < self.budget_s
-        status = "pass" if ok else "FAIL"
-        with capsys.disabled():
-            print(f"acceptance {self.number:02d} [{status}] {self.name}: "
-                  f"worst {self.worst:.2e} (tol {tolerance:.0e}), "
-                  f"{self.cases} cases, {elapsed:.2f}s / {self.budget_s:.0f}s")
-        assert self.worst <= tolerance, (
-            f"{self.name}: worst deviation {self.worst} above {tolerance}")
-        assert elapsed < self.budget_s, (
-            f"{self.name}: took {elapsed:.1f}s, budget {self.budget_s}s")
-
-
-def test_01_one_shot_depolarizing_endpoint(capsys):
-    check = _Check(1, "one-shot endpoint (m-1)/(m d^2)", 1.0)
+def _one_shot_depolarizing_endpoint():
     for m in range(2, 7):
         for d in (2, 3, 10, 100):
             entangled = h_mu_values(0.0, qdc_scales(d)[0] * 1.0, m, 1)
-            check.see(abs(entangled - (m - 1) / (m * d * d)))
-    check.finish(capsys, 1e-15)
+            yield abs(entangled - (m - 1) / (m * d * d))
 
 
-def test_02_single_use_closed_form(capsys):
-    check = _Check(2, "u=1 closed form vs string enumeration", 10.0)
+def _single_use_closed_form():
     axis = np.linspace(0.0, 1.0, 50)
-    for m in range(2, 7):
-        for q_b in axis:
-            for q_t in axis:
-                check.see(abs(h_m1_closed(q_b, q_t, m) - h_mu_strings(q_b, q_t, m, 1)))
-    check.finish(capsys, 1e-12)
+    for m, q_b, q_t in itertools.product(range(2, 7), axis, axis):
+        yield abs(h_m1_closed(q_b, q_t, m) - h_mu_strings(q_b, q_t, m, 1))
 
 
-def test_03_enumeration_routes_agree(capsys):
-    check = _Check(3, "order-statistic h_mu vs string enumeration", 60.0)
+def _enumeration_routes_agree():
     axis = np.linspace(0.0, 1.0, 20)
     for m in range(2, 21):
-        for u in range(1, 20 // m + 1):
-            for q_b in axis:
-                for q_t in axis:
-                    check.see(abs(h_mu_values(q_b, q_t, m, u) - h_mu_strings(q_b, q_t, m, u)))
-    check.finish(capsys, 1e-12)
+        for u, q_b, q_t in itertools.product(range(1, 20 // m + 1), axis, axis):
+            yield abs(h_mu_values(q_b, q_t, m, u) - h_mu_strings(q_b, q_t, m, u))
 
 
-def test_04_binary_analytics_vs_dense_helstrom(capsys):
-    check = _Check(4, "binary analytics vs tensor-power discrimination", 30.0)
+def _binary_analytics_vs_dense_helstrom():
     rng = np.random.default_rng(104)
-    scale = qdc_scales(2)[0]
     for q0, q1 in rng.uniform(0.0, 1.0, size=(10, 2)):
         u = int(rng.integers(1, 5))
-        qec0 = choi(make_qec(2, q0)).mat
-        qec1 = choi(make_qec(2, q1)).mat
-        dense = helstrom_binary(DensityMatrix(tensor_all([qec0] * u)),
-                                DensityMatrix(tensor_all([qec1] * u))).value
-        check.see(abs(f_u_values(q0, q1, u) - dense))
-        qdc0 = choi(make_qdc(2, q0)).mat
-        qdc1 = choi(make_qdc(2, q1)).mat
-        dense = helstrom_binary(DensityMatrix(tensor_all([qdc0] * u)),
-                                DensityMatrix(tensor_all([qdc1] * u))).value
-        check.see(abs(f_u_values(scale * q0, scale * q1, u) - dense))
-    check.finish(capsys, 1e-9)
+        yield from counting_vs_helstrom([("erasure", q0, q1, u), ("depolarizing", q0, q1, u)])
 
 
-def test_05_cpf_solver_matches_analytics(capsys):
-    check = _Check(5, "position-finding solver vs closed forms", 120.0)
-    slack = 0.0
+def _cpf_solver_matches_analytics():
     scale = qdc_scales(2)[0]
     for m in (2, 3):
         for q_b, q_t in [(0.3, 0.8), (0.75, 0.2)]:
-            ensemble = build_cpf_choi_ensemble(make_qec(2, q_b), make_qec(2, q_t), m)
-            report, _, gap = helstrom_iterative(ensemble)
-            check.see(abs(report.value - h_mu_values(q_b, q_t, m, 1)))
-            slack = max(slack, gap)
-            ensemble = build_cpf_choi_ensemble(make_qdc(2, q_b), make_qdc(2, q_t), m)
-            report, _, gap = helstrom_iterative(ensemble)
-            check.see(abs(report.value - h_mu_values(scale * q_b, scale * q_t, m, 1)))
-            slack = max(slack, gap)
-    check.finish(capsys, max(1e-6, slack))
+            for make, s in ((make_qec, 1.0), (make_qdc, scale)):
+                ensemble = build_cpf_choi_ensemble(make(2, q_b), make(2, q_t), m)
+                report, _, _ = helstrom_iterative(ensemble)
+                yield abs(report.value - h_mu_values(s * q_b, s * q_t, m, 1))
 
 
-def test_06_complement_symmetry(capsys):
-    check = _Check(6, "q <-> 1-q symmetry of the exact errors", 10.0)
+def _complement_symmetry():
     axis = np.linspace(0.0, 1.0, 40)
-    for u in (1, 2, 5, 8):
-        for q0 in axis:
-            for q1 in axis:
-                check.see(abs(f_u_values(q0, q1, u) - f_u_values(1 - q0, 1 - q1, u)))
+    for u, q0, q1 in itertools.product((1, 2, 5, 8), axis, axis):
+        yield abs(f_u_values(q0, q1, u) - f_u_values(1 - q0, 1 - q1, u))
     haxis = np.linspace(0.0, 1.0, 12)
-    for m in (2, 3, 4):
-        for u in (1, 2, 3):
-            for q_b in haxis:
-                for q_t in haxis:
-                    a = h_mu_values(q_b, q_t, m, u)
-                    b = h_mu_values(1 - q_b, 1 - q_t, m, u)
-                    check.see(abs(a - b))
-    check.finish(capsys, 1e-13)
+    for m, u, q_b, q_t in itertools.product((2, 3, 4), (1, 2, 3), haxis, haxis):
+        yield abs(h_mu_values(q_b, q_t, m, u) - h_mu_values(1 - q_b, 1 - q_t, m, u))
 
 
-def test_07_entanglement_advantage(capsys):
-    check = _Check(7, "entangled vs classical depolarizing sweep", 30.0)
+def _entanglement_advantage():
     interior = np.linspace(0.05, 0.95, 10)
-    violations = 0.0
     for d in (2, 6, 100):
         scales = np.array(qdc_scales(d))
-        for u in (1, 3, 30):
-            for q0, q1 in itertools.product(interior, repeat=2):
-                entangled, classical = f_u_values(scales * q0, scales * q1, u)
-                violations = max(violations, entangled - classical)
-                if abs(q0 - q1) > 1e-9:
-                    # strict advantage away from the diagonal
-                    assert entangled < classical, (d, u, q0, q1)
-    check.see(max(violations, 0.0))
+        for u, q0, q1 in itertools.product((1, 3, 30), interior, interior):
+            entangled, classical = f_u_values(scales * q0, scales * q1, u)
+            if abs(q0 - q1) > 1e-9:
+                # strict advantage away from the diagonal
+                assert entangled < classical, (d, u, q0, q1)
+            yield entangled - classical
     # the same separation holds for multi-cell position finding
     for d in (2, 100):
         scales = np.array(qdc_scales(d))
         ent, cls = h_mu_values(scales * 0.9, scales * 0.3, 5, 3)
         assert ent < cls
-        check.see(max(ent - cls, 0.0))
-    check.finish(capsys, 0.0)
+        yield ent - cls
 
 
 def _damping_grid():
@@ -179,51 +102,42 @@ def _damping_grid():
     return [(float(q + 0.04), float(q)) for q in smaller]  # (q0, q1), q0 larger
 
 
-def test_08_damping_sandwich(capsys):
-    check = _Check(8, "two-sided compressed block bounds", 300.0)
+def _damping_sandwich():
     for u in range(1, 9):
         for q0, q1 in _damping_grid():
             exact = qadc_block_helstrom(q0, q1, u)
             assert exact.params["dim"] <= 512
             lower, upper = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
-            cap = min(upper,
-                      qadc_block_pgm(q0, q1, u).value,
-                      *nulling_error(q0, q1, u))
-            check.see(max(lower - exact.value, 0.0))
-            check.see(max(exact.value - cap, 0.0))
-    check.finish(capsys, 1e-7)
+            yield lower - exact.value
+            yield exact.value - min(upper, qadc_block_pgm(q0, q1, u).value,
+                                    *nulling_error(q0, q1, u))
 
 
-def test_09_nulling_variants_between_helstrom_and_half(capsys):
-    check = _Check(9, "each nulling variant between block Helstrom and 1/2", 30.0)
+def _nulling_variants_between_helstrom_and_half():
     for u in range(1, 9):
         for q0, q1 in _damping_grid():
             exact = qadc_block_helstrom(q0, q1, u).value
             for error in nulling_error(q0, q1, u):
-                check.see(max(exact - error, error - 0.5, 0.0))
-    check.finish(capsys, 0.0)
+                yield exact - error, error - 0.5
 
 
-def test_10_adaptive_vs_nonadaptive_position_finding(capsys):
-    check = _Check(10, "adaptive gap below non-adaptive bound", 300.0)
+def _adaptive_vs_nonadaptive_position_finding():
     for m, u in ((2, 4), (4, 2)):
-        strict_gap = 0.0
+        interior_gaps = []
         for q_b, q_t in _damping_grid():
             fid = qadc_choi_fidelity(q_b, q_t)
             best = qadc_cpf_adaptive_lb_opt(q_b, q_t, m=m, u=u).value
             nonadaptive = cpf_nonadaptive_fidelity_lb(fid, m=m, u=u).value
             pgm = qadc_cpf_block_pgm(q_b, q_t, m=m, u=u).value
-            check.see(max(best - nonadaptive, 0.0))
-            check.see(max(nonadaptive - pgm - 1e-7, 0.0))
+            yield best - nonadaptive
+            yield nonadaptive - pgm - 1e-7
             if 0.2 <= q_t <= 0.8:
-                strict_gap = max(strict_gap, nonadaptive - best)
+                interior_gaps.append(nonadaptive - best)
         # the simulation penalty separates the bounds on the interior
-        assert strict_gap > 1e-6, (m, u, strict_gap)
-    check.finish(capsys, 1e-9)
+        assert max(interior_gaps) > 1e-6, (m, u, max(interior_gaps))
 
 
-def test_11_continuity_of_minimum_error(capsys):
-    check = _Check(11, "perturbation continuity of the minimum error", 300.0)
+def _continuity_of_minimum_error():
     rng = np.random.default_rng(111)
     for _ in range(100):
         m = int(rng.integers(2, 5))
@@ -240,18 +154,50 @@ def test_11_continuity_of_minimum_error(capsys):
         # moving each state by trace distance delta_n lowers the minimum
         # error by at most sum_n p_n delta_n / 2, either way
         penalty = 0.5 * float(priors @ np.asarray(deltas))
-        check.see(max(base.value - penalty - moved.value - gap_a - gap_b, 0.0))
-        check.see(max(moved.value - penalty - base.value - gap_a - gap_b, 0.0))
-    check.finish(capsys, 1e-9)
+        yield base.value - penalty - moved.value - gap_a - gap_b
+        yield moved.value - penalty - base.value - gap_a - gap_b
 
 
-def test_12_cyclic_pure_states_closed_form(capsys):
-    check = _Check(12, "symmetric pure-state formula vs solver", 60.0)
-    for m in (2, 3, 4):
-        for eta in (0.1, 0.45, 0.8, 0.95):
-            vecs = gus_pure_states(eta, m)
-            states = [DensityMatrix(np.outer(v, v.conj())) for v in vecs]
-            report, _, gap = helstrom_iterative(StateEnsemble.equiprobable(states))
-            expect = gus_unitary_helstrom(eta, m).value
-            check.see(max(abs(report.value - expect) - gap, 0.0))
-    check.finish(capsys, 1e-6)
+def _cyclic_pure_states_closed_form():
+    return gus_vs_solver((m, eta) for m in (2, 3, 4) for eta in (0.1, 0.45, 0.8, 0.95))
+
+
+ACCEPTANCE = [
+    (1, "one-shot endpoint (m-1)/(m d^2)", 1e-15, 1.0, _one_shot_depolarizing_endpoint),
+    (2, "u=1 closed form vs string enumeration", 1e-12, 10.0, _single_use_closed_form),
+    (3, "order-statistic h_mu vs string enumeration", 1e-12, 60.0, _enumeration_routes_agree),
+    (4, "binary analytics vs tensor-power discrimination", 1e-9, 30.0,
+     _binary_analytics_vs_dense_helstrom),
+    (5, "position-finding solver vs closed forms", 1e-6, 120.0, _cpf_solver_matches_analytics),
+    (6, "q <-> 1-q symmetry of the exact errors", 1e-13, 10.0, _complement_symmetry),
+    (7, "entangled vs classical depolarizing sweep", 0.0, 30.0, _entanglement_advantage),
+    (8, "block Helstrom within its two-sided bounds", 1e-7, 300.0, _damping_sandwich),
+    (9, "each nulling variant between block Helstrom and 1/2", 0.0, 30.0,
+     _nulling_variants_between_helstrom_and_half),
+    (10, "adaptive gap below non-adaptive bound", 1e-9, 300.0,
+     _adaptive_vs_nonadaptive_position_finding),
+    (11, "perturbation continuity of the minimum error", 1e-9, 300.0,
+     _continuity_of_minimum_error),
+    (12, "symmetric pure-state formula vs solver", 1e-6, 60.0, _cyclic_pure_states_closed_form),
+]
+
+
+def _acceptance_test(number, name, tolerance, budget_s, check):
+    def test(capsys):
+        started = time.perf_counter()
+        worst, cases = run_check(check)
+        elapsed = time.perf_counter() - started
+        status = "pass" if worst <= tolerance and elapsed < budget_s else "FAIL"
+        with capsys.disabled():
+            print(f"acceptance {number:02d} [{status}] {name}: "
+                  f"worst {worst:.2e} (tol {tolerance:.0e}), "
+                  f"{cases} cases, {elapsed:.2f}s / {budget_s:.0f}s")
+        assert worst <= tolerance, f"{name}: worst deviation {worst} above {tolerance}"
+        assert elapsed < budget_s, f"{name}: took {elapsed:.1f}s, budget {budget_s}s"
+    return test
+
+
+# One test per row, named test_NN plus its check's name, so that a report
+# names the guarantee that failed.
+for _row in ACCEPTANCE:
+    globals()[f"test_{_row[0]:02d}{_row[4].__name__}"] = _acceptance_test(*_row)

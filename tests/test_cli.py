@@ -161,7 +161,7 @@ CROSSCHECK_TABLE = [
     ("counting-vs-helstrom-depolarizing", 1e-9, 12),
     ("position-error-route-agreement", 1e-12, 21),
     ("position-error-vs-solver", 1e-6, 4),
-    ("compression-preserves-distance", 1e-9, 2),
+    ("block-helstrom-vs-dense", 1e-9, 2),
     ("nulling-dist-vs-conjugation", 1e-10, 16),
     ("nulling-vs-string-enumeration", 1e-12, 6),
     ("sandwich-contains-block-error", 1e-9, 3),
@@ -189,8 +189,8 @@ def test_crosscheck_budget_skips_tail(tmp_path):
 
 def test_crosscheck_failure_exits_three(tmp_path, monkeypatch, capsys):
     def broken(_rng):
-        return 1.0, 1e-9, 1
-    monkeypatch.setattr(crosscheck, "CROSSCHECKS", [("always-off", broken)])
+        yield 1.0
+    monkeypatch.setattr(crosscheck, "CROSSCHECKS", [("always-off", 1e-9, broken)])
     code, text = run(tmp_path, "--command", "crosscheck")
     assert code == 3
     assert text.splitlines()[1].split(",")[1] == "fail"
@@ -199,6 +199,25 @@ def test_crosscheck_failure_exits_three(tmp_path, monkeypatch, capsys):
     code, text = run(tmp_path, "--command", "crosscheck", "--format", "json")
     assert code == 3
     assert [row["status"] for row in json.loads(text)] == ["fail"]
+
+
+def test_crosscheck_nan_deviation_fails(tmp_path, monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN must not read as a perfect agreement
+    monkeypatch.setattr(crosscheck, "f_u_values", lambda *args: np.nan)
+    monkeypatch.setattr(crosscheck, "CROSSCHECKS", crosscheck.CROSSCHECKS[:2])
+    code, text = run(tmp_path, "--command", "crosscheck", "--seed", "7")
+    assert code == 3
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [(name, status, dev) for name, status, dev, _, _ in rows] == [
+        ("counting-vs-helstrom-erasure", "fail", "nan"),
+        ("counting-vs-helstrom-depolarizing", "fail", "nan")]
+
+
+@pytest.mark.parametrize("deviations", [[0.0, np.nan], [np.nan, 0.0], [np.array([0.0, np.nan])]])
+def test_run_check_keeps_a_nan(deviations):
+    worst, cases = crosscheck.run_check(iter, deviations)
+    assert np.isnan(worst)
+    assert cases == len(deviations)
 
 
 def test_fig2_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):

@@ -80,7 +80,7 @@ def test_block_helstrom_single_use_matches_dense():
     assert abs(qadc_block_helstrom(0.15, 0.6, 1).value - expect) < 1e-12
 
 
-def test_block_helstrom_compression_stays_small():
+def test_block_helstrom_weight_blocks_stay_small():
     rep = qadc_block_helstrom(0.2, 0.24, 8)
     assert rep.params["dim"] <= 512  # ambient space is 4**8 = 65536
     assert abs(rep.value - 0.4583016939022603) < 1e-12  # pinned regression
