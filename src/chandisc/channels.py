@@ -80,25 +80,14 @@ def make_qec(d: int, q) -> KrausChannel:
 def heisenberg_weyl(d: int):
     """The ``d**2`` shift-and-phase unitaries ``X^a Z^b`` on dimension ``d``.
 
-    Ordered lexicographically in ``(a, b)`` so the identity comes first.
-    These are exactly the correction unitaries appearing in qudit
-    teleportation.
+    Ordered lexicographically in ``(a, b)`` so the identity comes first;
+    ``X`` shifts ``|j>`` to ``|j+1>`` and ``Z`` multiplies it by
+    ``exp(2 pi i j / d)``.  These are exactly the correction unitaries
+    appearing in qudit teleportation.
     """
     d = check_count(d, "d", 2, ChannelError)
-    omega = np.exp(2j * np.pi / d)
-    x = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
-    z = np.diag(omega ** np.arange(d))
-    ops = []
-    xa = np.eye(d, dtype=np.complex128)
-    for _ in range(d):
-        zb = np.eye(d, dtype=np.complex128)
-        for _ in range(d):
-            ops.append(xa @ zb)
-            zb = zb @ z
-        xa = xa @ x
-    return ops
+    omega, k = np.exp(2j * np.pi / d), np.arange(d)
+    return [np.roll(np.eye(d), a, axis=0) * omega ** (b * k) for a in range(d) for b in range(d)]
 
 
 def make_qdc(d: int, q) -> KrausChannel:
@@ -140,39 +129,21 @@ def choi(channel: KrausChannel) -> DensityMatrix:
 
 
 def _correction_exists(c, c_u, dim_out: int, dim_in: int) -> bool:
-    # Solve the linear condition (V ⊗ I) C = C_U (V ⊗ I) for V, then look
-    # for a unitary inside the solution space via polar projections.
-    big = dim_out * dim_in
-    cols = []
-    for a in range(dim_out):
-        for b in range(dim_out):
-            e_ab = np.zeros((dim_out, dim_out), dtype=np.complex128)
-            e_ab[a, b] = 1.0
-            lifted = np.kron(e_ab, np.eye(dim_in))
-            cols.append((lifted @ c - c_u @ lifted).reshape(-1))
-    lmat = np.array(cols).T  # (big², dim_out²)
-    u_, s, vh = np.linalg.svd(lmat, full_matrices=False)
-    null_mask = s <= 1e-6 * max(1.0, s[0] if s.size else 0.0)
-    null_vecs = vh[null_mask].conj()
-    if not null_vecs.shape[0]:
+    # Whether the solutions V of (V ⊗ I) C = C_U (V ⊗ I) hold a unitary, by the
+    # polar factor of one generic solution (see tele_covariance_check).  Column
+    # (a, b) of lmat is (E_ab ⊗ I) C - C_U (E_ab ⊗ I), flattened.
+    shape, eye = (dim_out, dim_in, dim_out, dim_in), np.eye(dim_out)
+    lmat = (np.einsum("ia,bkjl->ikjlab", eye, c.reshape(shape))
+            - np.einsum("ikal,bj->ikjlab", c_u.reshape(shape), eye)).reshape(-1, dim_out**2)
+    _, s, vh = np.linalg.svd(lmat, full_matrices=False)
+    null_vecs = vh[s <= 1e-6 * max(1.0, s[0])].conj()
+    if not len(null_vecs):
         return False
-
-    def is_valid(candidate) -> bool:
-        pu, _, pvh = np.linalg.svd(candidate)
-        v = pu @ pvh
-        lifted = np.kron(v, np.eye(dim_in))
-        return np.abs(lifted @ c @ lifted.conj().T - c_u).max() <= COVARIANCE_TOL
-
-    for vec in null_vecs:
-        if is_valid(vec.reshape(dim_out, dim_out)):
-            return True
     rng = np.random.default_rng(12345)
-    for _ in range(8):
-        coeff = rng.standard_normal(null_vecs.shape[0]) + 1j * rng.standard_normal(null_vecs.shape[0])
-        cand = (coeff @ null_vecs).reshape(dim_out, dim_out)
-        if is_valid(cand):
-            return True
-    return False
+    coeff = rng.standard_normal(len(null_vecs)) + 1j * rng.standard_normal(len(null_vecs))
+    pu, _, pvh = np.linalg.svd((coeff @ null_vecs).reshape(dim_out, dim_out))
+    lifted = np.kron(pu @ pvh, np.eye(dim_in))
+    return np.abs(lifted @ c @ lifted.conj().T - c_u).max() <= COVARIANCE_TOL
 
 
 def tele_covariance_check(channel: KrausChannel) -> bool:
@@ -185,15 +156,22 @@ def tele_covariance_check(channel: KrausChannel) -> bool:
     to block bounds.  Erasure and depolarizing channels pass; amplitude
     damping fails (it is phase- but not flip-covariant).
 
-    The test is one-sided: ``True`` is certified by an explicit ``V``, but
-    ``False`` may be a false negative.  Each ``V`` is sought among the basis
-    vectors of the linear solution space and 8 seeded random combinations of
-    them, so a valid unitary elsewhere in that space can be missed.  A
-    candidate must match within ``COVARIANCE_TOL`` (max-abs).
+    The answer is decided, not searched for, in two steps.  Corrections
+    compose (``V_X^a V_Z^b`` corrects ``X^a Z^b``), so only the generators
+    ``Z`` and ``X`` are checked.  For each, the solutions ``V`` of
+    ``(V ⊗ I) C = C_U (V ⊗ I)`` on the Choi matrix ``C`` form a space ``S``
+    with ``V†W`` in the *-algebra ``A = {Y : (Y ⊗ I) C = C (Y ⊗ I)}`` for
+    ``V, W`` in ``S``, and ``S·A ⊆ S``.  So the polar factor
+    ``V (V†V)^(-1/2)`` of an invertible ``V`` in ``S`` is a unitary in ``S``:
+    ``S`` holds a correction exactly when it holds an invertible element,
+    and one seeded generic combination of a basis of ``S`` is invertible if
+    any element is.  Its polar factor must match within ``COVARIANCE_TOL``
+    (max-abs).
     """
     c = np.asarray(choi(channel).mat)
     d_in, d_out = channel.dim_in, channel.dim_out
-    for u in heisenberg_weyl(d_in)[1:]:
+    weyl = heisenberg_weyl(d_in)
+    for u in (weyl[1], weyl[d_in]):
         c_u = np.kron(np.eye(d_out), u.T) @ c @ np.kron(np.eye(d_out), u.conj())
         if not _correction_exists(c, c_u, d_out, d_in):
             return False

@@ -23,7 +23,8 @@ they run.  Only ``crosscheck`` loads the dense-state route
 
 Output is CSV (default) or JSON.  CSV uses comma separators, ``.`` decimal
 points, 17-significant-digit scientific floats, LF line endings and UTF-8;
-two runs with an identical configuration produce byte-identical output.
+JSON writes a non-finite float as ``null``.  Identical configurations give
+byte-identical output (``crosscheck`` only at a fixed BLAS thread count).
 Rows are written to ``--out`` as they are computed, one checked block at a
 time (a ``(u, gap)`` sweep, a sweep point or a crosscheck), so memory is
 bounded by a block, not by the table.
@@ -139,8 +140,6 @@ def make_config(args):
         # a swept option given once sweeps that one value
         swept = isinstance(getattr(cfg, name), tuple) and not isinstance(value, tuple)
         setattr(cfg, name, (value,) if swept else value)
-    if "M_max" in defaults and cfg.M_max < cfg.M_min:
-        raise CliConfigError(f"invalid port range ({cfg.M_min}, {cfg.M_max})")
     return cfg
 
 
@@ -380,7 +379,8 @@ def _column_formats(header, values) -> list:
     return formats
 
 
-_JSON_VALUE = {"%s": str, "%d": int, FLOAT_FORMAT: float}  # by a column's cell format
+# by a column's cell format; JSON has no NaN or infinity, so those are null
+_JSON_VALUE = {"%s": str, "%d": int, FLOAT_FORMAT: lambda x: float(x) if np.isfinite(x) else None}
 
 
 # The most rows the writer holds at once, as tuples and as text.

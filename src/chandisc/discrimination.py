@@ -39,9 +39,10 @@ PRIOR_TOL = 1e-12
 POVM_PSD_TOL = 1e-9
 POVM_SUM_TOL = 1e-8
 # The square-root measurement's support cut; helstrom_iterative's stopping
-# residual and largest dimension.
+# residual, most updates and largest dimension.
 SUPPORT_CUT = 1e-12
 SOLVER_TOL = 1e-8
+SOLVER_MAX_ITERS = 5000
 SOLVER_MAX_DIM = 256
 
 
@@ -290,7 +291,7 @@ def pgm_error(ensemble: StateEnsemble) -> BoundReport:
                        {"m": ensemble.m, "dim": ensemble.dim})
 
 
-def helstrom_iterative(ensemble: StateEnsemble, max_iters: int = 5000):
+def helstrom_iterative(ensemble: StateEnsemble):
     """Minimum error probability of an ensemble via measurement iteration.
 
     Starting from the square-root measurement, alternates the fixed-point
@@ -301,8 +302,8 @@ def helstrom_iterative(ensemble: StateEnsemble, max_iters: int = 5000):
     for all ``n`` the measurement is exactly optimal, and in general the
     minimum error lies within ``dim * |min eigenvalue|`` below the reported
     value.  Iteration stops once that residual eigenvalue is above
-    ``-SOLVER_TOL``, or after ``max_iters`` updates (a small cap reaches the
-    unconverged result cheaply); dimensions above ``SOLVER_MAX_DIM`` are refused.
+    ``-SOLVER_TOL``, or after ``SOLVER_MAX_ITERS`` updates; dimensions above
+    ``SOLVER_MAX_DIM`` are refused.
 
     Returns
     -------
@@ -324,7 +325,7 @@ def helstrom_iterative(ensemble: StateEnsemble, max_iters: int = 5000):
 
     best = None
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, SOLVER_MAX_ITERS + 1):
         raw = sum(g @ e for g, e in zip(weighted, elements))
         upsilon = (raw + raw.conj().T) / 2.0
         residual = min(np.linalg.eigvalsh(upsilon - g).min() for g in weighted)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chandisc import channels
 from chandisc.channels import (
     ChannelError,
     KrausChannel,
@@ -15,7 +16,7 @@ from chandisc.discrimination import DensityMatrix
 from chandisc.qadc import QadcError, XiTable, default_xi, qadc_adaptive_lb_values
 
 from _oracles import partial_trace
-from _util import random_density
+from _util import random_density, random_unitary
 
 
 def _apply(channel, rho):
@@ -53,6 +54,18 @@ def test_heisenberg_weyl_orthogonal_unitary_basis():
         np.testing.assert_allclose(ws[0], np.eye(d), atol=1e-12)
         gram = np.array([[np.trace(a.conj().T @ b) for b in ws] for a in ws])
         np.testing.assert_allclose(gram, d * np.eye(d * d), atol=1e-12)
+
+
+def test_heisenberg_weyl_order():
+    # entry a d + b is X^a Z^b, with X|j> = |j+1> and Z|j> = exp(2 pi i j / d)|j>
+    for d in (2, 3):
+        x = np.array([[float(i == (j + 1) % d) for j in range(d)] for i in range(d)])
+        z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+        ws = heisenberg_weyl(d)
+        for a in range(d):
+            for b in range(d):
+                expect = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+                np.testing.assert_allclose(ws[a * d + b], expect, atol=1e-12)
 
 
 def test_depolarizing_choi_spectrum():
@@ -136,6 +149,28 @@ def test_tele_covariance_classes():
     assert tele_covariance_check(make_qdc(2, 0.4))
     assert tele_covariance_check(make_qdc(3, 0.5))
     assert not tele_covariance_check(make_qadc(0.3))
+    # a unitary channel carries P to its conjugate, Clifford or not
+    t_hadamard = np.diag([1.0, np.exp(1j * np.pi / 4)]) @ np.array([[1.0, 1.0], [1.0, -1.0]])
+    assert tele_covariance_check(KrausChannel((t_hadamard / np.sqrt(2),)))
+    # Pauli dephasing
+    assert tele_covariance_check(KrausChannel((np.sqrt(0.7) * np.eye(2),
+                                               np.sqrt(0.3) * np.diag([1.0, -1.0]))))
+    assert tele_covariance_check(make_qec(3, 0.4))
+    assert tele_covariance_check(make_qdc(4, 0.3))
+    # full damping replaces every input by |0><0|
+    assert tele_covariance_check(make_qadc(1.0))
+    # three qubit Kraus operators cut from a random 6x2 isometry
+    iso = random_unitary(np.random.default_rng(5), 6)[:, :2]
+    assert not tele_covariance_check(KrausChannel(tuple(iso[2 * i:2 * i + 2] for i in range(3))))
+
+
+def test_tele_covariance_checks_the_two_generators(monkeypatch):
+    # corrections compose, so Z and X decide it, whatever the dimension
+    calls = []
+    solve = channels._correction_exists
+    monkeypatch.setattr(channels, "_correction_exists", lambda *args: calls.append(1) or solve(*args))
+    assert tele_covariance_check(make_qdc(3, 0.5))
+    assert len(calls) == 2
 
 
 def test_tele_covariance_identity_edge():

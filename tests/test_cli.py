@@ -213,6 +213,20 @@ def test_crosscheck_nan_deviation_fails(tmp_path, monkeypatch):
         ("counting-vs-helstrom-depolarizing", "fail", "nan")]
 
 
+def test_crosscheck_nan_deviation_is_null_in_json(tmp_path, monkeypatch):
+    # JSON has no NaN: a strict parser must accept the table of a failing run
+    monkeypatch.setattr(crosscheck, "f_u_values", lambda *args: np.nan)
+    monkeypatch.setattr(crosscheck, "CROSSCHECKS", crosscheck.CROSSCHECKS[:2])
+    code, text = run(tmp_path, "--command", "crosscheck", "--seed", "7", "--format", "json")
+    assert code == 3
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON output")
+
+    rows = json.loads(text, parse_constant=refuse)
+    assert [(row["status"], row["max_abs_dev"]) for row in rows] == [("fail", None)] * 2
+
+
 @pytest.mark.parametrize("deviations", [[0.0, np.nan], [np.nan, 0.0], [np.array([0.0, np.nan])]])
 def test_run_check_keeps_a_nan(deviations):
     worst, cases = crosscheck.run_check(iter, deviations)
@@ -325,6 +339,7 @@ UNREAD = {
     ("--command", "fig2", "--q0", "1.5", "--q1", "0.2"),      # unread
     ("--command", "binary", "--kind", "qec", "--q0", "1.5", "--q1", "0.2"),
     ("--command", "fig3", "--M-min", "10", "--M-max", "2"),
+    ("--command", "binary", "--kind", "qadc", "--M-min", "10", "--M-max", "2"),
     ("--command", "crosscheck", "--budget", "0"),
     ("--command", "fig2", "--xi", "bogus"),                   # unread
     ("--command", "fig3", "--xi", "bogus"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chandisc import discrimination
 from chandisc.discrimination import (
     BoundReport,
     DensityMatrix,
@@ -192,11 +193,13 @@ def test_iterative_reports_certificate():
     assert report.params["iterations"] >= 1
 
 
-def test_iterative_unconverged_result_is_an_upper_bound():
+def test_iterative_unconverged_result_is_an_upper_bound(monkeypatch):
     # one iteration stops at the PGM, which is not optimal for these states
     rng = np.random.default_rng(27)
     ens = StateEnsemble.equiprobable([random_density(rng, 4) for _ in range(3)])
-    short, povm, gap = helstrom_iterative(ens, max_iters=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(discrimination, "SOLVER_MAX_ITERS", 1)
+        short, povm, gap = helstrom_iterative(ens)
     assert not short.params["converged"]
     assert short.kind == "upper" and gap > 0.0
     assert abs(short.value - (1.0 - success_probability(ens, povm))) < 1e-12
