@@ -46,7 +46,7 @@ import time
 
 import numpy as np
 
-from .linalg import ChandiscError, check_exact_prob, check_prob
+from .linalg import ChandiscError, check_count, check_exact_prob, check_prob
 from .orc import f_u_values, h_mu_values, qdc_scales
 
 FLOAT_FORMAT = "%.16e"
@@ -119,8 +119,10 @@ def make_config(args):
         reader = f"--command {command}" + (f" --kind {kind}" if kind else "")
         raise CliConfigError(f"{reader} does not read {', '.join(unread)}")
     for name, low in MINIMUM.items():
-        if given.get(name, low) < low:
-            raise CliConfigError(f"{_flag(name)} must be >= {low}, got {given[name]}")
+        if name in given:
+            check_count(given[name], _flag(name), low, CliConfigError)
+    if given.get("seed", 0) < 0:  # a seed is no count: numpy takes any size
+        raise CliConfigError(f"--seed must be >= 0, got {given['seed']}")
     if not given.get("budget", 1.0) > 0.0:
         raise CliConfigError(f"--budget must be > 0, got {given['budget']}")
     if ("q0" in given) != ("q1" in given):
@@ -352,8 +354,8 @@ COMMANDS = {
     ("crosscheck", None): ("run_crosscheck", {"seed": 7, "budget": 60.0}),
 }
 COMMON = {"format": "csv", "out": "-"}
-# The smallest value each integer option takes.
-MINIMUM = {"m": 2, "u": 1, "d": 2, "grid": 2, "M_min": 1, "seed": 0}
+# The smallest value each count option takes; every count is at most 2**53.
+MINIMUM = {"m": 2, "u": 1, "d": 2, "grid": 2, "M_min": 1}
 
 
 # -- output ---------------------------------------------------------------------

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .linalg import KIND_LOWER, BoundReport, ChandiscError, check_count, check_prob
+from .linalg import KIND_LOWER, MAX_COUNT, BoundReport, ChandiscError, check_count, check_prob
 
 
 class CpfError(ChandiscError):
@@ -83,22 +83,21 @@ def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundRe
                        {"choi_fidelity": choi_fidelity, "m": m, "u": u})
 
 
-# Largest port count accepted in a range: the kernels take the exponent
-# ``4 u ports`` and ``default_xi``'s ``4 / ports`` in floats, and beyond 2**53
-# a port count has no exact float, so neighbouring counts would share one
-# value and a range end would be reported with the value of another count.
-MAX_PORTS = 2**53
+# Largest port count a range may end at: check_count's bound.
+MAX_PORTS = MAX_COUNT
 
 
 def check_port_range(ports_range) -> tuple[int, int]:
-    """``(lo, hi)`` as ints, raising :class:`CpfError` unless ``1 <= lo <= hi <= MAX_PORTS``."""
+    """``(lo, hi)`` as ints, raising :class:`CpfError` unless ``1 <= lo <= hi``.
+
+    Both ends are counts, so :func:`~chandisc.linalg.check_count` also
+    refuses an end above ``2**53`` (``MAX_PORTS``).
+    """
     try:
         lo = check_count(ports_range[0], "start", 1, CpfError)
         hi = check_count(ports_range[1], "end", lo, CpfError)
     except CpfError as exc:
         raise CpfError(f"invalid port range ({ports_range[0]}, {ports_range[1]}): {exc}") from None
-    if hi > MAX_PORTS:
-        raise CpfError(f"port range ends at {hi}, beyond the largest exact float port count 2**53")
     return lo, hi
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (KIND_EXACT, KIND_UPPER, BoundReport, DiscriminationError, Frozen,
-                     LinalgError, check_count)
+                     LinalgError, check_count, check_prob)
 
 # HERM_TOL / EIG_TOL / TRACE_TOL gate state validation.
 HERM_TOL = 1e-10
@@ -157,8 +157,7 @@ class StateEnsemble(Frozen):
         if priors.shape != (len(states),):
             raise DiscriminationError(
                 f"got {len(states)} states but priors with shape {priors.shape}")
-        if priors.min() < 0.0:
-            raise DiscriminationError("priors must be nonnegative")
+        check_prob(priors, "priors", DiscriminationError)  # NaN included
         if abs(priors.sum() - 1.0) > PRIOR_TOL:
             raise DiscriminationError(f"priors sum to {priors.sum()}, not 1")
         priors = priors.copy()
@@ -225,9 +224,7 @@ def helstrom_binary(rho0, rho1, p0: float = 0.5) -> BoundReport:
     rho1 = rho1 if isinstance(rho1, DensityMatrix) else DensityMatrix(rho1)
     if rho0.dim != rho1.dim:
         raise DiscriminationError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
-    p0 = float(p0)
-    if not 0.0 <= p0 <= 1.0:
-        raise DiscriminationError(f"prior must lie in [0, 1], got {p0}")
+    p0 = float(check_prob(p0, "p0", DiscriminationError))
     value = (1.0 - trace_norm(p0 * rho0.mat - (1.0 - p0) * rho1.mat)) / 2.0
     return BoundReport(value, KIND_EXACT, "helstrom_binary",
                        {"p0": p0, "dim": rho0.dim})
@@ -362,9 +359,7 @@ def gus_unitary_helstrom(eta: float, m: int) -> BoundReport:
         ``P = (m - 1) / m**2 * (sqrt(1 + (m-1) eta) - sqrt(1 - eta))**2``.
     """
     m = check_count(m, "m", 2, DiscriminationError)
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise DiscriminationError(f"overlap must lie in [0, 1], got {eta}")
+    eta = float(check_prob(eta, "eta", DiscriminationError))
     root = np.sqrt(1.0 + (m - 1) * eta) - np.sqrt(1.0 - eta)
     value = (m - 1) / m**2 * root**2
     return BoundReport(float(value), KIND_EXACT, "gus_pure_ppm", {"eta": eta, "m": m})

@@ -86,19 +86,27 @@ def check_prob(q, name: str = "q", error=LinalgError):
     return float(values) if values.ndim == 0 else values
 
 
+# Largest count any size check accepts.  Beyond 2**53 an integer has no
+# exact float, so neighbouring port counts would share one bound (the
+# kernels take ``4 u ports`` and ``4 / ports`` in floats), and no array of
+# that many entries fits in memory.
+MAX_COUNT = 2**53
+
+
 def check_count(value, name: str, low: int, error) -> int:
-    """``value`` as an int, raising ``error`` unless it is an integer ``>= low``.
+    """``value`` as an int, raising ``error`` unless it is an integer in ``[low, 2**53]``.
 
     Ints, numpy integers and integral floats pass; a fractional or
     non-finite float, a string or any other type is refused, not truncated.
+    The upper bound is :data:`MAX_COUNT`.
     """
     try:
         count = operator.index(value)
     except TypeError:
         integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
         count = int(value) if integral else None
-    if count is None or count < low:
-        raise error(f"need an integer {name} >= {low}, got {value!r}")
+    if count is None or not low <= count <= MAX_COUNT:
+        raise error(f"need an integer {name} >= {low} and <= 2**53, got {value!r}")
     return count
 
 

@@ -23,6 +23,7 @@ distribution is needed here; the unitary itself is built by
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -244,10 +245,11 @@ def _weight_blocks(q0, q1, u):
     q0 = float(check_prob(q0, "q0", QadcError))
     q1 = float(check_prob(q1, "q1", QadcError))
     u = check_count(u, "u", 1, QadcError)
+    # the tables first: a u they cannot hold raises MemoryError before 2**u is built
+    x, y = _binom_pmf(q0 / 2.0, u), _binom_pmf(q1 / 2.0, u)
     rank0, rank1 = (2**u if q > 0.0 else 1 for q in (q0, q1))
     shared = rank0 if q0 == q1 else int(q0 > 0.0 and q1 > 0.0)
     params = {"q0": q0, "q1": q1, "u": u, "dim": rank0 + rank1 - shared}
-    x, y = _binom_pmf(q0 / 2.0, u), _binom_pmf(q1 / 2.0, u)
     small, large = np.minimum(x, y), np.maximum(x, y)
     ratio = np.divide(small, large, out=np.zeros(u + 1), where=large > 0.0)
     log_power = np.arange(u, -1, -1) * _log_r(q0, q1)
@@ -292,38 +294,24 @@ def qadc_block_pgm(q0, q1, u: int) -> BoundReport:
     return BoundReport(value, KIND_UPPER, "qadc_block_pgm", params)
 
 
-def _class_count(m: int, u: int) -> int:
-    # C(m + u, m), or MAX_CPF_CLASSES + 1 as soon as it exceeds the guard.
-    count = 1
-    for j in range(1, min(m, u) + 1):
-        count = count * (max(m, u) + j) // j
-        if count > MAX_CPF_CLASSES:
-            return MAX_CPF_CLASSES + 1
-    return count
-
-
-def _nondecreasing(length: int, top: int) -> np.ndarray:
-    # Every non-decreasing tuple of ``length`` entries in 0..top, one per row.
-    rows = np.zeros((1, 1), dtype=np.int64)  # a leading 0 constrains nothing
-    for _ in range(length):
-        last = rows[:, -1]
-        reps = top + 1 - last
-        parent = np.repeat(np.arange(len(rows)), reps)
-        step = np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps)
-        rows = np.column_stack([rows[parent], last[parent] + step])
-    return rows[:, 1:]
+def _combinations(values, size: int) -> np.ndarray:
+    # itertools.combinations(values, size) as rows, in its (lexicographic) order
+    rows = math.comb(len(values), size)
+    flat = itertools.chain.from_iterable(itertools.combinations(values, size))
+    return np.fromiter(flat, np.int64, count=rows * size).reshape(rows, size)
 
 
 @functools.lru_cache(maxsize=32)
 def _weight_classes(m: int, u: int, side: int):
-    # The sorted weight vectors with ``side`` distinct weights, in two
-    # factors: every increasing row of those weights, and every row of how
-    # many cells hold each; each pairing of the two is one vector.  Built
-    # once per (m, u, side) and shared by every sweep point, hence
-    # read-only; the pairings are many, so the caller forms them.
-    weights = _nondecreasing(side, u + 1 - side) + np.arange(side)
-    cuts = _nondecreasing(side - 1, m - side) + np.arange(1, side)
-    groups = np.diff(cuts, axis=1, prepend=0, append=m)
+    """Sorted weight vectors of ``m`` cells with ``side`` distinct weights in ``0..u``.
+
+    Two read-only tables: the increasing rows of distinct weights, and the
+    rows of cells per weight (the gaps between 0, ``side - 1`` increasing
+    cuts in ``1..m-1``, and ``m``).  Each pairing of two rows is one vector,
+    formed by the caller.  Cached per ``(m, u, side)``, for every sweep point.
+    """
+    weights = _combinations(range(u + 1), side)
+    groups = np.diff(_combinations(range(1, m), side - 1), axis=1, prepend=0, append=m)
     for table in (weights, groups):
         table.setflags(write=False)
     return weights, groups
@@ -357,7 +345,9 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
     q_b = float(check_prob(q_b, "q_b", QadcError))
     q_t = float(check_prob(q_t, "q_t", QadcError))
     m, u = check_count(m, "m", 2, QadcError), check_count(u, "u", 1, QadcError)
-    classes = _class_count(m, u)
+    # C(m+u, m) >= 2**min(m, u), so it exceeds the guard once min(m, u) reaches its bit length
+    small = min(m, u) < MAX_CPF_CLASSES.bit_length()
+    classes = math.comb(m + u, m) if small else MAX_CPF_CLASSES + 1
     if classes > MAX_CPF_CLASSES:
         raise QadcError(f"weight class count C({m + u}, {m}) exceeds guard {MAX_CPF_CLASSES}")
     params = {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "classes": classes}

@@ -332,6 +332,19 @@ UNREAD = {
 }
 
 
+# Counts above 2**53, which check_count refuses
+COUNTS_BEYOND_BOUND = [
+    "fig2 --u 99999999999999999999",
+    "fig2 --u 9223372036854775807 --grid 2",
+    "binary --kind qec --u 99999999999999999999 --grid 2",
+    "binary --kind qdc --u 99999999999999999999 --grid 2",
+    "binary --kind qdc --d 99999999999999999999 --grid 2",
+    "fig3 --grid 99999999999999999999",
+    "binary --kind qadc --grid 99999999999999999999",
+    "binary --kind qec --grid 9223372036854775807",
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("--command", "fig2", "--grid", "1"),
     ("--command", "binary",),                          # --kind missing
@@ -348,6 +361,12 @@ UNREAD = {
     ("--command", "binary", "--kind", "qec", "--q0", "0.7", "--q1", "0.2", "--gap", "0.3"),
     ("--command", "fig3", "--m", "3", "--grid", "2"),  # --u missing
     *(("--command", *line.split()) for line in UNREAD),
+    # counts above 2**53, refused before any table is built
+    *(("--command", *line.split()) for line in COUNTS_BEYOND_BOUND),
+    # counts of 2**53 whose tables cannot be allocated
+    ("--command", "fig2", "--u", str(2**53), "--grid", "2"),
+    ("--command", "fig3", "--grid", str(2**53)),
+    ("--command", "binary", "--kind", "qec", "--grid", str(2**53)),
 ])
 def test_invalid_configurations_exit_two(tmp_path, capsys, argv):
     code, text = run(tmp_path, *argv)
@@ -483,19 +502,47 @@ def test_library_size_guard_exits_two(tmp_path, capsys):
     assert "Traceback" not in err and text == ""
 
 
+def _capped():
+    # a child's address space capped at 1.5 GiB
+    return resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
 def test_oversized_grid_exits_two(tmp_path):
     # 3e8 grid points need 2.2 GiB; the child's address space is capped at
     # 1.5 GiB, so numpy's allocation fails before it touches any memory
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
     done = subprocess.run([sys.executable, "-m", "chandisc.cli", "--command", "fig2",
                            "--grid", "300000000", "--out", str(tmp_path / "out.csv")],
-                          env=_child_env(), capture_output=True, text=True, preexec_fn=cap,
+                          env=_child_env(), capture_output=True, text=True, preexec_fn=_capped,
                           timeout=60)
     assert done.returncode == 2
     assert done.stderr.startswith("error: out of memory: ")
     assert len(done.stderr.splitlines()) == 1
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "binary --kind qadc --u 99999999999999999999 --grid 2",
+    "fig2 --u 3 --gap 0.5 --grid 2 --m 9223372036854775808",
+    f"binary --kind qadc --u {2**53} --grid 2",
+])
+def test_huge_counts_exit_two_in_a_capped_child(tmp_path, line):
+    # unchecked, each would build 2**u or loop m times for minutes: only a capped child runs them
+    done = subprocess.run([sys.executable, "-m", "chandisc.cli", "--command", *line.split(),
+                           "--out", str(tmp_path / "out.csv")], env=_child_env(),
+                          capture_output=True, text=True, preexec_fn=_capped, timeout=20)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_pair_pgm_at_two_to_the_53_uses_fails_fast():
+    # the pmf tables come before the rank 2**u, so the call fails at allocation, not in 2**u
+    code = ("from chandisc.qadc import QadcError, qadc_block_pgm\n"
+            "try:\n    qadc_block_pgm(0.3, 0.2, 2**53)\n"
+            "except (QadcError, MemoryError) as exc:\n    print(type(exc).__name__)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                          text=True, preexec_fn=_capped, timeout=20)
+    assert done.returncode == 0 and done.stdout in ("QadcError\n", "MemoryError\n")
 
 
 @pytest.mark.parametrize("command", [("fig3", "--m", "2"), ("binary", "--kind", "qadc")])

@@ -64,6 +64,20 @@ def test_ensemble_validation():
         StateEnsemble([], [])
 
 
+def test_ensemble_refuses_nan_priors():
+    # NaN fails every comparison, so a sign check alone lets it through
+    with pytest.raises(DiscriminationError, match="priors must lie in \\[0, 1\\], got nan"):
+        StateEnsemble([np.eye(2) / 2, np.eye(2) / 2], [np.nan, np.nan])
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+def test_prior_and_overlap_ranges(bad):
+    with pytest.raises(DiscriminationError, match="^p0 must lie in"):
+        helstrom_binary(np.eye(2) / 2, np.eye(2) / 2, p0=bad)
+    with pytest.raises(DiscriminationError, match="^eta must lie in"):
+        gus_unitary_helstrom(bad, 3)
+
+
 def test_povm_validation():
     eye = np.eye(2)
     Povm((0.5 * eye, 0.5 * eye))

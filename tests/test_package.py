@@ -141,9 +141,9 @@ def _outcome(value):
 
 @pytest.mark.parametrize("entry", sorted(SIZED))
 def test_sizes_are_refused_not_truncated(entry):
-    # int(2.5) ran at 2 and int("2") parsed a string
+    # int(2.5) ran at 2 and int("2") parsed a string; no count exceeds 2**53
     call = SIZED[entry]
-    for bad in (2.5, "2", np.nan, np.inf):
+    for bad in (2.5, "2", np.nan, np.inf, 2**53 + 1):
         with pytest.raises(chandisc.ChandiscError):
             call(bad)
     assert _outcome(call(3)) == _outcome(call(np.int64(3))) == _outcome(call(3.0))

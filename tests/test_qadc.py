@@ -412,16 +412,17 @@ def test_position_finding_pgm_input_checks():
 
 
 def test_weight_class_tables_are_built_once_and_read_only():
-    # every sorted weight vector of (m, u) = (3, 4) once, from tables shared across calls
+    # every sorted weight vector of each (m, u) once, from tables shared across calls
     from chandisc.qadc import _weight_classes
-    vectors = []
-    for side in (1, 2, 3):
-        weights, groups = _weight_classes(3, 4, side)
-        assert _weight_classes(3, 4, side)[0] is weights
-        assert weights.shape[1] == groups.shape[1] == side
-        assert not weights.flags.writeable and not groups.flags.writeable
-        vectors += [tuple(np.repeat(w, g)) for w in weights for g in groups]
-    assert sorted(vectors) == list(itertools.combinations_with_replacement(range(5), 3))
+    for m, u in itertools.product(range(2, 7), range(1, 9)):
+        vectors = []
+        for side in range(1, min(m, u + 1) + 1):
+            weights, groups = _weight_classes(m, u, side)
+            assert _weight_classes(m, u, side)[0] is weights
+            assert weights.shape[1] == groups.shape[1] == side
+            assert not weights.flags.writeable and not groups.flags.writeable
+            vectors += [tuple(np.repeat(w, g)) for w in weights for g in groups]
+        assert sorted(vectors) == list(itertools.combinations_with_replacement(range(u + 1), m))
     before = qadc_cpf_block_pgm(0.3, 0.1, 3, 4).value
     assert qadc_cpf_block_pgm(0.3, 0.1, 3, 4).value == before
 
