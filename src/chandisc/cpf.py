@@ -1,24 +1,14 @@
-"""Bounds for locating one anomalous channel among ``m`` positions.
+"""Port-count arithmetic of the position-finding adaptive lower bound.
 
-A position-finding instance is specified by a background channel occupying
-``m - 1`` cells and a target channel occupying the remaining one, with a
-flat prior over positions.  Probing every cell ``u`` times with arbitrary
-adaptive, entangled strategies admits a lower bound built from channel
-simulation: replace each cell by an ``M``-port teleportation simulation,
-collect the resulting block states (tensor powers of cell Choi matrices),
-and pay a continuity penalty ``u/2`` times the accumulated simulation
-error.  This module holds the arithmetic of that route, all of it on
-numbers and arrays of port counts: the fidelity bound on the block error net
-of that penalty, the checks on port counts and port ranges, and the maximum
-over port counts (:func:`argmax_ports`): one bound evaluation on at most five
-candidates read off the stationary points of the bound's closed form, no
-search.
-
-The block states themselves are not built here.  The iterative Helstrom
-solver runs on plain tensor powers of the cell Choi matrices
-(:func:`chandisc.discrimination.tensor_all`); for damping cells the
-square-root-measurement error needs no states at all: see
-:func:`chandisc.qadc.qadc_cpf_block_pgm`.
+Finding the one target cell among ``m`` (the others background, flat prior)
+with ``u`` adaptive probes per cell has its error bounded from below by
+simulating each cell with an ``M``-port teleportation protocol: the
+pairwise-fidelity bound on the simulated (Choi-probe block) error, less
+``u/2`` times the simulation error.  This module holds that bound on numbers
+and arrays of port counts, and its maximum over port counts
+(:func:`argmax_ports`): one evaluation on at most five candidates read off
+the stationary points of the bound's closed form, no search.  The damping
+instances are in :mod:`chandisc.qadc`.
 """
 
 from __future__ import annotations
@@ -27,26 +17,11 @@ import math
 
 import numpy as np
 
-from .linalg import KIND_LOWER, MAX_COUNT, BoundReport, ChandiscError, check_count, check_prob
+from .linalg import KIND_LOWER, BoundReport, ChandiscError, check_count, check_prob
 
 
 class CpfError(ChandiscError):
     """Raised for invalid position-finding specifications."""
-
-
-def check_ports(ports, error) -> np.ndarray:
-    """``ports`` as an int64 array, raising ``error`` unless every count is an integer >= 1."""
-    counts = np.asarray(ports)
-    try:
-        if counts.dtype.kind == "f" and not ((np.trunc(counts) == counts)
-                                             & (np.abs(counts) < 2.0**63)).all():
-            raise OverflowError  # the int64 cast would truncate or wrap these counts
-        ports = np.asarray(ports, dtype=np.int64)
-    except OverflowError:
-        raise error(f"port counts must be integers that fit in int64, got {ports}") from None
-    if (ports < 1).any():
-        raise error(f"need ports >= 1, got {ports.min()}")
-    return ports
 
 
 def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_avg):
@@ -72,33 +47,18 @@ def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_
 
 
 def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundReport:
-    """Lower bound for block (non-adaptive) strategies: one port, no simulation penalty.
+    """Lower bound for Choi-probe block strategies: one port, no simulation penalty.
 
-    :func:`_fidelity_lb` at ``ports = 1`` and ``delta_avg = 0``.
+    :func:`_fidelity_lb` at ``ports = 1`` and ``delta_avg = 0``: the block
+    error of ``u``-fold Choi-state probes, each cell probed by half of a
+    maximally entangled pair.  It is no bound for other non-adaptive
+    strategies, such as unentangled probes.
     """
     choi_fidelity = float(check_prob(choi_fidelity, "fidelity", CpfError))
     m, u = check_count(m, "m", 2, CpfError), check_count(u, "u", 1, CpfError)
     value = _fidelity_lb(choi_fidelity, m, u, np.int64(1), 0.0)
     return BoundReport(value, KIND_LOWER, "cpf_nonadaptive_fidelity_lb",
                        {"choi_fidelity": choi_fidelity, "m": m, "u": u})
-
-
-# Largest port count a range may end at: check_count's bound.
-MAX_PORTS = MAX_COUNT
-
-
-def check_port_range(ports_range) -> tuple[int, int]:
-    """``(lo, hi)`` as ints, raising :class:`CpfError` unless ``1 <= lo <= hi``.
-
-    Both ends are counts, so :func:`~chandisc.linalg.check_count` also
-    refuses an end above ``2**53`` (``MAX_PORTS``).
-    """
-    try:
-        lo = check_count(ports_range[0], "start", 1, CpfError)
-        hi = check_count(ports_range[1], "end", lo, CpfError)
-    except CpfError as exc:
-        raise CpfError(f"invalid port range ({ports_range[0]}, {ports_range[1]}): {exc}") from None
-    return lo, hi
 
 
 def argmax_ports(kernel, ports_range, peak, knots=None):
@@ -114,7 +74,7 @@ def argmax_ports(kernel, ports_range, peak, knots=None):
     falls to a trough, then rises toward 0 from below as the penalty fades;
     so its maximum over the integers lies on ``lo``, 2, ``floor(peak())``,
     ``ceil(peak())`` or ``hi``.  ``kernel`` is called once, on the
-    candidates in range.
+    candidates in range; the ends must be counts, ``1 <= lo <= hi``.
 
     Tie rule: the smallest port among the candidates whose values are
     float-equal maxima.  In exact arithmetic that is the smallest argmax
@@ -123,7 +83,11 @@ def argmax_ports(kernel, ports_range, peak, knots=None):
     less than its rounding from port to port: the tail below a large
     ``hi``, or the top of a wide maximum.  A NaN bound is refused.
     """
-    lo, hi = check_port_range(ports_range)
+    try:
+        lo = check_count(ports_range[0], "start", 1, CpfError)
+        hi = check_count(ports_range[1], "end", lo, CpfError)
+    except CpfError as exc:
+        raise CpfError(f"invalid port range ({ports_range[0]}, {ports_range[1]}): {exc}") from None
     if knots is not None:
         candidates = {lo, *knots[(knots > lo) & (knots <= hi)].tolist()}
     else:
@@ -140,40 +104,58 @@ def argmax_ports(kernel, ports_range, peak, knots=None):
     return int(ports[best]), values[best]
 
 
+def _rising_root(log_h, target: float, top: float, t: float) -> float:
+    """``x = e**t`` where ``log h`` first reaches ``target``, or the peak ``e**top``.
+
+    ``log_h(t)`` returns ``log h`` and its slope, concave in ``t = log x``
+    with its peak at ``top``; so Newton steps from ``t`` below the root rise
+    to it monotonically.
+    """
+    for _ in range(100):
+        value, slope = log_h(t)
+        gap = target - value
+        if gap <= 0.0 or slope <= 0.0:  # slope > 0 below the peak
+            break
+        step = gap / slope
+        t = min(t + step, top)
+        if t == top or step <= 1e-16 * max(1.0, abs(t)):
+            break
+    return math.exp(t)
+
+
+def _log_position_h(t: float):
+    # log h and its slope in t = log x for h = x**2 e**(-x), up to a constant
+    x = math.exp(t)
+    return 2.0 * t - x, 2.0 - x
+
+
 def position_peak(c: float, a: float, b: float) -> float:
     """Stationary point of the position-finding bound ``a e**(-c M) - b/M``.
 
     The root of ``h(M) = c a M**2 e**(-c M) = b`` on the rising side of
-    ``h``, ``M = -(2/c) W0(-sqrt(c b / a) / 2)`` with ``W0`` the principal
-    Lambert W branch, or the peak ``2/c`` of ``h`` when ``h < b``
-    everywhere; ``inf`` when the bound is monotone (``c`` or ``b`` is 0).
+    ``h``, or the peak ``2/c`` of ``h`` when ``h < b`` everywhere; ``inf``
+    when the bound is monotone (``c`` or ``b`` is 0).  In ``x = c M``,
+    ``x**2 e**(-x) = c b / a``; ``x = sqrt(c b / a)`` starts below the root.
     """
     if not (c > 0.0 and b > 0.0):
         return math.inf
     if math.isinf(c):
         return 0.0
-    return -2.0 / c * _lambert_w0(max(-0.5 * math.sqrt(c * b / a), -1.0 / math.e))
-
-
-def _lambert_w0(z: float) -> float:
-    # Principal branch of the Lambert W function on [-1/e, 0], by Halley steps.
-    branch = math.sqrt(max(0.0, 2.0 * (math.e * z + 1.0)))
-    w = -1.0 + branch - branch * branch / 3.0 if z < -0.25 else math.log1p(z)
-    for _ in range(20):
-        ew = math.exp(w)
-        f = w * ew - z
-        if f == 0.0 or w == -1.0:
-            break
-        step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
-        w -= step
-        if abs(step) <= 4e-16 * abs(w):
-            break
-    return max(w, -1.0)
+    target = math.log(c) + math.log(b) - math.log(a)
+    top = math.log(2.0)
+    return _rising_root(_log_position_h, target, top, min(target / 2.0, top)) / c
 
 
 # x = c M at the peak of the pair bound's h (see pair_peak): the root of
 # 2/x - 1 - 1/(2 (e**x - 1)), the derivative of log h in x.
 PAIR_PEAK_X = 1.8245642597362943
+
+
+def _log_pair_h(t: float):
+    # log phi and its slope in t = log x, phi(x) = x**2 e**(-x) / (2 sqrt(1 - e**(-x)))
+    x = math.exp(t)
+    return (2.0 * t - x - 0.5 * math.log(-math.expm1(-x)) - math.log(2.0),
+            2.0 - x - x / (2.0 * math.expm1(x)))
 
 
 def pair_peak(c: float, b: float) -> float:
@@ -182,8 +164,8 @@ def pair_peak(c: float, b: float) -> float:
     The root of ``h(M) = phi(c M) / c = b``, ``phi(x) = x**2 e**(-x) / (2
     sqrt(1 - e**(-x)))``, on the rising side of ``h``, or the peak of ``h``
     when ``h < b`` everywhere; ``inf`` when the bound is monotone.  ``log
-    phi`` is concave in ``t = log x``, so Newton steps from below the root
-    rise to it monotonically; ``phi(x) <= x**1.5 / 2`` starts them below.
+    phi`` is concave in ``t = log x``; ``phi(x) <= x**1.5 / 2`` starts the
+    Newton steps below the root.
     """
     if not (c > 0.0 and b > 0.0):
         return math.inf
@@ -192,14 +174,4 @@ def pair_peak(c: float, b: float) -> float:
     target = math.log(c) + math.log(b)
     top = math.log(PAIR_PEAK_X)
     t = min(2.0 / 3.0 * (math.log(2.0) + target), top)
-    for _ in range(100):
-        x = math.exp(t)
-        gap = target - (2.0 * t - x - 0.5 * math.log(-math.expm1(-x)) - math.log(2.0))
-        slope = 2.0 - x - x / (2.0 * math.expm1(x))  # d log phi / dt, > 0 below the peak
-        if gap <= 0.0 or slope <= 0.0:
-            break
-        step = gap / slope
-        t = min(t + step, top)
-        if t == top or step <= 1e-16 * max(1.0, abs(t)):
-            break
-    return math.exp(t) / c
+    return _rising_root(_log_pair_h, target, top, t) / c

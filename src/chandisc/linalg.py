@@ -93,21 +93,30 @@ def check_prob(q, name: str = "q", error=LinalgError):
 MAX_COUNT = 2**53
 
 
-def check_count(value, name: str, low: int, error) -> int:
+def check_count(value, name: str, low: int, error):
     """``value`` as an int, raising ``error`` unless it is an integer in ``[low, 2**53]``.
 
     Ints, numpy integers and integral floats pass; a fractional or
     non-finite float, a string or any other type is refused, not truncated.
-    The upper bound is :data:`MAX_COUNT`.
+    The upper bound is :data:`MAX_COUNT`.  An array, list or tuple is
+    checked entry by entry and returned as an int64 array.
     """
     try:
         count = operator.index(value)
     except TypeError:
         integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
         count = int(value) if integral else None
-    if count is None or not low <= count <= MAX_COUNT:
-        raise error(f"need an integer {name} >= {low} and <= 2**53, got {value!r}")
-    return count
+    if count is not None and low <= count <= MAX_COUNT:
+        return count
+    if isinstance(value, np.ndarray) and value.dtype.kind in "biuf" and (
+            not value.size or low <= value.min() and value.max() <= MAX_COUNT  # NaN fails
+            and (value.dtype.kind != "f" or (np.trunc(value) == value).all())):
+        return value.astype(np.int64, copy=False)
+    if isinstance(value, (np.ndarray, list, tuple)):  # one by one, to name the entry refused
+        entries = np.asarray(value, dtype=object)
+        return np.array([check_count(entry, name, low, error) for entry in entries.flat],
+                        dtype=np.int64).reshape(entries.shape)
+    raise error(f"need an integer {name} >= {low} and <= 2**53, got {value!r}")
 
 
 _EXACT_SLACK = 1e-9

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .cpf import _fidelity_lb, argmax_ports, check_ports, pair_peak, position_peak
+from .cpf import _fidelity_lb, argmax_ports, pair_peak, position_peak
 from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError, Frozen,
                      check_count, check_prob)
 from .orc import _binary_error, _binom_log_pmf, _binom_pmf
@@ -60,7 +60,7 @@ def qadc_choi_fidelity(q0, q1) -> float:
 
 
 def fvg_sandwich(choi_fidelity: float, u: int):
-    """Fidelity sandwich for the equiprobable binary block error.
+    """Fidelity sandwich for the equiprobable binary error of Choi-probe block strategies.
 
     Returns ``(lower, upper)`` floats:
 
@@ -91,9 +91,8 @@ class XiTable(Frozen):
 
     At ``M`` ports the value is that of the largest tabulated port count
     ``<= M``, extended as constant below the first knot; elementwise over
-    arrays of port counts.  Knots are checked as port counts
-    (:func:`~chandisc.cpf.check_ports`), values as finite and
-    non-negative.  With ``xi`` constant between knots the adaptive bounds
+    arrays of port counts.  Knots are counts (``check_count``), values
+    finite and non-negative.  With ``xi`` constant between knots the adaptive bounds
     are non-increasing there, so the ``_opt`` functions evaluate only the
     low end of the port range and the knots inside it.
     """
@@ -101,7 +100,7 @@ class XiTable(Frozen):
     __slots__ = ("ports", "values")
 
     def __init__(self, ports, values):
-        ports = check_ports(ports, QadcError)
+        ports = np.asarray(check_count(ports, "port count", 1, QadcError))
         values = np.asarray(values, dtype=np.float64)
         if ports.ndim != 1 or ports.shape != values.shape or not ports.size:
             raise QadcError("xi table needs at least one knot and one value per port count")
@@ -119,13 +118,15 @@ class XiTable(Frozen):
         return self.values[np.maximum(idx, 0)]
 
 
-def _xi_at(ports: np.ndarray, xi) -> np.ndarray:
-    # xi at each port count: default_xi for None, else the XiTable's steps.
+def _ports_and_xi(ports, xi):
+    # The port counts as a checked int64 array, and xi at each: default_xi
+    # for None, else the XiTable's steps, non-negative as the sim errors need.
+    ports = np.asarray(check_count(ports, "port count", 1, QadcError))
     if xi is None:
-        return default_xi(ports)
+        return ports, default_xi(ports)
     if not isinstance(xi, XiTable):
         raise QadcError(f"xi must be None or an XiTable, got {type(xi).__name__}")
-    return xi(ports)
+    return ports, xi(ports)
 
 
 def _knots(xi):
@@ -149,8 +150,7 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
     q0 = float(check_prob(q0, "q0", QadcError))
     q1 = float(check_prob(q1, "q1", QadcError))
     u = check_count(u, "u", 1, QadcError)
-    ports = check_ports(ports, QadcError)
-    xi = _xi_at(ports, xi)  # checked: non-negative, as the sim errors below need
+    ports, xi = _ports_and_xi(ports, xi)
     delta = xi * _sim_factor(q0) + xi * _sim_factor(q1)
     # Exponent in floats and float_power as in cpf._fidelity_lb.
     block = np.float_power(qadc_choi_fidelity(q0, q1), u * ports.astype(np.float64))
@@ -192,8 +192,7 @@ def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.
     q_b = float(check_prob(q_b, "q_b", QadcError))
     q_t = float(check_prob(q_t, "q_t", QadcError))
     m, u = check_count(m, "m", 2, QadcError), check_count(u, "u", 1, QadcError)
-    ports = check_ports(ports, QadcError)
-    xi = _xi_at(ports, xi)  # checked: non-negative, as the sim errors below need
+    ports, xi = _ports_and_xi(ports, xi)
     delta = (m - 1) * (xi * _sim_factor(q_b)) + xi * _sim_factor(q_t)
     return _fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u, ports, delta)
 
@@ -205,10 +204,9 @@ def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
     The report's ``ports`` parameter is the winning port count.  With the
     default xi and ``M >= 2`` ports the bound is ``A e**(-c M) - B/M``, ``A =
     (m-1)/(2m)``, ``B = 2 u ((m-1) s(q_b) + s(q_t))``, ``c = -4 u ln F`` (``s``
-    as in :func:`qadc_adaptive_lb_opt`): it
-    rises to a local maximum where ``h(M) = c A M**2 e**(-c M)`` first
-    reaches ``B``, at ``M = -(2/c) W0(-sqrt(c B / A) / 2)``, falls, then
-    rises toward 0 from below; see :func:`~chandisc.cpf.argmax_ports`.
+    as in :func:`qadc_adaptive_lb_opt`): it rises to a local maximum where
+    ``h(M) = c A M**2 e**(-c M)`` first reaches ``B``, falls, then rises
+    toward 0 from below; see :func:`~chandisc.cpf.argmax_ports`.
     """
     q_b = float(check_prob(q_b, "q_b", QadcError))
     q_t = float(check_prob(q_t, "q_t", QadcError))
@@ -265,8 +263,8 @@ def _log_r(q0, q1) -> float:
 def qadc_block_helstrom(q0, q1, u: int) -> BoundReport:
     """Exact equiprobable block error for two damping channels.
 
-    The Helstrom error of the ``u``-fold Choi tensor powers, exact for block
-    (non-adaptive, entanglement assisted) strategies.  Each weight block
+    The Helstrom error of the ``u``-fold Choi tensor powers, exact for
+    Choi-probe block strategies, not every non-adaptive one.  Each weight block
     (see :func:`_weight_blocks`) holds two unnormalized pure states; their
     trace distance leaves one positive term per block, evaluated divided
     through by ``max(x, y)`` so that no product of two small pmfs underflows:
@@ -280,7 +278,7 @@ def qadc_block_helstrom(q0, q1, u: int) -> BoundReport:
 
 
 def qadc_block_pgm(q0, q1, u: int) -> BoundReport:
-    """Square-root-measurement error on the block pair.
+    """Square-root-measurement error on the block pair of Choi-probe block strategies.
 
     The error ``1 - sum_n ||(√G)_nn||_F**2`` over the two diagonal blocks of
     the square root of the prior-weighted Gram matrix, summed weight block
@@ -318,7 +316,7 @@ def _weight_classes(m: int, u: int, side: int):
 
 
 def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
-    """Square-root-measurement error for damping position finding.
+    """Square-root-measurement error for damping position finding with Choi-probe block strategies.
 
     The per-use damping Grams are diagonal, so the prior-weighted Gram of
     the ``m`` block hypotheses is a direct sum of ``m × m`` blocks, one per

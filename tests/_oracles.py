@@ -53,9 +53,9 @@ from fractions import Fraction
 import numpy as np
 
 from chandisc.channels import choi
-from chandisc.cpf import MAX_PORTS, CpfError
+from chandisc.cpf import CpfError
 from chandisc.discrimination import DensityMatrix, StateEnsemble, tensor_all
-from chandisc.linalg import KIND_LOWER, BoundReport
+from chandisc.linalg import KIND_LOWER, MAX_COUNT, BoundReport
 
 _CHUNK = 1 << 20
 
@@ -388,7 +388,7 @@ def staged_search(bound_fn, ports_range=(1, 10**6), breakpoints=()):
     lo, hi = int(ports_range[0]), int(ports_range[1])
     if lo < 1 or hi < lo:
         raise CpfError(f"invalid port range ({lo}, {hi})")
-    if hi > MAX_PORTS:
+    if hi > MAX_COUNT:
         raise CpfError(f"port range ends at {hi}, beyond the largest exact grid point 2**53")
 
     evaluated = {}

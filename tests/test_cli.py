@@ -1,5 +1,6 @@
 """End-to-end command line behavior: formats, determinism, exit codes."""
 
+import importlib
 import importlib.util
 import json
 import os
@@ -17,7 +18,7 @@ from chandisc import cli, crosscheck
 from chandisc.channels import ChannelError
 from chandisc.cpf import CpfError
 from chandisc.discrimination import DiscriminationError
-from chandisc.linalg import ChandiscError, LinalgError
+from chandisc.linalg import BoundReport, ChandiscError, LinalgError
 from chandisc.orc import OrcError
 from chandisc.qadc import QadcError
 
@@ -319,6 +320,98 @@ def test_binary_qdc_invariant_violation_exits_three(tmp_path, monkeypatch, capsy
     assert "at q1=0.5, q0=1.0\n" in capsys.readouterr().err
 
 
+def _report(value):
+    # a sweep function's report with its value replaced
+    return lambda report: BoundReport(value, report.kind, report.method, report.params)
+
+
+# One broken side of each ordering comparison of fig3 and binary --kind qadc:
+# the module and function patched, the change to its result at the second
+# sweep point, and the two columns the message names.
+ORDER_BREAKS = {
+    "fig3": [
+        ("qadc", "qadc_cpf_adaptive_lb_opt", _report(1.0),
+         "adaptive_lb_opt[raw]", "nonadaptive_fidelity_lb[raw]"),
+        ("qadc", "qadc_cpf_adaptive_lb_opt", _report(np.nan),
+         "adaptive_lb_opt[raw]", "nonadaptive_fidelity_lb[raw]"),
+        ("cpf", "cpf_nonadaptive_fidelity_lb", _report(np.nan),
+         "adaptive_lb_opt[raw]", "nonadaptive_fidelity_lb[raw]"),
+        ("qadc", "qadc_cpf_block_pgm", _report(-1.0),
+         "nonadaptive_fidelity_lb[raw]", "block_pgm[upper]"),
+        ("qadc", "qadc_cpf_block_pgm", _report(np.nan),
+         "nonadaptive_fidelity_lb[raw]", "block_pgm[upper]"),
+    ],
+    "binary qadc": [
+        ("qadc", "fvg_sandwich", lambda bounds: (1.0, bounds[1]),
+         "fvg_lower[lower]", "block_helstrom[exact]"),
+        ("qadc", "fvg_sandwich", lambda bounds: (np.nan, bounds[1]),
+         "fvg_lower[lower]", "block_helstrom[exact]"),
+        ("qadc", "fvg_sandwich", lambda bounds: (bounds[0], -1.0),
+         "block_helstrom[exact]", "fvg_upper[upper]"),
+        ("qadc", "fvg_sandwich", lambda bounds: (bounds[0], np.nan),
+         "block_helstrom[exact]", "fvg_upper[upper]"),
+        ("qadc", "qadc_block_pgm", _report(-1.0), "block_helstrom[exact]", "block_pgm[upper]"),
+        ("qadc", "qadc_block_pgm", _report(np.nan), "block_helstrom[exact]", "block_pgm[upper]"),
+        ("qadc", "nulling_error", lambda errors: (-1.0, errors[1]),
+         "block_helstrom[exact]", "nulling_min[upper]"),
+        ("qadc", "nulling_error", lambda errors: (np.nan, np.nan),
+         "block_helstrom[exact]", "nulling_min[upper]"),
+        ("qadc", "qadc_adaptive_lb_opt", _report(1.0),
+         "adaptive_lb_opt[raw]", "block_helstrom[exact]"),
+        ("qadc", "qadc_adaptive_lb_opt", _report(np.nan),
+         "adaptive_lb_opt[raw]", "block_helstrom[exact]"),
+    ],
+}
+# Each command on a two-point sweep, and the text that ends its message at the second point
+ORDER_RUNS = {
+    "fig3": (("--command", "fig3", "--m", "2", "--u", "2", "--gap", "0.5", "--grid", "2"),
+             "at m=2, u=2, q_t=0.5\n"),
+    "binary qadc": (("--command", "binary", "--kind", "qadc", "--u", "2", "--gap", "0.5",
+                     "--grid", "2"), "at q1=0.5, q0=1.0\n"),
+}
+
+
+@pytest.mark.parametrize("command,module,name,change,value,bound", [
+    pytest.param(command, *cells, id=f"{command}-{number}")
+    for command, breaks in ORDER_BREAKS.items() for number, cells in enumerate(breaks)])
+def test_broken_ordering_exits_three(tmp_path, monkeypatch, capsys, command, module, name,
+                                     change, value, bound):
+    # the second sweep point breaks one comparison, by a value beyond its
+    # slack or by NaN on either side: the header and first row stay written
+    argv, at = ORDER_RUNS[command]
+    _, full = run(tmp_path, *argv)
+    (tmp_path / "out.txt").unlink()
+    target = importlib.import_module(f"chandisc.{module}")
+    real, calls = getattr(target, name), []
+
+    def changed(*args, **kwargs):
+        calls.append(args)
+        result = real(*args, **kwargs)
+        return change(result) if len(calls) == 2 else result
+    monkeypatch.setattr(target, name, changed)
+    code, text = run(tmp_path, *argv)
+    assert code == 3
+    assert text == "".join(full.splitlines(keepends=True)[:2])
+    err = capsys.readouterr().err
+    assert err.startswith(f"invariant violation: {command}: {value} ") and err.endswith(at)
+    assert f" exceeds {bound} " in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("values,bounds,first", [
+    (0.3, np.nan, None),
+    (np.nan, 0.3, None),
+    (np.array([0.1, 0.2, np.nan]), np.array([0.2, 0.2, 0.2]), 2),
+    (np.array([0.1, 0.2, 0.3]), np.array([0.2, np.nan, np.nan]), 1),
+])
+def test_ordering_check_refuses_nan(values, bounds, first):
+    # NaN compares false with everything, so it must fail the check, not pass it
+    with pytest.raises(cli.InvariantViolation, match=f"at point {first}$"):
+        cli._check_order("test", lambda i: f"point {i}", ("a", 0.0, "b", 0.0, 0.0),
+                         ("values", values, "bounds", bounds, 1e-12))
+    cli._check_order("test", None, ("values", np.array([0.2, 0.3]), "bounds",
+                                    np.array([0.2, 0.3 - 1e-13]), 1e-12))
+
+
 # Options the command does not read, and the refusal naming them
 UNREAD = {
     "fig2 --q0 0.5 --q1 0.2 --kind qadc --budget 3 --u 1 --gap 0.5 --grid 2":
@@ -397,10 +490,9 @@ def test_defaults_come_from_the_command_table():
     assert (cfg.m, cfg.u, cfg.gap, cfg.M_min, cfg.M_max) == ((3,), (2,), (0.1, 0.2), 1, 9)
 
 
-def _benchmark_invocations():
-    # Every CLI invocation the benchmark harness named in BENCHMARK.json
-    # builds: all workloads, smoke and full, seeds 0-2.  The harness is
-    # imported as is, without writing bytecode next to it.
+def _benchmark_harness():
+    # The benchmark harness named in BENCHMARK.json, imported as is, without
+    # writing bytecode next to it.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as handle:
         command = json.load(handle)["command"]
@@ -414,15 +506,22 @@ def _benchmark_invocations():
         harness = importlib.util.module_from_spec(spec)
         sys.modules[spec.name] = harness
         spec.loader.exec_module(harness)
-        return sorted({inv.argv for name in harness.WORKLOADS for seed in range(3)
-                       for smoke in (False, True)
-                       for invocations in harness.workload_sets(name, seed, smoke)
-                       for inv in invocations})
+        return harness
     finally:
         sys.dont_write_bytecode, sys.path[:] = saved
         for name, module in list(sys.modules.items()):  # the harness and its siblings
             if os.path.dirname(getattr(module, "__file__", None) or "") == here:
                 del sys.modules[name]
+
+
+def _benchmark_invocations():
+    # Every CLI invocation the benchmark harness builds: all workloads,
+    # smoke and full, seeds 0-2.
+    harness = _benchmark_harness()
+    return sorted({inv.argv for name in harness.WORKLOADS for seed in range(3)
+                   for smoke in (False, True)
+                   for invocations in harness.workload_sets(name, seed, smoke)
+                   for inv in invocations})
 
 
 def test_benchmark_invocations_are_accepted():
@@ -433,6 +532,22 @@ def test_benchmark_invocations_are_accepted():
     for argv in invocations:
         cfg = cli.make_config(parser.parse_args(list(argv) + ["--out", "table.csv"]))
         assert callable(getattr(cli, cfg.run))
+
+
+def test_benchmark_tables_pass_the_harness_check(tmp_path):
+    # Every full benchmark invocation with a stored reference table, run
+    # in-process, passes the harness's own table check: a run whose tables
+    # the harness refuses counts as failed.  The references agree with the
+    # tables within the harness's tolerance, not byte for byte.
+    harness = _benchmark_harness()
+    invocations = {inv for name in harness.WORKLOADS for gap in harness.GAPS
+                   for invocations in harness.workload_sets(name, 0, gap=gap)
+                   for inv in invocations if inv.reference is not None}
+    assert len(invocations) == 29  # fig2's default table, and 4 tables at each of 7 gaps
+    for inv in sorted(invocations, key=lambda inv: inv.argv):
+        code, text = run(tmp_path, *inv.argv)
+        assert code == 0
+        assert harness.check_table(inv, text) is None, inv.argv
 
 
 # The benchmark's two damping invocations at gap 0.040, six sweep points each.
@@ -692,9 +807,11 @@ def test_xi_table_validation(tmp_path):
         cli.load_xi(cfg)
 
 
-@pytest.mark.parametrize("knots", ["0,2.0\n8,1.0\n", f"1,2.0\n{2**70},1.0\n"])
+@pytest.mark.parametrize("knots", ["0,2.0\n8,1.0\n", f"1,2.0\n{2**70},1.0\n",
+                                   f"1,2.0\n{2**53 + 1},1.0\n"])
 def test_xi_table_knots_out_of_range_exit_two(tmp_path, capsys, knots):
-    # a knot below one port was kept, and 2**70 escaped XiTable as an OverflowError
+    # a knot below one port was kept, 2**70 escaped XiTable as an OverflowError,
+    # and 2**53 + 1 was kept, beyond the counts with an exact float
     table = tmp_path / "xi.csv"
     table.write_text(knots, encoding="utf-8")
     code, text = run(tmp_path, "--command", "binary", "--kind", "qadc", "--u", "2", "--grid", "3",

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import time
 from unittest import mock
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from chandisc import cpf, qadc
 from chandisc.channels import choi, make_qadc, make_qdc
 from chandisc.cpf import (
-    MAX_PORTS,
     PAIR_PEAK_X,
     CpfError,
     cpf_nonadaptive_fidelity_lb,
@@ -20,6 +20,7 @@ from chandisc.cpf import (
     position_peak,
 )
 from chandisc.discrimination import helstrom_iterative, pgm_error
+from chandisc.linalg import MAX_COUNT
 from chandisc.orc import h_mu_values, qdc_scales
 from chandisc.qadc import (QadcError, XiTable, qadc_adaptive_lb_opt, qadc_adaptive_lb_values,
                           qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt,
@@ -213,15 +214,45 @@ def test_optimizer_refuses_nan_bounds(monkeypatch):
                                    [1e300]])
 def test_port_counts_must_be_integers(ports):
     # a fractional count was truncated: [1.9] gave the value at 1 port
-    with pytest.raises(QadcError, match="integers"):
+    with pytest.raises(QadcError, match="need an integer port count"):
         XiTable(ports, np.ones(len(ports)))
-    with pytest.raises(QadcError, match="integers"):
+    with pytest.raises(QadcError, match="need an integer port count"):
         qadc_adaptive_lb_values(0.3, 0.2, 2, ports)
-    with pytest.raises(QadcError, match="integers"):
+    with pytest.raises(QadcError, match="need an integer port count"):
         qadc_cpf_adaptive_lb_values(0.3, 0.2, 3, 2, ports)
     # whole floats are counts
     assert qadc_adaptive_lb_values(0.3, 0.2, 2, [1.0, 4.0]).tolist() == \
         qadc_adaptive_lb_values(0.3, 0.2, 2, [1, 4]).tolist()
+
+
+@pytest.mark.parametrize("bad", [2**53 + 1, 2**62, 2.5, np.nan])
+def test_port_counts_follow_the_count_rule(bad):
+    # the one rule for counts, linalg.check_count: integers in [1, 2**53].
+    # Above 2**53 neighbouring counts share one float, so 2**53 + 1 gave
+    # the value at 2**53 and XiTable kept 2**62.
+    named = re.escape(repr(bad))
+    for ports in ([1, bad], np.array([1, bad])):
+        with pytest.raises(QadcError, match=f"need an integer port count .*got {named}$"):
+            XiTable(ports, [1.0, 0.5])
+        with pytest.raises(QadcError, match=f"got {named}$"):
+            qadc_adaptive_lb_values(0.3, 0.2, 2, ports)
+        with pytest.raises(QadcError, match=f"got {named}$"):
+            qadc_cpf_adaptive_lb_values(0.3, 0.2, 2, 4, ports)
+    for ports_range in [(1, bad), (bad, 2**53)]:
+        with pytest.raises(CpfError, match=f"invalid port range .*got {named}$"):
+            qadc_adaptive_lb_opt(0.3, 0.2, 2, ports_range=ports_range)
+        with pytest.raises(CpfError, match=f"invalid port range .*got {named}$"):
+            qadc_cpf_adaptive_lb_opt(0.3, 0.2, 2, 4, ports_range=ports_range)
+    with pytest.raises(QadcError, match="at least one knot"):  # one count is no table
+        XiTable(4, [1.0])
+    # 2**53 is a count
+    top = [2**53 - 1, 2**53]
+    assert XiTable(top, [1.0, 0.5]).ports.tolist() == top
+    for kernel, args in [(qadc_adaptive_lb_values, (0.3, 0.2, 2)),
+                         (qadc_cpf_adaptive_lb_values, (0.3, 0.2, 2, 4))]:
+        assert np.isfinite(kernel(*args, np.array(top))).all()
+        report = _OPT[kernel](*args, ports_range=(2**53, 2**53))
+        assert report.params["ports"] == 2**53
 
 
 def test_optimizer_prefers_smaller_port_count_on_ties():
@@ -294,8 +325,8 @@ def _damping_case(draw, lo, hi):
     m, u = draw(st.integers(2, 50)), draw(st.integers(1, 300))
     xi = None
     if draw(st.booleans()):
-        knots = sorted(draw(st.sets(st.integers(max(lo - 100, 1), 2 * hi), min_size=1,
-                                    max_size=6)))
+        knots = sorted(draw(st.sets(st.integers(max(lo - 100, 1), min(2 * hi, MAX_COUNT)),
+                                    min_size=1, max_size=6)))
         xi = XiTable(knots, [draw(st.floats(0.0, 2.0)) for _ in knots])
     if draw(st.booleans()):
         return qadc_adaptive_lb_values, (q_b, q_t, u), xi
@@ -312,7 +343,7 @@ def _rounding(value):
 def _port_range(draw):
     # lo == hi, short spans, and spans up to 10**9, also just below the
     # largest port count accepted
-    near_top = st.integers(MAX_PORTS - 2 * 10**9, MAX_PORTS - 10**9)
+    near_top = st.integers(MAX_COUNT - 2 * 10**9, MAX_COUNT - 10**9)
     lo = draw(st.one_of(st.integers(1, 10**9), near_top))
     span = draw(st.one_of(st.just(0), st.integers(1, 2000), st.integers(2001, 10**9)))
     return lo, lo + span
@@ -398,8 +429,8 @@ def test_port_optimum_matches_a_scan_of_every_port(q_b, q_t, pair, m, u, lo, spa
 
 
 def test_stationary_points_solve_h_equals_b():
-    # the rising-side roots of h(M) = B, in closed form for position finding
-    # and by Newton steps for the pair, and h's peak where h < B everywhere
+    # the rising-side roots of h(M) = B, by the one Newton solver for
+    # position finding and for the pair, and h's peak where h < B everywhere
     rng = np.random.default_rng(5)
     for c, a, b in zip(10.0 ** rng.uniform(-12, 1, 200), rng.uniform(0.25, 0.5, 200),
                        10.0 ** rng.uniform(-6, 3, 200)):
