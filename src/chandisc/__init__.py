@@ -9,7 +9,7 @@ between simulation-based adaptive lower bounds, fidelity sandwiches, block
 values computed from Gram matrices of Kraus vectors (direct sums of small
 blocks fixed by the Kraus weights), and an explicit nulling receiver.
 
-Every error raised for a refused input derives from :class:`ChandiscError`.
+Every error raised for a refused input is a :class:`ChandiscError`.
 
 The public names are exported lazily (PEP 562): ``import chandisc`` loads no
 submodule, and the first use of a name imports the one that defines it, so a
@@ -23,20 +23,17 @@ _EXPORTS = {
     "channels": (
         "KrausChannel", "choi", "heisenberg_weyl", "make_qadc", "make_qdc", "make_qec",
         "tele_covariance_check"),
-    "cpf": ("CpfError", "cpf_nonadaptive_fidelity_lb"),
+    "cpf": ("cpf_nonadaptive_fidelity_lb",),
     "discrimination": (
         "DensityMatrix", "Povm", "StateEnsemble", "gus_unitary_helstrom", "helstrom_binary",
-        "helstrom_iterative", "hermitize", "pgm_error", "pgm_povm", "tensor", "tensor_all",
-        "trace_norm"),
-    "linalg": (
-        "BoundReport", "ChandiscError", "ChannelError", "DiscriminationError", "LinalgError",
-        "check_exact_prob"),
-    "orc": ("OrcError", "f_u_values", "h_mu_values", "qdc_scales"),
+        "helstrom_iterative", "hermitize", "pgm_error", "pgm_povm", "tensor_all", "trace_norm"),
+    "linalg": ("BoundReport", "ChandiscError", "check_exact_prob"),
+    "orc": ("f_u_values", "h_mu_values", "qdc_scales"),
     "qadc": (
-        "QadcError", "XiTable", "default_xi", "fvg_sandwich", "nulling_error",
-        "nulling_outcome_dist", "qadc_adaptive_lb_opt", "qadc_adaptive_lb_values",
-        "qadc_block_helstrom", "qadc_block_pgm", "qadc_choi_fidelity",
-        "qadc_cpf_adaptive_lb_opt", "qadc_cpf_adaptive_lb_values", "qadc_cpf_block_pgm"),
+        "XiTable", "default_xi", "fvg_sandwich", "nulling_error", "nulling_outcome_dist",
+        "qadc_adaptive_lb_opt", "qadc_adaptive_lb_values", "qadc_block_helstrom",
+        "qadc_block_pgm", "qadc_choi_fidelity", "qadc_cpf_adaptive_lb_opt",
+        "qadc_cpf_adaptive_lb_values", "qadc_cpf_block_pgm"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .discrimination import DensityMatrix, as_complex_matrix
-from .linalg import ChannelError, Frozen, check_count, check_prob
+from .linalg import ChandiscError, Frozen, check_count, check_prob
 
 
 TP_TOL = 1e-9
@@ -36,14 +36,14 @@ class KrausChannel(Frozen):
     def __init__(self, kraus):
         ops = tuple(as_complex_matrix(k) for k in kraus)
         if not ops:
-            raise ChannelError("a channel needs at least one Kraus operator")
+            raise ChandiscError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
         if any(k.shape != shape for k in ops):
-            raise ChannelError("Kraus operators differ in shape")
+            raise ChandiscError("Kraus operators differ in shape")
         total = sum(k.conj().T @ k for k in ops)
         drift = np.abs(total - np.eye(shape[1])).max()
         if drift > TP_TOL:
-            raise ChannelError(f"channel is not trace preserving: drift {drift:.3e}")
+            raise ChandiscError(f"channel is not trace preserving: drift {drift:.3e}")
         object.__setattr__(self, "kraus", ops)
 
     @property
@@ -65,8 +65,8 @@ def make_qec(d: int, q) -> KrausChannel:
     of a ``d + 1``-dimensional output; with probability ``q`` it is replaced
     by the orthogonal erasure flag (the last output level).
     """
-    d = check_count(d, "d", 2, ChannelError)
-    q = float(check_prob(q, "q", ChannelError))
+    d = check_count(d, "d", 2)
+    q = float(check_prob(q, "q"))
     iso = np.zeros((d + 1, d), dtype=np.complex128)
     iso[:d, :] = np.eye(d)
     ops = [np.sqrt(1.0 - q) * iso]
@@ -85,7 +85,7 @@ def heisenberg_weyl(d: int):
     ``exp(2 pi i j / d)``.  These are exactly the correction unitaries
     appearing in qudit teleportation.
     """
-    d = check_count(d, "d", 2, ChannelError)
+    d = check_count(d, "d", 2)
     omega, k = np.exp(2j * np.pi / d), np.arange(d)
     return [np.roll(np.eye(d), a, axis=0) * omega ** (b * k) for a in range(d) for b in range(d)]
 
@@ -97,8 +97,8 @@ def make_qdc(d: int, q) -> KrausChannel:
     state; equivalently each of the ``d**2 - 1`` non-identity shift-and-phase
     unitaries is applied with probability ``q / d**2``.
     """
-    d = check_count(d, "d", 2, ChannelError)
-    q = float(check_prob(q, "q", ChannelError))
+    d = check_count(d, "d", 2)
+    q = float(check_prob(q, "q"))
     unitaries = heisenberg_weyl(d)
     ops = [np.sqrt(1.0 - q + q / d**2) * unitaries[0]]
     ops.extend(np.sqrt(q / d**2) * w for w in unitaries[1:])
@@ -107,7 +107,7 @@ def make_qdc(d: int, q) -> KrausChannel:
 
 def make_qadc(q) -> KrausChannel:
     """Amplitude damping channel on a qubit with decay probability ``q``."""
-    q = float(check_prob(q, "q", ChannelError))
+    q = float(check_prob(q, "q"))
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - q)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(q)], [0.0, 0.0]], dtype=np.complex128)
     return KrausChannel((k0, k1))

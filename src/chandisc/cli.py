@@ -52,10 +52,6 @@ from .orc import f_u_values, h_mu_values, qdc_scales
 FLOAT_FORMAT = "%.16e"
 
 
-class CliConfigError(ValueError):
-    """Invalid combination of command line options (exit code 2)."""
-
-
 class InvariantViolation(RuntimeError):
     """A computed table broke one of its internal guarantees (exit code 3)."""
 
@@ -93,10 +89,10 @@ def _parse_gaps(text):
     try:
         gaps = tuple(float(g) for g in text.split(","))
     except ValueError as exc:
-        raise CliConfigError(f"cannot parse --gap {text!r}: {exc}") from None
+        raise ChandiscError(f"cannot parse --gap {text!r}: {exc}") from None
     for gap in gaps:
         if not 0.0 < gap < 1.0:
-            raise CliConfigError(f"gaps must lie in (0, 1), got {gap}")
+            raise ChandiscError(f"gaps must lie in (0, 1), got {gap}")
     return gaps
 
 
@@ -104,37 +100,37 @@ def make_config(args):
     """Check ``args`` against the command's entry in :data:`COMMANDS`.
 
     Returns the options the command reads, defaults filled in, and ``run``
-    naming its function.  Raises :class:`CliConfigError` for an option the
-    command does not read and for a value out of range.
+    naming its function.  Raises :class:`~chandisc.linalg.ChandiscError`
+    for an option the command does not read and for a value out of range.
     """
     given = dict(vars(args))
     command = given.pop("command")
     kinds = [kind for name, kind in COMMANDS if name == command and kind]
     kind = given.pop("kind", None) if kinds else None
     if (command, kind) not in COMMANDS:
-        raise CliConfigError(f"--command {command} requires --kind {{{','.join(kinds)}}}")
+        raise ChandiscError(f"--command {command} requires --kind {{{','.join(kinds)}}}")
     run, defaults = COMMANDS[command, kind]
     unread = [_flag(name) for name in given if name not in defaults and name not in COMMON]
     if unread:
         reader = f"--command {command}" + (f" --kind {kind}" if kind else "")
-        raise CliConfigError(f"{reader} does not read {', '.join(unread)}")
+        raise ChandiscError(f"{reader} does not read {', '.join(unread)}")
     for name, low in MINIMUM.items():
         if name in given:
-            check_count(given[name], _flag(name), low, CliConfigError)
+            check_count(given[name], _flag(name), low)
     if given.get("seed", 0) < 0:  # a seed is no count: numpy takes any size
-        raise CliConfigError(f"--seed must be >= 0, got {given['seed']}")
+        raise ChandiscError(f"--seed must be >= 0, got {given['seed']}")
     if not given.get("budget", 1.0) > 0.0:
-        raise CliConfigError(f"--budget must be > 0, got {given['budget']}")
+        raise ChandiscError(f"--budget must be > 0, got {given['budget']}")
     if ("q0" in given) != ("q1" in given):
-        raise CliConfigError("--q0 and --q1 must be given together")
+        raise ChandiscError("--q0 and --q1 must be given together")
     if "q0" in given and "gap" in given:
-        raise CliConfigError("--gap sweeps q0 = q1 + gap; it cannot be combined with --q0/--q1")
+        raise ChandiscError("--gap sweeps q0 = q1 + gap; it cannot be combined with --q0/--q1")
     for name in ("q0", "q1"):
         if name in given:
-            check_prob(given[name], _flag(name), CliConfigError)
+            check_prob(given[name], _flag(name))
     xi = given.get("xi", "uniform")
     if xi != "uniform" and not xi.startswith("value-table:"):
-        raise CliConfigError(f"--xi must be 'uniform' or 'value-table:FILE', got {xi!r}")
+        raise ChandiscError(f"--xi must be 'uniform' or 'value-table:FILE', got {xi!r}")
     if "gap" in given:
         given["gap"] = _parse_gaps(given["gap"])
     cfg = argparse.Namespace(run=run, **COMMON, **defaults)
@@ -149,7 +145,7 @@ def load_xi(cfg):
     """Resolve --xi into 'None' (uniform default) or an :class:`XiTable` step function."""
     if cfg.xi == "uniform":
         return None
-    from .qadc import QadcError, XiTable
+    from .qadc import XiTable
     path = cfg.xi.split(":", 1)[1]
     entries = []
     try:
@@ -161,12 +157,12 @@ def load_xi(cfg):
                 ports_text, value_text = line.split(",")
                 entries.append((int(ports_text), float(value_text)))
     except (OSError, ValueError) as exc:
-        raise CliConfigError(f"cannot read xi table {path!r}: {exc}") from None
+        raise ChandiscError(f"cannot read xi table {path!r}: {exc}") from None
     entries.sort()
     try:
         return XiTable([p for p, _ in entries], [v for _, v in entries])
-    except QadcError as exc:
-        raise CliConfigError(f"{exc}: {path!r}") from None
+    except ChandiscError as exc:
+        raise ChandiscError(f"{exc}: {path!r}") from None
 
 
 # -- sweep construction --------------------------------------------------------
@@ -222,7 +218,7 @@ def run_fig3(cfg):
     from .cpf import cpf_nonadaptive_fidelity_lb
     from .qadc import qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt, qadc_cpf_block_pgm
     if len(cfg.m) != len(cfg.u):  # --m without --u or the other way round
-        raise CliConfigError("fig3 needs --m and --u together (or neither)")
+        raise ChandiscError("fig3 needs --m and --u together (or neither)")
     xi = load_xi(cfg)
     yield ["m", "u", "gap", "q_t", "q_b",
            "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
@@ -462,7 +458,7 @@ def write_table(header, blocks, fmt: str, out: str):
             # the reader went away: send what stdout still buffers to the
             # null device, so the interpreter's final flush is quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise CliConfigError(f"cannot write {out!r}: {exc}") from None
+        raise ChandiscError(f"cannot write {out!r}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -479,7 +475,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"invariant violation: {failure}", file=sys.stderr)
         return 3 if failures else 0
-    except (CliConfigError, ChandiscError) as exc:
+    except ChandiscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -20,10 +20,6 @@ import numpy as np
 from .linalg import KIND_LOWER, BoundReport, ChandiscError, check_count, check_prob
 
 
-class CpfError(ChandiscError):
-    """Raised for invalid position-finding specifications."""
-
-
 def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_avg):
     """Position-finding adaptive lower bound from pairwise fidelities, on checked arguments.
 
@@ -54,8 +50,8 @@ def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundRe
     maximally entangled pair.  It is no bound for other non-adaptive
     strategies, such as unentangled probes.
     """
-    choi_fidelity = float(check_prob(choi_fidelity, "fidelity", CpfError))
-    m, u = check_count(m, "m", 2, CpfError), check_count(u, "u", 1, CpfError)
+    choi_fidelity = float(check_prob(choi_fidelity, "fidelity"))
+    m, u = check_count(m, "m", 2), check_count(u, "u", 1)
     value = _fidelity_lb(choi_fidelity, m, u, np.int64(1), 0.0)
     return BoundReport(value, KIND_LOWER, "cpf_nonadaptive_fidelity_lb",
                        {"choi_fidelity": choi_fidelity, "m": m, "u": u})
@@ -84,10 +80,11 @@ def argmax_ports(kernel, ports_range, peak, knots=None):
     ``hi``, or the top of a wide maximum.  A NaN bound is refused.
     """
     try:
-        lo = check_count(ports_range[0], "start", 1, CpfError)
-        hi = check_count(ports_range[1], "end", lo, CpfError)
-    except CpfError as exc:
-        raise CpfError(f"invalid port range ({ports_range[0]}, {ports_range[1]}): {exc}") from None
+        lo = check_count(ports_range[0], "start", 1)
+        hi = check_count(ports_range[1], "end", lo)
+    except ChandiscError as exc:
+        raise ChandiscError(
+            f"invalid port range ({ports_range[0]}, {ports_range[1]}): {exc}") from None
     if knots is not None:
         candidates = {lo, *knots[(knots > lo) & (knots <= hi)].tolist()}
     else:
@@ -99,7 +96,7 @@ def argmax_ports(kernel, ports_range, peak, knots=None):
     values = kernel(ports).tolist()
     nan = [port for port, value in zip(ports.tolist(), values) if value != value]
     if nan:  # NaN has no place in the order
-        raise CpfError(f"bound is NaN at {nan[0]} ports")
+        raise ChandiscError(f"bound is NaN at {nan[0]} ports")
     best = values.index(max(values))  # the first maximum
     return int(ports[best]), values[best]
 

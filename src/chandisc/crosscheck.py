@@ -12,8 +12,8 @@ module for that command only.
 
 Two routes that only the checks use live here too: the single-use
 position-finding closed form :func:`h_m1_closed` and the receiver unitary
-:func:`nulling_unitary`, each raising the error class of the module whose
-quantity it checks.
+:func:`nulling_unitary`, each checking its inputs as the module whose
+quantity it checks does.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .channels import choi as channel_choi, make_qadc, make_qdc, make_qec, tele_
 from .discrimination import (DensityMatrix, StateEnsemble, gus_unitary_helstrom, helstrom_binary,
                              helstrom_iterative, pgm_error, tensor_all)
 from .linalg import check_count, check_prob
-from .orc import OrcError, f_u_values, h_mu_values, qdc_scales
-from .qadc import (QadcError, fvg_sandwich, nulling_error, nulling_outcome_dist,
-                   qadc_block_helstrom, qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt,
-                   qadc_cpf_adaptive_lb_values)
+from .orc import f_u_values, h_mu_values, qdc_scales
+from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, qadc_block_helstrom,
+                   qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt, qadc_cpf_adaptive_lb_values)
 
 
 def h_m1_closed(q_b, q_t, m: int) -> float:
@@ -41,21 +40,25 @@ def h_m1_closed(q_b, q_t, m: int) -> float:
     expression groups outcome strings by total weight; the all-same-outcome
     strings contribute their own terms and the mixed strings carry the
     larger of the two likelihood ratios, which reduces to comparing ``q_t``
-    with ``q_b``.  The grouped factor ``(1 - (1-q_b)**m - q_b**m) / q_b`` is
-    expanded through the geometric identity
-    ``(1 - (1-q)**m) / q = sum_j (1-q)**j`` so that nothing is divided by a
-    vanishing parameter; the naive quotient loses every digit once ``q_b``
-    drops below the rounding scale.
+    with ``q_b``.  The grouped factor holds a geometric sum,
+    ``sum_{j<m} (1-q_b)**j = -expm1(m log1p(-q_b)) / q_b`` or
+    ``sum_{j<m} q_b**j = -expm1(m log q_b) / (1 - q_b)``, whose power is
+    taken in logs: the quotient keeps its digits as ``q_b`` or ``1 - q_b``
+    vanishes, and the cost does not grow with ``m``.  Where a sum's ratio is
+    1 or 0 its log is undefined, and the sum is ``m`` or 1.
     """
-    q_b = float(check_prob(q_b, "q_b", OrcError))
-    q_t = float(check_prob(q_t, "q_t", OrcError))
-    m = check_count(m, "m", 2, OrcError)
+    q_b = float(check_prob(q_b, "q_b"))
+    q_t = float(check_prob(q_t, "q_t"))
+    m = check_count(m, "m", 2)
     if q_t >= q_b:
-        bracket = sum((1.0 - q_b) ** j for j in range(m)) - q_b ** (m - 1)
-        mid = q_t * bracket
-    else:
-        bracket = sum(q_b**j for j in range(m)) - (1.0 - q_b) ** (m - 1)
-        mid = (1.0 - q_t) * bracket
+        if q_b == 0.0 or q_b == 1.0:
+            total = m if q_b == 0.0 else 1.0
+        else:
+            total = -math.expm1(m * math.log1p(-q_b)) / q_b
+        mid = q_t * (total - q_b ** (m - 1))
+    else:  # q_b > q_t >= 0
+        total = m if q_b == 1.0 else -math.expm1(m * math.log(q_b)) / (1.0 - q_b)
+        mid = (1.0 - q_t) * (total - (1.0 - q_b) ** (m - 1))
     best = q_t * q_b ** (m - 1) + (1.0 - q_t) * (1.0 - q_b) ** (m - 1) + mid
     return 1.0 - best / m
 
@@ -69,7 +72,7 @@ def nulling_unitary(q) -> np.ndarray:
     probability into outcome 0, which the counting receiver
     (:func:`~chandisc.qadc.nulling_error`) exploits.
     """
-    q = float(check_prob(q, "q", QadcError))
+    q = float(check_prob(q, "q"))
     a = math.sqrt((1.0 - q) / (2.0 - q))
     b = 1.0 / math.sqrt(2.0 - q)
     return np.array([

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (KIND_EXACT, KIND_UPPER, BoundReport, DiscriminationError, Frozen,
-                     LinalgError, check_count, check_prob)
+from .linalg import (KIND_EXACT, KIND_UPPER, BoundReport, ChandiscError, Frozen, check_count,
+                     check_prob)
 
 # HERM_TOL / EIG_TOL / TRACE_TOL gate state validation.
 HERM_TOL = 1e-10
@@ -51,14 +51,14 @@ def as_complex_matrix(a) -> np.ndarray:
 
     Raises
     ------
-    LinalgError
+    ChandiscError
         If the input is not 2-D or contains non-finite entries.
     """
     mat = np.asarray(a, dtype=np.complex128)
     if mat.ndim != 2:
-        raise LinalgError(f"expected a 2-D array, got ndim={mat.ndim}")
+        raise ChandiscError(f"expected a 2-D array, got ndim={mat.ndim}")
     if not np.all(np.isfinite(mat)):
-        raise LinalgError("matrix contains non-finite entries")
+        raise ChandiscError("matrix contains non-finite entries")
     return mat
 
 
@@ -72,11 +72,11 @@ def hermitize(mat, tol: float = 1e-8) -> np.ndarray:
     """
     mat = as_complex_matrix(mat)
     if mat.shape[0] != mat.shape[1]:
-        raise LinalgError(f"expected a square matrix, got shape {mat.shape}")
+        raise ChandiscError(f"expected a square matrix, got shape {mat.shape}")
     herm = (mat + mat.conj().T) / 2.0
     drift = np.abs(mat - herm).max() if mat.size else 0.0
     if drift > tol:
-        raise LinalgError(f"matrix is not Hermitian: drift {drift:.3e} > {tol:.3e}")
+        raise ChandiscError(f"matrix is not Hermitian: drift {drift:.3e} > {tol:.3e}")
     return herm
 
 
@@ -96,9 +96,9 @@ class DensityMatrix(Frozen):
         mat = hermitize(mat, HERM_TOL)
         tr = mat.trace()
         if abs(tr - 1.0) > TRACE_TOL:
-            raise LinalgError(f"state trace {tr} deviates from 1 beyond {TRACE_TOL}")
+            raise ChandiscError(f"state trace {tr} deviates from 1 beyond {TRACE_TOL}")
         if np.linalg.eigvalsh(mat).min() < -EIG_TOL:
-            raise LinalgError("state has an eigenvalue below the PSD tolerance")
+            raise ChandiscError("state has an eigenvalue below the PSD tolerance")
         mat = np.array(mat, dtype=np.complex128, copy=True)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -111,24 +111,20 @@ class DensityMatrix(Frozen):
         return f"DensityMatrix(dim={self.dim})"
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product, refused beyond side ``MAX_TENSOR_SIDE``."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    side = max(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-    if side > MAX_TENSOR_SIDE:
-        raise LinalgError(f"tensor product side {side} exceeds guard {MAX_TENSOR_SIDE}")
-    return np.kron(a, b)
-
-
 def tensor_all(mats) -> np.ndarray:
-    """Left-associated Kronecker product of a sequence of matrices."""
+    """Left-associated Kronecker product of a sequence of matrices.
+
+    Each product is refused beyond side ``MAX_TENSOR_SIDE``.
+    """
     mats = list(mats)
     if not mats:
-        raise LinalgError("tensor_all needs at least one factor")
+        raise ChandiscError("tensor_all needs at least one factor")
     out = as_complex_matrix(mats[0])
-    for m in mats[1:]:
-        out = tensor(out, m)
+    for factor in map(as_complex_matrix, mats[1:]):
+        side = max(out.shape[0] * factor.shape[0], out.shape[1] * factor.shape[1])
+        if side > MAX_TENSOR_SIDE:
+            raise ChandiscError(f"tensor product side {side} exceeds guard {MAX_TENSOR_SIDE}")
+        out = np.kron(out, factor)
     return out
 
 
@@ -149,17 +145,17 @@ class StateEnsemble(Frozen):
     def __init__(self, states, priors):
         states = tuple(s if isinstance(s, DensityMatrix) else DensityMatrix(s) for s in states)
         if not states:
-            raise DiscriminationError("ensemble needs at least one state")
+            raise ChandiscError("ensemble needs at least one state")
         dim = states[0].dim
         if any(s.dim != dim for s in states):
-            raise DiscriminationError("ensemble states live on different dimensions")
+            raise ChandiscError("ensemble states live on different dimensions")
         priors = np.asarray(priors, dtype=np.float64)
         if priors.shape != (len(states),):
-            raise DiscriminationError(
+            raise ChandiscError(
                 f"got {len(states)} states but priors with shape {priors.shape}")
-        check_prob(priors, "priors", DiscriminationError)  # NaN included
+        check_prob(priors, "priors")  # NaN included
         if abs(priors.sum() - 1.0) > PRIOR_TOL:
-            raise DiscriminationError(f"priors sum to {priors.sum()}, not 1")
+            raise ChandiscError(f"priors sum to {priors.sum()}, not 1")
         priors = priors.copy()
         priors.setflags(write=False)
         object.__setattr__(self, "states", states)
@@ -185,7 +181,7 @@ class StateEnsemble(Frozen):
 class Povm(Frozen):
     """A positive operator-valued measure: PSD elements summing to identity, checked.
 
-    A non-Hermitian element raises :func:`hermitize`'s ``LinalgError``.
+    A non-Hermitian element is refused by :func:`hermitize`.
     """
 
     __slots__ = ("elements",)
@@ -193,17 +189,17 @@ class Povm(Frozen):
     def __init__(self, elements):
         elements = tuple(np.asarray(e, dtype=np.complex128) for e in elements)
         if not elements:
-            raise DiscriminationError("measurement needs at least one element")
+            raise ChandiscError("measurement needs at least one element")
         dim = elements[0].shape[0]
         total = np.zeros((dim, dim), dtype=np.complex128)
         for e in elements:
             if e.shape != (dim, dim):
-                raise DiscriminationError("measurement elements differ in shape")
+                raise ChandiscError("measurement elements differ in shape")
             if np.linalg.eigvalsh(hermitize(e)).min() < -POVM_PSD_TOL:
-                raise DiscriminationError("measurement element is not positive semidefinite")
+                raise ChandiscError("measurement element is not positive semidefinite")
             total += e
         if np.abs(total - np.eye(dim)).max() > POVM_SUM_TOL:
-            raise DiscriminationError("measurement elements do not sum to identity")
+            raise ChandiscError("measurement elements do not sum to identity")
         object.__setattr__(self, "elements", elements)
 
     @property
@@ -223,8 +219,8 @@ def helstrom_binary(rho0, rho1, p0: float = 0.5) -> BoundReport:
     rho0 = rho0 if isinstance(rho0, DensityMatrix) else DensityMatrix(rho0)
     rho1 = rho1 if isinstance(rho1, DensityMatrix) else DensityMatrix(rho1)
     if rho0.dim != rho1.dim:
-        raise DiscriminationError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
-    p0 = float(check_prob(p0, "p0", DiscriminationError))
+        raise ChandiscError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
+    p0 = float(check_prob(p0, "p0"))
     value = (1.0 - trace_norm(p0 * rho0.mat - (1.0 - p0) * rho1.mat)) / 2.0
     return BoundReport(value, KIND_EXACT, "helstrom_binary",
                        {"p0": p0, "dim": rho0.dim})
@@ -312,7 +308,7 @@ def helstrom_iterative(ensemble: StateEnsemble):
         valid but uncertified measurement.
     """
     if ensemble.dim > SOLVER_MAX_DIM:
-        raise DiscriminationError(
+        raise ChandiscError(
             f"dimension {ensemble.dim} exceeds solver guard {SOLVER_MAX_DIM}; restrict the "
             f"states to their joint support first")
     dim = ensemble.dim
@@ -358,8 +354,8 @@ def gus_unitary_helstrom(eta: float, m: int) -> BoundReport:
 
         ``P = (m - 1) / m**2 * (sqrt(1 + (m-1) eta) - sqrt(1 - eta))**2``.
     """
-    m = check_count(m, "m", 2, DiscriminationError)
-    eta = float(check_prob(eta, "eta", DiscriminationError))
+    m = check_count(m, "m", 2)
+    eta = float(check_prob(eta, "eta"))
     root = np.sqrt(1.0 + (m - 1) * eta) - np.sqrt(1.0 - eta)
     value = (m - 1) / m**2 * root**2
     return BoundReport(float(value), KIND_EXACT, "gus_pure_ppm", {"eta": eta, "m": m})

@@ -2,7 +2,7 @@
 
 This is the one module every command loads, so it holds only what the
 closed forms, the binomial sums and the port-count optimizer need: the
-package's error classes, the range checks on probabilities and sizes, the
+package's error class, the range checks on probabilities and sizes, the
 :class:`BoundReport` that states what each number is, and :class:`Frozen`,
 the base of the package's immutable value types.  Dense matrices, states,
 ensembles and their solvers live in :mod:`chandisc.discrimination`.
@@ -16,19 +16,7 @@ import numpy as np
 
 
 class ChandiscError(ValueError):
-    """Base of every error the package raises for an input it refuses."""
-
-
-class LinalgError(ChandiscError):
-    """Raised when an input violates a documented precondition."""
-
-
-class DiscriminationError(ChandiscError):
-    """Raised for invalid ensembles, priors, or solver preconditions."""
-
-
-class ChannelError(ChandiscError):
-    """Raised for invalid channel parameters or mismatched dimensions."""
+    """The one error the package raises for an input it refuses."""
 
 
 class Frozen:
@@ -72,8 +60,8 @@ def first_outside(values: np.ndarray, lo: float, hi: float):
     return float(values[~((values >= lo) & (values <= hi))][0])
 
 
-def check_prob(q, name: str = "q", error=LinalgError):
-    """``q`` as a float, or a float64 array, raising ``error`` unless every entry lies in [0, 1].
+def check_prob(q, name: str = "q"):
+    """``q`` as a float, or a float64 array, refused unless every entry lies in [0, 1].
 
     NaN is refused with the rest.
     """
@@ -82,7 +70,7 @@ def check_prob(q, name: str = "q", error=LinalgError):
     values = np.asarray(q, dtype=np.float64)
     bad = first_outside(values, 0.0, 1.0)
     if bad is not None:
-        raise error(f"{name} must lie in [0, 1], got {bad}")
+        raise ChandiscError(f"{name} must lie in [0, 1], got {bad}")
     return float(values) if values.ndim == 0 else values
 
 
@@ -93,8 +81,8 @@ def check_prob(q, name: str = "q", error=LinalgError):
 MAX_COUNT = 2**53
 
 
-def check_count(value, name: str, low: int, error):
-    """``value`` as an int, raising ``error`` unless it is an integer in ``[low, 2**53]``.
+def check_count(value, name: str, low: int):
+    """``value`` as an int, refused unless it is an integer in ``[low, 2**53]``.
 
     Ints, numpy integers and integral floats pass; a fractional or
     non-finite float, a string or any other type is refused, not truncated.
@@ -114,9 +102,9 @@ def check_count(value, name: str, low: int, error):
         return value.astype(np.int64, copy=False)
     if isinstance(value, (np.ndarray, list, tuple)):  # one by one, to name the entry refused
         entries = np.asarray(value, dtype=object)
-        return np.array([check_count(entry, name, low, error) for entry in entries.flat],
+        return np.array([check_count(entry, name, low) for entry in entries.flat],
                         dtype=np.int64).reshape(entries.shape)
-    raise error(f"need an integer {name} >= {low} and <= 2**53, got {value!r}")
+    raise ChandiscError(f"need an integer {name} >= {low} and <= 2**53, got {value!r}")
 
 
 _EXACT_SLACK = 1e-9
@@ -127,12 +115,12 @@ def check_exact_prob(values):
 
     Rounding may carry an exact value up to ``_EXACT_SLACK`` outside the
     interval; anything further out, or NaN, raises
-    :class:`DiscriminationError`.
+    :class:`ChandiscError`.
     """
     values = np.asarray(values, dtype=np.float64)
     bad = first_outside(values, -_EXACT_SLACK, 1.0 + _EXACT_SLACK)
     if bad is not None:
-        raise DiscriminationError(f"exact probability {bad} falls outside [0, 1] beyond tolerance")
+        raise ChandiscError(f"exact probability {bad} falls outside [0, 1] beyond tolerance")
     clamped = np.clip(values, 0.0, 1.0)
     return float(clamped) if clamped.ndim == 0 else clamped
 
@@ -156,7 +144,7 @@ class BoundReport(Frozen):
 
     def __init__(self, value: float, kind: str, method: str, params: dict | None = None):
         if kind not in _KINDS:
-            raise DiscriminationError(f"unknown bound kind {kind!r}")
+            raise ChandiscError(f"unknown bound kind {kind!r}")
         value = float(value)
         if kind == KIND_EXACT:
             value = check_exact_prob(value)

@@ -12,7 +12,8 @@ detection probabilities of ``qdc_scales``.
 Every counting receiver is one of two functionals of count pmf tables
 (counts along the last axis, certain decisions as one extra atom):
 ``_binary_error``, and ``_position_error``, an order statistic over the
-background maximum at ``O(u * m)`` cost per point for any size.  The array
+background maximum at ``O(u * m)`` cost per point, which grows with ``m``
+without bound: ``m = 2**52`` does not finish.  The array
 kernels ``f_u_values`` and ``h_mu_values`` apply them to binomial tables.
 The independent routes they are checked against live with the checks: the
 single-use closed form in :mod:`chandisc.crosscheck`, the string-enumeration
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .linalg import ChandiscError, check_count, check_prob
+from .linalg import check_count, check_prob
 
 # Up to this many uses the binomial pmf is a direct product of powers; above
 # it, Loader's saddle-point form (see ``_binom_log_pmf``).  Up to 50 the
@@ -46,10 +47,6 @@ _STIRLERR = np.array([
     0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
     0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
-
-
-class OrcError(ChandiscError):
-    """Raised for invalid parameters."""
 
 
 def _binom_pmf(q, u: int) -> np.ndarray:
@@ -135,9 +132,9 @@ def _power_table(q: np.ndarray, top: int) -> np.ndarray:
     return np.cumprod(factors, axis=-1)
 
 
-def _probabilities(named, error=OrcError):
+def _probabilities(named):
     # Each named probability array checked, then all broadcast to one shape.
-    return np.broadcast_arrays(*(np.asarray(check_prob(q, name, error)) for name, q in named))
+    return np.broadcast_arrays(*(np.asarray(check_prob(q, name)) for name, q in named))
 
 
 def _in_passes(kernel, u: int, *arrays) -> np.ndarray:
@@ -164,7 +161,7 @@ def f_u_values(q0, q1, u: int) -> np.ndarray:
     :func:`~chandisc.linalg.check_exact_prob` before reporting them.
     """
     q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
-    u = check_count(u, "u", 1, OrcError)
+    u = check_count(u, "u", 1)
     return _in_passes(lambda a, b: _binary_error(_binom_pmf(a, u), _binom_pmf(b, u)), u, q0, q1)
 
 
@@ -182,7 +179,7 @@ def qdc_scales(d: int):
     probability ``(1 - 1/d**2) q``; an optimal unentangled probe only
     reaches ``(1 - 1/d) q``.
     """
-    d = check_count(d, "d", 2, OrcError)
+    d = check_count(d, "d", 2)
     return 1.0 - 1.0 / d**2, 1.0 - 1.0 / d
 
 
@@ -209,7 +206,7 @@ def h_mu_values(q_b, q_t, m: int, u: int) -> np.ndarray:
     :func:`~chandisc.linalg.check_exact_prob` before reporting them.
     """
     q_b, q_t = _probabilities((("q_b", q_b), ("q_t", q_t)))
-    u, m = check_count(u, "u", 1, OrcError), check_count(m, "m", 2, OrcError)
+    u, m = check_count(u, "u", 1), check_count(m, "m", 2)
     return _in_passes(lambda b, t: _position_error(*_position_tables(b, t, u), m), u, q_b, q_t)
 
 

@@ -40,10 +40,6 @@ from .orc import _binary_error, _binom_log_pmf, _binom_pmf
 MAX_CPF_CLASSES = 1 << 18
 
 
-class QadcError(ChandiscError):
-    """Raised for invalid damping parameters or receiver settings."""
-
-
 def qadc_choi_fidelity(q0, q1) -> float:
     """Fidelity between the Choi states of two damping channels.
 
@@ -51,8 +47,8 @@ def qadc_choi_fidelity(q0, q1) -> float:
 
     Equals 1 exactly when ``q0 == q1``.
     """
-    q0 = float(check_prob(q0, "q0", QadcError))
-    q1 = float(check_prob(q1, "q1", QadcError))
+    q0 = float(check_prob(q0, "q0"))
+    q1 = float(check_prob(q1, "q1"))
     val = (1.0 + math.sqrt((1.0 - q0) * (1.0 - q1)) + math.sqrt(q0 * q1)) / 2.0
     # Distinct channels stay below 1 where the sum rounds to 1: at F = 1 the
     # sandwich's sqrt(1 - F**(2u)) would drop a term of order sqrt(1 - F).
@@ -66,8 +62,8 @@ def fvg_sandwich(choi_fidelity: float, u: int):
 
         ``(1 - sqrt(1 - F**(2u))) / 2  <=  P  <=  F**u / 2``.
     """
-    choi_fidelity = float(check_prob(choi_fidelity, "fidelity", QadcError))
-    u = check_count(u, "u", 1, QadcError)
+    choi_fidelity = float(check_prob(choi_fidelity, "fidelity"))
+    u = check_count(u, "u", 1)
     block = choi_fidelity ** u
     lower = (1.0 - math.sqrt(max(0.0, 1.0 - block * block))) / 2.0
     return lower, block / 2.0
@@ -100,16 +96,16 @@ class XiTable(Frozen):
     __slots__ = ("ports", "values")
 
     def __init__(self, ports, values):
-        ports = np.asarray(check_count(ports, "port count", 1, QadcError))
+        ports = np.asarray(check_count(ports, "port count", 1))
         values = np.asarray(values, dtype=np.float64)
         if ports.ndim != 1 or ports.shape != values.shape or not ports.size:
-            raise QadcError("xi table needs at least one knot and one value per port count")
+            raise ChandiscError("xi table needs at least one knot and one value per port count")
         if (np.diff(ports) <= 0).any():
-            raise QadcError("xi table port counts must increase strictly")
+            raise ChandiscError("xi table port counts must increase strictly")
         if not np.isfinite(values).all():
-            raise QadcError("xi table has non-finite values")
+            raise ChandiscError("xi table has non-finite values")
         if (values < 0.0).any():
-            raise QadcError("xi table has negative values")
+            raise ChandiscError("xi table has negative values")
         object.__setattr__(self, "ports", ports)
         object.__setattr__(self, "values", values)
 
@@ -121,11 +117,11 @@ class XiTable(Frozen):
 def _ports_and_xi(ports, xi):
     # The port counts as a checked int64 array, and xi at each: default_xi
     # for None, else the XiTable's steps, non-negative as the sim errors need.
-    ports = np.asarray(check_count(ports, "port count", 1, QadcError))
+    ports = np.asarray(check_count(ports, "port count", 1))
     if xi is None:
         return ports, default_xi(ports)
     if not isinstance(xi, XiTable):
-        raise QadcError(f"xi must be None or an XiTable, got {type(xi).__name__}")
+        raise ChandiscError(f"xi must be None or an XiTable, got {type(xi).__name__}")
     return ports, xi(ports)
 
 
@@ -147,9 +143,9 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
     simulation prefactor: ``None`` for :func:`default_xi`, or an
     :class:`XiTable`.
     """
-    q0 = float(check_prob(q0, "q0", QadcError))
-    q1 = float(check_prob(q1, "q1", QadcError))
-    u = check_count(u, "u", 1, QadcError)
+    q0 = float(check_prob(q0, "q0"))
+    q1 = float(check_prob(q1, "q1"))
+    u = check_count(u, "u", 1)
     ports, xi = _ports_and_xi(ports, xi)
     delta = xi * _sim_factor(q0) + xi * _sim_factor(q1)
     # Exponent in floats and float_power as in cpf._fidelity_lb.
@@ -168,9 +164,9 @@ def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6)) -> Bou
     falls, then rises toward 0 from below as the penalty fades; see
     :func:`~chandisc.cpf.argmax_ports`.
     """
-    q0 = float(check_prob(q0, "q0", QadcError))
-    q1 = float(check_prob(q1, "q1", QadcError))
-    u = check_count(u, "u", 1, QadcError)
+    q0 = float(check_prob(q0, "q0"))
+    q1 = float(check_prob(q1, "q1"))
+    u = check_count(u, "u", 1)
 
     def peak():
         c = -2.0 * u * math.log(qadc_choi_fidelity(q0, q1))
@@ -189,9 +185,9 @@ def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.
     (:func:`~chandisc.cpf._fidelity_lb`).  Ports and ``xi`` as in
     :func:`qadc_adaptive_lb_values`.
     """
-    q_b = float(check_prob(q_b, "q_b", QadcError))
-    q_t = float(check_prob(q_t, "q_t", QadcError))
-    m, u = check_count(m, "m", 2, QadcError), check_count(u, "u", 1, QadcError)
+    q_b = float(check_prob(q_b, "q_b"))
+    q_t = float(check_prob(q_t, "q_t"))
+    m, u = check_count(m, "m", 2), check_count(u, "u", 1)
     ports, xi = _ports_and_xi(ports, xi)
     delta = (m - 1) * (xi * _sim_factor(q_b)) + xi * _sim_factor(q_t)
     return _fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u, ports, delta)
@@ -208,9 +204,9 @@ def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
     ``h(M) = c A M**2 e**(-c M)`` first reaches ``B``, falls, then rises
     toward 0 from below; see :func:`~chandisc.cpf.argmax_ports`.
     """
-    q_b = float(check_prob(q_b, "q_b", QadcError))
-    q_t = float(check_prob(q_t, "q_t", QadcError))
-    m, u = check_count(m, "m", 2, QadcError), check_count(u, "u", 1, QadcError)
+    q_b = float(check_prob(q_b, "q_b"))
+    q_t = float(check_prob(q_t, "q_t"))
+    m, u = check_count(m, "m", 2), check_count(u, "u", 1)
 
     def peak():
         c = -4.0 * u * math.log(qadc_choi_fidelity(q_b, q_t))
@@ -240,9 +236,9 @@ def _weight_blocks(q0, q1, u):
     has rank ``2**u`` (1 at q = 0), and the two share every support vector
     when ``q0 == q1``, else only the all-decay one if both channels decay.
     """
-    q0 = float(check_prob(q0, "q0", QadcError))
-    q1 = float(check_prob(q1, "q1", QadcError))
-    u = check_count(u, "u", 1, QadcError)
+    q0 = float(check_prob(q0, "q0"))
+    q1 = float(check_prob(q1, "q1"))
+    u = check_count(u, "u", 1)
     # the tables first: a u they cannot hold raises MemoryError before 2**u is built
     x, y = _binom_pmf(q0 / 2.0, u), _binom_pmf(q1 / 2.0, u)
     rank0, rank1 = (2**u if q > 0.0 else 1 for q in (q0, q1))
@@ -340,14 +336,14 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
 
     Raises before allocating when ``C(m+u, m)`` exceeds ``MAX_CPF_CLASSES``.
     """
-    q_b = float(check_prob(q_b, "q_b", QadcError))
-    q_t = float(check_prob(q_t, "q_t", QadcError))
-    m, u = check_count(m, "m", 2, QadcError), check_count(u, "u", 1, QadcError)
+    q_b = float(check_prob(q_b, "q_b"))
+    q_t = float(check_prob(q_t, "q_t"))
+    m, u = check_count(m, "m", 2), check_count(u, "u", 1)
     # C(m+u, m) >= 2**min(m, u), so it exceeds the guard once min(m, u) reaches its bit length
     small = min(m, u) < MAX_CPF_CLASSES.bit_length()
     classes = math.comb(m + u, m) if small else MAX_CPF_CLASSES + 1
     if classes > MAX_CPF_CLASSES:
-        raise QadcError(f"weight class count C({m + u}, {m}) exceeds guard {MAX_CPF_CLASSES}")
+        raise ChandiscError(f"weight class count C({m + u}, {m}) exceeds guard {MAX_CPF_CLASSES}")
     params = {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "classes": classes}
     log_r = _log_r(q_b, q_t)
     mass_q = q_b / 2.0
@@ -417,12 +413,12 @@ def nulling_outcome_dist(q_applied, q_actual) -> np.ndarray:
     at least 1/4, far above the rounding of its difference form.  Returns a
     read-only array.
     """
-    q = float(check_prob(q_applied, "q_applied", QadcError))
-    qa = float(check_prob(q_actual, "q_actual", QadcError))
+    q = float(check_prob(q_applied, "q_applied"))
+    qa = float(check_prob(q_actual, "q_actual"))
     p00 = (math.sqrt(1.0 - q) - math.sqrt(1.0 - qa)) ** 2 / (4.0 - 2.0 * q)
     probs = np.array([p00, 0.0, 1.0 - qa / 2.0 - p00, qa / 2.0])
     if abs(probs.sum() - 1.0) > 1e-12:
-        raise QadcError(f"outcome probabilities sum to {probs.sum()}")
+        raise ChandiscError(f"outcome probabilities sum to {probs.sum()}")
     probs.setflags(write=False)
     return probs
 
@@ -447,9 +443,9 @@ def nulling_error(q0, q1, u: int) -> tuple[float, float]:
     matched hypothesis, so each error is orc's binary counting functional on
     the outcome-3 count tables, each with an atom for "some outcome 0".
     """
-    q0 = float(check_prob(q0, "q0", QadcError))
-    q1 = float(check_prob(q1, "q1", QadcError))
-    u = check_count(u, "u", 1, QadcError)
+    q0 = float(check_prob(q0, "q0"))
+    q1 = float(check_prob(q1, "q1"))
+    u = check_count(u, "u", 1)
     return tuple(float(_binary_error(_nulling_table(applied, q0, u),
                                      _nulling_table(applied, q1, u)))
                  for applied in (q0, q1))

@@ -53,9 +53,8 @@ from fractions import Fraction
 import numpy as np
 
 from chandisc.channels import choi
-from chandisc.cpf import CpfError
 from chandisc.discrimination import DensityMatrix, StateEnsemble, tensor_all
-from chandisc.linalg import KIND_LOWER, MAX_COUNT, BoundReport
+from chandisc.linalg import KIND_LOWER, MAX_COUNT, BoundReport, ChandiscError
 
 _CHUNK = 1 << 20
 
@@ -387,9 +386,9 @@ def staged_search(bound_fn, ports_range=(1, 10**6), breakpoints=()):
     """
     lo, hi = int(ports_range[0]), int(ports_range[1])
     if lo < 1 or hi < lo:
-        raise CpfError(f"invalid port range ({lo}, {hi})")
+        raise ChandiscError(f"invalid port range ({lo}, {hi})")
     if hi > MAX_COUNT:
-        raise CpfError(f"port range ends at {hi}, beyond the largest exact grid point 2**53")
+        raise ChandiscError(f"port range ends at {hi}, beyond the largest exact grid point 2**53")
 
     evaluated = {}
 
@@ -399,7 +398,7 @@ def staged_search(bound_fn, ports_range=(1, 10**6), breakpoints=()):
             ports = np.array(fresh, dtype=np.int64)
             values = np.broadcast_to(np.asarray(bound_fn(ports), dtype=np.float64), ports.shape)
             if np.isnan(values).any():
-                raise CpfError(f"bound is NaN at {int(ports[np.isnan(values)][0])} ports")
+                raise ChandiscError(f"bound is NaN at {int(ports[np.isnan(values)][0])} ports")
             evaluated.update(zip(fresh, values.tolist()))
 
     def geometric(left, right, num):
@@ -474,7 +473,7 @@ def build_cpf_choi_ensemble(background, target, m: int, max_dim: int = 4096) -> 
     bg = choi(background).mat
     tg = choi(target).mat
     if bg.shape[0] ** m > max_dim:
-        raise CpfError(f"ambient dimension {bg.shape[0]}**{m} exceeds guard {max_dim}")
+        raise ChandiscError(f"ambient dimension {bg.shape[0]}**{m} exceeds guard {max_dim}")
     states = []
     for n in range(m):
         factors = [bg] * m
@@ -503,7 +502,7 @@ def cyclic_shift(cell_dim: int, m: int) -> np.ndarray:
     cell_dim = int(cell_dim)
     m = int(m)
     if cell_dim < 1 or m < 1:
-        raise CpfError("cell_dim and m must be positive")
+        raise ChandiscError("cell_dim and m must be positive")
     dim = cell_dim**m
     old = np.arange(dim)
     new = (old % cell_dim) * cell_dim ** (m - 1) + old // cell_dim
@@ -566,10 +565,10 @@ def general_fidelity_lb(ensemble: StateEnsemble, u: int, ports: int,
     u = int(u)
     ports = int(ports)
     if u < 1 or ports < 1:
-        raise CpfError("need u >= 1 and ports >= 1")
+        raise ChandiscError("need u >= 1 and ports >= 1")
     delta_avg = float(delta_avg)
     if delta_avg < 0.0:
-        raise CpfError(f"simulation error must be >= 0, got {delta_avg}")
+        raise ChandiscError(f"simulation error must be >= 0, got {delta_avg}")
     total = 0.0
     for i in range(ensemble.m):
         for j in range(i + 1, ensemble.m):

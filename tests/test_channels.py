@@ -3,7 +3,6 @@ import pytest
 
 from chandisc import channels
 from chandisc.channels import (
-    ChannelError,
     KrausChannel,
     choi,
     heisenberg_weyl,
@@ -13,7 +12,8 @@ from chandisc.channels import (
     tele_covariance_check,
 )
 from chandisc.discrimination import DensityMatrix
-from chandisc.qadc import QadcError, XiTable, default_xi, qadc_adaptive_lb_values
+from chandisc.linalg import ChandiscError
+from chandisc.qadc import XiTable, default_xi, qadc_adaptive_lb_values
 
 from _oracles import partial_trace
 from _util import random_density, random_unitary
@@ -25,7 +25,7 @@ def _apply(channel, rho):
 
 
 def test_kraus_channel_requires_trace_preservation():
-    with pytest.raises(ChannelError):
+    with pytest.raises(ChandiscError, match="^channel is not trace preserving: drift 7.500e-01$"):
         KrausChannel((np.diag([1.0, 0.5]),))
 
 
@@ -138,7 +138,7 @@ def test_constructors_take_one_probability():
 
 
 def test_sim_error_validation():
-    with pytest.raises(QadcError):
+    with pytest.raises(ChandiscError, match="^q0 must lie in \\[0, 1\\], got 1.2$"):
         _sim_error(1.2)
 
 

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from chandisc import cli, crosscheck
-from chandisc.channels import ChannelError
-from chandisc.cpf import CpfError
-from chandisc.discrimination import DiscriminationError
-from chandisc.linalg import BoundReport, ChandiscError, LinalgError
-from chandisc.orc import OrcError
-from chandisc.qadc import QadcError
+from chandisc.channels import make_qadc
+from chandisc.cpf import argmax_ports
+from chandisc.discrimination import hermitize
+from chandisc.linalg import BoundReport, ChandiscError
+from chandisc.orc import qdc_scales
+from chandisc.qadc import XiTable
 
 
 def run(tmp_path, *argv):
@@ -286,7 +286,7 @@ def test_failed_sweep_keeps_its_earlier_rows(tmp_path, monkeypatch, capsys, code
         if len(calls) != 3:   # the third call is the second block's entangled one
             return real(q_b, q_t, m, u)
         if code == 2:
-            raise OrcError("refused")
+            raise ChandiscError("refused")
         return np.ones(q_t.shape)
     monkeypatch.setattr(cli, "h_mu_values", second_block_fails)
     got, text = run(tmp_path, *argv)
@@ -652,12 +652,13 @@ def test_huge_counts_exit_two_in_a_capped_child(tmp_path, line):
 
 def test_pair_pgm_at_two_to_the_53_uses_fails_fast():
     # the pmf tables come before the rank 2**u, so the call fails at allocation, not in 2**u
-    code = ("from chandisc.qadc import QadcError, qadc_block_pgm\n"
+    code = ("from chandisc.linalg import ChandiscError\n"
+            "from chandisc.qadc import qadc_block_pgm\n"
             "try:\n    qadc_block_pgm(0.3, 0.2, 2**53)\n"
-            "except (QadcError, MemoryError) as exc:\n    print(type(exc).__name__)\n")
+            "except (ChandiscError, MemoryError) as exc:\n    print(type(exc).__name__)\n")
     done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
                           text=True, preexec_fn=_capped, timeout=20)
-    assert done.returncode == 0 and done.stdout in ("QadcError\n", "MemoryError\n")
+    assert done.returncode == 0 and done.stdout in ("ChandiscError\n", "MemoryError\n")
 
 
 @pytest.mark.parametrize("command", [("fig3", "--m", "2"), ("binary", "--kind", "qadc")])
@@ -692,18 +693,30 @@ def test_binary_qadc_deep_power(tmp_path):
     assert len(text.splitlines()) == 1 + 3
 
 
-@pytest.mark.parametrize("error", [LinalgError, ChannelError, DiscriminationError,
-                                   CpfError, QadcError, OrcError])
-def test_every_library_error_exits_two(tmp_path, monkeypatch, capsys, error):
-    assert issubclass(error, ChandiscError)
+# One refused input per module, keyed by the error class that module raised
+# before every refusal became a ChandiscError.
+LIBRARY_REFUSALS = {
+    "LinalgError": (lambda: hermitize(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                    "matrix is not Hermitian: drift 5.000e-01 > 1.000e-08"),
+    "DiscriminationError": (lambda: BoundReport(0.5, "sideways", "m"),
+                            "unknown bound kind 'sideways'"),
+    "ChannelError": (lambda: make_qadc(2.0), "q must lie in [0, 1], got 2.0"),
+    "OrcError": (lambda: qdc_scales(1), "need an integer d >= 2 and <= 2**53, got 1"),
+    "CpfError": (lambda: argmax_ports(None, (5, 2), None),
+                 "invalid port range (5, 2): need an integer end >= 5 and <= 2**53, got 2"),
+    "QadcError": (lambda: XiTable([2, 1], [1.0, 1.0]),
+                  "xi table port counts must increase strictly"),
+}
 
-    def refuse(*args, **kwargs):
-        raise error("refused")
-    monkeypatch.setattr(cli, "h_mu_values", refuse)
+
+@pytest.mark.parametrize("former", sorted(LIBRARY_REFUSALS))
+def test_every_library_error_exits_two(tmp_path, monkeypatch, capsys, former):
+    refuse, message = LIBRARY_REFUSALS[former]
+    monkeypatch.setattr(cli, "h_mu_values", lambda *args, **kwargs: refuse())
     code, _ = run(tmp_path, "--command", "fig2", "--grid", "2", "--m", "2",
                   "--u", "1", "--d", "2", "--gap", "0.5")
     assert code == 2
-    assert capsys.readouterr().err == "error: refused\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 RENDER_HEADER = ["check", "status", "max_abs_dev", "tolerance", "cases", "flag"]
@@ -797,13 +810,15 @@ def test_xi_table_validation(tmp_path):
     base = ["--command", "binary", "--kind", "qadc"]
     cfg = cli.make_config(cli.build_parser().parse_args(
         base + ["--xi", f"value-table:{empty}"]))
-    with pytest.raises(cli.CliConfigError):
+    with pytest.raises(ChandiscError, match="^xi table needs at least one knot and one value "
+                       f"per port count: '{re.escape(str(empty))}'$"):
         cli.load_xi(cfg)
     dupes = tmp_path / "dupes.csv"
     dupes.write_text("4,1.0\n4,2.0\n", encoding="utf-8")
     cfg = cli.make_config(cli.build_parser().parse_args(
         base + ["--xi", f"value-table:{dupes}"]))
-    with pytest.raises(cli.CliConfigError):
+    with pytest.raises(ChandiscError, match="^xi table port counts must increase strictly: "
+                       f"'{re.escape(str(dupes))}'$"):
         cli.load_xi(cfg)
 
 

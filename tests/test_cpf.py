@@ -14,15 +14,14 @@ from chandisc import cpf, qadc
 from chandisc.channels import choi, make_qadc, make_qdc
 from chandisc.cpf import (
     PAIR_PEAK_X,
-    CpfError,
     cpf_nonadaptive_fidelity_lb,
     pair_peak,
     position_peak,
 )
 from chandisc.discrimination import helstrom_iterative, pgm_error
-from chandisc.linalg import MAX_COUNT
+from chandisc.linalg import MAX_COUNT, ChandiscError
 from chandisc.orc import h_mu_values, qdc_scales
-from chandisc.qadc import (QadcError, XiTable, qadc_adaptive_lb_opt, qadc_adaptive_lb_values,
+from chandisc.qadc import (XiTable, qadc_adaptive_lb_opt, qadc_adaptive_lb_values,
                           qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt,
                           qadc_cpf_adaptive_lb_values, qadc_cpf_block_pgm)
 
@@ -60,7 +59,7 @@ def test_ensemble_pairwise_fidelity_is_squared_choi_fidelity():
 
 
 def test_ensemble_dimension_guard():
-    with pytest.raises(CpfError):
+    with pytest.raises(ChandiscError, match="^ambient dimension 4\\*\\*8 exceeds guard 4096$"):
         build_cpf_choi_ensemble(make_qadc(0.2), make_qadc(0.4), 8, max_dim=4096)
 
 
@@ -72,9 +71,9 @@ def test_sim_error_combines_cells_linearly():
     block = cpf._fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u, ports, 0.0)
     value = qadc_cpf_adaptive_lb_values(q_b, q_t, m, u, ports, xi=XiTable([1], [0.5]))
     np.testing.assert_allclose(value, block - u * ((m - 1) * delta_b + delta_t) / 2, rtol=1e-12)
-    with pytest.raises(QadcError):  # a negative simulation error
-        XiTable([1], [-0.1])
-    with pytest.raises(QadcError):
+    with pytest.raises(ChandiscError, match="^xi table has negative values$"):
+        XiTable([1], [-0.1])  # a negative simulation error
+    with pytest.raises(ChandiscError, match="^need an integer m >= 2 and <= 2\\*\\*53, got 1$"):
         qadc_cpf_adaptive_lb_values(q_b, q_t, 1, u, ports)
 
 
@@ -84,8 +83,8 @@ def test_theorem1_arithmetic():
     assert cpf._fidelity_lb(0.9, 3, 3, np.int64(5), 0.1) == pytest.approx(block - 0.15)
     assert cpf._fidelity_lb(0.9, 3, 4, np.int64(5), 0.5) < 0  # vacuous
     assert qadc_cpf_adaptive_lb_values(0.3, 0.6, 3, 4, 5) < 0  # vacuous, default xi
-    with pytest.raises(QadcError):  # the only route to a negative simulation error
-        XiTable([1, 2], [1.0, -0.1])
+    with pytest.raises(ChandiscError, match="^xi table has negative values$"):
+        XiTable([1, 2], [1.0, -0.1])  # the only route to a negative simulation error
 
 
 def test_fidelity_lb_specialization_matches_general_form():
@@ -187,26 +186,26 @@ def test_optimizer_refuses_ranges_beyond_exact_grid_points():
     # port counts above 2**53 have no exact float, nor the exponent 4 u ports
     assert qadc_adaptive_lb_opt(0.04, 0.0, 2, ports_range=(1, 2**53)).params["ports"] >= 1
     for hi in (2**53 + 1, 2**63 - 1, 10**19):
-        with pytest.raises(CpfError, match="2\\*\\*53"):
+        with pytest.raises(ChandiscError, match="2\\*\\*53"):
             qadc_adaptive_lb_opt(0.04, 0.0, 2, ports_range=(1, hi))
-        with pytest.raises(CpfError, match="2\\*\\*53"):
+        with pytest.raises(ChandiscError, match="2\\*\\*53"):
             qadc_cpf_adaptive_lb_opt(0.04, 0.0, 2, 2, ports_range=(1, hi))
     for ports_range in [(0, 5), (5, 4)]:
-        with pytest.raises(CpfError, match="invalid port range"):
+        with pytest.raises(ChandiscError, match="invalid port range"):
             qadc_cpf_adaptive_lb_opt(0.04, 0.0, 2, 2, ports_range=ports_range)
 
 
 def test_optimizer_refuses_nan_bounds(monkeypatch):
     # NaN compares false with everything, so the argmax cannot use it
-    with pytest.raises(QadcError):  # xi is None or an XiTable, which holds no NaN
-        qadc_adaptive_lb_opt(0.3, 0.2, 2, xi=np.nan)
+    with pytest.raises(ChandiscError, match="^xi must be None or an XiTable, got float$"):
+        qadc_adaptive_lb_opt(0.3, 0.2, 2, xi=np.nan)  # an XiTable holds no NaN
     monkeypatch.setattr(qadc, "qadc_adaptive_lb_values",
                         lambda *args, **kwargs: np.where(args[-1] == 7, np.nan, 0.0))
-    with pytest.raises(CpfError, match="NaN at 7 ports"):
+    with pytest.raises(ChandiscError, match="NaN at 7 ports"):
         qadc_adaptive_lb_opt(0.3, 0.2, 2, xi=XiTable([1, 7], [1.0, 0.5]))
     monkeypatch.setattr(qadc, "qadc_adaptive_lb_values",
                         lambda *args, **kwargs: np.full(len(args[-1]), np.nan))
-    with pytest.raises(CpfError, match="NaN at 1 ports"):
+    with pytest.raises(ChandiscError, match="NaN at 1 ports"):
         qadc_adaptive_lb_opt(0.3, 0.2, 2)
 
 
@@ -214,11 +213,11 @@ def test_optimizer_refuses_nan_bounds(monkeypatch):
                                    [1e300]])
 def test_port_counts_must_be_integers(ports):
     # a fractional count was truncated: [1.9] gave the value at 1 port
-    with pytest.raises(QadcError, match="need an integer port count"):
+    with pytest.raises(ChandiscError, match="need an integer port count"):
         XiTable(ports, np.ones(len(ports)))
-    with pytest.raises(QadcError, match="need an integer port count"):
+    with pytest.raises(ChandiscError, match="need an integer port count"):
         qadc_adaptive_lb_values(0.3, 0.2, 2, ports)
-    with pytest.raises(QadcError, match="need an integer port count"):
+    with pytest.raises(ChandiscError, match="need an integer port count"):
         qadc_cpf_adaptive_lb_values(0.3, 0.2, 3, 2, ports)
     # whole floats are counts
     assert qadc_adaptive_lb_values(0.3, 0.2, 2, [1.0, 4.0]).tolist() == \
@@ -232,18 +231,18 @@ def test_port_counts_follow_the_count_rule(bad):
     # the value at 2**53 and XiTable kept 2**62.
     named = re.escape(repr(bad))
     for ports in ([1, bad], np.array([1, bad])):
-        with pytest.raises(QadcError, match=f"need an integer port count .*got {named}$"):
+        with pytest.raises(ChandiscError, match=f"need an integer port count .*got {named}$"):
             XiTable(ports, [1.0, 0.5])
-        with pytest.raises(QadcError, match=f"got {named}$"):
+        with pytest.raises(ChandiscError, match=f"got {named}$"):
             qadc_adaptive_lb_values(0.3, 0.2, 2, ports)
-        with pytest.raises(QadcError, match=f"got {named}$"):
+        with pytest.raises(ChandiscError, match=f"got {named}$"):
             qadc_cpf_adaptive_lb_values(0.3, 0.2, 2, 4, ports)
     for ports_range in [(1, bad), (bad, 2**53)]:
-        with pytest.raises(CpfError, match=f"invalid port range .*got {named}$"):
+        with pytest.raises(ChandiscError, match=f"invalid port range .*got {named}$"):
             qadc_adaptive_lb_opt(0.3, 0.2, 2, ports_range=ports_range)
-        with pytest.raises(CpfError, match=f"invalid port range .*got {named}$"):
+        with pytest.raises(ChandiscError, match=f"invalid port range .*got {named}$"):
             qadc_cpf_adaptive_lb_opt(0.3, 0.2, 2, 4, ports_range=ports_range)
-    with pytest.raises(QadcError, match="at least one knot"):  # one count is no table
+    with pytest.raises(ChandiscError, match="at least one knot"):  # one count is no table
         XiTable(4, [1.0])
     # 2**53 is a count
     top = [2**53 - 1, 2**53]
@@ -530,9 +529,10 @@ def test_pgm_upper_size_guard_before_allocation():
     # C(28, 8) = 3108105 weight classes: refused at once, as is C(2 10**6, 10**6)
     # before its 600000 digits are formed; C(9, 8) = 9 classes run
     started = time.monotonic()
-    with pytest.raises(QadcError, match="exceeds guard"):
+    with pytest.raises(ChandiscError, match="exceeds guard"):
         qadc_cpf_block_pgm(0.3, 0.5, m=8, u=20)
-    with pytest.raises(QadcError):
+    with pytest.raises(ChandiscError,
+                       match="^weight class count C\\(2000000, 1000000\\) exceeds guard 262144$"):
         qadc_cpf_block_pgm(0.3, 0.5, m=10**6, u=10**6)
     assert time.monotonic() - started < 1.0
     rep = qadc_cpf_block_pgm(0.3, 0.5, m=8, u=1)

@@ -5,7 +5,6 @@ from chandisc import discrimination
 from chandisc.discrimination import (
     BoundReport,
     DensityMatrix,
-    DiscriminationError,
     Povm,
     StateEnsemble,
     gus_unitary_helstrom,
@@ -15,7 +14,7 @@ from chandisc.discrimination import (
     pgm_povm,
 )
 
-from chandisc.linalg import ChandiscError, LinalgError, check_exact_prob
+from chandisc.linalg import ChandiscError, check_exact_prob
 
 from _oracles import fidelity, fidelity_lower_bound, success_probability
 from _util import gus_pure_states, random_density, random_unitary
@@ -28,7 +27,8 @@ def _pure(vec):
 
 
 def test_bound_report_exact_range():
-    with pytest.raises(DiscriminationError):
+    with pytest.raises(ChandiscError,
+                       match="^exact probability 1.5 falls outside \\[0, 1\\] beyond tolerance$"):
         BoundReport(1.5, "exact", "x")
     # tiny numerical overshoot snaps back into range
     assert BoundReport(1.0 + 1e-10, "exact", "x").value == 1.0
@@ -40,9 +40,9 @@ def test_exact_check_over_arrays():
     assert got.tolist() == [0.0, 0.25, 1.0, 0.0]
     assert check_exact_prob(-1e-13) == 0.0 and isinstance(check_exact_prob(0.5), float)
     for bad in (-1e-8, 1.0 + 1e-8, np.nan, np.inf):
-        with pytest.raises(DiscriminationError, match="beyond tolerance"):
+        with pytest.raises(ChandiscError, match="beyond tolerance"):
             check_exact_prob(np.array([0.5, bad]))
-        with pytest.raises(DiscriminationError, match="beyond tolerance"):
+        with pytest.raises(ChandiscError, match="beyond tolerance"):
             BoundReport(bad, "exact", "x")
 
 
@@ -56,39 +56,37 @@ def test_bound_report_clamping():
 
 def test_ensemble_validation():
     rho = DensityMatrix(np.eye(2) / 2)
-    with pytest.raises(DiscriminationError):
+    with pytest.raises(ChandiscError, match="^priors sum to 1.2, not 1$"):
         StateEnsemble([rho, rho], [0.6, 0.6])
-    with pytest.raises(DiscriminationError):
+    with pytest.raises(ChandiscError, match="^priors must lie in \\[0, 1\\], got 1.2$"):
         StateEnsemble([rho, rho], [1.2, -0.2])
-    with pytest.raises(DiscriminationError):
+    with pytest.raises(ChandiscError, match="^ensemble needs at least one state$"):
         StateEnsemble([], [])
 
 
 def test_ensemble_refuses_nan_priors():
     # NaN fails every comparison, so a sign check alone lets it through
-    with pytest.raises(DiscriminationError, match="priors must lie in \\[0, 1\\], got nan"):
+    with pytest.raises(ChandiscError, match="priors must lie in \\[0, 1\\], got nan"):
         StateEnsemble([np.eye(2) / 2, np.eye(2) / 2], [np.nan, np.nan])
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
 def test_prior_and_overlap_ranges(bad):
-    with pytest.raises(DiscriminationError, match="^p0 must lie in"):
+    with pytest.raises(ChandiscError, match="^p0 must lie in"):
         helstrom_binary(np.eye(2) / 2, np.eye(2) / 2, p0=bad)
-    with pytest.raises(DiscriminationError, match="^eta must lie in"):
+    with pytest.raises(ChandiscError, match="^eta must lie in"):
         gus_unitary_helstrom(bad, 3)
 
 
 def test_povm_validation():
     eye = np.eye(2)
     Povm((0.5 * eye, 0.5 * eye))
-    with pytest.raises(DiscriminationError):
+    with pytest.raises(ChandiscError, match="^measurement elements do not sum to identity$"):
         Povm((eye, eye))  # sums to 2I
-    with pytest.raises(DiscriminationError):
+    with pytest.raises(ChandiscError, match="^measurement element is not positive semidefinite$"):
         Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))  # negative element
-    # hermitize's error, a ChandiscError like every library error (the CLI exits 2)
-    assert issubclass(LinalgError, ChandiscError)
     skew = np.array([[0.0, 0.5], [-0.5, 0.0]])
-    with pytest.raises(LinalgError, match="not Hermitian"):
+    with pytest.raises(ChandiscError, match="not Hermitian"):
         Povm((0.5 * eye + skew, 0.5 * eye - skew))  # sums to I, but not Hermitian
 
 
@@ -194,7 +192,7 @@ def test_iterative_invariant_under_unitary_conjugation():
 
 def test_iterative_dimension_guard():
     rho = DensityMatrix(np.eye(300) / 300)
-    with pytest.raises(DiscriminationError):
+    with pytest.raises(ChandiscError, match="^dimension 300 exceeds solver guard 256; restrict"):
         helstrom_iterative(StateEnsemble.equiprobable([rho, rho]))
 
 

@@ -5,11 +5,10 @@ from chandisc.discrimination import (
     DensityMatrix,
     as_complex_matrix,
     hermitize,
-    tensor,
     tensor_all,
     trace_norm,
 )
-from chandisc.linalg import LinalgError, check_prob
+from chandisc.linalg import ChandiscError, check_prob
 
 from _oracles import fidelity, partial_trace
 from _util import random_density, random_pure, random_unitary
@@ -18,9 +17,9 @@ from _util import random_density, random_pure, random_unitary
 def test_as_complex_matrix_accepts_rectangular():
     # Kraus operators and isometries are rectangular; only the rank is fixed
     assert as_complex_matrix(np.ones((2, 3))).shape == (2, 3)
-    with pytest.raises(LinalgError):
+    with pytest.raises(ChandiscError, match="^expected a 2-D array, got ndim=1$"):
         as_complex_matrix(np.ones(4))
-    with pytest.raises(LinalgError):
+    with pytest.raises(ChandiscError, match="^matrix contains non-finite entries$"):
         as_complex_matrix(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
@@ -29,9 +28,9 @@ def test_check_prob_scalars_and_arrays():
     values = check_prob([0.0, 0.5, 1.0])
     assert values.dtype == np.float64 and values.tolist() == [0.0, 0.5, 1.0]
     for bad in (np.nan, -1e-300, 1.0 + 2**-52, np.inf, -np.inf):
-        with pytest.raises(LinalgError, match="p must lie in"):
+        with pytest.raises(ChandiscError, match="p must lie in"):
             check_prob(bad, "p")
-        with pytest.raises(LinalgError, match="p must lie in"):
+        with pytest.raises(ChandiscError, match="p must lie in"):
             check_prob(np.array([[0.5, bad], [0.0, 1.0]]), "p")
 
 
@@ -42,14 +41,15 @@ def test_hermitize_symmetrizes_small_drift():
 
 
 def test_hermitize_rejects_large_drift():
-    with pytest.raises(LinalgError):
+    with pytest.raises(ChandiscError,
+                       match="^matrix is not Hermitian: drift 5.000e-01 > 1.000e-08$"):
         hermitize(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-8)
 
 
 def test_density_matrix_validation():
-    with pytest.raises(LinalgError):
+    with pytest.raises(ChandiscError, match="^state trace .* deviates from 1 beyond 1e-10$"):
         DensityMatrix(np.diag([0.6, 0.6]))  # trace 1.2
-    with pytest.raises(LinalgError):
+    with pytest.raises(ChandiscError, match="^state has an eigenvalue below the PSD tolerance$"):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
@@ -63,13 +63,13 @@ def test_tensor_matches_kron():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 3))
     b = rng.normal(size=(4, 4))
-    np.testing.assert_allclose(tensor(a, b), np.kron(a, b))
+    np.testing.assert_allclose(tensor_all([a, b]), np.kron(a, b))
 
 
 def test_tensor_guard():
     a = np.eye(2048)
-    with pytest.raises(LinalgError):
-        tensor(a, a)
+    with pytest.raises(ChandiscError, match="^tensor product side 4194304 exceeds guard 1048576$"):
+        tensor_all([a, a])
 
 
 def test_tensor_all_order():

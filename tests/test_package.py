@@ -3,11 +3,14 @@
 import copy
 import importlib
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
 import chandisc
+from chandisc import cli
+from chandisc.cpf import argmax_ports
 from chandisc.crosscheck import h_m1_closed
 
 
@@ -20,9 +23,6 @@ def test_every_export_is_its_defining_object():
             assert value is importlib.import_module(f"chandisc.{name}")
         else:
             assert vars(importlib.import_module(value.__module__))[name] is value, name
-    # the error classes defined in linalg are the ones their old modules raise
-    assert chandisc.discrimination.DiscriminationError is chandisc.DiscriminationError
-    assert chandisc.channels.ChannelError is chandisc.ChannelError
 
 
 def test_star_import_binds_all():
@@ -35,8 +35,7 @@ def test_star_import_binds_all():
 def test_public_surface_is_pinned():
     # an export added or dropped shows up in this list
     assert chandisc.__all__ == [
-        "BoundReport", "ChandiscError", "ChannelError", "CpfError", "DensityMatrix",
-        "DiscriminationError", "KrausChannel", "LinalgError", "OrcError", "Povm", "QadcError",
+        "BoundReport", "ChandiscError", "DensityMatrix", "KrausChannel", "Povm",
         "StateEnsemble", "XiTable", "channels", "check_exact_prob", "choi", "cpf",
         "cpf_nonadaptive_fidelity_lb", "default_xi", "discrimination", "f_u_values",
         "fvg_sandwich", "gus_unitary_helstrom", "h_mu_values", "heisenberg_weyl",
@@ -45,7 +44,7 @@ def test_public_surface_is_pinned():
         "qadc", "qadc_adaptive_lb_opt", "qadc_adaptive_lb_values", "qadc_block_helstrom",
         "qadc_block_pgm", "qadc_choi_fidelity", "qadc_cpf_adaptive_lb_opt",
         "qadc_cpf_adaptive_lb_values", "qadc_cpf_block_pgm", "qdc_scales",
-        "tele_covariance_check", "tensor", "tensor_all", "trace_norm"]
+        "tele_covariance_check", "tensor_all", "trace_norm"]
 
 
 def test_unknown_names_are_attribute_errors():
@@ -54,22 +53,57 @@ def test_unknown_names_are_attribute_errors():
     assert "h_mu_values" in dir(chandisc)
 
 
-# One bad and one good construction per value type, with the error the bad one raises.
+# Each former error class of the package, by the module that defined it,
+# with one input it refused and the message: every refusal is a ChandiscError.
+REFUSALS = {
+    "linalg": (lambda: chandisc.hermitize(np.array([[0.0, 1.0], [0.0, 0.0]])),
+               "matrix is not Hermitian: drift 5.000e-01 > 1.000e-08"),
+    "discrimination": (lambda: chandisc.BoundReport(0.5, "sideways", "m"),
+                       "unknown bound kind 'sideways'"),
+    "channels": (lambda: chandisc.make_qadc(2.0), "q must lie in [0, 1], got 2.0"),
+    "orc": (lambda: chandisc.qdc_scales(1), "need an integer d >= 2 and <= 2**53, got 1"),
+    "cpf": (lambda: argmax_ports(None, (5, 2), None),
+            "invalid port range (5, 2): need an integer end >= 5 and <= 2**53, got 2"),
+    "qadc": (lambda: chandisc.XiTable([2, 1], [1.0, 1.0]),
+             "xi table port counts must increase strictly"),
+    "cli": (lambda: cli.make_config(cli.build_parser().parse_args(
+        ["--command", "crosscheck", "--budget", "0"])), "--budget must be > 0, got 0.0"),
+}
+
+
+def test_one_refusal_class():
+    modules = [importlib.import_module(f"chandisc.{info.name}")
+               for info in pkgutil.iter_modules(chandisc.__path__)]
+    classes = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and issubclass(value, BaseException)
+               and value.__module__.startswith("chandisc")}
+    assert classes == {chandisc.ChandiscError, cli.InvariantViolation}
+    for refuse, message in REFUSALS.values():
+        with pytest.raises(chandisc.ChandiscError) as refused:
+            refuse()
+        assert type(refused.value) is chandisc.ChandiscError
+        assert str(refused.value) == message
+
+
+# One bad and one good construction per value type, with the message the bad one raises.
 VALUE_TYPES = {
     "BoundReport": (lambda: chandisc.BoundReport(0.5, "sideways", "m"),
-                    lambda: chandisc.BoundReport(0.5, "exact", "m"), chandisc.DiscriminationError),
+                    lambda: chandisc.BoundReport(0.5, "exact", "m"),
+                    "unknown bound kind 'sideways'"),
     "KrausChannel": (lambda: chandisc.KrausChannel((2 * np.eye(2),)),
-                     lambda: chandisc.make_qadc(0.3), chandisc.ChannelError),
+                     lambda: chandisc.make_qadc(0.3),
+                     "channel is not trace preserving: drift 3.000e+00"),
     "XiTable": (lambda: chandisc.XiTable([1, 2], [1.0, np.nan]),
-                lambda: chandisc.XiTable([1, 2], [1.0, 0.5]), chandisc.QadcError),
+                lambda: chandisc.XiTable([1, 2], [1.0, 0.5]), "xi table has non-finite values"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
 def test_value_types_validate_and_stay_immutable(name):
-    bad, good, error = VALUE_TYPES[name]
-    with pytest.raises(error):
+    bad, good, message = VALUE_TYPES[name]
+    with pytest.raises(chandisc.ChandiscError) as refused:
         bad()
+    assert str(refused.value) == message
     value = good()
     assert type(value).__name__ == name
     field = type(value).__slots__[0]

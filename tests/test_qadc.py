@@ -12,8 +12,8 @@ from chandisc.channels import choi, make_qadc
 from chandisc.cpf import cpf_nonadaptive_fidelity_lb
 from chandisc.crosscheck import nulling_unitary
 from chandisc.discrimination import StateEnsemble, helstrom_binary, pgm_error, tensor_all
+from chandisc.linalg import ChandiscError
 from chandisc.qadc import (
-    QadcError,
     XiTable,
     default_xi,
     fvg_sandwich,
@@ -237,8 +237,9 @@ def test_adaptive_lb_custom_xi():
 
 def test_sim_error_refuses_nan_and_negative_xi():
     # xi reaches the kernels only as None or an XiTable, which holds no such value
-    for xi in ([np.nan], [-0.5], [0.5, np.nan], [1.0, -1.0]):
-        with pytest.raises(QadcError):
+    for xi, refused in (([np.nan], "non-finite"), ([-0.5], "negative"),
+                        ([0.5, np.nan], "non-finite"), ([1.0, -1.0], "negative")):
+        with pytest.raises(ChandiscError, match=f"^xi table has {refused} values$"):
             XiTable(np.arange(1, len(xi) + 1), xi)
     # at q = 1 the channel is simulable exactly: no penalty at any xi
     ports, xi = np.array([1, 2, 7]), XiTable([1, 2], [0.0, 2.0])
@@ -249,23 +250,27 @@ def test_sim_error_refuses_nan_and_negative_xi():
 def test_xi_table_knots_are_port_counts(knots):
     # [1.5, 7.9] was stored as [1, 7], knots <= 0 were kept, and 2**70
     # raised a bare OverflowError
-    with pytest.raises(QadcError):
+    refused = next(k for k in knots if k != int(k) or not 1 <= k <= 2**53)
+    with pytest.raises(ChandiscError, match=f"^need an integer port count >= 1 and <= 2\\*\\*53, "
+                                            f"got {refused!r}$"):
         XiTable(knots, [2.0, 1.0])
     assert XiTable([1.0, np.int64(7)], [2.0, 1.0]).ports.tolist() == [1, 7]
 
 
 def test_adaptive_lb_input_checks():
-    for ports in (0, -3, 2**63, 2**70, np.array([4, 0, 9])):
-        with pytest.raises(QadcError):
+    for ports, refused in ((0, 0), (-3, -3), (2**63, 2**63), (2**70, 2**70),
+                           (np.array([4, 0, 9]), 0)):
+        count = f"^need an integer port count >= 1 and <= 2\\*\\*53, got {refused}$"
+        with pytest.raises(ChandiscError, match=count):
             qadc_adaptive_lb_values(0.2, 0.5, 2, ports)
-        with pytest.raises(QadcError):
+        with pytest.raises(ChandiscError, match=count):
             qadc_cpf_adaptive_lb_values(0.2, 0.5, 3, 2, ports)
     for xi in (0.01, np.nan, lambda p: 3.0 - p, [1.0, 1.0, 1.0, 1.0]):
-        with pytest.raises(QadcError, match="None or an XiTable"):
+        with pytest.raises(ChandiscError, match="None or an XiTable"):
             qadc_adaptive_lb_values(0.2, 0.5, 2, np.arange(1, 5), xi=xi)
-        with pytest.raises(QadcError, match="None or an XiTable"):
+        with pytest.raises(ChandiscError, match="None or an XiTable"):
             qadc_cpf_adaptive_lb_values(0.2, 0.5, 3, 2, np.arange(1, 5), xi=xi)
-    with pytest.raises(QadcError):
+    with pytest.raises(ChandiscError, match="^q1 must lie in \\[0, 1\\], got 1.5$"):
         qadc_adaptive_lb_values(0.2, 1.5, 2, 4)
 
 
@@ -406,8 +411,11 @@ def test_block_pair_with_equal_parameters_is_blind_guessing_at_large_u():
 
 
 def test_position_finding_pgm_input_checks():
-    for args in [(0.3, 0.5, 1, 2), (0.3, 0.5, 2, 0), (1.5, 0.5, 2, 2), (0.3, -0.1, 2, 2)]:
-        with pytest.raises(QadcError):
+    for args, refused in [((0.3, 0.5, 1, 2), "need an integer m >= 2 and <= 2\\*\\*53, got 1"),
+                          ((0.3, 0.5, 2, 0), "need an integer u >= 1 and <= 2\\*\\*53, got 0"),
+                          ((1.5, 0.5, 2, 2), "q_b must lie in \\[0, 1\\], got 1.5"),
+                          ((0.3, -0.1, 2, 2), "q_t must lie in \\[0, 1\\], got -0.1")]:
+        with pytest.raises(ChandiscError, match=f"^{refused}$"):
             qadc_cpf_block_pgm(*args)
 
 
