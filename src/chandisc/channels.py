@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .discrimination import DensityMatrix, as_complex_matrix
-from .linalg import ChandiscError, Frozen, check_count, check_prob
+from .linalg import ChandiscError, Frozen, check_count, check_one_prob
 
 
 TP_TOL = 1e-9
@@ -66,7 +66,7 @@ def make_qec(d: int, q) -> KrausChannel:
     by the orthogonal erasure flag (the last output level).
     """
     d = check_count(d, "d", 2)
-    q = float(check_prob(q, "q"))
+    q = check_one_prob(q, "q")
     iso = np.zeros((d + 1, d), dtype=np.complex128)
     iso[:d, :] = np.eye(d)
     ops = [np.sqrt(1.0 - q) * iso]
@@ -98,7 +98,7 @@ def make_qdc(d: int, q) -> KrausChannel:
     unitaries is applied with probability ``q / d**2``.
     """
     d = check_count(d, "d", 2)
-    q = float(check_prob(q, "q"))
+    q = check_one_prob(q, "q")
     unitaries = heisenberg_weyl(d)
     ops = [np.sqrt(1.0 - q + q / d**2) * unitaries[0]]
     ops.extend(np.sqrt(q / d**2) * w for w in unitaries[1:])
@@ -107,7 +107,7 @@ def make_qdc(d: int, q) -> KrausChannel:
 
 def make_qadc(q) -> KrausChannel:
     """Amplitude damping channel on a qubit with decay probability ``q``."""
-    q = float(check_prob(q, "q"))
+    q = check_one_prob(q, "q")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - q)]], dtype=np.complex128)
     k1 = np.array([[0.0, np.sqrt(q)], [0.0, 0.0]], dtype=np.complex128)
     return KrausChannel((k0, k1))

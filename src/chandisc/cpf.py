@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import KIND_LOWER, BoundReport, ChandiscError, check_count, check_prob
+from .linalg import KIND_LOWER, BoundReport, ChandiscError, check_count, check_one_prob
 
 
 def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_avg):
@@ -50,7 +50,7 @@ def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundRe
     maximally entangled pair.  It is no bound for other non-adaptive
     strategies, such as unentangled probes.
     """
-    choi_fidelity = float(check_prob(choi_fidelity, "fidelity"))
+    choi_fidelity = check_one_prob(choi_fidelity, "fidelity")
     m, u = check_count(m, "m", 2), check_count(u, "u", 1)
     value = _fidelity_lb(choi_fidelity, m, u, np.int64(1), 0.0)
     return BoundReport(value, KIND_LOWER, "cpf_nonadaptive_fidelity_lb",

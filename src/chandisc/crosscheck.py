@@ -26,7 +26,7 @@ import numpy as np
 from .channels import choi as channel_choi, make_qadc, make_qdc, make_qec, tele_covariance_check
 from .discrimination import (DensityMatrix, StateEnsemble, gus_unitary_helstrom, helstrom_binary,
                              helstrom_iterative, pgm_error, tensor_all)
-from .linalg import check_count, check_prob
+from .linalg import check_count, check_one_prob
 from .orc import f_u_values, h_mu_values, qdc_scales
 from .qadc import (fvg_sandwich, nulling_error, nulling_outcome_dist, qadc_block_helstrom,
                    qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt, qadc_cpf_adaptive_lb_values)
@@ -47,8 +47,8 @@ def h_m1_closed(q_b, q_t, m: int) -> float:
     vanishes, and the cost does not grow with ``m``.  Where a sum's ratio is
     1 or 0 its log is undefined, and the sum is ``m`` or 1.
     """
-    q_b = float(check_prob(q_b, "q_b"))
-    q_t = float(check_prob(q_t, "q_t"))
+    q_b = check_one_prob(q_b, "q_b")
+    q_t = check_one_prob(q_t, "q_t")
     m = check_count(m, "m", 2)
     if q_t >= q_b:
         if q_b == 0.0 or q_b == 1.0:
@@ -72,7 +72,7 @@ def nulling_unitary(q) -> np.ndarray:
     probability into outcome 0, which the counting receiver
     (:func:`~chandisc.qadc.nulling_error`) exploits.
     """
-    q = float(check_prob(q, "q"))
+    q = check_one_prob(q, "q")
     a = math.sqrt((1.0 - q) / (2.0 - q))
     b = 1.0 / math.sqrt(2.0 - q)
     return np.array([

@@ -2,16 +2,15 @@
 
 The first half holds the dense matrix primitives: validated states
 (:class:`DensityMatrix`), tensor products and the trace norm.  These are
-the numerical details that are easy to get subtly wrong, so the rest of the
-package has one vetted implementation of each.
+easy to get subtly wrong, so the package has one vetted version of each.
 
 The second half computes the smallest achievable probability of
 misidentifying which state from a known ensemble was prepared.  For two
 states this is given in closed form by the trace-norm (Helstrom) formula;
-for larger ensembles the module provides the square-root measurement, a
-fixed-point iteration for the optimal measurement with a rigorous
-optimality certificate, and a closed form for geometrically uniform pure
-ensembles.
+for larger ensembles by the square-root measurement and a fixed-point
+iteration of it that reaches the optimal measurement with a rigorous
+optimality certificate; one routine, :func:`_srm`, forms each of those
+measurements.  A closed form covers geometrically uniform pure ensembles.
 
 Every bound is returned as a :class:`~chandisc.linalg.BoundReport` carrying
 the raw value, its direction (``exact`` / ``lower`` / ``upper``) and the
@@ -25,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (KIND_EXACT, KIND_UPPER, BoundReport, ChandiscError, Frozen, check_count,
-                     check_prob)
+                     check_one_prob, check_prob)
 
 # HERM_TOL / EIG_TOL / TRACE_TOL gate state validation.
 HERM_TOL = 1e-10
@@ -220,7 +219,7 @@ def helstrom_binary(rho0, rho1, p0: float = 0.5) -> BoundReport:
     rho1 = rho1 if isinstance(rho1, DensityMatrix) else DensityMatrix(rho1)
     if rho0.dim != rho1.dim:
         raise ChandiscError(f"dimension mismatch: {rho0.dim} vs {rho1.dim}")
-    p0 = float(check_prob(p0, "p0"))
+    p0 = check_one_prob(p0, "p0")
     value = (1.0 - trace_norm(p0 * rho0.mat - (1.0 - p0) * rho1.mat)) / 2.0
     return BoundReport(value, KIND_EXACT, "helstrom_binary",
                        {"p0": p0, "dim": rho0.dim})
@@ -235,68 +234,59 @@ def _pinv_sqrt(mat):
     return inv_sqrt, v @ v.conj().T
 
 
-def _resum_to_identity(elements):
-    """Conjugate the elements by the inverse square root of their sum.
+def _weighted(ensemble):
+    return [p * s.mat for p, s in zip(ensemble.priors, ensemble.states)]
 
-    ``R^{-1/2} R R^{-1/2}`` misses the identity by the rounding of ``R`` over
-    its smallest kept eigenvalue, which the solver's ``G_n Pi_n G_n`` make
-    tiny; beyond 1e-12 the congruence restores the sum, keeping positivity.
+
+def _srm(weighted):
+    """Square-root measurement of the Hermitian operators ``A_n``.
+
+    Element ``n`` is ``S A_n S``, ``S`` the inverse square root of
+    ``R = sum_n A_n`` on its support, plus an even share of the deficit off
+    it.  Where their sum misses the identity by over 1e-12 (the rounding of
+    ``R`` over its smallest kept eigenvalue), the elements are conjugated by
+    the inverse square root of that sum, which restores it, keeping them PSD.
     """
+    inv_sqrt, proj = _pinv_sqrt(sum(weighted))
+    filler = (np.eye(len(proj)) - proj) / len(weighted)
+    elements = [inv_sqrt @ a @ inv_sqrt + filler for a in weighted]
     total = sum(elements)
-    if np.abs(total - np.eye(total.shape[0])).max() <= 1e-12:
-        return elements
-    w, v = np.linalg.eigh(hermitize(total))
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return [inv_sqrt @ e @ inv_sqrt for e in elements]
+    if np.abs(total - np.eye(len(total))).max() > 1e-12:
+        inv_sqrt, _ = _pinv_sqrt((total + total.conj().T) / 2.0)
+        elements = [inv_sqrt @ e @ inv_sqrt for e in elements]
+    return elements
 
 
 def pgm_povm(ensemble: StateEnsemble) -> Povm:
-    """Square-root measurement of an ensemble.
-
-    Elements are ``S p_n rho_n S`` with ``S`` the inverse square root of the
-    average state on its support; the deficit off the support is split
-    evenly so the elements sum to the identity.
-    """
-    avg = sum(p * s.mat for p, s in zip(ensemble.priors, ensemble.states))
-    inv_sqrt, proj = _pinv_sqrt(hermitize(avg))
-    filler = (np.eye(ensemble.dim) - proj) / ensemble.m
-    elements = [inv_sqrt @ (p * s.mat) @ inv_sqrt + filler
-                for p, s in zip(ensemble.priors, ensemble.states)]
-    return Povm(elements)
+    """Square-root measurement of an ensemble: :func:`_srm` of the ``p_n rho_n``."""
+    return Povm(_srm(_weighted(ensemble)))
 
 
 def pgm_error(ensemble: StateEnsemble) -> BoundReport:
     """Error probability of the square-root measurement (an upper bound).
 
-    Computed without materializing the measurement: with ``C_n = S p_n rho_n``
-    the success contribution of hypothesis ``n`` is ``tr(C_n C_n)``.
+    One minus the success ``sum_n tr(Pi_n p_n rho_n)`` over the elements
+    ``Pi_n`` of :func:`_srm`, the one routine behind :func:`pgm_povm` too;
+    no :class:`Povm` is built, so no element is checked or refused.
     """
-    avg = sum(p * s.mat for p, s in zip(ensemble.priors, ensemble.states))
-    inv_sqrt, _ = _pinv_sqrt(hermitize(avg))
-    success = 0.0
-    for p, state in zip(ensemble.priors, ensemble.states):
-        if p == 0.0:
-            continue
-        c = inv_sqrt @ (p * state.mat)
-        success += np.einsum("ij,ji->", c, c).real
-    value = 1.0 - float(success)
-    return BoundReport(value, KIND_UPPER, "pgm",
+    weighted = _weighted(ensemble)
+    success = sum(np.einsum("ij,ji->", e, a).real for e, a in zip(_srm(weighted), weighted))
+    return BoundReport(1.0 - float(success), KIND_UPPER, "pgm",
                        {"m": ensemble.m, "dim": ensemble.dim})
 
 
 def helstrom_iterative(ensemble: StateEnsemble):
     """Minimum error probability of an ensemble via measurement iteration.
 
-    Starting from the square-root measurement, alternates the fixed-point
-    update ``Pi_n <- R^{-1/2} A_n R^{-1/2}`` with ``A_n = G_n Pi_n G_n``,
-    ``G_n = p_n rho_n`` and ``R = sum_n A_n``, whose fixed points are the
-    optimal measurements.  Optimality is certified through the operator
-    ``Y = herm(sum_n G_n Pi_n)``: if ``Y - G_n`` is positive semidefinite
-    for all ``n`` the measurement is exactly optimal, and in general the
-    minimum error lies within ``dim * |min eigenvalue|`` below the reported
-    value.  Iteration stops once that residual eigenvalue is above
-    ``-SOLVER_TOL``, or after ``SOLVER_MAX_ITERS`` updates; dimensions above
-    ``SOLVER_MAX_DIM`` are refused.
+    Starting from the square-root measurement of the ``G_n = p_n rho_n``,
+    repeats the update ``Pi_n <- _srm(G_n Pi_n G_n)``, whose fixed points
+    are the optimal measurements.  Optimality is certified through the
+    operator ``Y = herm(sum_n G_n Pi_n)``: if ``Y - G_n`` is positive
+    semidefinite for all ``n`` the measurement is exactly optimal, and in
+    general the minimum error lies within ``dim * |min eigenvalue|`` below
+    the reported value.  Iteration stops once that residual eigenvalue is
+    above ``-SOLVER_TOL``, or after ``SOLVER_MAX_ITERS`` updates;
+    dimensions above ``SOLVER_MAX_DIM`` are refused.
 
     Returns
     -------
@@ -312,12 +302,10 @@ def helstrom_iterative(ensemble: StateEnsemble):
             f"dimension {ensemble.dim} exceeds solver guard {SOLVER_MAX_DIM}; restrict the "
             f"states to their joint support first")
     dim = ensemble.dim
-    weighted = [p * s.mat for p, s in zip(ensemble.priors, ensemble.states)]
-    identity = np.eye(dim)
-    elements = list(pgm_povm(ensemble).elements)
+    weighted = _weighted(ensemble)
+    elements = _srm(weighted)
 
     best = None
-    iterations = 0
     for iterations in range(1, SOLVER_MAX_ITERS + 1):
         raw = sum(g @ e for g, e in zip(weighted, elements))
         upsilon = (raw + raw.conj().T) / 2.0
@@ -325,14 +313,11 @@ def helstrom_iterative(ensemble: StateEnsemble):
         value = 1.0 - upsilon.trace().real
         gap = dim * max(0.0, -residual)
         if best is None or gap < best[1]:
-            best = (value, gap, [e.copy() for e in elements], residual)
+            best = (value, gap, elements, residual)
         if residual >= -SOLVER_TOL:
             break
         updated = [g @ e @ g for g, e in zip(weighted, elements)]
-        updated = [(a + a.conj().T) / 2.0 for a in updated]
-        inv_sqrt, proj = _pinv_sqrt(sum(updated))
-        filler = (identity - proj) / ensemble.m
-        elements = _resum_to_identity([inv_sqrt @ a @ inv_sqrt + filler for a in updated])
+        elements = _srm([(a + a.conj().T) / 2.0 for a in updated])
 
     value, gap, elements, residual = best
     converged = bool(residual >= -SOLVER_TOL)
@@ -355,7 +340,7 @@ def gus_unitary_helstrom(eta: float, m: int) -> BoundReport:
         ``P = (m - 1) / m**2 * (sqrt(1 + (m-1) eta) - sqrt(1 - eta))**2``.
     """
     m = check_count(m, "m", 2)
-    eta = float(check_prob(eta, "eta"))
+    eta = check_one_prob(eta, "eta")
     root = np.sqrt(1.0 + (m - 1) * eta) - np.sqrt(1.0 - eta)
     value = (m - 1) / m**2 * root**2
     return BoundReport(float(value), KIND_EXACT, "gus_pure_ppm", {"eta": eta, "m": m})

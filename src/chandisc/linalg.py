@@ -10,6 +10,7 @@ ensembles and their solvers live in :mod:`chandisc.discrimination`.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -63,15 +64,32 @@ def first_outside(values: np.ndarray, lo: float, hi: float):
 def check_prob(q, name: str = "q"):
     """``q`` as a float, or a float64 array, refused unless every entry lies in [0, 1].
 
-    NaN is refused with the rest.
+    NaN is refused with the rest, and so is anything that is not a real
+    number or an array of them: a string, None, a complex number or a
+    ragged list.
     """
     if isinstance(q, float) and 0.0 <= q <= 1.0:  # a scalar in range needs no array
         return float(q)
-    values = np.asarray(q, dtype=np.float64)
+    try:
+        values = np.asarray(q)
+        real = values.dtype.kind in "biuf" or all(isinstance(v, numbers.Real) for v in values.flat)
+    except ValueError:  # a ragged nesting of lists
+        real = False
+    if not real:
+        raise ChandiscError(f"need a real {name} in [0, 1], got {q!r}")
+    values = values.astype(np.float64, copy=False)
     bad = first_outside(values, 0.0, 1.0)
     if bad is not None:
         raise ChandiscError(f"{name} must lie in [0, 1], got {bad}")
     return float(values) if values.ndim == 0 else values
+
+
+def check_one_prob(q, name: str = "q") -> float:
+    """``q`` as a float, refused unless it is one real number in [0, 1]."""
+    value = check_prob(q, name)
+    if isinstance(value, float):
+        return value
+    raise ChandiscError(f"need one {name} in [0, 1], got {q!r}")
 
 
 # Largest count any size check accepts.  Beyond 2**53 an integer has no

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cpf import _fidelity_lb, argmax_ports, pair_peak, position_peak
 from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError, Frozen,
-                     check_count, check_prob)
+                     check_count, check_one_prob)
 from .orc import _binary_error, _binom_log_pmf, _binom_pmf
 
 
@@ -47,8 +47,8 @@ def qadc_choi_fidelity(q0, q1) -> float:
 
     Equals 1 exactly when ``q0 == q1``.
     """
-    q0 = float(check_prob(q0, "q0"))
-    q1 = float(check_prob(q1, "q1"))
+    q0 = check_one_prob(q0, "q0")
+    q1 = check_one_prob(q1, "q1")
     val = (1.0 + math.sqrt((1.0 - q0) * (1.0 - q1)) + math.sqrt(q0 * q1)) / 2.0
     # Distinct channels stay below 1 where the sum rounds to 1: at F = 1 the
     # sandwich's sqrt(1 - F**(2u)) would drop a term of order sqrt(1 - F).
@@ -62,7 +62,7 @@ def fvg_sandwich(choi_fidelity: float, u: int):
 
         ``(1 - sqrt(1 - F**(2u))) / 2  <=  P  <=  F**u / 2``.
     """
-    choi_fidelity = float(check_prob(choi_fidelity, "fidelity"))
+    choi_fidelity = check_one_prob(choi_fidelity, "fidelity")
     u = check_count(u, "u", 1)
     block = choi_fidelity ** u
     lower = (1.0 - math.sqrt(max(0.0, 1.0 - block * block))) / 2.0
@@ -143,8 +143,8 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
     simulation prefactor: ``None`` for :func:`default_xi`, or an
     :class:`XiTable`.
     """
-    q0 = float(check_prob(q0, "q0"))
-    q1 = float(check_prob(q1, "q1"))
+    q0 = check_one_prob(q0, "q0")
+    q1 = check_one_prob(q1, "q1")
     u = check_count(u, "u", 1)
     ports, xi = _ports_and_xi(ports, xi)
     delta = xi * _sim_factor(q0) + xi * _sim_factor(q1)
@@ -164,8 +164,8 @@ def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6)) -> Bou
     falls, then rises toward 0 from below as the penalty fades; see
     :func:`~chandisc.cpf.argmax_ports`.
     """
-    q0 = float(check_prob(q0, "q0"))
-    q1 = float(check_prob(q1, "q1"))
+    q0 = check_one_prob(q0, "q0")
+    q1 = check_one_prob(q1, "q1")
     u = check_count(u, "u", 1)
 
     def peak():
@@ -185,8 +185,8 @@ def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.
     (:func:`~chandisc.cpf._fidelity_lb`).  Ports and ``xi`` as in
     :func:`qadc_adaptive_lb_values`.
     """
-    q_b = float(check_prob(q_b, "q_b"))
-    q_t = float(check_prob(q_t, "q_t"))
+    q_b = check_one_prob(q_b, "q_b")
+    q_t = check_one_prob(q_t, "q_t")
     m, u = check_count(m, "m", 2), check_count(u, "u", 1)
     ports, xi = _ports_and_xi(ports, xi)
     delta = (m - 1) * (xi * _sim_factor(q_b)) + xi * _sim_factor(q_t)
@@ -204,8 +204,8 @@ def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
     ``h(M) = c A M**2 e**(-c M)`` first reaches ``B``, falls, then rises
     toward 0 from below; see :func:`~chandisc.cpf.argmax_ports`.
     """
-    q_b = float(check_prob(q_b, "q_b"))
-    q_t = float(check_prob(q_t, "q_t"))
+    q_b = check_one_prob(q_b, "q_b")
+    q_t = check_one_prob(q_t, "q_t")
     m, u = check_count(m, "m", 2), check_count(u, "u", 1)
 
     def peak():
@@ -236,8 +236,8 @@ def _weight_blocks(q0, q1, u):
     has rank ``2**u`` (1 at q = 0), and the two share every support vector
     when ``q0 == q1``, else only the all-decay one if both channels decay.
     """
-    q0 = float(check_prob(q0, "q0"))
-    q1 = float(check_prob(q1, "q1"))
+    q0 = check_one_prob(q0, "q0")
+    q1 = check_one_prob(q1, "q1")
     u = check_count(u, "u", 1)
     # the tables first: a u they cannot hold raises MemoryError before 2**u is built
     x, y = _binom_pmf(q0 / 2.0, u), _binom_pmf(q1 / 2.0, u)
@@ -336,8 +336,8 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
 
     Raises before allocating when ``C(m+u, m)`` exceeds ``MAX_CPF_CLASSES``.
     """
-    q_b = float(check_prob(q_b, "q_b"))
-    q_t = float(check_prob(q_t, "q_t"))
+    q_b = check_one_prob(q_b, "q_b")
+    q_t = check_one_prob(q_t, "q_t")
     m, u = check_count(m, "m", 2), check_count(u, "u", 1)
     # C(m+u, m) >= 2**min(m, u), so it exceeds the guard once min(m, u) reaches its bit length
     small = min(m, u) < MAX_CPF_CLASSES.bit_length()
@@ -413,8 +413,8 @@ def nulling_outcome_dist(q_applied, q_actual) -> np.ndarray:
     at least 1/4, far above the rounding of its difference form.  Returns a
     read-only array.
     """
-    q = float(check_prob(q_applied, "q_applied"))
-    qa = float(check_prob(q_actual, "q_actual"))
+    q = check_one_prob(q_applied, "q_applied")
+    qa = check_one_prob(q_actual, "q_actual")
     p00 = (math.sqrt(1.0 - q) - math.sqrt(1.0 - qa)) ** 2 / (4.0 - 2.0 * q)
     probs = np.array([p00, 0.0, 1.0 - qa / 2.0 - p00, qa / 2.0])
     if abs(probs.sum() - 1.0) > 1e-12:
@@ -443,8 +443,8 @@ def nulling_error(q0, q1, u: int) -> tuple[float, float]:
     matched hypothesis, so each error is orc's binary counting functional on
     the outcome-3 count tables, each with an atom for "some outcome 0".
     """
-    q0 = float(check_prob(q0, "q0"))
-    q1 = float(check_prob(q1, "q1"))
+    q0 = check_one_prob(q0, "q0")
+    q1 = check_one_prob(q1, "q1")
     u = check_count(u, "u", 1)
     return tuple(float(_binary_error(_nulling_table(applied, q0, u),
                                      _nulling_table(applied, q1, u)))

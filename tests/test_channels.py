@@ -133,7 +133,7 @@ def test_default_xi_caps_at_two():
 def test_constructors_take_one_probability():
     # check_prob passes arrays through for the array kernels; a channel has one q
     for make in (lambda q: make_qec(2, q), lambda q: make_qdc(2, q), make_qadc):
-        with pytest.raises(TypeError):
+        with pytest.raises(ChandiscError, match="^need one q in \\[0, 1\\], got array"):
             make(np.array([0.1, 0.2]))
 
 

@@ -138,6 +138,20 @@ def test_pgm_povm_resolves_identity():
     assert len(povm) == 3 and povm.dim == 4
 
 
+def test_one_square_root_measurement_with_a_zero_prior():
+    # pgm_povm and pgm_error take the same elements; off-support filler earns no success
+    rng = np.random.default_rng(29)
+    states = [random_density(rng, 5, rank=2) for _ in range(3)]
+    ens = StateEnsemble(states, [0.6, 0.0, 0.4])
+    elements = pgm_povm(ens).elements
+    assert np.abs(sum(elements) - np.eye(5)).max() <= 1e-12
+    success = sum(np.trace(e @ (p * s.mat)).real
+                  for e, p, s in zip(elements, ens.priors, ens.states))
+    error = pgm_error(ens).value
+    assert abs(error - (1.0 - success)) <= 1e-14
+    assert abs(error - pgm_error(StateEnsemble([states[0], states[2]], [0.6, 0.4])).value) <= 1e-14
+
+
 def test_fidelity_bounds_pairwise_formulas():
     # equiprobable pair: LB = p0 p1 F^2 = F^2/4
     a = _pure([1, 0, 0])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,18 @@ def test_check_prob_scalars_and_arrays():
             check_prob(bad, "p")
         with pytest.raises(ChandiscError, match="p must lie in"):
             check_prob(np.array([[0.5, bad], [0.0, 1.0]]), "p")
+
+
+def test_check_prob_refuses_what_is_not_a_real_number():
+    # the message names the value refused, as check_count's does
+    for bad, shown in (("abc", "'abc'"), ("0.3", "'0.3'"), (None, "None"), (1 + 0j, "(1+0j)"),
+                       ([0.5, None], "[0.5, None]"), (np.array([0.5j]), "array([0.+0.5j])"),
+                       ([[0.5], [0.5, 0.5]], "[[0.5], [0.5, 0.5]]")):
+        with pytest.raises(ChandiscError) as refused:
+            check_prob(bad, "p")
+        assert str(refused.value) == f"need a real p in [0, 1], got {shown}"
+    assert check_prob(True) == 1.0 and check_prob(Fraction(1, 4)) == 0.25
+    assert check_prob([Fraction(1, 4), 0.5]).tolist() == [0.25, 0.5]
 
 
 def test_hermitize_symmetrizes_small_drift():

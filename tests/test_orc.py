@@ -43,7 +43,7 @@ def test_params_validation():
         h_m1_closed(1.5, 0.5, 2)
     with pytest.raises(ChandiscError, match="^q_t must lie in"):
         h_m1_closed(0.5, -0.25, 2)
-    with pytest.raises(TypeError):  # one point; arrays go to h_mu_values
+    with pytest.raises(ChandiscError, match="^need one q_b in"):  # arrays go to h_mu_values
         h_m1_closed(np.array([0.2, 0.3]), 0.5, 2)
 
 
@@ -139,6 +139,19 @@ def test_f_bounds_monotonicity_symmetry_and_entanglement(q0, q1, u, d):
     ent_scale, cls_scale = qdc_scales(d)
     entangled = f_u_values(ent_scale * q0, ent_scale * q1, u)
     assert entangled <= f_u_values(cls_scale * q0, cls_scale * q1, u) * (1 + 1e-12) + 1e-300
+
+
+@settings(max_examples=400, deadline=None)
+@given(_DYADIC, _DYADIC, st.integers(2, 12), st.integers(1, 200), st.integers(2, 10))
+def test_h_bounds_monotonicity_symmetry_and_entanglement(q_b, q_t, m, u, d):
+    # the slack is absolute: h_mu is 1 - success, which rounds below 0 near it
+    h = h_mu_values(q_b, q_t, m, u)
+    assert -1e-12 <= h <= (m - 1) / m + 1e-12
+    assert h_mu_values(q_b, q_t, m, u + 1) <= h + 1e-12
+    assert abs(h_mu_values(1.0 - q_b, 1.0 - q_t, m, u) - h) <= 1e-12
+    ent_scale, cls_scale = qdc_scales(d)
+    entangled = h_mu_values(ent_scale * q_b, ent_scale * q_t, m, u)
+    assert entangled <= h_mu_values(cls_scale * q_b, cls_scale * q_t, m, u) + 1e-12
 
 
 def test_binary_entanglement_advantage():

@@ -11,7 +11,7 @@ import pytest
 import chandisc
 from chandisc import cli
 from chandisc.cpf import argmax_ports
-from chandisc.crosscheck import h_m1_closed
+from chandisc.crosscheck import h_m1_closed, nulling_unitary
 
 
 def test_every_export_is_its_defining_object():
@@ -181,3 +181,52 @@ def test_sizes_are_refused_not_truncated(entry):
         with pytest.raises(chandisc.ChandiscError):
             call(bad)
     assert _outcome(call(3)) == _outcome(call(np.int64(3))) == _outcome(call(3.0))
+
+
+# Every public entry that takes a single probability, called with it as ``q``.
+ONE_PROBABILITY = {
+    "make_qec:q": lambda q: chandisc.make_qec(2, q),
+    "make_qdc:q": lambda q: chandisc.make_qdc(2, q),
+    "make_qadc:q": lambda q: chandisc.make_qadc(q),
+    "cpf_nonadaptive_fidelity_lb:choi_fidelity":
+        lambda q: chandisc.cpf_nonadaptive_fidelity_lb(q, 2, 2),
+    "helstrom_binary:p0": lambda q: chandisc.helstrom_binary(np.eye(2) / 2, np.eye(2) / 2, q),
+    "gus_unitary_helstrom:eta": lambda q: chandisc.gus_unitary_helstrom(q, 3),
+    "h_m1_closed:q_b": lambda q: h_m1_closed(q, 0.2, 3),
+    "h_m1_closed:q_t": lambda q: h_m1_closed(0.3, q, 3),
+    "nulling_unitary:q": lambda q: nulling_unitary(q),
+    "qadc_choi_fidelity:q0": lambda q: chandisc.qadc_choi_fidelity(q, 0.2),
+    "qadc_choi_fidelity:q1": lambda q: chandisc.qadc_choi_fidelity(0.3, q),
+    "fvg_sandwich:choi_fidelity": lambda q: chandisc.fvg_sandwich(q, 2),
+    "qadc_adaptive_lb_values:q0": lambda q: chandisc.qadc_adaptive_lb_values(q, 0.2, 2, [1, 9]),
+    "qadc_adaptive_lb_values:q1": lambda q: chandisc.qadc_adaptive_lb_values(0.3, q, 2, [1, 9]),
+    "qadc_adaptive_lb_opt:q0": lambda q: chandisc.qadc_adaptive_lb_opt(q, 0.2, 2),
+    "qadc_adaptive_lb_opt:q1": lambda q: chandisc.qadc_adaptive_lb_opt(0.3, q, 2),
+    "qadc_cpf_adaptive_lb_values:q_b":
+        lambda q: chandisc.qadc_cpf_adaptive_lb_values(q, 0.2, 2, 2, [1, 9]),
+    "qadc_cpf_adaptive_lb_values:q_t":
+        lambda q: chandisc.qadc_cpf_adaptive_lb_values(0.3, q, 2, 2, [1, 9]),
+    "qadc_cpf_adaptive_lb_opt:q_b": lambda q: chandisc.qadc_cpf_adaptive_lb_opt(q, 0.2, 2, 4),
+    "qadc_cpf_adaptive_lb_opt:q_t": lambda q: chandisc.qadc_cpf_adaptive_lb_opt(0.3, q, 2, 4),
+    "qadc_block_helstrom:q0": lambda q: chandisc.qadc_block_helstrom(q, 0.3, 3),
+    "qadc_block_helstrom:q1": lambda q: chandisc.qadc_block_helstrom(0.1, q, 3),
+    "qadc_block_pgm:q0": lambda q: chandisc.qadc_block_pgm(q, 0.3, 3),
+    "qadc_block_pgm:q1": lambda q: chandisc.qadc_block_pgm(0.1, q, 3),
+    "qadc_cpf_block_pgm:q_b": lambda q: chandisc.qadc_cpf_block_pgm(q, 0.2, 2, 2),
+    "qadc_cpf_block_pgm:q_t": lambda q: chandisc.qadc_cpf_block_pgm(0.3, q, 2, 2),
+    "nulling_outcome_dist:q_applied": lambda q: chandisc.nulling_outcome_dist(q, 0.2),
+    "nulling_outcome_dist:q_actual": lambda q: chandisc.nulling_outcome_dist(0.3, q),
+    "nulling_error:q0": lambda q: chandisc.nulling_error(q, 0.3, 2),
+    "nulling_error:q1": lambda q: chandisc.nulling_error(0.1, q, 2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ONE_PROBABILITY))
+def test_single_probabilities_are_refused_unless_one_real_number(entry):
+    # refused as a ChandiscError, not parsed as a number nor left to float() to raise
+    call = ONE_PROBABILITY[entry]
+    for bad in ("0.3", None, 0.3 + 0j, np.array([0.3, 0.2])):
+        with pytest.raises(chandisc.ChandiscError) as refused:
+            call(bad)
+        assert type(refused.value) is chandisc.ChandiscError
+    assert len({_outcome(call(q)) for q in (0.25, np.float64(0.25), np.array(0.25))}) == 1
