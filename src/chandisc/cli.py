@@ -25,9 +25,10 @@ Output is CSV (default) or JSON.  CSV uses comma separators, ``.`` decimal
 points, 17-significant-digit scientific floats, LF line endings and UTF-8;
 JSON writes a non-finite float as ``null``.  Identical configurations give
 byte-identical output (``crosscheck`` only at a fixed BLAS thread count).
-Rows are written to ``--out`` as they are computed, one checked block at a
-time (a ``(u, gap)`` sweep, a sweep point or a crosscheck), so memory is
-bounded by a block, not by the table.
+Each command yields its table as blocks of named columns (a ``(u, gap)``
+sweep, a sweep point or a crosscheck); each block is checked against the
+table's orderings in :data:`ORDERS` and written to ``--out`` as it is
+computed, so memory is bounded by a block, not by the table.
 Exit codes: 0 on success, 2 for invalid configurations (including inputs a
 library size guard refuses, tables too large for the memory at hand, and
 an output that cannot be written, such as a closed pipe), 3 when a result
@@ -171,79 +172,39 @@ def _sweep_axis(gap: float, grid: int) -> np.ndarray:
     return np.linspace(0.0, 1.0 - gap, grid)
 
 
-def _check_order(command: str, at, *comparisons):
-    """Raise :class:`InvariantViolation` where a value exceeds its bound plus slack, or is NaN.
-
-    Each comparison is ``(name, values, bound_name, bounds, slack)``: floats
-    at one point or arrays over a block; ``at(i)`` names failing point ``i``.
-    """
-    for name, values, bound_name, bounds, slack in comparisons:
-        if isinstance(values, float):  # one point: no ufunc
-            if values <= bounds + slack:
-                continue
-            i, value, bound = None, values, bounds
-        else:
-            # max() is NaN at a NaN and is the reduction check_exact_prob runs:
-            # a first all() in a fig2 process raised its peak RSS by 0.1 MB
-            excess = values - (bounds + slack)
-            if excess.max() <= 0.0:
-                continue
-            i = int(np.argmax(~(excess <= 0.0)))
-            value, bound = values[i], bounds[i]
-        raise InvariantViolation(f"{command}: {name} {value} exceeds {bound_name} {bound} "
-                                 f"by more than {slack} at {at(i)}")
-
-
 def run_fig2(cfg):
-    """Yield the header, then one block of rows per (u, gap)."""
-    yield ["u", "gap", "q_t", "q_b", "qdc_cpf_entangled[exact]",
-           "qdc_cpf_classical[exact]", "at_q_t_max"]
+    """Yield one block of array columns per (u, gap)."""
     ent_scale, cls_scale = qdc_scales(cfg.d)
     for u in cfg.u:
         for gap in cfg.gap:
             q_t = _sweep_axis(gap, cfg.grid)
             q_b = q_t + gap
-            entangled = check_exact_prob(h_mu_values(ent_scale * q_b, ent_scale * q_t, cfg.m, u))
-            classical = check_exact_prob(h_mu_values(cls_scale * q_b, cls_scale * q_t, cfg.m, u))
-            _check_order("fig2", lambda i: f"u={u}, gap={gap}, q_t={q_t[i]}",
-                        ("qdc_cpf_entangled[exact]", entangled,
-                         "qdc_cpf_classical[exact]", classical, 1e-12))
-            points = zip(q_t.tolist(), q_b.tolist(), entangled.tolist(), classical.tolist())
-            yield ((u, gap, t, b, ent, cls, int(i == cfg.grid - 1))
-                   for i, (t, b, ent, cls) in enumerate(points))
+            yield {"u": u, "gap": gap, "q_t": q_t, "q_b": q_b,
+                   "qdc_cpf_entangled[exact]": check_exact_prob(
+                       h_mu_values(ent_scale * q_b, ent_scale * q_t, cfg.m, u)),
+                   "qdc_cpf_classical[exact]": check_exact_prob(
+                       h_mu_values(cls_scale * q_b, cls_scale * q_t, cfg.m, u)),
+                   "at_q_t_max": np.arange(cfg.grid) == cfg.grid - 1}
 
 
 def run_fig3(cfg):
-    """Yield the header, then one row per sweep point."""
+    """Yield one block per sweep point."""
     from .cpf import cpf_nonadaptive_fidelity_lb
     from .qadc import qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt, qadc_cpf_block_pgm
     if len(cfg.m) != len(cfg.u):  # --m without --u or the other way round
         raise ChandiscError("fig3 needs --m and --u together (or neither)")
     xi = load_xi(cfg)
-    yield ["m", "u", "gap", "q_t", "q_b",
-           "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
-           "adaptive_lb_opt[clamped_flag]", "best_ports",
-           "nonadaptive_fidelity_lb[lower]", "nonadaptive_fidelity_lb[raw]",
-           "nonadaptive_fidelity_lb[clamped_flag]", "block_pgm[upper]"]
     points = [(m, u, gap, q_t) for m, u in zip(cfg.m, cfg.u) for gap in cfg.gap
               for q_t in _sweep_axis(gap, cfg.grid)]
     for m, u, gap, q_t in points:
         q_b = q_t + gap
         adaptive = qadc_cpf_adaptive_lb_opt(
             q_b, q_t, m, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
-        nonadaptive = cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u)
-        pgm = qadc_cpf_block_pgm(q_b, q_t, m, u)
-        _check_order("fig3", lambda _: f"m={m}, u={u}, q_t={q_t}",
-                    ("adaptive_lb_opt[raw]", adaptive.value,
-                     "nonadaptive_fidelity_lb[raw]", nonadaptive.value, 1e-9),
-                    ("nonadaptive_fidelity_lb[raw]", nonadaptive.value,
-                     "block_pgm[upper]", pgm.value, 1e-7))
-        yield [(
-            m, u, gap, float(q_t), float(q_b),
-            adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
-            adaptive.params["ports"],
-            nonadaptive.clamped_value, nonadaptive.value, int(nonadaptive.clamped),
-            pgm.value)]
+        yield {"m": m, "u": u, "gap": gap, "q_t": float(q_t), "q_b": float(q_b),
+               **adaptive.columns("adaptive_lb_opt"), "best_ports": adaptive.params["ports"],
+               **cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u).columns(
+                   "nonadaptive_fidelity_lb"),
+               "block_pgm[upper]": qadc_cpf_block_pgm(q_b, q_t, m, u).value}
 
 
 def _binary_blocks(cfg):
@@ -256,90 +217,71 @@ def _binary_blocks(cfg):
 
 
 def run_binary_qec(cfg):
-    """Yield the header, then one block of rows per gap."""
-    yield ["gap", "q1", "q0", "u", "qec_ultimate[exact]"]
+    """Yield one block of array columns per gap."""
     for gap, q1, q0 in _binary_blocks(cfg):
-        values = check_exact_prob(f_u_values(q0, q1, cfg.u))
-        yield ((gap, p1, p0, cfg.u, value)
-               for p1, p0, value in zip(q1.tolist(), q0.tolist(), values.tolist()))
+        yield {"gap": gap, "q1": q1, "q0": q0, "u": cfg.u,
+               "qec_ultimate[exact]": check_exact_prob(f_u_values(q0, q1, cfg.u))}
 
 
 def run_binary_qdc(cfg):
-    """Yield the header, then one block of rows per gap."""
+    """Yield one block of array columns per gap."""
     u, d = cfg.u, cfg.d
-    yield ["gap", "q1", "q0", "u", "d", "qdc_entangled[exact]", "qdc_classical[exact]"]
     ent_scale, cls_scale = qdc_scales(d)
     for gap, q1, q0 in _binary_blocks(cfg):
-        entangled = check_exact_prob(f_u_values(ent_scale * q0, ent_scale * q1, u))
-        classical = check_exact_prob(f_u_values(cls_scale * q0, cls_scale * q1, u))
-        _check_order("binary qdc", lambda i: f"q1={q1[i]}, q0={q0[i]}",
-                    ("qdc_entangled[exact]", entangled, "qdc_classical[exact]", classical, 1e-12))
-        points = zip(q1.tolist(), q0.tolist(), entangled.tolist(), classical.tolist())
-        yield ((gap, p1, p0, u, d, ent, cls) for p1, p0, ent, cls in points)
+        yield {"gap": gap, "q1": q1, "q0": q0, "u": u, "d": d,
+               "qdc_entangled[exact]": check_exact_prob(
+                   f_u_values(ent_scale * q0, ent_scale * q1, u)),
+               "qdc_classical[exact]": check_exact_prob(
+                   f_u_values(cls_scale * q0, cls_scale * q1, u))}
 
 
 def run_binary_qadc(cfg):
-    """Yield the header, then one row per sweep point."""
+    """Yield one block per sweep point."""
     from .qadc import (fvg_sandwich, nulling_error, qadc_adaptive_lb_opt, qadc_block_helstrom,
                        qadc_block_pgm, qadc_choi_fidelity)
     u, xi = cfg.u, load_xi(cfg)
-    yield ["gap", "q1", "q0", "u",
-           "adaptive_lb_opt[lower]", "adaptive_lb_opt[raw]",
-           "adaptive_lb_opt[clamped_flag]", "best_ports",
-           "fvg_lower[lower]", "block_helstrom[exact]", "fvg_upper[upper]",
-           "block_pgm[upper]", "nulling_q0[upper]", "nulling_q1[upper]",
-           "nulling_min[upper]"]
     points = [(gap, q1, q0) for gap, q1s, q0s in _binary_blocks(cfg)
               for q1, q0 in zip(q1s.tolist(), q0s.tolist())]
     for gap, q1, q0 in points:
-        adaptive = qadc_adaptive_lb_opt(
-            q0, q1, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
+        adaptive = qadc_adaptive_lb_opt(q0, q1, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
         fvg_lo, fvg_hi = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
-        exact = qadc_block_helstrom(q0, q1, u)
-        pgm = qadc_block_pgm(q0, q1, u)
         null_q0, null_q1 = nulling_error(q0, q1, u)
-        null_min = min(null_q0, null_q1)
-        _check_order("binary qadc", lambda _: f"q1={q1}, q0={q0}",
-                    ("fvg_lower[lower]", fvg_lo, "block_helstrom[exact]", exact.value, 1e-7),
-                    ("block_helstrom[exact]", exact.value, "fvg_upper[upper]", fvg_hi, 1e-7),
-                    ("block_helstrom[exact]", exact.value, "block_pgm[upper]", pgm.value, 1e-7),
-                    ("block_helstrom[exact]", exact.value, "nulling_min[upper]", null_min, 1e-7),
-                    ("adaptive_lb_opt[raw]", adaptive.value, "block_helstrom[exact]", exact.value,
-                     1e-9))
-        yield [(
-            gap, q1, q0, u,
-            adaptive.clamped_value, adaptive.value, int(adaptive.clamped),
-            adaptive.params["ports"], fvg_lo, exact.value, fvg_hi, pgm.value,
-            null_q0, null_q1, null_min)]
+        yield {"gap": gap, "q1": q1, "q0": q0, "u": u,
+               **adaptive.columns("adaptive_lb_opt"), "best_ports": adaptive.params["ports"],
+               "fvg_lower[lower]": fvg_lo,
+               "block_helstrom[exact]": qadc_block_helstrom(q0, q1, u).value,
+               "fvg_upper[upper]": fvg_hi, "block_pgm[upper]": qadc_block_pgm(q0, q1, u).value,
+               "nulling_q0[upper]": null_q0, "nulling_q1[upper]": null_q1,
+               "nulling_min[upper]": min(null_q0, null_q1)}
 
 
 def run_crosscheck(cfg):
-    """Yield the header, then one row per check; return the failed checks."""
+    """Yield one block per check; return the failed checks."""
     from .crosscheck import CROSSCHECKS, run_check
-    yield ["check", "status", "max_abs_dev", "tolerance", "cases"]
     failures = []
     started = time.monotonic()
     for name, tol, check in CROSSCHECKS:
         if time.monotonic() - started > cfg.budget:
-            yield [(name, "skipped", 0.0, 0.0, 0)]
-            continue
-        dev, cases = run_check(check, np.random.default_rng(cfg.seed))
-        status = "pass" if dev <= tol else "fail"
+            status, dev, tol, cases = "skipped", 0.0, 0.0, 0
+        else:
+            dev, cases = run_check(check, np.random.default_rng(cfg.seed))
+            status = "pass" if dev <= tol else "fail"
         if status == "fail":
             failures.append(f"{name} (deviation {dev:.3e} > tolerance {tol:.3e})")
-        yield [(name, status, dev, tol, cases)]
+        yield {"check": name, "status": status, "max_abs_dev": dev, "tolerance": tol,
+               "cases": cases}
     return failures
 
 
 # Each command's interface: the options it reads, each with the value it
 # takes when not given, and the name of the generator that yields its
-# header and then its rows, block by block (looked up when it runs, so a
-# wrapper set on this module is the one called).  A block is computed and
-# checked whole before it is yielded, so :func:`write_table` writes only
-# checked rows.  A generator may return failures found in its complete
-# table; they exit with code 3 after the table is written.  ``binary`` has one entry per --kind.  A tuple default is a
-# sweep; --m and --u of fig3 are swept in pairs.  Every command also reads
-# the COMMON options, and make_config refuses any other with exit code 2.
+# table as blocks of named columns (looked up when it runs, so a wrapper
+# set on this module is the one called), each checked against ORDERS
+# before it is written.  A generator may return failures found in its
+# complete table; they exit with code 3 after the table is written.
+# ``binary`` has one entry per --kind.  A tuple default is a sweep; --m and
+# --u of fig3 are swept in pairs.  Every command also reads the COMMON
+# options, and make_config refuses any other with exit code 2.
 COMMANDS = {
     ("fig2", None): ("run_fig2", {"m": 5, "u": (1, 3), "d": 100,
                                   "gap": (0.5, 0.9, 0.99, 0.999), "grid": 200}),
@@ -355,31 +297,69 @@ COMMANDS = {
     ("crosscheck", None): ("run_crosscheck", {"seed": 7, "budget": 60.0}),
 }
 COMMON = {"format": "csv", "out": "-"}
+# Each table's orderings, keyed as COMMANDS: the (column, bound column,
+# slack) pairs, where each value is at most its row's bound plus the slack,
+# and the columns that name a failing row in the exit-3 message.
+ORDERS = {
+    ("fig2", None): ([("qdc_cpf_entangled[exact]", "qdc_cpf_classical[exact]", 1e-12)],
+                     ("u", "gap", "q_t")),
+    ("fig3", None): ([("adaptive_lb_opt[raw]", "nonadaptive_fidelity_lb[raw]", 1e-9),
+                      ("nonadaptive_fidelity_lb[raw]", "block_pgm[upper]", 1e-7)],
+                     ("m", "u", "q_t")),
+    ("binary", "qdc"): ([("qdc_entangled[exact]", "qdc_classical[exact]", 1e-12)], ("q1", "q0")),
+    ("binary", "qadc"): ([("fvg_lower[lower]", "block_helstrom[exact]", 1e-7),
+                          ("block_helstrom[exact]", "fvg_upper[upper]", 1e-7),
+                          ("block_helstrom[exact]", "block_pgm[upper]", 1e-7),
+                          ("block_helstrom[exact]", "nulling_min[upper]", 1e-7),
+                          ("adaptive_lb_opt[raw]", "block_helstrom[exact]", 1e-9)],
+                         ("q1", "q0")),
+}
 # The smallest value each count option takes; every count is at most 2**53.
 MINIMUM = {"m": 2, "u": 1, "d": 2, "grid": 2, "M_min": 1}
 
 
+def _check_order(command, blocks):
+    """Yield each block once it keeps ``ORDERS[command]``; return what ``blocks`` returns.
+
+    Raises :class:`InvariantViolation` at a value above its bound plus slack, or at NaN.
+    """
+    pairs, where = ORDERS.get(command, ((), ()))
+    while True:
+        try:
+            block = next(blocks)
+        except StopIteration as done:
+            return done.value
+        for name, bound_name, slack in pairs:
+            values, bounds = block[name], block[bound_name]
+            if isinstance(values, float):  # one point: no ufunc
+                if values <= bounds + slack:
+                    continue
+                i, value, bound = None, values, bounds
+            else:
+                # max() is NaN at a NaN and is the reduction check_exact_prob runs:
+                # a first all() in a fig2 process raised its peak RSS by 0.1 MB
+                excess = values - (bounds + slack)
+                if excess.max() <= 0.0:
+                    continue
+                i = int(np.argmax(~(excess <= 0.0)))
+                value, bound = values[i], bounds[i]
+            at = ", ".join(f"{c}={block[c][i] if np.ndim(block[c]) else block[c]}" for c in where)
+            raise InvariantViolation(f"{' '.join(filter(None, command))}: {name} {value} exceeds "
+                                     f"{bound_name} {bound} by more than {slack} at {at}")
+        yield block
+
+
 # -- output ---------------------------------------------------------------------
 
-def _cell_format(kind: type) -> str:
+def _cell_format(value) -> str:
+    # A column's %-format, from the type of its value (an array's dtype):
+    # text as is, booleans and integers as integers, anything else as a float.
+    kind = value.dtype.type if isinstance(value, np.ndarray) else type(value)
     if issubclass(kind, str):
         return "%s"
     if issubclass(kind, (int, np.integer, np.bool_)):   # bool is an int
         return "%d"
     return FLOAT_FORMAT
-
-
-def _column_formats(header, values) -> list:
-    # One %-format per column, from the types it holds in every row given:
-    # text as is, booleans and integers as integers, anything else as a
-    # float.  A column whose values need two formats is a bug in the table.
-    formats = []
-    for name, column in zip(header, zip(*values)):
-        kinds = {_cell_format(kind) for kind in set(map(type, column))}
-        if len(kinds) != 1:
-            raise TypeError(f"column {name!r} mixes cell formats {sorted(kinds)}")
-        formats.append(kinds.pop())
-    return formats
 
 
 # by a column's cell format; JSON has no NaN or infinity, so those are null
@@ -390,22 +370,35 @@ _JSON_VALUE = {"%s": str, "%d": int, FLOAT_FORMAT: lambda x: float(x) if np.isfi
 SLICE_ROWS = 1024
 
 
-def _slices(blocks):
+def _slices(blocks, header, formats):
+    # Each block's rows, SLICE_ROWS at a time, once its names and cell formats
+    # are the header's (TypeError if not); an array column gives one cell per
+    # row, a scalar repeats.
     for block in blocks:
-        rows = iter(block)
+        if list(block) != header:
+            raise TypeError(f"block columns {list(block)} differ from the header {header}")
+        values = block.values()
+        for name, value, fmt in zip(header, values, formats):
+            if (kind := _cell_format(value)) != fmt:
+                raise TypeError(f"column {name!r} mixes cell formats {sorted({fmt, kind})}")
+        lengths = {len(value) for value in values if isinstance(value, np.ndarray)}
+        if len(lengths) > 1:  # refused whole, before any of its rows is written
+            raise ValueError(f"block columns have unequal lengths {sorted(lengths)}")
+        rows = zip(*(value.tolist() if isinstance(value, np.ndarray) else itertools.repeat(value)
+                     for value in values)) if lengths else iter([tuple(values)])
         while rows_slice := list(itertools.islice(rows, SLICE_ROWS)):
             yield rows_slice
 
 
-def _table_text(header, blocks, fmt: str):
+def _table_text(blocks, fmt: str):
     # The table's text, piece by piece: the first piece (the header and the
     # first slice) once the first block is ready, then one piece per slice.
     # The pieces join to the text of the whole table formatted at once.
-    # Columns are typed with the first slice, so a column whose format
-    # changes between slices is refused as within one.
-    slices = _slices(blocks)
+    blocks = iter(blocks)
+    first_block = next(blocks, {})
+    header, formats = list(first_block), [_cell_format(value) for value in first_block.values()]
+    slices = _slices(itertools.chain([first_block], blocks), header, formats)
     first = next(slices, [])
-    formats = _column_formats(header, first)
     if fmt == "csv":
         line = ",".join(formats) + "\n"
         head, joint, tail = ",".join(header) + "\n", "", ""
@@ -426,21 +419,22 @@ def _table_text(header, blocks, fmt: str):
                               for row in rows)
     yield head + text(first)
     for rows in slices:
-        _column_formats(header, [first[0], *rows])
         yield joint + text(rows)
     yield tail
 
 
-def write_table(header, blocks, fmt: str, out: str):
+def write_table(blocks, fmt: str, out: str):
     """Write the table to ``out`` ('-' for stdout) as its blocks arrive.
 
-    ``blocks`` yields the rows block by block.  ``out`` is opened once the
-    first block is ready, and each block is formatted and written
-    :data:`SLICE_ROWS` rows at a time, so memory is bounded by one block
-    and one slice, not by the table.  When a block raises, the rows before
-    it stay written, and no file is created when the first block raises.
+    ``blocks`` yields dicts from column name to a value, or to an array
+    with one entry per row; the first block's names and value types give
+    the header and the cell formats of every block.  ``out`` is opened once
+    the first block is ready, and each block is written :data:`SLICE_ROWS`
+    rows at a time, so memory is bounded by one block and one slice.  When
+    a block raises, the rows before it stay written; no file is created
+    when the first block raises.
     """
-    pieces = _table_text(header, blocks, fmt)
+    pieces = _table_text(blocks, fmt)
     first = next(pieces)
     try:
         handle = sys.stdout if out == "-" else open(out, "w", encoding="utf-8", newline="")
@@ -469,9 +463,10 @@ def main(argv=None) -> int:
         failures = []
 
         def blocks():
-            # the table's blocks, keeping the failures its generator returns
-            failures.extend((yield from table) or ())
-        write_table(next(table), blocks(), cfg.format, cfg.out)
+            # the table's checked blocks, keeping the failures its generator returns
+            failures.extend((yield from _check_order(
+                (args.command, getattr(args, "kind", None)), table)) or ())
+        write_table(blocks(), cfg.format, cfg.out)
         for failure in failures:
             print(f"invariant violation: {failure}", file=sys.stderr)
         return 3 if failures else 0

@@ -99,13 +99,13 @@ def check_one_prob(q, name: str = "q") -> float:
 MAX_COUNT = 2**53
 
 
-def check_count(value, name: str, low: int):
-    """``value`` as an int, refused unless it is an integer in ``[low, 2**53]``.
+def check_count(value, name: str, low: int) -> int:
+    """``value`` as an int, refused unless it is one integer in ``[low, 2**53]``.
 
-    Ints, numpy integers and integral floats pass; a fractional or
-    non-finite float, a string or any other type is refused, not truncated.
-    The upper bound is :data:`MAX_COUNT`.  An array, list or tuple is
-    checked entry by entry and returned as an int64 array.
+    Ints, numpy integers, 0-d integer arrays and integral floats pass; a
+    fractional or non-finite float, a string, an array, a list, a tuple or
+    any other type is refused, not truncated.  The upper bound is
+    :data:`MAX_COUNT`.
     """
     try:
         count = operator.index(value)
@@ -114,15 +114,18 @@ def check_count(value, name: str, low: int):
         count = int(value) if integral else None
     if count is not None and low <= count <= MAX_COUNT:
         return count
-    if isinstance(value, np.ndarray) and value.dtype.kind in "biuf" and (
-            not value.size or low <= value.min() and value.max() <= MAX_COUNT  # NaN fails
-            and (value.dtype.kind != "f" or (np.trunc(value) == value).all())):
-        return value.astype(np.int64, copy=False)
-    if isinstance(value, (np.ndarray, list, tuple)):  # one by one, to name the entry refused
-        entries = np.asarray(value, dtype=object)
-        return np.array([check_count(entry, name, low) for entry in entries.flat],
-                        dtype=np.int64).reshape(entries.shape)
     raise ChandiscError(f"need an integer {name} >= {low} and <= 2**53, got {value!r}")
+
+
+def check_counts(values, name: str, low: int) -> np.ndarray:
+    """``values`` as an int64 array, refused unless every entry passes :func:`check_count`."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf" and (
+            not values.size or low <= values.min() and values.max() <= MAX_COUNT  # NaN fails
+            and (values.dtype.kind != "f" or (np.trunc(values) == values).all())):
+        return values.astype(np.int64, copy=False)
+    entries = np.asarray(values, dtype=object)  # one by one, to name the entry refused
+    return np.array([check_count(entry, name, low) for entry in entries.flat],
+                    dtype=np.int64).reshape(entries.shape)
 
 
 _EXACT_SLACK = 1e-9
@@ -178,3 +181,8 @@ class BoundReport(Frozen):
     @property
     def clamped(self) -> bool:
         return self.value != self.clamped_value
+
+    def columns(self, name: str) -> dict:
+        """Table columns ``name[kind]`` (clamped), ``name[raw]`` and ``name[clamped_flag]``."""
+        return {f"{name}[{self.kind}]": self.clamped_value, f"{name}[raw]": self.value,
+                f"{name}[clamped_flag]": int(self.clamped)}

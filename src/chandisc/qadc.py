@@ -30,7 +30,7 @@ import numpy as np
 
 from .cpf import _fidelity_lb, argmax_ports, pair_peak, position_peak
 from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError, Frozen,
-                     check_count, check_one_prob)
+                     check_count, check_counts, check_one_prob)
 from .orc import _binary_error, _binom_log_pmf, _binom_pmf
 
 
@@ -87,7 +87,7 @@ class XiTable(Frozen):
 
     At ``M`` ports the value is that of the largest tabulated port count
     ``<= M``, extended as constant below the first knot; elementwise over
-    arrays of port counts.  Knots are counts (``check_count``), values
+    arrays of port counts.  Knots are counts (``check_counts``), values
     finite and non-negative.  With ``xi`` constant between knots the adaptive bounds
     are non-increasing there, so the ``_opt`` functions evaluate only the
     low end of the port range and the knots inside it.
@@ -96,7 +96,7 @@ class XiTable(Frozen):
     __slots__ = ("ports", "values")
 
     def __init__(self, ports, values):
-        ports = np.asarray(check_count(ports, "port count", 1))
+        ports = check_counts(ports, "port count", 1)
         values = np.asarray(values, dtype=np.float64)
         if ports.ndim != 1 or ports.shape != values.shape or not ports.size:
             raise ChandiscError("xi table needs at least one knot and one value per port count")
@@ -117,7 +117,7 @@ class XiTable(Frozen):
 def _ports_and_xi(ports, xi):
     # The port counts as a checked int64 array, and xi at each: default_xi
     # for None, else the XiTable's steps, non-negative as the sim errors need.
-    ports = np.asarray(check_count(ports, "port count", 1))
+    ports = check_counts(ports, "port count", 1)
     if xi is None:
         return ports, default_xi(ports)
     if not isinstance(xi, XiTable):

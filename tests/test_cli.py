@@ -403,13 +403,40 @@ def test_broken_ordering_exits_three(tmp_path, monkeypatch, capsys, command, mod
     (np.array([0.1, 0.2, np.nan]), np.array([0.2, 0.2, 0.2]), 2),
     (np.array([0.1, 0.2, 0.3]), np.array([0.2, np.nan, np.nan]), 1),
 ])
-def test_ordering_check_refuses_nan(values, bounds, first):
+def test_ordering_check_refuses_nan(monkeypatch, values, bounds, first):
     # NaN compares false with everything, so it must fail the check, not pass it
-    with pytest.raises(cli.InvariantViolation, match=f"at point {first}$"):
-        cli._check_order("test", lambda i: f"point {i}", ("a", 0.0, "b", 0.0, 0.0),
-                         ("values", values, "bounds", bounds, 1e-12))
-    cli._check_order("test", None, ("values", np.array([0.2, 0.3]), "bounds",
-                                    np.array([0.2, 0.3 - 1e-13]), 1e-12))
+    monkeypatch.setitem(cli.ORDERS, ("test", None),
+                        ([("a", "b", 0.0), ("values", "bounds", 1e-12)], ("point",)))
+    point = np.arange(len(values)) if isinstance(values, np.ndarray) else None
+    block = {"a": 0.0, "b": 0.0, "values": values, "bounds": bounds, "point": point}
+    with pytest.raises(cli.InvariantViolation, match=f"at point={first}$"):
+        list(cli._check_order(("test", None), iter([block])))
+    block = {"a": 0.0, "b": 0.0, "values": np.array([0.2, 0.3]),
+             "bounds": np.array([0.2, 0.3 - 1e-13]), "point": np.arange(2)}
+    assert list(cli._check_order(("test", None), iter([block]))) == [block]
+
+
+# Each sweep command's sizes for a quick two-point table
+SWEEP_SIZES = {
+    ("fig2", None): ["--m", "3", "--u", "1"],
+    ("fig3", None): ["--m", "2", "--u", "2"],
+    ("binary", "qec"): ["--u", "3"],
+    ("binary", "qdc"): ["--u", "3"],
+    ("binary", "qadc"): ["--u", "2"],
+}
+
+
+@pytest.mark.parametrize("command,kind", [key for key, (_, options) in cli.COMMANDS.items()
+                                          if "grid" in options])
+def test_ordered_columns_are_in_the_header(tmp_path, command, kind):
+    # every column an ordering names, or that names a failing row, is one the table writes
+    code, text = run(tmp_path, "--command", command, *(["--kind", kind] if kind else []),
+                     *SWEEP_SIZES[command, kind], "--gap", "0.5", "--grid", "2")
+    assert code == 0 and len(text.splitlines()) == 1 + 2
+    pairs, where = cli.ORDERS.get((command, kind), ((), ()))
+    named = {column for name, bound_name, _ in pairs for column in (name, bound_name)}
+    assert named.union(where) <= set(text.splitlines()[0].split(","))
+    assert set(cli.ORDERS) <= set(SWEEP_SIZES)
 
 
 # Options the command does not read, and the refusal naming them
@@ -727,27 +754,37 @@ RENDER_ROWS = [
 ]
 
 
-def _table(header, rows, fmt, capsys):
-    # the text the writer sends to stdout for one block of rows
-    cli.write_table(header, [rows], fmt, "-")
+# the rows above as one-row blocks, and a block of no rows
+RENDER_BLOCKS = [dict(zip(RENDER_HEADER, row)) for row in RENDER_ROWS]
+RENDER_EMPTY = [dict.fromkeys(RENDER_HEADER, np.empty(0))]
+
+
+def _table(blocks, fmt, capsys):
+    # the text the writer sends to stdout for these blocks
+    cli.write_table(blocks, fmt, "-")
     return capsys.readouterr().out
 
 
+def _columns(rows):
+    # the rows as one block of array columns
+    return {name: np.array(column) for name, column in zip(RENDER_HEADER, zip(*rows))}
+
+
 def test_render_csv_golden(capsys):
-    assert _table(RENDER_HEADER, RENDER_ROWS, "csv", capsys) == (
+    assert _table(RENDER_BLOCKS, "csv", capsys) == (
         "check,status,max_abs_dev,tolerance,cases,flag\n"
         "alpha,pass,3.3333333333333331e-01,9.9999999999999998e-13,3,1\n"
         "beta,fail,-2.5000000000000000e-300,1.0000000000000001e-09,-12,0\n"
         "gamma,skipped,0.0000000000000000e+00,0.0000000000000000e+00,0,1\n")
-    assert _table(RENDER_HEADER, [], "csv", capsys) == ",".join(RENDER_HEADER) + "\n"
+    assert _table(RENDER_EMPTY, "csv", capsys) == ",".join(RENDER_HEADER) + "\n"
     # one format per column: a column holding both integers and floats is refused
-    mixed = [(1,), (1.0,)]
+    mixed = [{"x": 1}, {"x": 1.0}]
     with pytest.raises(TypeError, match="'x' mixes"):
-        _table(["x"], mixed, "csv", capsys)
+        _table(mixed, "csv", capsys)
 
 
 def test_render_json_golden(capsys):
-    assert _table(RENDER_HEADER, RENDER_ROWS, "json", capsys) == (
+    assert _table(RENDER_BLOCKS, "json", capsys) == (
         '[\n  {\n    "check": "alpha",\n    "status": "pass",\n'
         '    "max_abs_dev": 0.3333333333333333,\n    "tolerance": 1e-12,\n'
         '    "cases": 3,\n    "flag": 1\n  },\n'
@@ -757,21 +794,44 @@ def test_render_json_golden(capsys):
         '  {\n    "check": "gamma",\n    "status": "skipped",\n'
         '    "max_abs_dev": 0.0,\n    "tolerance": 0.0,\n'
         '    "cases": 0,\n    "flag": 1\n  }\n]\n')
-    assert _table(RENDER_HEADER, [], "json", capsys) == "[]\n"
+    assert _table(RENDER_EMPTY, "json", capsys) == "[]\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_render_slices_join_to_one_table(monkeypatch, capsys, fmt):
     rows = [*RENDER_ROWS, ("delta", "pass", 2.0, 0.5, 7, True), ("eps", "fail", 1e300, 0.0, 1, 0)]
-    whole = _table(RENDER_HEADER, rows, fmt, capsys)
+    block = _columns(rows)
+    whole = _table([block], fmt, capsys)
+    # one-row blocks of scalars give the text of one block of array columns
+    assert _table([dict(zip(RENDER_HEADER, row)) for row in rows], fmt, capsys) == whole
     monkeypatch.setattr(cli, "SLICE_ROWS", 2)
-    assert _table(RENDER_HEADER, rows, fmt, capsys) == whole
+    assert _table([block], fmt, capsys) == whole
     # blocks split across and within slices give the same text
-    cli.write_table(RENDER_HEADER, [rows[:1], [], rows[1:]], fmt, "-")
+    cli.write_table([{name: column[start:stop] for name, column in block.items()}
+                     for start, stop in ((0, 1), (1, 1), (1, None))], fmt, "-")
     assert capsys.readouterr().out == whole
-    # a column whose format changes in a later slice is refused as within one
+    # a column whose format changes in a later block is refused as within one
     with pytest.raises(TypeError, match="'x' mixes"):
-        _table(["x"], [(1,), (2,), (3,), (4,), (5.0,)], "csv", capsys)
+        _table([{"x": np.arange(1, 5)}, {"x": 5.0}], "csv", capsys)
+
+
+@pytest.mark.parametrize("later,error", [
+    ({"x": np.arange(2.0), "z": 1}, TypeError),            # another name
+    ({"y": 1, "x": np.arange(2.0)}, TypeError),            # the names in another order
+    ({"x": np.arange(2.0), "y": 1.0}, TypeError),          # another format
+    ({"x": np.arange(2), "y": 1}, TypeError),              # another dtype's format
+    ({"x": np.arange(2.0), "y": np.arange(3)}, ValueError),  # arrays of unequal length
+])
+def test_blocks_unlike_the_first_are_refused(capsys, later, error):
+    # a later block is refused whole: the rows before it stay written, none of its own
+    first = {"x": np.arange(2.0), "y": 1}
+    text = _table([first], "csv", capsys)
+    with pytest.raises(error):
+        _table([first, later], "csv", capsys)
+    assert capsys.readouterr().out == text
+    # in the first block too, arrays of unequal length are refused, not truncated
+    with pytest.raises(ValueError, match="unequal lengths"):
+        _table([{"x": np.arange(2.0), "y": np.arange(3)}], "csv", capsys)
 
 
 def test_unknown_command_is_argparse_error(tmp_path):

@@ -1,9 +1,12 @@
 """The package's public surface: lazily exported names resolve as before."""
 
 import copy
+import doctest
 import importlib
+import pathlib
 import pickle
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -176,11 +179,13 @@ def _outcome(value):
 @pytest.mark.parametrize("entry", sorted(SIZED))
 def test_sizes_are_refused_not_truncated(entry):
     # int(2.5) ran at 2 and int("2") parsed a string; no count exceeds 2**53
+    # one count is never an array, list or tuple: none is read as its entry
     call = SIZED[entry]
-    for bad in (2.5, "2", np.nan, np.inf, 2**53 + 1):
-        with pytest.raises(chandisc.ChandiscError):
+    for bad in (2.5, "2", np.nan, np.inf, 2**53 + 1, [3], (3,), np.array([3])):
+        with pytest.raises(chandisc.ChandiscError) as refused:
             call(bad)
-    assert _outcome(call(3)) == _outcome(call(np.int64(3))) == _outcome(call(3.0))
+        assert type(refused.value) is chandisc.ChandiscError
+    assert len({_outcome(call(n)) for n in (3, np.int64(3), 3.0, np.array(3))}) == 1
 
 
 # Every public entry that takes a single probability, called with it as ``q``.
@@ -230,3 +235,16 @@ def test_single_probabilities_are_refused_unless_one_real_number(entry):
             call(bad)
         assert type(refused.value) is chandisc.ChandiscError
     assert len({_outcome(call(q)) for q in (0.25, np.float64(0.25), np.array(0.25))}) == 1
+
+
+def test_readme_python_examples_run():
+    # The >>> lines of the README's python fences, run as doctests; the
+    # closing fence ends each example, so it is not read as expected output.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    fences = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    assert fences
+    runner, report = doctest.DocTestRunner(), []
+    for number, source in enumerate(fences):
+        runner.run(doctest.DocTestParser().get_doctest(
+            source, {}, f"README.md python fence {number}", "README.md", 0), out=report.append)
+    assert runner.tries and not runner.failures, "".join(report)
