@@ -25,9 +25,9 @@ Output is CSV (default) or JSON.  CSV uses comma separators, ``.`` decimal
 points, 17-significant-digit scientific floats, LF line endings and UTF-8;
 JSON writes a non-finite float as ``null``.  Identical configurations give
 byte-identical output (``crosscheck`` only at a fixed BLAS thread count).
-Each command yields its table as blocks of named columns (a ``(u, gap)``
-sweep, a sweep point or a crosscheck); each block is checked against the
-table's orderings in :data:`ORDERS` and written to ``--out`` as it is
+Each command yields its table as blocks of named columns (a sweep, with
+one array per swept column, or a crosscheck); each block is checked against
+the table's orderings in :data:`ORDERS` and written to ``--out`` as it is
 computed, so memory is bounded by a block, not by the table.
 Exit codes: 0 on success, 2 for invalid configurations (including inputs a
 library size guard refuses, tables too large for the memory at hand, and
@@ -188,23 +188,24 @@ def run_fig2(cfg):
 
 
 def run_fig3(cfg):
-    """Yield one block per sweep point."""
+    """Yield one block of array columns per (m, u, gap)."""
     from .cpf import cpf_nonadaptive_fidelity_lb
     from .qadc import qadc_choi_fidelity, qadc_cpf_adaptive_lb_opt, qadc_cpf_block_pgm
     if len(cfg.m) != len(cfg.u):  # --m without --u or the other way round
         raise ChandiscError("fig3 needs --m and --u together (or neither)")
     xi = load_xi(cfg)
-    points = [(m, u, gap, q_t) for m, u in zip(cfg.m, cfg.u) for gap in cfg.gap
-              for q_t in _sweep_axis(gap, cfg.grid)]
-    for m, u, gap, q_t in points:
-        q_b = q_t + gap
-        adaptive = qadc_cpf_adaptive_lb_opt(
-            q_b, q_t, m, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
-        yield {"m": m, "u": u, "gap": gap, "q_t": float(q_t), "q_b": float(q_b),
-               **adaptive.columns("adaptive_lb_opt"), "best_ports": adaptive.params["ports"],
-               **cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u).columns(
-                   "nonadaptive_fidelity_lb"),
-               "block_pgm[upper]": qadc_cpf_block_pgm(q_b, q_t, m, u).value}
+    for m, u in zip(cfg.m, cfg.u):
+        for gap in cfg.gap:
+            q_t = _sweep_axis(gap, cfg.grid)
+            q_b = q_t + gap
+            adaptive = qadc_cpf_adaptive_lb_opt(
+                q_b, q_t, m, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
+            yield {"m": m, "u": u, "gap": gap, "q_t": q_t, "q_b": q_b,
+                   **adaptive.columns("adaptive_lb_opt"), "best_ports": adaptive.params["ports"],
+                   **cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u).columns(
+                       "nonadaptive_fidelity_lb"),
+                   "block_pgm[upper]": np.array([qadc_cpf_block_pgm(b, t, m, u).value
+                                                 for b, t in zip(q_b.tolist(), q_t.tolist())])}
 
 
 def _binary_blocks(cfg):
@@ -236,13 +237,11 @@ def run_binary_qdc(cfg):
 
 
 def run_binary_qadc(cfg):
-    """Yield one block per sweep point."""
+    """Yield one block of array columns per gap."""
     from .qadc import (fvg_sandwich, nulling_error, qadc_adaptive_lb_opt, qadc_block_helstrom,
                        qadc_block_pgm, qadc_choi_fidelity)
     u, xi = cfg.u, load_xi(cfg)
-    points = [(gap, q1, q0) for gap, q1s, q0s in _binary_blocks(cfg)
-              for q1, q0 in zip(q1s.tolist(), q0s.tolist())]
-    for gap, q1, q0 in points:
+    for gap, q1, q0 in _binary_blocks(cfg):
         adaptive = qadc_adaptive_lb_opt(q0, q1, u, xi=xi, ports_range=(cfg.M_min, cfg.M_max))
         fvg_lo, fvg_hi = fvg_sandwich(qadc_choi_fidelity(q0, q1), u)
         null_q0, null_q1 = nulling_error(q0, q1, u)
@@ -252,7 +251,7 @@ def run_binary_qadc(cfg):
                "block_helstrom[exact]": qadc_block_helstrom(q0, q1, u).value,
                "fvg_upper[upper]": fvg_hi, "block_pgm[upper]": qadc_block_pgm(q0, q1, u).value,
                "nulling_q0[upper]": null_q0, "nulling_q1[upper]": null_q1,
-               "nulling_min[upper]": min(null_q0, null_q1)}
+               "nulling_min[upper]": np.minimum(null_q0, null_q1)}
 
 
 def run_crosscheck(cfg):
@@ -331,21 +330,16 @@ def _check_order(command, blocks):
             return done.value
         for name, bound_name, slack in pairs:
             values, bounds = block[name], block[bound_name]
-            if isinstance(values, float):  # one point: no ufunc
-                if values <= bounds + slack:
-                    continue
-                i, value, bound = None, values, bounds
-            else:
-                # max() is NaN at a NaN and is the reduction check_exact_prob runs:
-                # a first all() in a fig2 process raised its peak RSS by 0.1 MB
-                excess = values - (bounds + slack)
-                if excess.max() <= 0.0:
-                    continue
-                i = int(np.argmax(~(excess <= 0.0)))
-                value, bound = values[i], bounds[i]
+            # max() is NaN at a NaN and is the reduction check_exact_prob runs:
+            # a first all() in a fig2 process raised its peak RSS by 0.1 MB
+            excess = values - (bounds + slack)
+            if excess.max() <= 0.0:
+                continue
+            i = int(np.argmax(~(excess <= 0.0)))
             at = ", ".join(f"{c}={block[c][i] if np.ndim(block[c]) else block[c]}" for c in where)
-            raise InvariantViolation(f"{' '.join(filter(None, command))}: {name} {value} exceeds "
-                                     f"{bound_name} {bound} by more than {slack} at {at}")
+            raise InvariantViolation(f"{' '.join(filter(None, command))}: {name} {values[i]} "
+                                     f"exceeds {bound_name} {bounds[i]} by more than {slack} "
+                                     f"at {at}")
         yield block
 
 
@@ -384,10 +378,11 @@ def _slices(blocks, header, formats):
         lengths = {len(value) for value in values if isinstance(value, np.ndarray)}
         if len(lengths) > 1:  # refused whole, before any of its rows is written
             raise ValueError(f"block columns have unequal lengths {sorted(lengths)}")
-        rows = zip(*(value.tolist() if isinstance(value, np.ndarray) else itertools.repeat(value)
-                     for value in values)) if lengths else iter([tuple(values)])
-        while rows_slice := list(itertools.islice(rows, SLICE_ROWS)):
-            yield rows_slice
+        rows = lengths.pop() if lengths else 1  # a block of scalars is one row
+        for start in range(0, rows, SLICE_ROWS):  # one slice's cells as Python objects at a time
+            end = min(start + SLICE_ROWS, rows)
+            yield list(zip(*(value[start:end].tolist() if isinstance(value, np.ndarray)
+                             else itertools.repeat(value, end - start) for value in values)))
 
 
 def _table_text(blocks, fmt: str):

@@ -5,10 +5,10 @@ with ``u`` adaptive probes per cell has its error bounded from below by
 simulating each cell with an ``M``-port teleportation protocol: the
 pairwise-fidelity bound on the simulated (Choi-probe block) error, less
 ``u/2`` times the simulation error.  This module holds that bound on numbers
-and arrays of port counts, and its maximum over port counts
-(:func:`argmax_ports`): one evaluation on at most five candidates read off
-the stationary points of the bound's closed form, no search.  The damping
-instances are in :mod:`chandisc.qadc`.
+and arrays of port counts, elementwise over arrays of Choi fidelities, and
+its maximum over port counts (:func:`argmax_ports`): one evaluation on at
+most five candidates per point read off the stationary points of the bound's
+closed form, no search.  The damping instances are in :mod:`chandisc.qadc`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .linalg import KIND_LOWER, BoundReport, ChandiscError, check_count, check_one_prob
+from .linalg import KIND_LOWER, BoundReport, ChandiscError, check_count, check_prob
 
 
 def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_avg):
@@ -42,7 +42,7 @@ def _fidelity_lb(choi_fidelity: float, m: int, u: int, ports: np.ndarray, delta_
     return (m - 1) / (2.0 * m) * np.float_power(choi_fidelity, exponent) - u * delta_avg / 2.0
 
 
-def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundReport:
+def cpf_nonadaptive_fidelity_lb(choi_fidelity, m: int, u: int) -> BoundReport:
     """Lower bound for Choi-probe block strategies: one port, no simulation penalty.
 
     :func:`_fidelity_lb` at ``ports = 1`` and ``delta_avg = 0``: the block
@@ -50,27 +50,29 @@ def cpf_nonadaptive_fidelity_lb(choi_fidelity: float, m: int, u: int) -> BoundRe
     maximally entangled pair.  It is no bound for other non-adaptive
     strategies, such as unentangled probes.
     """
-    choi_fidelity = check_one_prob(choi_fidelity, "fidelity")
+    choi_fidelity = check_prob(choi_fidelity, "fidelity")
     m, u = check_count(m, "m", 2), check_count(u, "u", 1)
     value = _fidelity_lb(choi_fidelity, m, u, np.int64(1), 0.0)
     return BoundReport(value, KIND_LOWER, "cpf_nonadaptive_fidelity_lb",
                        {"choi_fidelity": choi_fidelity, "m": m, "u": u})
 
 
-def argmax_ports(kernel, ports_range, peak, knots=None):
-    """The port count in ``ports_range = (lo, hi)`` where ``kernel`` peaks, and its value.
+def argmax_ports(kernel, ports_range, peak, *points, knots=None):
+    """Per point, the port count in ``ports_range`` where ``kernel`` peaks, and its value.
 
-    ``kernel`` maps an int64 array of port counts to the adaptive bound at
-    each.  With a tabulated simulation prefactor, stepping at the port
-    counts ``knots``, the bound is non-increasing between knots, so its
-    maximum lies on ``lo`` or a knot in range.  With the default prefactor
-    ``min(4/M, 2)`` the bound falls from 1 to 2 ports (the prefactor is
-    constant there) and from 2 ports on rises to a local maximum at the
-    stationary point ``peak()`` (:func:`position_peak`, :func:`pair_peak`),
-    falls to a trough, then rises toward 0 from below as the penalty fades;
-    so its maximum over the integers lies on ``lo``, 2, ``floor(peak())``,
-    ``ceil(peak())`` or ``hi``.  ``kernel`` is called once, on the
-    candidates in range; the ends must be counts, ``1 <= lo <= hi``.
+    ``kernel`` maps int64 port counts, a row of candidates per point along
+    a last axis, to the adaptive bound at each.  With a tabulated
+    simulation prefactor, stepping at the port counts ``knots``, the bound
+    is non-increasing between knots, so its maximum lies on ``lo`` or a
+    knot in range.  With the default prefactor ``min(4/M, 2)`` the bound
+    falls from 1 to 2 ports (the prefactor is constant there) and from 2
+    ports on rises to a local maximum at its stationary point, ``peak`` of
+    the entries of the same-shape arrays ``points`` at that point
+    (:func:`position_peak`, :func:`pair_peak`), falls to a trough, then
+    rises toward 0 from below as the penalty fades; so its maximum over the
+    integers lies on ``lo``, 2, ``floor(peak)``, ``ceil(peak)`` or ``hi``.
+    ``kernel`` is called once, on the candidates in range; the ends of
+    ``ports_range = (lo, hi)`` must be counts, ``1 <= lo <= hi``.
 
     Tie rule: the smallest port among the candidates whose values are
     float-equal maxima.  In exact arithmetic that is the smallest argmax
@@ -85,20 +87,27 @@ def argmax_ports(kernel, ports_range, peak, knots=None):
     except ChandiscError as exc:
         raise ChandiscError(
             f"invalid port range ({ports_range[0]}, {ports_range[1]}): {exc}") from None
-    if knots is not None:
-        candidates = {lo, *knots[(knots > lo) & (knots <= hi)].tolist()}
+    if knots is not None:  # one row, the same at every point
+        ports = np.array([lo, *knots[(knots > lo) & (knots <= hi)].tolist()], dtype=np.int64)
     else:
-        candidates = {lo, 2, hi}
-        top = peak()
-        if top < math.inf:
-            candidates.update((math.floor(top), math.ceil(top)))
-    ports = np.array(sorted(p for p in candidates if lo <= p <= hi), dtype=np.int64)
-    values = kernel(ports).tolist()
-    nan = [port for port, value in zip(ports.tolist(), values) if value != value]
-    if nan:  # NaN has no place in the order
-        raise ChandiscError(f"bound is NaN at {nan[0]} ports")
-    best = values.index(max(values))  # the first maximum
-    return int(ports[best]), values[best]
+        rows = []
+        for top in map(peak, *(np.ravel(entries).tolist() for entries in points)):
+            candidates = {lo, 2, hi}
+            if top < math.inf:
+                candidates.update((math.floor(top), math.ceil(top)))
+            rows.append(sorted(p for p in candidates if lo <= p <= hi))
+        # a short row repeats its largest port, hi, which ties after its first maximum
+        width = max(map(len, rows), default=1)
+        ports = np.array([row + [hi] * (width - len(row)) for row in rows],
+                         dtype=np.int64).reshape(np.shape(points[0]) + (width,))
+    values = kernel(ports)
+    ports = np.broadcast_to(ports, values.shape)
+    nan = np.isnan(values)
+    if nan.any():  # NaN has no place in the order
+        raise ChandiscError(f"bound is NaN at {ports[nan][0]} ports")
+    best = np.argmax(values, axis=-1)[..., None]  # the first maximum of each row
+    return (np.take_along_axis(ports, best, -1)[..., 0],
+            np.take_along_axis(values, best, -1)[..., 0])
 
 
 def _rising_root(log_h, target: float, top: float, t: float) -> float:

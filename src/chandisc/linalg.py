@@ -53,12 +53,15 @@ def first_outside(values: np.ndarray, lo: float, hi: float):
     Arrays are tested through their minimum and maximum, which NaN turns
     into NaN; the elementwise comparisons run only to name a failing entry.
     """
-    if values.ndim == 0:
-        value = float(values)  # numpy's ufuncs on a 0-d array cost microseconds
-        return None if lo <= value <= hi else value
     if not values.size or lo <= values.min() and values.max() <= hi:
         return None
     return float(values[~((values >= lo) & (values <= hi))][0])
+
+
+def as_item(values):
+    """``values`` as an array, or as a Python number where it holds one number."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
 
 
 def check_prob(q, name: str = "q"):
@@ -68,8 +71,6 @@ def check_prob(q, name: str = "q"):
     number or an array of them: a string, None, a complex number or a
     ragged list.
     """
-    if isinstance(q, float) and 0.0 <= q <= 1.0:  # a scalar in range needs no array
-        return float(q)
     try:
         values = np.asarray(q)
         real = values.dtype.kind in "biuf" or all(isinstance(v, numbers.Real) for v in values.flat)
@@ -81,7 +82,7 @@ def check_prob(q, name: str = "q"):
     bad = first_outside(values, 0.0, 1.0)
     if bad is not None:
         raise ChandiscError(f"{name} must lie in [0, 1], got {bad}")
-    return float(values) if values.ndim == 0 else values
+    return as_item(values)
 
 
 def check_one_prob(q, name: str = "q") -> float:
@@ -142,8 +143,7 @@ def check_exact_prob(values):
     bad = first_outside(values, -_EXACT_SLACK, 1.0 + _EXACT_SLACK)
     if bad is not None:
         raise ChandiscError(f"exact probability {bad} falls outside [0, 1] beyond tolerance")
-    clamped = np.clip(values, 0.0, 1.0)
-    return float(clamped) if clamped.ndim == 0 else clamped
+    return as_item(np.clip(values, 0.0, 1.0))
 
 
 KIND_EXACT = "exact"
@@ -153,36 +153,38 @@ _KINDS = (KIND_EXACT, KIND_LOWER, KIND_UPPER)
 
 
 class BoundReport(Frozen):
-    """A single error-probability statement.
+    """An error-probability statement, at one point or at each of an array of points.
 
-    ``value`` is reported unclamped.  ``kind`` states the direction:
-    ``exact`` values are the quantity itself (and must lie in [0, 1]),
+    ``value`` is reported unclamped, as are the parameters: a number for a
+    point, an array for an array.  ``kind`` states the direction: ``exact``
+    values are the quantity itself (and must lie in [0, 1]),
     ``lower``/``upper`` values bound it from the stated side and may fall
     outside [0, 1] when vacuous.  Use :attr:`clamped_value` for plotting.
     """
 
     __slots__ = ("value", "kind", "method", "params")
 
-    def __init__(self, value: float, kind: str, method: str, params: dict | None = None):
+    def __init__(self, value, kind: str, method: str, params: dict | None = None):
         if kind not in _KINDS:
             raise ChandiscError(f"unknown bound kind {kind!r}")
-        value = float(value)
+        value = np.asarray(value, dtype=np.float64)
         if kind == KIND_EXACT:
             value = check_exact_prob(value)
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", as_item(value))
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "method", method)
-        object.__setattr__(self, "params", {} if params is None else params)
+        object.__setattr__(self, "params", {name: as_item(param)
+                                            for name, param in (params or {}).items()})
 
     @property
-    def clamped_value(self) -> float:
-        return min(max(self.value, 0.0), 1.0)
+    def clamped_value(self):
+        return as_item(np.clip(self.value, 0.0, 1.0))
 
     @property
-    def clamped(self) -> bool:
+    def clamped(self):
         return self.value != self.clamped_value
 
     def columns(self, name: str) -> dict:
         """Table columns ``name[kind]`` (clamped), ``name[raw]`` and ``name[clamped_flag]``."""
         return {f"{name}[{self.kind}]": self.clamped_value, f"{name}[raw]": self.value,
-                f"{name}[clamped_flag]": int(self.clamped)}
+                f"{name}[clamped_flag]": as_item(np.asarray(self.clamped, dtype=np.int64))}

@@ -84,11 +84,16 @@ def _binom_log_pmf(q, u: int) -> np.ndarray:
     out = np.empty(np.broadcast_shapes(q.shape, (u + 1,)))
     out[..., 1:u] = (_stirlerr(u) - _stirlerr(k) - _stirlerr(u - k) - _bd0(k, u * q)
                      - _bd0(u - k, u * (1.0 - q)) - np.log(2.0 * math.pi * k * (u - k) / u) / 2.0)
-    # math's log1p and log, not numpy's vector loops, which can differ from
-    # them in the last bit
-    out[..., :1] = u * np.array([math.log1p(-x) for x in q.flat]).reshape(q.shape)
-    out[..., u:] = u * np.array([math.log(x) for x in q.flat]).reshape(q.shape)
+    out[..., :1] = u * _per_element(math.log1p, -q)
+    out[..., u:] = u * _per_element(math.log, q)
     return np.where(certain, edges, out)
+
+
+def _per_element(fn, *arrays) -> np.ndarray:
+    # fn over the entries of same-shape arrays, one scalar call each: math's
+    # functions, not numpy's vector loops, which can differ from them in the last bit
+    values = [fn(*entry) for entry in zip(*(np.ravel(a).tolist() for a in arrays))]
+    return np.array(values, dtype=np.float64).reshape(np.shape(arrays[0]))
 
 
 def _stirlerr(n):

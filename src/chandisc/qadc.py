@@ -18,6 +18,8 @@ over ``u`` probes and applying maximum likelihood gives an achievable error,
 hence an upper bound to compare the lower bounds against.  Only the outcome
 distribution is needed here; the unitary itself is built by
 :mod:`chandisc.crosscheck`, which checks that distribution against it.
+Every function here but :func:`qadc_cpf_block_pgm` is a kernel over points,
+elementwise over broadcast arrays of its probabilities; numbers give numbers.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ import numpy as np
 
 from .cpf import _fidelity_lb, argmax_ports, pair_peak, position_peak
 from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError, Frozen,
-                     check_count, check_counts, check_one_prob)
-from .orc import _binary_error, _binom_log_pmf, _binom_pmf
+                     as_item, check_count, check_counts, check_one_prob, check_prob, first_outside)
+from .orc import (_binary_error, _binom_log_pmf, _binom_pmf, _in_passes, _per_element,
+                  _probabilities)
 
 
 # Largest number of sorted cell-weight classes ``C(m+u, m)`` that
@@ -40,46 +43,42 @@ from .orc import _binary_error, _binom_log_pmf, _binom_pmf
 MAX_CPF_CLASSES = 1 << 18
 
 
-def qadc_choi_fidelity(q0, q1) -> float:
+def qadc_choi_fidelity(q0, q1):
     """Fidelity between the Choi states of two damping channels.
 
         F = (1 + sqrt((1-q0)(1-q1)) + sqrt(q0 q1)) / 2
 
     Equals 1 exactly when ``q0 == q1``.
     """
-    q0 = check_one_prob(q0, "q0")
-    q1 = check_one_prob(q1, "q1")
-    val = (1.0 + math.sqrt((1.0 - q0) * (1.0 - q1)) + math.sqrt(q0 * q1)) / 2.0
+    q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
+    val = (1.0 + np.sqrt((1.0 - q0) * (1.0 - q1)) + np.sqrt(q0 * q1)) / 2.0
     # Distinct channels stay below 1 where the sum rounds to 1: at F = 1 the
     # sandwich's sqrt(1 - F**(2u)) would drop a term of order sqrt(1 - F).
-    return min(val, 1.0 if q0 == q1 else math.nextafter(1.0, 0.0))
+    return as_item(np.minimum(val, np.where(q0 == q1, 1.0, np.nextafter(1.0, 0.0))))
 
 
-def fvg_sandwich(choi_fidelity: float, u: int):
+def fvg_sandwich(choi_fidelity, u: int):
     """Fidelity sandwich for the equiprobable binary error of Choi-probe block strategies.
 
-    Returns ``(lower, upper)`` floats:
+    Returns ``(lower, upper)``:
 
         ``(1 - sqrt(1 - F**(2u))) / 2  <=  P  <=  F**u / 2``.
     """
-    choi_fidelity = check_one_prob(choi_fidelity, "fidelity")
+    choi_fidelity = check_prob(choi_fidelity, "fidelity")
     u = check_count(u, "u", 1)
-    block = choi_fidelity ** u
-    lower = (1.0 - math.sqrt(max(0.0, 1.0 - block * block))) / 2.0
-    return lower, block / 2.0
+    block = np.float_power(choi_fidelity, u)  # pow per element, as Python's ``**``
+    lower = (1.0 - np.sqrt(np.maximum(0.0, 1.0 - block * block))) / 2.0
+    return as_item(lower), as_item(block / 2.0)
 
 
 def default_xi(ports):
-    """Default port scaling ``min(4 / M, 2)`` of the damping simulation error.
-
-    Elementwise over an array of port counts.
-    """
+    """Default port scaling ``min(4 / M, 2)`` of the damping simulation error, per port count."""
     return np.minimum(4.0 / np.asarray(ports), 2.0)
 
 
-def _sim_factor(q: float) -> float:
+def _sim_factor(q):
     # the damping factor (1 - q)/2 + sqrt(1 - q) of the simulation error
-    return (1.0 - q) / 2.0 + math.sqrt(1.0 - q)
+    return (1.0 - q) / 2.0 + np.sqrt(1.0 - q)
 
 
 class XiTable(Frozen):
@@ -114,20 +113,14 @@ class XiTable(Frozen):
         return self.values[np.maximum(idx, 0)]
 
 
-def _ports_and_xi(ports, xi):
-    # The port counts as a checked int64 array, and xi at each: default_xi
-    # for None, else the XiTable's steps, non-negative as the sim errors need.
-    ports = check_counts(ports, "port count", 1)
+def _xi(xi):
+    # The simulation prefactor, a non-negative function of port counts, and the
+    # counts where it steps: default_xi and None for None, an XiTable and its knots.
     if xi is None:
-        return ports, default_xi(ports)
+        return default_xi, None
     if not isinstance(xi, XiTable):
         raise ChandiscError(f"xi must be None or an XiTable, got {type(xi).__name__}")
-    return ports, xi(ports)
-
-
-def _knots(xi):
-    # the port counts where an XiTable steps, or None for the default xi
-    return xi.ports if isinstance(xi, XiTable) else None
+    return xi, xi.ports
 
 
 def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
@@ -139,14 +132,14 @@ def qadc_adaptive_lb_values(q0, q1, u: int, ports, xi=None) -> np.ndarray:
 
         ``(1 - u * (Δ_0 + Δ_1) - sqrt(1 - F**(2 u ports))) / 2``.
 
-    Elementwise over an int64 array of port counts.  ``xi`` is the
+    The port counts broadcast against the points.  ``xi`` is the
     simulation prefactor: ``None`` for :func:`default_xi`, or an
     :class:`XiTable`.
     """
-    q0 = check_one_prob(q0, "q0")
-    q1 = check_one_prob(q1, "q1")
+    q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
     u = check_count(u, "u", 1)
-    ports, xi = _ports_and_xi(ports, xi)
+    ports = check_counts(ports, "port count", 1)
+    xi = _xi(xi)[0](ports)
     delta = xi * _sim_factor(q0) + xi * _sim_factor(q1)
     # Exponent in floats and float_power as in cpf._fidelity_lb.
     block = np.float_power(qadc_choi_fidelity(q0, q1), u * ports.astype(np.float64))
@@ -164,15 +157,12 @@ def qadc_adaptive_lb_opt(q0, q1, u: int, xi=None, ports_range=(1, 10**6)) -> Bou
     falls, then rises toward 0 from below as the penalty fades; see
     :func:`~chandisc.cpf.argmax_ports`.
     """
-    q0 = check_one_prob(q0, "q0")
-    q1 = check_one_prob(q1, "q1")
+    q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
     u = check_count(u, "u", 1)
-
-    def peak():
-        c = -2.0 * u * math.log(qadc_choi_fidelity(q0, q1))
-        return pair_peak(c, 4.0 * u * (_sim_factor(q0) + _sim_factor(q1)))
-    ports, value = argmax_ports(functools.partial(qadc_adaptive_lb_values, q0, q1, u, xi=xi),
-                                ports_range, peak, _knots(xi))
+    ports, value = argmax_ports(functools.partial(
+        qadc_adaptive_lb_values, q0[..., None], q1[..., None], u, xi=xi), ports_range,
+        lambda f, s: pair_peak(-2.0 * u * math.log(f), 4.0 * u * s),
+        qadc_choi_fidelity(q0, q1), _sim_factor(q0) + _sim_factor(q1), knots=_xi(xi)[1])
     params = {"q0": q0, "q1": q1, "u": u, "ports": ports}
     return BoundReport(value, KIND_LOWER, "qadc_adaptive_lb", params)
 
@@ -185,10 +175,10 @@ def qadc_cpf_adaptive_lb_values(q_b, q_t, m: int, u: int, ports, xi=None) -> np.
     (:func:`~chandisc.cpf._fidelity_lb`).  Ports and ``xi`` as in
     :func:`qadc_adaptive_lb_values`.
     """
-    q_b = check_one_prob(q_b, "q_b")
-    q_t = check_one_prob(q_t, "q_t")
+    q_b, q_t = _probabilities((("q_b", q_b), ("q_t", q_t)))
     m, u = check_count(m, "m", 2), check_count(u, "u", 1)
-    ports, xi = _ports_and_xi(ports, xi)
+    ports = check_counts(ports, "port count", 1)
+    xi = _xi(xi)[0](ports)
     delta = (m - 1) * (xi * _sim_factor(q_b)) + xi * _sim_factor(q_t)
     return _fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u, ports, delta)
 
@@ -204,23 +194,25 @@ def qadc_cpf_adaptive_lb_opt(q_b, q_t, m: int, u: int, xi=None,
     ``h(M) = c A M**2 e**(-c M)`` first reaches ``B``, falls, then rises
     toward 0 from below; see :func:`~chandisc.cpf.argmax_ports`.
     """
-    q_b = check_one_prob(q_b, "q_b")
-    q_t = check_one_prob(q_t, "q_t")
+    q_b, q_t = _probabilities((("q_b", q_b), ("q_t", q_t)))
     m, u = check_count(m, "m", 2), check_count(u, "u", 1)
-
-    def peak():
-        c = -4.0 * u * math.log(qadc_choi_fidelity(q_b, q_t))
-        b = 2.0 * u * ((m - 1) * _sim_factor(q_b) + _sim_factor(q_t))
-        return position_peak(c, (m - 1) / (2.0 * m), b)
-    ports, value = argmax_ports(
-        functools.partial(qadc_cpf_adaptive_lb_values, q_b, q_t, m, u, xi=xi), ports_range, peak,
-        _knots(xi))
+    ports, value = argmax_ports(functools.partial(
+        qadc_cpf_adaptive_lb_values, q_b[..., None], q_t[..., None], m, u, xi=xi), ports_range,
+        lambda f, s: position_peak(-4.0 * u * math.log(f), (m - 1) / (2.0 * m), 2.0 * u * s),
+        qadc_choi_fidelity(q_b, q_t), (m - 1) * _sim_factor(q_b) + _sim_factor(q_t),
+        knots=_xi(xi)[1])
     params = {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "ports": ports}
     return BoundReport(value, KIND_LOWER, "qadc_cpf_adaptive_lb", params)
 
 
-def _weight_blocks(q0, q1, u):
-    """The 2×2 blocks of the block pair's prior-weighted Gram matrix.
+def _log_r(q0, q1) -> np.ndarray:
+    # log r, r = 1 - (sqrt(1-q0) - sqrt(1-q1))**2 / ((2-q0)(2-q1)); 0 iff the Grams match.
+    gap = np.float_power(np.sqrt(1.0 - q0) - np.sqrt(1.0 - q1), 2) / ((2.0 - q0) * (2.0 - q1))
+    return _per_element(math.log1p, -gap)
+
+
+def _block_pair(error, q0, q1, u: int, kind: str, method: str) -> BoundReport:
+    """A block pair error, summed over the 2×2 blocks of its prior-weighted Gram matrix.
 
     The two Kraus vectors of any two damping channels have disjoint
     supports, so the Gram matrix of the ``u``-fold Kraus vectors is a direct
@@ -230,30 +222,29 @@ def _weight_blocks(q0, q1, u):
     q1/2) pmfs ``x``, ``y`` and the squared off-diagonal is ``x y r**(u-w)``,
     ``r = 1 - (sqrt(1-q0) - sqrt(1-q1))**2 / ((2-q0)(2-q1))``.
 
-    Returns the report parameters and, per ``w = 0..u``, ``min(x, y)``, the
-    ratio ``min(x, y) / max(x, y)`` (0 where both vanish), ``r**(u-w)`` and
-    ``1 - r**(u-w)``.  ``dim`` is the rank of the joint support: each state
-    has rank ``2**u`` (1 at q = 0), and the two share every support vector
-    when ``q0 == q1``, else only the all-decay one if both channels decay.
+    ``error`` takes, per point and per ``w = 0..u`` along a last axis,
+    ``min(x, y)``, the ratio ``min(x, y) / max(x, y)`` (0 where both
+    vanish), ``r**(u-w)`` and ``1 - r**(u-w)``, and sums over ``w``; the
+    points go in passes of bounded table size.  ``dim`` is the rank of the
+    joint support: each state has rank ``2**u`` (1 at q = 0), and the two
+    share every support vector when ``q0 == q1``, else only the all-decay
+    one if both channels decay.
     """
-    q0 = check_one_prob(q0, "q0")
-    q1 = check_one_prob(q1, "q1")
+    q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
     u = check_count(u, "u", 1)
+
+    def weight_blocks(q0, q1):
+        x, y = _binom_pmf(q0 / 2.0, u), _binom_pmf(q1 / 2.0, u)
+        small, large = np.minimum(x, y), np.maximum(x, y)
+        ratio = np.divide(small, large, out=np.zeros(small.shape), where=large > 0.0)
+        log_power = np.arange(u, -1, -1) * _log_r(q0, q1)[..., None]
+        return error(small, ratio, np.exp(log_power), -np.expm1(log_power))
     # the tables first: a u they cannot hold raises MemoryError before 2**u is built
-    x, y = _binom_pmf(q0 / 2.0, u), _binom_pmf(q1 / 2.0, u)
-    rank0, rank1 = (2**u if q > 0.0 else 1 for q in (q0, q1))
-    shared = rank0 if q0 == q1 else int(q0 > 0.0 and q1 > 0.0)
-    params = {"q0": q0, "q1": q1, "u": u, "dim": rank0 + rank1 - shared}
-    small, large = np.minimum(x, y), np.maximum(x, y)
-    ratio = np.divide(small, large, out=np.zeros(u + 1), where=large > 0.0)
-    log_power = np.arange(u, -1, -1) * _log_r(q0, q1)
-    return params, small, ratio, np.exp(log_power), -np.expm1(log_power)
-
-
-def _log_r(q0, q1) -> float:
-    # log r, r = 1 - (sqrt(1-q0) - sqrt(1-q1))**2 / ((2-q0)(2-q1)); 0 iff the Grams match.
-    gap = (math.sqrt(1.0 - q0) - math.sqrt(1.0 - q1)) ** 2 / ((2.0 - q0) * (2.0 - q1))
-    return math.log1p(-gap)
+    value = _in_passes(weight_blocks, u, q0, q1)
+    rank0, rank1 = (np.where(q > 0.0, np.array(2**u, dtype=object), 1) for q in (q0, q1))
+    shared = np.where(q0 == q1, rank0, (q0 > 0.0) & (q1 > 0.0))
+    return BoundReport(value, kind, method,
+                       {"q0": q0, "q1": q1, "u": u, "dim": rank0 + rank1 - shared})
 
 
 def qadc_block_helstrom(q0, q1, u: int) -> BoundReport:
@@ -261,16 +252,16 @@ def qadc_block_helstrom(q0, q1, u: int) -> BoundReport:
 
     The Helstrom error of the ``u``-fold Choi tensor powers, exact for
     Choi-probe block strategies, not every non-adaptive one.  Each weight block
-    (see :func:`_weight_blocks`) holds two unnormalized pure states; their
+    (see :func:`_block_pair`) holds two unnormalized pure states; their
     trace distance leaves one positive term per block, evaluated divided
     through by ``max(x, y)`` so that no product of two small pmfs underflows:
 
         ``P = 1/2 sum_w x y r**(u-w) / ((x+y)/2 + sqrt(((x-y)/2)**2 + x y (1 - r**(u-w))))``
     """
-    params, small, ratio, overlap, spread = _weight_blocks(q0, q1, u)
-    root = np.sqrt(((1.0 - ratio) / 2.0) ** 2 + ratio * spread)
-    value = 0.5 * float(np.sum(small * overlap / ((1.0 + ratio) / 2.0 + root)))
-    return BoundReport(value, KIND_EXACT, "qadc_block_helstrom", params)
+    def error(small, ratio, overlap, spread):
+        root = np.sqrt(((1.0 - ratio) / 2.0) ** 2 + ratio * spread)
+        return 0.5 * np.sum(small * overlap / ((1.0 + ratio) / 2.0 + root), axis=-1)
+    return _block_pair(error, q0, q1, u, KIND_EXACT, "qadc_block_helstrom")
 
 
 def qadc_block_pgm(q0, q1, u: int) -> BoundReport:
@@ -278,14 +269,14 @@ def qadc_block_pgm(q0, q1, u: int) -> BoundReport:
 
     The error ``1 - sum_n ||(√G)_nn||_F**2`` over the two diagonal blocks of
     the square root of the prior-weighted Gram matrix, summed weight block
-    by weight block (see :func:`_weight_blocks`) and divided through by
+    by weight block (see :func:`_block_pair`) and divided through by
     ``max(x, y)``:
 
         ``P = sum_w x y r**(u-w) / (x + y + 2 sqrt(x y (1 - r**(u-w))))``
     """
-    params, small, ratio, overlap, spread = _weight_blocks(q0, q1, u)
-    value = float(np.sum(small * overlap / (1.0 + ratio + 2.0 * np.sqrt(ratio * spread))))
-    return BoundReport(value, KIND_UPPER, "qadc_block_pgm", params)
+    def error(small, ratio, overlap, spread):
+        return np.sum(small * overlap / (1.0 + ratio + 2.0 * np.sqrt(ratio * spread)), axis=-1)
+    return _block_pair(error, q0, q1, u, KIND_UPPER, "qadc_block_pgm")
 
 
 def _combinations(values, size: int) -> np.ndarray:
@@ -345,7 +336,7 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
     if classes > MAX_CPF_CLASSES:
         raise ChandiscError(f"weight class count C({m + u}, {m}) exceeds guard {MAX_CPF_CLASSES}")
     params = {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "classes": classes}
-    log_r = _log_r(q_b, q_t)
+    log_r = float(_log_r(q_b, q_t))
     mass_q = q_b / 2.0
     w = np.arange(u + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -411,28 +402,29 @@ def nulling_outcome_dist(q_applied, q_actual) -> np.ndarray:
     ``q' == q``; ``q'/2`` is not negative; and with ``x = sqrt(1-q)``,
     ``y = sqrt(1-q')`` the third entry equals ``(1 + x y)**2 / (2 (1 + x**2))``,
     at least 1/4, far above the rounding of its difference form.  Returns a
-    read-only array.
+    read-only array, the four outcomes along its last axis.
     """
-    q = check_one_prob(q_applied, "q_applied")
-    qa = check_one_prob(q_actual, "q_actual")
-    p00 = (math.sqrt(1.0 - q) - math.sqrt(1.0 - qa)) ** 2 / (4.0 - 2.0 * q)
-    probs = np.array([p00, 0.0, 1.0 - qa / 2.0 - p00, qa / 2.0])
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise ChandiscError(f"outcome probabilities sum to {probs.sum()}")
+    q, qa = _probabilities((("q_applied", q_applied), ("q_actual", q_actual)))
+    p00 = np.float_power(np.sqrt(1.0 - q) - np.sqrt(1.0 - qa), 2) / (4.0 - 2.0 * q)
+    probs = np.stack([p00, np.zeros_like(p00), 1.0 - qa / 2.0 - p00, qa / 2.0], axis=-1)
+    bad = first_outside(probs.sum(axis=-1), 1.0 - 1e-12, 1.0 + 1e-12)
+    if bad is not None:
+        raise ChandiscError(f"outcome probabilities sum to {bad}")
     probs.setflags(write=False)
     return probs
 
 
 def _nulling_table(applied, q, u: int) -> np.ndarray:
-    # The nulling receiver's count table for channel q: s**u Binomial(u, p3/s)
+    # The nulling receiver's count tables for channel q: s**u Binomial(u, p3/s)
     # over the outcome-3 count, s = 1 - p00, and an atom 1 - s**u for "some
     # outcome 0"; both powers from u log1p(-p00), which keeps a small p00's bits.
-    p00, _, _, p3 = nulling_outcome_dist(applied, q)
-    log_none = u * math.log1p(-p00)
-    return np.append(math.exp(log_none) * _binom_pmf(p3 / (1.0 - p00), u), -math.expm1(log_none))
+    p00, _, _, p3 = np.moveaxis(nulling_outcome_dist(applied, q), -1, 0)
+    log_none = u * _per_element(math.log1p, -p00)
+    none, some = _per_element(math.exp, log_none), -_per_element(math.expm1, log_none)
+    return np.append(none[..., None] * _binom_pmf(p3 / (1.0 - p00), u), some[..., None], axis=-1)
 
 
-def nulling_error(q0, q1, u: int) -> tuple[float, float]:
+def nulling_error(q0, q1, u: int):
     """Error probabilities of the counting nulling receiver over ``u`` probes.
 
     The receiver applies one fixed nulling unitary per probe, tallies the
@@ -443,9 +435,9 @@ def nulling_error(q0, q1, u: int) -> tuple[float, float]:
     matched hypothesis, so each error is orc's binary counting functional on
     the outcome-3 count tables, each with an atom for "some outcome 0".
     """
-    q0 = check_one_prob(q0, "q0")
-    q1 = check_one_prob(q1, "q1")
+    q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
     u = check_count(u, "u", 1)
-    return tuple(float(_binary_error(_nulling_table(applied, q0, u),
-                                     _nulling_table(applied, q1, u)))
-                 for applied in (q0, q1))
+
+    def error(applied, a, b):
+        return _binary_error(_nulling_table(applied, a, u), _nulling_table(applied, b, u))
+    return tuple(as_item(_in_passes(error, u, applied, q0, q1)) for applied in (q0, q1))

@@ -311,6 +311,48 @@ def test_memory_is_bounded_by_a_block(tmp_path):
     assert peak < 3 << 20
 
 
+def test_writer_holds_one_slice_of_a_block_as_python_objects(tmp_path):
+    # Converting whole array columns to lists held every cell of this 200 000-row
+    # block as a Python object at once: a traced peak of 23 MB, against 0.8 MB
+    # converting one SLICE_ROWS slice at a time (Python 3.11.7, numpy 2.4.6).
+    rows = 200_000
+    block = {"gap": 0.5, "q": np.linspace(0.0, 1.0, rows), "value": np.linspace(1.0, 2.0, rows),
+             "ports": np.arange(rows), "flag": np.zeros(rows, dtype=np.int64)}
+    lists = [value.tolist() for value in block.values() if isinstance(value, np.ndarray)]
+    whole = sum(sys.getsizeof(column) + sum(map(sys.getsizeof, column)) for column in lists)
+    del lists
+    tracemalloc.start()
+    try:
+        cli.write_table(iter([block]), "csv", str(tmp_path / "t.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()) == 1 + rows
+    assert peak < whole / 10
+
+
+@pytest.mark.parametrize("argv,keys,blocks", [
+    (["--command", "fig3", "--gap", "0.04,0.3", "--grid", "3"], ("m", "u", "gap"),
+     [(2, 4, 0.04), (2, 4, 0.3), (4, 2, 0.04), (4, 2, 0.3)]),
+    (["--command", "binary", "--kind", "qadc", "--u", "2", "--gap", "0.04,0.3,0.5", "--grid", "3"],
+     ("gap",), [(0.04,), (0.3,), (0.5,)]),
+    (["--command", "binary", "--kind", "qadc", "--q0", "0.3", "--q1", "0.2"], ("gap",),
+     [(0.3 - 0.2,)]),
+])
+def test_damping_commands_yield_one_array_block_per_sweep(argv, keys, blocks):
+    # one block per (m, u, gap) of fig3 and per gap of binary --kind qadc (an
+    # explicit pair is a block of one point): the swept and computed columns
+    # are arrays with one entry per point, the others one value for the block
+    cfg = cli.make_config(cli.build_parser().parse_args(argv))
+    table = list(getattr(cli, cfg.run)(cfg))
+    assert [tuple(block[key] for key in keys) for block in table] == blocks
+    points = 1 if "--q0" in argv else cfg.grid
+    for block in table:
+        arrays = {name for name, value in block.items() if isinstance(value, np.ndarray)}
+        assert set(block) - arrays == {"gap", *keys, "u"}
+        assert {len(block[name]) for name in arrays} == {points}
+
+
 def test_binary_qdc_invariant_violation_exits_three(tmp_path, monkeypatch, capsys):
     values = iter([np.array([0.1, 0.3]), np.array([0.2, 0.2])])
     monkeypatch.setattr(cli, "f_u_values", lambda q0, q1, u: next(values))
@@ -320,14 +362,24 @@ def test_binary_qdc_invariant_violation_exits_three(tmp_path, monkeypatch, capsy
     assert "at q1=0.5, q0=1.0\n" in capsys.readouterr().err
 
 
+def _put(values, value, at):
+    # values with entry ``at`` replaced by value, or one point's value (at None) replaced whole
+    if at is None:
+        return value
+    values = np.array(values, dtype=np.float64)
+    values[at] = value
+    return values
+
+
 def _report(value):
-    # a sweep function's report with its value replaced
-    return lambda report: BoundReport(value, report.kind, report.method, report.params)
+    # a sweep function's report with its value replaced at one point
+    return lambda report, at: BoundReport(_put(report.value, value, at), report.kind,
+                                          report.method, report.params)
 
 
 # One broken side of each ordering comparison of fig3 and binary --kind qadc:
-# the module and function patched, the change to its result at the second
-# sweep point, and the two columns the message names.
+# the module and function patched, the change to its result at one sweep
+# point, and the two columns the message names.
 ORDER_BREAKS = {
     "fig3": [
         ("qadc", "qadc_cpf_adaptive_lb_opt", _report(1.0),
@@ -342,19 +394,20 @@ ORDER_BREAKS = {
          "nonadaptive_fidelity_lb[raw]", "block_pgm[upper]"),
     ],
     "binary qadc": [
-        ("qadc", "fvg_sandwich", lambda bounds: (1.0, bounds[1]),
+        ("qadc", "fvg_sandwich", lambda bounds, at: (_put(bounds[0], 1.0, at), bounds[1]),
          "fvg_lower[lower]", "block_helstrom[exact]"),
-        ("qadc", "fvg_sandwich", lambda bounds: (np.nan, bounds[1]),
+        ("qadc", "fvg_sandwich", lambda bounds, at: (_put(bounds[0], np.nan, at), bounds[1]),
          "fvg_lower[lower]", "block_helstrom[exact]"),
-        ("qadc", "fvg_sandwich", lambda bounds: (bounds[0], -1.0),
+        ("qadc", "fvg_sandwich", lambda bounds, at: (bounds[0], _put(bounds[1], -1.0, at)),
          "block_helstrom[exact]", "fvg_upper[upper]"),
-        ("qadc", "fvg_sandwich", lambda bounds: (bounds[0], np.nan),
+        ("qadc", "fvg_sandwich", lambda bounds, at: (bounds[0], _put(bounds[1], np.nan, at)),
          "block_helstrom[exact]", "fvg_upper[upper]"),
         ("qadc", "qadc_block_pgm", _report(-1.0), "block_helstrom[exact]", "block_pgm[upper]"),
         ("qadc", "qadc_block_pgm", _report(np.nan), "block_helstrom[exact]", "block_pgm[upper]"),
-        ("qadc", "nulling_error", lambda errors: (-1.0, errors[1]),
+        ("qadc", "nulling_error", lambda errors, at: (_put(errors[0], -1.0, at), errors[1]),
          "block_helstrom[exact]", "nulling_min[upper]"),
-        ("qadc", "nulling_error", lambda errors: (np.nan, np.nan),
+        ("qadc", "nulling_error",
+         lambda errors, at: (_put(errors[0], np.nan, at), _put(errors[1], np.nan, at)),
          "block_helstrom[exact]", "nulling_min[upper]"),
         ("qadc", "qadc_adaptive_lb_opt", _report(1.0),
          "adaptive_lb_opt[raw]", "block_helstrom[exact]"),
@@ -362,11 +415,12 @@ ORDER_BREAKS = {
          "adaptive_lb_opt[raw]", "block_helstrom[exact]"),
     ],
 }
-# Each command on a two-point sweep, and the text that ends its message at the second point
+# Each command on two blocks of two sweep points, and the text that ends its
+# message at the second point of the second block
 ORDER_RUNS = {
-    "fig3": (("--command", "fig3", "--m", "2", "--u", "2", "--gap", "0.5", "--grid", "2"),
+    "fig3": (("--command", "fig3", "--m", "2", "--u", "2", "--gap", "0.3,0.5", "--grid", "2"),
              "at m=2, u=2, q_t=0.5\n"),
-    "binary qadc": (("--command", "binary", "--kind", "qadc", "--u", "2", "--gap", "0.5",
+    "binary qadc": (("--command", "binary", "--kind", "qadc", "--u", "2", "--gap", "0.3,0.5",
                      "--grid", "2"), "at q1=0.5, q0=1.0\n"),
 }
 
@@ -376,30 +430,37 @@ ORDER_RUNS = {
     for command, breaks in ORDER_BREAKS.items() for number, cells in enumerate(breaks)])
 def test_broken_ordering_exits_three(tmp_path, monkeypatch, capsys, command, module, name,
                                      change, value, bound):
-    # the second sweep point breaks one comparison, by a value beyond its
-    # slack or by NaN on either side: the header and first row stay written
+    # the table's fourth sweep point, the second of its second block, breaks
+    # one comparison, by a value beyond its slack or by NaN on either side:
+    # that block is refused whole, and the header and first block stay written
     argv, at = ORDER_RUNS[command]
     _, full = run(tmp_path, *argv)
     (tmp_path / "out.txt").unlink()
     target = importlib.import_module(f"chandisc.{module}")
-    real, calls = getattr(target, name), []
+    real, points = getattr(target, name), []
 
     def changed(*args, **kwargs):
-        calls.append(args)
+        # a kernel gets a block's points as an array, qadc_cpf_block_pgm one point per call
+        first = len(points)
+        points.extend(np.ravel(args[0]).tolist())
         result = real(*args, **kwargs)
-        return change(result) if len(calls) == 2 else result
+        if not first <= 3 < len(points):
+            return result
+        return change(result, 3 - first if np.ndim(args[0]) else None)
     monkeypatch.setattr(target, name, changed)
     code, text = run(tmp_path, *argv)
     assert code == 3
-    assert text == "".join(full.splitlines(keepends=True)[:2])
+    assert len(points) == 4
+    assert text == "".join(full.splitlines(keepends=True)[:1 + 2])
     err = capsys.readouterr().err
     assert err.startswith(f"invariant violation: {command}: {value} ") and err.endswith(at)
     assert f" exceeds {bound} " in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("values,bounds,first", [
-    (0.3, np.nan, None),
-    (np.nan, 0.3, None),
+    # one point, named by a column that holds one value for the block
+    pytest.param(np.array([0.3]), np.array([np.nan]), None, id="0.3-nan-None"),
+    pytest.param(np.array([np.nan]), np.array([0.3]), None, id="nan-0.3-None"),
     (np.array([0.1, 0.2, np.nan]), np.array([0.2, 0.2, 0.2]), 2),
     (np.array([0.1, 0.2, 0.3]), np.array([0.2, np.nan, np.nan]), 1),
 ])
@@ -407,11 +468,12 @@ def test_ordering_check_refuses_nan(monkeypatch, values, bounds, first):
     # NaN compares false with everything, so it must fail the check, not pass it
     monkeypatch.setitem(cli.ORDERS, ("test", None),
                         ([("a", "b", 0.0), ("values", "bounds", 1e-12)], ("point",)))
-    point = np.arange(len(values)) if isinstance(values, np.ndarray) else None
-    block = {"a": 0.0, "b": 0.0, "values": values, "bounds": bounds, "point": point}
+    point = None if first is None else np.arange(len(values))
+    zeros = np.zeros(len(values))
+    block = {"a": zeros, "b": zeros, "values": values, "bounds": bounds, "point": point}
     with pytest.raises(cli.InvariantViolation, match=f"at point={first}$"):
         list(cli._check_order(("test", None), iter([block])))
-    block = {"a": 0.0, "b": 0.0, "values": np.array([0.2, 0.3]),
+    block = {"a": np.zeros(2), "b": np.zeros(2), "values": np.array([0.2, 0.3]),
              "bounds": np.array([0.2, 0.3 - 1e-13]), "point": np.arange(2)}
     assert list(cli._check_order(("test", None), iter([block]))) == [block]
 
@@ -577,26 +639,29 @@ def test_benchmark_tables_pass_the_harness_check(tmp_path):
         assert harness.check_table(inv, text) is None, inv.argv
 
 
-# The benchmark's two damping invocations at gap 0.040, six sweep points each.
+# The benchmark's two damping invocations at gap 0.040, six sweep points
+# each: fig3 in two blocks of three, one per (m, u), binary in one of six.
 DAMPING_WORK = [
     ["--command", "fig3", "--gap", "0.040", "--grid", "3"],
     ["--command", "binary", "--kind", "qadc", "--u", "8", "--gap", "0.040", "--grid", "6"],
 ]
+DAMPING_BLOCKS = {"fig3": 2, "binary": 1}
 
 
 @pytest.mark.parametrize("argv", DAMPING_WORK)
 def test_damping_optima_evaluate_at_most_five_ports(tmp_path, monkeypatch, argv):
-    # each sweep point takes its port optimum from one kernel call on at
-    # most five candidate port counts
+    # each block takes the port optima of its sweep points from one kernel
+    # call, on a row of at most five candidate port counts per point
     from chandisc import qadc
     calls = []
     for name in ("qadc_adaptive_lb_values", "qadc_cpf_adaptive_lb_values"):
         def counted(*args, _kernel=getattr(qadc, name), **kwargs):
-            calls.append(len(np.atleast_1d(args[-1])))
+            calls.append(np.shape(args[-1]))
             return _kernel(*args, **kwargs)
         monkeypatch.setattr(qadc, name, counted)
     assert run(tmp_path, *argv)[0] == 0
-    assert len(calls) == 6 and max(calls) <= 5
+    assert len(calls) == DAMPING_BLOCKS[argv[1]] and sum(rows for rows, _ in calls) == 6
+    assert max(width for _, width in calls) <= 5
 
 
 @pytest.mark.parametrize("argv", DAMPING_WORK)
@@ -612,7 +677,7 @@ def test_benchmark_tracer_traces_the_damping_commands(tmp_path, argv):
     assert record["exit_code"] == 0
     names = [span[0] for span in record["spans"]]
     assert names.count("qadc.qadc_cpf_adaptive_lb_opt") + names.count(
-        "qadc.qadc_adaptive_lb_opt") == 6
+        "qadc.qadc_adaptive_lb_opt") == DAMPING_BLOCKS[argv[1]]
 
 
 def test_fig3_many_cells(tmp_path):

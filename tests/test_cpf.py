@@ -397,34 +397,39 @@ def _xi_tables(draw):
 @example(1.0, 1.0 - 2**-53, False, 9, 1, 1, 10**5, None)  # float-flat top of a wide maximum
 @example(1.0 - 2**-53, 1.0 - 2**-53, True, 2, 3, 1, 58126, None)  # float-flat tail below hi
 def test_port_optimum_matches_a_scan_of_every_port(q_b, q_t, pair, m, u, lo, span, xi):
-    # The candidate argmax against one kernel call on every port in range.
-    # Tie rule: the smallest port among float-equal maxima of the
+    # The candidate argmax against one kernel call on every port in range, on
+    # an array of two points, (q_b, q_t) and its swap, each row against its
+    # own scan.  Tie rule: the smallest port among float-equal maxima of the
     # candidates.  Off the candidates a port can match or beat that value
     # by rounding alone, where the bound is flatter than its rounding; an
     # isolated maximum is the scan's.
     hi = lo + span
-    kernel, args = ((qadc_adaptive_lb_values, (q_b, q_t, u)) if pair
-                    else (qadc_cpf_adaptive_lb_values, (q_b, q_t, m, u)))
+    kernel, sizes = ((qadc_adaptive_lb_values, (u,)) if pair
+                     else (qadc_cpf_adaptive_lb_values, (m, u)))
+    points = [(q_b, q_t), (q_t, q_b)]
     calls = []
 
     def recorded(*a, **k):
         calls.append(np.asarray(a[-1]))
         return kernel(*a, **k)
     with mock.patch.object(qadc, kernel.__name__, recorded):
-        report = _OPT[kernel](*args, xi=xi, ports_range=(lo, hi))
-    best = report.params["ports"]
+        report = _OPT[kernel](*np.array(points).T, *sizes, xi=xi, ports_range=(lo, hi))
     (candidates,) = calls
-    assert len(candidates) <= 5 or xi is not None
-    assert best == candidates[int(np.argmax(kernel(*args, candidates, xi=xi)))]
+    candidates = np.broadcast_to(candidates, (len(points), candidates.shape[-1]))
+    assert candidates.shape[-1] <= 5 or xi is not None
     ports = np.arange(lo, hi + 1)
-    values = kernel(*args, ports, xi=xi)
-    assert report.value == values[best - lo]
-    slack = _rounding(values.max())
-    assert report.value >= values.max() - slack
-    near = ports[values >= report.value - slack]
-    assert best in near
-    if len(near) == 1:
-        assert best == ports[int(np.argmax(values))]
+    for row, point in enumerate(points):
+        best, value = report.params["ports"][row], report.value[row]
+        args = (*point, *sizes)
+        assert best == candidates[row][int(np.argmax(kernel(*args, candidates[row], xi=xi)))]
+        values = kernel(*args, ports, xi=xi)
+        assert value == values[best - lo]
+        slack = _rounding(values.max())
+        assert value >= values.max() - slack
+        near = ports[values >= value - slack]
+        assert best in near
+        if len(near) == 1:
+            assert best == ports[int(np.argmax(values))]
 
 
 def test_stationary_points_solve_h_equals_b():

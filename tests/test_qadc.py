@@ -12,7 +12,7 @@ from chandisc.channels import choi, make_qadc
 from chandisc.cpf import cpf_nonadaptive_fidelity_lb
 from chandisc.crosscheck import nulling_unitary
 from chandisc.discrimination import StateEnsemble, helstrom_binary, pgm_error, tensor_all
-from chandisc.linalg import ChandiscError
+from chandisc.linalg import BoundReport, ChandiscError
 from chandisc.qadc import (
     XiTable,
     default_xi,
@@ -408,6 +408,65 @@ def test_block_pair_with_equal_parameters_is_blind_guessing_at_large_u():
     for q, u in [(1.0, 1968), (0.5, 2000), (0.3, 5000)]:
         assert abs(qadc_block_helstrom(q, q, u).value - 0.5) <= 1e-15
         assert abs(qadc_block_pgm(q, q, u).value - 0.5) <= 1e-15
+
+
+# A 2-D array of (q0, q1) points: the endpoints, equal channels, a Choi
+# fidelity that rounds to 1, and interior pairs either way round
+_Q0 = np.array([[0.0, 1.0, 0.3, 0.3], [0.04, 0.0, 1.0, 1.0], [0.5, 0.61, 0.2, 0.96]])
+_Q1 = np.array([[0.0, 1.0, 0.3, 0.7], [0.0, 1.0, 0.0, 0.9999999999999999],
+                [0.5, 0.6100001, 0.24, 1.0]])
+
+# Each damping kernel over points, called with (q0, q1, u)
+_XI = XiTable([1, 8, 64], [2.0, 0.5, 0.1])
+_KERNELS = {
+    "qadc_choi_fidelity": lambda q0, q1, u: qadc_choi_fidelity(q0, q1),
+    "fvg_sandwich": lambda q0, q1, u: fvg_sandwich(qadc_choi_fidelity(q0, q1), u),
+    "cpf_nonadaptive_fidelity_lb":
+        lambda q0, q1, u: cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q0, q1), 3, u),
+    "qadc_block_helstrom": qadc_block_helstrom,
+    "qadc_block_pgm": qadc_block_pgm,
+    "nulling_outcome_dist": lambda q0, q1, u: nulling_outcome_dist(q0, q1),
+    "nulling_error": nulling_error,
+    "qadc_adaptive_lb_values": lambda q0, q1, u: qadc_adaptive_lb_values(
+        np.asarray(q0)[..., None], np.asarray(q1)[..., None], u, [1, 2, 49, 3000]),
+    "qadc_cpf_adaptive_lb_values": lambda q0, q1, u: qadc_cpf_adaptive_lb_values(
+        np.asarray(q0)[..., None], np.asarray(q1)[..., None], 4, u, [1, 2, 148, 10**6]),
+    "qadc_adaptive_lb_opt": qadc_adaptive_lb_opt,
+    "qadc_adaptive_lb_opt:xi":
+        lambda q0, q1, u: qadc_adaptive_lb_opt(q0, q1, u, xi=_XI, ports_range=(3, 5000)),
+    "qadc_cpf_adaptive_lb_opt": lambda q0, q1, u: qadc_cpf_adaptive_lb_opt(q0, q1, 4, u),
+    "qadc_cpf_adaptive_lb_opt:xi": lambda q0, q1, u: qadc_cpf_adaptive_lb_opt(
+        q0, q1, 2, u, xi=_XI, ports_range=(1, 40)),
+}
+
+
+def _parts(result):
+    # a kernel's result as a list: a report's value and parameters, or a tuple's entries
+    if isinstance(result, BoundReport):
+        return [result.value, *result.params.values()]
+    return list(result) if isinstance(result, tuple) else [result]
+
+
+@pytest.mark.parametrize("u", [1, 8, 60])
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_kernels_on_arrays_equal_the_kernels_point_by_point(monkeypatch, name, u):
+    # Each damping kernel on a 2-D array of points gives, bit for bit, what it
+    # gives on each point alone, also when its count tables are built in
+    # passes of two points (u = 60 takes Loader's pmf).
+    kernel = _KERNELS[name]
+    points = [_parts(kernel(q0, q1, u)) for q0, q1 in zip(_Q0.ravel().tolist(),
+                                                         _Q1.ravel().tolist())]
+    for entries in (orc.TABLE_ENTRIES, 2 * (u + 1)):
+        monkeypatch.setattr(orc, "TABLE_ENTRIES", entries)
+        parts = _parts(kernel(_Q0, _Q1, u))
+        assert len(parts) == len(points[0])
+        for part, column in zip(parts, zip(*points)):
+            if np.ndim(part) == 0:  # a size every point shares
+                assert set(column) == {part}
+            else:
+                assert part.shape[:2] == _Q0.shape
+                expected = np.array(column, dtype=part.dtype).reshape(part.shape)
+                np.testing.assert_array_equal(part, expected, strict=True)
 
 
 def test_position_finding_pgm_input_checks():
