@@ -225,10 +225,12 @@ def _block_pair(error, q0, q1, u: int, kind: str, method: str) -> BoundReport:
     ``error`` takes, per point and per ``w = 0..u`` along a last axis,
     ``min(x, y)``, the ratio ``min(x, y) / max(x, y)`` (0 where both
     vanish), ``r**(u-w)`` and ``1 - r**(u-w)``, and sums over ``w``; the
-    points go in passes of bounded table size.  ``dim`` is the rank of the
-    joint support: each state has rank ``2**u`` (1 at q = 0), and the two
-    share every support vector when ``q0 == q1``, else only the all-decay
-    one if both channels decay.
+    sum is divided by the mean pmf total, as in ``orc._binary_error``, so
+    that equal channels give exactly 1/2 though the pmfs sum to 1 only to
+    rounding.  The points go in passes of bounded table size.  ``dim`` is
+    the rank of the joint support: each state has rank ``2**u`` (1 at q =
+    0), and the two share every support vector when ``q0 == q1``, else only
+    the all-decay one if both channels decay.
     """
     q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
     u = check_count(u, "u", 1)
@@ -238,7 +240,8 @@ def _block_pair(error, q0, q1, u: int, kind: str, method: str) -> BoundReport:
         small, large = np.minimum(x, y), np.maximum(x, y)
         ratio = np.divide(small, large, out=np.zeros(small.shape), where=large > 0.0)
         log_power = np.arange(u, -1, -1) * _log_r(q0, q1)[..., None]
-        return error(small, ratio, np.exp(log_power), -np.expm1(log_power))
+        mass = (x.sum(axis=-1) + y.sum(axis=-1)) / 2.0  # 1 up to rounding
+        return error(small, ratio, np.exp(log_power), -np.expm1(log_power)) / mass
     # the tables first: a u they cannot hold raises MemoryError before 2**u is built
     value = _in_passes(weight_blocks, u, q0, q1)
     rank0, rank1 = (np.where(q > 0.0, np.array(2**u, dtype=object), 1) for q in (q0, q1))

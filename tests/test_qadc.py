@@ -469,6 +469,17 @@ def test_kernels_on_arrays_equal_the_kernels_point_by_point(monkeypatch, name, u
                 np.testing.assert_array_equal(part, expected, strict=True)
 
 
+@pytest.mark.parametrize("u", [1, 3, 8, 50, 51, 2000])
+def test_block_pair_with_equal_parameters_is_exactly_one_half(u):
+    # Both block sums are divided by the mean pmf total: the pmf sums to
+    # 1 - 2**-53 at q = 0.15, u = 3, and both columns printed
+    # 4.9999999999999994e-01 at q = 0.3 next to a fidelity lower bound of 1/2.
+    q = np.array([0.0, 0.0059513701127588475, 0.3, 0.5, 0.7, 1.0])
+    for report in (qadc_block_helstrom(q, q, u), qadc_block_pgm(q, q, u)):
+        assert report.value.tolist() == [0.5] * len(q)
+    assert qadc_block_helstrom(0.3, 0.3, 3).value == qadc_block_pgm(0.3, 0.3, 3).value == 0.5
+
+
 def test_position_finding_pgm_input_checks():
     for args, refused in [((0.3, 0.5, 1, 2), "need an integer m >= 2 and <= 2\\*\\*53, got 1"),
                           ((0.3, 0.5, 2, 0), "need an integer u >= 1 and <= 2\\*\\*53, got 0"),
