@@ -328,8 +328,8 @@ def _check_order(command, blocks):
             block = next(blocks)
         except StopIteration as done:
             return done.value
-        for name, bound_name, slack in pairs:
-            values, bounds = block[name], block[bound_name]
+        for name, bound, slack in pairs:
+            values, bounds = block[name], block[bound]
             # max() is NaN at a NaN and is the reduction check_exact_prob runs:
             # a first all() in a fig2 process raised its peak RSS by 0.1 MB
             excess = values - (bounds + slack)
@@ -338,8 +338,7 @@ def _check_order(command, blocks):
             i = int(np.argmax(~(excess <= 0.0)))
             at = ", ".join(f"{c}={block[c][i] if np.ndim(block[c]) else block[c]}" for c in where)
             raise InvariantViolation(f"{' '.join(filter(None, command))}: {name} {values[i]} "
-                                     f"exceeds {bound_name} {bounds[i]} by more than {slack} "
-                                     f"at {at}")
+                                     f"exceeds {bound} {bounds[i]} by more than {slack} at {at}")
         yield block
 
 

@@ -106,8 +106,7 @@ def argmax_ports(kernel, ports_range, peak, *points, knots=None):
     if nan.any():  # NaN has no place in the order
         raise ChandiscError(f"bound is NaN at {ports[nan][0]} ports")
     best = np.argmax(values, axis=-1)[..., None]  # the first maximum of each row
-    return (np.take_along_axis(ports, best, -1)[..., 0],
-            np.take_along_axis(values, best, -1)[..., 0])
+    return tuple(np.take_along_axis(table, best, -1)[..., 0] for table in (ports, values))
 
 
 def _rising_root(log_h, target: float, top: float, t: float) -> float:

@@ -155,9 +155,9 @@ _KINDS = (KIND_EXACT, KIND_LOWER, KIND_UPPER)
 class BoundReport(Frozen):
     """An error-probability statement, at one point or at each of an array of points.
 
-    ``value`` is reported unclamped, as are the parameters: a number for a
-    point, an array for an array.  ``kind`` states the direction: ``exact``
-    values are the quantity itself (and must lie in [0, 1]),
+    ``value`` is unclamped; it and the per-point parameters are numbers at one
+    point, arrays over an array of points.  ``kind`` states the direction:
+    ``exact`` values are the quantity itself (and must lie in [0, 1]),
     ``lower``/``upper`` values bound it from the stated side and may fall
     outside [0, 1] when vacuous.  Use :attr:`clamped_value` for plotting.
     """

@@ -89,11 +89,10 @@ def _binom_log_pmf(q, u: int) -> np.ndarray:
     return np.where(certain, edges, out)
 
 
-def _per_element(fn, *arrays) -> np.ndarray:
-    # fn over the entries of same-shape arrays, one scalar call each: math's
-    # functions, not numpy's vector loops, which can differ from them in the last bit
-    values = [fn(*entry) for entry in zip(*(np.ravel(a).tolist() for a in arrays))]
-    return np.array(values, dtype=np.float64).reshape(np.shape(arrays[0]))
+def _per_element(fn, values) -> np.ndarray:
+    # fn on each entry, one scalar call each: math's functions, not numpy's
+    # vector loops, which can differ from them in the last bit
+    return np.array([fn(v) for v in np.ravel(values).tolist()]).reshape(np.shape(values))
 
 
 def _stirlerr(n):

@@ -18,8 +18,7 @@ over ``u`` probes and applying maximum likelihood gives an achievable error,
 hence an upper bound to compare the lower bounds against.  Only the outcome
 distribution is needed here; the unitary itself is built by
 :mod:`chandisc.crosscheck`, which checks that distribution against it.
-Every function here but :func:`qadc_cpf_block_pgm` is a kernel over points,
-elementwise over broadcast arrays of its probabilities; numbers give numbers.
+Except :func:`qadc_cpf_block_pgm`, each function is elementwise over arrays.
 """
 
 from __future__ import annotations
@@ -87,9 +86,8 @@ class XiTable(Frozen):
     At ``M`` ports the value is that of the largest tabulated port count
     ``<= M``, extended as constant below the first knot; elementwise over
     arrays of port counts.  Knots are counts (``check_counts``), values
-    finite and non-negative.  With ``xi`` constant between knots the adaptive bounds
-    are non-increasing there, so the ``_opt`` functions evaluate only the
-    low end of the port range and the knots inside it.
+    finite and non-negative; the port optima evaluate only the low end of
+    the range and the knots in it (:func:`~chandisc.cpf.argmax_ports`).
     """
 
     __slots__ = ("ports", "values")
@@ -114,8 +112,7 @@ class XiTable(Frozen):
 
 
 def _xi(xi):
-    # The simulation prefactor, a non-negative function of port counts, and the
-    # counts where it steps: default_xi and None for None, an XiTable and its knots.
+    # xi as a function of port counts, and the counts where it steps (None for default_xi)
     if xi is None:
         return default_xi, None
     if not isinstance(xi, XiTable):
