@@ -238,12 +238,12 @@ ELEMENTWISE = {
 def test_single_probabilities_are_refused_unless_one_real_number(entry):
     # refused as a ChandiscError, not parsed as a number nor left to float() to raise
     call = ONE_PROBABILITY[entry]
-    points, refused = np.array([0.3, 0.2]), ["0.3", None, 0.3 + 0j]
+    points, bad_values = np.array([0.3, 0.2]), ["0.3", None, 0.3 + 0j]
     if entry.split(":")[0] in ELEMENTWISE:
         call(points)
     else:
-        refused.append(points)
-    for bad in refused:
+        bad_values.append(points)
+    for bad in bad_values:
         with pytest.raises(chandisc.ChandiscError) as refused:
             call(bad)
         assert type(refused.value) is chandisc.ChandiscError

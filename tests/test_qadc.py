@@ -466,6 +466,8 @@ def test_kernels_on_arrays_equal_the_kernels_point_by_point(monkeypatch, name, u
             else:
                 assert part.shape[:2] == _Q0.shape
                 expected = np.array(column, dtype=part.dtype).reshape(part.shape)
+                if part.dtype.kind == "f":  # bit for bit, the sign of zero included
+                    part, expected = part.view(np.uint64), expected.view(np.uint64)
                 np.testing.assert_array_equal(part, expected, strict=True)
 
 
