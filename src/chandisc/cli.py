@@ -33,7 +33,7 @@ Exit codes: 0 on success, 2 for invalid configurations (including inputs a
 library size guard refuses, tables too large for the memory at hand, and
 an output that cannot be written, such as a closed pipe), 3 when a result
 table violates one of its internal ordering invariants.  On exit 2 or 3 the
-output holds the rows computed before the failure; no file is created when
+output holds the blocks before the failing one; no file is created when
 the first block fails.
 """
 
