@@ -204,8 +204,7 @@ def run_fig3(cfg):
                    **adaptive.columns("adaptive_lb_opt"), "best_ports": adaptive.params["ports"],
                    **cpf_nonadaptive_fidelity_lb(qadc_choi_fidelity(q_b, q_t), m, u).columns(
                        "nonadaptive_fidelity_lb"),
-                   "block_pgm[upper]": np.array([qadc_cpf_block_pgm(b, t, m, u).value
-                                                 for b, t in zip(q_b.tolist(), q_t.tolist())])}
+                   "block_pgm[upper]": qadc_cpf_block_pgm(q_b, q_t, m, u).value}
 
 
 def _binary_blocks(cfg):

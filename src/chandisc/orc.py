@@ -34,8 +34,8 @@ from .linalg import check_count, check_prob
 # accurate (4.0e-15 worst relative error against 5.9e-14; tests hold it to 1e-14).
 DIRECT_PRODUCT_MAX_U = 50
 
-# The kernels take points in passes whose ``(points, u+1)`` tables hold at
-# most this many entries (512 KB each), or one point when ``u`` is larger.
+# The kernels take points in passes whose ``(points, width)`` tables hold at
+# most this many entries (512 KB each), or one point when a point's is larger.
 # ``fig2 --m 1000 --u 5000 --gap 0.01`` took 7.6 s and 126 MB with all 200
 # points in one pass, 4.6 s and 37 MB in passes (2-core x86, one BLAS thread).
 TABLE_ENTRIES = 1 << 16
@@ -141,12 +141,12 @@ def _probabilities(named):
     return np.broadcast_arrays(*(np.asarray(check_prob(q, name)) for name, q in named))
 
 
-def _in_passes(kernel, u: int, *arrays) -> np.ndarray:
+def _in_passes(kernel, width: int, *arrays) -> np.ndarray:
     # kernel(*rows) over the flattened points of same-shape arrays, at most
-    # TABLE_ENTRIES // (u+1) of them per pass.
+    # TABLE_ENTRIES // width of them per pass: u+1 counts or C(m+u, m) classes a point.
     flat = [a.reshape(-1) for a in arrays]
     out = np.empty(flat[0].size)
-    step = max(1, TABLE_ENTRIES // (u + 1))
+    step = max(1, TABLE_ENTRIES // width)
     for start in range(0, out.size, step):
         out[start:start + step] = kernel(*(a[start:start + step] for a in flat))
     return out.reshape(arrays[0].shape)
@@ -166,7 +166,7 @@ def f_u_values(q0, q1, u: int) -> np.ndarray:
     """
     q0, q1 = _probabilities((("q0", q0), ("q1", q1)))
     u = check_count(u, "u", 1)
-    return _in_passes(lambda a, b: _binary_error(_binom_pmf(a, u), _binom_pmf(b, u)), u, q0, q1)
+    return _in_passes(lambda a, b: _binary_error(_binom_pmf(a, u), _binom_pmf(b, u)), u + 1, q0, q1)
 
 
 def _binary_error(pmf0: np.ndarray, pmf1: np.ndarray) -> np.ndarray:
@@ -211,7 +211,7 @@ def h_mu_values(q_b, q_t, m: int, u: int) -> np.ndarray:
     """
     q_b, q_t = _probabilities((("q_b", q_b), ("q_t", q_t)))
     u, m = check_count(u, "u", 1), check_count(m, "m", 2)
-    return _in_passes(lambda b, t: _position_error(*_position_tables(b, t, u), m), u, q_b, q_t)
+    return _in_passes(lambda b, t: _position_error(*_position_tables(b, t, u), m), u + 1, q_b, q_t)
 
 
 def _position_tables(q_b, q_t, u: int):

@@ -18,7 +18,7 @@ over ``u`` probes and applying maximum likelihood gives an achievable error,
 hence an upper bound to compare the lower bounds against.  Only the outcome
 distribution is needed here; the unitary itself is built by
 :mod:`chandisc.crosscheck`, which checks that distribution against it.
-Except :func:`qadc_cpf_block_pgm`, each function is elementwise over arrays.
+Each function is elementwise over broadcast arrays of points.
 """
 
 from __future__ import annotations
@@ -31,14 +31,13 @@ import numpy as np
 
 from .cpf import _fidelity_lb, argmax_ports, pair_peak, position_peak
 from .linalg import (KIND_EXACT, KIND_LOWER, KIND_UPPER, BoundReport, ChandiscError, Frozen,
-                     as_item, check_count, check_counts, check_one_prob, check_prob, first_outside)
+                     as_item, check_count, check_counts, check_prob, first_outside)
 from .orc import (_binary_error, _binom_log_pmf, _binom_pmf, _in_passes, _per_element,
                   _probabilities)
 
 
-# Largest number of sorted cell-weight classes ``C(m+u, m)`` that
-# :func:`qadc_cpf_block_pgm` sums over.  (m, u) = (6, 20) has 230230 and
-# takes 1.2 s and 130 MB; (8, 20) has 3.1 million.
+# Most sorted cell-weight classes ``C(m+u, m)`` :func:`qadc_cpf_block_pgm` sums over:
+# (m, u) = (6, 20) has 230230: 0.7 s a point, 136 MB peak (2-core x86); (8, 20) 3.1 million.
 MAX_CPF_CLASSES = 1 << 18
 
 
@@ -240,7 +239,7 @@ def _block_pair(error, q0, q1, u: int, kind: str, method: str) -> BoundReport:
         mass = (x.sum(axis=-1) + y.sum(axis=-1)) / 2.0  # 1 up to rounding
         return error(small, ratio, np.exp(log_power), -np.expm1(log_power)) / mass
     # the tables first: a u they cannot hold raises MemoryError before 2**u is built
-    value = _in_passes(weight_blocks, u, q0, q1)
+    value = _in_passes(weight_blocks, u + 1, q0, q1)
     rank0, rank1 = (np.where(q > 0.0, np.array(2**u, dtype=object), 1) for q in (q0, q1))
     shared = np.where(q0 == q1, rank0, (q0 > 0.0) & (q1 > 0.0))
     return BoundReport(value, kind, method,
@@ -293,7 +292,7 @@ def _weight_classes(m: int, u: int, side: int):
     Two read-only tables: the increasing rows of distinct weights, and the
     rows of cells per weight (the gaps between 0, ``side - 1`` increasing
     cuts in ``1..m-1``, and ``m``).  Each pairing of two rows is one vector,
-    formed by the caller.  Cached per ``(m, u, side)``, for every sweep point.
+    formed by the caller.  Cached per ``(m, u, side)``, for every pass.
     """
     weights = _combinations(range(u + 1), side)
     groups = np.diff(_combinations(range(1, m), side - 1), axis=1, prepend=0, append=m)
@@ -319,16 +318,15 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
     multinomial count times ``prod_c Binomial(u, q_b/2)(w_c)``.  ``g`` cells
     of equal weight give ``g - 1`` eigenvalues exactly ``d`` and one
     collective coordinate with ``b sqrt(g)``, so every eigenproblem has the
-    side of the number of distinct weights, and classes of equal side are
-    decomposed together.  Each block is scaled by its largest diagonal
-    entry, in logs, so no power overflows.  At ``q_b = 0`` only the classes
-    where the target cell alone decays escape the normalisation; they
-    identify the target and add ``1 - (1 - q_t/2)**u`` to the success.
+    side of the number of distinct weights, and the classes of equal side of
+    all the points in a pass are decomposed together.  Each block is scaled
+    by its largest diagonal entry, in logs, so no power overflows.  At ``q_b
+    = 0`` only the classes where the target cell alone decays escape the
+    normalisation; they identify the target and add ``1 - (1 - q_t/2)**u``.
 
-    Raises before allocating when ``C(m+u, m)`` exceeds ``MAX_CPF_CLASSES``.
+    Raises before allocating when a point's ``C(m+u, m)`` classes exceed ``MAX_CPF_CLASSES``.
     """
-    q_b = check_one_prob(q_b, "q_b")
-    q_t = check_one_prob(q_t, "q_t")
+    q_b, q_t = _probabilities((("q_b", q_b), ("q_t", q_t)))
     m, u = check_count(m, "m", 2), check_count(u, "u", 1)
     # C(m+u, m) >= 2**min(m, u), so it exceeds the guard once min(m, u) reaches its bit length
     small = min(m, u) < MAX_CPF_CLASSES.bit_length()
@@ -336,56 +334,59 @@ def qadc_cpf_block_pgm(q_b, q_t, m: int, u: int) -> BoundReport:
     if classes > MAX_CPF_CLASSES:
         raise ChandiscError(f"weight class count C({m + u}, {m}) exceeds guard {MAX_CPF_CLASSES}")
     params = {"q_b": q_b, "q_t": q_t, "m": m, "u": u, "classes": classes}
-    log_r = float(_log_r(q_b, q_t))
-    mass_q = q_b / 2.0
-    w = np.arange(u + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # x1/B1 = sqrt(q_t/q_b), taken to the power w with 0**0 = 1; where
-        # mass_q = 0 the masses of w > 0 vanish and b does not matter there.
-        if mass_q == 0.0 or q_t == 0.0:
-            log_ratio = -math.inf
-        elif q_t / q_b < math.inf:
-            log_ratio = math.log(q_t / q_b)
-        else:
-            log_ratio = math.log(q_t) - math.log(q_b)
-        # x0/B0 = 1 - sqrt(1-q_b) (sqrt(1-q_b) - sqrt(1-q_t)) / (2-q_b), exactly 1 at q_b = q_t
-        root_b = math.sqrt(1.0 - q_b)
-        log_no_decay = math.log1p(-root_b * (root_b - math.sqrt(1.0 - q_t)) / (2.0 - q_b))
-        log_b = (u - w) * log_no_decay + np.where(w > 0, w * log_ratio / 2.0, 0.0)
-        excess = -(u - w) * log_r
-        log_d = 2.0 * log_b + excess + np.log(-np.expm1(-excess))
-    log_mass = _binom_log_pmf(mass_q, u)
-    log_fact = np.array([math.lgamma(g + 1) for g in range(m + 1)])
+    value = _in_passes(lambda b, t: _cpf_pgm_error(b, t, m, u), classes, q_b, q_t)
+    return BoundReport(value, KIND_UPPER, "qadc_cpf_block_pgm", params)
 
-    success = 0.0
+
+def _cpf_pgm_error(q_b, q_t, m: int, u: int) -> np.ndarray:
+    # qadc_cpf_block_pgm's value at each point of two 1-D arrays
+    log_r = _log_r(q_b, q_t)
+    still = q_b / 2.0 == 0.0  # the background cells never decay, also where q_b/2 underflows
+    w = np.arange(u + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # x1/B1 = sqrt(q_t/q_b) to the power w, 0**0 = 1; unused at w > 0 where q_b/2 = 0
+        dead = still | (q_t == 0.0)
+        wide = ~dead & np.isinf(q_t / q_b)  # the quotient overflows: a difference of logs
+        log_ratio = _per_element(math.log, np.where(dead | wide, 1.0, q_t / q_b))
+        log_ratio[wide] = _per_element(math.log, q_t[wide]) - _per_element(math.log, q_b[wide])
+        log_ratio[dead] = -np.inf
+        # x0/B0 = 1 - sqrt(1-q_b) (sqrt(1-q_b) - sqrt(1-q_t)) / (2-q_b), exactly 1 at q_b = q_t
+        root_b = np.sqrt(1.0 - q_b)
+        log_x0 = _per_element(math.log1p, -root_b * (root_b - np.sqrt(1.0 - q_t)) / (2.0 - q_b))
+        log_b = (u - w) * log_x0[:, None] + np.where(w > 0, w * log_ratio[:, None] / 2.0, 0.0)
+        excess = -(u - w) * log_r[:, None]
+        log_d = 2.0 * log_b + excess + np.log(-np.expm1(-excess))
+    log_mass = _binom_log_pmf(q_b / 2.0, u)
+    log_fact = np.array([math.lgamma(g + 1) for g in range(m + 1)])
+    success = np.zeros(q_b.size)
     for side in range(1, min(m, u + 1) + 1):
         weights, groups = _weight_classes(m, u, side)
         weight = np.repeat(weights, len(groups), axis=0)
         group = np.tile(groups, (len(weights), 1))
         log_weight = (log_fact[m] - log_fact[group].sum(axis=1)
-                      + (group * log_mass[weight]).sum(axis=1))
-        kept = np.isfinite(log_weight)  # classes of zero mass drop out
-        weight, group, log_weight = weight[kept], group[kept], log_weight[kept]
-        log_beta = log_b[weight] + np.log(group) / 2.0
-        log_scale = np.logaddexp(log_d[weight], 2.0 * log_beta).max(axis=1)
+                      + (group * np.take(log_mass, weight, axis=1)).sum(axis=2))
+        point, kept = np.nonzero(np.isfinite(log_weight))  # classes of zero mass drop out
+        group, log_weight = group[kept], log_weight[point, kept]
+        weight = weight[kept] + (u + 1) * point[:, None]  # entries of the (points, u+1) tables
+        log_beta = np.take(log_b, weight) + np.log(group) / 2.0
+        log_scale = np.logaddexp(np.take(log_d, weight), 2.0 * log_beta).max(axis=1)
         log_scale[np.isinf(log_scale)] = 0.0  # every cell's vector vanishes
-        diag = np.exp(log_d[weight] - log_scale[:, None])
+        diag = np.exp(np.take(log_d, weight) - log_scale[:, None])
         beta = np.exp(log_beta - log_scale[:, None] / 2.0)
-        if log_r == 0.0:  # no diagonal part: the rank-one root is exact
-            norm = np.sqrt(np.sum(beta**2, axis=1, keepdims=True))
-            root = np.divide(beta**2, norm, out=np.zeros_like(beta), where=norm > 0.0)
-        else:
-            block = beta[:, :, None] * beta[:, None, :]
-            block[:, np.arange(side), np.arange(side)] += diag
-            eigval, eigvec = np.linalg.eigh(block)
-            root = np.einsum("nij,nj->ni", eigvec**2, np.sqrt(np.clip(eigval, 0.0, None)))
+        block = beta[:, :, None] * beta[:, None, :]
+        block[:, np.arange(side), np.arange(side)] += diag
+        val, vec = np.linalg.eigh(block)  # vec squared in place: one table of blocks less
+        root = np.einsum("nij,nj->ni", np.square(vec, out=vec), np.sqrt(np.clip(val, 0.0, None)))
+        flat = log_r[point] == 0.0  # no diagonal part: the exact rank-one root instead
+        norm = np.sqrt(np.sum(beta[flat]**2, axis=1, keepdims=True))
+        root[flat] = beta[flat]**2 / np.where(norm > 0.0, norm, np.inf)  # 0 where all vanish
         cell = np.sqrt(diag) * (1.0 - 1.0 / group) + root / group
-        scale = np.exp(log_weight + log_scale)
-        success += float(scale @ np.sum(group * cell**2, axis=1))
+        scale, term = np.exp(log_weight + log_scale), np.sum(group * cell**2, axis=1)
+        cuts = np.searchsorted(point, np.arange(1, q_b.size))  # a BLAS dot per point, as alone
+        success += [a @ b for a, b in zip(np.split(scale, cuts), np.split(term, cuts))]
     success /= m
-    if mass_q == 0.0:
-        success += -math.expm1(u * math.log1p(-q_t / 2.0))
-    return BoundReport(1.0 - success, KIND_UPPER, "qadc_cpf_block_pgm", params)
+    success[still] -= _per_element(math.expm1, u * _per_element(math.log1p, -q_t[still] / 2.0))
+    return 1.0 - success
 
 
 def nulling_outcome_dist(q_applied, q_actual) -> np.ndarray:
@@ -440,4 +441,4 @@ def nulling_error(q0, q1, u: int):
 
     def error(applied, a, b):
         return _binary_error(_nulling_table(applied, a, u), _nulling_table(applied, b, u))
-    return tuple(as_item(_in_passes(error, u, applied, q0, q1)) for applied in (q0, q1))
+    return tuple(as_item(_in_passes(error, u + 1, applied, q0, q1)) for applied in (q0, q1))

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chandisc
 from chandisc import cli, crosscheck
 from chandisc.channels import make_qadc
 from chandisc.cpf import argmax_ports
@@ -363,9 +364,7 @@ def test_binary_qdc_invariant_violation_exits_three(tmp_path, monkeypatch, capsy
 
 
 def _put(values, value, at):
-    # values with entry ``at`` replaced by value, or one point's value (at None) replaced whole
-    if at is None:
-        return value
+    # values with entry ``at`` replaced by value
     values = np.array(values, dtype=np.float64)
     values[at] = value
     return values
@@ -440,13 +439,13 @@ def test_broken_ordering_exits_three(tmp_path, monkeypatch, capsys, command, mod
     real, points = getattr(target, name), []
 
     def changed(*args, **kwargs):
-        # a kernel gets a block's points as an array, qadc_cpf_block_pgm one point per call
+        # each kernel gets a block's points as one array
         first = len(points)
         points.extend(np.ravel(args[0]).tolist())
         result = real(*args, **kwargs)
         if not first <= 3 < len(points):
             return result
-        return change(result, 3 - first if np.ndim(args[0]) else None)
+        return change(result, 3 - first)
     monkeypatch.setattr(target, name, changed)
     code, text = run(tmp_path, *argv)
     assert code == 3
@@ -662,6 +661,19 @@ def test_damping_optima_evaluate_at_most_five_ports(tmp_path, monkeypatch, argv)
     assert run(tmp_path, *argv)[0] == 0
     assert len(calls) == DAMPING_BLOCKS[argv[1]] and sum(rows for rows, _ in calls) == 6
     assert max(width for _, width in calls) <= 5
+
+
+def test_fig3_takes_each_block_pgm_from_one_kernel_call(tmp_path, monkeypatch):
+    # one position-finding block PGM call per (m, u) block, on its sweep points as arrays
+    from chandisc import qadc
+    calls, real = [], qadc.qadc_cpf_block_pgm
+
+    def counted(q_b, q_t, m, u):
+        calls.append((np.shape(q_b), np.shape(q_t), m, u))
+        return real(q_b, q_t, m, u)
+    monkeypatch.setattr(qadc, "qadc_cpf_block_pgm", counted)
+    assert run(tmp_path, *DAMPING_WORK[0])[0] == 0
+    assert calls == [((3,), (3,), 2, 4), ((3,), (3,), 4, 2)]
 
 
 @pytest.mark.parametrize("argv", DAMPING_WORK)
@@ -1035,8 +1047,8 @@ def _modules_after(tmp_path, argv=None):
 
 
 def _child_env():
-    # this environment with the checkout's src/ first on PYTHONPATH
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # this environment with the directory of the chandisc under test first on PYTHONPATH
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chandisc.__file__)))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 

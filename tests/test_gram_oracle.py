@@ -64,6 +64,7 @@ def test_weight_vector_pgm_matches_full_gram(q_b, q_t, m, u):
     (0.3, 0.9, 3, 2),
     (0.04, 0.0, 4, 2),    # the target cell never decays
     (0.0, 0.4, 3, 2),     # the background cells never decay
+    (1e-310, 0.3, 3, 2),  # q_t/q_b overflows: log(x1/B1) from a difference of logs
     (0.52, 0.48, 3, 4),   # r**(m u) = 4096 and 4096 Gram columns
     (0.3, 0.5, 4, 3),
 ])

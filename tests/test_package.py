@@ -231,7 +231,8 @@ ONE_PROBABILITY = {
 ELEMENTWISE = {
     "cpf_nonadaptive_fidelity_lb", "fvg_sandwich", "nulling_error", "nulling_outcome_dist",
     "qadc_adaptive_lb_opt", "qadc_adaptive_lb_values", "qadc_block_helstrom", "qadc_block_pgm",
-    "qadc_choi_fidelity", "qadc_cpf_adaptive_lb_opt", "qadc_cpf_adaptive_lb_values"}
+    "qadc_choi_fidelity", "qadc_cpf_adaptive_lb_opt", "qadc_cpf_adaptive_lb_values",
+    "qadc_cpf_block_pgm"}
 
 
 @pytest.mark.parametrize("entry", sorted(ONE_PROBABILITY))

@@ -437,6 +437,7 @@ _KERNELS = {
     "qadc_cpf_adaptive_lb_opt": lambda q0, q1, u: qadc_cpf_adaptive_lb_opt(q0, q1, 4, u),
     "qadc_cpf_adaptive_lb_opt:xi": lambda q0, q1, u: qadc_cpf_adaptive_lb_opt(
         q0, q1, 2, u, xi=_XI, ports_range=(1, 40)),
+    "qadc_cpf_block_pgm": lambda q0, q1, u: qadc_cpf_block_pgm(q0, q1, 3, u),
 }
 
 
@@ -480,6 +481,26 @@ def test_block_pair_with_equal_parameters_is_exactly_one_half(u):
     for report in (qadc_block_helstrom(q, q, u), qadc_block_pgm(q, q, u)):
         assert report.value.tolist() == [0.5] * len(q)
     assert qadc_block_helstrom(0.3, 0.3, 3).value == qadc_block_pgm(0.3, 0.3, 3).value == 0.5
+
+
+@pytest.mark.parametrize("m,u", [(2, 1), (2, 4), (4, 2), (3, 5)])
+def test_position_finding_pgm_on_arrays_equals_it_point_by_point(monkeypatch, m, u):
+    # Every (q_b, q_t) pair of the endpoints, q_b = 5e-324 (q_b/2 underflows
+    # to 0), a quotient q_t/q_b that overflows and equal pairs: a 7x7 array
+    # gives, bit for bit, what each point gives alone, in one pass and in
+    # passes of three points, whose boundaries fall inside the array's rows.
+    q = [0.0, 5e-324, 1e-310, 0.3, 0.5, 1.0 - 1e-16, 1.0]
+    q_b, q_t = np.meshgrid(q, q, indexing="ij")
+    points = [qadc_cpf_block_pgm(b, t, m, u).value
+              for b, t in zip(q_b.ravel().tolist(), q_t.ravel().tolist())]
+    assert {type(value) for value in points} == {float}
+    classes = math.comb(m + u, m)
+    for entries in (orc.TABLE_ENTRIES, 3 * classes):
+        monkeypatch.setattr(orc, "TABLE_ENTRIES", entries)
+        report = qadc_cpf_block_pgm(q_b, q_t, m, u)
+        assert report.params["classes"] == classes and report.value.shape == q_b.shape
+        np.testing.assert_array_equal(report.value.ravel().view(np.uint64),
+                                      np.array(points).view(np.uint64), strict=True)
 
 
 def test_position_finding_pgm_input_checks():
